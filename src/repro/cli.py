@@ -73,12 +73,8 @@ ENGINES = ("iam", "lsa", "leveldb", "rocksdb", "flsm", "lsmtrie")
 SETUPS = {"ssd-100g": SSD_100G, "hdd-100g": HDD_100G, "hdd-1t": HDD_1T}
 
 
-def _engine_options(engine: str, threads: int, *, scheduler: str = "fair",
-                    compaction_selector: str = "provider",
-                    legacy_gate: bool = False):
-    kw = dict(key_size=KEY_SIZE, background_threads=threads,
-              scheduler=scheduler, compaction_selector=compaction_selector,
-              legacy_gate=legacy_gate)
+def _engine_options(engine: str, threads: int):
+    kw = dict(key_size=KEY_SIZE, background_threads=threads)
     if engine in ("iam", "lsa"):
         return IamOptions(**kw)
     if engine == "lsmtrie":
@@ -88,20 +84,11 @@ def _engine_options(engine: str, threads: int, *, scheduler: str = "fair",
     return LsmOptions.leveldb(**kw)
 
 
-def _scheduling_kw(args) -> dict:
-    """Scheduler/pacer knobs from the shared CLI flags (defaults when absent)."""
-    return {
-        "scheduler": getattr(args, "scheduler", "fair"),
-        "compaction_selector": getattr(args, "compaction_selector", "provider"),
-        "legacy_gate": getattr(args, "legacy_gate", False),
-    }
-
-
-def _build_db(engine: str, device: str, memory_mb: float, threads: int,
-              **scheduling) -> IamDB:
+def _build_db(engine: str, device: str, memory_mb: float,
+              threads: int) -> IamDB:
     dev = HDD if device == "hdd" else SSD
     storage = StorageOptions(device=dev, page_cache_bytes=int(memory_mb * 1e6))
-    opts = _engine_options(engine, threads, **scheduling)
+    opts = _engine_options(engine, threads)
     return IamDB(engine, engine_options=opts, storage_options=storage)
 
 
@@ -155,10 +142,20 @@ def _finish_trace(session, path: str) -> None:
     print(f"\nwrote trace to {path}")
 
 
+def _validate_trace(session) -> int:
+    """Schema-check the session's Chrome trace; the exit code."""
+    from repro.obs import validate_chrome_trace
+    problems = validate_chrome_trace(session.to_chrome())
+    for p in problems:
+        print(f"TRACE SCHEMA: {p}", file=sys.stderr)
+    if not problems:
+        print("trace schema ok")
+    return 1 if problems else 0
+
+
 def cmd_load(args) -> int:
     _apply_sanitize(args)
-    db = _build_db(args.engine, args.device, args.memory_mb, args.threads,
-                   **_scheduling_kw(args))
+    db = _build_db(args.engine, args.device, args.memory_mb, args.threads)
     session = _maybe_trace(args, db)
     injector = _maybe_faults(args, db)
     fn = fill_seq if args.sequential else hash_load
@@ -179,8 +176,7 @@ def cmd_load(args) -> int:
 def cmd_ycsb(args) -> int:
     _apply_sanitize(args)
     spec = YCSB_WORKLOADS[args.workload.upper()]
-    db = _build_db(args.engine, args.device, args.memory_mb, args.threads,
-                   **_scheduling_kw(args))
+    db = _build_db(args.engine, args.device, args.memory_mb, args.threads)
     session = _maybe_trace(args, db)
     injector = _maybe_faults(args, db)
     hash_load(db, args.records, quiesce=False)
@@ -203,10 +199,9 @@ TRACE_WORKLOADS = ("load", "fillseq") + tuple(f"ycsb-{c}" for c in "abcdefg")
 
 
 def cmd_trace(args) -> int:
-    from repro.obs import TraceConfig, attach_trace, validate_chrome_trace
+    from repro.obs import TraceConfig, attach_trace
     _apply_sanitize(args)
-    db = _build_db(args.engine, args.device, args.memory_mb, args.threads,
-                   **_scheduling_kw(args))
+    db = _build_db(args.engine, args.device, args.memory_mb, args.threads)
     config = TraceConfig() if args.interval is None else TraceConfig(
         sample_interval_s=args.interval)
     session = attach_trace(db, config)
@@ -226,15 +221,7 @@ def cmd_trace(args) -> int:
     # End-of-run barrier: in-flight jobs complete so their spans close.
     db.quiesce()
     session.finish()
-    rc = 0
-    if args.validate:
-        problems = validate_chrome_trace(session.to_chrome())
-        if problems:
-            for p in problems:
-                print(f"TRACE SCHEMA: {p}", file=sys.stderr)
-            rc = 1
-        else:
-            print("trace schema ok")
+    rc = _validate_trace(session) if args.validate else 0
     if args.out:
         session.write_chrome(args.out)
         print(f"wrote Chrome trace to {args.out} "
@@ -341,24 +328,96 @@ def cmd_faults(args) -> int:
     return 1 if report["n_failures"] else 0
 
 
-def cmd_cluster(args) -> int:
-    """Sharded, replicated cluster run: load (+ optional YCSB), full report."""
-    import json
+def _cluster_storage(args) -> StorageOptions:
+    """Per-node storage: ``--memory-mb`` is split evenly across shards."""
+    dev = HDD if args.device == "hdd" else SSD
+    return StorageOptions(
+        device=dev,
+        page_cache_bytes=max(1, int(args.memory_mb * 1e6 / args.shards)))
+
+
+def _start_cluster(args, options):
+    """Build the cluster, attach the trace session, arm ``--faults``."""
     from repro.cluster import (
         ClusterDB,
-        ClusterOptions,
-        NetworkOptions,
-        RebalanceOptions,
         attach_cluster_trace,
         parse_cluster_fault_spec,
     )
+    cluster = ClusterDB(options)
+    session = attach_cluster_trace(cluster) if args.trace or args.validate \
+        else None
+    if args.faults:
+        from repro.faults.plan import parse_fault_spec
+        dev_spec, kills = parse_cluster_fault_spec(args.faults)
+        cluster.arm_faults(
+            parse_fault_spec(dev_spec) if dev_spec else None, kills)
+    return cluster, session
+
+
+def _load_then_ycsb(cluster, args, **ycsb_kw):
+    """Hash-load, then the YCSB phase in ``ycsb`` mode; the last report."""
+    rep = hash_load(cluster, args.records, quiesce=False)
+    if args.mode == "ycsb":
+        spec = YCSB_WORKLOADS[args.workload.upper()]
+        rep = run_ycsb(cluster, spec, args.ops, args.records,
+                       clients=args.clients, **ycsb_kw)
+    return rep
+
+
+def _check_cluster_invariants(cluster) -> int:
     from repro.common.errors import InvariantViolation
-    from repro.obs import validate_chrome_trace
+    try:
+        cluster.check_invariants()
+    except InvariantViolation as exc:
+        print(f"CLUSTER INVARIANT: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _print_headline(label: str, stats, args, rep) -> None:
+    what = (f"YCSB-{args.workload.upper()}" if args.mode == "ycsb"
+            else "hash load")
+    print(f"{label} {what} on {args.engine} x{stats['n_shards']} shards "
+          f"x{args.replicas} replicas ({args.device}): "
+          f"{rep.throughput:,.0f} ops/s over "
+          f"{rep.sim_seconds * 1e3:.2f} sim-ms")
+
+
+def _print_network(stats) -> None:
+    net = stats["network"]
+    print(f"network: {net['messages']} messages, "
+          f"{net['bytes_sent'] / 1e6:.2f} MB shipped")
+
+
+def _print_failovers(stats) -> None:
+    for report in stats["failovers"]:
+        print(f"failover: shard {report['shard']} node "
+              f"{report['dead_node']} -> {report['promoted_node']} "
+              f"(acked {report['acked_seq']}, recovered "
+              f"{report['recovered_seq']})")
+
+
+def _finish_cluster_trace(session, args, label: str) -> int:
+    """``--validate`` / ``--trace`` tail of a cluster run; the exit code."""
+    rc = _validate_trace(session) if args.validate else 0
+    if args.trace:
+        session.write_chrome(args.trace)
+        print(f"wrote {label} trace to {args.trace}")
+    return rc
+
+
+def _write_cluster_report(stats, args, label: str) -> None:
+    if args.report:
+        import json
+        with open(args.report, "w") as fh:
+            fh.write(json.dumps(stats, sort_keys=True, separators=(",", ":")))
+        print(f"wrote {label} report to {args.report}")
+
+
+def cmd_cluster(args) -> int:
+    """Sharded, replicated cluster run: load (+ optional YCSB), full report."""
+    from repro.cluster import ClusterOptions, NetworkOptions, RebalanceOptions
     _apply_sanitize(args)
-    dev = HDD if args.device == "hdd" else SSD
-    storage = StorageOptions(
-        device=dev,
-        page_cache_bytes=max(1, int(args.memory_mb * 1e6 / args.shards)))
     net_kwargs = {}
     if args.net_latency_us is not None:
         net_kwargs["latency_s"] = args.net_latency_us * 1e-6
@@ -367,39 +426,16 @@ def cmd_cluster(args) -> int:
     rebalance = (RebalanceOptions(
         split_threshold_bytes=int(args.split_mb * 1e6))
         if args.split_mb else RebalanceOptions())
-    cluster = ClusterDB(ClusterOptions(
+    cluster, session = _start_cluster(args, ClusterOptions(
         n_shards=args.shards, n_replicas=args.replicas, engine=args.engine,
-        engine_options=_engine_options(args.engine, args.threads,
-                                       **_scheduling_kw(args)),
-        storage_options=storage, network=NetworkOptions(**net_kwargs),
-        rebalance=rebalance))
-    session = attach_cluster_trace(cluster) if args.trace or args.validate \
-        else None
-    if args.faults:
-        from repro.faults.plan import parse_fault_spec
-        dev_spec, kills = parse_cluster_fault_spec(args.faults)
-        cluster.arm_faults(
-            parse_fault_spec(dev_spec) if dev_spec else None, kills)
-    rep = hash_load(cluster, args.records, quiesce=False)
-    if args.mode == "ycsb":
-        spec = YCSB_WORKLOADS[args.workload.upper()]
-        rep = run_ycsb(cluster, spec, args.ops, args.records,
-                       clients=args.clients,
-                       coalesce_reads=args.coalesce_reads)
+        engine_options=_engine_options(args.engine, args.threads),
+        storage_options=_cluster_storage(args),
+        network=NetworkOptions(**net_kwargs), rebalance=rebalance))
+    rep = _load_then_ycsb(cluster, args, coalesce_reads=args.coalesce_reads)
     cluster.quiesce()
-    rc = 0
-    try:
-        cluster.check_invariants()
-    except InvariantViolation as exc:
-        print(f"CLUSTER INVARIANT: {exc}", file=sys.stderr)
-        rc = 1
+    rc = _check_cluster_invariants(cluster)
     stats = cluster.stats()
-    what = (f"YCSB-{args.workload.upper()}" if args.mode == "ycsb"
-            else "hash load")
-    print(f"cluster {what} on {args.engine} x{stats['n_shards']} shards "
-          f"x{args.replicas} replicas ({args.device}): "
-          f"{rep.throughput:,.0f} ops/s over "
-          f"{rep.sim_seconds * 1e3:.2f} sim-ms")
+    _print_headline("cluster", stats, args, rep)
     rows = []
     for row in stats["shards"]:
         rows.append([
@@ -416,9 +452,7 @@ def cmd_cluster(args) -> int:
     imb = stats["load_imbalance"]
     print(f"\nimbalance: ops max/mean={imb['ops_max_over_mean']:.2f} "
           f"bytes max/mean={imb['bytes_max_over_mean']:.2f}")
-    net = stats["network"]
-    print(f"network: {net['messages']} messages, "
-          f"{net['bytes_sent'] / 1e6:.2f} MB shipped")
+    _print_network(stats)
     reb = stats["rebalance"]
     print(f"rebalance: {reb['splits']} splits, {reb['merges']} merges, "
           f"{reb['moved_bytes'] / 1e6:.2f} MB moved")
@@ -427,80 +461,38 @@ def cmd_cluster(args) -> int:
               f"p50={digest['p50'] * 1e6:9.1f}us "
               f"p99={digest['p99'] * 1e6:9.1f}us "
               f"max={digest['max'] * 1e3:9.2f}ms")
-    for report in stats["failovers"]:
-        print(f"failover: shard {report['shard']} node "
-              f"{report['dead_node']} -> {report['promoted_node']} "
-              f"(acked {report['acked_seq']}, recovered "
-              f"{report['recovered_seq']})")
+    _print_failovers(stats)
     if session is not None:
-        if args.validate:
-            problems = validate_chrome_trace(session.to_chrome())
-            if problems:
-                for p in problems:
-                    print(f"TRACE SCHEMA: {p}", file=sys.stderr)
-                rc = 1
-            else:
-                print("trace schema ok")
-        if args.trace:
-            session.write_chrome(args.trace)
-            print(f"wrote cluster trace to {args.trace}")
+        rc |= _finish_cluster_trace(session, args, "cluster")
         print()
         print(session.summary())
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(json.dumps(stats, sort_keys=True, separators=(",", ":")))
-        print(f"wrote cluster report to {args.report}")
+    _write_cluster_report(stats, args, "cluster")
     cluster.close()
     return rc
 
 
 def cmd_objstore(args) -> int:
     """Shared-storage cluster run: every shard mirrors to the object store."""
-    import json
-    from repro.cluster import (
-        ClusterDB,
-        ClusterOptions,
-        NetworkOptions,
-        attach_cluster_trace,
-        parse_cluster_fault_spec,
-    )
-    from repro.common.errors import ConfigError, InvariantViolation
-    from repro.obs import validate_chrome_trace
+    from repro.cluster import ClusterOptions, NetworkOptions
+    from repro.common.errors import ConfigError
     from repro.objstore import ObjStoreOptions
     from repro.objstore.report import format_objstore_report
     _apply_sanitize(args)
-    dev = HDD if args.device == "hdd" else SSD
-    storage = StorageOptions(
-        device=dev,
-        page_cache_bytes=max(1, int(args.memory_mb * 1e6 / args.shards)))
     store_kwargs = {}
     if args.store_latency_us is not None:
         store_kwargs["latency_s"] = args.store_latency_us * 1e-6
     if args.store_bandwidth_mb is not None:
         store_kwargs["bandwidth"] = args.store_bandwidth_mb * 1e6
-    cluster = ClusterDB(ClusterOptions(
+    cluster, session = _start_cluster(args, ClusterOptions(
         n_shards=args.shards, n_replicas=args.replicas, engine=args.engine,
-        engine_options=_engine_options(args.engine, args.threads,
-                                       **_scheduling_kw(args)),
-        storage_options=storage, network=NetworkOptions(),
+        engine_options=_engine_options(args.engine, args.threads),
+        storage_options=_cluster_storage(args), network=NetworkOptions(),
         objstore=ObjStoreOptions(**store_kwargs),
         objstore_retain_cuts=args.retain_cuts,
         compaction_offload=args.offload_compaction))
-    session = attach_cluster_trace(cluster) if args.trace or args.validate \
-        else None
-    if args.faults:
-        from repro.faults.plan import parse_fault_spec
-        dev_spec, kills = parse_cluster_fault_spec(args.faults)
-        cluster.arm_faults(
-            parse_fault_spec(dev_spec) if dev_spec else None, kills)
-    rep = hash_load(cluster, args.records, quiesce=False)
-    if args.mode == "ycsb":
-        spec = YCSB_WORKLOADS[args.workload.upper()]
-        rep = run_ycsb(cluster, spec, args.ops, args.records,
-                       clients=args.clients)
+    rep = _load_then_ycsb(cluster, args)
     cluster.flush()
     cluster.quiesce()
-    rc = 0
     if args.bootstrap_follower is not None:
         boot = cluster.spawn_follower(args.bootstrap_follower,
                                       mode="objstore")
@@ -510,23 +502,12 @@ def cmd_objstore(args) -> int:
               f"{int(boot['store_bytes_down']) / 1e6:.2f} MB "  # type: ignore[call-overload]
               f"from shared storage, "
               f"{boot['wal_tail_records']} WAL tail records")
-    try:
-        cluster.check_invariants()
-    except InvariantViolation as exc:
-        print(f"CLUSTER INVARIANT: {exc}", file=sys.stderr)
-        rc = 1
+    rc = _check_cluster_invariants(cluster)
     stats = cluster.stats()
-    what = (f"YCSB-{args.workload.upper()}" if args.mode == "ycsb"
-            else "hash load")
-    print(f"objstore {what} on {args.engine} x{stats['n_shards']} shards "
-          f"x{args.replicas} replicas ({args.device}): "
-          f"{rep.throughput:,.0f} ops/s over "
-          f"{rep.sim_seconds * 1e3:.2f} sim-ms")
+    _print_headline("objstore", stats, args, rep)
     print()
     print(format_objstore_report(stats["objstore"]))
-    net = stats["network"]
-    print(f"network: {net['messages']} messages, "
-          f"{net['bytes_sent'] / 1e6:.2f} MB shipped")
+    _print_network(stats)
     if args.as_of is not None:
         sample = cluster.scan(None, None, limit=8)
         shown = 0
@@ -541,27 +522,10 @@ def cmd_objstore(args) -> int:
             shown += 1
         if not shown and not rc:
             print(f"  as-of cut {args.as_of}: no keys to sample")
-    for report in stats["failovers"]:
-        print(f"failover: shard {report['shard']} node "
-              f"{report['dead_node']} -> {report['promoted_node']} "
-              f"(acked {report['acked_seq']}, recovered "
-              f"{report['recovered_seq']})")
+    _print_failovers(stats)
     if session is not None:
-        if args.validate:
-            problems = validate_chrome_trace(session.to_chrome())
-            if problems:
-                for p in problems:
-                    print(f"TRACE SCHEMA: {p}", file=sys.stderr)
-                rc = 1
-            else:
-                print("trace schema ok")
-        if args.trace:
-            session.write_chrome(args.trace)
-            print(f"wrote objstore cluster trace to {args.trace}")
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(json.dumps(stats, sort_keys=True, separators=(",", ":")))
-        print(f"wrote objstore report to {args.report}")
+        rc |= _finish_cluster_trace(session, args, "objstore cluster")
+    _write_cluster_report(stats, args, "objstore")
     cluster.close()
     return rc
 
@@ -598,21 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--faults", metavar="SPEC", default=None,
                         help="inject deterministic transient device faults, "
                              "e.g. rate=0.01,seed=7 or rate=0.5,ops=500:600")
-        scheduling(sp)
-
-    def scheduling(sp):
-        from repro.common.options import COMPACTION_SELECTORS, SCHEDULERS
-        sp.add_argument("--scheduler", choices=SCHEDULERS, default="fair",
-                        help="background pump order: fair per-class "
-                             "device-time accounting or the legacy "
-                             "activation-order loop")
-        sp.add_argument("--compaction-selector", choices=COMPACTION_SELECTORS,
-                        default="provider",
-                        help="which eligible level compacts first")
-        sp.add_argument("--legacy-gate", action="store_true",
-                        help="pre-scheduler write admission (cliff-edge "
-                             "slowdown bands, legacy pump order); "
-                             "byte-identical compat mode")
 
     sp = sub.add_parser("load", help="hash-load records, report amplifications")
     common(sp)
@@ -638,7 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--sanitize", action="store_true",
                     help="attach the runtime sanitizer too")
-    scheduling(sp)
     sp.add_argument("--ops", type=int, default=3000,
                     help="YCSB operation count (ycsb-* workloads)")
     sp.add_argument("--interval", type=float, default=None,
@@ -735,7 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default=SSD_100G.memory_bytes / 1e6,
                     help="total cluster memory, split evenly across shards")
     sp.add_argument("--threads", type=int, default=1)
-    scheduling(sp)
     sp.add_argument("--net-latency-us", type=float, default=None,
                     help="per-message link latency in microseconds")
     sp.add_argument("--net-bandwidth-mb", type=float, default=None,
@@ -776,7 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default=SSD_100G.memory_bytes / 1e6,
                     help="total cluster memory, split evenly across shards")
     sp.add_argument("--threads", type=int, default=1)
-    scheduling(sp)
     sp.add_argument("--store-latency", dest="store_latency_us", type=float,
                     default=None, metavar="US",
                     help="per-request object-store latency in microseconds "

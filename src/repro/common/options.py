@@ -139,13 +139,6 @@ class FaultOptions:
         return bool(self.rate > 0.0 or self.op_windows or self.time_windows)
 
 
-#: Background pool schedulers (see repro.storage.background).
-SCHEDULERS = ("fair", "legacy")
-
-#: Compaction selection policies (see EngineBase.pick_background_job).
-COMPACTION_SELECTORS = ("provider", "oldest-first", "greedy-largest-debt")
-
-
 @dataclass(frozen=True)
 class TreeOptions:
     """Options common to every tree engine."""
@@ -156,19 +149,6 @@ class TreeOptions:
     bloom_bits_per_key: int = 14
     #: Number of background compaction/flush threads (paper: 1 or 4).
     background_threads: int = 1
-    #: Compatibility switch: True restores the pre-scheduler write admission
-    #: (cliff-edge slowdown bands, pure round-robin pump) byte for byte --
-    #: proven by tests/test_legacy_gate.py -- and forces ``scheduler`` /
-    #: ``compaction_selector`` to their legacy values.
-    legacy_gate: bool = False
-    #: Background pool scheduler: "fair" drains flush vs compaction debt by
-    #: weighted per-class device-time accounting; "legacy" is the original
-    #: pure round-robin pump.
-    scheduler: str = "fair"
-    #: Compaction picking policy: "provider" keeps each engine's native
-    #: score order; "oldest-first" prefers the level waiting longest;
-    #: "greedy-largest-debt" prefers the level with the most overdue bytes.
-    compaction_selector: str = "provider"
 
     def __post_init__(self) -> None:
         if self.key_size <= 0:
@@ -177,13 +157,6 @@ class TreeOptions:
             raise ConfigError("bloom_bits_per_key must be >= 0")
         if self.background_threads < 1:
             raise ConfigError("background_threads must be >= 1")
-        if self.scheduler not in SCHEDULERS:
-            raise ConfigError(f"unknown scheduler {self.scheduler!r}; "
-                              f"choose from {SCHEDULERS}")
-        if self.compaction_selector not in COMPACTION_SELECTORS:
-            raise ConfigError(
-                f"unknown compaction_selector {self.compaction_selector!r}; "
-                f"choose from {COMPACTION_SELECTORS}")
 
 
 @dataclass(frozen=True)

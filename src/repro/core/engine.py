@@ -25,6 +25,7 @@ from typing import (
     Tuple,
 )
 
+from repro.common.errors import InvariantViolation
 from repro.common.records import Key, RecordTuple
 from repro.storage.background import BackgroundJob
 from repro.storage.pacing import (
@@ -37,7 +38,7 @@ from repro.check.effects.registry import effects, observation_only
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.check.sanitizer import Sanitizer
-    from repro.common.options import TreeOptions
+    from repro.common.options import LsmOptions
 
 #: Callable returning the live snapshot sequence numbers (for merge GC).
 SnapshotProvider = Callable[[], Sequence[int]]
@@ -67,34 +68,23 @@ class EngineBase(abc.ABC):
         #: Optional runtime sanitizer (attached by the DB wrapper when the
         #: debug layer is enabled; see :mod:`repro.check.sanitizer`).
         self.sanitizer: Optional["Sanitizer"] = None
-        # Scheduling defaults (legacy-compatible) until the engine calls
-        # :meth:`_init_scheduling` with its options.
-        self.legacy_gate = False
-        self.compaction_selector = "provider"
+        # Unset until the engine calls :meth:`_init_pacer` (the burst is
+        # sized from :attr:`memtable_capacity`, which needs its options).
         self._pacer: Optional[TokenBucketPacer] = None
         self._rate_estimator: Optional[RateEstimator] = None
-        self._eligible_since: Dict[int, int] = {}
-        self._eligible_tick = 0
+        self._l0_options: Optional["LsmOptions"] = None
         runtime.pool.set_provider(self.pick_background_job)
 
-    def _init_scheduling(self, options: "TreeOptions") -> None:
-        """Wire the options' scheduler/pacer/selector choices into the stack.
+    def _init_pacer(self, l0_options: Optional["LsmOptions"] = None) -> None:
+        """Build the write gate's token bucket and rate estimator.
 
-        Called by each engine's constructor after its options are set (the
-        pacer sizes its burst from :attr:`memtable_capacity`).  With
-        ``legacy_gate=True`` everything collapses to the pre-scheduler
-        behavior: legacy pump, provider selection, no token bucket.
+        Called by each engine's constructor after its options are set.
+        Engines whose flushes pile up in an L0 pass the options holding
+        its slowdown/stop triggers and implement :meth:`_l0_pressure`;
+        :meth:`write_gate` then paces on L0 pressure and keeps the hard
+        L0 stop as a backstop.
         """
-        pool = self.runtime.pool
-        self.legacy_gate = options.legacy_gate
-        if options.legacy_gate:
-            pool.scheduler = "legacy"
-            self.compaction_selector = "provider"
-            self._pacer = None
-            self._rate_estimator = None
-            return
-        pool.scheduler = options.scheduler
-        self.compaction_selector = options.compaction_selector
+        self._l0_options = l0_options
         bandwidth = self.runtime.options.device.write_bandwidth
         capacity = max(1, self.memtable_capacity)
         burst = min(capacity * PACER_BURST_FRACTION, PACER_BURST_BYTES)
@@ -149,40 +139,59 @@ class EngineBase(abc.ABC):
         self._trace("gate", "fault-degraded", streak=streak, delay_s=extra)
         return extra
 
-    def _pace_pressure(self) -> bool:
-        """True when background backlog warrants pacing foreground writes.
+    def _l0_pressure(self) -> Tuple[int, int]:
+        """(L0 file count, pending compaction debt in bytes) right now.
 
-        The base heuristic engages only when work is actually queued behind
-        the running jobs (the pool cannot keep up) -- engines with richer
-        structural signals (L0 file counts, pending compaction debt)
-        override this with their own pressure test.  Kept deliberately
-        conservative: token-bucket delays are accounted as gate delays, so
-        over-engaging the pacer would itself show up as instability.
+        The one hook the shared gate reads, asked only of engines that
+        passed ``l0_options`` to :meth:`_init_pacer`.  Debt is 0 for
+        engines (or styles) that set no soft debt limit.
         """
-        return bool(self.runtime.pool.queue)
+        raise NotImplementedError
 
-    def _pace_rate(self, sustainable: float) -> float:
-        """Admission rate for the token bucket given the estimator's rate.
+    def _l0_pace(self, opts: "LsmOptions", n0: int, debt: int,
+                 sustainable: float) -> Tuple[bool, float]:
+        """The L0 pace ramp: (pace this write?, bucket refill rate).
 
-        The base policy admits at the observed sustainable rate.  Engines
-        with graded structural pressure (L0 distance to the stop trigger,
-        debt over the soft limit) override this to *ramp*: brake gently at
-        the first sign of pressure and approach the sustainable rate only
-        as the structure nears its hard limit, so there is no single point
-        where admission falls off a cliff.
+        Pacing engages once L0 reaches the slowdown trigger or debt
+        passes its soft limit -- where the structure demonstrably cannot
+        keep up.  (Engaging earlier, at the compaction trigger,
+        over-paces: read-heavy phases drain debt through granted idle
+        time on their own, and every pacer delay is an accounted gate
+        delay.)  At that point the bucket admits at ``bandwidth *
+        delayed_write_fraction``; as L0 climbs toward the stop trigger
+        (or debt doubles its soft limit) the rate ramps linearly down to
+        the estimator's sustainable rate, floored at
+        ``delayed_write_fraction`` of the gentle rate so a cold estimate
+        can never freeze admission.  There is no single point where
+        admission falls off a cliff.
         """
-        return sustainable
+        frac = opts.delayed_write_fraction
+        gentle = self.runtime.options.device.write_bandwidth * frac
+        lo, hi = opts.l0_slowdown_trigger, opts.l0_stop_trigger - 1
+        pressure = n0 >= lo
+        scale = 0.0
+        if pressure:
+            scale = min(1.0, (n0 - lo) / (hi - lo)) if hi > lo else 1.0
+        soft = opts.pending_compaction_soft_bytes
+        if soft and debt > soft:
+            pressure = True
+            scale = max(scale, min(1.0, (debt - soft) / soft))
+        floor = min(max(sustainable, gentle * frac), gentle)
+        return pressure, gentle + scale * (floor - gentle)
 
     @effects("CLOCK_ADVANCE", "STATE_MUTATE")
-    def _token_pace(self, nbytes: int) -> float:
+    def _token_pace(self, nbytes: int, l0_options: Optional["LsmOptions"] = None,
+                    n0: int = 0, debt: int = 0) -> float:
         """Token-bucket admission at the observed sustainable ingest rate.
 
-        Replaces the legacy cliff-edge slowdown bands: instead of jumping
-        from full speed to ``delayed_write_fraction`` of bandwidth past a
-        trigger, writes are paced smoothly at the rate the background
-        machinery has recently proven it can absorb
-        (:class:`repro.storage.pacing.RateEstimator`).  Only engages while
-        :meth:`_pace_pressure` reports backlog; otherwise the bucket just
+        Writes are paced smoothly at the rate the background machinery
+        has recently proven it can absorb
+        (:class:`repro.storage.pacing.RateEstimator`), shaped by
+        :meth:`_l0_pace` for engines with an L0.  Engines without one
+        pace only while work is queued behind the running jobs (the pool
+        cannot keep up) -- deliberately conservative: token-bucket delays
+        are accounted as gate delays, so over-engaging the pacer would
+        itself show up as instability.  Without pressure the bucket just
         refills.  Returns the added latency (0.0 on the clean path).
         """
         pacer = self._pacer
@@ -192,9 +201,13 @@ class EngineBase(abc.ABC):
         pool = self.runtime.pool
         metrics = self.runtime.metrics
         estimator.observe(pool.bg_drained_s, metrics.user_bytes)
-        rate = self._pace_rate(estimator.rate())
+        rate = estimator.rate()
+        if l0_options is None:
+            pressure = bool(pool.queue)
+        else:
+            pressure, rate = self._l0_pace(l0_options, n0, debt, rate)
         now = self.runtime.clock.now
-        if not self._pace_pressure():
+        if not pressure:
             pacer.refill(now, rate)
             return 0.0
         delay = pacer.admit(nbytes, now, rate)
@@ -209,38 +222,28 @@ class EngineBase(abc.ABC):
         self._trace("gate", "pace:token-bucket", delay_s=delay, rate=rate)
         return delay
 
-    def _select_level(self, candidates: Sequence[Tuple[int, float, int]],
-                      ) -> Optional[int]:
-        """Apply the configured compaction selector to eligible levels.
-
-        ``candidates`` holds ``(level, score, overdue_bytes)`` for every
-        level whose score crossed its threshold.  Returns the chosen level,
-        or None for ``provider`` order (caller keeps its historical pick).
-
-        * ``oldest-first``: the level that has been continuously eligible
-          the longest (starvation-proof; ages tracked per level).
-        * ``greedy-largest-debt``: the level with the most bytes over its
-          threshold (drains the biggest backlog first).
-        """
-        if not candidates or self.compaction_selector == "provider":
-            return None
-        if self.compaction_selector == "greedy-largest-debt":
-            return max(candidates, key=lambda c: (c[2], c[1], -c[0]))[0]
-        # oldest-first: age levels from the moment they become eligible;
-        # a level that drops below threshold loses its age.
-        live = {c[0] for c in candidates}
-        for level in [lv for lv in self._eligible_since if lv not in live]:
-            del self._eligible_since[level]
-        for level in sorted(live):
-            if level not in self._eligible_since:
-                self._eligible_since[level] = self._eligible_tick
-                self._eligible_tick += 1
-        return min(live, key=lambda lv: (self._eligible_since[lv], lv))
-
-    def _reset_selector_state(self) -> None:
-        """Forget selector aging (crash-restore rebuilds the structure)."""
-        self._eligible_since.clear()
-        self._eligible_tick = 0
+    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
+    def _l0_stop_backstop(self, stop_trigger: int) -> float:
+        """Hard stall until compaction brings L0 below ``stop_trigger``."""
+        pool = self.runtime.pool
+        guard = 0
+        stall_s = 0.0
+        while self._l0_pressure()[0] >= stop_trigger:
+            guard += 1
+            if guard > 100_000:
+                raise InvariantViolation("L0 stop stall did not converge")
+            step = pool.step_drain()
+            stall_s += step
+            if step == 0.0 and not pool.busy:
+                break
+        if guard:
+            self.runtime.metrics.bump("stall:l0-stop")
+            if stall_s > 0.0:
+                self.runtime.metrics.add_stall("l0-stop", stall_s)
+                if self.runtime.tracer.enabled:
+                    self._trace("stall", "stall", reason="l0-stop",
+                                duration_s=stall_s)
+        return stall_s
 
     # ------------------------------------------------------------------ write
     @property
@@ -252,14 +255,24 @@ class EngineBase(abc.ABC):
     def submit_flush(self, records: List[RecordTuple], nbytes: int) -> BackgroundJob:
         """Schedule the flush of a full (immutable) memtable."""
 
+    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
     def write_gate(self, nbytes: int) -> float:
-        """Apply engine-specific slowdowns/stops before a user write.
+        """Admit one user write: degrade, pace, and (L0 engines) hard-stop.
 
-        ``nbytes`` is the write's encoded size (slowdowns pace by bytes).
+        ``nbytes`` is the write's encoded size (pacing is by bytes).
         Returns the simulated latency spent gated (0.0 when unobstructed).
+        Every engine takes this one path; those that registered L0
+        triggers through :meth:`_init_pacer` are paced on L0 pressure and
+        keep the hard L0 stop as a rarely-hit backstop.
         """
         lat = self._fault_gate(nbytes)
-        lat += self._token_pace(nbytes)
+        opts = self._l0_options
+        if opts is None:
+            return lat + self._token_pace(nbytes)
+        n0, debt = self._l0_pressure()
+        lat += self._token_pace(nbytes, opts, n0, debt)
+        if n0 >= opts.l0_stop_trigger:
+            lat += self._l0_stop_backstop(opts.l0_stop_trigger)
         return lat
 
     # ------------------------------------------------------------- background

@@ -72,7 +72,7 @@ class LsaTree(EngineBase):
         #: Largest child fan-out any flush actually wrote into -- the paper's
         #: "worst write case" metric (Table 2); splits keep it near 2t.
         self.max_flush_fanout = 0
-        self._init_scheduling(options)
+        self._init_pacer()
 
     # ------------------------------------------------------------------ write
     @property

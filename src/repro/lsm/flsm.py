@@ -29,11 +29,10 @@ from repro.common.options import LsmOptions
 from repro.common.records import KEY, RecordTuple, sort_key
 from repro.core.engine import EngineBase
 from repro.storage.background import BackgroundJob
-from repro.storage.pacing import degraded_extra_delay_s
 from repro.storage.runtime import Runtime
 from repro.table.merge import merge_runs
 from repro.table.mstable import MSTable
-from repro.check.effects.registry import effects, observation_only
+from repro.check.effects.registry import observation_only
 
 #: Fragments per bottom-level guard before the guard is merged in place.
 BOTTOM_MERGE_FANIN = 8
@@ -70,7 +69,7 @@ class FlsmEngine(EngineBase):
         self.level_bytes: List[int] = [0] * n
         self._busy_levels: set = set()
         self.compactions = 0
-        self._init_scheduling(options)
+        self._init_pacer(options)
 
     # ------------------------------------------------------------------ write
     @property
@@ -91,74 +90,9 @@ class FlsmEngine(EngineBase):
 
         return self.runtime.submit_job("flush->L0", start, high_priority=True)
 
-    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
-    def write_gate(self, nbytes: int) -> float:
-        if self.legacy_gate:
-            return self._legacy_write_gate(nbytes)
-        lat = self._fault_gate(nbytes)
-        lat += self._token_pace(nbytes)
-        lat += self._l0_stop_backstop(nbytes)
-        return lat
-
-    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
-    def _legacy_write_gate(self, nbytes: int) -> float:
-        """Pre-scheduler write admission: cliff-edge band (byte-identical)."""
-        opts = self.options
-        lat = self._fault_gate(nbytes)
-        n0 = len(self.guards[0][0].tables)
-        if n0 >= opts.l0_slowdown_trigger:
-            bw = self.runtime.disk.profile.write_bandwidth
-            d = degraded_extra_delay_s(nbytes, bw, opts.delayed_write_fraction)
-            self.runtime.clock.advance(d)
-            lat += d
-            self.runtime.metrics.add_gate_delay("slowdown:l0", d)
-            if self.runtime.tracer.enabled:
-                self._trace("gate", "slowdown:l0", delay_s=d, l0_files=n0)
-        lat += self._l0_stop_backstop(nbytes)
-        return lat
-
-    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
-    def _l0_stop_backstop(self, nbytes: int) -> float:
-        """Hard stall until L0's fragment count drops below the stop gate."""
-        opts = self.options
-        guard = 0
-        stall_s = 0.0
-        lat = 0.0
-        while len(self.guards[0][0].tables) >= opts.l0_stop_trigger:
-            guard += 1
-            if guard > 100_000:
-                raise InvariantViolation("FLSM L0 stall did not converge")
-            step = self.runtime.pool.step_drain()
-            lat += step
-            stall_s += step
-            if step == 0.0 and not self.runtime.pool.busy:
-                break
-        if stall_s > 0.0:
-            self.runtime.metrics.add_stall("l0-stop", stall_s)
-            if self.runtime.tracer.enabled:
-                self._trace("stall", "stall", reason="l0-stop",
-                            duration_s=stall_s)
-        return lat
-
-    def _pace_pressure(self) -> bool:
-        """Pace when L0's fragment count crosses the legacy slowdown band."""
-        return len(self.guards[0][0].tables) >= self.options.l0_slowdown_trigger
-
-    def _pace_rate(self, sustainable: float) -> float:
-        """Ramp from the legacy band rate toward the measured sustainable
-        rate as L0's fragment count approaches the stop trigger (same
-        policy as the leveled engine, keyed on guard-0 fragments)."""
-        opts = self.options
-        bw = self.runtime.options.device.write_bandwidth
-        frac = opts.delayed_write_fraction
-        gentle = bw * frac
-        n0 = len(self.guards[0][0].tables)
-        lo, hi = opts.l0_slowdown_trigger, opts.l0_stop_trigger - 1
-        scale = 0.0
-        if n0 >= lo:
-            scale = min(1.0, (n0 - lo) / (hi - lo)) if hi > lo else 1.0
-        floor = min(max(sustainable, gentle * frac), gentle)
-        return gentle + scale * (floor - gentle)
+    def _l0_pressure(self) -> Tuple[int, int]:
+        # Guard-0 fragments are FLSM's L0 files; it sets no soft debt limit.
+        return len(self.guards[0][0].tables), 0
 
     # ------------------------------------------------------------- background
     def _level_threshold(self, level: int) -> int:
@@ -177,14 +111,8 @@ class FlsmEngine(EngineBase):
                 candidates.append((i, score))
         if not candidates:
             return self._pick_bottom_merge()
-        chosen = self._select_level(
-            [(i, sc, max(0, self.level_bytes[i] - self._level_threshold(i)))
-             for i, sc in candidates])
-        if chosen is None:
-            # Provider order: highest score, lowest level on ties.
-            level = max(candidates, key=lambda c: c[1])[0]
-        else:
-            level = chosen
+        # Highest score, lowest level on ties.
+        level = max(candidates, key=lambda c: c[1])[0]
         self._busy_levels.add(level)
         self._busy_levels.add(level + 1)
 
@@ -408,7 +336,6 @@ class FlsmEngine(EngineBase):
             for g in lvl:
                 for t in g.tables:
                     t.delete()
-        self._reset_selector_state()
         if state is None:
             n = self.options.max_levels
             self.guards = [[_Guard(None)] for _ in range(n)]

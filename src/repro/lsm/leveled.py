@@ -30,12 +30,11 @@ from repro.common.options import LsmOptions
 from repro.common.records import KEY, RecordTuple, encoded_size
 from repro.core.engine import EngineBase
 from repro.storage.background import BackgroundJob
-from repro.storage.pacing import degraded_extra_delay_s
 from repro.storage.runtime import Runtime
 from repro.table.merge import merge_runs
 from repro.table.mstable import MSTable
 from repro.table.scan import chain_stream, table_stream
-from repro.check.effects.registry import effects, observation_only
+from repro.check.effects.registry import observation_only
 
 
 class LeveledLsm(EngineBase):
@@ -55,7 +54,7 @@ class LeveledLsm(EngineBase):
         self.flushes = 0
         self.compactions = 0
         self.trivial_moves = 0
-        self._init_scheduling(options)
+        self._init_pacer(options)
 
     # ------------------------------------------------------------------ write
     @property
@@ -80,118 +79,10 @@ class LeveledLsm(EngineBase):
 
         return self.runtime.submit_job("flush->L0", start, high_priority=True)
 
-    def _slowdown_delay(self, nbytes: int) -> float:
-        """Pace a write to the delayed rate (RocksDB's delayed_write_rate)."""
-        bw = self.runtime.disk.profile.write_bandwidth
-        frac = self.options.delayed_write_fraction
-        return degraded_extra_delay_s(nbytes, bw, frac)
-
-    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
-    def write_gate(self, nbytes: int) -> float:
-        if self.legacy_gate:
-            return self._legacy_write_gate(nbytes)
-        # Stability scheduler: smooth token-bucket pacing at the measured
-        # sustainable rate replaces the cliff-edge slowdown bands; the hard
-        # L0 stop survives only as a rarely-hit backstop.
-        lat = self._fault_gate(nbytes)
-        lat += self._token_pace(nbytes)
-        lat += self._l0_stop_backstop(nbytes)
-        return lat
-
-    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
-    def _legacy_write_gate(self, nbytes: int) -> float:
-        """Pre-scheduler write admission: cliff-edge bands (byte-identical)."""
-        opts = self.options
-        lat = self._fault_gate(nbytes)
-        # Soft gate: RocksDB-style delayed writes on pending compaction debt.
-        if opts.pending_compaction_soft_bytes:
-            if self._pending_compaction_bytes() > opts.pending_compaction_soft_bytes:
-                d = self._slowdown_delay(nbytes)
-                self.runtime.clock.advance(d)
-                lat += d
-                self.runtime.metrics.bump("slowdown:debt")
-                self.runtime.metrics.add_gate_delay("slowdown:debt", d)
-                if self.runtime.tracer.enabled:
-                    self._trace("gate", "slowdown:debt", delay_s=d)
-        # L0 slowdown: pace writes while in the slowdown band.
-        n0 = len(self.levels[0])
-        if opts.l0_slowdown_trigger <= n0 < opts.l0_stop_trigger:
-            d = self._slowdown_delay(nbytes)
-            self.runtime.clock.advance(d)
-            lat += d
-            self.runtime.metrics.bump("slowdown:l0")
-            self.runtime.metrics.add_gate_delay("slowdown:l0", d)
-            if self.runtime.tracer.enabled:
-                self._trace("gate", "slowdown:l0", delay_s=d, l0_files=n0)
-        lat += self._l0_stop_backstop(nbytes)
-        return lat
-
-    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
-    def _l0_stop_backstop(self, nbytes: int) -> float:
-        """Hard stall until an L0 compaction brings the file count down."""
-        opts = self.options
-        guard = 0
-        stall_s = 0.0
-        lat = 0.0
-        while len(self.levels[0]) >= opts.l0_stop_trigger:
-            guard += 1
-            if guard > 100_000:
-                raise InvariantViolation("L0 stop stall did not converge")
-            step = self.runtime.pool.step_drain()
-            lat += step
-            stall_s += step
-            if step == 0.0 and not self.runtime.pool.busy:
-                break
-        if guard:
-            self.runtime.metrics.bump("stall:l0-stop")
-            if stall_s > 0.0:
-                self.runtime.metrics.add_stall("l0-stop", stall_s)
-                if self.runtime.tracer.enabled:
-                    self._trace("stall", "stall", reason="l0-stop",
-                                duration_s=stall_s)
-        return lat
-
-    def _pace_pressure(self) -> bool:
-        """Pace when L0 or pending debt crosses its legacy slowdown point.
-
-        Engaging earlier (at the compaction trigger) over-paces: YCSB's
-        read-heavy phases drain debt through granted idle time on their
-        own, and every pacer delay is an accounted gate delay.  The band
-        thresholds mark where the structure demonstrably can't keep up.
-        """
-        opts = self.options
-        if len(self.levels[0]) >= opts.l0_slowdown_trigger:
-            return True
-        soft = opts.pending_compaction_soft_bytes
-        return bool(soft and self._pending_compaction_bytes() > soft)
-
-    def _pace_rate(self, sustainable: float) -> float:
-        """Ramp the brake from the legacy band strength to the measured rate.
-
-        At the slowdown trigger the bucket admits at
-        ``bandwidth * delayed_write_fraction`` -- exactly the legacy band's
-        effective rate, but smooth (burst-absorbed, no on/off cliff).  As
-        L0 climbs toward the stop trigger (or debt doubles its soft
-        limit), the admitted rate ramps linearly down to the estimator's
-        sustainable rate, floored at ``delayed_write_fraction`` of the
-        band rate so a cold estimate can never freeze admission.
-        """
-        opts = self.options
-        bw = self.runtime.options.device.write_bandwidth
-        frac = opts.delayed_write_fraction
-        gentle = bw * frac
-        n0 = len(self.levels[0])
-        lo, hi = opts.l0_slowdown_trigger, opts.l0_stop_trigger - 1
-        scale = 0.0
-        if n0 >= lo:
-            scale = min(1.0, (n0 - lo) / (hi - lo)) if hi > lo else 1.0
-        soft = opts.pending_compaction_soft_bytes
-        if soft:
-            debt = self._pending_compaction_bytes()
-            if debt > soft:
-                scale = max(scale, min(1.0, (debt - soft) / soft))
-        floor = min(max(sustainable, gentle * frac), gentle)
-        return gentle + scale * (floor - gentle)
+    def _l0_pressure(self) -> Tuple[int, int]:
+        debt = (self._pending_compaction_bytes()
+                if self.options.pending_compaction_soft_bytes else 0)
+        return len(self.levels[0]), debt
 
     def _pending_compaction_bytes(self) -> int:
         """RocksDB's pending-debt estimate: bytes above each level threshold."""
@@ -214,27 +105,11 @@ class LeveledLsm(EngineBase):
                 scores.append((self.level_bytes[i] / opts.level_target_bytes(i), i))
         return scores
 
-    def _overdue_bytes(self, level: int) -> int:
-        """Bytes past the level's compaction threshold (selector debt)."""
-        opts = self.options
-        if level == 0:
-            over = len(self.levels[0]) - opts.l0_compaction_trigger
-            return max(0, over) * opts.file_bytes
-        return max(0, self.level_bytes[level] - opts.level_target_bytes(level))
-
     def pick_background_job(self) -> Optional[BackgroundJob]:
-        scores = self._scores()
-        if not scores:
+        # Highest score wins (the deeper level on ties).
+        score, level = max(self._scores(), default=(0.0, 0))
+        if score < 1.0:
             return None
-        eligible = [(lvl, sc) for sc, lvl in scores if sc >= 1.0]
-        if not eligible:
-            return None
-        chosen = self._select_level(
-            [(lvl, sc, self._overdue_bytes(lvl)) for lvl, sc in eligible])
-        if chosen is None:
-            score, level = max(scores)  # provider order: highest score wins
-        else:
-            level = chosen
         self._busy_levels.add(level)
         self._busy_levels.add(level + 1)
 
@@ -628,7 +503,6 @@ class LeveledLsm(EngineBase):
         for lst in self.levels:
             for t in lst:
                 t.delete()
-        self._reset_selector_state()
         n = self.options.max_levels
         if state is None:
             self.levels = [[] for _ in range(n)]

@@ -116,7 +116,7 @@ class LsmTrieEngine(EngineBase):
         self.root = _TrieNode(0)
         self.flushes = 0
         self.spills = 0
-        self._init_scheduling(options)
+        self._init_pacer()
 
     # ------------------------------------------------------------------ write
     @property

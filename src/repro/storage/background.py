@@ -5,7 +5,7 @@ IamDB ("LevelDB does not support parallel background compaction while IamDB
 does as RocksDB", §6).  We model ``n`` background threads as up to ``n`` jobs
 making *concurrent progress*; each job owes a device-time debt (the reads and
 writes of its I/O plan) that the pool drains out of the device's idle past
-time, round-robin across active jobs.
+time, shared between the active jobs by the fair pump described below.
 
 Two properties matter for fidelity:
 
@@ -34,17 +34,13 @@ pause -- flushes hold the only copy of the immutable memtable and are never
 dropped.  Repeated give-ups raise ``failed_streak``, which the engines'
 write gates translate into pacing (graceful degradation, not crash).
 
-Two schedulers drain active-job debt (``scheduler`` attribute):
-
-* ``"fair"`` (default) -- weighted fair queueing between the *flush* and
-  *compaction* classes.  Each class accumulates drained device seconds; the
-  pump offers idle time to jobs in ascending class virtual time
-  (``drained_s / weight``, flushes weighted heavier), ties broken by
-  activation order -- so within the flush class the order is still strictly
-  FIFO.  A burst of compaction debt can no longer starve a flush of device
-  idle (Luo & Carey's fair I/O allocation between flushes and compactions).
-* ``"legacy"`` -- the original pure round-robin over activation order,
-  preserved verbatim for the ``legacy_gate=True`` byte-identity proof.
+The pump drains active-job debt by weighted fair queueing between the
+*flush* and *compaction* classes.  Each class accumulates drained device
+seconds; the pump offers idle time to jobs in ascending class virtual time
+(``drained_s / weight``, flushes weighted heavier), ties broken by
+activation order -- so within the flush class the order is still strictly
+FIFO.  A burst of compaction debt cannot starve a flush of device idle
+(Luo & Carey's fair I/O allocation between flushes and compactions).
 
 The pool also keeps a cumulative retired-debt counter (``bg_drained_s``)
 that the engines' token-bucket pacers read to estimate the sustainable
@@ -92,8 +88,7 @@ CLASS_WEIGHTS = {"flush": 2.0, "compaction": 1.0}
 #: active jobs.  Without a quantum the first job in fair order swallows all
 #: available idle time in one grant and fairness never gets to arbitrate;
 #: with one class active there is nothing to arbitrate and grants stay
-#: unchunked (identical to the legacy pump for the single-threaded
-#: configurations the stability suite runs).
+#: unchunked (the single-threaded configurations the stability suite runs).
 FAIR_QUANTUM_S = 0.002
 
 
@@ -124,7 +119,7 @@ class BackgroundJob:
         self.retries = 0
         self.retry_at = 0.0
         self.failed = False
-        #: Activation order (assigned by the pool); the fair scheduler's
+        #: Activation order (assigned by the pool); the fair pump's
         #: within-class tie-break, so flush order stays strictly FIFO.
         self.seq = 0
 
@@ -167,10 +162,6 @@ class BackgroundPool:
         self.failed_streak = 0
         #: Total jobs that exhausted their retries (monotonic).
         self.failed_jobs = 0
-        #: Debt-draining scheduler: "fair" (weighted per-class device-time
-        #: accounting) or "legacy" (pure round-robin).  Engines set this
-        #: from ``TreeOptions.scheduler`` via ``_init_scheduling``.
-        self.scheduler = "fair"
         #: Cumulative retired background debt in device seconds -- the
         #: pacers' sustainable-rate signal (monotonic, sim-clock units).
         self.bg_drained_s = 0.0
@@ -290,8 +281,7 @@ class BackgroundPool:
             backoff = min(opts.backoff_base_s * (2.0 ** (job.retries - 1)),
                           opts.backoff_max_s)
             job.retry_at = now + backoff
-            self._enqueue(job, high_priority=job.high_priority,
-                          front=job.high_priority and self.scheduler != "legacy")
+            self._enqueue(job, high_priority=job.high_priority, front=True)
             return
         # Retries exhausted.
         self.failed_streak += 1
@@ -307,8 +297,7 @@ class BackgroundPool:
             if self.tracer.enabled:
                 self.tracer.instant("fault", "flush-requeue", job=job.name,
                                     id=job.job_id)
-            self._enqueue(job, high_priority=True,
-                          front=self.scheduler != "legacy")
+            self._enqueue(job, high_priority=True, front=True)
             return
         job.failed = True
         job.state = DONE
@@ -325,12 +314,10 @@ class BackgroundPool:
     def _pop_ready(self) -> Optional[BackgroundJob]:
         """Next queued job whose backoff has expired (FIFO otherwise).
 
-        Under the fair scheduler a flush whose backoff has not expired
-        *blocks every later flush*: recovery correctness needs memtables
-        on disk in sequence order, so a re-queued flush must not be
-        overtaken by a younger one (compactions may still proceed).  The
-        legacy scheduler keeps the original any-ready-job pick for the
-        byte-identity proof.
+        A flush whose backoff has not expired *blocks every later flush*:
+        recovery correctness needs memtables on disk in sequence order, so
+        a re-queued flush must not be overtaken by a younger one
+        (compactions may still proceed).
         """
         if self.injector is None:
             return self.queue.popleft() if self.queue else None
@@ -346,12 +333,11 @@ class BackgroundPool:
     def _eligible_now(self, job: BackgroundJob, index: int) -> bool:
         """Whether queue[index] may activate next (flush-head blocking).
 
-        Under the fair scheduler only the *first* queued flush is eligible;
-        younger flushes wait behind it even through its fault backoff.
-        Compactions are always eligible, and the legacy scheduler keeps the
-        original any-job pick.
+        Only the *first* queued flush is eligible; younger flushes wait
+        behind it even through its fault backoff.  Compactions are always
+        eligible.
         """
-        if not job.high_priority or self.scheduler == "legacy":
+        if not job.high_priority:
             return True
         return not any(self.queue[i].high_priority for i in range(index))
 
@@ -393,9 +379,6 @@ class BackgroundPool:
     # ------------------------------------------------------------------- pump
     def pump(self) -> None:
         """Drain active-job debt from device idle time up to "now"."""
-        if self.scheduler == "legacy":
-            self._pump_legacy()
-            return
         while True:
             self._fill_threads()
             if not self.active:
@@ -408,27 +391,6 @@ class BackgroundPool:
                 disk = self._drain_disk(job)
                 ask = min(job.debt_s, FAIR_QUANTUM_S) if contested else job.debt_s
                 granted = disk.bg_grant(job.not_before, ask, self.lookahead_s)
-                if granted > 0.0:
-                    progressed = True
-                    job.debt_s -= granted
-                    job.not_before = disk.busy_until
-                    self._account_drain(job, granted)
-                    if job.debt_s <= 1e-12:
-                        job.debt_s = 0.0
-                        self._retire(job)
-            if not progressed:
-                return
-
-    def _pump_legacy(self) -> None:
-        """The original pure round-robin pump (legacy_gate byte identity)."""
-        while True:
-            self._fill_threads()
-            if not self.active:
-                return
-            progressed = False
-            for job in list(self.active):
-                disk = self._drain_disk(job)
-                granted = disk.bg_grant(job.not_before, job.debt_s, self.lookahead_s)
                 if granted > 0.0:
                     progressed = True
                     job.debt_s -= granted

@@ -16,11 +16,10 @@ the engines' write gates stay thin and the properties are testable in
 isolation:
 
 * :func:`degraded_extra_delay_s` -- the clamped slowdown-delay computation
-  shared by every gate.  On the realistic domain it reproduces the legacy
-  float expression bit for bit (the ``legacy_gate=True`` byte-identity proof
-  covers it); on pathological inputs (huge ``nbytes`` overflowing float
-  conversion, catastrophic cancellation) it clamps instead of returning
-  negative/zero/NaN delays.
+  of the fault-degradation gate.  On the realistic domain it is exactly
+  ``nbytes/(bw*frac) - nbytes/bw``; on pathological inputs (huge ``nbytes``
+  overflowing float conversion, catastrophic cancellation) it clamps
+  instead of returning negative/zero/NaN delays.
 * :class:`TokenBucketPacer` -- the bucket: capacity ``burst_bytes``,
   refilled at a caller-supplied rate on the sim clock; ``admit`` returns the
   delay (seconds) a write of ``nbytes`` must absorb before proceeding.
@@ -55,9 +54,9 @@ MIN_RATE_FRACTION = 1.0 / 256.0
 def degraded_extra_delay_s(nbytes: int, bandwidth: float, frac: float) -> float:
     """Extra seconds to pace ``nbytes`` down to ``frac`` of ``bandwidth``.
 
-    Evaluates the legacy expression ``nbytes/(bw*frac) - nbytes/bw`` exactly
-    (so legacy-gate runs stay byte-identical), then guards the pathological
-    domain: float-overflow on huge ``nbytes`` saturates at the delay cap,
+    Evaluates ``nbytes/(bw*frac) - nbytes/bw`` exactly (the write-path
+    golden pins the bits), then guards the pathological domain:
+    float-overflow on huge ``nbytes`` saturates at the delay cap,
     and NaN / negative / cancelled-to-zero results are re-derived via the
     cancellation-free form ``(nbytes/bw) * (1/frac - 1)`` and floored
     strictly above zero.  For ``nbytes <= 0`` or ``frac >= 1`` there is

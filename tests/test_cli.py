@@ -102,41 +102,16 @@ def test_cluster_trace_validates(tmp_path, capsys):
 
 # ------------------------------------------------------ scheduling flags
 
-def test_scheduling_flags_parse_and_default():
-    args = build_parser().parse_args(["load", "--engine", "leveldb"])
-    assert args.scheduler == "fair"
-    assert args.compaction_selector == "provider"
-    assert args.legacy_gate is False
-    args = build_parser().parse_args(
-        ["load", "--engine", "leveldb", "--scheduler", "legacy",
-         "--compaction-selector", "greedy-largest-debt", "--legacy-gate"])
-    assert args.scheduler == "legacy"
-    assert args.compaction_selector == "greedy-largest-debt"
-    assert args.legacy_gate is True
-
-
-def test_scheduling_flags_reject_unknown():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(
-            ["load", "--engine", "leveldb", "--scheduler", "bogus"])
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(
-            ["load", "--engine", "leveldb", "--compaction-selector", "bogus"])
-
-
-def test_legacy_gate_flag_reaches_engine(capsys):
-    assert main(["load", "--engine", "leveldb", "--records", "2000",
-                 "--legacy-gate"]) == 0
-    capsys.readouterr()
-
-
-def test_selector_flag_reaches_engine(capsys):
-    assert main(["load", "--engine", "leveldb", "--records", "2000",
-                 "--compaction-selector", "oldest-first"]) == 0
-    capsys.readouterr()
-
-
-def test_cluster_accepts_scheduling_flags(capsys):
-    assert main(["cluster", "ycsb", "--shards", "2", "--replicas", "1",
-                 "--records", "1000", "--ops", "50", "--legacy-gate"]) == 0
-    capsys.readouterr()
+@pytest.mark.parametrize("flag", [["--legacy-gate"],
+                                  ["--scheduler", "fair"],
+                                  ["--compaction-selector", "provider"]])
+@pytest.mark.parametrize("command", [["load"], ["ycsb"], ["trace", "load"],
+                                     ["cluster", "load"],
+                                     ["objstore", "load"]])
+def test_retired_scheduling_flags_are_rejected(command, flag, capsys):
+    # One gate, one pump, one picker: the knobs that used to fork them
+    # are gone from every workload command.
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(command + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -87,27 +87,12 @@ def test_write_gate_stops_at_l0_limit():
     db.check_invariants()
 
 
-def test_rocksdb_debt_gate_counts_slowdowns():
-    # The cliff-edge debt band only exists in legacy write admission; the
-    # default gate paces the same pressure via the token bucket instead.
-    db = make_tiny_db("rocksdb", pending_compaction_soft_bytes=1024,
-                      legacy_gate=True)
-    import random
-    rng = random.Random(4)
-    for _ in range(3000):
-        db.put(rng.randrange(1 << 30), VAL)
-    assert db.metrics.events.get("slowdown:debt", 0) > 0
-    db.quiesce()
-    db.check_invariants()
-
-
-def test_default_gate_paces_debt_with_token_bucket():
+def test_rocksdb_debt_gate_paces_writes():
     db = make_tiny_db("rocksdb", pending_compaction_soft_bytes=1024)
     import random
     rng = random.Random(4)
     for _ in range(3000):
         db.put(rng.randrange(1 << 30), VAL)
-    assert db.metrics.events.get("slowdown:debt", 0) == 0
     assert db.metrics.events.get("pace:token-bucket", 0) > 0
     db.quiesce()
     db.check_invariants()

@@ -5,8 +5,8 @@ returns a negative delay runs the clock backwards, zero-on-nonzero admits
 writes at full speed exactly when the store is degraded, and NaN poisons
 every downstream latency percentile.  Hypothesis sweeps the pathological
 domain (huge byte counts near float overflow, subnormal fractions,
-cancellation-prone bandwidths); a few pinned cases document the legacy
-bit-identity and the bucket/estimator mechanics.
+cancellation-prone bandwidths); a few pinned cases document the exact
+expression and the bucket/estimator mechanics.
 """
 
 import math
@@ -51,9 +51,9 @@ def test_delay_is_finite_clamped_and_never_negative(nbytes, bandwidth, frac):
         assert d > 0.0
 
 
-def test_delay_matches_legacy_expression_on_realistic_domain():
-    # The legacy gates computed exactly nbytes/(bw*frac) - nbytes/bw; the
-    # clamped form must reproduce it bit for bit (legacy_gate identity).
+def test_delay_is_the_exact_expression_on_realistic_domain():
+    # On realistic inputs the clamps must not perturb a single bit of
+    # nbytes/(bw*frac) - nbytes/bw (the write-path golden pins the clock).
     for nbytes, bw, frac in [(1000, 400e6, 0.25), (64, 100e6, 1 / 256),
                              (4096, 1.5e9, 0.5)]:
         assert degraded_extra_delay_s(nbytes, bw, frac) == \

@@ -1,6 +1,6 @@
-"""Fair background scheduling: per-class accounting, FIFO, selectors.
+"""Fair background scheduling: per-class accounting, FIFO, no starvation.
 
-The stability scheduler's contract (tentpole of the stall-cliff fix):
+The background pump's contract:
 
 * the pump attributes every drained device-second to its job's class
   (``flush`` vs ``compaction``) and to the cumulative ``bg_drained_s``
@@ -8,10 +8,7 @@ The stability scheduler's contract (tentpole of the stall-cliff fix):
 * weighted fair queueing offers idle time to the class with the least
   weighted consumption -- a burst of compaction debt cannot starve a
   flush -- while the *flush* class itself stays strictly FIFO, even when
-  fault injection re-queues a flush mid-stream;
-* with a single active job (the paper's single-threaded configurations)
-  the fair pump is behaviorally identical to the legacy round-robin;
-* the pluggable compaction selector reorders *eligible* levels only.
+  fault injection re-queues a flush mid-stream.
 """
 
 import random
@@ -21,7 +18,6 @@ import pytest
 from repro.common.options import DeviceProfile, FaultOptions
 from repro.storage.background import CLASS_WEIGHTS, BackgroundPool
 from repro.storage.simdisk import SimDisk
-from tests.conftest import make_tiny_db
 
 PROFILE = DeviceProfile("test", 0.0, 0.0, 1000.0, 1000.0)
 
@@ -74,25 +70,6 @@ def test_fair_order_is_fifo_within_class():
     order = [j for j in pool._fair_order() if j.high_priority]
     assert [j.seq for j in order] == sorted(j.seq for j in order)
     assert order == flushes
-
-
-def test_fair_pump_equals_legacy_with_single_thread():
-    # The paper's stability configurations are single-threaded: at most
-    # one active job, so fair ordering degenerates to the legacy pump.
-    results = {}
-    for scheduler in ("fair", "legacy"):
-        disk, pool = make_pool(threads=1)
-        pool.scheduler = scheduler
-        log = []
-        for i in range(4):
-            hp = i % 2 == 0
-            pool.submit(f"j{i}", (lambda i=i: log.append(i) or 2.0),
-                        high_priority=hp)
-        disk.clock.now = 50.0
-        pool.pump()
-        results[scheduler] = (log, pool.completed_jobs,
-                              disk.clock.now, pool.bg_drained_s)
-    assert results["fair"] == results["legacy"]
 
 
 def test_compaction_burst_cannot_starve_flush_share():
@@ -181,67 +158,3 @@ def test_requeued_flush_does_not_overtake_earlier_flush():
     pool.pump()
     pool.drain_all()
     assert done == ["A", "B"], "re-queued flushA must still run before flushB"
-
-
-# ------------------------------------------------------------- selectors
-
-def _eligible(db):
-    eng = db.engine
-    return [(lvl, sc, eng._overdue_bytes(lvl))
-            for sc, lvl in eng._scores() if sc >= 1.0]
-
-
-def test_provider_selector_returns_none():
-    db = make_tiny_db("leveldb")
-    assert db.engine._select_level([(0, 2.0, 4096), (2, 1.5, 8192)]) is None
-    db.close()
-
-
-def test_greedy_selector_picks_largest_debt():
-    db = make_tiny_db("leveldb", compaction_selector="greedy-largest-debt")
-    eng = db.engine
-    assert eng._select_level([(0, 2.0, 4096), (2, 1.5, 8192)]) == 2
-    # Ties break on score, then lower level.
-    assert eng._select_level([(1, 1.2, 4096), (3, 1.8, 4096)]) == 3
-    assert eng._select_level([(1, 1.2, 4096), (3, 1.2, 4096)]) == 1
-    db.close()
-
-
-def test_oldest_first_selector_ages_eligibility():
-    db = make_tiny_db("leveldb", compaction_selector="oldest-first")
-    eng = db.engine
-    assert eng._select_level([(2, 1.5, 100)]) == 2
-    # Level 0 becomes eligible later: level 2 has seniority.
-    assert eng._select_level([(0, 9.9, 999), (2, 1.5, 100)]) == 2
-    # Level 2 drops below threshold, then re-crosses: it lost its age.
-    assert eng._select_level([(0, 9.9, 999)]) == 0
-    assert eng._select_level([(0, 9.9, 999), (2, 1.5, 100)]) == 0
-    db.close()
-
-
-def test_selector_state_resets_on_restore():
-    db = make_tiny_db("leveldb", compaction_selector="oldest-first")
-    eng = db.engine
-    eng._select_level([(2, 1.5, 100)])
-    assert eng._eligible_since
-    for k in range(400):
-        db.put(k, 64)
-    db.quiesce()
-    state = eng.checkpoint_state()
-    eng._select_level([(3, 1.5, 100)])
-    eng.restore_state(state)
-    assert not eng._eligible_since
-    db.close()
-
-
-def test_selector_runs_load_to_completion():
-    # End-to-end sanity: both non-default selectors keep the engine sound.
-    for selector in ("oldest-first", "greedy-largest-debt"):
-        db = make_tiny_db("leveldb", compaction_selector=selector)
-        rng = random.Random(11)
-        for _ in range(2000):
-            db.put(rng.randrange(1 << 30), 64)
-        db.quiesce()
-        db.check_invariants()
-        assert db.engine.compactions > 0
-        db.close()

@@ -42,8 +42,8 @@ def test_source_emits_at_least_the_known_reasons():
     reasons = emitted_reasons()
     for expected in ("memtable-rotation", "explicit-flush", "l0-stop",
                      "router-admission", "fault-degraded",
-                     "pace:token-bucket", "slowdown:l0", "slowdown:debt",
-                     "objstore-append", "objstore-fetch"):
+                     "pace:token-bucket", "objstore-append",
+                     "objstore-fetch"):
         assert expected in reasons, f"emit site for {expected!r} disappeared"
 
 

@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from repro.common.options import LsmOptions
-from tests.conftest import make_tiny_db, tiny_lsm_options
+from tests.conftest import make_tiny_db
 
 
 def _hammer(db, n=3000, seed=1):
@@ -20,39 +19,31 @@ def test_memtable_rotation_stall_recorded():
     assert db.metrics.events.get("stall:memtable-rotation", 0) > 0
 
 
-def test_leveldb_l0_slowdown_engages_under_pressure():
-    db = make_tiny_db("leveldb", legacy_gate=True)
-    _hammer(db, 4000)
-    ev = db.metrics.events
-    assert ev.get("slowdown:l0", 0) + ev.get("stall:l0-stop", 0) > 0
-
-
-def test_token_pacing_engages_under_pressure():
-    """The default gate paces the same L0 pressure via the token bucket."""
+def test_token_pacing_engages_under_l0_pressure():
     db = make_tiny_db("leveldb")
     _hammer(db, 4000)
+    assert db.metrics.events.get("pace:token-bucket", 0) > 0
+
+
+@pytest.mark.parametrize("engine", ["leveldb", "flsm"])
+def test_hard_l0_stop_is_counted(engine):
+    """With no slowdown band below the stop trigger the ramp has no room,
+    so the shared backstop stalls -- and counts it -- for either engine."""
+    db = make_tiny_db(engine, l0_compaction_trigger=2, l0_slowdown_trigger=2,
+                      l0_stop_trigger=2)
+    _hammer(db, 4000)
+    assert db.metrics.events.get("stall:l0-stop", 0) > 0
+    assert db.metrics.stalls["l0-stop"].total_s > 0.0
+
+
+def test_rocksdb_debt_alone_engages_pacing():
+    """RocksDB's soft debt limit paces writes while L0 sits far below its
+    own slowdown trigger: steady small delays instead of giant stalls."""
+    db = make_tiny_db("rocksdb", pending_compaction_soft_bytes=2048)
+    _hammer(db, 5000, seed=2)
     ev = db.metrics.events
-    assert ev.get("slowdown:l0", 0) == 0
     assert ev.get("pace:token-bucket", 0) > 0
-
-
-def test_rocksdb_debt_slowdown_smoother_max_latency():
-    """RocksDB's soft gate trades steady delays for fewer giant stalls."""
-    lvl = make_tiny_db("leveldb", legacy_gate=True)
-    _hammer(lvl, 5000, seed=2)
-    rks = make_tiny_db("rocksdb", pending_compaction_soft_bytes=2048,
-                       legacy_gate=True)
-    _hammer(rks, 5000, seed=2)
-    assert rks.metrics.events.get("slowdown:debt", 0) > 0
-
-
-def test_slowdown_delay_is_rate_based():
-    db = make_tiny_db("leveldb")
-    eng = db.engine
-    bw = db.runtime.disk.profile.write_bandwidth
-    frac = eng.options.delayed_write_fraction
-    d = eng._slowdown_delay(1000)
-    assert d == pytest.approx(1000 / (bw * frac) - 1000 / bw)
+    assert ev.get("stall:l0-stop", 0) == 0
 
 
 def test_lsa_write_gate_never_delays():
