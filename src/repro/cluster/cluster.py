@@ -38,6 +38,7 @@ from repro.common.errors import ConfigError, InvariantViolation, StoreClosedErro
 from repro.common.options import FaultOptions, StorageOptions
 from repro.common.records import Key, Value
 from repro.db.iamdb import IamDB
+from repro.db.iterator import check_limit
 from repro.metrics import MetricsRegistry, StallBreakdown, merge_snapshots
 from repro.objstore.manifestlog import DEFAULT_RETAIN_CUTS, SharedManifestLog
 from repro.objstore.report import objstore_summary
@@ -440,6 +441,7 @@ class ClusterDB:
 
     def scan(self, lo_key: Optional[Key] = None, hi_key: Optional[Key] = None,
              *, limit: Optional[int] = None) -> List[Tuple[Key, object]]:
+        check_limit(limit)
         self._begin_op()
         t0 = self.clock.now
         rows = self.router.scan(lo_key, hi_key, limit=limit)

@@ -345,11 +345,6 @@ class EngineBase(abc.ABC):
         return None
 
     @abc.abstractmethod
-    def scan_runs(self, lo_key: Optional[Key],
-                  hi_key: Optional[Key]) -> Tuple[List[List[RecordTuple]], float]:
-        """Eagerly-read sorted runs covering [lo, hi] (tests/diagnostics)."""
-
-    @abc.abstractmethod
     def scan_cursors(self, lo_key: Optional[Key],
                      hi_key: Optional[Key]) -> List[Iterable[RecordTuple]]:
         """Lazily-charging sorted iterators covering [lo, hi] (inclusive).

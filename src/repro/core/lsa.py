@@ -23,6 +23,7 @@ child only once it is full.
 from __future__ import annotations
 
 import bisect
+from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple, cast
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.common.options import LsaOptions
 from repro.common.records import KEY, Key, RecordTuple, encoded_size
 from repro.core.engine import EngineBase
 from repro.core.node import (
+    RANGE_LO,
     LsaNode,
     children_of,
     children_slice,
@@ -40,8 +42,10 @@ from repro.core.node import (
     level_insert_sorted,
     level_overlapping,
     level_route_many,
+    level_tables,
     partition_records,
 )
+from repro.filters.bloom import hash_pair
 from repro.table.scan import chain_stream
 from repro.storage.background import BackgroundJob
 from repro.storage.runtime import Runtime
@@ -293,7 +297,7 @@ class LsaTree(EngineBase):
     # ------------------------------------------------------------- node flush
     def _node_index(self, level: int, node: LsaNode) -> int:
         lst = self.levels[level]
-        idx = bisect.bisect_right(lst, node.range_lo, key=lambda x: x.range_lo) - 1
+        idx = bisect.bisect_right(lst, node.range_lo, key=RANGE_LO) - 1
         if idx < 0 or lst[idx] is not node:
             # Ranges may share range_lo transiently; fall back to a scan.
             idx = lst.index(node)
@@ -521,11 +525,15 @@ class LsaTree(EngineBase):
     def get(self, key: Key,
             snapshot: Optional[int] = None) -> Tuple[Optional[RecordTuple], float]:
         latency = 0.0
+        try:
+            hashes = hash_pair(key)  # one Bloom hash per get, not per sequence
+        except TypeError:
+            hashes = None  # non-integer key: left to each filter, as before
         for level in range(1, self.n + 1):
             node = level_find_node(self.levels[level], key)
             if node is None or node.is_empty:
                 continue
-            rec, lat = node.table.get(key, snapshot)
+            rec, lat = node.table.get(key, snapshot, hashes)
             latency += lat
             if rec is not None:
                 return rec, latency
@@ -592,36 +600,20 @@ class LsaTree(EngineBase):
     @observation_only
     def scan_plan(self, lo_key: Optional[Key],
                   hi_key: Optional[Key]) -> List[object]:
-        """Batched scan streams: one node chain per level, cursor order."""
+        """Batched scan streams: one lazy node chain per level, cursor order."""
         plan: List[object] = []
         for level in range(1, self.n + 1):
-            nodes = [nd for nd in level_overlapping(self.levels[level], lo_key, hi_key)
-                     if not nd.is_empty]
+            nodes = level_overlapping(self.levels[level], lo_key, hi_key)
             if nodes:
-                plan.append(chain_stream(self.runtime,
-                                         [nd.table for nd in nodes],
+                plan.append(chain_stream(self.runtime, partial(level_tables, nodes),
                                          lo_key, hi_key))
         return plan
-
-    def scan_runs(self, lo_key: Optional[Key],
-                  hi_key: Optional[Key]) -> Tuple[List[List[RecordTuple]], float]:
-        runs: List[List[RecordTuple]] = []
-        latency = 0.0
-        for level in range(1, self.n + 1):
-            for node in level_overlapping(self.levels[level], lo_key, hi_key):
-                if node.is_empty:
-                    continue
-                node_runs, lat = node.table.read_range(lo_key, hi_key)
-                latency += lat
-                runs.extend(node_runs)
-        return runs, latency
 
     def scan_cursors(self, lo_key: Optional[Key],
                      hi_key: Optional[Key]) -> List[Iterator[RecordTuple]]:
         cursors = []
         for level in range(1, self.n + 1):
-            nodes = [nd for nd in level_overlapping(self.levels[level], lo_key, hi_key)
-                     if not nd.is_empty]
+            nodes = level_overlapping(self.levels[level], lo_key, hi_key)
             if nodes:
                 cursors.append(self._level_cursor(nodes, lo_key, hi_key))
         return cursors
@@ -629,8 +621,8 @@ class LsaTree(EngineBase):
     @staticmethod
     def _level_cursor(nodes: List[LsaNode], lo_key: Optional[Key],
                       hi_key: Optional[Key]) -> Iterator[RecordTuple]:
-        for node in nodes:
-            yield from node.table.cursor(lo_key, hi_key)
+        for table in level_tables(nodes):
+            yield from table.cursor(lo_key, hi_key)
 
     # ------------------------------------------------------------- inspection
     def level_data_bytes(self) -> Dict[int, int]:

@@ -16,7 +16,8 @@ range-adjustment operations (flush rebalancing §4.2.1, combine adoption
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional, Tuple
+from operator import attrgetter
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +25,12 @@ from repro.common.errors import InvariantViolation
 from repro.common.records import KEY, Key, RecordTuple
 from repro.storage.runtime import Runtime
 from repro.table.mstable import MSTable
+
+
+#: The one fence key every level search bisects by: a C-level getter read
+#: off the live nodes, so it cannot go stale when ``extend_range``, a split
+#: or a combine moves a boundary (a per-level fence cache could).
+RANGE_LO = attrgetter("range_lo")
 
 
 class LsaNode:
@@ -42,7 +49,8 @@ class LsaNode:
     # ------------------------------------------------------------- properties
     @property
     def is_empty(self) -> bool:
-        return self.table is None or self.table.n_sequences == 0
+        table = self.table
+        return table is None or not table.sequences
 
     @property
     def nbytes(self) -> int:
@@ -103,7 +111,7 @@ class LsaNode:
 # --------------------------------------------------------------------- levels
 def level_find_node(level: List[LsaNode], key: Key) -> Optional[LsaNode]:
     """The unique node whose range covers ``key``, if any."""
-    idx = bisect.bisect_right(level, key, key=lambda n: n.range_lo) - 1
+    idx = bisect.bisect_right(level, key, key=RANGE_LO) - 1
     if idx >= 0 and level[idx].range_hi >= key:
         return level[idx]
     return None
@@ -127,7 +135,7 @@ def level_route_many(level: List[LsaNode], keys: np.ndarray) -> np.ndarray:
 
 def level_insert_sorted(level: List[LsaNode], node: LsaNode) -> None:
     """Insert keeping the level sorted; rejects range overlap."""
-    idx = bisect.bisect_right(level, node.range_lo, key=lambda n: n.range_lo)
+    idx = bisect.bisect_right(level, node.range_lo, key=RANGE_LO)
     if idx > 0 and level[idx - 1].range_hi >= node.range_lo:
         raise InvariantViolation(
             f"insert overlaps left neighbour: {level[idx - 1]!r} vs {node!r}")
@@ -139,20 +147,36 @@ def level_insert_sorted(level: List[LsaNode], node: LsaNode) -> None:
 
 def level_overlapping(level: List[LsaNode], lo: Optional[Key],
                       hi: Optional[Key]) -> List[LsaNode]:
-    """Nodes whose ranges intersect [lo, hi] (inclusive; None bounds open)."""
-    if not level:
-        return []
+    """Nodes whose ranges intersect [lo, hi] (inclusive; None bounds open).
+
+    Two fence bisects and one slice, so the Python-level cost does not grow
+    with the number of nodes returned.  The result is a fresh list: a scan
+    keeps it as its fixed view of the level while the level itself moves on.
+    """
     start = 0
     if lo is not None:
-        start = bisect.bisect_right(level, lo, key=lambda n: n.range_lo) - 1
+        start = bisect.bisect_right(level, lo, key=RANGE_LO) - 1
         if start < 0 or level[start].range_hi < lo:
             start += 1
-    out = []
-    for node in level[start:]:
-        if hi is not None and node.range_lo > hi:
-            break
-        out.append(node)
-    return out
+    stop = None if hi is None else bisect.bisect_right(level, hi, key=RANGE_LO)
+    return level[start:stop]
+
+
+def level_tables(nodes: List[LsaNode], key: Optional[Key] = None) -> Iterator[MSTable]:
+    """Tables of the non-empty ``nodes`` in order, one at a time.
+
+    The lazy level walk under every scan: ``nodes`` is a scan's captured
+    slice of a level, and a node costs work only when the consumer advances
+    to it -- a limit-bounded scan never looks at the rest of a wide level.
+    With ``key`` the walk starts at the node whose range may hold it (one
+    fence bisect) instead of at the head.
+    """
+    start = 0 if key is None else max(
+        0, bisect.bisect_right(nodes, key, key=RANGE_LO) - 1)
+    for idx in range(start, len(nodes)):
+        node = nodes[idx]
+        if not node.is_empty:
+            yield node.table
 
 
 def children_slice(parents: List[LsaNode], kids: List[LsaNode],
@@ -168,12 +192,12 @@ def children_slice(parents: List[LsaNode], kids: List[LsaNode],
     if parent_idx == 0:
         i = 0
     else:
-        i = bisect.bisect_left(kids, lo_bound, key=lambda n: n.range_lo)
+        i = bisect.bisect_left(kids, lo_bound, key=RANGE_LO)
     if parent_idx == len(parents) - 1:
         j = len(kids)
     else:
         nxt = parents[parent_idx + 1].range_lo
-        j = bisect.bisect_left(kids, nxt, key=lambda n: n.range_lo)
+        j = bisect.bisect_left(kids, nxt, key=RANGE_LO)
     return (i, j)
 
 

@@ -46,7 +46,7 @@ from repro.common.records import (
 from repro.core.engine import EngineBase
 from repro.core.iam import IamTree
 from repro.core.lsa import LsaTree
-from repro.db.iterator import DbIterator, merge_visible
+from repro.db.iterator import DbIterator, check_limit, merge_visible
 from repro.table.scan import list_stream, merge_scan
 from repro.table.scanplan import planned_scan
 from repro.db.snapshot import Snapshot
@@ -391,8 +391,15 @@ class IamDB:
     def scan(self, lo_key: Optional[Key] = None,
              hi_key: Optional[Key] = None, *, limit: Optional[int] = None,
              snapshot: SnapshotLike = None) -> List[Tuple[Key, object]]:
-        """Ordered ``(key, value)`` pairs with lo <= key < hi (both optional)."""
+        """Ordered ``(key, value)`` pairs with lo <= key < hi (both optional).
+
+        ``limit`` caps the row count: 0 returns ``[]`` without touching the
+        store, a negative one raises :class:`ConfigError`.
+        """
         self._check_open()
+        check_limit(limit)
+        if limit == 0:
+            return []
         runtime = self.runtime
         t0 = runtime.clock.now
         snap = self._snap_seq(snapshot)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple
 
+from repro.common.errors import ConfigError
 from repro.common.records import (
     DELETE,
     KEY,
@@ -29,17 +30,25 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.db.iamdb import IamDB
 
 
+def check_limit(limit: Optional[int]) -> None:
+    """Reject a negative scan ``limit`` (0 validly asks for no rows)."""
+    if limit is not None and limit < 0:
+        raise ConfigError(f"scan limit must be >= 0, got {limit}")
+
+
 def merge_visible(streams: List[Iterable[RecordTuple]], *,
                   snapshot: Optional[int] = None,
                   hi_key: Optional[Key] = None,
                   limit: Optional[int] = None) -> Iterator[Tuple[object, object]]:
     """Yield ``(key, value)`` pairs visible at ``snapshot``.
 
-    ``hi_key`` is exclusive; ``limit`` caps the number of yielded pairs.
+    ``hi_key`` is exclusive; ``limit`` caps the number of yielded pairs
+    (0 yields nothing and pulls nothing, so it charges nothing).
     Tombstoned keys are skipped (they still consume nothing from the limit).
     """
+    check_limit(limit)
     live = [s for s in streams if s is not None]
-    if not live:
+    if not live or limit == 0:
         return
     merged = live[0] if len(live) == 1 else heapq.merge(*live, key=sort_key)
     served_key = _sentinel = object()

@@ -12,7 +12,7 @@ Python-level per-bit loops on the build path (`add_many` is vectorized).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,12 @@ def _splitmix64_scalar(x: int) -> int:
     return z ^ (z >> 31)
 
 
+def hash_pair(key: int) -> Tuple[int, int]:
+    """The double-hashing pair ``(h1, h2)`` all of a key's probes derive from."""
+    k = key & _M64
+    return _splitmix64_scalar(k), _splitmix64_scalar(k ^ 0xA5A5A5A5A5A5A5A5) | 1
+
+
 class BloomFilter:
     """Fixed-size Bloom filter sized at build time from the key count."""
 
@@ -59,14 +65,6 @@ class BloomFilter:
     @property
     def nbytes(self) -> int:
         return self._bits.nbytes
-
-    def _probes(self, keys: np.ndarray) -> Iterable[np.ndarray]:
-        """Yield one bit-index array per hash function (double hashing)."""
-        h1 = _splitmix64(keys)
-        h2 = _splitmix64(keys ^ np.uint64(0xA5A5A5A5A5A5A5A5)) | np.uint64(1)
-        n_bits = np.uint64(self.n_bits)
-        for i in range(self.n_hashes):
-            yield ((h1 + np.uint64(i) * h2) & _MASK64) % n_bits
 
     def add_many(self, keys: Sequence[int]) -> None:
         """Insert a batch of integer keys (vectorized).
@@ -92,13 +90,17 @@ class BloomFilter:
         np.bitwise_or.at(self._bits, (idx >> np.uint64(6)).astype(np.intp),
                          np.uint64(1) << (idx & np.uint64(63)))
 
-    def might_contain(self, key: int) -> bool:
-        """False means the key is definitely absent."""
+    def might_contain(self, key: int,
+                      hashes: Optional[Tuple[int, int]] = None) -> bool:
+        """False means the key is definitely absent.
+
+        ``hashes`` is ``hash_pair(key)`` when the caller already holds it: a
+        point read probes one filter per sequence on its walk, and the pair
+        depends on the key alone, so it is derived once per get.
+        """
         if self.n_hashes == 0:
             return True
-        k = key & _M64
-        h1 = _splitmix64_scalar(k)
-        h2 = _splitmix64_scalar(k ^ 0xA5A5A5A5A5A5A5A5) | 1
+        h1, h2 = hashes or hash_pair(key)
         n_bits = self.n_bits
         bits = self._bits
         for i in range(self.n_hashes):

@@ -258,21 +258,6 @@ class FlsmEngine(EngineBase):
                         return rec, latency
         return None, latency
 
-    def scan_runs(self, lo_key, hi_key) -> Tuple[List[List[RecordTuple]], float]:
-        runs: List[List[RecordTuple]] = []
-        latency = 0.0
-        for level in range(self.options.max_levels):
-            for g in self.guards[level]:
-                for table in g.tables:
-                    if lo_key is not None and table.max_key < lo_key:
-                        continue
-                    if hi_key is not None and table.min_key > hi_key:
-                        continue
-                    table_runs, lat = table.read_range(lo_key, hi_key)
-                    latency += lat
-                    runs.extend(table_runs)
-        return runs, latency
-
     def scan_cursors(self, lo_key, hi_key) -> List:
         cursors = []
         for level in range(self.options.max_levels):

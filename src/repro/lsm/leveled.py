@@ -21,7 +21,10 @@ overlapping files one level down, trivial moves when nothing overlaps.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, List, Optional, Set, Tuple, cast
+from functools import partial
+from itertools import islice
+from operator import attrgetter
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, cast
 
 import numpy as np
 
@@ -29,12 +32,26 @@ from repro.common.errors import InvariantViolation
 from repro.common.options import LsmOptions
 from repro.common.records import KEY, RecordTuple, encoded_size
 from repro.core.engine import EngineBase
+from repro.filters.bloom import hash_pair
 from repro.storage.background import BackgroundJob
 from repro.storage.runtime import Runtime
 from repro.table.merge import merge_runs
 from repro.table.mstable import MSTable
 from repro.table.scan import chain_stream, table_stream
 from repro.check.effects.registry import observation_only
+
+
+#: The fence key every sorted-level search bisects by (read off the live
+#: tables, so there is no per-level cache to invalidate).
+MIN_KEY = attrgetter("min_key")
+
+
+def _tables_from(tables: List[MSTable], key: Optional[object] = None) -> Iterator[MSTable]:
+    """Chain walk over a scan's captured run of level files, in order;
+    with ``key``, from the file that may hold it (one fence bisect)."""
+    if key is None:
+        return iter(tables)
+    return islice(tables, max(0, bisect.bisect_right(tables, key, key=MIN_KEY) - 1), None)
 
 
 class LeveledLsm(EngineBase):
@@ -124,23 +141,21 @@ class LeveledLsm(EngineBase):
 
     # --------------------------------------------------------------- compact
     def _overlapping(self, level: int, lo, hi) -> List[MSTable]:
-        """Tables in a sorted (L1+) level intersecting [lo, hi].
+        """Tables in a sorted (L1+) level intersecting [lo, hi] (None = open).
 
-        Binary-searched: deep levels hold thousands of files and this runs
-        on every compaction pick.
+        Two fence bisects and one slice: deep levels hold thousands of
+        files, and this runs on every compaction pick and every scan.
         """
         lst = self.levels[level]
         if level == 0:
             return [t for t in lst if not (t.max_key < lo or t.min_key > hi)]
-        start = bisect.bisect_right(lst, lo, key=lambda t: t.min_key) - 1
-        if start < 0 or lst[start].max_key < lo:
-            start += 1
-        out = []
-        for t in lst[start:]:
-            if t.min_key > hi:
-                break
-            out.append(t)
-        return out
+        start = 0
+        if lo is not None:
+            start = bisect.bisect_right(lst, lo, key=MIN_KEY) - 1
+            if start < 0 or lst[start].max_key < lo:
+                start += 1
+        stop = None if hi is None else bisect.bisect_right(lst, hi, key=MIN_KEY)
+        return lst[start:stop]
 
     def _pick_input_file(self, level: int) -> MSTable:
         """Round-robin file pick via the per-level compaction cursor."""
@@ -148,7 +163,7 @@ class LeveledLsm(EngineBase):
         cursor = self.compact_pointer[level]
         if cursor is None:
             return lst[0]
-        i = bisect.bisect_right(lst, cursor, key=lambda t: t.min_key)
+        i = bisect.bisect_right(lst, cursor, key=MIN_KEY)
         return lst[i] if i < len(lst) else lst[0]
 
     def _compact(self, level: int) -> float:
@@ -249,7 +264,7 @@ class LeveledLsm(EngineBase):
 
     def _insert_sorted(self, level: int, table: MSTable) -> None:
         lst = self.levels[level]
-        i = bisect.bisect_left(lst, table.min_key, key=lambda t: t.min_key)
+        i = bisect.bisect_left(lst, table.min_key, key=MIN_KEY)
         lst.insert(i, table)
 
     def _remove_table(self, level: int, table: MSTable) -> None:
@@ -258,7 +273,7 @@ class LeveledLsm(EngineBase):
         if level == 0:
             lst.remove(table)
             return
-        i = bisect.bisect_left(lst, table.min_key, key=lambda t: t.min_key)
+        i = bisect.bisect_left(lst, table.min_key, key=MIN_KEY)
         while i < len(lst):
             if lst[i] is table:
                 del lst[i]
@@ -269,16 +284,20 @@ class LeveledLsm(EngineBase):
     # ------------------------------------------------------------------- read
     def get(self, key, snapshot: Optional[int] = None) -> Tuple[Optional[RecordTuple], float]:
         latency = 0.0
+        try:
+            hashes = hash_pair(key)  # one Bloom hash per get, not per table
+        except TypeError:
+            hashes = None  # non-integer key: left to each filter, as before
         for table in reversed(self.levels[0]):
             if table.min_key <= key <= table.max_key:
-                rec, lat = table.get(key, snapshot)
+                rec, lat = table.get(key, snapshot, hashes)
                 latency += lat
                 if rec is not None:
                     return rec, latency
         for level in range(1, self.options.max_levels):
             table = self._find_table(level, key)
             if table is not None:
-                rec, lat = table.get(key, snapshot)
+                rec, lat = table.get(key, snapshot, hashes)
                 latency += lat
                 if rec is not None:
                     return rec, latency
@@ -367,53 +386,18 @@ class LeveledLsm(EngineBase):
                 continue
             plan.append(table_stream(self.runtime, table, lo_key, hi_key))
         for level in range(1, self.options.max_levels):
-            lst = self.levels[level]
-            if not lst:
-                continue
-            lo = lst[0].min_key if lo_key is None else lo_key
-            hi = lst[-1].max_key if hi_key is None else hi_key
-            tables = self._overlapping(level, lo, hi)
+            tables = self._overlapping(level, lo_key, hi_key)
             if tables:
-                plan.append(chain_stream(self.runtime, tables, lo_key, hi_key))
+                plan.append(chain_stream(self.runtime, partial(_tables_from, tables),
+                                         lo_key, hi_key))
         return plan
 
     def _find_table(self, level: int, key) -> Optional[MSTable]:
-        # Levels are small lists of disjoint sorted ranges; linear scan with
-        # early exit is fine at simulation scale, but use bisect on min_key.
         lst = self.levels[level]
-        lo, hi = 0, len(lst)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if lst[mid].min_key <= key:
-                lo = mid + 1
-            else:
-                hi = mid
-        idx = lo - 1
-        if idx >= 0 and lst[idx].min_key <= key <= lst[idx].max_key:
+        idx = bisect.bisect_right(lst, key, key=MIN_KEY) - 1
+        if idx >= 0 and key <= lst[idx].max_key:
             return lst[idx]
         return None
-
-    def scan_runs(self, lo_key, hi_key) -> Tuple[List[List[RecordTuple]], float]:
-        runs: List[List[RecordTuple]] = []
-        latency = 0.0
-        for table in reversed(self.levels[0]):
-            if hi_key is not None and table.min_key > hi_key:
-                continue
-            if lo_key is not None and table.max_key < lo_key:
-                continue
-            table_runs, lat = table.read_range(lo_key, hi_key)
-            latency += lat
-            runs.extend(table_runs)
-        for level in range(1, self.options.max_levels):
-            for table in self.levels[level]:
-                if hi_key is not None and table.min_key > hi_key:
-                    break
-                if lo_key is not None and table.max_key < lo_key:
-                    continue
-                table_runs, lat = table.read_range(lo_key, hi_key)
-                latency += lat
-                runs.extend(table_runs)
-        return runs, latency
 
     def scan_cursors(self, lo_key, hi_key) -> List:
         cursors = []
@@ -424,12 +408,7 @@ class LeveledLsm(EngineBase):
                 continue
             cursors.append(table.cursor(lo_key, hi_key))
         for level in range(1, self.options.max_levels):
-            lst = self.levels[level]
-            if not lst:
-                continue
-            lo = lst[0].min_key if lo_key is None else lo_key
-            hi = lst[-1].max_key if hi_key is None else hi_key
-            tables = self._overlapping(level, lo, hi)
+            tables = self._overlapping(level, lo_key, hi_key)
             if tables:
                 cursors.append(self._level_cursor(tables, lo_key, hi_key))
         return cursors

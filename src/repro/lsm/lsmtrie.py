@@ -217,10 +217,6 @@ class LsmTrieEngine(EngineBase):
                     return (p.orig_key, trec[SEQ], p.kind, p.value), latency
         return None, latency
 
-    def scan_runs(self, lo_key, hi_key):
-        raise ScansUnsupportedError(
-            "LSM-trie is hash-based and does not support scans (Table 2)")
-
     def scan_cursors(self, lo_key, hi_key):
         raise ScansUnsupportedError(
             "LSM-trie is hash-based and does not support scans (Table 2)")

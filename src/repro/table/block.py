@@ -43,9 +43,7 @@ class Sequence:
         "min_seq",
         "max_seq",
         "_keys_arr",
-        "_seqs_arr",
-        "_kinds_arr",
-        "_vals_arr",
+        "_cols",
     )
 
     def __init__(self, records: List[RecordTuple], *, key_size: int, block_size: int,
@@ -90,9 +88,7 @@ class Sequence:
         self.bloom = BloomFilter.build([r[KEY] for r in records], bloom_bits_per_key)
         self.metadata_bytes = self.bloom.nbytes + INDEX_ENTRY_BYTES * self.n_blocks
         self._keys_arr: Optional[np.ndarray] = None
-        self._seqs_arr: Optional[np.ndarray] = None
-        self._kinds_arr: Optional[np.ndarray] = None
-        self._vals_arr: object = None  # ndarray | None (unbuilt) | False (n/a)
+        self._cols: Optional[tuple] = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -116,50 +112,41 @@ class Sequence:
         arr = self._keys_arr
         if arr is None:
             try:
-                arr = np.fromiter((r[0] for r in self.records),
+                arr = np.fromiter(map(_key_of, self.records),
                                   dtype=np.uint64, count=len(self.records))
             except (OverflowError, TypeError, ValueError):
                 return None
             self._keys_arr = arr
         return arr
 
-    def aux_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached (seq, kind) columns for the vectorized scan planner.
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                               Optional[np.ndarray]]:
+        """Cached ``(keys, seqs, kinds, values)`` columns for the scan planner.
 
-        Raises OverflowError/TypeError when the sequence numbers are not
-        uint64-representable (callers fall back to the pull-based path).
+        One transposition of the records feeds all four.  Keys and sequence
+        numbers are uint64, kinds uint8; the value column is None when the
+        values aren't small ints (simulated values are synthetic byte sizes,
+        so scans can usually assemble their output column-wise).  Raises
+        OverflowError/TypeError/ValueError when keys or sequence numbers are
+        not uint64-representable (callers fall back to the pull-based path).
         Sequences are immutable, so the cache never invalidates.
         """
-        seqs = self._seqs_arr
-        if seqs is None:
-            recs = self.records
-            n = len(recs)
-            seqs = np.fromiter((r[1] for r in recs), dtype=np.uint64, count=n)
-            self._kinds_arr = np.fromiter((r[2] for r in recs),
-                                          dtype=np.uint8, count=n)
-            self._seqs_arr = seqs
-        return seqs, self._kinds_arr
-
-    def vals_array(self) -> Optional[np.ndarray]:
-        """Cached uint64 value column, or None when values aren't small ints.
-
-        Simulated values are synthetic byte sizes (ints), so scans can
-        assemble their output column-wise; byte-string or out-of-range
-        values disable the cache permanently for this sequence.
-        """
-        vals = self._vals_arr
-        if vals is False:
-            return None
-        if vals is None:
-            recs = self.records
+        cols = self._cols
+        if cols is None:
+            keys = self.keys_array()
+            if keys is None:
+                raise TypeError("sequence keys are not uint64-representable")
+            n = len(self.records)
+            _, seqs, kinds, vals = zip(*self.records)
             try:
-                vals = np.fromiter((r[3] for r in recs), dtype=np.uint64,
-                                   count=len(recs))
+                vals_col = np.fromiter(vals, dtype=np.uint64, count=n)
             except (OverflowError, TypeError, ValueError):
-                self._vals_arr = False
-                return None
-            self._vals_arr = vals
-        return vals
+                vals_col = None
+            cols = self._cols = (keys,
+                                 np.fromiter(seqs, dtype=np.uint64, count=n),
+                                 np.fromiter(kinds, dtype=np.uint8, count=n),
+                                 vals_col)
+        return cols
 
     def spans_for_keys(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`_record_span` for exact-match lookups.
@@ -170,8 +157,8 @@ class Sequence:
         col = self.keys_array()
         if col is None:
             raise TypeError("sequence keys are not uint64-representable")
-        return (np.searchsorted(col, keys, side="left"),
-                np.searchsorted(col, keys, side="right"))
+        return (col.searchsorted(keys, side="left"),
+                col.searchsorted(keys, side="right"))
 
     def span_for_range(self, lo_key: Optional[Key],
                        hi_key: Optional[Key]) -> Tuple[int, int]:
@@ -183,9 +170,9 @@ class Sequence:
         j = len(self.records)
         try:
             if lo_key is not None:
-                i = int(np.searchsorted(col, np.uint64(lo_key), side="left"))
+                i = int(col.searchsorted(np.uint64(lo_key), side="left"))
             if hi_key is not None:
-                j = int(np.searchsorted(col, np.uint64(hi_key), side="right"))
+                j = int(col.searchsorted(np.uint64(hi_key), side="right"))
         except (OverflowError, TypeError, ValueError):
             return self._record_span(lo_key, hi_key)
         return i, j
@@ -205,17 +192,20 @@ class Sequence:
 
     # ------------------------------------------------------------------ reads
     def get(self, runtime: Runtime, file_id: int, key: Key,
-            snapshot: Optional[int] = None) -> Tuple[Optional[RecordTuple], float]:
+            snapshot: Optional[int] = None,
+            hashes: Optional[Tuple[int, int]] = None,
+            ) -> Tuple[Optional[RecordTuple], float]:
         """Newest visible version of ``key``; returns (record|None, latency).
 
         Charges block reads only when the Bloom filter and key range admit
-        the key (metadata checks are free, §2.1).
+        the key (metadata checks are free, §2.1).  ``hashes`` is the
+        caller's ``hash_pair(key)``; without it the filter derives its own.
         """
         if key < self.min_key or key > self.max_key:
             return None, 0.0
         metrics = runtime.metrics
         metrics.bloom_probes += 1
-        if not self.bloom.might_contain(key):
+        if not self.bloom.might_contain(key, hashes):
             metrics.bloom_negatives += 1
             return None, 0.0
         i, j = self._record_span(key, key)

@@ -148,14 +148,21 @@ class MSTable:
         return table
 
     # ---------------------------------------------------------------- reading
-    def get(self, key: Key,
-            snapshot: Optional[int] = None) -> Tuple[Optional[RecordTuple], float]:
-        """Newest visible version across sequences; (record|None, latency)."""
+    def get(self, key: Key, snapshot: Optional[int] = None,
+            hashes: Optional[Tuple[int, int]] = None,
+            ) -> Tuple[Optional[RecordTuple], float]:
+        """Newest visible version across sequences; (record|None, latency).
+
+        ``hashes`` is the caller's ``hash_pair(key)``, handed on to every
+        sequence's Bloom probe.
+        """
         latency = 0.0
+        runtime = self.runtime
+        file_id = self.file.file_id
         for seq in reversed(self.sequences):
             if snapshot is not None and seq.min_seq > snapshot:
                 continue
-            rec, lat = seq.get(self.runtime, self.file_id, key, snapshot)
+            rec, lat = seq.get(runtime, file_id, key, snapshot, hashes)
             latency += lat
             if rec is not None:
                 return rec, latency

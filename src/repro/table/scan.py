@@ -31,7 +31,7 @@ the cached per-sequence key columns instead of re-running bisect walks).
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional, Sequence as SequenceType, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence as SequenceType, Tuple
 
 from repro.common.records import DELETE, Key, RecordTuple, sort_key
 from repro.storage.runtime import Runtime
@@ -268,41 +268,44 @@ class _RawMerge:
 class _ChainState:
     """Pull mirror of a per-level node chain (``yield from`` over cursors).
 
-    Node states are created lazily as the chain reaches them, so a node's
-    first-block charges land exactly when the scalar chain generator would
-    have issued them.
+    ``walk()`` is the engine's lazy, restartable walk of the level -- a
+    fresh in-order iterator over the non-empty tables of the scan's
+    captured slice -- and ``walk(key)`` the same from the member that may
+    hold ``key``.  The chain takes one table at a time and creates its
+    state only on reaching it, so a node's first-block charges land exactly
+    when the scalar chain generator would have issued them and the members
+    a scan never reaches cost nothing.
     """
 
-    __slots__ = ("runtime", "tables", "lo_key", "hi_key", "ti", "current",
-                 "_max_keys")
+    __slots__ = ("runtime", "walk", "lo_key", "hi_key", "rest", "current")
 
-    def __init__(self, runtime: Runtime, tables: list, lo_key: Optional[Key],
-                 hi_key: Optional[Key]) -> None:
+    def __init__(self, runtime: Runtime, walk: Callable[..., Iterator],
+                 lo_key: Optional[Key], hi_key: Optional[Key]) -> None:
         self.runtime = runtime
-        self.tables = tables
+        self.walk = walk
         self.lo_key = lo_key
         self.hi_key = hi_key
-        self.ti = 0
+        self.rest: Optional[Iterator] = None  # unstarted until the first pull
         self.current = None
-        self._max_keys = None
 
-    def _node_state(self, table):
-        states = [
-            _SeqState(self.runtime, table.file_id, seq, self.lo_key, self.hi_key)
-            for seq in table.sequences
-        ]
-        if len(states) == 1:
-            return states[0]
-        return _RawMerge(states)
+    def _next_node(self):
+        """Advance to the next table of the walk; None when it is over."""
+        rest = self.rest
+        if rest is None:
+            rest = self.rest = self.walk()
+        table = next(rest, None)
+        if table is None:
+            return None
+        runtime, fid, lo, hi = self.runtime, table.file_id, self.lo_key, self.hi_key
+        states = [_SeqState(runtime, fid, seq, lo, hi) for seq in table.sequences]
+        cur = self.current = states[0] if len(states) == 1 else _RawMerge(states)
+        return cur
 
     def pull(self) -> Optional[RecordTuple]:
         while True:
-            cur = self.current
+            cur = self.current or self._next_node()
             if cur is None:
-                if self.ti >= len(self.tables):
-                    return None
-                cur = self.current = self._node_state(self.tables[self.ti])
-                self.ti += 1
+                return None
             rec = cur.pull()
             if rec is not None:
                 return rec
@@ -311,12 +314,9 @@ class _ChainState:
     def bulk_into(self, sink: _Sink,
                   stop_key: Optional[Key]) -> Optional[RecordTuple]:
         while True:
-            cur = self.current
+            cur = self.current or self._next_node()
             if cur is None:
-                if self.ti >= len(self.tables):
-                    return None
-                cur = self.current = self._node_state(self.tables[self.ti])
-                self.ti += 1
+                return None
             if isinstance(cur, _SeqState):
                 rec = cur.bulk_into(sink, stop_key)
                 if rec is not None:
@@ -337,32 +337,25 @@ class _ChainState:
                     return rec
 
     def reseek(self, key: Optional[Key]) -> None:
-        """Jump to the first node whose data may reach ``key`` using the
-        cached per-chain fence column (no per-level bisect walk)."""
-        tables = self.tables
-        maxes = self._max_keys
-        if maxes is None:
-            maxes = self._max_keys = [t.max_key for t in tables]
-        ti = 0 if key is None else bisect.bisect_left(maxes, key)
-        self.ti = ti
+        """Restart the walk at the member that may hold ``key`` (the
+        engine's fence bisect; no per-chain fence column is built)."""
         self.lo_key = key
-        if ti >= len(tables):
-            self.current = None
-            return
-        self.current = self._node_state(tables[ti])
-        self.ti = ti + 1
+        self.rest = self.walk(key)
+        self.current = None
+        self._next_node()
 
 
-def chain_stream(runtime: Runtime, tables: list, lo_key: Optional[Key],
-                 hi_key: Optional[Key]) -> _ChainState:
-    """One engine-plan stream: a level's overlapping node tables in order."""
-    return _ChainState(runtime, tables, lo_key, hi_key)
+def chain_stream(runtime: Runtime, walk: Callable[..., Iterator],
+                 lo_key: Optional[Key], hi_key: Optional[Key]) -> _ChainState:
+    """One engine-plan stream: a level's overlapping node tables in order,
+    reached through the engine's lazy ``walk`` (see :class:`_ChainState`)."""
+    return _ChainState(runtime, walk, lo_key, hi_key)
 
 
 def table_stream(runtime: Runtime, table, lo_key: Optional[Key],
                  hi_key: Optional[Key]) -> _ChainState:
     """One engine-plan stream for a single table (L0 files)."""
-    return _ChainState(runtime, [table], lo_key, hi_key)
+    return _ChainState(runtime, lambda key=None: iter((table,)), lo_key, hi_key)
 
 
 def list_stream(recs: SequenceType[RecordTuple]) -> _ListStream:

@@ -71,11 +71,12 @@ def planned_scan(streams: list, *, snapshot: Optional[int] = None,
         return None
     if not streams:
         return []
-    n_stop = None if limit is None else (limit if limit >= 1 else 1)
-    cap = None if n_stop is None else max(96, n_stop + 64)
+    # ``limit`` is None or >= 1: the DB answers limit=0 and rejects
+    # negative limits before planning.
+    cap = None if limit is None else max(96, limit + 64)
     try:
         while True:
-            res = _attempt(streams, snapshot, hi_key, n_stop, cap)
+            res = _attempt(streams, snapshot, hi_key, limit, cap)
             if res is not _RETRY:
                 out, events, runtime = res
                 break
@@ -113,23 +114,21 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
             n = len(recs)
             if not n:
                 continue
-            key_parts.append(np.fromiter((r[0] for r in recs),
-                                         dtype=np.uint64, count=n))
-            seq_parts.append(np.fromiter((r[1] for r in recs),
-                                         dtype=np.uint64, count=n))
-            kind_parts.append(np.fromiter((r[2] for r in recs),
-                                          dtype=np.uint8, count=n))
+            # One transposition feeds all four columns.
+            keys, seqs, kinds, vals = zip(*recs)
+            key_parts.append(np.fromiter(keys, dtype=np.uint64, count=n))
+            seq_parts.append(np.fromiter(seqs, dtype=np.uint64, count=n))
+            kind_parts.append(np.fromiter(kinds, dtype=np.uint8, count=n))
             if vals_ok:
                 try:
-                    val_parts.append(np.fromiter((r[3] for r in recs),
-                                                 dtype=np.uint64, count=n))
+                    val_parts.append(np.fromiter(vals, dtype=np.uint64, count=n))
                 except (OverflowError, TypeError, ValueError):
                     vals_ok = False
             rec_parts.append((recs, 0))
             lens.append(n)
             charge_info.append(None)
         elif isinstance(s, _ChainState):
-            if s.ti or s.current is not None:
+            if s.rest is not None:
                 return None  # partially consumed stream: not plannable
             runtime = s.runtime
             lo = s.lo_key
@@ -137,7 +136,11 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
             budget = cap
             tables_meta = []
             fill_only = None
-            for ti, table in enumerate(s.tables):
+            # A fresh lazy walk per attempt: the loop leaves it at the first
+            # table past the budget, so the level's remaining members are
+            # never looked at (and a wider retry starts over from the head).
+            for ti, table in enumerate(s.walk()):
+                fid = table.file_id
                 if budget is not None and budget <= 0:
                     # Chain tail cut: the dropped node's records all sort
                     # past the (validated) termination rank, but its state
@@ -159,9 +162,8 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                         starts = seq.block_start_idx
                         c0 = bisect_right(starts, i2) - 1
                         stop = min(c0 + _RA, seq.n_blocks)
-                        fill_only.append((table.file_id,
-                                          range(seq.first_block + c0,
-                                                seq.first_block + stop)))
+                        fill_only.append((fid, range(seq.first_block + c0,
+                                                     seq.first_block + stop)))
                     if first_key is not None and (cut_key is None
                                                   or first_key < cut_key):
                         cut_key = first_key
@@ -185,16 +187,12 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                             raise TypeError("non-integer key at span cut")
                         if cut_key is None or k_cut < cut_key:
                             cut_key = k_cut
-                    col = seq.keys_array()
-                    if col is None:
-                        raise TypeError("sequence keys not uint64")
-                    seqs_col, kinds_col = seq.aux_arrays()
+                    col, seqs_col, kinds_col, vals_col = seq.columns()
                     comp_idxs.append(len(lens))
                     key_parts.append(col[i:j_eff])
                     seq_parts.append(seqs_col[i:j_eff])
                     kind_parts.append(kinds_col[i:j_eff])
                     if vals_ok:
-                        vals_col = seq.vals_array()
                         if vals_col is None:
                             vals_ok = False
                         else:
@@ -205,7 +203,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                     # record past the cut before the plan's validity bound
                     # stops it -- mirror that single-record overshoot.
                     charge_end = j_eff + 1 if j_eff < j else j
-                    charge_info.append((table.file_id, seq.block_start_idx,
+                    charge_info.append((fid, seq.block_start_idx,
                                         seq.first_block, seq.n_blocks,
                                         i, charge_end))
                     kept += j_eff - i
@@ -230,7 +228,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
     if cut_key is not None and cut_key < (1 << 64):
         ck = np.uint64(cut_key)
         for pi, kp in enumerate(key_parts):
-            jf = int(np.searchsorted(kp, ck, side="left"))
+            jf = int(kp.searchsorted(ck, side="left"))
             if jf < kp.size:
                 key_parts[pi] = kp[:jf]
                 seq_parts[pi] = seq_parts[pi][:jf]
@@ -277,7 +275,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
     elif hi_key >= (1 << 64):
         R = T
     else:
-        R = int(np.searchsorted(skeys, np.uint64(hi_key), side="left"))
+        R = int(skeys.searchsorted(np.uint64(hi_key), side="left"))
 
     if R == 0:
         # The very first merged record already sits at/above hi_key: the
@@ -374,7 +372,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                            vals_g[order[emit]].tolist()))
         else:
             gs = order[emit]
-            cis = np.searchsorted(offsets, gs, side="right") - 1
+            cis = offsets.searchsorted(gs, side="right") - 1
             locs = gs - offsets[cis]
             for ci, loc in zip(cis.tolist(), locs.tolist()):
                 recs, base = rec_parts[ci]

@@ -1,4 +1,4 @@
-"""Cross-checks of engine internals: eager vs lazy scan paths, pool edges."""
+"""Cross-checks of engine internals: pool edges, level searches, describe."""
 
 import random
 
@@ -11,22 +11,6 @@ from repro.common.options import DeviceProfile
 from tests.conftest import make_tiny_db
 
 PROFILE = DeviceProfile("t", 0.0, 0.0, 1e6, 1e6)
-
-
-@pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb", "flsm"])
-def test_scan_runs_agree_with_cursors(engine):
-    """The eager (scan_runs) and lazy (scan_cursors) paths must yield the
-    same multiset of records over the same range."""
-    db = make_tiny_db(engine)
-    rng = random.Random(3)
-    for _ in range(2500):
-        db.put(rng.randrange(800), rng.randrange(10, 90))
-    db.quiesce()
-    lo, hi = 100, 600
-    runs, _ = db.engine.scan_runs(lo, hi)
-    eager = sorted(r for run in runs for r in run)
-    lazy = sorted(r for cur in db.engine.scan_cursors(lo, hi) for r in cur)
-    assert eager == lazy
 
 
 def test_drain_queue_only_skips_provider():

@@ -1,5 +1,8 @@
 """merge_visible: scan visibility semantics."""
 
+import pytest
+
+from repro.common.errors import ConfigError
 from repro.common.records import make_delete, make_put, sort_key
 from repro.db.iterator import merge_visible
 
@@ -90,5 +93,16 @@ def test_hi_key_with_snapshot_and_limit():
 
 
 def test_limit_zero_and_unsorted_duplicate_seqs():
-    stream = [make_put(1, 2, 10)]
-    assert list(merge_visible([stream], limit=0)) == [(1, 10)]  # limit<=0: cap after first
+    # limit=0 asks for no rows: nothing is yielded and no stream is pulled
+    # (a pull is what charges I/O); a negative limit is a caller error.
+    pulled = []
+
+    def stream():
+        pulled.append(1)
+        yield make_put(1, 2, 10)
+
+    assert list(merge_visible([stream()], limit=0)) == []
+    assert not pulled
+    with pytest.raises(ConfigError):
+        list(merge_visible([stream()], limit=-1))
+    assert not pulled

@@ -15,6 +15,7 @@ cluster proves the scatter-gather layer adds nothing.
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bench.reference import (
@@ -23,6 +24,7 @@ from repro.bench.reference import (
     reference_scan,
 )
 from repro.cluster import ClusterDB, ClusterOptions, NetworkOptions
+from repro.common.errors import ConfigError
 from tests.conftest import make_tiny_db, tiny_iam_options, tiny_storage_options
 
 #: A fixed, spread-out key pool (arbitrary points in the 64-bit key space).
@@ -262,6 +264,30 @@ def test_trivial_cluster_multi_get_equals_bare_db(ops, batch):
     bare.close()
 
 
+def test_scan_limit_zero_and_negative_bare_equals_trivial_cluster():
+    # limit=0 asks for no rows -- [] with nothing read or charged, on a bare
+    # DB exactly as through the router; a negative limit is a caller error
+    # on both, raised before anything is touched.
+    cluster, bare = _trivial_cluster_pair()
+    for i, key in enumerate(KEY_POOL):
+        cluster.put(key, 50 + i)
+        bare.put(key, 50 + i)
+    cluster.quiesce()
+    bare.quiesce()
+    before = _observable_state(bare)
+    assert cluster.scan(None, None, limit=0) == bare.scan(None, None, limit=0) == []
+    assert cluster.scan(KEY_POOL[3], None, limit=0) == bare.scan(KEY_POOL[3], None, limit=0) == []
+    for db in (cluster, bare):
+        with pytest.raises(ConfigError):
+            db.scan(None, None, limit=-1)
+    assert _observable_state(bare) == before
+    assert cluster.clock.now == bare.runtime.clock.now
+    assert cluster.scan(None, None, limit=1) == bare.scan(None, None, limit=1)
+    assert len(bare.scan(None, None, limit=1)) == 1
+    cluster.close()
+    bare.close()
+
+
 def test_cluster_multi_get_matches_per_key_loop():
     # On a real (non-trivial) topology the batched scatter-gather must
     # return the same values as routing every key individually.
@@ -280,3 +306,171 @@ def test_cluster_multi_get_matches_per_key_loop():
     assert c_batch.multi_get(keys) == reference_cluster_read_loop(c_loop, keys)
     c_batch.close()
     c_loop.close()
+
+
+# ------------------------------------------------------------ lazy level chains
+# A scan hands each level to the assembler as a lazy walk over the captured
+# slice of its members (nodes / files), skipping empty nodes only as the
+# consumer reaches them.  These inputs aim at the places a lazy walk can go
+# wrong -- where it starts, what it skips, where it stops, and starting over.
+WIDE_KEYS = [k * 1000 for k in range(700)]
+
+
+def _wide_pair(engine, n=1800, seed=17):
+    """Twin stores deep and wide enough that every level is a real chain."""
+    dbs = (make_tiny_db(engine), make_tiny_db(engine))
+    rng = random.Random(seed)
+    for _ in range(n):
+        key = rng.choice(WIDE_KEYS)
+        kill = rng.random() < 0.1
+        size = rng.randrange(10, 90)
+        for db in dbs:
+            if kill:
+                db.delete(key)
+            else:
+                db.put(key, size)
+    for db in dbs:
+        db.quiesce()
+    return dbs
+
+
+def _assert_scan_matches(db_ref, db_opt, lo, hi, limit=None, snapshot=None):
+    want = reference_scan(db_ref, lo, hi, limit=limit, snapshot=snapshot)
+    got = db_opt.scan(lo, hi, limit=limit, snapshot=snapshot)
+    assert got == want
+    assert _observable_state(db_opt) == _observable_state(db_ref)
+    return got
+
+
+def _fences(db):
+    """Per sorted level, the (lo, hi) fence of every member, in order."""
+    eng = db.engine
+    if hasattr(eng, "n"):  # LSA / IAM: node ranges
+        return [[(nd.range_lo, nd.range_hi) for nd in eng.levels[i]]
+                for i in range(1, eng.n + 1)]
+    return [[(t.min_key, t.max_key) for t in lst]
+            for lst in eng.levels[1:] if lst]
+
+
+def _widest(db):
+    return max(_fences(db), key=len)
+
+
+@pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb"])
+def test_scan_lo_in_gap_between_members(engine):
+    db_ref, db_opt = _wide_pair(engine)
+    level = _widest(db_ref)
+    gaps = [(a[1], b[0]) for a, b in zip(level, level[1:]) if a[1] + 1 < b[0]]
+    assert len(gaps) >= 3, "store shape changed: no fence gaps to aim at"
+    for left_hi, right_lo in (gaps[0], gaps[len(gaps) // 2], gaps[-1]):
+        lo = left_hi + 1
+        for hi, limit in ((None, 7), (None, None), (right_lo + 5000, None)):
+            _assert_scan_matches(db_ref, db_opt, lo, hi, limit)
+
+
+@pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb"])
+def test_scan_lo_past_last_member(engine):
+    db_ref, db_opt = _wide_pair(engine)
+    ends = sorted(level[-1][1] for level in _fences(db_ref))
+    # Past the last member of some levels but not others, then of all.
+    for lo in (ends[0] + 1, ends[-1], ends[-1] + 1):
+        _assert_scan_matches(db_ref, db_opt, lo, None, 5)
+        _assert_scan_matches(db_ref, db_opt, lo, None)
+    assert db_opt.scan(ends[-1] + 1, None) == []
+
+
+@pytest.mark.parametrize("engine", ["iam", "lsa"])
+def test_scan_skips_empty_nodes_at_head_and_middle(engine):
+    db_ref, db_opt = _wide_pair(engine)
+    for db in (db_ref, db_opt):
+        eng = db.engine
+        for nodes in eng.levels[1:eng.n + 1]:
+            # Empty the head, a run of two in the middle, and the tail.
+            for idx in {0, len(nodes) // 2, len(nodes) // 2 + 1, len(nodes) - 1}:
+                nodes[idx].drop_table()
+    for lo, hi, limit in ((None, None, None), (None, None, 20), (0, None, 150),
+                          (WIDE_KEYS[340], None, 40),
+                          (WIDE_KEYS[300], WIDE_KEYS[420], None)):
+        _assert_scan_matches(db_ref, db_opt, lo, hi, limit)
+
+
+@pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb"])
+def test_scan_hi_inside_first_member(engine):
+    db_ref, db_opt = _wide_pair(engine)
+    lo, last = _widest(db_ref)[0]
+    for hi in (lo, lo + 1, (lo + last) // 2, last, last + 1):
+        _assert_scan_matches(db_ref, db_opt, lo, hi)
+        _assert_scan_matches(db_ref, db_opt, None, hi, 3)
+
+
+@pytest.mark.parametrize("engine", ["iam", "leveldb"])
+def test_scan_retry_rewalks_chain_from_start(engine, monkeypatch):
+    # A long tombstone run defeats the first, narrow plan (limit + 64 records
+    # per sequence cannot prove the scan ends below the cut), so the planner
+    # widens eightfold and walks every chain again from its head.
+    from repro.table import scanplan
+
+    db_ref, db_opt = _wide_pair(engine)
+    for key in WIDE_KEYS[100:400]:
+        for db in (db_ref, db_opt):
+            db.delete(key)
+    for db in (db_ref, db_opt):
+        db.quiesce()
+    attempts = []
+    real = scanplan._attempt
+
+    def counting(*args):
+        attempts.append(args[-1])  # the truncation width
+        return real(*args)
+
+    monkeypatch.setattr(scanplan, "_attempt", counting)
+    got = _assert_scan_matches(db_ref, db_opt, WIDE_KEYS[100], None, 2)
+    assert len(got) == 2 and got[0][0] >= WIDE_KEYS[400]
+    assert len(attempts) >= 2 and attempts[1] == 8 * attempts[0]
+
+
+@pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb"])
+def test_db_iterator_drain_and_seek_across_chain(engine):
+    db_ref, db_opt = _wide_pair(engine)
+    lo, hi = WIDE_KEYS[40], WIDE_KEYS[650]
+    # An unseeked drain is the scalar scan, charge for charge.
+    assert list(db_opt.iterator(lo, hi)) == reference_scan(db_ref, lo, hi)
+    assert _observable_state(db_opt) == _observable_state(db_ref)
+    level = _widest(db_ref)
+    it = db_opt.iterator(lo, hi)
+    assert [next(it) for _ in range(5)] == reference_scan(db_ref, lo, hi, limit=5)
+    # Forwards over several members, into a fence gap, backwards again,
+    # below lo_key (clamped) and past hi_key (exhausted).
+    targets = [level[len(level) // 2][0] + 1, level[-3][1] + 1,
+               level[2][0], level[1][1] + 1, 0, WIDE_KEYS[500], hi + 1]
+    for target in targets:
+        it.seek(target)
+        got = [row for _, row in zip(range(9), it)]
+        assert got == reference_scan(db_ref, max(target, lo), hi, limit=9)
+    it.seek(WIDE_KEYS[600])
+    assert list(it) == reference_scan(db_ref, WIDE_KEYS[600], hi)
+
+
+@pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb"])
+def test_iterators_created_before_flush_drained_after(engine):
+    # The iterators capture the memtable's records and each level's member
+    # slice when they are created; a flush of those same records before the
+    # drain must not change what they return (the flushed copies carry the
+    # same keys and sequence numbers, so they collapse in the merge).
+    db = make_tiny_db(engine)
+    for i, key in enumerate(WIDE_KEYS[:60]):
+        db.put(key, 10 + i)
+    db.quiesce()
+    for i, key in enumerate(WIDE_KEYS[20:50:3]):
+        db.put(key, 200 + i)
+    db.delete(WIDE_KEYS[5])
+    lo, hi = WIDE_KEYS[2], WIDE_KEYS[55]
+    want = db.scan(lo, hi)
+    lazy = db.iterate(lo, hi)
+    seekable = db.iterator(lo, hi)
+    heads = [next(lazy), next(seekable)]
+    assert heads == [want[0], want[0]]
+    db.flush()
+    assert [heads[0]] + list(lazy) == want
+    assert [heads[1]] + list(seekable) == want
+    assert db.scan(lo, hi) == want

@@ -1,0 +1,63 @@
+"""Reads pay for what they touch, not for how wide a level is.
+
+The paper's range-query cost is levels x sequences-per-node (§5.2/§5.3.2):
+a scan seeks once per sorted sequence in the covering node of each level,
+whatever the number of nodes beside it.  The host-side walk must have the
+same shape, so this guard widens the leaf level fourfold -- leaving the low
+end of the key space untouched -- and counts Python calls (``cProfile``, so
+the figure repeats to the digit) for one limit-bounded open-ended scan and
+one point read at that low end.
+"""
+
+import cProfile
+import random
+
+from repro.common.records import make_put
+from tests.conftest import make_tiny_db
+
+
+def _store(widen):
+    """A quiesced IAM store; ``widen`` grafts three more leaf levels' worth
+    of nodes beyond its largest key, so the leaf level holds N vs 4N nodes
+    over an identical low end."""
+    db = make_tiny_db("iam")
+    rng = random.Random(23)
+    for _ in range(1500):
+        db.put(rng.randrange(1 << 20), 40)
+    db.quiesce()
+    eng = db.engine
+    leaf = eng.levels[eng.n]
+    n_leaf = len(leaf)
+    if widen:
+        seq = db._seq
+        base = 1 << 21
+        for j in range(3 * n_leaf):
+            run = [make_put(base + 100 * j + i, seq + 8 * j + i + 1, 40)
+                   for i in range(8)]
+            eng._create_node_from_run(eng.n, run)
+        assert len(leaf) == 4 * n_leaf
+    db.check_invariants()
+    return db, n_leaf
+
+
+def _calls(fn):
+    fn()  # warm the per-sequence column caches
+    profiler = cProfile.Profile()
+    profiler.enable()
+    fn()
+    profiler.disable()
+    return sum(entry.callcount for entry in profiler.getstats())
+
+
+def test_calls_per_read_do_not_grow_with_level_width():
+    narrow, n_leaf = _store(widen=False)
+    wide, _ = _store(widen=True)
+    assert n_leaf >= 20
+    key = narrow.engine.levels[narrow.engine.n][0].table.min_key
+    assert narrow.scan(0, None, limit=10) == wide.scan(0, None, limit=10)
+    assert narrow.get(key) == wide.get(key) == 40
+    for read in (lambda db: db.scan(0, None, limit=10),
+                 lambda db: db.get(key)):
+        few = _calls(lambda: read(narrow))
+        many = _calls(lambda: read(wide))
+        assert abs(many - few) < 0.10 * few, (few, many)
