@@ -347,8 +347,9 @@ class ClusterDB:
     def _pump_all(self) -> None:
         """Drain every node's background debt up to the shared clock."""
         for shard in self.router.shards:
-            for replica in shard.group.live_replicas():
-                replica.db.runtime.pump()
+            for replica in shard.group.replicas:
+                if replica.alive:
+                    replica.db.runtime.pump()
 
     def put(self, key: Key, value: Value) -> None:
         self._begin_op()

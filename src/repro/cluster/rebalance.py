@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.cluster.shard import Shard
 from repro.common.errors import ConfigError
-from repro.common.records import RecordTuple, encoded_size, make_put
+from repro.common.records import RecordTuple, encoded_size, encoded_size_many, make_put
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import ClusterDB
@@ -200,7 +200,7 @@ class Rebalancer:
         records: List[RecordTuple] = [
             make_put(key, seq, value)
             for seq, (key, value) in enumerate(rows, start=1)]
-        nbytes = sum(encoded_size(r, key_size) for r in records)
+        nbytes = encoded_size_many(records, key_size)
         src_runtime = source.group.leader.db.runtime
         src_node = source.group.leader.node_id
         network = self.cluster.network

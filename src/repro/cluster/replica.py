@@ -39,7 +39,6 @@ from repro.common.records import (
     VALUE,
     Value,
     encoded_size,
-    make_put,
 )
 from repro.db.iamdb import IamDB, SnapshotLike
 from repro.faults.crash import CrashSpec
@@ -131,8 +130,13 @@ class ReplicaGroup:
         return len(self.live_replicas()) // 2 + 1
 
     # ----------------------------------------------------------------- writes
-    def _replicate(self, op: str, key: Key, value: Value) -> None:
-        """Apply one write to the leader, ship it, ack at quorum."""
+    def _replicate(self, op: str, key: Key, value: Value,
+                   rec_bytes: int) -> None:
+        """Apply one write to the leader, ship it, ack at quorum.
+
+        ``rec_bytes`` is the record's encoded size, which the router has
+        already computed for its own hop.
+        """
         leader = self.leader
         if op == "put":
             leader.db.put(key, value)
@@ -141,7 +145,6 @@ class ReplicaGroup:
         seq = leader.db._seq
         # Ship the WAL record to every live follower; the payload is the
         # record's encoded size (same bytes the follower's WAL will append).
-        rec_bytes = encoded_size(make_put(key, seq, value), self.key_size)
         acks = 1  # the leader's own durable copy
         quorum = self.quorum()
         acked = acks >= quorum
@@ -163,11 +166,11 @@ class ReplicaGroup:
                 f"quorum is {quorum}")
         self.acked_seq = seq
 
-    def put(self, key: Key, value: Value) -> None:
-        self._replicate("put", key, value)
+    def put(self, key: Key, value: Value, rec_bytes: int) -> None:
+        self._replicate("put", key, value, rec_bytes)
 
-    def delete(self, key: Key) -> None:
-        self._replicate("delete", key, value=0)
+    def delete(self, key: Key, rec_bytes: int) -> None:
+        self._replicate("delete", key, 0, rec_bytes)
 
     # -------------------------------------------------------------- follower add
     def add_follower(self, replica: Replica, *, mode: str = "objstore",

@@ -135,21 +135,22 @@ class Router:
         shard = self.shard_for(key)
         self._admit_write(shard)
         shard.writes += 1
-        rec_bytes = encoded_size(make_put(key, 0, value),
-                                 shard.group.key_size)
-        leader_node = shard.group.leader.node_id
+        group = shard.group
+        rec_bytes = encoded_size(make_put(key, 0, value), group.key_size)
+        leader_node = group.leader.node_id
         self.network.send(ROUTER_NODE, leader_node, rec_bytes)
-        shard.group.put(key, value)
+        group.put(key, value, rec_bytes)
         self.network.send(leader_node, ROUTER_NODE, 0)
 
     def delete(self, key: Key) -> None:
         shard = self.shard_for(key)
         self._admit_write(shard)
         shard.writes += 1
-        rec_bytes = encoded_size(make_put(key, 0, 0), shard.group.key_size)
-        leader_node = shard.group.leader.node_id
+        group = shard.group
+        rec_bytes = encoded_size(make_put(key, 0, 0), group.key_size)
+        leader_node = group.leader.node_id
         self.network.send(ROUTER_NODE, leader_node, rec_bytes)
-        shard.group.delete(key)
+        group.delete(key, rec_bytes)
         self.network.send(leader_node, ROUTER_NODE, 0)
 
     def get(self, key: Key) -> Optional[Value]:

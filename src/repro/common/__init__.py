@@ -14,12 +14,10 @@ from repro.common.records import (
     PUT,
     SEQ,
     VALUE,
-    VSIZE,
     Record,
     encoded_size,
     make_delete,
     make_put,
-    record_overhead,
     value_nbytes,
 )
 from repro.common.options import (
@@ -44,12 +42,10 @@ __all__ = [
     "PUT",
     "SEQ",
     "VALUE",
-    "VSIZE",
     "Record",
     "encoded_size",
     "make_delete",
     "make_put",
-    "record_overhead",
     "value_nbytes",
     "DeviceProfile",
     "IamOptions",

@@ -26,7 +26,7 @@ ordering for :func:`sorted` / ``heapq``.
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple, Sequence, Tuple, Union
+from typing import Any, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
 PUT = 0
 DELETE = 1
@@ -40,8 +40,6 @@ KEY = 0
 SEQ = 1
 KIND = 2
 VALUE = 3
-#: Backwards-compatible alias (the field used to be the value *size*).
-VSIZE = VALUE
 
 #: Fixed per-record metadata overhead charged when encoding: 8 bytes of
 #: sequence number, 1 byte of kind, 4 bytes of length framing.
@@ -79,11 +77,6 @@ def make_delete(key: Key, seq: int) -> RecordTuple:
     return (key, seq, DELETE, 0)
 
 
-def record_overhead() -> int:
-    """Per-record encoding overhead in bytes (seq + kind + framing)."""
-    return RECORD_OVERHEAD
-
-
 def encoded_size(rec: RecordTuple, key_size: int) -> int:
     """Encoded on-disk size of ``rec`` given a fixed key width."""
     v = rec[VALUE]
@@ -98,6 +91,29 @@ def encoded_size_many(recs: Sequence[RecordTuple], key_size: int) -> int:
         v = rec[VALUE]
         total += v if type(v) is int else len(v)
     return total
+
+
+def split_run(recs: Sequence[RecordTuple], key_size: int,
+              max_bytes: int) -> Iterator[List[RecordTuple]]:
+    """Chop a sorted run into chunks of roughly ``max_bytes`` encoded bytes.
+
+    A chunk closes before the record that would overflow it, but never
+    between two versions of one key.
+    """
+    fixed = key_size + RECORD_OVERHEAD
+    chunk: List[RecordTuple] = []
+    acc = 0
+    for rec in recs:
+        v = rec[VALUE]
+        sz = fixed + (v if type(v) is int else len(v))
+        if acc + sz > max_bytes and chunk and chunk[-1][KEY] != rec[KEY]:
+            yield chunk
+            chunk = []
+            acc = 0
+        chunk.append(rec)
+        acc += sz
+    if chunk:
+        yield chunk
 
 
 def sort_key(rec: RecordTuple) -> Tuple[Key, int]:

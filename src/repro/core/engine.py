@@ -62,6 +62,10 @@ class EngineBase(abc.ABC):
 
     name: str = "engine"
 
+    #: Bytes after which the DB rotates the memtable (Ct / write_buffer);
+    #: assigned once by each engine's constructor (its options are frozen).
+    memtable_capacity: int
+
     def __init__(self, runtime: Runtime) -> None:
         self.runtime = runtime
         self.snapshots_provider: SnapshotProvider = tuple
@@ -122,11 +126,11 @@ class EngineBase(abc.ABC):
         Each consecutive job give-up (``pool.failed_streak``) halves the
         write rate, floored at 1/256 of device bandwidth: under a failing
         device the store slows down instead of crashing or running the
-        structure unboundedly far past its thresholds.  Returns the added
-        latency (0.0 on the clean path).
+        structure unboundedly far past its thresholds.  Entered only
+        while the streak is positive; returns the added latency.
         """
         streak = self.runtime.pool.failed_streak
-        if streak <= 0 or nbytes <= 0:
+        if nbytes <= 0:
             return 0.0
         frac = max(2.0 ** -min(streak, 8), 1.0 / 256.0)
         bw = self.runtime.options.device.write_bandwidth
@@ -148,9 +152,9 @@ class EngineBase(abc.ABC):
         """
         raise NotImplementedError
 
-    def _l0_pace(self, opts: "LsmOptions", n0: int, debt: int,
-                 sustainable: float) -> Tuple[bool, float]:
-        """The L0 pace ramp: (pace this write?, bucket refill rate).
+    def _l0_pace(self, opts: "LsmOptions", n0: int,
+                 debt: int) -> Tuple[bool, float]:
+        """The L0 pace ramp: (pace this write?, position on the ramp).
 
         Pacing engages once L0 reaches the slowdown trigger or debt
         passes its soft limit -- where the structure demonstrably cannot
@@ -158,15 +162,12 @@ class EngineBase(abc.ABC):
         over-paces: read-heavy phases drain debt through granted idle
         time on their own, and every pacer delay is an accounted gate
         delay.)  At that point the bucket admits at ``bandwidth *
-        delayed_write_fraction``; as L0 climbs toward the stop trigger
-        (or debt doubles its soft limit) the rate ramps linearly down to
-        the estimator's sustainable rate, floored at
-        ``delayed_write_fraction`` of the gentle rate so a cold estimate
-        can never freeze admission.  There is no single point where
-        admission falls off a cliff.
+        delayed_write_fraction`` (position 0.0); as L0 climbs toward the
+        stop trigger (or debt doubles its soft limit) the position moves
+        linearly to 1.0, the estimator's sustainable rate (see
+        :meth:`_token_pace`).  There is no single point where admission
+        falls off a cliff.
         """
-        frac = opts.delayed_write_fraction
-        gentle = self.runtime.options.device.write_bandwidth * frac
         lo, hi = opts.l0_slowdown_trigger, opts.l0_stop_trigger - 1
         pressure = n0 >= lo
         scale = 0.0
@@ -176,8 +177,7 @@ class EngineBase(abc.ABC):
         if soft and debt > soft:
             pressure = True
             scale = max(scale, min(1.0, (debt - soft) / soft))
-        floor = min(max(sustainable, gentle * frac), gentle)
-        return pressure, gentle + scale * (floor - gentle)
+        return pressure, scale
 
     @effects("CLOCK_ADVANCE", "STATE_MUTATE")
     def _token_pace(self, nbytes: int, l0_options: Optional["LsmOptions"] = None,
@@ -187,26 +187,44 @@ class EngineBase(abc.ABC):
         Writes are paced smoothly at the rate the background machinery
         has recently proven it can absorb
         (:class:`repro.storage.pacing.RateEstimator`), shaped by
-        :meth:`_l0_pace` for engines with an L0.  Engines without one
+        :meth:`_l0_pace` for engines with an L0: their rate runs from
+        ``bandwidth * delayed_write_fraction`` down to the sustainable
+        one, floored at ``delayed_write_fraction`` of the former so a cold
+        estimate can never freeze admission.  Engines without an L0
         pace only while work is queued behind the running jobs (the pool
         cannot keep up) -- deliberately conservative: token-bucket delays
         are accounted as gate delays, so over-engaging the pacer would
         itself show up as instability.  Without pressure the bucket just
         refills.  Returns the added latency (0.0 on the clean path).
+
+        Order: the estimator observes every record (its anchor window
+        must see each one), pressure is decided from state the gate
+        already holds, and rate, ramp and refill run only under pressure
+        or below a full bucket -- refilling a full one moves only its
+        timestamp.
         """
         pacer = self._pacer
         estimator = self._rate_estimator
         if pacer is None or estimator is None or nbytes <= 0:
             return 0.0
-        pool = self.runtime.pool
-        metrics = self.runtime.metrics
+        runtime = self.runtime
+        pool = runtime.pool
+        metrics = runtime.metrics
         estimator.observe(pool.bg_drained_s, metrics.user_bytes)
-        rate = estimator.rate()
         if l0_options is None:
-            pressure = bool(pool.queue)
+            pressure, scale = bool(pool.queue), 0.0
         else:
-            pressure, rate = self._l0_pace(l0_options, n0, debt, rate)
-        now = self.runtime.clock.now
+            pressure, scale = self._l0_pace(l0_options, n0, debt)
+        now = runtime.clock.now
+        if not pressure and pacer.tokens >= pacer.burst_bytes:
+            pacer.last_now = now
+            return 0.0
+        rate = estimator.rate()
+        if l0_options is not None:
+            frac = l0_options.delayed_write_fraction
+            gentle = runtime.options.device.write_bandwidth * frac
+            floor = min(max(rate, gentle * frac), gentle)
+            rate = gentle + scale * (floor - gentle)
         if not pressure:
             pacer.refill(now, rate)
             return 0.0
@@ -216,7 +234,7 @@ class EngineBase(abc.ABC):
         # The advance opens idle device time that the next pump() converts
         # into background progress via bg_grant: pacing *is* compaction
         # headroom, not dead waiting.
-        self.runtime.clock.advance(delay)
+        runtime.clock.advance(delay)
         metrics.bump("pace:token-bucket")
         metrics.add_gate_delay("pace:token-bucket", delay)
         self._trace("gate", "pace:token-bucket", delay_s=delay, rate=rate)
@@ -246,11 +264,6 @@ class EngineBase(abc.ABC):
         return stall_s
 
     # ------------------------------------------------------------------ write
-    @property
-    @abc.abstractmethod
-    def memtable_capacity(self) -> int:
-        """Bytes after which the DB rotates the memtable (Ct / write_buffer)."""
-
     @abc.abstractmethod
     def submit_flush(self, records: List[RecordTuple], nbytes: int) -> BackgroundJob:
         """Schedule the flush of a full (immutable) memtable."""
@@ -265,7 +278,8 @@ class EngineBase(abc.ABC):
         triggers through :meth:`_init_pacer` are paced on L0 pressure and
         keep the hard L0 stop as a rarely-hit backstop.
         """
-        lat = self._fault_gate(nbytes)
+        lat = (self._fault_gate(nbytes)
+               if self.runtime.pool.failed_streak > 0 else 0.0)
         opts = self._l0_options
         if opts is None:
             return lat + self._token_pace(nbytes)
@@ -380,7 +394,6 @@ class EngineBase(abc.ABC):
         would leak post-checkpoint mutations into recovery).
         """
 
-    @abc.abstractmethod
     def restore_state(self, state: object) -> None:
         """Rebuild the structure from a manifest checkpoint.
 
@@ -389,7 +402,16 @@ class EngineBase(abc.ABC):
         path before any checkpoint exists.  Implementations release the
         files of the structure they replace; output files of abandoned
         in-flight jobs are swept separately by the DB's orphan collector.
+
+        A restore changes structure outside a job, so it wakes the pool:
+        the next pump asks the compaction picker again.
         """
+        self._restore_state(state)
+        self.runtime.pool.wake()
+
+    @abc.abstractmethod
+    def _restore_state(self, state: object) -> None:
+        """The engine's half of :meth:`restore_state`."""
 
     @abc.abstractmethod
     def live_file_ids(self) -> set:

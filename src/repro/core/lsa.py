@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.common.errors import InvariantViolation
 from repro.common.options import LsaOptions
-from repro.common.records import KEY, Key, RecordTuple, encoded_size
+from repro.common.records import KEY, Key, RecordTuple, encoded_size_many, split_run
 from repro.core.engine import EngineBase
 from repro.core.node import (
     RANGE_LO,
@@ -76,13 +76,10 @@ class LsaTree(EngineBase):
         #: Largest child fan-out any flush actually wrote into -- the paper's
         #: "worst write case" metric (Table 2); splits keep it near 2t.
         self.max_flush_fanout = 0
+        self.memtable_capacity = options.node_capacity
         self._init_pacer()
 
     # ------------------------------------------------------------------ write
-    @property
-    def memtable_capacity(self) -> int:
-        return self.options.node_capacity
-
     def submit_flush(self, records: List[RecordTuple], nbytes: int) -> BackgroundJob:
         def start() -> float:
             return self._ingest(records)
@@ -251,9 +248,9 @@ class LsaTree(EngineBase):
         lst.pop(self._node_index(level, child))  # bisect-based removal
         child.drop_table()
         if merged:
-            total = sum(encoded_size(r, opts.key_size) for r in merged)
+            total = encoded_size_many(merged, opts.key_size)
             chunk_bytes = opts.leaf_initial_bytes if total >= opts.node_capacity else total
-            for chunk in self._split_run(merged, chunk_bytes):
+            for chunk in split_run(merged, opts.key_size, chunk_bytes):
                 node = LsaNode(chunk[0][KEY], chunk[-1][KEY])
                 table = node.ensure_table(self.runtime, key_size=opts.key_size,
                                           bloom_bits_per_key=opts.bloom_bits_per_key)
@@ -267,22 +264,6 @@ class LsaTree(EngineBase):
                         runs=len(runs), records=len(merged))
         self._sanitize("merge")
         return debt
-
-    def _split_run(self, records: List[RecordTuple],
-                   max_bytes: int) -> Iterator[List[RecordTuple]]:
-        key_size = self.options.key_size
-        chunk: List[RecordTuple] = []
-        acc = 0
-        for rec in records:
-            sz = encoded_size(rec, key_size)
-            if acc + sz > max_bytes and chunk and chunk[-1][KEY] != rec[KEY]:
-                yield chunk
-                chunk = []
-                acc = 0
-            chunk.append(rec)
-            acc += sz
-        if chunk:
-            yield chunk
 
     def _create_node_from_run(self, level: int, records: List[RecordTuple]) -> float:
         """A run with no children becomes a new node (sequential fast path)."""
@@ -693,7 +674,7 @@ class LsaTree(EngineBase):
             ],
         }
 
-    def restore_state(self, state: object) -> None:
+    def _restore_state(self, state: object) -> None:
         for lvl in self.levels:
             for node in lvl:
                 node.drop_table()

@@ -40,6 +40,7 @@ from repro.common.records import (
     VALUE,
     Value,
     encoded_size,
+    encoded_size_many,
     make_delete,
     make_put,
 )
@@ -190,7 +191,7 @@ class IamDB:
                 recs.append(make_put(key, self._seq, value))
             else:
                 recs.append(make_delete(key, self._seq))
-        total = sum(encoded_size(r, self.key_size) for r in recs)
+        total = encoded_size_many(recs, self.key_size)
         self.engine.write_gate(total)
         self.wal.append_many(recs)
         self._crash_point("post-wal-append")
@@ -224,20 +225,25 @@ class IamDB:
 
     def _write(self, rec: RecordTuple) -> None:
         runtime = self.runtime
-        t0 = runtime.clock.now
+        clock = runtime.clock
+        metrics = self.metrics
+        engine = self.engine
+        t0 = clock.now
         nbytes = encoded_size(rec, self.key_size)
-        self.engine.write_gate(nbytes)
-        self.wal.append(rec)
-        self._crash_point("post-wal-append")
-        self.memtable.add(rec)
-        self.metrics.add_user_bytes(nbytes)
-        if self.memtable.nbytes >= self.engine.memtable_capacity:
+        engine.write_gate(nbytes)
+        self.wal.append(rec, nbytes)
+        if runtime.crash_points is not None:
+            runtime.crash_points.reached("post-wal-append")
+        memtable = self.memtable
+        memtable.add(rec, nbytes)
+        metrics.user_bytes += nbytes
+        if memtable.nbytes >= engine.memtable_capacity:
             self._rotate_memtable()
         runtime.pump()
-        elapsed = runtime.clock.now - t0
-        self.metrics.record_latency("insert", elapsed)
-        if self.metrics.hist_enabled:
-            self.metrics.observe("put", elapsed)
+        elapsed = clock.now - t0
+        metrics.latency["insert"].record(elapsed)
+        if metrics.hist_enabled:
+            metrics.observe("put", elapsed)
 
     @observation_only
     def _sanitize_db(self, event: str) -> None:
@@ -351,8 +357,8 @@ class IamDB:
         :func:`repro.bench.reference.reference_multi_get` for the frozen
         scalar oracle): keys the memtables resolve cost no simulated time,
         the rest go to the engine's vectorized planner, which replays the
-        scalar walk's device charges key by key.  One pump and one ``read``
-        latency sample per key, in request order.
+        scalar walk's device charges key by key.  One pump per batch, one
+        ``read`` latency sample per key, in request order.
         """
         self._check_open()
         runtime = self.runtime

@@ -69,13 +69,10 @@ class FlsmEngine(EngineBase):
         self.level_bytes: List[int] = [0] * n
         self._busy_levels: set = set()
         self.compactions = 0
+        self.memtable_capacity = options.memtable_bytes
         self._init_pacer(options)
 
     # ------------------------------------------------------------------ write
-    @property
-    def memtable_capacity(self) -> int:
-        return self.options.memtable_bytes
-
     def submit_flush(self, records: List[RecordTuple], nbytes: int) -> BackgroundJob:
         def start() -> float:
             table, debt = MSTable.build(
@@ -316,7 +313,7 @@ class FlsmEngine(EngineBase):
                         for g in lvl] for lvl in self.guards],
         }
 
-    def restore_state(self, state: object) -> None:
+    def _restore_state(self, state: object) -> None:
         for lvl in self.guards:
             for g in lvl:
                 for t in g.tables:

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.common.errors import InvariantViolation
 from repro.common.options import LsmOptions
-from repro.common.records import KEY, RecordTuple, encoded_size
+from repro.common.records import RecordTuple, split_run
 from repro.core.engine import EngineBase
 from repro.filters.bloom import hash_pair
 from repro.storage.background import BackgroundJob
@@ -71,13 +71,10 @@ class LeveledLsm(EngineBase):
         self.flushes = 0
         self.compactions = 0
         self.trivial_moves = 0
+        self.memtable_capacity = options.memtable_bytes
         self._init_pacer(options)
 
     # ------------------------------------------------------------------ write
-    @property
-    def memtable_capacity(self) -> int:
-        return self.options.memtable_bytes
-
     def submit_flush(self, records: List[RecordTuple], nbytes: int) -> BackgroundJob:
         def start() -> float:
             table, debt = MSTable.build(
@@ -224,7 +221,9 @@ class LeveledLsm(EngineBase):
         # the in-flight compaction's files as orphans for recovery to sweep.
         self._crash_point("mid-compact")
 
-        for chunk in self._split_records(merged, self.options.file_bytes):
+        # Output files of roughly file_bytes; one key's versions stay together.
+        for chunk in split_run(merged, self.options.key_size,
+                               self.options.file_bytes):
             table, d = MSTable.build(
                 self.runtime, chunk,
                 key_size=self.options.key_size,
@@ -244,23 +243,6 @@ class LeveledLsm(EngineBase):
                         inputs_up=len(inputs_up), inputs_down=len(inputs_down),
                         records=len(merged))
         return debt
-
-    def _split_records(self, records: List[RecordTuple], max_bytes: int):
-        """Chop a merged run into output files of roughly ``max_bytes``."""
-        key_size = self.options.key_size
-        chunk: List[RecordTuple] = []
-        acc = 0
-        for rec in records:
-            sz = encoded_size(rec, key_size)
-            if acc + sz > max_bytes and chunk and chunk[-1][KEY] != rec[KEY]:
-                # Never split the versions of one key across files.
-                yield chunk
-                chunk = []
-                acc = 0
-            chunk.append(rec)
-            acc += sz
-        if chunk:
-            yield chunk
 
     def _insert_sorted(self, level: int, table: MSTable) -> None:
         lst = self.levels[level]
@@ -478,7 +460,7 @@ class LeveledLsm(EngineBase):
             "compact_pointer": list(self.compact_pointer),
         }
 
-    def restore_state(self, state: object) -> None:
+    def _restore_state(self, state: object) -> None:
         for lst in self.levels:
             for t in lst:
                 t.delete()

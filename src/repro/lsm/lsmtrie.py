@@ -116,13 +116,10 @@ class LsmTrieEngine(EngineBase):
         self.root = _TrieNode(0)
         self.flushes = 0
         self.spills = 0
+        self.memtable_capacity = options.node_capacity
         self._init_pacer()
 
     # ------------------------------------------------------------------ write
-    @property
-    def memtable_capacity(self) -> int:
-        return self.options.node_capacity
-
     def submit_flush(self, records: List[RecordTuple], nbytes: int) -> BackgroundJob:
         def start() -> float:
             return self._ingest(records)
@@ -273,7 +270,7 @@ class LsmTrieEngine(EngineBase):
                     {i: snap(c) for i, c in node.children.items()})
         return snap(self.root)
 
-    def restore_state(self, state: object) -> None:
+    def _restore_state(self, state: object) -> None:
         for node in self._walk():
             if node.table is not None:
                 node.table.delete()

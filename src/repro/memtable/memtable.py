@@ -64,8 +64,9 @@ class Memtable:
     def n_keys(self) -> int:
         return len(self._versions)
 
-    def add(self, rec: RecordTuple) -> None:
-        """Insert one record (any kind)."""
+    def add(self, rec: RecordTuple, nbytes: Optional[int] = None) -> None:
+        """Insert one record of any kind (``nbytes``: its encoded size, when
+        the caller holds it already)."""
         key, seq, kind, vsize = rec
         versions = self._versions.get(key)
         if versions is None:
@@ -78,7 +79,9 @@ class Memtable:
                     "memtable sequence numbers must increase per key",
                     key=key, last_seq=versions[-1][0], seq=seq)
             versions.append((seq, kind, vsize))
-        self.nbytes += encoded_size(rec, self.key_size)
+        if nbytes is None:
+            nbytes = encoded_size(rec, self.key_size)
+        self.nbytes += nbytes
         self.n_records += 1
         if self.min_seq is None or seq < self.min_seq:
             self.min_seq = seq

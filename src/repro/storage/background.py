@@ -42,6 +42,13 @@ activation order -- so within the flush class the order is still strictly
 FIFO.  A burst of compaction debt cannot starve a flush of device idle
 (Luo & Carey's fair I/O allocation between flushes and compactions).
 
+The pool is *event-driven*: providers read only structure that jobs and
+restores mutate, so once the provider has answered ``None`` the pool does
+not ask again until a job's ``start_fn`` or ``on_complete`` ran, the jobs
+were abandoned, the provider was swapped, or ``EngineBase.restore_state``
+called :meth:`BackgroundPool.wake`.  An idle pump (no active job, empty
+queue, provider known idle) returns without calling anything.
+
 The pool also keeps a cumulative retired-debt counter (``bg_drained_s``)
 that the engines' token-bucket pacers read to estimate the sustainable
 ingest rate (see :mod:`repro.storage.pacing`).
@@ -96,7 +103,7 @@ class BackgroundJob:
     """A unit of background work: structural effect + device-time debt."""
 
     __slots__ = ("name", "start_fn", "debt_s", "debt_total", "not_before",
-                 "state", "on_complete", "job_id", "high_priority",
+                 "state", "on_complete", "job_id", "high_priority", "klass",
                  "retries", "retry_at", "failed", "seq")
 
     def __init__(self, name: str, start_fn: StartFn,
@@ -114,6 +121,9 @@ class BackgroundJob:
         self.job_id = 0
         #: Flush-class job (set by submit; provider jobs are compactions).
         self.high_priority = False
+        #: Fair-share accounting class ("flush" or "compaction"); written
+        #: wherever ``high_priority`` is.
+        self.klass = "compaction"
         #: Fault-injection bookkeeping: activation attempts so far, earliest
         #: sim-time of the next attempt, and the terminal give-up flag.
         self.retries = 0
@@ -122,11 +132,6 @@ class BackgroundJob:
         #: Activation order (assigned by the pool); the fair pump's
         #: within-class tie-break, so flush order stays strictly FIFO.
         self.seq = 0
-
-    @property
-    def klass(self) -> str:
-        """Fair-share accounting class ("flush" or "compaction")."""
-        return "flush" if self.high_priority else "compaction"
 
     @property
     def done(self) -> bool:
@@ -173,6 +178,9 @@ class BackgroundPool:
         #: drains on the node's own disk, byte-identical to the
         #: pre-offload pool.
         self.offload_disk: Optional[SimDisk] = None
+        #: The provider answered None (or there is none) and no event
+        #: that could change its answer has happened since.
+        self._provider_idle = False
 
     def _drain_disk(self, job: BackgroundJob) -> SimDisk:
         """The device one job's debt drains against (offload aware)."""
@@ -183,6 +191,13 @@ class BackgroundPool:
     def set_provider(self, provider: Optional[Provider]) -> None:
         """Register the engine's compaction-picking callback."""
         self.provider = provider
+        self.wake()
+
+    def wake(self) -> None:
+        """Ask the provider again at the next idle thread.  The pool
+        notices what its own jobs do; ``EngineBase.restore_state``, the one
+        structure change outside a job, calls this."""
+        self._provider_idle = False
 
     # ----------------------------------------------------------------- submit
     def submit(self, name: str, start_fn: StartFn, *, high_priority: bool = False,
@@ -211,6 +226,7 @@ class BackgroundPool:
         stay behind it.
         """
         job.high_priority = high_priority
+        job.klass = "flush" if high_priority else "compaction"
         if high_priority:
             idx = 0
             if not front:
@@ -246,6 +262,7 @@ class BackgroundPool:
         job.seq = self._next_seq
         self._next_seq += 1
         job.not_before = max(self._drain_disk(job).busy_until, 0.0)
+        self.wake()  # start_fn mutates engine structure
         job.debt_s = job.start_fn()
         if job.debt_s < 0:
             raise InvariantViolation(f"job {job.name} returned negative debt")
@@ -269,6 +286,7 @@ class BackgroundPool:
         if self.injector is None:
             raise InvariantViolation("job fault without an injector")
         opts = self.injector.options
+        self.wake()  # a give-up frees the job's levels
         job.retries += 1
         if self.metrics is not None:
             self.metrics.bump("fault:job-fault")
@@ -369,23 +387,34 @@ class BackgroundPool:
             if job is None:
                 break
             self._activate(job)
-        if self.provider is not None:
-            while len(self.active) < self.threads and not self._queue_ready():
-                job = self.provider()
-                if job is None:
-                    break
-                self._activate(job)
+        if self._provider_idle:
+            return
+        provider = self.provider
+        while len(self.active) < self.threads and not self._queue_ready():
+            job = provider() if provider is not None else None
+            if job is None:
+                self._provider_idle = True
+                return
+            self._activate(job)
 
     # ------------------------------------------------------------------- pump
     def pump(self) -> None:
         """Drain active-job debt from device idle time up to "now"."""
+        if self._provider_idle and not self.active and not self.queue:
+            return
+        active = self.active
         while True:
             self._fill_threads()
-            if not self.active:
+            if not active:
                 return
             progressed = False
-            contested = len({j.klass for j in self.active}) > 1
-            for job in self._fair_order():
+            if len(active) > 1:
+                contested = len({j.klass for j in active}) > 1
+                order = self._fair_order()
+            else:  # one job: nothing to arbitrate, no order to compute
+                contested = False
+                order = active[:]
+            for job in order:
                 if job.state != ACTIVE:
                     continue
                 disk = self._drain_disk(job)
@@ -426,6 +455,7 @@ class BackgroundPool:
         job.state = DONE
         self.completed_jobs += 1
         self.failed_streak = 0
+        self.wake()  # on_complete frees the job's levels
         if self.tracer.enabled:
             # The end mirrors the begin's id; on_complete runs after so any
             # follow-up submissions trace strictly inside causal order.
@@ -500,7 +530,7 @@ class BackgroundPool:
                             "queued jobs but no free thread")
                     elapsed += slept
         finally:
-            self.provider = provider
+            self.set_provider(provider)
         return elapsed
 
     def step_drain(self) -> float:
@@ -544,6 +574,7 @@ class BackgroundPool:
         self.active.clear()
         self.queue.clear()
         self.failed_streak = 0
+        self.wake()
         return n
 
     def _drain_one(self, job: BackgroundJob) -> float:

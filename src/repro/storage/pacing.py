@@ -91,6 +91,9 @@ class TokenBucketPacer:
     simulated clock by exactly the returned delay; the bucket accounts for
     that advance itself (the deficit is refilled by the delay, leaving the
     bucket empty), so admit -> advance -> admit composes correctly.
+
+    ``tokens`` never exceeds ``burst_bytes``: refilling a full bucket moves
+    only ``last_now``, whatever the rate (the write gate relies on it).
     """
 
     __slots__ = ("burst_bytes", "tokens", "last_now")

@@ -143,8 +143,8 @@ class SimDisk:
         self._count(nbytes_read, nbytes_write, seeks)
         return elapsed
 
-    def fg_stream(self, *, nbytes_write: int = 0, nbytes_read: int = 0) -> float:
-        """Foreground *streaming* I/O: paced by bandwidth, not queued.
+    def fg_stream(self, *, nbytes_write: int) -> float:
+        """Foreground *streaming* write: paced by bandwidth, not queued.
 
         Models buffered sequential writes (the WAL: absorbed by the page
         cache and streamed out, never waiting behind compaction I/O).  The
@@ -156,9 +156,14 @@ class SimDisk:
         """
         if self.faults is not None:
             self.faults.on_foreground_io(self)  # type: ignore[attr-defined]
-        service = self.io_time(nbytes_read=nbytes_read, nbytes_write=nbytes_write)
+        service = 0.0
+        if nbytes_write:
+            # io_time(nbytes_write=n), bit for bit (``0.0 + n/bw``), and
+            # _count's write half.
+            service = nbytes_write / self.profile.write_bandwidth
+            self.bytes_written += nbytes_write
+            self.write_ops += 1
         self.clock.now += service
-        self._count(nbytes_read, nbytes_write, 0)
         return service
 
     # ------------------------------------------------------------- background

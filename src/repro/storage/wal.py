@@ -19,14 +19,20 @@ contract asserted by the crash-point matrix (:mod:`repro.faults.crash`).
 
 from __future__ import annotations
 
-from typing import List
+from bisect import bisect_right
+from operator import itemgetter
+from typing import List, Optional
 
-from repro.common.records import RecordTuple, SEQ, encoded_size
+from repro.common.records import RecordTuple, SEQ, encoded_size, encoded_size_many
 from repro.storage.runtime import Runtime
+
+_SEQ_OF = itemgetter(SEQ)
 
 
 class WriteAheadLog:
-    """Sequential log of record tuples on the simulated device."""
+    """Sequential log of record tuples on the simulated device, in sequence
+    order: appends carry increasing sequence numbers, and ``tear`` /
+    ``truncate_through`` keep a prefix / suffix."""
 
     def __init__(self, runtime: Runtime, key_size: int) -> None:
         self.runtime = runtime
@@ -49,23 +55,27 @@ class WriteAheadLog:
     def __len__(self) -> int:
         return len(self._records)
 
-    def append(self, rec: RecordTuple) -> float:
-        """Append one record; returns the foreground write latency."""
-        nbytes = encoded_size(rec, self.key_size)
-        self._records.append(rec)
-        self._bounds.append(len(self._records))
+    def append(self, rec: RecordTuple, nbytes: Optional[int] = None) -> float:
+        """Append one record (``nbytes``: its encoded size, when the caller
+        holds it already); returns the foreground write latency."""
+        if nbytes is None:
+            nbytes = encoded_size(rec, self.key_size)
+        records = self._records
+        records.append(rec)
+        self._bounds.append(len(records))
         self._file.grow(nbytes)
-        self.runtime.metrics.add_wal_bytes(nbytes)
+        runtime = self.runtime
+        runtime.metrics.wal_bytes += nbytes
         self.appended_records += 1
         # Buffered sequential append: paced by bandwidth, never queued
         # behind compaction I/O (see SimDisk.fg_stream).
-        return self.runtime.disk.fg_stream(nbytes_write=nbytes)
+        return runtime.disk.fg_stream(nbytes_write=nbytes)
 
     def append_many(self, recs: List[RecordTuple]) -> float:
         """Group-commit: append a batch under one sequential write run."""
         if not recs:
             return 0.0
-        nbytes = sum(encoded_size(r, self.key_size) for r in recs)
+        nbytes = encoded_size_many(recs, self.key_size)
         self._records.extend(recs)
         self._bounds.append(len(self._records))
         self._file.grow(nbytes)
@@ -82,14 +92,12 @@ class WriteAheadLog:
         rewrite is charged (device time and WAL bytes) -- it is real I/O,
         not free.  Returns the foreground latency of the rewrite.
         """
-        dropped = 0
-        while dropped < len(self._records) and self._records[dropped][SEQ] <= seq:
-            dropped += 1
+        dropped = bisect_right(self._records, seq, key=_SEQ_OF)
         self._records = self._records[dropped:]
         self._bounds = [b - dropped for b in self._bounds if b > dropped]
         old = self._file
         self._file = self.runtime.create_file()
-        remaining = sum(encoded_size(r, self.key_size) for r in self._records)
+        remaining = encoded_size_many(self._records, self.key_size)
         latency = 0.0
         if remaining:
             self._file.grow(remaining)
@@ -120,7 +128,7 @@ class WriteAheadLog:
         self._bounds = [b for b in self._bounds if b <= keep]
         old = self._file
         self._file = self.runtime.create_file()
-        remaining = sum(encoded_size(r, self.key_size) for r in self._records)
+        remaining = encoded_size_many(self._records, self.key_size)
         if remaining:
             self._file.grow(remaining)
         self.runtime.delete_file(old)

@@ -74,8 +74,7 @@ def test_leveldb_find_table_bisect():
 
 
 def test_lsm_split_records_never_splits_key_versions():
-    db = make_tiny_db("leveldb")
-    from repro.common.records import make_put
+    from repro.common.records import make_put, split_run
     recs = []
     seq = 1000
     for k in range(20):
@@ -83,7 +82,7 @@ def test_lsm_split_records_never_splits_key_versions():
             recs.append(make_put(k, seq, 64))
             seq -= 1
     recs.sort(key=lambda r: (r[0], -r[1]))
-    chunks = list(db.engine._split_records(recs, 300))
+    chunks = list(split_run(recs, 8, 300))
     assert len(chunks) > 1
     for a, b in zip(chunks, chunks[1:]):
         assert a[-1][KEY] != b[0][KEY]

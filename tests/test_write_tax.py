@@ -1,0 +1,281 @@
+"""The per-operation tax of the write spine, and the memo that pays for it.
+
+A put on an idle store is the paper's two steps (§5.2: log append, memtable
+insert) plus a gate, a pump and the accounting.  The budgets below count
+function calls -- Python and builtin, under ``sys.setprofile``, so the
+figures repeat to the digit -- and pin that this fixed cost depends on what
+changed since the last operation, not on re-deriving what did not.
+
+The one piece of state that buys the idle pump is the pool's provider memo
+(``BackgroundPool._provider_idle``): the second half of this file proves it
+never hides a compaction -- in every write-path-golden configuration, and
+after each kind of structure change that happens outside a job.
+"""
+
+import sys
+
+import pytest
+
+from repro.bench.scale import SSD_100G, make_db
+from repro.cluster import ClusterDB, ClusterOptions
+from repro.common.errors import StoreClosedError
+from repro.common.options import DeviceProfile, FaultOptions
+from repro.db.iamdb import IamDB
+from repro.faults.crash import CrashPoints, SimulatedCrash
+from repro.objstore import (
+    ObjStoreOptions,
+    ObjStoreTier,
+    SharedManifestLog,
+    SimObjectStore,
+)
+from repro.objstore.tiering import bootstrap_from_store
+from repro.storage.background import BackgroundJob, BackgroundPool
+from repro.storage.simdisk import SimDisk
+from tests.conftest import tiny_lsm_options, tiny_storage_options
+from tests.write_path_golden import CASES, make_golden_db
+
+
+def _calls(fn):
+    """Python + builtin function calls made by ``fn()`` (itself included)."""
+    n = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" or event == "c_call":
+            n[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return n[0] - 1  # the closing sys.setprofile(None) is a builtin call too
+
+
+# ------------------------------------------------------------ call budgets
+
+@pytest.mark.parametrize("config, budget", [("I-1t", 24), ("L", 34)])
+def test_put_on_an_idle_store_stays_in_budget(config, budget):
+    # Parent commit: 42 calls per put on I-1t, 51 on L.
+    db = make_db(config, SSD_100G)
+
+    def hundred_puts():
+        for i in range(100):
+            db.put(i * 7919, 256)
+
+    assert _calls(hundred_puts) <= 100 * budget
+    assert db.engine.flushes == 0  # the budget is the spine, not a flush
+
+
+@pytest.mark.parametrize("config", ["I-1t", "L"])
+def test_idle_pump_is_two_calls(config):
+    # Parent commit: 7 calls on I-1t, 11 on L.
+    db = make_db(config, SSD_100G)
+    db.runtime.pump()  # the provider answers None once
+    assert _calls(db.runtime.pump) <= 2
+
+
+def test_pump_with_one_draining_job_stays_in_budget():
+    # Parent commit: 33 calls (contested set, vtime map, sorted fair order
+    # and two provider rounds for a single job).
+    db = make_db("I-1t", SSD_100G)
+    job = db.runtime.pool.submit("probe", lambda: 1.0)
+    db.runtime.clock.advance(1e-3)
+    assert _calls(db.runtime.pump) <= 18
+    assert 0.0 < job.debt_s < 1.0  # it really drained, and is not done
+
+
+def test_idle_cluster_pump_all_stays_in_budget():
+    # Parent commit: 66 calls (a live_replicas() list per shard and eight
+    # seven-call idle pumps).
+    cluster = ClusterDB(ClusterOptions(n_shards=4, n_replicas=2))
+    cluster._pump_all()
+    assert _calls(cluster._pump_all) <= 22
+
+
+def test_put_on_a_closed_store_still_raises():
+    db = make_db("I-1t", SSD_100G)
+    db.put(1, 16)
+    db.close()
+    with pytest.raises(StoreClosedError):
+        db.put(2, 16)
+    with pytest.raises(StoreClosedError):
+        db.delete(1)
+
+
+def test_crash_points_still_see_every_wal_append():
+    db = make_db("I-1t", SSD_100G)
+    counter = CrashPoints()
+    db.runtime.arm_crash_points(counter)
+    for i in range(50):
+        db.put(i, 16)
+    db.delete(0)
+    assert counter.counts["post-wal-append"] == 51
+    db.runtime.arm_crash_points(CrashPoints("post-wal-append", 3))
+    db.put(100, 16)
+    db.put(101, 16)
+    with pytest.raises(SimulatedCrash):
+        db.put(102, 16)
+
+
+# ------------------------------------------------------------ memo soundness
+
+def _check_every_skip(db):
+    """Make the pool prove each provider skip: whenever it enters a fill or
+    a pump believing the provider idle, the engine's picker must agree."""
+    pool, engine = db.runtime.pool, db.engine
+    skips = [0]
+
+    def checked(inner):
+        def call():
+            if pool._provider_idle and pool.provider is not None:
+                skips[0] += 1
+                assert engine.pick_background_job() is None, (
+                    "the provider memo hid a background job")
+            return inner()
+        return call
+
+    pool._fill_threads = checked(pool._fill_threads)
+    pool.pump = checked(pool.pump)
+    return skips
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_memo_never_hides_a_job_in_golden_configurations(case):
+    config, runner, kw = CASES[case]
+    db = make_golden_db(config, **kw)
+    skips = _check_every_skip(db)
+    runner(db)
+    assert skips[0] > 0
+    db.close()
+
+
+def _spy_on_provider(pool):
+    """Count provider consultations without waking the pool."""
+    asked = [0]
+    inner = pool.provider
+
+    def provider():
+        asked[0] += 1
+        return inner()
+
+    pool.provider = provider
+    return asked
+
+
+def _leveldb(clock=None):
+    return IamDB("leveldb", engine_options=tiny_lsm_options(),
+                 storage_options=tiny_storage_options(), clock=clock)
+
+
+def _owe_a_compaction(put, db):
+    """Write through ``put`` until ``db``'s newest checkpoint holds a full
+    L0 -- taken when the trigger-th flush retired, just before the picker
+    compacted those files away -- then settle ``db``'s pool."""
+    trigger = db.engine.options.l0_compaction_trigger
+    i = 0
+    while db.engine.flushes < trigger:
+        i += 1
+        put((0x9E3779B97F4A7C15 * i) % 2 ** 64, 64)
+    db.runtime.quiesce()
+    db.runtime.pump()
+    assert db.runtime.pool._provider_idle
+    assert len(db.engine.levels[0]) < trigger
+    return trigger
+
+
+def test_first_pump_after_crash_recovery_consults_the_provider():
+    db = _leveldb()
+    trigger = _owe_a_compaction(db.put, db)
+    db.crash_and_recover()
+    assert len(db.engine.levels[0]) == trigger  # the checkpoint's full L0
+    asked = _spy_on_provider(db.runtime.pool)
+    db.runtime.pump()
+    assert asked[0] >= 1
+    assert len(db.engine.levels[0]) < trigger  # ... and the compaction ran
+
+
+def test_first_pump_after_objstore_bootstrap_consults_the_provider():
+    source = _leveldb()
+    store = SimObjectStore(source.runtime.clock, ObjStoreOptions.zero())
+    log = SharedManifestLog(store, "shard0/")
+    ObjStoreTier(source, log)
+    trigger = _owe_a_compaction(source.put, source)
+    fresh = _leveldb(clock=source.runtime.clock)
+    fresh.runtime.pump()
+    assert fresh.runtime.pool._provider_idle
+    asked = _spy_on_provider(fresh.runtime.pool)
+    bootstrap_from_store(fresh, log)
+    assert len(fresh.engine.levels[0]) == trigger
+    fresh.runtime.pump()
+    assert asked[0] >= 1
+    assert len(fresh.engine.levels[0]) < trigger
+
+
+def test_first_pump_after_shipped_follower_restore_consults_the_provider():
+    cluster = ClusterDB(ClusterOptions(
+        n_shards=1, n_replicas=1, engine="leveldb",
+        engine_options=tiny_lsm_options(),
+        storage_options=tiny_storage_options()))
+    group = cluster.router.shards[0].group
+    trigger = _owe_a_compaction(cluster.put, group.leader.db)
+    replica = cluster._make_replica()
+    replica.db.runtime.pump()
+    assert replica.db.runtime.pool._provider_idle
+    asked = _spy_on_provider(replica.db.runtime.pool)
+    group.add_follower(replica, mode="ship")
+    replica.db.runtime.pump()
+    assert replica.db.engine.flushes == 0  # no job of its own woke the pool
+    assert asked[0] >= 1
+    assert len(replica.db.engine.levels[0]) < trigger
+
+
+def test_pump_after_drain_queue_only_consults_the_provider():
+    disk = SimDisk(DeviceProfile("t", 0.0, 0.0, 1e6, 1e6))
+    pool = BackgroundPool(disk, 1)
+    asked = []
+    pool.set_provider(lambda: asked.append(1))
+    pool.pump()
+    pool.pump()
+    assert len(asked) == 1  # answered None once; not asked again
+    pool.drain_queue_only()  # nothing queued: only the provider swap happens
+    pool.pump()
+    assert len(asked) == 2
+    pool.submit("a", lambda: 1.0)
+    pool.drain_queue_only()
+    assert len(asked) == 2  # never consulted while swapped out
+    pool.pump()
+    assert len(asked) == 3
+
+
+class _DoomedJobsFail:
+    """Injector stub: every activation of a job named "doomed" faults."""
+
+    options = FaultOptions(max_retries=1, backoff_base_s=1.0, backoff_max_s=1.0)
+    giveups = 0
+
+    def job_attempt_fails(self, job):
+        return job.name == "doomed"
+
+
+def test_compaction_give_up_wakes_the_provider():
+    # The one event no golden configuration reaches with the memo set: a
+    # re-queued compaction gives up, its on_complete frees what it held,
+    # and the provider -- idle until then -- has work again.
+    disk = SimDisk(DeviceProfile("t", 0.0, 0.0, 1e6, 1e6))
+    pool = BackgroundPool(disk, 1)
+    pool.injector = _DoomedJobsFail()
+    held = []
+    names = iter(["doomed", "retry"])
+
+    def provider():
+        if held:
+            return None
+        held.append(1)
+        return BackgroundJob(next(names), lambda: 100.0, on_complete=held.clear)
+
+    pool.set_provider(provider)
+    pool.pump()  # "doomed" faults once and backs off; the provider is idle
+    assert pool._provider_idle and [j.name for j in pool.queue] == ["doomed"]
+    disk.clock.now = 2.0
+    pool.pump()  # second fault: give-up, on_complete, provider asked again
+    assert [j.name for j in pool.active] == ["retry"]
