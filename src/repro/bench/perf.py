@@ -2,8 +2,9 @@
 
 Times each optimized kernel against its frozen seed counterpart from
 :mod:`repro.bench.reference` (memtable insert, k-way merge, page-cache block
-accounting, workload key generation) plus one end-to-end scaled hash load,
-and emits the ``BENCH_perf.json`` perf trajectory:
+accounting, workload key generation), the sequence and Bloom-filter builds,
+plus one end-to-end scaled hash load, and emits the ``BENCH_perf.json`` perf
+trajectory:
 
 * ``python -m repro perf`` runs the suite, prints the table and (with
   ``--update``) rewrites ``BENCH_perf.json``;
@@ -127,6 +128,7 @@ def bench_merge(quick: bool = False) -> Dict[str, Dict[str, float]]:
     from repro.bench.reference import reference_merge_runs
     from repro.common.records import sort_key
     from repro.table.merge import merge_runs
+    from repro.table.run import Run
 
     n = 50_000 if quick else 200_000
     rng = random.Random(3)
@@ -138,18 +140,60 @@ def bench_merge(quick: bool = False) -> Dict[str, Dict[str, float]]:
     runs5 = [sorted(recs[i * chunk:(i + 1) * chunk], key=sort_key)
              for i in range(5)]
     snaps = [n // 3, n // 2]
+    # The kernel's inputs are columnar runs (what sequences store); building
+    # them is the memtable's job, not part of a merge.
+    cols2 = [Run.from_records(r) for r in runs2]
+    cols5 = [Run.from_records(r) for r in runs5]
 
     out = {
         "merge_2way_reference": _entry(n, _time(lambda: reference_merge_runs(runs2))),
-        "merge_2way": _entry(n, _time(lambda: merge_runs(runs2))),
+        "merge_2way": _entry(n, _time(lambda: merge_runs(cols2))),
         "merge_5way_reference": _entry(n, _time(lambda: reference_merge_runs(runs5))),
-        "merge_5way": _entry(n, _time(lambda: merge_runs(runs5))),
+        "merge_5way": _entry(n, _time(lambda: merge_runs(cols5))),
         "merge_2way_snapshots_reference": _entry(
             n, _time(lambda: reference_merge_runs(runs2, snapshots=snaps))),
         "merge_2way_snapshots": _entry(
-            n, _time(lambda: merge_runs(runs2, snapshots=snaps))),
+            n, _time(lambda: merge_runs(cols2, snapshots=snaps))),
     }
     return out
+
+
+# --------------------------------------------------------------------- table
+def bench_table(quick: bool = False) -> Dict[str, Dict[str, float]]:
+    """Sequence and Bloom-filter builds at the store's run sizes.
+
+    One hashed run is cut into sequences of ``n`` records, as a flush does:
+    the Bloom pair is computed once for the run and every build takes its
+    slice.  ``n_ops`` counts filters / sequences built.
+    """
+    from repro.common.records import make_put
+    from repro.filters.bloom import BloomFilter, hash_columns
+    from repro.table.block import Sequence
+    from repro.table.run import Run
+    from repro.workloads.distributions import permute64_many
+
+    total = 20_000 if quick else 100_000
+    run = Run.from_records([make_put(key, seq, 256) for seq, key in
+                            enumerate(sorted(permute64_many(range(total))), 1)])
+
+    def build_filters(n: int) -> None:
+        keys = run.keys
+        hashes = hash_columns(keys)
+        for i in range(0, total, n):
+            BloomFilter.build(keys[i:i + n], 14, hashes[:, i:i + n])
+
+    def build_sequences(n: int) -> None:
+        run.hashes = None
+        run.ensure_hashes()
+        for i in range(0, total, n):
+            Sequence(run.slice(i, i + n), key_size=16, block_size=1024,
+                     bloom_bits_per_key=14, first_block=0)
+
+    return {
+        "bloom_build_25": _entry(total // 25, _time(lambda: build_filters(25))),
+        "bloom_build_500": _entry(total // 500, _time(lambda: build_filters(500))),
+        "sequence_build": _entry(total // 25, _time(lambda: build_sequences(25))),
+    }
 
 
 # ----------------------------------------------------------------- pagecache
@@ -428,6 +472,7 @@ def bench_end_to_end(quick: bool = False, *, config: str = "I-1t",
 SUITES: Dict[str, Callable[[bool], Dict[str, Dict[str, float]]]] = {
     "memtable": bench_memtable,
     "merge": bench_merge,
+    "table": bench_table,
     "pagecache": bench_pagecache,
     "workloads": bench_workloads,
     "reads": bench_reads,

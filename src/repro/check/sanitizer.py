@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.check.diagnostics import Diagnostic, invariant_error
-from repro.common.records import KEY, SEQ, RecordTuple, is_sorted_run
+from repro.common.records import KEY, SEQ
 from repro.check.effects.registry import observation_only
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -191,17 +191,17 @@ class Sanitizer:
                 self._check_sequence(seq, level_no, event, table.file_id)
 
     def _check_sequence(self, seq: Any, level_no: int, event: str, file_id: int) -> None:
-        records: List[RecordTuple] = seq.records
-        if not records:
+        run = seq.run
+        if not run.n:
             self._fail("sequence-sorted", "empty sequence", event=event,
                        level=level_no, file=file_id)
             return
-        if not is_sorted_run(records):
+        if not run.is_sorted():
             self._fail("sequence-sorted",
                        "sequence is not (key asc, seq desc) sorted",
                        event=event, level=level_no, file=file_id,
-                       n_records=len(records))
-        if records[0][KEY] != seq.min_key or records[-1][KEY] != seq.max_key:
+                       n_records=run.n)
+        if run.key_at(0) != seq.min_key or run.key_at(-1) != seq.max_key:
             self._fail("sequence-sorted",
                        "sequence min/max keys disagree with its records",
                        event=event, level=level_no, file=file_id,

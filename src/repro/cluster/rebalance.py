@@ -31,12 +31,14 @@ the identical record list, so the group stays seq-aligned.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.cluster.shard import Shard
 from repro.common.errors import ConfigError
-from repro.common.records import RecordTuple, encoded_size, encoded_size_many, make_put
+from repro.common.records import make_put
+from repro.table.run import Run
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import ClusterDB
@@ -196,11 +198,9 @@ class Rebalancer:
         """Ship ``rows`` from ``source``'s leader into every dest replica."""
         if not rows:
             return
-        key_size = source.group.key_size
-        records: List[RecordTuple] = [
-            make_put(key, seq, value)
-            for seq, (key, value) in enumerate(rows, start=1)]
-        nbytes = encoded_size_many(records, key_size)
+        run = Run.from_records([make_put(key, seq, value)
+                                for seq, (key, value) in enumerate(rows, start=1)])
+        nbytes = run.encoded_size(source.group.key_size)
         src_runtime = source.group.leader.db.runtime
         src_node = source.group.leader.node_id
         network = self.cluster.network
@@ -212,7 +212,7 @@ class Rebalancer:
             src_runtime.submit_job(
                 "rebalance:ship",
                 lambda s=src_node, d=dst_node, n=nbytes: network.reserve(s, d, n))
-            self._ingest(replica.db, records, len(rows))
+            self._ingest(replica.db, run)
             self.moved_bytes += nbytes
         # The transfer is synchronous at the rebalance level: both sides
         # drain before the router flips the shard map.
@@ -222,22 +222,19 @@ class Rebalancer:
             self._checkpoint(replica.db)
         dest.group.acked_seq = dest.group.leader.db._seq
 
-    def _ingest(self, db: "IamDB", records: List[RecordTuple],
-                final_seq: int) -> None:
-        """Bulk-ingest a sorted run through the engine's flush path."""
+    def _ingest(self, db: "IamDB", run: Run) -> None:
+        """Bulk-ingest a sorted run through the engine's flush path, one
+        memtable's worth at a time (a chunk closes with the record that
+        fills it)."""
         capacity = max(1, db.engine.memtable_capacity)
-        chunk: List[RecordTuple] = []
-        chunk_bytes = 0
-        for rec in records:
-            chunk.append(rec)
-            chunk_bytes += encoded_size(rec, db.key_size)
-            if chunk_bytes >= capacity:
-                db.engine.submit_flush(chunk, chunk_bytes)
-                chunk = []
-                chunk_bytes = 0
-        if chunk:
-            db.engine.submit_flush(chunk, chunk_bytes)
-        db._seq = final_seq
+        ends = run.encoded_ends(db.key_size)
+        start = base = 0
+        while start < run.n:
+            stop = min(bisect_left(ends, base + capacity, start) + 1, run.n)
+            db.engine.submit_flush(run.slice(start, stop), ends[stop - 1] - base)
+            base = ends[stop - 1]
+            start = stop
+        db._seq = run.n  # the rows were numbered 1..n
         db.runtime.pump()
 
     def _checkpoint(self, db: "IamDB") -> None:

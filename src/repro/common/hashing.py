@@ -23,12 +23,21 @@ def splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_SHIFT30, _SHIFT27, _SHIFT31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
 def splitmix64_array(x: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 over a uint64 array; bit-identical to the scalar."""
-    z = x + np.uint64(0x9E3779B97F4A7C15)  # uint64 arithmetic wraps = & MASK64
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    z = x + _GOLDEN  # a fresh array; uint64 arithmetic wraps = & MASK64
+    z ^= z >> _SHIFT30
+    z *= _MIX1
+    z ^= z >> _SHIFT27
+    z *= _MIX2
+    z ^= z >> _SHIFT31
+    return z
 
 
 def splitmix64_many(xs: Union[Sequence[int], np.ndarray]) -> List[int]:

@@ -5,8 +5,11 @@ speed the hot paths treat records as plain 4-tuples
 
     ``(key, seq, kind, value)``
 
-* ``key``   -- any totally-ordered Python value; the engines and workloads use
-  fixed-width integers, which sort the same as their big-endian byte encoding.
+* ``key``   -- a Python ``int`` of any sign or size (the write entry points
+  reject everything else, see :func:`bad_key`).  The workloads use 64-bit
+  unsigned keys, which sort the same as their big-endian byte encoding and
+  live in a ``uint64`` column; wider or negative keys ride in an object
+  column beside it (:mod:`repro.table.run`).
 * ``seq``   -- global MVCC sequence number (monotonically increasing per DB).
 * ``kind``  -- :data:`PUT` or :data:`DELETE` (a tombstone).
 * ``value`` -- either real ``bytes`` (small values through the public API) or
@@ -26,14 +29,16 @@ ordering for :func:`sorted` / ``heapq``.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, NamedTuple, Sequence, Tuple, Union
+from typing import Any, NamedTuple, Sequence, Tuple, Union
+
+from repro.common.errors import ConfigError
 
 PUT = 0
 DELETE = 1
 
-#: A record key: any totally-ordered Python value.  The workloads use
-#: fixed-width integers, tests also use bytes/str; ``Any`` is the honest
-#: static type -- ordering is a runtime contract, not a structural one.
+#: A record key: a Python ``int`` of any sign or size -- enforced where
+#: records enter (the write entry points), so the alias stays the permissive
+#: ``Any`` it always was rather than a promise the type checker cannot keep.
 Key = Any
 
 KEY = 0
@@ -67,6 +72,12 @@ def value_nbytes(value: Value) -> int:
     return value if type(value) is int else len(value)
 
 
+def bad_key(key: Key) -> ConfigError:
+    """The error every write entry point raises for a non-``int`` key."""
+    return ConfigError(
+        f"keys must be Python ints, got {type(key).__name__}: {key!r}")
+
+
 def make_put(key: Key, seq: int, value: Value) -> RecordTuple:
     """Build a PUT record tuple (``value``: bytes, or int = synthetic size)."""
     return (key, seq, PUT, value)
@@ -91,29 +102,6 @@ def encoded_size_many(recs: Sequence[RecordTuple], key_size: int) -> int:
         v = rec[VALUE]
         total += v if type(v) is int else len(v)
     return total
-
-
-def split_run(recs: Sequence[RecordTuple], key_size: int,
-              max_bytes: int) -> Iterator[List[RecordTuple]]:
-    """Chop a sorted run into chunks of roughly ``max_bytes`` encoded bytes.
-
-    A chunk closes before the record that would overflow it, but never
-    between two versions of one key.
-    """
-    fixed = key_size + RECORD_OVERHEAD
-    chunk: List[RecordTuple] = []
-    acc = 0
-    for rec in recs:
-        v = rec[VALUE]
-        sz = fixed + (v if type(v) is int else len(v))
-        if acc + sz > max_bytes and chunk and chunk[-1][KEY] != rec[KEY]:
-            yield chunk
-            chunk = []
-            acc = 0
-        chunk.append(rec)
-        acc += sz
-    if chunk:
-        yield chunk
 
 
 def sort_key(rec: RecordTuple) -> Tuple[Key, int]:

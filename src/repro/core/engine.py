@@ -39,6 +39,7 @@ from repro.check.effects.registry import effects, observation_only
 if TYPE_CHECKING:  # pragma: no cover
     from repro.check.sanitizer import Sanitizer
     from repro.common.options import LsmOptions
+    from repro.table.run import Run
 
 #: Callable returning the live snapshot sequence numbers (for merge GC).
 SnapshotProvider = Callable[[], Sequence[int]]
@@ -265,8 +266,8 @@ class EngineBase(abc.ABC):
 
     # ------------------------------------------------------------------ write
     @abc.abstractmethod
-    def submit_flush(self, records: List[RecordTuple], nbytes: int) -> BackgroundJob:
-        """Schedule the flush of a full (immutable) memtable."""
+    def submit_flush(self, run: "Run", nbytes: int) -> BackgroundJob:
+        """Schedule the flush of a full (immutable) memtable's sorted run."""
 
     @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
     def write_gate(self, nbytes: int) -> float:

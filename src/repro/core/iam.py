@@ -20,14 +20,14 @@ With ``m=1, k=1`` IAM degenerates into LSM behaviour; with ``m > n`` into LSA
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.common.options import IamOptions
-from repro.common.records import RecordTuple
 from repro.core.lsa import LsaTree
 from repro.core.node import LsaNode
 from repro.core.tuning import tune_m_k
 from repro.table.block import Sequence
+from repro.table.run import Run
 from repro.storage.runtime import Runtime
 from repro.check.effects.registry import observation_only
 
@@ -61,8 +61,7 @@ class IamTree(LsaTree):
             return True
         return child.nbytes >= self.options.node_capacity
 
-    def _merge_internal_child(self, level: int, child: LsaNode,
-                              part: List[RecordTuple]) -> float:
+    def _merge_internal_child(self, level: int, child: LsaNode, part: Run) -> float:
         # Tag the mixed level's k-bound merges (§5.1.2): the child reached
         # its k-th sequence and collapses back to one.
         if level == self.m and self.runtime.tracer.enabled:
@@ -101,12 +100,12 @@ class IamTree(LsaTree):
                         prev_m=self.m, prev_k=self.k)
         self.m, self.k = m, k
 
-    def _ingest(self, records: List[RecordTuple]) -> float:
+    def _ingest(self, run: Run) -> float:
         self._flushes_since_tune += 1
         if self._flushes_since_tune >= self.options.retune_interval:
             self._flushes_since_tune = 0
             self.retune()
-        return super()._ingest(records)
+        return super()._ingest(run)
 
     def _on_deepen(self) -> None:
         self.retune()

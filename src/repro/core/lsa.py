@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.common.errors import InvariantViolation
 from repro.common.options import LsaOptions
-from repro.common.records import KEY, Key, RecordTuple, encoded_size_many, split_run
+from repro.common.records import Key, RecordTuple
 from repro.core.engine import EngineBase
 from repro.core.node import (
     RANGE_LO,
@@ -52,6 +52,7 @@ from repro.storage.runtime import Runtime
 from repro.table.block import Sequence
 from repro.table.merge import merge_runs
 from repro.table.mstable import MSTable
+from repro.table.run import Run, split_run
 from repro.check.effects.registry import observation_only
 
 
@@ -80,9 +81,9 @@ class LsaTree(EngineBase):
         self._init_pacer()
 
     # ------------------------------------------------------------------ write
-    def submit_flush(self, records: List[RecordTuple], nbytes: int) -> BackgroundJob:
+    def submit_flush(self, run: Run, nbytes: int) -> BackgroundJob:
         def start() -> float:
-            return self._ingest(records)
+            return self._ingest(run)
 
         return self.runtime.submit_job("lsa-ingest", start, high_priority=True)
 
@@ -92,18 +93,18 @@ class LsaTree(EngineBase):
         return None
 
     # ----------------------------------------------------------------- ingest
-    def _ingest(self, records: List[RecordTuple]) -> float:
+    def _ingest(self, run: Run) -> float:
         """Flush one memtable run (the L0 node) into the tree."""
         debt = self._ensure_structure()
         self.flushes += 1
-        lo, hi = records[0][KEY], records[-1][KEY]
+        lo, hi = run.key_at(0), run.key_at(-1)
         if self.runtime.tracer.enabled:
-            self._trace("flush", "flush", records=len(records))
+            self._trace("flush", "flush", records=run.n)
         # The L0 node's children are the L1 nodes overlapping the run's span
         # (§4.1); with no children (sequential writes) the run moves down as
         # a brand-new node and is written to disk exactly once.
         debt += self._flush_into(
-            1, lambda: level_overlapping(self.levels[1], lo, hi), records)
+            1, lambda: level_overlapping(self.levels[1], lo, hi), run)
         self._sanitize("flush")
         return debt
 
@@ -131,8 +132,8 @@ class LsaTree(EngineBase):
 
     # ------------------------------------------------------------- flush core
     def _flush_into(self, target_level: int, children_fn: Callable[[], List[LsaNode]],
-                    records: List[RecordTuple]) -> float:
-        """Partition ``records`` among ``children_fn()`` nodes at ``target_level``.
+                    run: Run) -> float:
+        """Partition ``run`` among ``children_fn()`` nodes at ``target_level``.
 
         Resolves the flush preconditions first (§4.2.1): at an internal
         target, every full child is flushed -- or split when it already has
@@ -157,21 +158,21 @@ class LsaTree(EngineBase):
                     debt += self._flush_node(target_level, child)
         kids = children_fn()
         if not kids:
-            return debt + self._create_node_from_run(target_level, records)
+            return debt + self._create_node_from_run(target_level, run)
         if len(kids) > self.max_flush_fanout:
             self.max_flush_fanout = len(kids)
         leaf = target_level == self.n
         weights = None
         if not leaf:
             weights = [self._count_children_of(target_level, k) for k in kids]
-        parts = partition_records(records, kids, leaf=leaf, child_weights=weights)
+        parts = partition_records(run, kids, leaf=leaf, child_weights=weights)
         for child, part in zip(list(kids), parts):
-            if not part:
+            if not part.n:
                 continue
             debt += self._place_part(target_level, child, part)
         return debt
 
-    def _place_part(self, level: int, child: LsaNode, part: List[RecordTuple]) -> float:
+    def _place_part(self, level: int, child: LsaNode, part: Run) -> float:
         leaf = level == self.n
         if leaf:
             if self._should_merge_leaf(child):
@@ -189,47 +190,46 @@ class LsaTree(EngineBase):
         return child.nbytes >= self.options.node_capacity  # full child (Fig. 4)
 
     # -------------------------------------------------------------- placement
-    def _append_to_child(self, level: int, child: LsaNode, part: List[RecordTuple]) -> float:
+    def _append_to_child(self, level: int, child: LsaNode, part: Run) -> float:
         table = child.ensure_table(self.runtime, key_size=self.options.key_size,
                                    bloom_bits_per_key=self.options.bloom_bits_per_key)
         seq, debt = table.append_sequence(part, level=level)
-        child.extend_range(part[0][KEY], part[-1][KEY])
+        child.extend_range(seq.min_key, seq.max_key)
         self.appends += 1
         self.runtime.metrics.bump("append")
         if self.runtime.tracer.enabled:
             self._trace("compaction", "append", level=level,
-                        seqs=child.n_sequences, records=len(part))
+                        seqs=child.n_sequences, records=part.n)
         self._after_append(level, child, seq)
         return debt
 
     def _after_append(self, level: int, child: LsaNode, seq: Sequence) -> None:
         """Subclass hook: a sequence was appended to ``child`` (IAM pins)."""
 
-    def _merge_internal_child(self, level: int, child: LsaNode,
-                              part: List[RecordTuple]) -> float:
+    def _merge_internal_child(self, level: int, child: LsaNode, part: Run) -> float:
         """Rewrite an internal child as a single sequence (IAM's merge)."""
         debt = 0.0
-        runs: List[List[RecordTuple]] = [part]
+        runs: List[Run] = [part]
         if not child.is_empty:
             debt += child.table.compaction_read_debt()
-            runs.extend(s.records for s in child.table.sequences)
+            runs += [s.run for s in child.table.sequences]
         merged = merge_runs(runs, drop_tombstones=False,
                             snapshots=self.snapshots_provider())
         child.drop_table()
         table = child.ensure_table(self.runtime, key_size=self.options.key_size,
                                    bloom_bits_per_key=self.options.bloom_bits_per_key)
-        _, d = table.append_sequence(merged, level=level)
+        seq, d = table.append_sequence(merged, level=level)
         debt += d
-        child.extend_range(merged[0][KEY], merged[-1][KEY])
+        child.extend_range(seq.min_key, seq.max_key)
         self.merges += 1
         self.runtime.metrics.bump("merge:internal")
         if self.runtime.tracer.enabled:
             self._trace("compaction", "merge:internal", level=level,
-                        runs=len(runs), records=len(merged))
+                        runs=len(runs), records=merged.n)
         self._sanitize("merge")
         return debt
 
-    def _merge_leaf_child(self, child: LsaNode, part: List[RecordTuple]) -> float:
+    def _merge_leaf_child(self, child: LsaNode, part: Run) -> float:
         """Merge a leaf child with its assigned records (Figure 4).
 
         The merged output replaces the child: split into fresh nodes of the
@@ -238,40 +238,40 @@ class LsaTree(EngineBase):
         opts = self.options
         level = self.n
         debt = 0.0
-        runs: List[List[RecordTuple]] = [part]
+        runs: List[Run] = [part]
         if not child.is_empty:
             debt += child.table.compaction_read_debt()
-            runs.extend(s.records for s in child.table.sequences)
+            runs += [s.run for s in child.table.sequences]
         merged = merge_runs(runs, drop_tombstones=True,
                             snapshots=self.snapshots_provider())
         lst = self.levels[level]
         lst.pop(self._node_index(level, child))  # bisect-based removal
         child.drop_table()
-        if merged:
-            total = encoded_size_many(merged, opts.key_size)
+        if merged.n:
+            total = merged.encoded_size(opts.key_size)
             chunk_bytes = opts.leaf_initial_bytes if total >= opts.node_capacity else total
             for chunk in split_run(merged, opts.key_size, chunk_bytes):
-                node = LsaNode(chunk[0][KEY], chunk[-1][KEY])
-                table = node.ensure_table(self.runtime, key_size=opts.key_size,
-                                          bloom_bits_per_key=opts.bloom_bits_per_key)
-                _, d = table.append_sequence(chunk, level=level)
-                debt += d
-                level_insert_sorted(lst, node)
+                debt += self._new_node(level, chunk)
         self.merges += 1
         self.runtime.metrics.bump("merge:leaf")
         if self.runtime.tracer.enabled:
             self._trace("compaction", "merge:leaf", level=level,
-                        runs=len(runs), records=len(merged))
+                        runs=len(runs), records=merged.n)
         self._sanitize("merge")
         return debt
 
-    def _create_node_from_run(self, level: int, records: List[RecordTuple]) -> float:
+    def _new_node(self, level: int, run: Run) -> float:
+        """Write ``run`` as a fresh single-sequence node of ``level``."""
+        table, debt = MSTable.build(
+            self.runtime, run, key_size=self.options.key_size,
+            bloom_bits_per_key=self.options.bloom_bits_per_key, level=level)
+        level_insert_sorted(self.levels[level],
+                            LsaNode(table.min_key, table.max_key, table))
+        return debt
+
+    def _create_node_from_run(self, level: int, run: Run) -> float:
         """A run with no children becomes a new node (sequential fast path)."""
-        node = LsaNode(records[0][KEY], records[-1][KEY])
-        table = node.ensure_table(self.runtime, key_size=self.options.key_size,
-                                  bloom_bits_per_key=self.options.bloom_bits_per_key)
-        _, debt = table.append_sequence(records, level=level)
-        level_insert_sorted(self.levels[level], node)
+        debt = self._new_node(level, run)
         self.runtime.metrics.bump("new_node")
         return debt
 
@@ -319,12 +319,12 @@ class LsaTree(EngineBase):
         debt = 0.0
         if not node.is_empty:
             debt += node.table.compaction_read_debt()
-            runs = [s.records for s in node.table.sequences]
-            records = merge_runs(runs, drop_tombstones=False,
-                                 snapshots=self.snapshots_provider())
+            merged = merge_runs([s.run for s in node.table.sequences],
+                                drop_tombstones=False,
+                                snapshots=self.snapshots_provider())
             node.drop_table()
-            if records:
-                debt += self._flush_into(level + 1, kids_fn, records)
+            if merged.n:
+                debt += self._flush_into(level + 1, kids_fn, merged)
         if destroy:
             self._remove_and_adopt(level, node)
         else:
@@ -352,18 +352,19 @@ class LsaTree(EngineBase):
         boundary = kids[h].range_lo
 
         debt = 0.0
-        records: List[RecordTuple] = []
-        if not node.is_empty:
+        if node.is_empty:
+            merged = Run.from_records(())
+        else:
             debt += node.table.compaction_read_debt()
-            records = merge_runs([s.records for s in node.table.sequences],
-                                 drop_tombstones=False,
-                                 snapshots=self.snapshots_provider())
-        cut = bisect.bisect_left(records, boundary, key=lambda r: r[KEY])
-        rec_a, rec_b = records[:cut], records[cut:]
+            merged = merge_runs([s.run for s in node.table.sequences],
+                                drop_tombstones=False,
+                                snapshots=self.snapshots_provider())
+        cut = bisect.bisect_left(merged.key_view(), boundary)
+        run_a, run_b = merged.slice(0, cut), merged.slice(cut, merged.n)
 
         a_hi = kids[h - 1].range_lo
-        if rec_a and rec_a[-1][KEY] > a_hi:
-            a_hi = rec_a[-1][KEY]
+        if run_a.n and run_a.key_at(-1) > a_hi:
+            a_hi = run_a.key_at(-1)
         if a_hi < node.range_lo:  # kids[h-1] may lie left of the node's range
             a_hi = node.range_lo
         node_a = LsaNode(node.range_lo, a_hi)
@@ -375,11 +376,11 @@ class LsaTree(EngineBase):
         # loses the in-flight rewrite (recovered from the checkpoint + WAL).
         self._crash_point("mid-split")
         opts = self.options
-        for new_node, recs in ((node_a, rec_a), (node_b, rec_b)):
-            if recs:
+        for new_node, half in ((node_a, run_a), (node_b, run_b)):
+            if half.n:
                 table = new_node.ensure_table(self.runtime, key_size=opts.key_size,
                                               bloom_bits_per_key=opts.bloom_bits_per_key)
-                _, d = table.append_sequence(recs, level=level)
+                _, d = table.append_sequence(half, level=level)
                 debt += d
             level_insert_sorted(lst, new_node)
         self.splits += 1

@@ -22,9 +22,10 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.common.errors import InvariantViolation
-from repro.common.records import KEY, Key, RecordTuple
+from repro.common.records import Key
 from repro.storage.runtime import Runtime
 from repro.table.mstable import MSTable
+from repro.table.run import Run
 
 
 #: The one fence key every level search bisects by: a C-level getter read
@@ -212,48 +213,38 @@ def count_children(parents: List[LsaNode], kids: List[LsaNode], parent_idx: int)
     return j - i
 
 
-def partition_records(records: List[RecordTuple], children: List[LsaNode],
-                      *, leaf: bool, child_weights: Optional[List[int]] = None,
-                      ) -> List[List[RecordTuple]]:
+def partition_records(run: Run, children: List[LsaNode], *, leaf: bool,
+                      child_weights: Optional[List[int]] = None) -> List[Run]:
     """Partition a sorted run among children (§4.2.1 rules).
 
     In-range records go to the covering child.  Out-of-range records go to
-    the *closest* child at the leaf level, and to the adjacent child with the
-    fewer children (``child_weights``) at internal levels -- ties and
-    non-numeric keys fall back to the left child.
+    the *closest* child at the leaf level (ties to the left), and to the
+    adjacent child with the fewer children (``child_weights``, ties to the
+    left) at internal levels.
+
+    Children and records are both sorted, so each child takes one
+    contiguous slice: between neighbours there is one threshold key -- the
+    largest key the left child takes -- and one bisect of the key column.
     """
     n = len(children)
     if n == 0:
         raise InvariantViolation("partition_records needs at least one child")
-    parts: List[List[RecordTuple]] = [[] for _ in range(n)]
     if n == 1:
-        parts[0] = list(records)
-        return parts
-    los = [c.range_lo for c in children]
-    for rec in records:
-        key = rec[KEY]
-        idx = bisect.bisect_right(los, key) - 1
-        if idx < 0:
-            parts[0].append(rec)
-            continue
-        if key <= children[idx].range_hi or idx == n - 1:
-            parts[idx].append(rec)
-            continue
-        # Gap between children[idx] and children[idx+1].
-        left, right = children[idx], children[idx + 1]
-        if leaf:
-            choice = idx if _closer_to_left(key, left.range_hi, right.range_lo) else idx + 1
+        return [run]
+    run.ensure_hashes()  # most parts become sequences: hash the run once
+    keys = run.key_view()
+    cuts = [0]
+    for idx in range(1, n):
+        left_hi = children[idx - 1].range_hi
+        right_lo = children[idx].range_lo
+        if left_hi >= right_lo - 1:
+            threshold = right_lo - 1  # no gap between the two ranges
+        elif leaf:
+            threshold = (left_hi + right_lo) // 2
+        elif child_weights is not None and child_weights[idx] < child_weights[idx - 1]:
+            threshold = left_hi
         else:
-            if child_weights is not None and child_weights[idx + 1] < child_weights[idx]:
-                choice = idx + 1
-            else:
-                choice = idx
-        parts[choice].append(rec)
-    return parts
-
-
-def _closer_to_left(key: Key, left_hi: Key, right_lo: Key) -> bool:
-    try:
-        return (key - left_hi) <= (right_lo - key)
-    except TypeError:
-        return True
+            threshold = right_lo - 1
+        cuts.append(bisect.bisect_right(keys, threshold, cuts[-1]))
+    cuts.append(run.n)
+    return [run.slice(cuts[idx], cuts[idx + 1]) for idx in range(n)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Tuple
 
 from repro.common.errors import ReproError
-from repro.common.records import Key, Value
+from repro.common.records import Key, Value, bad_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.iamdb import IamDB
@@ -40,11 +40,15 @@ class WriteBatch:
 
     def put(self, key: Key, value: Value) -> "WriteBatch":
         self._check()
+        if type(key) is not int:
+            raise bad_key(key)
         self._ops.append((PUT_OP, key, value))
         return self
 
     def delete(self, key: Key) -> "WriteBatch":
         self._check()
+        if type(key) is not int:
+            raise bad_key(key)
         self._ops.append((DELETE_OP, key, 0))
         return self
 

@@ -41,6 +41,7 @@ from repro.common.records import (
     Value,
     encoded_size,
     encoded_size_many,
+    bad_key,
     make_delete,
     make_put,
 )
@@ -163,12 +164,16 @@ class IamDB:
     def put(self, key: Key, value: Value) -> None:
         """Insert/overwrite ``key``.  ``value``: bytes, or int = synthetic size."""
         self._check_open()
+        if type(key) is not int:
+            raise bad_key(key)
         self._seq += 1
         self._write(make_put(key, self._seq, value))
 
     def delete(self, key: Key) -> None:
         """Delete ``key`` (writes a tombstone; space reclaimed by merges)."""
         self._check_open()
+        if type(key) is not int:
+            raise bad_key(key)
         self._seq += 1
         self._write(make_delete(key, self._seq))
 
@@ -419,7 +424,7 @@ class IamDB:
                     list(self.immutable.iter_range(lo_key, hi_key))))
             streams.extend(plan)
             # Fast path: plan the whole merge vectorized (one lexsort over
-            # the cached key columns + an explicit charge-event replay);
+            # the sequences' key columns + an explicit charge-event replay);
             # falls back to the pull-based mirror on unsupported shapes.
             out = planned_scan(streams, snapshot=snap, hi_key=hi_key,
                                limit=limit)
@@ -446,7 +451,7 @@ class IamDB:
         """A seekable ordered iterator (see :class:`~repro.db.iterator.DbIterator`).
 
         Like :meth:`iterate` but with :meth:`~repro.db.iterator.DbIterator.seek`
-        repositioning through the cached per-sequence key columns instead of
+        repositioning through the per-sequence key columns instead of
         rebuilding the cursor stack.
         """
         self._check_open()

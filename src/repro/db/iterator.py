@@ -79,7 +79,7 @@ class DbIterator:
 
     The view is fixed at creation time (plus the given snapshot), exactly
     like :meth:`repro.db.iamdb.IamDB.iterate`.  On engines with a batched
-    scan plan, :meth:`seek` repositions the pull states through the cached
+    scan plan, :meth:`seek` repositions the pull states through the
     per-sequence key columns (one bisect per stream) instead of tearing the
     cursor stack down and re-running the per-level walks; consumed blocks
     are re-touched on the way back through, which the page cache absorbs.

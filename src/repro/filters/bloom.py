@@ -5,45 +5,51 @@ reads skip sequences whose filter rejects the key.  The paper allocates 14
 bits per record for a ~0.2% false-positive rate (§5.3.2).
 
 Implementation: a numpy bit array with ``k`` derived hash probes produced by
-double hashing over two splitmix64-style mixes -- fully deterministic, no
-Python-level per-bit loops on the build path (`add_many` is vectorized).
+double hashing over two splitmix64 mixes -- fully deterministic.  The pair
+depends on the key alone, so the write path computes it once per *run*
+(:func:`hash_columns`) and every sequence cut from that run builds its
+filter from a slice of it (:meth:`BloomFilter.build`, the one build kernel).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.common.errors import ConfigError
+from repro.common.hashing import MASK64, splitmix64, splitmix64_array
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+_SALT = 0xA5A5A5A5A5A5A5A5  # decorrelates h2 from h1
+_H2_SALT = np.uint64(_SALT)
+_ONE = np.uint64(1)
+#: Filter words are little-endian whatever the host, as ``packbits`` packs.
+_WORD = np.dtype("<u8")
 
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer; input/output uint64 arrays."""
-    z = (x + np.uint64(0x9E3779B97F4A7C15)) & _MASK64
-    z = ((z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _MASK64
-    z = ((z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _MASK64
-    return z ^ (z >> np.uint64(31))
-
-
-_M64 = 0xFFFFFFFFFFFFFFFF
-
-
-def _splitmix64_scalar(x: int) -> int:
-    """Scalar splitmix64, bit-identical to the vectorized version."""
-    z = (x + 0x9E3779B97F4A7C15) & _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
+#: Probe multipliers ``0..k-1`` as a column, so ``h1 + steps * h2`` broadcasts
+#: to the whole ``k x n`` probe matrix (k is clamped to 30, see ``__init__``).
+_STEPS = np.arange(31, dtype=np.uint64)[:, None]
 
 
 def hash_pair(key: int) -> Tuple[int, int]:
     """The double-hashing pair ``(h1, h2)`` all of a key's probes derive from."""
-    k = key & _M64
-    return _splitmix64_scalar(k), _splitmix64_scalar(k ^ 0xA5A5A5A5A5A5A5A5) | 1
+    k = key & MASK64
+    return splitmix64(k), splitmix64(k ^ _SALT) | 1
+
+
+def hash_columns(keys: np.ndarray) -> np.ndarray:
+    """:func:`hash_pair` of a whole uint64 key column, as a ``2 x n`` matrix.
+
+    Row 0 is ``h1``, row 1 is ``h2``: both mixes run as one pass over the
+    stacked inputs.
+    """
+    z = np.empty((2, keys.size), dtype=np.uint64)
+    z[0] = keys
+    np.bitwise_xor(keys, _H2_SALT, out=z[1])
+    z = splitmix64_array(z)
+    z[1] |= _ONE
+    return z
 
 
 class BloomFilter:
@@ -66,29 +72,35 @@ class BloomFilter:
     def nbytes(self) -> int:
         return self._bits.nbytes
 
-    def add_many(self, keys: Sequence[int]) -> None:
-        """Insert a batch of integer keys (vectorized).
+    def _probes(self, hashes: np.ndarray) -> np.ndarray:
+        """The ``k x n`` matrix of bit positions probed for ``hashes``.
 
-        All ``k * n`` probe indices are produced as one broadcast matrix and
-        scattered with a single ``bitwise_or.at`` -- bit-identical to probing
-        key by key, but without per-probe small-array round trips (sequence
-        builds dominate flush/compaction wall-clock at simulation scale).
+        Computed in uint64 (the arithmetic wraps like the scalar probe's
+        ``& MASK64``) and handed back as ``intp``: positions are below
+        ``n_bits``, so the reinterpretation is exact, and numpy indexes
+        with ``intp`` several times faster than with ``uint64``.
         """
-        if self.n_hashes == 0 or len(keys) == 0:
-            return
-        try:
-            arr = np.asarray(keys, dtype=np.uint64)
-        except (OverflowError, TypeError, ValueError):
-            # Out-of-range / negative keys: mask into 64 bits element-wise.
-            arr = np.fromiter((k & _M64 for k in keys), dtype=np.uint64,
-                              count=len(keys))
-        h1 = _splitmix64(arr)
-        h2 = _splitmix64(arr ^ np.uint64(0xA5A5A5A5A5A5A5A5)) | np.uint64(1)
-        steps = np.arange(self.n_hashes, dtype=np.uint64)[:, None]
-        # uint64 arithmetic wraps, matching the & _MASK64 of the scalar probe.
-        idx = ((h1 + steps * h2) % np.uint64(self.n_bits)).ravel()
-        np.bitwise_or.at(self._bits, (idx >> np.uint64(6)).astype(np.intp),
-                         np.uint64(1) << (idx & np.uint64(63)))
+        idx = hashes[1] * _STEPS[:self.n_hashes]
+        idx += hashes[0]
+        idx %= np.uint64(self.n_bits)
+        return idx.view(np.intp)
+
+    @staticmethod
+    def build(keys: np.ndarray, bits_per_key: int,
+              hashes: Optional[np.ndarray] = None) -> "BloomFilter":
+        """A filter holding the uint64 column ``keys``.
+
+        ``hashes`` is ``hash_columns(keys)`` when the caller already holds
+        it (a slice of the run's).  The whole probe matrix is scattered into
+        a byte-per-bit scratch with one assignment and packed into words --
+        bit-identical to setting the probes of each key in turn.
+        """
+        f = BloomFilter(keys.size, bits_per_key)
+        if f.n_hashes and keys.size:
+            scratch = np.zeros(f._bits.size * 64, dtype=np.uint8)
+            scratch[f._probes(hash_columns(keys) if hashes is None else hashes)] = 1
+            f._bits = np.packbits(scratch, bitorder="little").view(_WORD)
+        return f
 
     def might_contain(self, key: int,
                       hashes: Optional[Tuple[int, int]] = None) -> bool:
@@ -104,7 +116,7 @@ class BloomFilter:
         n_bits = self.n_bits
         bits = self._bits
         for i in range(self.n_hashes):
-            idx = ((h1 + i * h2) & _M64) % n_bits
+            idx = ((h1 + i * h2) & MASK64) % n_bits
             if not (int(bits[idx >> 6]) >> (idx & 63)) & 1:
                 return False
         return True
@@ -119,20 +131,9 @@ class BloomFilter:
         arr = np.asarray(keys, dtype=np.uint64)
         if self.n_hashes == 0 or arr.size == 0:
             return np.ones(arr.shape, dtype=bool)
-        h1 = _splitmix64(arr)
-        h2 = _splitmix64(arr ^ np.uint64(0xA5A5A5A5A5A5A5A5)) | np.uint64(1)
-        steps = np.arange(self.n_hashes, dtype=np.uint64)[:, None]
-        # uint64 arithmetic wraps, matching the & _MASK64 of the scalar probe.
-        idx = (h1 + steps * h2) % np.uint64(self.n_bits)
-        words = self._bits[(idx >> np.uint64(6)).astype(np.intp)]
-        probe = (words >> (idx & np.uint64(63))) & np.uint64(1)
+        idx = self._probes(hash_columns(arr))
+        probe = (self._bits[idx >> 6] >> (idx & 63).view(np.uint64)) & _ONE
         return probe.all(axis=0)
-
-    @staticmethod
-    def build(keys: Sequence[int], bits_per_key: int) -> "BloomFilter":
-        f = BloomFilter(len(keys), bits_per_key)
-        f.add_many(keys)
-        return f
 
     def expected_fpr(self, n_keys: int) -> float:
         """Theoretical false-positive rate after inserting ``n_keys`` keys."""

@@ -26,12 +26,13 @@ from typing import Any, Dict, List, Optional, Set, Tuple, cast
 
 from repro.common.errors import InvariantViolation
 from repro.common.options import LsmOptions
-from repro.common.records import KEY, RecordTuple, sort_key
+from repro.common.records import RecordTuple, sort_key
 from repro.core.engine import EngineBase
 from repro.storage.background import BackgroundJob
 from repro.storage.runtime import Runtime
 from repro.table.merge import merge_runs
 from repro.table.mstable import MSTable
+from repro.table.run import Run
 from repro.check.effects.registry import observation_only
 
 #: Fragments per bottom-level guard before the guard is merged in place.
@@ -73,10 +74,10 @@ class FlsmEngine(EngineBase):
         self._init_pacer(options)
 
     # ------------------------------------------------------------------ write
-    def submit_flush(self, records: List[RecordTuple], nbytes: int) -> BackgroundJob:
+    def submit_flush(self, run: Run, nbytes: int) -> BackgroundJob:
         def start() -> float:
             table, debt = MSTable.build(
-                self.runtime, records,
+                self.runtime, run,
                 key_size=self.options.key_size,
                 bloom_bits_per_key=self.options.bloom_bits_per_key,
                 level=0,
@@ -146,15 +147,15 @@ class FlsmEngine(EngineBase):
         return 0
 
     # ---------------------------------------------------------------- compact
-    def _ensure_guards(self, level: int, sample: List[RecordTuple]) -> None:
+    def _ensure_guards(self, level: int, sample: Run) -> None:
         """Sample guard boundaries for a level on first use (PebblesDB-style)."""
-        if len(self.guards[level]) > 1 or not sample:
+        if len(self.guards[level]) > 1 or not sample.n:
             return
-        want = min(self.options.level_size_multiplier ** level, max(1, len(sample) // 8))
+        want = min(self.options.level_size_multiplier ** level, max(1, sample.n // 8))
         if want <= 1:
             return
-        step = len(sample) / want
-        cuts = sorted({sample[int(i * step)][KEY] for i in range(1, want)})
+        step = sample.n / want
+        cuts = sorted({sample.key_at(int(i * step)) for i in range(1, want)})
         self.guards[level] = [_Guard(None)] + [_Guard(c) for c in cuts]
         self._cuts[level] = cuts
 
@@ -164,13 +165,12 @@ class FlsmEngine(EngineBase):
     def _compact(self, level: int) -> float:
         """Merge every fragment of ``level`` and append into level+1 guards."""
         debt = 0.0
-        runs: List[List[RecordTuple]] = []
+        runs: List[Run] = []
         old_tables: List[MSTable] = []
         for g in self.guards[level]:
             for t in g.tables:
                 debt += t.compaction_read_debt()
-                for seq in t.sequences:
-                    runs.append(seq.records)
+                runs += [seq.run for seq in t.sequences]
                 old_tables.append(t)
         if not runs:
             return 0.0
@@ -179,13 +179,14 @@ class FlsmEngine(EngineBase):
 
         # Partition by the next level's guards and append (never merge).
         cuts = self._cuts[level + 1]
+        keys = merged.key_view()
         start = 0
         for gi, g in enumerate(self.guards[level + 1]):
-            stop = (bisect.bisect_left(merged, cuts[gi], key=lambda r: r[KEY])
-                    if gi < len(cuts) else len(merged))
-            part = merged[start:stop]
+            stop = (bisect.bisect_left(keys, cuts[gi], start)
+                    if gi < len(cuts) else merged.n)
+            part = merged.slice(start, stop)
             start = stop
-            if not part:
+            if not part.n:
                 continue
             table, d = MSTable.build(
                 self.runtime, part,
@@ -206,24 +207,23 @@ class FlsmEngine(EngineBase):
         self.runtime.metrics.bump(f"flsm-compaction:L{level}")
         if self.runtime.tracer.enabled:
             self._trace("compaction", f"compact:L{level}", level=level,
-                        runs=len(runs), records=len(merged))
+                        runs=len(runs), records=merged.n)
         return debt
 
     def _merge_guard(self, level: int, g: _Guard) -> float:
         """In-place merge of one bottom-level guard's fragments."""
         debt = 0.0
-        runs = []
+        runs: List[Run] = []
         for t in g.tables:
             debt += t.compaction_read_debt()
-            for seq in t.sequences:
-                runs.append(seq.records)
+            runs += [seq.run for seq in t.sequences]
         merged = merge_runs(runs, drop_tombstones=True,
                             snapshots=self.snapshots_provider())
         old_bytes = g.nbytes
         for t in g.tables:
             t.delete()
         g.tables = []
-        if merged:
+        if merged.n:
             table, d = MSTable.build(
                 self.runtime, merged,
                 key_size=self.options.key_size,
@@ -238,7 +238,7 @@ class FlsmEngine(EngineBase):
         self.runtime.metrics.bump("flsm-guard-merge")
         if self.runtime.tracer.enabled:
             self._trace("compaction", "guard-merge", level=level,
-                        runs=len(runs), records=len(merged))
+                        runs=len(runs), records=merged.n)
         return debt
 
     # ------------------------------------------------------------------- read

@@ -30,13 +30,14 @@ import numpy as np
 
 from repro.common.errors import InvariantViolation
 from repro.common.options import LsmOptions
-from repro.common.records import RecordTuple, split_run
+from repro.common.records import RecordTuple
 from repro.core.engine import EngineBase
 from repro.filters.bloom import hash_pair
 from repro.storage.background import BackgroundJob
 from repro.storage.runtime import Runtime
 from repro.table.merge import merge_runs
 from repro.table.mstable import MSTable
+from repro.table.run import Run, split_run
 from repro.table.scan import chain_stream, table_stream
 from repro.check.effects.registry import observation_only
 
@@ -75,10 +76,10 @@ class LeveledLsm(EngineBase):
         self._init_pacer(options)
 
     # ------------------------------------------------------------------ write
-    def submit_flush(self, records: List[RecordTuple], nbytes: int) -> BackgroundJob:
+    def submit_flush(self, run: Run, nbytes: int) -> BackgroundJob:
         def start() -> float:
             table, debt = MSTable.build(
-                self.runtime, records,
+                self.runtime, run,
                 key_size=self.options.key_size,
                 bloom_bits_per_key=self.options.bloom_bits_per_key,
                 level=0,
@@ -87,7 +88,7 @@ class LeveledLsm(EngineBase):
             self.level_bytes[0] += table.data_bytes
             self.flushes += 1
             if self.runtime.tracer.enabled:
-                self._trace("flush", "flush", records=len(records),
+                self._trace("flush", "flush", records=run.n,
                             l0_files=len(self.levels[0]))
             return debt
 
@@ -202,11 +203,10 @@ class LeveledLsm(EngineBase):
             return 0.0
 
         debt = 0.0
-        runs: List[List[RecordTuple]] = []
+        runs: List[Run] = []
         for t in inputs_up + inputs_down:
             debt += t.compaction_read_debt()
-            for seq in t.sequences:
-                runs.append(seq.records)
+            runs += [seq.run for seq in t.sequences]
         bottom = all(not self.levels[j] for j in range(level + 2, self.options.max_levels))
         merged = merge_runs(runs, drop_tombstones=bottom,
                             snapshots=self.snapshots_provider())
@@ -241,7 +241,7 @@ class LeveledLsm(EngineBase):
         if self.runtime.tracer.enabled:
             self._trace("compaction", f"compact:L{level}", level=level,
                         inputs_up=len(inputs_up), inputs_down=len(inputs_down),
-                        records=len(merged))
+                        records=merged.n)
         return debt
 
     def _insert_sorted(self, level: int, table: MSTable) -> None:

@@ -22,17 +22,20 @@ sequences are sorted by trie key.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.common.errors import InvariantViolation, ReproError
 from repro.common.options import LsaOptions
-from repro.common.records import KEY, KIND, RecordTuple, SEQ, VALUE
+from repro.common.records import RecordTuple, SEQ, VALUE
 from repro.core.engine import EngineBase
 from repro.storage.background import BackgroundJob
 from repro.storage.runtime import Runtime
 from repro.common.hashing import splitmix64
 from repro.table.merge import merge_runs
 from repro.table.mstable import MSTable
+from repro.table.run import Run
 from repro.check.effects.registry import observation_only
 
 #: Children per trie node (the original uses 8: 3 hash bits per level).
@@ -51,8 +54,9 @@ def trie_key(key) -> int:
     return splitmix64(hash(key) & 0xFFFFFFFFFFFFFFFF)
 
 
-def _child_index(tkey: int, depth: int) -> int:
-    """Which child of a depth-``depth`` node the trie key falls into."""
+def _child_index(tkey: Any, depth: int) -> Any:
+    """Which child of a depth-``depth`` node the trie key falls into (one
+    key, or a whole uint64 key column at once)."""
     shift = 64 - TRIE_BITS * (depth + 1)
     return (tkey >> shift) & (TRIE_FANOUT - 1)
 
@@ -61,9 +65,9 @@ class _TriePayload:
     """Value slot of a trie record: original key + kind + user value.
 
     ``len()`` reports the *accounted payload size* -- the user value's bytes
-    -- so :func:`repro.common.records.encoded_size` charges a trie record
-    exactly what the original record cost (the 64-bit hash stands in for the
-    original key bytes).
+    -- so the run's size column charges a trie record exactly what the
+    original record cost (the 64-bit hash stands in for the original key
+    bytes).
     """
 
     __slots__ = ("orig_key", "kind", "value")
@@ -120,33 +124,31 @@ class LsmTrieEngine(EngineBase):
         self._init_pacer()
 
     # ------------------------------------------------------------------ write
-    def submit_flush(self, records: List[RecordTuple], nbytes: int) -> BackgroundJob:
+    def submit_flush(self, run: Run, nbytes: int) -> BackgroundJob:
         def start() -> float:
-            return self._ingest(records)
+            return self._ingest(run)
 
         return self.runtime.submit_job("trie-ingest", start, high_priority=True)
 
-    def _to_trie_records(self, records: List[RecordTuple]) -> List[RecordTuple]:
+    def _to_trie_run(self, run: Run) -> Run:
         """Re-key records by hash; the original key becomes part of the value.
 
         The value slot holds ``(orig_key, kind, value)`` so point reads can
         verify against hash collisions; the accounted size is unchanged (the
         original key's bytes simply moved from the key to the value field).
         """
-        out = []
-        for rec in records:
-            payload = _TriePayload(rec[KEY], rec[KIND], rec[VALUE])
-            out.append((trie_key(rec[KEY]), rec[SEQ], rec[KIND], payload))
+        out = [(trie_key(key), seq, kind, _TriePayload(key, kind, value))
+               for key, seq, kind, value in run.records()]
         out.sort(key=lambda r: (r[0], -r[1]))
-        return out
+        return Run.from_records(out)
 
-    def _ingest(self, records: List[RecordTuple]) -> float:
+    def _ingest(self, run: Run) -> float:
         self.flushes += 1
-        return self._append_to_node(self.root, self._to_trie_records(records))
+        return self._append_to_node(self.root, self._to_trie_run(run))
 
-    def _append_to_node(self, node: _TrieNode, trecs: List[RecordTuple]) -> float:
+    def _append_to_node(self, node: _TrieNode, trecs: Run) -> float:
         """Append a hash-ordered run; spill to children when the node fills."""
-        if not trecs:
+        if not trecs.n:
             return 0.0
         debt = 0.0
         if node.nbytes >= self.options.node_capacity and node.depth < MAX_DEPTH:
@@ -161,21 +163,24 @@ class LsmTrieEngine(EngineBase):
     def _spill(self, node: _TrieNode) -> float:
         """Move a full node's records down to its TRIE_FANOUT children."""
         debt = node.table.compaction_read_debt()
-        runs = [s.records for s in node.table.sequences]
+        runs = [s.run for s in node.table.sequences]
         bottom = not node.children and node.depth + 1 >= MAX_DEPTH
         merged = merge_runs(runs, drop_tombstones=bottom,
                             snapshots=self.snapshots_provider())
         node.table.delete()
         node.table = None
-        parts: Dict[int, List[RecordTuple]] = {}
-        for trec in merged:
-            parts.setdefault(_child_index(trec[0], node.depth), []).append(trec)
-        for idx, part in sorted(parts.items()):
+        # The node's keys share their leading bits, so the child index (the
+        # next TRIE_BITS) rises with the sorted keys: one slice per child.
+        child_of = _child_index(merged.keys, node.depth)
+        cuts = child_of.searchsorted(np.arange(TRIE_FANOUT + 1)).tolist()
+        for idx in range(TRIE_FANOUT):
+            if cuts[idx] == cuts[idx + 1]:
+                continue
             child = node.children.get(idx)
             if child is None:
                 child = _TrieNode(node.depth + 1)
                 node.children[idx] = child
-            debt += self._append_to_node(child, part)
+            debt += self._append_to_node(child, merged.slice(cuts[idx], cuts[idx + 1]))
         self.spills += 1
         self.runtime.metrics.bump("trie-spill")
         self._trace("compaction", "trie-spill", depth=node.depth)

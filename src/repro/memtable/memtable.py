@@ -20,12 +20,14 @@ The public behaviour is what the engines rely on:
 * MVCC: every version is kept until flush; ``get`` honours snapshots.
 * Size accounting in *encoded* bytes, so the capacity threshold ``Ct``
   matches what the flush will write.
-* ``sorted_records()`` emits a valid sorted run: (key asc, seq desc).
+* ``sorted_records()`` emits a valid sorted run, (key asc, seq desc), as the
+  columnar :class:`~repro.table.run.Run` the whole flush path carries.
 """
 
 from __future__ import annotations
 
 import bisect
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.check.diagnostics import invariant_error
@@ -36,6 +38,7 @@ from repro.common.records import (
     RecordTuple,
     encoded_size,
 )
+from repro.table.run import Run
 
 #: Version entry stored per key: (seq, kind, vsize).
 Version = Tuple[int, int, int]
@@ -176,21 +179,19 @@ class Memtable:
             for seq, kind, vsize in reversed(versions_map[key]):
                 yield (key, seq, kind, vsize)
 
-    def sorted_records(self) -> List[RecordTuple]:
-        """All records as one sorted run, ready for flushing."""
+    def sorted_records(self) -> Run:
+        """All records as one columnar sorted run, ready for flushing."""
         keys = self._consolidate()
-        versions_map = self._versions
-        out: List[RecordTuple] = []
-        append = out.append
-        for key in keys:
-            versions = versions_map[key]
-            if len(versions) == 1:
-                seq, kind, vsize = versions[0]
-                append((key, seq, kind, vsize))
-            else:
-                for seq, kind, vsize in reversed(versions):
-                    append((key, seq, kind, vsize))
-        return out
+        per_key = list(map(self._versions.__getitem__, keys))
+        if self.n_records == len(keys):
+            versions = [v[0] for v in per_key]
+        else:
+            # Some key holds several versions: newest first within the key.
+            keys = [key for key, v in zip(keys, per_key) for _ in v]
+            versions = list(chain.from_iterable(map(reversed, per_key)))
+        if not versions:
+            return Run.from_records(())
+        return Run.from_columns(keys, *zip(*versions))
 
     def approximate_live_records(self) -> int:
         """Distinct keys whose newest version is a PUT (diagnostics)."""

@@ -100,58 +100,24 @@ class PageCache:
         return n_blocks - len(self.touch_many(file_id,
                                               range(first_block, first_block + n_blocks)))
 
-    def _evict_for_admission(self) -> None:
-        """Make room for one new block, skipping pinned blocks explicitly.
-
-        Scans from the LRU end: unpinned victims are evicted; pinned blocks
-        are rotated to the MRU end and counted, so the scan is bounded by one
-        pass over the cache.  If every resident block is pinned the new block
-        is admitted *over* capacity (mlock-style overcommit -- the same
-        behaviour ``pin_range`` itself relies on); it becomes the eviction
-        victim of the next admission.
-        """
-        lru = self._lru
-        max_blocks = self.max_blocks
-        pinned = self._pinned
-        pinned_rotations = 0
-        evicted = 0
-        while len(lru) >= max_blocks and pinned_rotations < len(lru):
-            old_key, _ = lru.popitem(last=False)
-            if old_key in pinned:
-                lru[old_key] = None
-                pinned_rotations += 1
-                continue
-            self.evictions += 1
-            evicted += 1
-            self._dec(old_key)
-        if evicted and self.on_evictions is not None:
-            self.on_evictions(evicted)
-
     def insert(self, file_id: int, block_no: int) -> None:
         """Insert (or refresh) one block, evicting LRU blocks as needed."""
-        if self.max_blocks == 0:
-            return
-        key = (file_id, block_no)
-        if key in self._lru:
-            self._lru.move_to_end(key)
-            return
-        if len(self._lru) >= self.max_blocks:
-            self._evict_for_admission()
-        self._lru[key] = None
-        blocks = self._per_file.get(file_id)
-        if blocks is None:
-            blocks = set()
-            self._per_file[file_id] = blocks
-        blocks.add(block_no)
-        self.insertions += 1
+        self.insert_many(file_id, (block_no,))
 
     def insert_many(self, file_id: int, block_nos: Iterable[int]) -> None:
         """Insert a batch of blocks of one file in order.
 
-        State-identical to per-block :meth:`insert` calls -- one interleaved
-        pass, so hits are promoted and new blocks admitted (with their LRU
-        evictions) in exactly the same order.  When the batch provably fits
-        without eviction, the per-block capacity checks are skipped.
+        State-identical to per-block inserts -- one interleaved pass, so
+        hits are promoted and new blocks admitted (with their LRU evictions)
+        in exactly the same order.  When the batch provably fits without
+        eviction, the per-block capacity checks are skipped.
+
+        Admission under pressure scans from the LRU end: unpinned victims
+        are evicted; pinned blocks are rotated to the MRU end and counted,
+        so the scan is bounded by one pass over the cache.  If every
+        resident block is pinned the new block is admitted *over* capacity
+        (mlock-style overcommit -- the same behaviour ``pin_range`` itself
+        relies on); it becomes the eviction victim of the next admission.
         """
         max_blocks = self.max_blocks
         if max_blocks == 0:
@@ -181,23 +147,49 @@ class PageCache:
                     admitted += 1
             self.insertions += admitted
             return
-        evict = self._evict_for_admission
+        # Admission and victim scan as one pass over locals; the counters
+        # are settled once per batch, the eviction observer once per
+        # admission (as per-block inserts would notify it).
+        popitem = lru.popitem
+        pinned = self._pinned
+        on_evictions = self.on_evictions
+        resident = len(lru)
+        admitted = evicted_total = 0
         for b in block_nos:
             key = (file_id, b)
             if key in lru:
                 move_to_end(key)
                 continue
-            if len(lru) >= max_blocks:
-                evict()
+            evicted = rotations = 0
+            while resident >= max_blocks and rotations < resident:
+                old_key = popitem(False)[0]
+                if old_key in pinned:
+                    lru[old_key] = None
+                    rotations += 1
+                    continue
+                resident -= 1
+                evicted += 1
+                old_file, old_block = old_key
+                blocks = per_file[old_file]
+                blocks.discard(old_block)
+                if not blocks:
+                    del per_file[old_file]
+            if evicted:
+                evicted_total += evicted
+                if on_evictions is not None:
+                    on_evictions(evicted)
             lru[key] = None
-            # Re-fetched per block: an eviction of this file's last resident
-            # block drops the per-file set, so a cached reference goes stale.
+            resident += 1
+            # Looked up per block: evicting this file's last resident block
+            # drops the per-file set, so a cached reference goes stale.
             blocks = per_file.get(file_id)
             if blocks is None:
-                blocks = set()
-                per_file[file_id] = blocks
-            blocks.add(b)
-            self.insertions += 1
+                per_file[file_id] = {b}
+            else:
+                blocks.add(b)
+            admitted += 1
+        self.insertions += admitted
+        self.evictions += evicted_total
 
     def insert_range(self, file_id: int, first_block: int, n_blocks: int) -> None:
         self.insert_many(file_id, range(first_block, first_block + n_blocks))
@@ -237,10 +229,3 @@ class PageCache:
             self._lru.pop((file_id, block_no), None)
             self._pinned.discard((file_id, block_no))
         return len(blocks)
-
-    def _dec(self, key: BlockKey) -> None:
-        blocks = self._per_file.get(key[0])
-        if blocks is not None:
-            blocks.discard(key[1])
-            if not blocks:
-                del self._per_file[key[0]]

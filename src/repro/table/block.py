@@ -3,25 +3,24 @@
 A :class:`Sequence` is one sorted run inside an MSTable (§4.1): records are
 partitioned into fixed-size data blocks; the index (block first-keys) and the
 Bloom filter form the sequence's metadata, which the paper assumes is always
-cached (§2.1), so metadata access costs no device I/O.  Record *content* lives
-in Python lists (the simulation substrate); device reads are charged per
-block through :meth:`repro.storage.runtime.Runtime.fg_read_blocks`.
+cached (§2.1), so metadata access costs no device I/O.  Record *content* is
+the sequence's columnar :class:`~repro.table.run.Run` (the simulation
+substrate); device reads are charged per block through
+:meth:`repro.storage.runtime.Runtime.fg_read_blocks`.
 """
 
 from __future__ import annotations
 
-import bisect
-from operator import itemgetter
-from typing import Iterator, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.common.errors import InvariantViolation
-from repro.common.records import KEY, Key, RECORD_OVERHEAD, RecordTuple, SEQ
+from repro.common.records import Key, RECORD_OVERHEAD, RecordTuple
 from repro.filters.bloom import BloomFilter
 from repro.storage.runtime import Runtime
-
-_key_of = itemgetter(0)
+from repro.table.run import Run
 
 #: Per-block index entry overhead charged as metadata (key + offset).
 INDEX_ENTRY_BYTES = 24
@@ -31,7 +30,8 @@ class Sequence:
     """One immutable sorted run: records + block index + Bloom filter."""
 
     __slots__ = (
-        "records",
+        "run",
+        "n_records",
         "nbytes",
         "metadata_bytes",
         "first_block",
@@ -42,148 +42,102 @@ class Sequence:
         "max_key",
         "min_seq",
         "max_seq",
-        "_keys_arr",
-        "_cols",
+        "key_view",
     )
 
-    def __init__(self, records: List[RecordTuple], *, key_size: int, block_size: int,
+    def __init__(self, run: Run, *, key_size: int, block_size: int,
                  bloom_bits_per_key: int, first_block: int) -> None:
-        if not records:
+        n = run.n
+        if not n:
             raise InvariantViolation("a Sequence must hold at least one record")
-        self.records = records
+        self.run = run
+        self.n_records = n
         self.first_block = first_block
-        # Block layout: greedy fill up to block_size encoded bytes per block.
-        # Each block is the longest record prefix whose encoded bytes fit
-        # (always at least one record), found by bisecting the prefix sums --
-        # O(blocks log n) instead of a per-record Python loop.
-        fixed = key_size + RECORD_OVERHEAD
-        prefix: List[int] = [0]
-        acc = 0
-        append = prefix.append
-        for rec in records:
-            v = rec[3]
-            acc += fixed + (v if type(v) is int else len(v))
-            append(acc)
-        n = len(records)
-        starts: List[int] = [0]
-        start = 0
-        while True:
-            stop = bisect.bisect_right(prefix, prefix[start] + block_size) - 1
-            if stop <= start:
-                stop = start + 1  # single record larger than a block
-            if stop >= n:
-                break
-            starts.append(stop)
-            start = stop
-        seqs = [rec[SEQ] for rec in records]
-        min_seq = min(seqs)
-        max_seq = max(seqs)
-        self.nbytes = acc
+        # Block layout: greedy fill up to block_size encoded bytes per block
+        # (always at least one record).
+        sizes = run.sizes.tolist()
+        if sizes.count(sizes[0]) == n:
+            # One record size throughout: every block takes the same count.
+            record_bytes = key_size + RECORD_OVERHEAD + sizes[0]
+            self.nbytes = n * record_bytes
+            starts = list(range(0, n, block_size // record_bytes or 1))
+        else:
+            # Each block is the longest record prefix that fits, found by
+            # bisecting the cumulative size column.
+            ends = run.encoded_ends(key_size)
+            self.nbytes = ends[-1]
+            starts = [0]
+            start = base = 0
+            while True:
+                stop = max(bisect_right(ends, base + block_size, start), start + 1)
+                if stop >= n:
+                    break
+                starts.append(stop)
+                base = ends[stop - 1]
+                start = stop
         self.block_start_idx = starts
         self.n_blocks = len(starts)
-        self.min_key = records[0][KEY]
-        self.max_key = records[-1][KEY]
-        self.min_seq = min_seq
-        self.max_seq = max_seq
-        self.bloom = BloomFilter.build([r[KEY] for r in records], bloom_bits_per_key)
+        #: Keys as Python ints, zero-copy: what every point read bisects.
+        keys = self.key_view = run.key_view()
+        self.min_key = keys[0]
+        self.max_key = keys[-1]
+        seqs = run.seqs.tolist()
+        self.min_seq = min(seqs)
+        self.max_seq = max(seqs)
+        self.bloom = BloomFilter.build(run.keys, bloom_bits_per_key, run.hashes)
+        run.hashes = None
         self.metadata_bytes = self.bloom.nbytes + INDEX_ENTRY_BYTES * self.n_blocks
-        self._keys_arr: Optional[np.ndarray] = None
-        self._cols: Optional[tuple] = None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.n_records
+
+    def __deepcopy__(self, memo: dict) -> "Sequence":
+        # Immutable once built: a cloned store shares its sequences with its
+        # base, as MSTable.snapshot() already does.
+        return self
 
     # ------------------------------------------------------------- block math
-    def _record_span(self, lo_key: Optional[Key],
-                     hi_key: Optional[Key]) -> Tuple[int, int]:
+    def span_for_range(self, lo_key: Optional[Key],
+                       hi_key: Optional[Key]) -> Tuple[int, int]:
         """Record index range [i, j) with lo_key <= key <= hi_key (inclusive)."""
-        recs = self.records
-        i = 0 if lo_key is None else bisect.bisect_left(recs, lo_key, key=_key_of)
-        j = len(recs) if hi_key is None else bisect.bisect_right(recs, hi_key, key=_key_of)
+        keys = self.key_view
+        i = 0 if lo_key is None else bisect_left(keys, lo_key)
+        j = self.n_records if hi_key is None else bisect_right(keys, hi_key)
         return i, j
-
-    def keys_array(self) -> Optional[np.ndarray]:
-        """Cached uint64 key column (the batched block index).
-
-        Lazily built on the first batched lookup; ``None`` when the keys are
-        not uint64-representable (callers fall back to the scalar path).
-        Sequences are immutable, so the cache never invalidates.
-        """
-        arr = self._keys_arr
-        if arr is None:
-            try:
-                arr = np.fromiter(map(_key_of, self.records),
-                                  dtype=np.uint64, count=len(self.records))
-            except (OverflowError, TypeError, ValueError):
-                return None
-            self._keys_arr = arr
-        return arr
 
     def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                Optional[np.ndarray]]:
-        """Cached ``(keys, seqs, kinds, values)`` columns for the scan planner.
+        """``(keys, seqs, kinds, values)`` columns for the scan planner.
 
-        One transposition of the records feeds all four.  Keys and sequence
-        numbers are uint64, kinds uint8; the value column is None when the
-        values aren't small ints (simulated values are synthetic byte sizes,
-        so scans can usually assemble their output column-wise).  Raises
-        OverflowError/TypeError/ValueError when keys or sequence numbers are
-        not uint64-representable (callers fall back to the pull-based path).
-        Sequences are immutable, so the cache never invalidates.
+        The value column is None when some value is not a synthetic size
+        (scans then assemble their output row by row).  Raises TypeError
+        when the keys are not uint64 (callers fall back to the pull-based
+        path).
         """
-        cols = self._cols
-        if cols is None:
-            keys = self.keys_array()
-            if keys is None:
-                raise TypeError("sequence keys are not uint64-representable")
-            n = len(self.records)
-            _, seqs, kinds, vals = zip(*self.records)
-            try:
-                vals_col = np.fromiter(vals, dtype=np.uint64, count=n)
-            except (OverflowError, TypeError, ValueError):
-                vals_col = None
-            cols = self._cols = (keys,
-                                 np.fromiter(seqs, dtype=np.uint64, count=n),
-                                 np.fromiter(kinds, dtype=np.uint8, count=n),
-                                 vals_col)
-        return cols
+        run = self.run
+        if run.okeys is not None:
+            raise TypeError("sequence keys are not uint64")
+        return run.keys, run.seqs, run.kinds, run.sizes if run.vals is None else None
 
     def spans_for_keys(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`_record_span` for exact-match lookups.
+        """Vectorized :meth:`span_for_range` for exact-match lookups.
 
-        ``keys`` must be uint64; raises TypeError when the cached key column
-        is unavailable (non-integer record keys).
+        ``keys`` must be uint64; raises TypeError when the sequence's own
+        keys are not.
         """
-        col = self.keys_array()
-        if col is None:
-            raise TypeError("sequence keys are not uint64-representable")
+        if self.run.okeys is not None:
+            raise TypeError("sequence keys are not uint64")
+        col = self.run.keys
         return (col.searchsorted(keys, side="left"),
                 col.searchsorted(keys, side="right"))
-
-    def span_for_range(self, lo_key: Optional[Key],
-                       hi_key: Optional[Key]) -> Tuple[int, int]:
-        """:meth:`_record_span` using the cached key column when possible."""
-        col = self.keys_array()
-        if col is None:
-            return self._record_span(lo_key, hi_key)
-        i = 0
-        j = len(self.records)
-        try:
-            if lo_key is not None:
-                i = int(col.searchsorted(np.uint64(lo_key), side="left"))
-            if hi_key is not None:
-                j = int(col.searchsorted(np.uint64(hi_key), side="right"))
-        except (OverflowError, TypeError, ValueError):
-            return self._record_span(lo_key, hi_key)
-        return i, j
 
     def _blocks_for_span(self, i: int, j: int) -> range:
         """File-relative block numbers covering record indices [i, j)."""
         if i >= j:
             return range(0)
         starts = self.block_start_idx
-        b_lo = bisect.bisect_right(starts, i) - 1
-        b_hi = bisect.bisect_right(starts, j - 1) - 1
+        b_lo = bisect_right(starts, i) - 1
+        b_hi = bisect_right(starts, j - 1) - 1
         return range(self.first_block + b_lo, self.first_block + b_hi + 1)
 
     def block_numbers(self) -> range:
@@ -208,38 +162,22 @@ class Sequence:
         if not self.bloom.might_contain(key, hashes):
             metrics.bloom_negatives += 1
             return None, 0.0
-        i, j = self._record_span(key, key)
+        keys = self.key_view
+        i = bisect_left(keys, key)
+        j = bisect_right(keys, key, i)
         if i >= j:
             # Bloom false positive: the data block is still fetched and
             # searched before the miss is known.
-            blocks = self._blocks_for_span(i, i + 1) if i < len(self.records) else \
-                self._blocks_for_span(len(self.records) - 1, len(self.records))
-            latency = runtime.fg_read_blocks(file_id, blocks)
-            return None, latency
+            i = min(i, self.n_records - 1)
+            return None, runtime.fg_read_blocks(file_id, self._blocks_for_span(i, i + 1))
         latency = runtime.fg_read_blocks(file_id, self._blocks_for_span(i, j))
-        recs = self.records
-        if snapshot is None:
-            return recs[i], latency
-        for idx in range(i, j):
-            if recs[idx][SEQ] <= snapshot:
-                return recs[idx], latency
-        return None, latency
-
-    def read_range(self, runtime: Runtime, file_id: int, lo_key: Optional[Key],
-                   hi_key: Optional[Key]) -> Tuple[List[RecordTuple], float]:
-        """Records with lo <= key <= hi (inclusive bounds, None = open).
-
-        Charges the covering block reads; returns (records, latency).
-        """
-        i, j = self._record_span(lo_key, hi_key)
-        if i >= j:
-            return [], 0.0
-        latency = runtime.fg_read_blocks(file_id, self._blocks_for_span(i, j))
-        return self.records[i:j], latency
-
-    def read_all(self, runtime: Runtime, file_id: int) -> Tuple[List[RecordTuple], float]:
-        latency = runtime.fg_read_blocks(file_id, self.block_numbers())
-        return self.records, latency
+        run = self.run
+        if snapshot is not None:
+            visible = np.flatnonzero(run.seqs[i:j] <= snapshot)
+            if not visible.size:
+                return None, latency
+            i += int(visible[0])  # versions run newest first
+        return run.record_at(i), latency
 
     def cursor(self, runtime: Runtime, file_id: int, lo_key: Optional[Key] = None,
                hi_key: Optional[Key] = None,
@@ -251,15 +189,15 @@ class Sequence:
         so a limit-bounded scan only pays for what it consumes.  Positioning
         uses the cached index and is free.
         """
-        i, j = self._record_span(lo_key, hi_key)
-        recs = self.records
+        i, j = self.span_for_range(lo_key, hi_key)
+        recs = self.run.records()
         starts = self.block_start_idx
         first = self.first_block
         last_block = first + self.n_blocks  # exclusive
         charged_through = -1  # absolute block number charged so far
         idx = i
         # Which block does record `idx` live in?
-        b = bisect.bisect_right(starts, idx) - 1 if i < j else 0
+        b = bisect_right(starts, idx) - 1 if i < j else 0
         next_start = starts[b + 1] if b + 1 < len(starts) else len(recs)
         while idx < j:
             if idx >= next_start:

@@ -8,15 +8,14 @@ older data can exist beneath them.
 
 The kernel is tiered by how much work the inputs actually need:
 
-* **No live snapshots** (the overwhelmingly common case during loads): only
-  the newest version of each key can survive, so a single dictionary pass
-  dedups keys without ever materializing the merged stream.
-* **≤ 2 runs**: a pairwise index-pointer list merge -- no heap, no per-record
-  key-function calls.
-* **k > 2 runs**: ``heapq.merge`` as before.
+* **No live snapshots, uint64 keys** (every merge of every benchmark
+  workload): only the newest version of each key can survive, so the runs'
+  columns are concatenated, ordered with one ``lexsort`` and filtered with a
+  first-of-key mask -- no per-record Python step.
+* **Live snapshots or wider keys**: the general loop over record tuples --
+  a pairwise index-pointer merge for two runs, ``heapq.merge`` beyond --
+  walking the per-key view list with an advancing index.
 
-Snapshot bookkeeping walks the per-key view list with an advancing index;
-the seed's ``views_left.pop(0)`` shifted the whole list per served view.
 All paths are record-identical to
 :func:`repro.bench.reference.reference_merge_runs` (enforced by
 ``tests/test_merge_equivalence.py``).
@@ -27,7 +26,10 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, List, Optional, Sequence as PySequence
 
+import numpy as np
+
 from repro.common.records import DELETE, KEY, KIND, RecordTuple, SEQ, sort_key
+from repro.table.run import Run
 
 
 def _merge2(a: List[RecordTuple], b: List[RecordTuple]) -> List[RecordTuple]:
@@ -54,52 +56,37 @@ def _merge2(a: List[RecordTuple], b: List[RecordTuple]) -> List[RecordTuple]:
     return out
 
 
-def _dedup_newest(runs: PySequence[List[RecordTuple]],
-                  drop_tombstones: bool) -> List[RecordTuple]:
-    """No-snapshot fast path: keep only the newest version of each key.
+def _merge_newest(runs: PySequence[Run], drop_tombstones: bool) -> Run:
+    """No-snapshot tier: keep only the newest version of each key.
 
     With no live snapshots every older version is unreachable, and a
     surviving tombstone is elided iff ``drop_tombstones`` (it is then by
     construction the oldest -- and only -- kept version of its key).
     """
     if len(runs) == 1:
-        # The run is (key asc, seq desc): the first record per key is newest.
-        out: List[RecordTuple] = []
-        append = out.append
-        prev = _SENTINEL
-        if drop_tombstones:
-            for rec in runs[0]:
-                key = rec[0]
-                if key != prev:
-                    prev = key
-                    if rec[2] != DELETE:
-                        append(rec)
-        else:
-            for rec in runs[0]:
-                key = rec[0]
-                if key != prev:
-                    prev = key
-                    append(rec)
-        return out
-    best: dict = {}
-    get = best.get
-    for run in runs:
-        for rec in run:
-            key = rec[0]
-            cur = get(key)
-            if cur is None or rec[1] > cur[1]:
-                best[key] = rec
+        merged = runs[0]  # already (key asc, seq desc)
+        order = None
+    else:
+        merged = Run.concat(runs)
+        order = np.lexsort((~merged.seqs, merged.keys))
+    if not merged.n:
+        return merged
+    keys = merged.keys if order is None else merged.keys[order]
+    # The first record per key is its newest version.
+    keep = np.empty(merged.n, dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
     if drop_tombstones:
-        return [best[k] for k in sorted(best) if best[k][2] != DELETE]
-    return [best[k] for k in sorted(best)]
+        kinds = merged.kinds if order is None else merged.kinds[order]
+        keep &= kinds != DELETE
+    return merged.take(keep if order is None else order[keep])
 
 
 _SENTINEL = object()
 
 
-def merge_runs(runs: PySequence[List[RecordTuple]], *,
-               drop_tombstones: bool = False,
-               snapshots: Optional[PySequence[int]] = None) -> List[RecordTuple]:
+def merge_runs(runs: PySequence[Run], *, drop_tombstones: bool = False,
+               snapshots: Optional[PySequence[int]] = None) -> Run:
     """Merge sorted runs into one, discarding obsolete versions.
 
     ``runs`` are (key asc, seq desc) sorted; the output is too.  A version is
@@ -108,19 +95,23 @@ def merge_runs(runs: PySequence[List[RecordTuple]], *,
     (bottom level only) surviving tombstones are elided entirely.
     """
     if not runs:
-        return []
+        return Run.from_records(())
 
     # Views that must stay observable, newest first; None stands for "latest".
     snap_desc: List[int] = sorted(set(snapshots), reverse=True) if snapshots else []
     if not snap_desc:
-        return _dedup_newest(runs, drop_tombstones)
+        for run in runs:
+            if run.okeys is not None:
+                break
+        else:
+            return _merge_newest(runs, drop_tombstones)
 
     if len(runs) == 1:
-        stream: Iterable[RecordTuple] = runs[0]
+        stream: Iterable[RecordTuple] = runs[0].records()
     elif len(runs) == 2:
-        stream = _merge2(runs[0], runs[1])
+        stream = _merge2(runs[0].records(), runs[1].records())
     else:
-        stream = heapq.merge(*runs, key=sort_key)
+        stream = heapq.merge(*[run.records() for run in runs], key=sort_key)
 
     n_views = len(snap_desc)
     out: List[RecordTuple] = []
@@ -158,9 +149,9 @@ def merge_runs(runs: PySequence[List[RecordTuple]], *,
         if keep:
             kept.append(rec)
     emit()
-    return out
+    return Run.from_records(out)
 
 
-def merged_size_records(runs: PySequence[List[RecordTuple]]) -> int:
+def merged_size_records(runs: PySequence[Run]) -> int:
     """Total input records across runs (diagnostics)."""
     return sum(len(r) for r in runs)

@@ -19,9 +19,10 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.common.errors import InvariantViolation
-from repro.common.records import Key, RecordTuple, SEQ, sort_key
+from repro.common.records import Key, RecordTuple, sort_key
 from repro.storage.runtime import Runtime
 from repro.table.block import Sequence
+from repro.table.run import Run
 from repro.check.effects.registry import observation_only
 
 
@@ -29,7 +30,8 @@ class MSTable:
     """One on-disk node file holding one or more sorted sequences."""
 
     __slots__ = ("runtime", "file", "sequences", "next_block", "key_size",
-                 "bloom_bits_per_key", "deleted")
+                 "bloom_bits_per_key", "deleted", "data_bytes",
+                 "metadata_bytes", "n_records", "min_key", "max_key", "max_seq")
 
     def __init__(self, runtime: Runtime, *, key_size: int, bloom_bits_per_key: int) -> None:
         self.runtime = runtime
@@ -39,6 +41,15 @@ class MSTable:
         self.key_size = key_size
         self.bloom_bits_per_key = bloom_bits_per_key
         self.deleted = False
+        # Aggregates over ``sequences``, kept current by the two places that
+        # change the list (append_sequence, from_snapshot): level fence
+        # bisects and node-size checks read them constantly.
+        self.data_bytes = 0
+        self.metadata_bytes = 0
+        self.n_records = 0
+        self.min_key: Key = None  # None while the table is empty
+        self.max_key: Key = None
+        self.max_seq = 0
 
     # ------------------------------------------------------------- properties
     @property
@@ -49,36 +60,24 @@ class MSTable:
     def n_sequences(self) -> int:
         return len(self.sequences)
 
-    @property
-    def data_bytes(self) -> int:
-        return sum(s.nbytes for s in self.sequences)
-
-    @property
-    def metadata_bytes(self) -> int:
-        return sum(s.metadata_bytes for s in self.sequences)
-
-    @property
-    def n_records(self) -> int:
-        return sum(len(s) for s in self.sequences)
-
-    @property
-    def min_key(self) -> Key:
-        return min(s.min_key for s in self.sequences)
-
-    @property
-    def max_key(self) -> Key:
-        return max(s.max_key for s in self.sequences)
-
-    @property
-    def max_seq(self) -> int:
-        return max(s.max_seq for s in self.sequences)
+    def _account(self, seq: Sequence) -> None:
+        """Fold one more sequence into the aggregates."""
+        self.data_bytes += seq.nbytes
+        self.metadata_bytes += seq.metadata_bytes
+        self.n_records += seq.n_records
+        if self.min_key is None or seq.min_key < self.min_key:
+            self.min_key = seq.min_key
+        if self.max_key is None or seq.max_key > self.max_key:
+            self.max_key = seq.max_key
+        if seq.max_seq > self.max_seq:
+            self.max_seq = seq.max_seq
 
     def resident_bytes(self) -> int:
         """``mincore`` probe: cached bytes of this file (§5.1.3)."""
         return self.runtime.cache.resident_bytes(self.file_id)
 
     # ---------------------------------------------------------------- writing
-    def append_sequence(self, records: List[RecordTuple], *, level: int) -> Tuple[Sequence, float]:
+    def append_sequence(self, run: Run, *, level: int) -> Tuple[Sequence, float]:
         """Append one sorted run; returns (sequence, device-time debt).
 
         Charges a sequential background write of data + metadata attributed
@@ -87,7 +86,7 @@ class MSTable:
         if self.deleted:
             raise InvariantViolation("append to a deleted MSTable")
         seq = Sequence(
-            records,
+            run,
             key_size=self.key_size,
             block_size=self.runtime.block_size,
             bloom_bits_per_key=self.bloom_bits_per_key,
@@ -95,6 +94,7 @@ class MSTable:
         )
         self.next_block += seq.n_blocks
         self.sequences.append(seq)
+        self._account(seq)
         debt = self.runtime.bg_write_run(
             self.file,
             seq.nbytes + seq.metadata_bytes,
@@ -105,11 +105,11 @@ class MSTable:
         return seq, debt
 
     @staticmethod
-    def build(runtime: Runtime, records: List[RecordTuple], *, key_size: int,
+    def build(runtime: Runtime, run: Run, *, key_size: int,
               bloom_bits_per_key: int, level: int) -> Tuple["MSTable", float]:
         """Create a fresh single-sequence table (merge output / SSTable)."""
         table = MSTable(runtime, key_size=key_size, bloom_bits_per_key=bloom_bits_per_key)
-        _, debt = table.append_sequence(records, level=level)
+        _, debt = table.append_sequence(run, level=level)
         return table, debt
 
     def delete(self) -> None:
@@ -142,7 +142,9 @@ class MSTable:
                         bloom_bits_per_key=bloom_bits)
         table.sequences = list(sequences)
         table.next_block = next_block
-        nbytes = sum(s.nbytes + s.metadata_bytes for s in sequences)
+        for seq in sequences:
+            table._account(seq)
+        nbytes = table.data_bytes + table.metadata_bytes
         if nbytes:
             table.file.grow(nbytes)
         return table
@@ -209,8 +211,8 @@ class MSTable:
             hit_pos = cand_pos[admit]
             hit_keys = cand_keys[admit]
             i_arr, j_arr = seq.spans_for_keys(hit_keys)
-            recs = seq.records
-            nrec = len(recs)
+            run = seq.run
+            nrec = seq.n_records
             resolved = None
             for t in range(hit_pos.size):
                 g = int(hit_pos[t])
@@ -227,45 +229,18 @@ class MSTable:
                     probes[g].append((fid, blocks))
                     continue
                 probes[g].append((fid, seq._blocks_for_span(i, j)))
-                if snapshot is None:
-                    rec = recs[i]
-                else:
-                    rec = None
-                    for q in range(i, j):
-                        if recs[q][SEQ] <= snapshot:
-                            rec = recs[q]
-                            break
-                    if rec is None:
+                if snapshot is not None:
+                    visible = np.flatnonzero(run.seqs[i:j] <= snapshot)
+                    if not visible.size:
                         continue  # span charged, no visible version: keep looking
-                results[g] = rec
+                    i += int(visible[0])  # versions run newest first
+                results[g] = run.record_at(i)
                 if resolved is None:
                     resolved = set()
                 resolved.add(g)
             if resolved:
                 live = [g for g in live if g not in resolved]
         return live
-
-    def read_range(self, lo_key: Optional[Key],
-                   hi_key: Optional[Key]) -> Tuple[List[List[RecordTuple]], float]:
-        """Range slice of every sequence (newest first); charges block reads."""
-        out: List[List[RecordTuple]] = []
-        latency = 0.0
-        for seq in reversed(self.sequences):
-            recs, lat = seq.read_range(self.runtime, self.file_id, lo_key, hi_key)
-            latency += lat
-            if recs:
-                out.append(recs)
-        return out, latency
-
-    def read_all_records(self) -> Tuple[List[List[RecordTuple]], float]:
-        """Every sequence's records (newest first); charges full reads."""
-        out = []
-        latency = 0.0
-        for seq in reversed(self.sequences):
-            recs, lat = seq.read_all(self.runtime, self.file_id)
-            latency += lat
-            out.append(recs)
-        return out, latency
 
     def cursor(self, lo_key: Optional[Key] = None,
                hi_key: Optional[Key] = None) -> Iterator[RecordTuple]:

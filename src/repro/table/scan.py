@@ -25,7 +25,7 @@ generators:
 
 :class:`MergeScanner` exposes the same machinery one record at a time for
 :class:`repro.db.iterator.DbIterator` (``seek`` repositions the states via
-the cached per-sequence key columns instead of re-running bisect walks).
+the per-sequence key columns instead of re-running the level walks).
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class _SeqState:
         self.runtime = runtime
         self.file_id = file_id
         self.seq = seq
-        recs = seq.records
+        recs = seq.run.records()  # pull-based readers walk tuples
         self.recs = recs
         starts = seq.block_start_idx
         self.starts = starts
@@ -205,7 +205,7 @@ class _SeqState:
             self.charged_through = charged_through
 
     def reseek(self, key: Optional[Key], hi_key: Optional[Key]) -> None:
-        """Reposition using the cached key column; block charges reset so
+        """Reposition using the key column; block charges reset so
         every consumed block is touched again (mostly cache hits)."""
         i, j = self.seq.span_for_range(key, hi_key)
         self.idx = i

@@ -3,7 +3,7 @@
 :func:`repro.table.scan.merge_scan` mirrors the scalar scan pipeline pull
 for pull -- correct everywhere, but still one Python step per merged
 record.  This module goes one level further for the common case (integer
-keys): it gathers the in-range slices of every stream's cached key/seq/kind
+keys): it gathers the in-range slices of every stream's key/seq/kind
 columns, computes the global merge order with one ``np.lexsort`` (unique
 ``(key, seq)`` pairs make the order total), derives the visible output and
 the termination rank with array ops, and then replays the exact foreground
@@ -47,6 +47,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.common.records import DELETE, Key
+from repro.table.run import Run
 from repro.table.scan import _ChainState, _ListStream
 from repro.check.effects.registry import observation_only
 
@@ -64,7 +65,7 @@ def planned_scan(streams: list, *, snapshot: Optional[int] = None,
 
     ``streams`` are the untouched pull states ``merge_scan`` would consume
     (memtable lists first, then the engine plan).  On success the streams
-    are never pulled: the output is assembled from the cached columns and
+    are never pulled: the output is assembled from the columns and
     the charges are replayed directly.
     """
     if hi_key is not None and not isinstance(hi_key, int):
@@ -97,7 +98,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
     kind_parts: List[np.ndarray] = []
     val_parts: List[np.ndarray] = []  # column-wise output; dropped on flag
     vals_ok = True
-    rec_parts: List[Tuple[list, int]] = []  # (records, span start) per comp
+    run_parts: List[Tuple[Run, int]] = []  # (run, span start) per comp
     lens: List[int] = []
     # Per sequence component: (fid, starts, first_block, n_blocks, i, charge_end)
     charge_info: List[Optional[tuple]] = []
@@ -110,22 +111,22 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
         if isinstance(s, _ListStream):
             if s.pos:
                 return None  # partially consumed stream: not plannable
-            recs = s.recs
-            n = len(recs)
-            if not n:
+            if not s.recs:
                 continue
-            # One transposition feeds all four columns.
-            keys, seqs, kinds, vals = zip(*recs)
-            key_parts.append(np.fromiter(keys, dtype=np.uint64, count=n))
-            seq_parts.append(np.fromiter(seqs, dtype=np.uint64, count=n))
-            kind_parts.append(np.fromiter(kinds, dtype=np.uint8, count=n))
+            # The same typed column builder sequences were built with.
+            run = Run.from_records(s.recs)
+            if run.okeys is not None:
+                raise TypeError("memtable keys are not uint64")
+            key_parts.append(run.keys)
+            seq_parts.append(run.seqs)
+            kind_parts.append(run.kinds)
             if vals_ok:
-                try:
-                    val_parts.append(np.fromiter(vals, dtype=np.uint64, count=n))
-                except (OverflowError, TypeError, ValueError):
+                if run.vals is None:
+                    val_parts.append(run.sizes)
+                else:
                     vals_ok = False
-            rec_parts.append((recs, 0))
-            lens.append(n)
+            run_parts.append((run, 0))
+            lens.append(run.n)
             charge_info.append(None)
         elif isinstance(s, _ChainState):
             if s.rest is not None:
@@ -154,9 +155,9 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                         i2, j2 = seq.span_for_range(None, hi)
                         if j2 <= i2:
                             continue
-                        k0 = seq.records[i2][0]
-                        if not isinstance(k0, int):
-                            raise TypeError("non-integer key in chain tail")
+                        if seq.run.okeys is not None:
+                            raise TypeError("sequence keys are not uint64")
+                        k0 = seq.key_view[i2]
                         if first_key is None or k0 < first_key:
                             first_key = k0
                         starts = seq.block_start_idx
@@ -175,16 +176,14 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                     if ti == 0 or hi is not None:
                         i, j = seq.span_for_range(lo if ti == 0 else None, hi)
                     else:
-                        i, j = 0, len(seq.records)  # interior table: full span
+                        i, j = 0, seq.n_records  # interior table: full span
                     if j <= i:
                         continue
                     j_eff = j
                     if cap is not None and j - i > cap:
                         j_eff = i + cap
                         truncated_any = True
-                        k_cut = seq.records[j_eff][0]
-                        if not isinstance(k_cut, int):
-                            raise TypeError("non-integer key at span cut")
+                        k_cut = seq.key_view[j_eff]
                         if cut_key is None or k_cut < cut_key:
                             cut_key = k_cut
                     col, seqs_col, kinds_col, vals_col = seq.columns()
@@ -197,7 +196,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                             vals_ok = False
                         else:
                             val_parts.append(vals_col[i:j_eff])
-                    rec_parts.append((seq.records, i))
+                    run_parts.append((seq.run, i))
                     lens.append(j_eff - i)
                     # A truncated span still pulls (and may charge) one
                     # record past the cut before the plan's validity bound
@@ -365,7 +364,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
     out: List[Tuple[Key, object]] = []
     if emit.size:
         if vals_ok:
-            # Column-wise assembly: the cached value arrays make the whole
+            # Column-wise assembly: the value columns make the whole
             # result two gathers + one zip, no per-row record indexing.
             vals_g = np.concatenate(val_parts)
             out = list(zip(skeys[emit].tolist(),
@@ -374,8 +373,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
             gs = order[emit]
             cis = offsets.searchsorted(gs, side="right") - 1
             locs = gs - offsets[cis]
-            for ci, loc in zip(cis.tolist(), locs.tolist()):
-                recs, base = rec_parts[ci]
-                rec = recs[base + loc]
-                out.append((rec[0], rec[3]))
+            for key, ci, loc in zip(skeys[emit].tolist(), cis.tolist(), locs.tolist()):
+                run, base = run_parts[ci]
+                out.append((key, run.value_at(base + loc)))
     return out, events, runtime

@@ -1,0 +1,63 @@
+"""Frozen scalar copies of the write-path kernels PR 19 made columnar.
+
+Verbatim from the parent commit (``core/node.py`` and ``common/records.py``
+at 833192b), over lists of ``(key, seq, kind, value)`` tuples.  They exist
+only as oracles for ``tests/test_run.py``; do not "fix" or optimise them.
+"""
+
+import bisect
+
+from repro.common.records import KEY, RECORD_OVERHEAD, VALUE
+
+
+def frozen_partition_records(records, children, *, leaf, child_weights=None):
+    n = len(children)
+    parts = [[] for _ in range(n)]
+    if n == 1:
+        parts[0] = list(records)
+        return parts
+    los = [c.range_lo for c in children]
+    for rec in records:
+        key = rec[KEY]
+        idx = bisect.bisect_right(los, key) - 1
+        if idx < 0:
+            parts[0].append(rec)
+            continue
+        if key <= children[idx].range_hi or idx == n - 1:
+            parts[idx].append(rec)
+            continue
+        # Gap between children[idx] and children[idx+1].
+        left, right = children[idx], children[idx + 1]
+        if leaf:
+            choice = idx if _closer_to_left(key, left.range_hi, right.range_lo) else idx + 1
+        else:
+            if child_weights is not None and child_weights[idx + 1] < child_weights[idx]:
+                choice = idx + 1
+            else:
+                choice = idx
+        parts[choice].append(rec)
+    return parts
+
+
+def _closer_to_left(key, left_hi, right_lo):
+    try:
+        return (key - left_hi) <= (right_lo - key)
+    except TypeError:
+        return True
+
+
+def frozen_split_run(recs, key_size, max_bytes):
+    fixed = key_size + RECORD_OVERHEAD
+    chunk = []
+    acc = 0
+    for rec in recs:
+        v = rec[VALUE]
+        sz = fixed + (v if type(v) is int else len(v))
+        if acc + sz > max_bytes and chunk and chunk[-1][KEY] != rec[KEY]:
+            yield chunk
+            chunk = []
+            acc = 0
+        chunk.append(rec)
+        acc += sz
+    if chunk:
+        yield chunk

@@ -1,4 +1,4 @@
-"""Sequence: block layout, point gets, range reads, lazy cursors."""
+"""Sequence: block layout, point gets, lazy cursors."""
 
 import pytest
 
@@ -7,6 +7,7 @@ from repro.common.options import DeviceProfile, StorageOptions
 from repro.common.records import KEY, SEQ, encoded_size, make_put
 from repro.storage.runtime import Runtime
 from repro.table.block import INDEX_ENTRY_BYTES, Sequence
+from repro.table.run import Run
 
 KS = 8
 BLOCK = 256
@@ -21,7 +22,7 @@ def make_runtime(cache_bytes=0):
 
 
 def make_seq(records, first_block=0):
-    return Sequence(records, key_size=KS, block_size=BLOCK,
+    return Sequence(Run.from_records(records), key_size=KS, block_size=BLOCK,
                     bloom_bits_per_key=14, first_block=first_block)
 
 
@@ -49,6 +50,15 @@ def test_oversized_record_gets_own_block():
     recs = [make_put(0, 2, 500), make_put(1, 1, 10)]
     s = make_seq(recs)
     assert s.n_blocks == 2
+    assert make_seq([make_put(0, 2, 500), make_put(1, 1, 500)]).n_blocks == 2
+
+
+def test_mixed_record_sizes_fill_blocks_greedily():
+    # 8 + 13 overhead: 121, 31, 91, 121, 21 bytes against 256-byte blocks.
+    recs = [make_put(i, 9 - i, v) for i, v in enumerate([100, 10, 70, 100, 0])]
+    s = make_seq(recs)
+    assert s.block_start_idx == [0, 3]
+    assert s.nbytes == sum(encoded_size(r, KS) for r in recs)
 
 
 def test_get_present_key():
@@ -90,26 +100,6 @@ def test_get_with_snapshot_picks_visible_version():
     assert rec is None
     rec, _ = s.get(rt, 1, 1)
     assert rec[SEQ] == 9
-
-
-def test_read_range_inclusive_bounds():
-    rt = make_runtime()
-    s = make_seq(records_of(20))
-    recs, lat = s.read_range(rt, 1, 5, 9)
-    assert [r[KEY] for r in recs] == [5, 6, 7, 8, 9]
-    assert lat > 0.0
-    recs, _ = s.read_range(rt, 1, None, 2)
-    assert [r[KEY] for r in recs] == [0, 1, 2]
-    recs, lat = s.read_range(rt, 1, 50, 60)
-    assert recs == [] and lat == 0.0
-
-
-def test_read_all_charges_every_block():
-    rt = make_runtime()
-    s = make_seq(records_of(12))
-    recs, _ = s.read_all(rt, 1)
-    assert len(recs) == 12
-    assert rt.metrics.cache_misses == s.n_blocks
 
 
 def test_cursor_yields_range_in_order():

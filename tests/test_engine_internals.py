@@ -74,7 +74,8 @@ def test_leveldb_find_table_bisect():
 
 
 def test_lsm_split_records_never_splits_key_versions():
-    from repro.common.records import make_put, split_run
+    from repro.common.records import make_put
+    from repro.table.run import Run, split_run
     recs = []
     seq = 1000
     for k in range(20):
@@ -82,7 +83,7 @@ def test_lsm_split_records_never_splits_key_versions():
             recs.append(make_put(k, seq, 64))
             seq -= 1
     recs.sort(key=lambda r: (r[0], -r[1]))
-    chunks = list(split_run(recs, 8, 300))
+    chunks = [c.records() for c in split_run(Run.from_records(recs), 8, 300)]
     assert len(chunks) > 1
     for a, b in zip(chunks, chunks[1:]):
         assert a[-1][KEY] != b[0][KEY]

@@ -1,0 +1,61 @@
+"""What a flush costs the host must not grow with the records it carries.
+
+A rotated memtable travels to disk as one columnar run
+(:mod:`repro.table.run`): rotation, partition, merge, split, sequence build
+and filter build are array kernels, so the Python-level work of a flush is
+set by the *shape* of the tree it lands in -- children touched, sequences
+built -- not by the record count.  The budgets below count function calls
+(Python and builtin, under ``sys.setprofile``, so the figures repeat to the
+digit), like ``tests/test_write_tax.py`` does for the per-put spine.
+"""
+
+import pytest
+
+from repro.bench.scale import RECORD_BYTES, SSD_100G, make_db
+from repro.storage.pagecache import PageCache
+from repro.workloads import hash_load, permute64
+from tests.test_write_tax import _calls
+
+
+def _flush_calls(config, keys):
+    """Calls spent rotating + flushing ``keys`` into a fixed preloaded tree,
+    plus what the flush did to the structure."""
+    db = make_db(config, SSD_100G)
+    hash_load(db, 3000)
+    db.quiesce()
+    before = db.engine.describe()
+    for key in keys:
+        db.put(key, 256)
+    assert db.immutable is None and len(db.memtable) == len(keys)
+    calls = _calls(db.flush)
+    after = db.engine.describe()
+    shape = {name: after[name] - before[name] for name in after
+             if type(after[name]) is int}
+    return calls, shape
+
+
+@pytest.mark.parametrize("config", ["I-1t", "L"])
+def test_twice_the_records_cost_the_same_flush(config):
+    # Parent commit: 298 more calls for 50 more records on I-1t (six per
+    # record: run construction, partition, prefix sums, key lists), 201 on L.
+    n = 50
+    base = [permute64(10_000 + i) for i in range(n)]
+    neighbours = [key + 1 for key in base]  # land in the same children
+    few, shape_few = _flush_calls(config, base)
+    many, shape_many = _flush_calls(config, base + neighbours)
+    assert shape_few == shape_many and shape_few["flushes"] == 1
+    # What still scales is page-cache admission: one set.add per new data
+    # block.  Everything else is a constant.
+    block_size = SSD_100G.storage_options().block_size
+    new_blocks = -(-n * RECORD_BYTES // block_size)
+    assert many - few <= new_blocks + 8, (few, many)
+
+
+def test_evicting_admission_is_a_handful_of_calls_per_block():
+    # Parent commit: 11 per block (a method call, three len() and _dec for
+    # every admission); now popitem + discard + add.
+    cache = PageCache(128 * 1024, 1024)
+    cache.insert_range(1, 0, 128)
+    assert len(cache) == cache.max_blocks
+    assert _calls(lambda: cache.insert_many(2, range(64))) <= 6 * 64
+    assert cache.evictions == 64 and cache.resident_blocks(2) == 64

@@ -13,6 +13,7 @@ from repro.core.lsa import LsaTree
 from repro.core.node import LsaNode, children_slice
 from repro.db.iamdb import IamDB
 from repro.storage.runtime import Runtime
+from repro.table.run import Run
 
 KS = 8
 
@@ -28,7 +29,7 @@ def filled_node(tree, lo, hi, keys, level):
     node = LsaNode(lo, hi)
     table = node.ensure_table(tree.runtime, key_size=KS, bloom_bits_per_key=14)
     recs = [make_put(k, i + 1, 64) for i, k in enumerate(sorted(keys))]
-    table.append_sequence(recs, level=level)
+    table.append_sequence(Run.from_records(recs), level=level)
     return node
 
 

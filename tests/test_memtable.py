@@ -70,8 +70,8 @@ def test_sorted_records_is_valid_run():
     for key, seq in [(5, 1), (3, 2), (5, 3), (1, 4), (3, 5)]:
         mt.add(make_put(key, seq, 8))
     run = mt.sorted_records()
-    assert is_sorted_run(run)
-    assert [r[KEY] for r in run] == [1, 3, 3, 5, 5]
+    assert run.is_sorted() and is_sorted_run(run.records())
+    assert [r[KEY] for r in run.records()] == [1, 3, 3, 5, 5]
     assert len(run) == 5
 
 
@@ -130,4 +130,4 @@ def test_memtable_matches_dict_model(ops):
                 assert rec[2] == DELETE
             else:
                 assert rec[SEQ] == snap_model[key]
-    assert is_sorted_run(mt.sorted_records())
+    assert is_sorted_run(mt.sorted_records().records())

@@ -54,7 +54,7 @@ def _assert_same_accounting(ref, new):
 @given(ops_strategy)
 def test_sorted_records_identical(ops):
     ref, new = _loaded(ops)
-    assert new.sorted_records() == ref.sorted_records()
+    assert new.sorted_records().records() == ref.sorted_records()
     _assert_same_accounting(ref, new)
     assert new.approximate_live_records() == ref.approximate_live_records()
 
@@ -85,7 +85,7 @@ def test_add_many_equals_sequential_add(ops, cut_points):
     for cut in cuts + [len(recs)]:
         new.add_many(recs[start:cut])
         start = cut
-    assert new.sorted_records() == ref.sorted_records()
+    assert new.sorted_records().records() == ref.sorted_records()
     _assert_same_accounting(ref, new)
 
 
@@ -100,7 +100,7 @@ def test_interleaved_reads_do_not_disturb_writes(ops):
         ref.add(rec)
         new.add(rec)
         if i % 7 == 0:
-            assert new.sorted_records() == ref.sorted_records()
+            assert new.sorted_records().records() == ref.sorted_records()
     assert list(new.iter_range()) == list(ref.iter_range())
 
 
@@ -114,5 +114,5 @@ def test_non_increasing_seq_raises_and_state_matches():
     with pytest.raises(InvariantViolation):
         new.add_many(recs)
     # Both stop at the bad record with the first two fully applied.
-    assert new.sorted_records() == ref.sorted_records()
+    assert new.sorted_records().records() == ref.sorted_records()
     _assert_same_accounting(ref, new)

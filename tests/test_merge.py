@@ -13,7 +13,13 @@ from repro.common.records import (
     make_put,
     sort_key,
 )
-from repro.table.merge import merge_runs
+from repro.table.merge import merge_runs as merge_run_columns
+from repro.table.run import Run
+
+
+def merge_runs(runs, **kw):
+    """The kernel over tuple lists: columnar runs in, tuples back out."""
+    return merge_run_columns([Run.from_records(r) for r in runs], **kw).records()
 
 
 def test_empty_and_single_run():

@@ -1,9 +1,11 @@
 """Tiered merge kernel vs the frozen seed merge: record-identical outputs.
 
-``repro.table.merge.merge_runs`` picks between a no-snapshot dedup pass, a
-pairwise 2-way merge and the general heap merge; every tier must produce
-exactly the records of :func:`repro.bench.reference.reference_merge_runs`
-for any combination of run count, tombstones, live snapshots and
+``repro.table.merge.merge_runs`` picks between the columnar no-snapshot tier
+(concatenate, lexsort, first-of-key mask) and the general tuple loop (pairwise
+2-way merge or heap merge) for live snapshots and keys outside uint64; every
+tier must produce exactly the records of
+:func:`repro.bench.reference.reference_merge_runs` for any combination of run
+count, key width, value type, tombstones, live snapshots and
 ``drop_tombstones``.
 """
 
@@ -13,7 +15,14 @@ from hypothesis import given, strategies as st
 
 from repro.bench.reference import reference_merge_runs
 from repro.common.records import DELETE, PUT, sort_key
-from repro.table.merge import merge_runs
+from repro.table.merge import merge_runs as merge_run_columns
+from repro.table.run import Run
+
+
+def merge_runs(runs, **kw):
+    """The kernel over tuple lists: columnar :class:`Run` inputs, tuples back
+    out for comparison with the tuple-list reference."""
+    return merge_run_columns([Run.from_records(r) for r in runs], **kw).records()
 
 
 @st.composite
@@ -25,11 +34,17 @@ def runs_and_views(draw):
     seqs = list(range(1, n + 1))
     rng.shuffle(seqs)  # globally unique seqs, randomly ordered
     runs = [[] for _ in range(n_runs)]
+    # uint64 keys (the columnar tier); negative keys and keys straddling
+    # 2**64 ride in the object key column and take the general loop.
+    key_base = draw(st.sampled_from([0, 0, -6, 2**64 - 6]))
+    real_values = draw(st.booleans())  # some bytes payloads: object values
     for seq in seqs:
-        key = rng.randrange(12)
+        key = key_base + rng.randrange(12)
         kind = DELETE if rng.random() < 0.25 else PUT
-        vsize = 0 if kind == DELETE else rng.randrange(200)
-        runs[rng.randrange(n_runs)].append((key, seq, kind, vsize))
+        value = 0 if kind == DELETE else rng.randrange(200)
+        if real_values and kind == PUT and rng.random() < 0.5:
+            value = bytes(rng.randrange(4))
+        runs[rng.randrange(n_runs)].append((key, seq, kind, value))
     for run in runs:
         run.sort(key=sort_key)
     if draw(st.booleans()):
@@ -55,13 +70,16 @@ def test_empty_inputs():
 
 
 def test_each_tier_exercised_explicitly():
-    # One run (prev-key dedup), two runs (_merge2), four runs (heap), with
-    # and without snapshots -- pinned examples beyond the random sweep.
+    # One run (mask only), two and four runs (lexsort) in the columnar tier;
+    # with snapshots or wide keys one run, two runs (_merge2) and four runs
+    # (heap) in the general loop -- pinned examples beyond the random sweep.
     a = [(1, 9, PUT, 5), (1, 3, PUT, 5), (2, 4, DELETE, 0)]
     b = [(1, 7, PUT, 6), (3, 2, PUT, 6)]
     c = [(2, 8, PUT, 7)]
     d = [(0, 1, DELETE, 0)]
-    for runs in ([a], [a, b], [a, b, c, d]):
+    wide = [[(key - 2, seq, kind, value) for key, seq, kind, value in run]
+            for run in (a, b, c, d)]  # key -2: the object key column
+    for runs in ([a], [a, b], [a, b, c, d], wide[:1], wide[:2], wide):
         for snaps in (None, [], [3], [3, 7, 100]):
             for drop in (False, True):
                 assert merge_runs(runs, drop_tombstones=drop,

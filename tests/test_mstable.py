@@ -7,6 +7,7 @@ from repro.common.options import DeviceProfile, StorageOptions
 from repro.common.records import KEY, SEQ, make_put
 from repro.storage.runtime import Runtime
 from repro.table.mstable import MSTable
+from repro.table.run import Run
 
 KS = 8
 BLOCK = 256
@@ -24,7 +25,7 @@ def make_table(rt):
 
 
 def run(keys, seq):
-    return [make_put(k, seq, 64) for k in sorted(keys)]
+    return Run.from_records([make_put(k, seq, 64) for k in sorted(keys)])
 
 
 def test_append_sequence_accounting():
@@ -53,7 +54,7 @@ def test_get_searches_newest_sequence_first():
     rt = make_runtime()
     t = make_table(rt)
     t.append_sequence(run([1, 2, 3], 1), level=1)
-    t.append_sequence([make_put(2, 5, 64)], level=1)
+    t.append_sequence(run([2], 5), level=1)
     rec, _ = t.get(2)
     assert rec[SEQ] == 5
     rec, _ = t.get(2, snapshot=3)
@@ -71,17 +72,6 @@ def test_min_max_across_sequences():
     t.append_sequence(run([1, 7], 2), level=1)
     assert (t.min_key, t.max_key) == (1, 9)
     assert t.max_seq == 2
-
-
-def test_read_range_returns_runs_newest_first():
-    rt = make_runtime()
-    t = make_table(rt)
-    t.append_sequence(run([1, 2, 3], 1), level=1)
-    t.append_sequence(run([2, 4], 5), level=1)
-    runs, lat = t.read_range(2, 4)
-    assert lat > 0.0
-    assert [r[KEY] for r in runs[0]] == [2, 4]       # newest first
-    assert [r[KEY] for r in runs[1]] == [2, 3]
 
 
 def test_cursor_merges_sequences_sorted():

@@ -14,10 +14,17 @@ from repro.core.node import (
     level_overlapping,
     partition_records,
 )
+from repro.table.run import Run
 
 
 def node(lo, hi):
     return LsaNode(lo, hi)
+
+
+def partition(recs, children, **kw):
+    """partition_records over a tuple list; the parts as tuple lists again."""
+    return [part.records()
+            for part in partition_records(Run.from_records(recs), children, **kw)]
 
 
 def test_node_range_validation():
@@ -85,7 +92,7 @@ def test_children_slice_kid_before_first_parent():
 def test_partition_records_in_range():
     children = [node(0, 9), node(20, 29)]
     recs = [make_put(k, 1, 8) for k in [1, 5, 22]]
-    parts = partition_records(recs, children, leaf=True)
+    parts = partition(recs, children, leaf=True)
     assert [r[KEY] for r in parts[0]] == [1, 5]
     assert [r[KEY] for r in parts[1]] == [22]
 
@@ -94,7 +101,7 @@ def test_partition_gap_records_leaf_closest_rule():
     """§4.2.1: a leaf gap record goes to the child with the closest range."""
     children = [node(0, 9), node(20, 29)]
     recs = [make_put(k, 1, 8) for k in [12, 17]]
-    parts = partition_records(recs, children, leaf=True)
+    parts = partition(recs, children, leaf=True)
     assert [r[KEY] for r in parts[0]] == [12]  # closer to hi=9
     assert [r[KEY] for r in parts[1]] == [17]  # closer to lo=20
 
@@ -103,18 +110,18 @@ def test_partition_gap_records_internal_fewest_children_rule():
     """§4.2.1: internal gap records prefer the child with fewer children."""
     children = [node(0, 9), node(20, 29)]
     recs = [make_put(15, 1, 8)]
-    parts = partition_records(recs, children, leaf=False, child_weights=[5, 2])
+    parts = partition(recs, children, leaf=False, child_weights=[5, 2])
     assert parts[1] and not parts[0]
-    parts = partition_records(recs, children, leaf=False, child_weights=[2, 5])
+    parts = partition(recs, children, leaf=False, child_weights=[2, 5])
     assert parts[0] and not parts[1]
-    parts = partition_records(recs, children, leaf=False, child_weights=[3, 3])
+    parts = partition(recs, children, leaf=False, child_weights=[3, 3])
     assert parts[0]  # tie -> left
 
 
 def test_partition_out_of_span_records_clamp_to_ends():
     children = [node(10, 19), node(30, 39)]
     recs = [make_put(k, 1, 8) for k in [2, 50]]
-    parts = partition_records(recs, children, leaf=True)
+    parts = partition(recs, children, leaf=True)
     assert [r[KEY] for r in parts[0]] == [2]
     assert [r[KEY] for r in parts[1]] == [50]
 
@@ -122,19 +129,19 @@ def test_partition_out_of_span_records_clamp_to_ends():
 def test_partition_single_child_takes_all():
     children = [node(0, 9)]
     recs = [make_put(k, 1, 8) for k in [1, 100]]
-    parts = partition_records(recs, children, leaf=True)
+    parts = partition(recs, children, leaf=True)
     assert parts[0] == recs
 
 
 def test_partition_requires_children():
     with pytest.raises(InvariantViolation):
-        partition_records([make_put(1, 1, 8)], [], leaf=True)
+        partition([make_put(1, 1, 8)], [], leaf=True)
 
 
 def test_partition_preserves_order_and_total():
     children = [node(0, 9), node(15, 24), node(40, 59)]
     recs = [make_put(k, 1, 8) for k in range(0, 70, 3)]
-    parts = partition_records(recs, children, leaf=True)
+    parts = partition(recs, children, leaf=True)
     flat = [r for p in parts for r in p]
     assert sorted(flat, key=lambda r: r[KEY]) == recs
     assert sum(len(p) for p in parts) == len(recs)

@@ -13,6 +13,7 @@ import cProfile
 import random
 
 from repro.common.records import make_put
+from repro.table.run import Run
 from tests.conftest import make_tiny_db
 
 
@@ -34,14 +35,14 @@ def _store(widen):
         for j in range(3 * n_leaf):
             run = [make_put(base + 100 * j + i, seq + 8 * j + i + 1, 40)
                    for i in range(8)]
-            eng._create_node_from_run(eng.n, run)
+            eng._create_node_from_run(eng.n, Run.from_records(run))
         assert len(leaf) == 4 * n_leaf
     db.check_invariants()
     return db, n_leaf
 
 
 def _calls(fn):
-    fn()  # warm the per-sequence column caches
+    fn()  # warm the page cache
     profiler = cProfile.Profile()
     profiler.enable()
     fn()

@@ -104,8 +104,8 @@ def test_detects_unsorted_sequence_records():
     db = loaded_engine_db()
     engine = db.engine
     seq = next(sq for lvl in engine.levels[1:] for nd in lvl if not nd.is_empty
-               for sq in nd.table.sequences if len(sq.records) >= 2)
-    seq.records.reverse()
+               for sq in nd.table.sequences if len(sq) >= 2)
+    seq.run.keys[:] = seq.run.keys[::-1].copy()
     s = fresh_sanitizer(db)
     s.check_tree(engine)
     assert "sequence-sorted" in checks_hit(s)
