@@ -69,11 +69,17 @@ _RAW_DEVICE_CLOCK: FrozenSet[str] = frozenset({
 })
 
 #: Seeded effects for functions whose intrinsic nature is not pattern-
-#: recognizable (the network link reservation mutates a dict entry).
+#: recognizable (the network link reservation mutates a dict entry; pulling
+#: a row out of the scan merge runs the sequence cursors underneath, and
+#: iteration leaves no call edge to follow).
 SEED_EFFECTS: Dict[str, FrozenSet[str]] = {
     "repro.cluster.network.SimNetwork._enqueue": frozenset({NET_CHARGE}),
     "repro.objstore.store.SimObjectStore._enqueue":
         frozenset({OBJSTORE_CHARGE}),
+    "repro.db.iterator.merge_visible":
+        frozenset({CLOCK_ADVANCE, DISK_CHARGE}),
+    "repro.db.iterator.DbIterator.__next__":
+        frozenset({CLOCK_ADVANCE, DISK_CHARGE}),
 }
 
 _SIMDISK = "repro.storage.simdisk.SimDisk"

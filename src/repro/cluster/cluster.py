@@ -36,9 +36,9 @@ from repro.cluster.router import REQUEST_BYTES, ROUTER_NODE, Router
 from repro.cluster.shard import Shard, even_ranges
 from repro.common.errors import ConfigError, InvariantViolation, StoreClosedError
 from repro.common.options import FaultOptions, StorageOptions
-from repro.common.records import Key, Value
+from repro.common.records import Key, Value, bad_key
 from repro.db.iamdb import IamDB
-from repro.db.iterator import check_limit
+from repro.db.iterator import check_bounds, check_limit
 from repro.metrics import MetricsRegistry, StallBreakdown, merge_snapshots
 from repro.objstore.manifestlog import DEFAULT_RETAIN_CUTS, SharedManifestLog
 from repro.objstore.report import objstore_summary
@@ -352,6 +352,8 @@ class ClusterDB:
                     replica.db.runtime.pump()
 
     def put(self, key: Key, value: Value) -> None:
+        if type(key) is not int:
+            raise bad_key(key)
         self._begin_op()
         t0 = self.clock.now
         self.router.put(key, value)
@@ -363,6 +365,8 @@ class ClusterDB:
             self.metrics.observe("put", elapsed)
 
     def delete(self, key: Key) -> None:
+        if type(key) is not int:
+            raise bad_key(key)
         self._begin_op()
         t0 = self.clock.now
         self.router.delete(key)
@@ -375,6 +379,8 @@ class ClusterDB:
 
     def get(self, key: Key, *,
             as_of_cut: Optional[int] = None) -> Optional[Value]:
+        if type(key) is not int:
+            raise bad_key(key)
         if as_of_cut is not None:
             return self._get_as_of(key, as_of_cut)
         self._begin_op()
@@ -430,6 +436,9 @@ class ClusterDB:
         shard leader answers its sub-batch through the storage layer's
         vectorized read path.
         """
+        for key in keys:
+            if type(key) is not int:
+                raise bad_key(key)
         self._begin_op()
         t0 = self.clock.now
         values = self.router.multi_get(keys)
@@ -443,6 +452,7 @@ class ClusterDB:
     def scan(self, lo_key: Optional[Key] = None, hi_key: Optional[Key] = None,
              *, limit: Optional[int] = None) -> List[Tuple[Key, object]]:
         check_limit(limit)
+        check_bounds(lo_key, hi_key)
         self._begin_op()
         t0 = self.clock.now
         rows = self.router.scan(lo_key, hi_key, limit=limit)
@@ -459,8 +469,6 @@ class ClusterDB:
         return iter(self.scan(lo_key, hi_key))
 
     def _remember_ack(self, key: Key, value: Optional[Value]) -> None:
-        if not isinstance(key, int):
-            return
         audit = self._acked_audit
         if key in audit:
             audit.pop(key)

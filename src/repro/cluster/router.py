@@ -219,10 +219,8 @@ class Router:
     def scan(self, lo_key: Optional[Key], hi_key: Optional[Key], *,
              limit: Optional[int] = None) -> List[Tuple[Key, object]]:
         """Scatter-gather scan across the shards overlapping the range."""
-        lo_i = lo_key if isinstance(lo_key, int) else None
-        hi_i = hi_key if isinstance(hi_key, int) else None
         out: List[Tuple[Key, object]] = []
-        for shard in self.shards_in_range(lo_i, hi_i):
+        for shard in self.shards_in_range(lo_key, hi_key):
             if limit is not None and len(out) >= limit:
                 break
             remaining = None if limit is None else limit - len(out)

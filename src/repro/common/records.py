@@ -5,11 +5,11 @@ speed the hot paths treat records as plain 4-tuples
 
     ``(key, seq, kind, value)``
 
-* ``key``   -- a Python ``int`` of any sign or size (the write entry points
-  reject everything else, see :func:`bad_key`).  The workloads use 64-bit
-  unsigned keys, which sort the same as their big-endian byte encoding and
-  live in a ``uint64`` column; wider or negative keys ride in an object
-  column beside it (:mod:`repro.table.run`).
+* ``key``   -- a Python ``int`` of any sign or size (the write and read
+  entry points reject everything else, see :func:`bad_key`).  The workloads
+  use 64-bit unsigned keys, which sort the same as their big-endian byte
+  encoding and live in a ``uint64`` column; wider or negative keys ride in
+  an object column beside it (:mod:`repro.table.run`).
 * ``seq``   -- global MVCC sequence number (monotonically increasing per DB).
 * ``kind``  -- :data:`PUT` or :data:`DELETE` (a tombstone).
 * ``value`` -- either real ``bytes`` (small values through the public API) or
@@ -37,8 +37,9 @@ PUT = 0
 DELETE = 1
 
 #: A record key: a Python ``int`` of any sign or size -- enforced where
-#: records enter (the write entry points), so the alias stays the permissive
-#: ``Any`` it always was rather than a promise the type checker cannot keep.
+#: keys enter (the DB and cluster entry points), so the alias stays the
+#: permissive ``Any`` it always was rather than a promise the type checker
+#: cannot keep.
 Key = Any
 
 KEY = 0
@@ -73,7 +74,7 @@ def value_nbytes(value: Value) -> int:
 
 
 def bad_key(key: Key) -> ConfigError:
-    """The error every write entry point raises for a non-``int`` key."""
+    """The error every entry point raises for a non-``int`` key or bound."""
     return ConfigError(
         f"keys must be Python ints, got {type(key).__name__}: {key!r}")
 

@@ -346,28 +346,19 @@ class EngineBase(abc.ABC):
             self.runtime.metrics.add_bloom_probes(counters[0], counters[1])
         return latencies
 
-    @observation_only
-    def scan_plan(self, lo_key: Optional[Key],
-                  hi_key: Optional[Key]) -> Optional[List[object]]:
-        """Stream plan for the batched scan assembler, or None.
-
-        None means "unsupported": the DB falls back to the scalar
-        heap-merge path over :meth:`scan_cursors`.  Engines that support
-        batched scans return a list of :mod:`repro.table.scan` stream
-        states, one per independently-seeking component, in the same order
-        as :meth:`scan_cursors`.
-        """
-        return None
-
     @abc.abstractmethod
     def scan_cursors(self, lo_key: Optional[Key],
                      hi_key: Optional[Key]) -> List[Iterable[RecordTuple]]:
-        """Lazily-charging sorted iterators covering [lo, hi] (inclusive).
+        """Lazily-charging sorted streams covering [lo, hi] (inclusive).
 
-        One iterator per independently-seeking component (each L0 file, each
-        deeper level); the DB's merging iterator combines them.  I/O is
-        charged -- with read-ahead -- as records are consumed, so a
-        limit-bounded scan pays only for what it reads.
+        One stream per independently-seeking component (each L0 file, each
+        deeper level); the DB merges them with the memtables.
+        Iterating a stream charges I/O -- with read-ahead -- as records are
+        consumed, so a limit-bounded scan pays only for what it reads.
+        Engines whose levels are chains of disjoint tables return
+        :mod:`repro.table.scan` stream values, which the scan planner can
+        also read without iterating; a plain generator is just as valid and
+        is always merged record by record.
         """
 
     # ------------------------------------------------------------- inspection

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import bisect
 from functools import partial
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple, cast
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, cast
 
 import numpy as np
 
@@ -580,31 +580,16 @@ class LsaTree(EngineBase):
         return results, self._replay_probe_plans(probes, counters)
 
     @observation_only
-    def scan_plan(self, lo_key: Optional[Key],
-                  hi_key: Optional[Key]) -> List[object]:
-        """Batched scan streams: one lazy node chain per level, cursor order."""
-        plan: List[object] = []
-        for level in range(1, self.n + 1):
-            nodes = level_overlapping(self.levels[level], lo_key, hi_key)
-            if nodes:
-                plan.append(chain_stream(self.runtime, partial(level_tables, nodes),
-                                         lo_key, hi_key))
-        return plan
-
     def scan_cursors(self, lo_key: Optional[Key],
-                     hi_key: Optional[Key]) -> List[Iterator[RecordTuple]]:
-        cursors = []
+                     hi_key: Optional[Key]) -> List[Iterable[RecordTuple]]:
+        """One lazy node chain per level, top level first."""
+        streams: List[Iterable[RecordTuple]] = []
         for level in range(1, self.n + 1):
             nodes = level_overlapping(self.levels[level], lo_key, hi_key)
             if nodes:
-                cursors.append(self._level_cursor(nodes, lo_key, hi_key))
-        return cursors
-
-    @staticmethod
-    def _level_cursor(nodes: List[LsaNode], lo_key: Optional[Key],
-                      hi_key: Optional[Key]) -> Iterator[RecordTuple]:
-        for table in level_tables(nodes):
-            yield from table.cursor(lo_key, hi_key)
+                streams.append(chain_stream(self.runtime, partial(level_tables, nodes),
+                                            lo_key, hi_key))
+        return streams
 
     # ------------------------------------------------------------- inspection
     def level_data_bytes(self) -> Dict[int, int]:

@@ -163,19 +163,14 @@ def level_overlapping(level: List[LsaNode], lo: Optional[Key],
     return level[start:stop]
 
 
-def level_tables(nodes: List[LsaNode], key: Optional[Key] = None) -> Iterator[MSTable]:
+def level_tables(nodes: List[LsaNode]) -> Iterator[MSTable]:
     """Tables of the non-empty ``nodes`` in order, one at a time.
 
     The lazy level walk under every scan: ``nodes`` is a scan's captured
     slice of a level, and a node costs work only when the consumer advances
     to it -- a limit-bounded scan never looks at the rest of a wide level.
-    With ``key`` the walk starts at the node whose range may hold it (one
-    fence bisect) instead of at the head.
     """
-    start = 0 if key is None else max(
-        0, bisect.bisect_right(nodes, key, key=RANGE_LO) - 1)
-    for idx in range(start, len(nodes)):
-        node = nodes[idx]
+    for node in nodes:
         if not node.is_empty:
             yield node.table
 

@@ -21,7 +21,7 @@ one of the two stall sources the tail-latency experiments measure.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.common.errors import ConfigError, StoreClosedError
 from repro.common.options import (
@@ -48,7 +48,7 @@ from repro.common.records import (
 from repro.core.engine import EngineBase
 from repro.core.iam import IamTree
 from repro.core.lsa import LsaTree
-from repro.db.iterator import DbIterator, check_limit, merge_visible
+from repro.db.iterator import DbIterator, check_bounds, check_limit, merge_visible
 from repro.table.scan import list_stream, merge_scan
 from repro.table.scanplan import planned_scan
 from repro.db.snapshot import Snapshot
@@ -210,24 +210,6 @@ class IamDB:
         if self.metrics.hist_enabled:
             self.metrics.observe("put", elapsed)
 
-    def iterate(self, lo_key: Optional[Key] = None,
-                hi_key: Optional[Key] = None, *,
-                snapshot: SnapshotLike = None) -> Iterator[Tuple[Key, object]]:
-        """Lazy ordered iterator over ``(key, value)`` pairs, lo <= key < hi.
-
-        Unlike :meth:`scan`, results stream as they are consumed -- I/O is
-        charged with read-ahead while you iterate.  The view is fixed at call
-        time (plus the given snapshot); interleaving writes with iteration is
-        not supported.
-        """
-        self._check_open()
-        snap = self._snap_seq(snapshot)
-        streams: List = [list(self.memtable.iter_range(lo_key, hi_key))]
-        if self.immutable is not None:
-            streams.append(list(self.immutable.iter_range(lo_key, hi_key)))
-        streams.extend(self.engine.scan_cursors(lo_key, hi_key))
-        return merge_visible(streams, snapshot=snap, hi_key=hi_key)
-
     def _write(self, rec: RecordTuple) -> None:
         runtime = self.runtime
         clock = runtime.clock
@@ -337,6 +319,8 @@ class IamDB:
     def get(self, key: Key, snapshot: SnapshotLike = None) -> Optional[Value]:
         """Newest visible value of ``key``, or None."""
         self._check_open()
+        if type(key) is not int:
+            raise bad_key(key)
         runtime = self.runtime
         t0 = runtime.clock.now
         snap = self._snap_seq(snapshot)
@@ -366,6 +350,9 @@ class IamDB:
         ``read`` latency sample per key, in request order.
         """
         self._check_open()
+        for key in keys:
+            if type(key) is not int:
+                raise bad_key(key)
         runtime = self.runtime
         snap = self._snap_seq(snapshot)
         n = len(keys)
@@ -399,6 +386,18 @@ class IamDB:
             out.append(None if rec is None or rec[KIND] == DELETE else rec[VALUE])
         return out
 
+    def _scan_streams(self, lo_key: Optional[Key],
+                      hi_key: Optional[Key]) -> List[Iterable[RecordTuple]]:
+        """What every scan merges, newest first: the memtable, the immutable
+        memtable, then the engine's on-disk components (§5.2).  Captures the
+        view; charges nothing."""
+        streams = [list_stream(list(self.memtable.iter_range(lo_key, hi_key)))]
+        if self.immutable is not None:
+            streams.append(list_stream(
+                list(self.immutable.iter_range(lo_key, hi_key))))
+        streams.extend(self.engine.scan_cursors(lo_key, hi_key))
+        return streams
+
     def scan(self, lo_key: Optional[Key] = None,
              hi_key: Optional[Key] = None, *, limit: Optional[int] = None,
              snapshot: SnapshotLike = None) -> List[Tuple[Key, object]]:
@@ -409,35 +408,19 @@ class IamDB:
         """
         self._check_open()
         check_limit(limit)
+        check_bounds(lo_key, hi_key)
         if limit == 0:
             return []
         runtime = self.runtime
         t0 = runtime.clock.now
         snap = self._snap_seq(snapshot)
-        plan = self.engine.scan_plan(lo_key, hi_key)
-        if plan is not None:
-            # Batched assembler: same records, same charge order as the
-            # heap-merge path below, without the per-record generator dance.
-            streams = [list_stream(list(self.memtable.iter_range(lo_key, hi_key)))]
-            if self.immutable is not None:
-                streams.append(list_stream(
-                    list(self.immutable.iter_range(lo_key, hi_key))))
-            streams.extend(plan)
-            # Fast path: plan the whole merge vectorized (one lexsort over
-            # the sequences' key columns + an explicit charge-event replay);
-            # falls back to the pull-based mirror on unsupported shapes.
-            out = planned_scan(streams, snapshot=snap, hi_key=hi_key,
-                               limit=limit)
-            if out is None:
-                out = merge_scan(streams, snapshot=snap, hi_key=hi_key,
-                                 limit=limit)
-        else:
-            streams: List = [list(self.memtable.iter_range(lo_key, hi_key))]
-            if self.immutable is not None:
-                streams.append(list(self.immutable.iter_range(lo_key, hi_key)))
-            streams.extend(self.engine.scan_cursors(lo_key, hi_key))
-            out = list(merge_visible(streams, snapshot=snap, hi_key=hi_key,
-                                     limit=limit))
+        streams = self._scan_streams(lo_key, hi_key)
+        # Plan the whole merge vectorized; the planner declines -- before it
+        # charges anything -- what it cannot plan, and the heap merge over
+        # the same streams answers instead.
+        out = planned_scan(streams, snapshot=snap, hi_key=hi_key, limit=limit)
+        if out is None:
+            out = merge_scan(streams, snapshot=snap, hi_key=hi_key, limit=limit)
         runtime.pump()
         elapsed = runtime.clock.now - t0
         self.metrics.record_latency("scan", elapsed)
@@ -445,16 +428,25 @@ class IamDB:
             self.metrics.observe("scan", elapsed)
         return out
 
+    def iterate(self, lo_key: Optional[Key] = None,
+                hi_key: Optional[Key] = None, *,
+                snapshot: SnapshotLike = None) -> Iterator[Tuple[Key, object]]:
+        """Lazy ordered iterator over ``(key, value)`` pairs, lo <= key < hi.
+
+        Unlike :meth:`scan`, results stream as they are consumed -- I/O is
+        charged with read-ahead while you iterate.  The view is fixed at call
+        time (plus the given snapshot); interleaving writes with iteration is
+        not supported.
+        """
+        self._check_open()
+        check_bounds(lo_key, hi_key)
+        return merge_visible(self._scan_streams(lo_key, hi_key),
+                             snapshot=self._snap_seq(snapshot), hi_key=hi_key)
+
     def iterator(self, lo_key: Optional[Key] = None,
                  hi_key: Optional[Key] = None, *,
                  snapshot: SnapshotLike = None) -> DbIterator:
-        """A seekable ordered iterator (see :class:`~repro.db.iterator.DbIterator`).
-
-        Like :meth:`iterate` but with :meth:`~repro.db.iterator.DbIterator.seek`
-        repositioning through the per-sequence key columns instead of
-        rebuilding the cursor stack.
-        """
-        self._check_open()
+        """A seekable :meth:`iterate` (see :class:`~repro.db.iterator.DbIterator`)."""
         return DbIterator(self, lo_key, hi_key, self._snap_seq(snapshot))
 
     # -------------------------------------------------------------- snapshots

@@ -22,9 +22,9 @@ from repro.common.records import (
     RecordTuple,
     SEQ,
     VALUE,
+    bad_key,
     sort_key,
 )
-from repro.table.scan import MergeScanner, list_stream
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.iamdb import IamDB
@@ -34,6 +34,14 @@ def check_limit(limit: Optional[int]) -> None:
     """Reject a negative scan ``limit`` (0 validly asks for no rows)."""
     if limit is not None and limit < 0:
         raise ConfigError(f"scan limit must be >= 0, got {limit}")
+
+
+def check_bounds(lo_key: Optional[Key], hi_key: Optional[Key]) -> None:
+    """Reject a scan bound that is not a Python int (None leaves it open)."""
+    if lo_key is not None and type(lo_key) is not int:
+        raise bad_key(lo_key)
+    if hi_key is not None and type(hi_key) is not int:
+        raise bad_key(hi_key)
 
 
 def merge_visible(streams: List[Iterable[RecordTuple]], *,
@@ -71,19 +79,16 @@ def merge_visible(streams: List[Iterable[RecordTuple]], *,
             break
 
 
-_SENTINEL = object()
-
-
 class DbIterator:
     """Seekable ordered iterator over ``(key, value)`` pairs.
 
-    The view is fixed at creation time (plus the given snapshot), exactly
-    like :meth:`repro.db.iamdb.IamDB.iterate`.  On engines with a batched
-    scan plan, :meth:`seek` repositions the pull states through the
-    per-sequence key columns (one bisect per stream) instead of tearing the
-    cursor stack down and re-running the per-level walks; consumed blocks
-    are re-touched on the way back through, which the page cache absorbs.
-    Engines without a plan fall back to rebuilding the scalar merge.
+    It is :meth:`repro.db.iamdb.IamDB.iterate` plus :meth:`seek`, and the
+    seek contract is exact: after ``seek(k)`` the iterator is
+    indistinguishable -- rows and charges -- from a fresh
+    ``iterate(max(k, lo_key), hi_key, snapshot=snapshot)``.  So a seek
+    costs what opening an iterator costs (the per-level fence bisects; no
+    I/O until the next row is pulled), blocks consumed before the seek are
+    not touched again, and the view of the store is the one at the seek.
     """
 
     def __init__(self, db: "IamDB", lo_key: Optional[Key],
@@ -92,45 +97,13 @@ class DbIterator:
         self._lo_key = lo_key
         self._hi_key = hi_key
         self._snapshot = snapshot
-        self._served: object = _SENTINEL
-        plan = db.engine.scan_plan(lo_key, hi_key)
-        if plan is None:
-            self._scanner: Optional[MergeScanner] = None
-            self._fallback = db.iterate(lo_key, hi_key, snapshot=snapshot)
-        else:
-            streams = [list_stream(list(db.memtable.iter_range(lo_key, hi_key)))]
-            if db.immutable is not None:
-                streams.append(list_stream(
-                    list(db.immutable.iter_range(lo_key, hi_key))))
-            streams.extend(plan)
-            self._scanner = MergeScanner(streams)
-            self._fallback = None
+        self._rows = db.iterate(lo_key, hi_key, snapshot=snapshot)
 
     def __iter__(self) -> "DbIterator":
         return self
 
     def __next__(self) -> Tuple[Key, object]:
-        if self._scanner is None:
-            return next(self._fallback)
-        scanner = self._scanner
-        hi_key = self._hi_key
-        snapshot = self._snapshot
-        while True:
-            rec = scanner.pull()
-            if rec is None:
-                raise StopIteration
-            key = rec[KEY]
-            if hi_key is not None and key >= hi_key:
-                raise StopIteration
-            served = self._served
-            if key is served or key == served:
-                continue
-            if snapshot is not None and rec[SEQ] > snapshot:
-                continue
-            self._served = key
-            if rec[KIND] == DELETE:
-                continue
-            return (key, rec[VALUE])
+        return next(self._rows)
 
     def seek(self, key: Key) -> None:
         """Reposition at the first visible pair with key >= ``key``.
@@ -138,14 +111,9 @@ class DbIterator:
         The target is clamped into the iterator's ``[lo_key, hi_key)``
         bounds; seeking backwards is allowed.
         """
-        target = key
-        if self._lo_key is not None and target < self._lo_key:
-            target = self._lo_key
-        self._served = _SENTINEL
-        if self._scanner is None:
-            self._fallback = self._db.iterate(target, self._hi_key,
-                                              snapshot=self._snapshot)
-            return
-        for stream in self._scanner.streams:
-            stream.reseek(target)
-        self._scanner.reset()
+        if type(key) is not int:
+            raise bad_key(key)
+        if self._lo_key is not None and key < self._lo_key:
+            key = self._lo_key
+        self._rows = self._db.iterate(key, self._hi_key,
+                                      snapshot=self._snapshot)

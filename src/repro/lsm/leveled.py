@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import bisect
 from functools import partial
-from itertools import islice
 from operator import attrgetter
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, cast
+from typing import Any, Dict, List, Optional, Set, Tuple, cast
 
 import numpy as np
 
@@ -45,14 +44,6 @@ from repro.check.effects.registry import observation_only
 #: The fence key every sorted-level search bisects by (read off the live
 #: tables, so there is no per-level cache to invalidate).
 MIN_KEY = attrgetter("min_key")
-
-
-def _tables_from(tables: List[MSTable], key: Optional[object] = None) -> Iterator[MSTable]:
-    """Chain walk over a scan's captured run of level files, in order;
-    with ``key``, from the file that may hold it (one fence bisect)."""
-    if key is None:
-        return iter(tables)
-    return islice(tables, max(0, bisect.bisect_right(tables, key, key=MIN_KEY) - 1), None)
 
 
 class LeveledLsm(EngineBase):
@@ -357,23 +348,6 @@ class LeveledLsm(EngineBase):
             return super().multi_get(keys, snapshot)
         return results, self._replay_probe_plans(probes, counters)
 
-    @observation_only
-    def scan_plan(self, lo_key, hi_key) -> List[object]:
-        """Batched scan streams matching :meth:`scan_cursors` order."""
-        plan: List[object] = []
-        for table in reversed(self.levels[0]):
-            if hi_key is not None and table.min_key > hi_key:
-                continue
-            if lo_key is not None and table.max_key < lo_key:
-                continue
-            plan.append(table_stream(self.runtime, table, lo_key, hi_key))
-        for level in range(1, self.options.max_levels):
-            tables = self._overlapping(level, lo_key, hi_key)
-            if tables:
-                plan.append(chain_stream(self.runtime, partial(_tables_from, tables),
-                                         lo_key, hi_key))
-        return plan
-
     def _find_table(self, level: int, key) -> Optional[MSTable]:
         lst = self.levels[level]
         idx = bisect.bisect_right(lst, key, key=MIN_KEY) - 1
@@ -381,24 +355,22 @@ class LeveledLsm(EngineBase):
             return lst[idx]
         return None
 
+    @observation_only
     def scan_cursors(self, lo_key, hi_key) -> List:
-        cursors = []
+        """One stream per L0 file (newest first), then one per deeper level."""
+        streams: List[object] = []
         for table in reversed(self.levels[0]):
             if hi_key is not None and table.min_key > hi_key:
                 continue
             if lo_key is not None and table.max_key < lo_key:
                 continue
-            cursors.append(table.cursor(lo_key, hi_key))
+            streams.append(table_stream(self.runtime, table, lo_key, hi_key))
         for level in range(1, self.options.max_levels):
             tables = self._overlapping(level, lo_key, hi_key)
             if tables:
-                cursors.append(self._level_cursor(tables, lo_key, hi_key))
-        return cursors
-
-    @staticmethod
-    def _level_cursor(tables: List[MSTable], lo_key, hi_key):
-        for table in tables:
-            yield from table.cursor(lo_key, hi_key)
+                streams.append(chain_stream(self.runtime, partial(iter, tables),
+                                            lo_key, hi_key))
+        return streams
 
     # ------------------------------------------------------------- inspection
     def level_data_bytes(self) -> Dict[int, int]:

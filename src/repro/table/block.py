@@ -25,6 +25,11 @@ from repro.table.run import Run
 #: Per-block index entry overhead charged as metadata (key + offset).
 INDEX_ENTRY_BYTES = 24
 
+#: Blocks a scan cursor charges per read-ahead chunk (the paper's testbed
+#: enables filesystem read-ahead, §6.1).  The scan planner replays the
+#: cursor's charges, so it reads the same constant.
+READAHEAD_BLOCKS = 8
+
 
 class Sequence:
     """One immutable sorted run: records + block index + Bloom filter."""
@@ -111,8 +116,7 @@ class Sequence:
 
         The value column is None when some value is not a synthetic size
         (scans then assemble their output row by row).  Raises TypeError
-        when the keys are not uint64 (callers fall back to the pull-based
-        path).
+        when the keys are not uint64 (the planner then declines the scan).
         """
         run = self.run
         if run.okeys is not None:
@@ -181,12 +185,11 @@ class Sequence:
 
     def cursor(self, runtime: Runtime, file_id: int, lo_key: Optional[Key] = None,
                hi_key: Optional[Key] = None,
-               readahead_blocks: int = 8) -> Iterator[RecordTuple]:
+               readahead_blocks: int = READAHEAD_BLOCKS) -> Iterator[RecordTuple]:
         """Lazily-charging forward iterator over [lo, hi] (inclusive).
 
         Blocks are charged as the cursor reaches them, ``readahead_blocks``
-        at a time (the paper's testbed enables filesystem read-ahead, §6.1),
-        so a limit-bounded scan only pays for what it consumes.  Positioning
+        at a time, so a limit-bounded scan only pays for what it consumes.  Positioning
         uses the cached index and is free.
         """
         i, j = self.span_for_range(lo_key, hi_key)

@@ -1,42 +1,51 @@
 """Vectorized scan assembly: plan the whole merge, then replay its charges.
 
-:func:`repro.table.scan.merge_scan` mirrors the scalar scan pipeline pull
-for pull -- correct everywhere, but still one Python step per merged
-record.  This module goes one level further for the common case (integer
-keys): it gathers the in-range slices of every stream's key/seq/kind
-columns, computes the global merge order with one ``np.lexsort`` (unique
-``(key, seq)`` pairs make the order total), derives the visible output and
-the termination rank with array ops, and then replays the exact foreground
-charge sequence the scalar cursor pipeline would have issued.
+The generator tier (:func:`repro.table.scan.merge_scan`: a heap merge over
+lazily-charging cursors) is correct everywhere, but takes one Python step
+per merged record.  This module is the other tier, for the common case
+(uint64 keys): it reads each stream's *description* instead of iterating it
+-- gathers the in-range slices of every key/seq/kind column, computes the
+global merge order with one ``np.lexsort`` (unique ``(key, seq)`` pairs
+make the order total), derives the visible output and the termination rank
+with array ops, and then replays the exact foreground charge sequence the
+cursor pipeline would have issued.
 
 The charge model
 ----------------
 Everything simulation-observable about a scan flows through the
 ``fg_read_blocks`` calls of :meth:`repro.table.block.Sequence.cursor`
-(read-ahead chunks of ``_RA`` blocks).  In the scalar ``heapq.merge``
+(read-ahead chunks of ``READAHEAD_BLOCKS`` blocks).  In the ``heapq.merge``
 pipeline each charge is triggered by one *pull*:
 
 * the initial fill pulls one record per top-level stream, in stream order,
   before the first yield (trigger rank ``-1``);
 * a sequence's later record is pulled right after its span predecessor is
   yielded (trigger = the predecessor's merge rank);
-* a chain creates the next node's states -- pulling one record per
-  sequence, in sequence order -- when it is pulled past its current node,
-  i.e. right after the node's last in-range record is yielded (trigger =
-  that record's rank; empty nodes cascade without charging).
+* a chain opens the next table's cursors -- pulling one record per
+  sequence, in sequence order -- when it is pulled past its current table,
+  i.e. right after the table's last in-range record is yielded (trigger =
+  that record's rank; empty tables cascade without charging).
 
 A pull fires iff its trigger rank is below the termination rank ``M`` (the
 rank whose push ends the scan: the first key ``>= hi_key``, the record
 that fills ``limit``, or exhaustion).  Sorting the charge events by
-(trigger, generation order) therefore reproduces the scalar charge
-sequence exactly -- same clock, same page-cache trajectory.
+(trigger, generation order) therefore reproduces the generator tier's
+charge sequence exactly -- same clock, same page-cache trajectory.
 
 Limit-bounded scans are planned against truncated spans (``~limit + 64``
-records per sequence, whole trailing node-chain tails reduced to their
-fill charges); the plan is valid iff the scan terminates strictly below
-the smallest excluded key, else it retries with a wider cut.  Returns
-None whenever the record shapes don't vectorize; the caller then runs
-``merge_scan`` over the same, untouched streams.
+records per sequence, whole trailing chain tails reduced to their fill
+charges); the plan is valid iff the scan terminates strictly below the
+smallest excluded key, else it retries with a wider cut.
+
+Declines
+--------
+``planned_scan`` returns None -- always before the first charge, so the
+caller runs ``merge_scan`` over the same, untouched streams -- when what it
+observes in its input does not fit the plan: a stream that is not a
+:class:`~repro.table.scan.ListStream` / :class:`~repro.table.scan.ChainStream`
+value (FLSM's guard generators), or a value that does not fit the uint64
+columns (a negative or >= 2**64 key anywhere in the gathered memtable lists
+or sequences; a snapshot number outside uint64).
 """
 
 from __future__ import annotations
@@ -47,31 +56,28 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.common.records import DELETE, Key
+from repro.storage.runtime import Runtime
+from repro.table.block import READAHEAD_BLOCKS
 from repro.table.run import Run
-from repro.table.scan import _ChainState, _ListStream
-from repro.check.effects.registry import observation_only
-
-#: Cursor read-ahead (blocks per charge chunk) -- must match Sequence.cursor.
-_RA = 8
+from repro.table.scan import ChainStream, ListStream
+from repro.check.effects.registry import effects
 
 _RETRY = object()
 
 
-@observation_only
+@effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
 def planned_scan(streams: list, *, snapshot: Optional[int] = None,
                  hi_key: Optional[Key] = None,
                  limit: Optional[int] = None) -> Optional[List[Tuple[Key, object]]]:
-    """Run a scan as one vectorized plan; None when it doesn't apply.
+    """Run a scan as one vectorized plan; None when it declines.
 
-    ``streams`` are the untouched pull states ``merge_scan`` would consume
-    (memtable lists first, then the engine plan).  On success the streams
-    are never pulled: the output is assembled from the columns and
-    the charges are replayed directly.
+    ``streams`` are the scan's stream values (memtable lists first, then
+    the engine's, newest first).  They are read, never iterated: the output
+    is assembled from the columns and the charges are replayed directly.
     """
-    if hi_key is not None and not isinstance(hi_key, int):
-        return None
     if not streams:
         return []
+    runtime: Optional[Runtime]  # typed: the effects gate follows the replay
     # ``limit`` is None or >= 1: the DB answers limit=0 and rejects
     # negative limits before planning.
     cap = None if limit is None else max(96, limit + 64)
@@ -108,9 +114,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
     runtime = None
 
     for s in streams:
-        if isinstance(s, _ListStream):
-            if s.pos:
-                return None  # partially consumed stream: not plannable
+        if isinstance(s, ListStream):
             if not s.recs:
                 continue
             # The same typed column builder sequences were built with.
@@ -128,9 +132,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
             run_parts.append((run, 0))
             lens.append(run.n)
             charge_info.append(None)
-        elif isinstance(s, _ChainState):
-            if s.rest is not None:
-                return None  # partially consumed stream: not plannable
+        elif isinstance(s, ChainStream):
             runtime = s.runtime
             lo = s.lo_key
             hi = s.hi_key
@@ -144,7 +146,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                 fid = table.file_id
                 if budget is not None and budget <= 0:
                     # Chain tail cut: the dropped node's records all sort
-                    # past the (validated) termination rank, but its state
+                    # past the (validated) termination rank, but its cursor
                     # fill -- one first-chunk charge per sequence -- still
                     # fires when the chain advances past the last kept
                     # node.  Later nodes need that node to exhaust first,
@@ -162,7 +164,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                             first_key = k0
                         starts = seq.block_start_idx
                         c0 = bisect_right(starts, i2) - 1
-                        stop = min(c0 + _RA, seq.n_blocks)
+                        stop = min(c0 + READAHEAD_BLOCKS, seq.n_blocks)
                         fill_only.append((fid, range(seq.first_block + c0,
                                                      seq.first_block + stop)))
                     if first_key is not None and (cut_key is None
@@ -211,7 +213,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                 tables_meta.append((comp_idxs, truncated_any))
             chains.append((tables_meta, fill_only))
         else:
-            return None
+            raise TypeError("not a scan stream value")
 
     if not lens:
         return [], [], runtime
@@ -220,7 +222,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
     # cut_key sorts past the (validated) termination rank M, so it can
     # never be emitted and never triggers a charge below M.  Dropping
     # those tails before the sort shrinks T toward M; the only scalar
-    # effect they keep is a sequence's state-fill charge, preserved by
+    # effect they keep is a sequence's cursor-fill charge, preserved by
     # retaining filter-emptied components (their chunk loop stops at the
     # fill because the missing ranks are all >= M).
     filtered = [False] * len(lens)
@@ -341,11 +343,11 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                         trigger = int(r[p - 1 - i])
                     if trigger >= M:
                         break  # triggers ascend: nothing later fires either
-                    stop = min(b + _RA, n_blocks)
+                    stop = min(b + READAHEAD_BLOCKS, n_blocks)
                     events.append((trigger, gen, fid,
                                    range(first + b, first + stop)))
                     gen += 1
-                    b += _RA
+                    b += READAHEAD_BLOCKS
                     if b > last_b:
                         break
                     p = starts[b]

@@ -11,6 +11,12 @@ families; pinned tests cover the edge cases batching is most likely to
 get wrong (duplicate keys in one batch, snapshot boundaries, tombstones,
 mid-flush memtable rotation, empty stores), and a 1-shard zero-cost
 cluster proves the scatter-gather layer adds nothing.
+
+Two contracts sit beside the equivalences.  *Declines*: whatever the scan
+planner cannot plan (a key outside uint64, an engine that hands out plain
+generators) it must decline before charging anything, and the heap merge
+that answers instead is held to the same reference.  *Seeks*: a
+``DbIterator`` after ``seek(k)`` is a fresh ``iterate`` at ``k``.
 """
 
 import random
@@ -25,6 +31,9 @@ from repro.bench.reference import (
 )
 from repro.cluster import ClusterDB, ClusterOptions, NetworkOptions
 from repro.common.errors import ConfigError
+from repro.common.records import make_put
+from repro.db import iamdb
+from repro.table.run import Run
 from tests.conftest import make_tiny_db, tiny_iam_options, tiny_storage_options
 
 #: A fixed, spread-out key pool (arbitrary points in the 64-bit key space).
@@ -98,16 +107,29 @@ def test_multi_get_matches_scalar_reference(engine, ops, small_keys,
     db_opt.close()
 
 
-@settings(max_examples=25, deadline=None,
+#: Keys the uint64 columns cannot hold: the planner declines the scans that
+#: gather one, and the heap merge answers.
+ODD_KEYS = (-1, -(2 ** 63), 2 ** 64, 2 ** 70)
+
+
+@settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(engine=st.sampled_from(ENGINES), ops=workload,
+@given(engine=st.sampled_from(ENGINES + ("flsm",)), ops=workload,
        small_keys=st.booleans(), quiesce=st.booleans(),
-       lo_i=st.integers(0, 23), span=st.one_of(st.none(), st.integers(0, 23)),
+       odd=st.one_of(st.none(), st.tuples(st.sampled_from(ODD_KEYS),
+                                          st.integers(0, 120))),
+       lo_i=st.one_of(st.none(), st.integers(0, 23)),
+       span=st.one_of(st.none(), st.integers(0, 23)),
        limit=st.one_of(st.none(), st.integers(1, 40)),
        snap_back=st.one_of(st.none(), st.integers(0, 60)))
-def test_scan_matches_scalar_reference(engine, ops, small_keys, quiesce,
+def test_scan_matches_scalar_reference(engine, ops, small_keys, quiesce, odd,
                                        lo_i, span, limit, snap_back):
     pool = SMALL_POOL if small_keys else KEY_POOL
+    if odd is not None:
+        # One put of a key outside uint64 somewhere in the history (pool
+        # index 24 is past both pools: it selects the odd key).
+        ops = ops[:odd[1]] + [("put", 24, 77)] + ops[odd[1]:]
+        pool = pool + [odd[0]]
     db_ref, db_opt = _twin_dbs(engine, ops, pool)
     if quiesce:
         db_ref.quiesce()
@@ -115,8 +137,8 @@ def test_scan_matches_scalar_reference(engine, ops, small_keys, quiesce,
     snapshot = None
     if snap_back is not None and db_ref._seq > 0:
         snapshot = max(1, db_ref._seq - snap_back)
-    lo = pool[lo_i]
-    hi = None if span is None else lo + sorted(pool)[span] + 1
+    lo = None if lo_i is None else pool[lo_i]
+    hi = None if span is None else (lo or 0) + sorted(pool[:24])[span] + 1
     want = reference_scan(db_ref, lo, hi, limit=limit, snapshot=snapshot)
     got = db_opt.scan(lo, hi, limit=limit, snapshot=snapshot)
     assert got == want
@@ -429,6 +451,102 @@ def test_scan_retry_rewalks_chain_from_start(engine, monkeypatch):
     assert len(attempts) >= 2 and attempts[1] == 8 * attempts[0]
 
 
+# --------------------------------------------------------- planner declines
+# The planner declines only on what it observes in its input, always before
+# the first charge; the heap merge over the same streams answers instead and
+# answers to the same reference.  Each case pins the verdict both ways -- a
+# decline here, a plan on the uint64 twin -- so the test keeps its meaning if
+# the planner ever learns to plan what it declines today.
+def _planner_verdicts(monkeypatch):
+    """Per ``db.scan`` from here on: True = planned, False = declined."""
+    verdicts = []
+    real = iamdb.planned_scan
+
+    def spy(streams, **kw):
+        out = real(streams, **kw)
+        verdicts.append(out is not None)
+        return out
+
+    monkeypatch.setattr(iamdb, "planned_scan", spy)
+    return verdicts
+
+
+def _pair_holding(engine, key, flushed):
+    """Twin WIDE_KEYS stores (tombstones included) that also hold ``key``:
+    in a flushed sequence, or in the memtable only."""
+    dbs = _wide_pair(engine, n=700)
+    for db in dbs:
+        db.put(key, 55)
+        if flushed:
+            db.quiesce()
+    return dbs
+
+
+@pytest.mark.parametrize("flushed", [False, True], ids=["memtable", "sequence"])
+@pytest.mark.parametrize("odd,plain", [(-7, 7), (2 ** 64 + 7, 2 ** 63 + 7)],
+                         ids=["negative", "wide"])
+@pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb"])
+def test_key_outside_uint64_is_declined_then_merged(engine, odd, plain,
+                                                    flushed, monkeypatch):
+    verdicts = _planner_verdicts(monkeypatch)
+    for key, planned in ((odd, False), (plain, True)):
+        db_ref, db_opt = _pair_holding(engine, key, flushed)
+        snapshot = db_ref._seq - 200  # the key itself is newer: invisible
+        # Each range reaches the key from its own side of the key space.
+        near = (None, WIDE_KEYS[9]) if key < WIDE_KEYS[0] else (WIDE_KEYS[690], None)
+        del verdicts[:]
+        rows = _assert_scan_matches(db_ref, db_opt, None, None)
+        assert (key, 55) in rows and len(rows) < 701  # tombstones elided
+        _assert_scan_matches(db_ref, db_opt, *near, limit=7)
+        _assert_scan_matches(db_ref, db_opt, near[0], near[1])
+        rows = _assert_scan_matches(db_ref, db_opt, None, None, snapshot=snapshot)
+        assert (key, 55) not in rows
+        assert verdicts == [planned] * 4
+
+
+def test_wide_key_in_the_chain_tail_is_declined(monkeypatch):
+    # A limit-bounded plan reads one table past its record budget -- only
+    # to place that table's first charges.  A key outside uint64 in *that*
+    # table is a decline; one table further on it is never looked at.
+    verdicts = _planner_verdicts(monkeypatch)
+    per_table, budget, base, wide = 32, 96, 1 << 30, 2 ** 64 + 5
+    for n_tables, planned in ((budget // per_table + 1, False),
+                              (budget // per_table + 2, True)):
+        db_ref, db_opt = make_tiny_db("iam"), make_tiny_db("iam")
+        for db in (db_ref, db_opt):
+            for i in range(300):
+                db.put(i * 11, 40)
+            db.quiesce()
+            eng, seq = db.engine, db._seq
+            for t in range(n_tables):
+                keys = [base + 1000 * t + i for i in range(per_table)]
+                if t == n_tables - 1:
+                    keys[-1] = wide
+                run = [make_put(k, seq + per_table * t + i + 1, 40)
+                       for i, k in enumerate(keys)]
+                eng._create_node_from_run(eng.n, Run.from_records(run))
+            db.check_invariants()
+        _assert_scan_matches(db_ref, db_opt, base, None, limit=3)
+        got = _assert_scan_matches(db_ref, db_opt, base, None)
+        assert got[-1] == (wide, 40)
+        assert verdicts == [planned, False]
+        del verdicts[:]
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"limit": 7}, {"snapshot": 900},
+                                    {"limit": 7, "snapshot": 900}],
+                         ids=["all", "limit", "snapshot", "limit+snapshot"])
+def test_flsm_streams_are_declined_then_merged(kwargs, monkeypatch):
+    # FLSM's guards are not chains of disjoint tables: it hands out plain
+    # generators, which the planner does not know.  uint64 keys throughout.
+    verdicts = _planner_verdicts(monkeypatch)
+    db_ref, db_opt = _wide_pair("flsm")
+    for lo, hi in ((None, None), (WIDE_KEYS[40], WIDE_KEYS[650]),
+                   (WIDE_KEYS[300] + 1, None)):
+        _assert_scan_matches(db_ref, db_opt, lo, hi, **kwargs)
+    assert verdicts == [False] * 3
+
+
 @pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb"])
 def test_db_iterator_drain_and_seek_across_chain(engine):
     db_ref, db_opt = _wide_pair(engine)
@@ -449,6 +567,43 @@ def test_db_iterator_drain_and_seek_across_chain(engine):
         assert got == reference_scan(db_ref, max(target, lo), hi, limit=9)
     it.seek(WIDE_KEYS[600])
     assert list(it) == reference_scan(db_ref, WIDE_KEYS[600], hi)
+
+
+@pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb", "flsm"])
+def test_db_iterator_seek_is_a_fresh_iterate(engine):
+    # The seek contract: after seek(k) a DbIterator is indistinguishable --
+    # rows and charges -- from a fresh iterate(max(k, lo), hi).  One store
+    # holds the seekable iterator, its twin reopens a plain one per seek.
+    db_seek, db_twin = _wide_pair(engine)
+    lo, hi = WIDE_KEYS[40], WIDE_KEYS[650]
+    it, twin = db_seek.iterator(lo, hi), db_twin.iterate(lo, hi)
+
+    def step(n):
+        assert [r for _, r in zip(range(n), it)] == \
+            [r for _, r in zip(range(n), twin)]
+        assert _observable_state(db_seek) == _observable_state(db_twin)
+
+    step(5)
+    # Forwards over several members, into a fence gap, backwards, below
+    # lo_key (clamped), forwards again and past hi_key (exhausted) -- then
+    # whatever a seeded walk comes up with, unconsumed seeks included.
+    if engine == "flsm":
+        gap = WIDE_KEYS[333] + 1
+    else:
+        level = _widest(db_seek)
+        gap = next(a[1] + 1 for a, b in zip(level[2:], level[3:]) if a[1] + 1 < b[0])
+    schedule = [(WIDE_KEYS[350], 9), (gap, 9), (WIDE_KEYS[60], 30),
+                (lo - 1, 3), (0, 9), (WIDE_KEYS[500], 0), (hi + 1, 2)]
+    rng = random.Random(29)
+    schedule += [(rng.randrange(-5000, hi + 5000), rng.choice([0, 1, 4, 25]))
+                 for _ in range(25)]
+    for target, n in schedule:
+        it.seek(target)
+        twin = db_twin.iterate(max(target, lo), hi)
+        step(n)
+    it.seek(WIDE_KEYS[600])
+    twin = db_twin.iterate(WIDE_KEYS[600], hi)
+    step(10 ** 6)
 
 
 @pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb"])

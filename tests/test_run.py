@@ -166,11 +166,11 @@ def test_split_run_pinned_cases():
 
 
 # ---------------------------------------------- what a store hands back
-def make_store(kind):
+def make_store(kind, n_shards=3):
     if kind != "cluster":
         return make_tiny_db(kind)
     return ClusterDB(ClusterOptions(
-        n_shards=3, n_replicas=2, engine_options=tiny_iam_options(),
+        n_shards=n_shards, n_replicas=2, engine_options=tiny_iam_options(),
         storage_options=tiny_storage_options()))
 
 
@@ -239,6 +239,49 @@ def test_write_entry_points_refuse_non_integer_keys(key):
         with pytest.raises(ConfigError, match="keys must be Python ints"):
             write()
     assert db._seq == 0  # refused before anything was numbered or logged
+
+
+def _read_side_state(store):
+    """What a refused read must leave alone: clock, cache, counters."""
+    if isinstance(store, ClusterDB):
+        dbs = [r.db for sh in store.router.shards for r in sh.group.replicas]
+        extra = (store.clock.now, store._ops, store.network.messages,
+                 [(sh.reads, sh.writes, sh.scans) for sh in store.router.shards],
+                 list(store._acked_audit.items()))
+    else:
+        dbs, extra = [store], ()
+    return extra, [(db.runtime.clock.now, db._seq, m.bloom_probes,
+                    m.cache_hits, m.cache_misses, m.query_seeks,
+                    {op: lat.count for op, lat in m.latency.items()},
+                    list(db.runtime.cache._lru))
+                   for db in dbs for m in (db.metrics,)]
+
+
+@pytest.mark.parametrize("kind", ["iam", "leveldb", "flsm", "cluster"])
+def test_read_entry_points_refuse_non_integer_keys(kind):
+    """Once: a raw ``TypeError: '<' not supported between 'str' and 'int'``
+    out of a fence bisect (bare) or out of the router's shard bisect, which
+    on a cluster also sat in front of the write check."""
+    store = make_store(kind, n_shards=4)
+    for i in range(400):
+        store.put(i << 54, 16)  # spread over the cluster's shards
+    store.flush()
+    before = _read_side_state(store)
+    calls = [lambda: store.get("k"), lambda: store.multi_get([1, "k"]),
+             lambda: store.scan("a", None), lambda: store.scan(1, "z"),
+             lambda: store.scan(1, 7.5), lambda: store.scan("a", None, limit=0),
+             lambda: list(store.iterate("a")), lambda: store.get(True),
+             lambda: store.get(np.uint64(1))]
+    if kind == "cluster":
+        calls += [lambda: store.put("k", 1), lambda: store.delete("k")]
+    else:
+        calls += [lambda: store.iterator("a"), lambda: store.iterator(None, "z"),
+                  lambda: store.iterator(1, 9).seek("k")]
+    for call in calls:
+        with pytest.raises(ConfigError, match="keys must be Python ints"):
+            call()
+    assert _read_side_state(store) == before
+    assert store.get(3 << 54) == 16 and len(store.scan(1, 1 << 60)) == 63
 
 
 def test_string_keys_no_longer_kill_the_flush_job():
