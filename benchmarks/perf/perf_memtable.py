@@ -1,9 +1,9 @@
 """Memtable bulk-load microbenchmark: two-tier index vs seed bisect.insort.
 
-Measures a shuffled-unique-keys load through three paths: the frozen
-ReferenceMemtable (per-record ``bisect.insort``), the optimized per-record
-``add()``, and the bulk ``add_many()`` -- each followed by
-``sorted_records()`` so lazy consolidation is paid inside the timing.
+Measures a shuffled-unique-keys load through two paths: the frozen
+ReferenceMemtable (per-record ``bisect.insort``) and the optimized
+per-record ``add()`` -- each followed by ``sorted_records()`` so lazy
+consolidation is paid inside the timing.
 """
 
 if __name__ == "__main__":

@@ -1,15 +1,10 @@
-"""Batched read-path microbenchmarks: vectorized kernels vs scalar walks.
+"""Read-path microbenchmark: the scan planner vs the scalar heap merge.
 
-Three comparisons, each proven result- and sim-clock-identical inline
-before timing:
-
-* ``multi_get`` -- the two-phase planned batch lookup against the frozen
-  per-key memtable/engine walk (``reference_multi_get``);
-* ``scan`` -- the vectorized plan/replay assembler against the frozen
-  generator heap merge (``reference_scan``) on a version- and
-  tombstone-heavy leveled store;
-* cluster fan-out -- one scatter-gather ``multi_get`` RPC batch against
-  per-key routed reads (``reference_cluster_read_loop``).
+``scan`` -- the vectorized plan/replay assembler against the frozen
+generator heap merge (``reference_scan``) on a version- and
+tombstone-heavy leveled store, proven result- and sim-clock-identical
+inline before timing.  Point reads have one path and so no comparison
+here; the repo benchmark's ``ycsb_c_iam`` carries their cost.
 """
 
 if __name__ == "__main__":

@@ -38,7 +38,6 @@ from typing import (
 )
 
 if TYPE_CHECKING:
-    from repro.cluster import ClusterDB
     from repro.db.iamdb import IamDB
 from repro.check.effects.registry import effects
 
@@ -110,15 +109,9 @@ def bench_memtable(quick: bool = False) -> Dict[str, Dict[str, float]]:
             mt.add(r)
         return mt.sorted_records()
 
-    def load_add_many() -> list:
-        mt = Memtable(16)
-        mt.add_many(recs)
-        return mt.sorted_records()
-
     out = {
         "memtable_bulk_load_reference": _entry(n, _time(load_reference, repeat=1)),
         "memtable_bulk_load_add": _entry(n, _time(load_add)),
-        "memtable_bulk_load_add_many": _entry(n, _time(load_add_many)),
     }
     return out
 
@@ -295,63 +288,22 @@ def bench_workloads(quick: bool = False) -> Dict[str, Dict[str, float]]:
 
 # --------------------------------------------------------------------- reads
 def bench_reads(quick: bool = False) -> Dict[str, Dict[str, float]]:
-    """Batched read kernels vs their frozen scalar references.
+    """The scan planner vs its frozen scalar reference.
 
-    Each comparison builds *two* identically-seeded stores, proves the
-    batched path returns the same records at the same simulated clock as
-    the scalar reference (a cheap inline echo of the hypothesis equivalence
-    suite), then times both -- so the speedup is pure host-CPU savings on
-    a workload with pinned simulated behaviour.  The ``read_*`` ratios are
-    reported, not gated: their denominators run the *live* scalar engine
-    paths (``engine.get`` / ``engine.scan_cursors``), so speeding those up
-    lowers the ratio.  The equivalence suites guard correctness and the
-    repo benchmark (``benchmarks/e2e``) guards cost.
+    Builds *two* identically-seeded stores, proves the planned scan returns
+    the same rows at the same simulated clock as the scalar reference (a
+    cheap inline echo of the hypothesis equivalence suite), then times both
+    -- so the speedup is pure host-CPU savings on a workload with pinned
+    simulated behaviour.  The ``read_scan`` ratio is reported, not gated:
+    its denominator runs the *live* ``engine.scan_cursors`` streams, so
+    speeding those up lowers the ratio.  The equivalence suites guard
+    correctness and the repo benchmark (``benchmarks/e2e``) guards cost.
+    Point reads have one path (``IamDB.get``) and so nothing to compare;
+    the repo benchmark's ``ycsb_c_iam`` carries their cost.
     """
-    from repro.bench.reference import (
-        reference_cluster_read_loop,
-        reference_multi_get,
-        reference_scan,
-    )
+    from repro.bench.reference import reference_scan
     from repro.bench.scale import SSD_100G, make_db
-    from repro.workloads.dbbench import hash_load
-    from repro.workloads.distributions import permute64
 
-    # Batch economics: the vectorized planners pay a fixed numpy cost per
-    # (node, sequence) group the store shape forces them to touch, so the
-    # speedup scales with reads per group -- batches are sized well above
-    # the store's record count, like a YCSB-C read phase over a loaded DB.
-    n_records = 2_000 if quick else 4_000
-    n_reads = 8_000 if quick else 12_000
-
-    def build_db() -> "IamDB":
-        db = make_db("I-1t", SSD_100G)
-        hash_load(db, n_records, quiesce=True)
-        return db
-
-    rng = random.Random(17)
-    read_keys = [permute64(rng.randrange(n_records)) for _ in range(n_reads)]
-
-    out: Dict[str, Dict[str, float]] = {}
-
-    # ---- point lookups: multi_get vs the scalar per-key walk
-    db_ref = build_db()
-    db_opt = build_db()
-    verify_keys = read_keys[:200]
-    want = reference_multi_get(db_ref, verify_keys)
-    got = db_opt.multi_get(verify_keys)
-    _verify(want == got, "multi_get diverged from the scalar reference")
-    _verify(db_ref.runtime.clock.now == db_opt.runtime.clock.now,  # repro: noqa-REP004 (exact sim-clock equivalence gate)
-            "multi_get moved the simulated clock differently than the reference")
-    out["read_multi_get_reference"] = _entry(
-        n_reads, _time(lambda: reference_multi_get(db_ref, read_keys)))
-    out["read_multi_get_batched"] = _entry(
-        n_reads, _time(lambda: db_opt.multi_get(read_keys)))
-    _verify(db_ref.runtime.clock.now == db_opt.runtime.clock.now,  # repro: noqa-REP004 (exact sim-clock equivalence gate)
-            "timed multi_get runs ended at different simulated clocks")
-    db_ref.close()
-    db_opt.close()
-
-    # ---- range scans: the vectorized plan/replay vs the generator merge
     # A leveled store over a compact key space (the composite-sort fast
     # path), five versions per key with a tombstone tail -- the shape where
     # the scalar merge burns a Python step on every superseded version
@@ -380,6 +332,7 @@ def bench_reads(quick: bool = False) -> Dict[str, Dict[str, float]]:
     db_opt = build_scan_db()
     # Start low enough that every scan runs its full limit; exhausted scans
     # measure fixed costs, not the per-record merge the kernel targets.
+    rng = random.Random(17)
     starts = [rng.randrange(s_records // 3) for _ in range(n_scans)]
     v = reference_scan(db_ref, starts[0], None, limit=scan_limit)
     _verify(v == db_opt.scan(starts[0], None, limit=scan_limit),
@@ -392,42 +345,16 @@ def bench_reads(quick: bool = False) -> Dict[str, Dict[str, float]]:
             fn(start, None, limit=scan_limit)
 
     scan_rows = n_scans * scan_limit
-    out["read_scan_reference"] = _entry(
-        scan_rows, _time(lambda: drive_scans(
-            lambda lo, hi, limit: reference_scan(db_ref, lo, hi, limit=limit))))
-    out["read_scan_batched"] = _entry(
-        scan_rows, _time(lambda: drive_scans(
-            lambda lo, hi, limit: db_opt.scan(lo, hi, limit=limit))))
+    out = {
+        "read_scan_reference": _entry(scan_rows, _time(lambda: drive_scans(
+            lambda lo, hi, limit: reference_scan(db_ref, lo, hi, limit=limit)))),
+        "read_scan_batched": _entry(scan_rows, _time(lambda: drive_scans(
+            lambda lo, hi, limit: db_opt.scan(lo, hi, limit=limit)))),
+    }
     _verify(db_ref.runtime.clock.now == db_opt.runtime.clock.now,  # repro: noqa-REP004 (exact sim-clock equivalence gate)
             "timed scan runs ended at different simulated clocks")
     db_ref.close()
     db_opt.close()
-
-    # ---- cluster fan-out: one scatter-gather RPC batch vs per-key routing
-    from repro.cluster import ClusterDB, ClusterOptions
-
-    c_records = 1_000 if quick else 2_000
-    c_reads = 2_000 if quick else 4_000
-
-    def build_cluster() -> "ClusterDB":
-        cluster = ClusterDB(ClusterOptions(n_shards=4, n_replicas=2))
-        hash_load(cluster, c_records, quiesce=False)
-        cluster.quiesce()
-        return cluster
-
-    cl_ref = build_cluster()
-    cl_opt = build_cluster()
-    c_keys = [permute64(rng.randrange(c_records)) for _ in range(c_reads)]
-    _verify(reference_cluster_read_loop(cl_ref, c_keys[:100])
-            == cl_opt.multi_get(c_keys[:100]),
-            "cluster multi_get diverged from the per-key routing reference")
-    out["read_cluster_fanout_reference"] = _entry(
-        c_reads, _time(lambda: reference_cluster_read_loop(cl_ref, c_keys),
-                       repeat=2))
-    out["read_cluster_fanout_batched"] = _entry(
-        c_reads, _time(lambda: cl_opt.multi_get(c_keys), repeat=2))
-    cl_ref.close()
-    cl_opt.close()
     return out
 
 
@@ -481,7 +408,6 @@ SUITES: Dict[str, Callable[[bool], Dict[str, Dict[str, float]]]] = {
 
 #: (speedup name, numerator kernel, denominator kernel) pairs derived per run.
 _SPEEDUP_PAIRS = (
-    ("memtable_bulk_load", "memtable_bulk_load_add_many", "memtable_bulk_load_reference"),
     ("memtable_per_record_add", "memtable_bulk_load_add", "memtable_bulk_load_reference"),
     ("merge_2way", "merge_2way", "merge_2way_reference"),
     ("merge_5way", "merge_5way", "merge_5way_reference"),
@@ -492,10 +418,7 @@ _SPEEDUP_PAIRS = (
     ("keygen_permute64", "keygen_permute64_many", "keygen_permute64_scalar"),
     ("keygen_zipfian", "keygen_zipfian_many", "keygen_zipfian_scalar"),
     ("keygen_scrambled", "keygen_scrambled_many", "keygen_scrambled_scalar"),
-    ("read_multi_get", "read_multi_get_batched", "read_multi_get_reference"),
     ("read_scan", "read_scan_batched", "read_scan_reference"),
-    ("read_cluster_fanout", "read_cluster_fanout_batched",
-     "read_cluster_fanout_reference"),
 )
 
 

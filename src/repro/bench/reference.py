@@ -164,38 +164,6 @@ def reference_merge_runs(runs: PySequence[List[RecordTuple]], *,
 
 
 # ------------------------------------------------------------ read-path oracles
-def reference_multi_get(db: Any, keys: Iterable[Any],
-                        snapshot: Optional[int] = None,
-                        ) -> List[Optional[object]]:
-    """The frozen scalar batch read: one full walk per key, in order.
-
-    This is the oracle :meth:`repro.db.iamdb.IamDB.multi_get` is proven
-    against: per key, the seed read path (memtable, immutable memtable,
-    then the engine's scalar ``get``) with the latency measured as the
-    simulated-clock delta; one pump and one ``read`` latency sample per
-    key after the batch, matching the batched path's bookkeeping.
-    """
-    runtime = db.runtime
-    clock = runtime.clock
-    snap = db._snap_seq(snapshot)
-    values: List[Optional[object]] = []
-    latencies: List[float] = []
-    for key in keys:
-        t0 = clock.now
-        rec = db.memtable.get(key, snap)
-        if rec is None and db.immutable is not None:
-            rec = db.immutable.get(key, snap)
-        if rec is None:
-            rec, _ = db.engine.get(key, snap)
-        latencies.append(clock.now - t0)
-        values.append(None if rec is None or rec[KIND] == DELETE
-                      else rec[VALUE])
-    runtime.pump()
-    for lat in latencies:
-        db.metrics.record_latency("read", lat)
-    return values
-
-
 def _reference_merge_visible(streams: Iterable[Any], *,
                              snapshot: Optional[int] = None,
                              hi_key: Any = None,
@@ -231,10 +199,11 @@ def reference_scan(db: Any, lo_key: Any = None, hi_key: Any = None, *,
                    ) -> List[Tuple[object, object]]:
     """The frozen scalar scan: seed ``IamDB.scan`` over the heap merge.
 
-    Memtable/immutable snapshots plus one lazily-charging engine cursor per
-    component, merged record by record through the generator pipeline --
-    the oracle the batched :func:`repro.table.scan.merge_scan` assembler
-    is proven charge-identical against.
+    Memtable/immutable snapshots plus the live engine's ``scan_cursors``
+    streams, merged record by record through a frozen copy of the
+    visibility rule -- the oracle ``IamDB.scan`` (the scan planner, or
+    :func:`repro.table.scan.merge_scan` when it declines) is held
+    row- and charge-identical to.
     """
     runtime = db.runtime
     t0 = runtime.clock.now
@@ -248,12 +217,6 @@ def reference_scan(db: Any, lo_key: Any = None, hi_key: Any = None, *,
     runtime.pump()
     db.metrics.record_latency("scan", runtime.clock.now - t0)
     return out
-
-
-def reference_cluster_read_loop(cluster: Any, keys: Iterable[Any],
-                                ) -> List[Optional[object]]:
-    """The frozen scalar cluster read: one routed RPC per key, in order."""
-    return [cluster.get(key) for key in keys]
 
 
 BlockKey = Tuple[int, int]

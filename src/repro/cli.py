@@ -354,13 +354,13 @@ def _start_cluster(args, options):
     return cluster, session
 
 
-def _load_then_ycsb(cluster, args, **ycsb_kw):
+def _load_then_ycsb(cluster, args):
     """Hash-load, then the YCSB phase in ``ycsb`` mode; the last report."""
     rep = hash_load(cluster, args.records, quiesce=False)
     if args.mode == "ycsb":
         spec = YCSB_WORKLOADS[args.workload.upper()]
         rep = run_ycsb(cluster, spec, args.ops, args.records,
-                       clients=args.clients, **ycsb_kw)
+                       clients=args.clients)
     return rep
 
 
@@ -431,7 +431,7 @@ def cmd_cluster(args) -> int:
         engine_options=_engine_options(args.engine, args.threads),
         storage_options=_cluster_storage(args),
         network=NetworkOptions(**net_kwargs), rebalance=rebalance))
-    rep = _load_then_ycsb(cluster, args, coalesce_reads=args.coalesce_reads)
+    rep = _load_then_ycsb(cluster, args)
     cluster.quiesce()
     rc = _check_cluster_invariants(cluster)
     stats = cluster.stats()
@@ -673,9 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="YCSB operations after the load phase")
     sp.add_argument("--clients", type=int, default=1,
                     help="deterministically interleaved YCSB client streams")
-    sp.add_argument("--coalesce-reads", action="store_true",
-                    help="batch each round's point reads into one "
-                         "scatter-gather multi_get through the router")
     sp.add_argument("--engine", choices=ENGINES, default="iam")
     sp.add_argument("--device", choices=("ssd", "hdd"), default="ssd")
     sp.add_argument("--records", type=int, default=30_000)

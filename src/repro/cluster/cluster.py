@@ -429,25 +429,15 @@ class ClusterDB:
         return value
 
     def multi_get(self, keys: List[Key]) -> List[Optional[Value]]:
-        """Batched :meth:`get`: one routed scatter-gather op for the batch.
+        """:meth:`get` of every key, in request order: one routed op per key.
 
-        Counts as a single routed operation (one admission/rebalance check,
-        one ``multi_get`` latency sample covering the whole batch); each
-        shard leader answers its sub-batch through the storage layer's
-        vectorized read path.
+        Every key is validated before the first is routed, so a bad key
+        leaves the cluster untouched.
         """
         for key in keys:
             if type(key) is not int:
                 raise bad_key(key)
-        self._begin_op()
-        t0 = self.clock.now
-        values = self.router.multi_get(keys)
-        self._pump_all()
-        elapsed = self.clock.now - t0
-        self.metrics.record_latency("multi_get", elapsed)
-        if self.metrics.hist_enabled:
-            self.metrics.observe("multi_get", elapsed)
-        return values
+        return [self.get(key) for key in keys]
 
     def scan(self, lo_key: Optional[Key] = None, hi_key: Optional[Key] = None,
              *, limit: Optional[int] = None) -> List[Tuple[Key, object]]:

@@ -251,11 +251,6 @@ class ReplicaGroup:
         """Leader read (the group serves linearizable reads from the leader)."""
         return self.leader.db.get(key, snapshot)
 
-    def multi_get(self, keys: List[Key],
-                  snapshot: SnapshotLike = None) -> List[Optional[Value]]:
-        """Leader batched read (one storage-level batch per routed RPC)."""
-        return self.leader.db.multi_get(keys, snapshot)
-
     def scan(self, lo_key: Optional[Key], hi_key: Optional[Key], *,
              limit: Optional[int] = None) -> List[Tuple[Key, object]]:
         return self.leader.db.scan(lo_key, hi_key, limit=limit)

@@ -21,9 +21,7 @@ forwards operations over the simulated network to shard leaders:
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 from repro.cluster.network import SimNetwork
 from repro.cluster.shard import Shard
@@ -162,59 +160,6 @@ class Router:
         resp = value if isinstance(value, int) else 0
         self.network.send(leader_node, ROUTER_NODE, resp)
         return value
-
-    def multi_get(self, keys: List[Key]) -> List[Optional[Value]]:
-        """Scatter-gather batched point reads.
-
-        One vectorized ``searchsorted`` over the shard fences routes the
-        whole batch; keys sharing a shard coalesce into a single RPC to
-        that leader (request bytes scale with the batch, but the per-RPC
-        framing/latency is paid once), answered by the storage layer's
-        batched :meth:`~repro.cluster.replica.ReplicaGroup.multi_get`.
-        Shards are visited in key order; results return in request order.
-        """
-        n = len(keys)
-        if n == 0:
-            return []
-        los = self._los
-        shards = self._shards
-        try:
-            key_arr = np.asarray(keys, dtype=np.uint64)
-            if key_arr.shape != (n,):
-                raise TypeError("keys must be a flat sequence")
-            fences = np.asarray(los, dtype=np.uint64)
-            idxs = (np.searchsorted(fences, key_arr, side="right")
-                    .astype(np.intp) - 1).tolist()
-        except (OverflowError, TypeError, ValueError):
-            idxs = [bisect_right(los, key) - 1 for key in keys]
-        groups: Dict[int, List[int]] = {}
-        for pos, si in enumerate(idxs):
-            if si < 0:
-                raise InvariantViolation(
-                    f"key {keys[pos]:#x} below the cluster key space")
-            if not shards[si].contains(keys[pos]):
-                shard = shards[si]
-                raise InvariantViolation(
-                    f"key {keys[pos]:#x} outside shard "
-                    f"[{shard.lo:#x}, {shard.hi:#x})")
-            groups.setdefault(si, []).append(pos)
-        out: List[Optional[Value]] = [None] * n
-        for si in sorted(groups):
-            positions = groups[si]
-            shard = shards[si]
-            batch = [keys[p] for p in positions]
-            shard.reads += len(batch)
-            leader_node = shard.group.leader.node_id
-            self.network.send(ROUTER_NODE, leader_node,
-                              REQUEST_BYTES * len(batch))
-            values = shard.group.multi_get(batch)
-            resp = sum(v for v in values if isinstance(v, int))
-            self.network.send(leader_node, ROUTER_NODE, resp)
-            if len(batch) > 1:
-                self.metrics.bump("router:coalesced-reads", len(batch) - 1)
-            for p, v in zip(positions, values):
-                out[p] = v
-        return out
 
     def scan(self, lo_key: Optional[Key], hi_key: Optional[Key], *,
              limit: Optional[int] = None) -> List[Tuple[Key, object]]:

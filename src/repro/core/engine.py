@@ -304,48 +304,6 @@ class EngineBase(abc.ABC):
     def get(self, key: Key, snapshot: Optional[int] = None) -> Tuple[Optional[RecordTuple], float]:
         """Newest visible on-disk version of ``key``; (record|None, latency)."""
 
-    def multi_get(self, keys: Sequence[Key], snapshot: Optional[int] = None,
-                  ) -> Tuple[List[Optional[RecordTuple]], List[float]]:
-        """Batched :meth:`get`: ([record|None, ...], [latency, ...]).
-
-        The base implementation is the scalar loop, so it is trivially
-        charge-identical to a caller looping :meth:`get`.  Engines override
-        it with vectorized planners that replay the same device charges in
-        the same order (see :meth:`repro.core.lsa.LsaTree.multi_get`).
-        Latencies are measured as per-key simulated-clock deltas.
-        """
-        clock = self.runtime.clock
-        results: List[Optional[RecordTuple]] = []
-        latencies: List[float] = []
-        for key in keys:
-            t0 = clock.now
-            rec, _ = self.get(key, snapshot)
-            results.append(rec)
-            latencies.append(clock.now - t0)
-        return results, latencies
-
-    def _replay_probe_plans(self, probes: List[List[Tuple[int, range]]],
-                            counters: List[int]) -> List[float]:
-        """Phase B of a planned batch lookup: issue the per-key charges.
-
-        ``probes[g]`` holds key ``g``'s planned ``(file_id, blocks)`` reads
-        in scalar walk order; replaying them key by key, in request order,
-        reproduces the scalar loop's device/cache/clock trajectory exactly.
-        Returns per-key simulated latencies (clock deltas).
-        """
-        fg = self.runtime.fg_read_blocks
-        clock = self.runtime.clock
-        latencies = [0.0] * len(probes)
-        for g, plist in enumerate(probes):
-            if plist:
-                t0 = clock.now
-                for fid, blocks in plist:
-                    fg(fid, blocks)
-                latencies[g] = clock.now - t0
-        if counters[0]:
-            self.runtime.metrics.add_bloom_probes(counters[0], counters[1])
-        return latencies
-
     @abc.abstractmethod
     def scan_cursors(self, lo_key: Optional[Key],
                      hi_key: Optional[Key]) -> List[Iterable[RecordTuple]]:

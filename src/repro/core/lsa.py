@@ -26,8 +26,6 @@ import bisect
 from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, cast
 
-import numpy as np
-
 from repro.common.errors import InvariantViolation
 from repro.common.options import LsaOptions
 from repro.common.records import Key, RecordTuple
@@ -41,7 +39,6 @@ from repro.core.node import (
     level_find_node,
     level_insert_sorted,
     level_overlapping,
-    level_route_many,
     level_tables,
     partition_records,
 )
@@ -507,10 +504,7 @@ class LsaTree(EngineBase):
     def get(self, key: Key,
             snapshot: Optional[int] = None) -> Tuple[Optional[RecordTuple], float]:
         latency = 0.0
-        try:
-            hashes = hash_pair(key)  # one Bloom hash per get, not per sequence
-        except TypeError:
-            hashes = None  # non-integer key: left to each filter, as before
+        hashes = hash_pair(key)  # one Bloom hash per get, not per sequence
         for level in range(1, self.n + 1):
             node = level_find_node(self.levels[level], key)
             if node is None or node.is_empty:
@@ -520,64 +514,6 @@ class LsaTree(EngineBase):
             if rec is not None:
                 return rec, latency
         return None, latency
-
-    def multi_get(self, keys, snapshot: Optional[int] = None,
-                  ) -> Tuple[List[Optional[RecordTuple]], List[float]]:
-        """Vectorized batched point lookup (charge-identical to the loop).
-
-        Phase A plans every key's walk CPU-side: one ``searchsorted`` over
-        the level's node fences routes the whole batch, and each touched
-        node's :meth:`MSTable.plan_gets` resolves outcomes over the cached
-        sequence key columns and batched Bloom probes -- no device I/O.
-        Phase B replays each key's planned ``(file_id, blocks)`` charges in
-        request order, which is exactly the charge sequence the scalar
-        :meth:`get` loop issues, so the simulated clock, page cache and
-        metrics end bit-identical.  Non-integer keys fall back to the
-        scalar loop before any charge is issued.
-        """
-        n = len(keys)
-        if n == 0:
-            return [], []
-        try:
-            key_arr = np.asarray(keys, dtype=np.uint64)
-            if key_arr.shape != (n,):
-                raise TypeError("keys must be a flat sequence")
-        except (OverflowError, TypeError, ValueError):
-            return super().multi_get(keys, snapshot)
-        results: List[Optional[RecordTuple]] = [None] * n
-        probes: List[List[Tuple[int, range]]] = [[] for _ in range(n)]
-        counters = [0, 0]  # [bloom_probes, bloom_negatives]
-        live = list(range(n))
-        try:
-            for level in range(1, self.n + 1):
-                if not live:
-                    break
-                lvl = self.levels[level]
-                if not lvl:
-                    continue
-                live_arr = np.fromiter(live, dtype=np.intp, count=len(live))
-                routed = level_route_many(lvl, key_arr[live_arr])
-                buckets: Dict[int, List[int]] = {}
-                for off, node_idx in enumerate(routed.tolist()):
-                    if node_idx >= 0:
-                        buckets.setdefault(node_idx, []).append(live[off])
-                resolved: Set[int] = set()
-                for node_idx in sorted(buckets):
-                    node = lvl[node_idx]
-                    if node.is_empty:
-                        continue
-                    members = buckets[node_idx]
-                    left = node.table.plan_gets(key_arr, members, snapshot,
-                                                probes, results, counters)
-                    if len(left) != len(members):
-                        resolved.update(set(members) - set(left))
-                if resolved:
-                    live = [g for g in live if g not in resolved]
-        except (OverflowError, TypeError, ValueError):
-            # Non-uint64 fences or record keys: nothing was charged yet, so
-            # the scalar loop reproduces the trajectory from scratch.
-            return super().multi_get(keys, snapshot)
-        return results, self._replay_probe_plans(probes, counters)
 
     @observation_only
     def scan_cursors(self, lo_key: Optional[Key],

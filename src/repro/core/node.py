@@ -19,8 +19,6 @@ import bisect
 from operator import attrgetter
 from typing import Iterator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.common.errors import InvariantViolation
 from repro.common.records import Key
 from repro.storage.runtime import Runtime
@@ -116,22 +114,6 @@ def level_find_node(level: List[LsaNode], key: Key) -> Optional[LsaNode]:
     if idx >= 0 and level[idx].range_hi >= key:
         return level[idx]
     return None
-
-
-def level_route_many(level: List[LsaNode], keys: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`level_find_node` over a uint64 key batch.
-
-    One ``searchsorted`` over the level's range fences routes every key at
-    once; returns per-key node indexes with -1 for keys no node covers.
-    Raises TypeError/ValueError/OverflowError when node ranges are not
-    uint64-representable (callers fall back to the scalar bisect).
-    """
-    n = len(level)
-    los = np.fromiter((nd.range_lo for nd in level), dtype=np.uint64, count=n)
-    his = np.fromiter((nd.range_hi for nd in level), dtype=np.uint64, count=n)
-    idx = np.searchsorted(los, keys, side="right").astype(np.intp) - 1
-    valid = (idx >= 0) & (his[np.maximum(idx, 0)] >= keys)
-    return np.where(valid, idx, -1)
 
 
 def level_insert_sorted(level: List[LsaNode], node: LsaNode) -> None:

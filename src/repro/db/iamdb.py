@@ -200,7 +200,8 @@ class IamDB:
         self.engine.write_gate(total)
         self.wal.append_many(recs)
         self._crash_point("post-wal-append")
-        self.memtable.add_many(recs)
+        for rec in recs:
+            self.memtable.add(rec)
         self.metrics.add_user_bytes(total)
         if self.memtable.nbytes >= self.engine.memtable_capacity:
             self._rotate_memtable()
@@ -340,51 +341,16 @@ class IamDB:
 
     def multi_get(self, keys: List[Key],
                   snapshot: SnapshotLike = None) -> List[Optional[Value]]:
-        """Batched :meth:`get`: newest visible values, in request order.
+        """:meth:`get` of every key, in request order.
 
-        Result- and charge-identical to calling :meth:`get` per key (see
-        :func:`repro.bench.reference.reference_multi_get` for the frozen
-        scalar oracle): keys the memtables resolve cost no simulated time,
-        the rest go to the engine's vectorized planner, which replays the
-        scalar walk's device charges key by key.  One pump per batch, one
-        ``read`` latency sample per key, in request order.
+        Every key is validated before the first is read, so a bad key
+        leaves the store untouched.
         """
         self._check_open()
         for key in keys:
             if type(key) is not int:
                 raise bad_key(key)
-        runtime = self.runtime
-        snap = self._snap_seq(snapshot)
-        n = len(keys)
-        results: List[Optional[RecordTuple]] = [None] * n
-        latencies = [0.0] * n
-        pending: List[int] = []
-        pending_keys: List[Key] = []
-        for i, key in enumerate(keys):
-            rec = self.memtable.get(key, snap)
-            if rec is None and self.immutable is not None:
-                rec = self.immutable.get(key, snap)
-            if rec is None:
-                pending.append(i)
-                pending_keys.append(key)
-            else:
-                results[i] = rec
-        if pending:
-            recs, lats = self.engine.multi_get(pending_keys, snap)
-            for j, i in enumerate(pending):
-                results[i] = recs[j]
-                latencies[i] = lats[j]
-        runtime.pump()
-        record = self.metrics.record_latency
-        hist_on = self.metrics.hist_enabled
-        out: List[Optional[Value]] = []
-        for i in range(n):
-            record("read", latencies[i])
-            if hist_on:
-                self.metrics.observe("multi_get", latencies[i])
-            rec = results[i]
-            out.append(None if rec is None or rec[KIND] == DELETE else rec[VALUE])
-        return out
+        return [self.get(key, snapshot) for key in keys]
 
     def _scan_streams(self, lo_key: Optional[Key],
                       hi_key: Optional[Key]) -> List[Iterable[RecordTuple]]:
@@ -514,9 +480,9 @@ class IamDB:
             self.wal.truncate_through(durable_seq)
         # Replay the surviving WAL suffix into a fresh memtable.
         replayed = self.wal.replay()
-        self.memtable.add_many(replayed)
         recovered_seq = durable_seq
         for rec in replayed:
+            self.memtable.add(rec)
             if rec[SEQ] > recovered_seq:
                 recovered_seq = rec[SEQ]
         self._seq = recovered_seq

@@ -121,20 +121,6 @@ class BloomFilter:
                 return False
         return True
 
-    def contains_many(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`might_contain` over a uint64 key array.
-
-        Returns a bool array; bit-identical to probing key by key (same
-        double-hashing probe sequence), but all ``k * n`` bit gathers happen
-        as one broadcast, which is what makes batched point reads cheap.
-        """
-        arr = np.asarray(keys, dtype=np.uint64)
-        if self.n_hashes == 0 or arr.size == 0:
-            return np.ones(arr.shape, dtype=bool)
-        idx = self._probes(hash_columns(arr))
-        probe = (self._bits[idx >> 6] >> (idx & 63).view(np.uint64)) & _ONE
-        return probe.all(axis=0)
-
     def expected_fpr(self, n_keys: int) -> float:
         """Theoretical false-positive rate after inserting ``n_keys`` keys."""
         if self.n_hashes == 0:

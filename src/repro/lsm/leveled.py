@@ -25,8 +25,6 @@ from functools import partial
 from operator import attrgetter
 from typing import Any, Dict, List, Optional, Set, Tuple, cast
 
-import numpy as np
-
 from repro.common.errors import InvariantViolation
 from repro.common.options import LsmOptions
 from repro.common.records import RecordTuple
@@ -257,10 +255,7 @@ class LeveledLsm(EngineBase):
     # ------------------------------------------------------------------- read
     def get(self, key, snapshot: Optional[int] = None) -> Tuple[Optional[RecordTuple], float]:
         latency = 0.0
-        try:
-            hashes = hash_pair(key)  # one Bloom hash per get, not per table
-        except TypeError:
-            hashes = None  # non-integer key: left to each filter, as before
+        hashes = hash_pair(key)  # one Bloom hash per get, not per table
         for table in reversed(self.levels[0]):
             if table.min_key <= key <= table.max_key:
                 rec, lat = table.get(key, snapshot, hashes)
@@ -275,78 +270,6 @@ class LeveledLsm(EngineBase):
                 if rec is not None:
                     return rec, latency
         return None, latency
-
-    def multi_get(self, keys, snapshot: Optional[int] = None,
-                  ) -> Tuple[List[Optional[RecordTuple]], List[float]]:
-        """Vectorized batched point lookup (charge-identical to the loop).
-
-        Same two-phase shape as :meth:`repro.core.lsa.LsaTree.multi_get`:
-        Phase A plans each key's L0-then-levels walk CPU-side (range masks
-        over L0 files, one ``searchsorted`` over each sorted level's
-        min-key fences, batched Bloom/span resolution per table), Phase B
-        replays the planned charges per key in request order.
-        """
-        n = len(keys)
-        if n == 0:
-            return [], []
-        try:
-            key_arr = np.asarray(keys, dtype=np.uint64)
-            if key_arr.shape != (n,):
-                raise TypeError("keys must be a flat sequence")
-        except (OverflowError, TypeError, ValueError):
-            return super().multi_get(keys, snapshot)
-        results: List[Optional[RecordTuple]] = [None] * n
-        probes: List[List[Tuple[int, range]]] = [[] for _ in range(n)]
-        counters = [0, 0]  # [bloom_probes, bloom_negatives]
-        live = list(range(n))
-        try:
-            for table in reversed(self.levels[0]):
-                if not live:
-                    break
-                live_arr = np.fromiter(live, dtype=np.intp, count=len(live))
-                sub = key_arr[live_arr]
-                mask = (sub >= np.uint64(table.min_key)) & (sub <= np.uint64(table.max_key))
-                if not mask.any():
-                    continue
-                members = [live[off] for off in np.nonzero(mask)[0].tolist()]
-                left = table.plan_gets(key_arr, members, snapshot,
-                                       probes, results, counters)
-                if len(left) != len(members):
-                    gone = set(members) - set(left)
-                    live = [g for g in live if g not in gone]
-            for level in range(1, self.options.max_levels):
-                if not live:
-                    break
-                lst = self.levels[level]
-                if not lst:
-                    continue
-                n_tab = len(lst)
-                mins = np.fromiter((t.min_key for t in lst), dtype=np.uint64,
-                                   count=n_tab)
-                maxes = np.fromiter((t.max_key for t in lst), dtype=np.uint64,
-                                    count=n_tab)
-                live_arr = np.fromiter(live, dtype=np.intp, count=len(live))
-                sub = key_arr[live_arr]
-                idx = np.searchsorted(mins, sub, side="right").astype(np.intp) - 1
-                valid = (idx >= 0) & (maxes[np.maximum(idx, 0)] >= sub)
-                buckets: Dict[int, List[int]] = {}
-                vlist = valid.tolist()
-                ilist = idx.tolist()
-                for off in range(len(live)):
-                    if vlist[off]:
-                        buckets.setdefault(ilist[off], []).append(live[off])
-                resolved: Set[int] = set()
-                for ti in sorted(buckets):
-                    members = buckets[ti]
-                    left = lst[ti].plan_gets(key_arr, members, snapshot,
-                                             probes, results, counters)
-                    if len(left) != len(members):
-                        resolved.update(set(members) - set(left))
-                if resolved:
-                    live = [g for g in live if g not in resolved]
-        except (OverflowError, TypeError, ValueError):
-            return super().multi_get(keys, snapshot)
-        return results, self._replay_probe_plans(probes, counters)
 
     def _find_table(self, level: int, key) -> Optional[MSTable]:
         lst = self.levels[level]

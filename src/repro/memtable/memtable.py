@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import bisect
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.check.diagnostics import invariant_error
 from repro.common.records import (
     Key,
     PUT,
-    RECORD_OVERHEAD,
     RecordTuple,
     encoded_size,
 )
@@ -90,51 +89,6 @@ class Memtable:
             self.min_seq = seq
         if self.max_seq is None or seq > self.max_seq:
             self.max_seq = seq
-
-    def add_many(self, recs: Iterable[RecordTuple]) -> None:
-        """Bulk insert; identical semantics to repeated :meth:`add`.
-
-        Hoists the per-record attribute traffic (size accounting, seq
-        watermarks) out of the loop; the delta tier makes the key index
-        O(1) per new key either way.
-        """
-        versions_map = self._versions
-        delta = self._delta_keys
-        fixed = self.key_size + RECORD_OVERHEAD
-        nbytes = 0
-        n = 0
-        lo = self.min_seq
-        hi = self.max_seq
-        for rec in recs:
-            key, seq, kind, value = rec
-            versions = versions_map.get(key)
-            if versions is None:
-                delta.append(key)
-                versions_map[key] = [(seq, kind, value)]
-            else:
-                if versions[-1][0] >= seq:
-                    # Roll the batch's accounting in before raising so the
-                    # state matches what repeated add() would have left.
-                    self.nbytes += nbytes
-                    self.n_records += n
-                    if lo is not None:
-                        self.min_seq = lo
-                        self.max_seq = hi
-                    raise invariant_error(
-                        "memtable-seq-order",
-                        "memtable sequence numbers must increase per key",
-                        key=key, last_seq=versions[-1][0], seq=seq)
-                versions.append((seq, kind, value))
-            nbytes += fixed + (value if type(value) is int else len(value))
-            n += 1
-            if lo is None or seq < lo:
-                lo = seq
-            if hi is None or seq > hi:
-                hi = seq
-        self.nbytes += nbytes
-        self.n_records += n
-        self.min_seq = lo
-        self.max_seq = hi
 
     def get(self, key: Key,
             snapshot: Optional[int] = None) -> Optional[RecordTuple]:

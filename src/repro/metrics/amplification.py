@@ -75,8 +75,8 @@ class MetricsRegistry:
         self.gate_delays: Dict[str, StallStat] = {}
         #: Opt-in per-op-class latency histograms (see enable_histograms).
         self.hist_enabled = False
-        #: Log-linear histogram per op class ("put", "get", "multi_get",
-        #: "scan"); populated only while ``hist_enabled`` is True.
+        #: Log-linear histogram per op class ("put", "get", "scan");
+        #: populated only while ``hist_enabled`` is True.
         self.op_hist: Dict[str, LatencyHistogram] = {}
 
     # ------------------------------------------------------------------ write
@@ -97,10 +97,6 @@ class MetricsRegistry:
         self.query_seeks += seeks
         self.cache_hits += hits
         self.cache_misses += misses
-
-    def add_bloom_probes(self, probes: int, negatives: int) -> None:
-        self.bloom_probes += probes
-        self.bloom_negatives += negatives
 
     # ----------------------------------------------------------- object store
     def add_objstore_up(self, nbytes: int) -> None:
@@ -131,9 +127,9 @@ class MetricsRegistry:
     def observe(self, op_class: str, latency_s: float) -> None:
         """Record one op latency into the op-class histogram (if enabled).
 
-        Op classes are the user-facing verbs -- "put", "get", "multi_get",
-        "scan" -- distinct from the :attr:`latency` recorder keys (which
-        predate this and fold get/multi_get into "read").
+        Op classes are the user-facing verbs -- "put", "get", "scan" --
+        distinct from the :attr:`latency` recorder keys (which predate this
+        and call them "insert", "read", "scan").
         """
         if not self.hist_enabled:
             return

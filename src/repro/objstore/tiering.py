@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.options import StorageOptions
-from repro.common.records import KIND, DELETE, Key, VALUE, Value
+from repro.common.records import KIND, DELETE, Key, VALUE, Value, bad_key
 from repro.metrics import MetricsRegistry
 from repro.objstore.manifestlog import ManifestCut, SharedManifestLog
 from repro.objstore.store import SimObjectStore
@@ -234,6 +234,8 @@ class AsOfReader:
 
     def get(self, key: Key) -> Optional[Value]:
         """Newest value of ``key`` as of the cut, or None."""
+        if type(key) is not int:
+            raise bad_key(key)
         rec, _ = self.engine.get(key, None)
         if rec is None or rec[KIND] == DELETE:
             return None

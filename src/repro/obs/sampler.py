@@ -174,8 +174,7 @@ class TimeseriesSampler:
             "ops_window": ops_window,
             "throughput_ops_s": (ops_window / window_s) if window_s > 0.0 else 0.0,
             # Read-path telemetry (windowed): point-lookup throughput, data
-            # blocks touched per lookup, and the Bloom-filter negative rate
-            # -- the three signals the batched multi_get path must preserve.
+            # blocks touched per lookup, and the Bloom-filter negative rate.
             "reads": reads,
             "reads_window": dreads,
             "point_lookup_rate": (dreads / window_s) if window_s > 0.0 else 0.0,

@@ -194,9 +194,6 @@ class PageCache:
     def insert_range(self, file_id: int, first_block: int, n_blocks: int) -> None:
         self.insert_many(file_id, range(first_block, first_block + n_blocks))
 
-    def insert_file_blocks(self, file_id: int, blocks: Iterable[int]) -> None:
-        self.insert_many(file_id, blocks)
-
     # ---------------------------------------------------------------- pinning
     def pin_range(self, file_id: int, first_block: int, n_blocks: int) -> None:
         """Exempt blocks from eviction (§5.1.3 forcible caching).

@@ -123,18 +123,6 @@ class Sequence:
             raise TypeError("sequence keys are not uint64")
         return run.keys, run.seqs, run.kinds, run.sizes if run.vals is None else None
 
-    def spans_for_keys(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`span_for_range` for exact-match lookups.
-
-        ``keys`` must be uint64; raises TypeError when the sequence's own
-        keys are not.
-        """
-        if self.run.okeys is not None:
-            raise TypeError("sequence keys are not uint64")
-        col = self.run.keys
-        return (col.searchsorted(keys, side="left"),
-                col.searchsorted(keys, side="right"))
-
     def _blocks_for_span(self, i: int, j: int) -> range:
         """File-relative block numbers covering record indices [i, j)."""
         if i >= j:

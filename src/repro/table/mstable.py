@@ -16,14 +16,11 @@ from __future__ import annotations
 import heapq
 from typing import Iterator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.common.errors import InvariantViolation
 from repro.common.records import Key, RecordTuple, sort_key
 from repro.storage.runtime import Runtime
 from repro.table.block import Sequence
 from repro.table.run import Run
-from repro.check.effects.registry import observation_only
 
 
 class MSTable:
@@ -169,78 +166,6 @@ class MSTable:
             if rec is not None:
                 return rec, latency
         return None, latency
-
-    @observation_only
-    def plan_gets(self, key_arr: np.ndarray, live: List[int],
-                  snapshot: Optional[int],
-                  probes: List[List[Tuple[int, range]]],
-                  results: List[Optional[RecordTuple]],
-                  counters: List[int]) -> List[int]:
-        """Phase-A planner for batched point lookups -- no device I/O here.
-
-        ``live`` holds positions into ``key_arr`` (uint64) still unresolved;
-        returns the positions this table leaves unresolved.  Appends each
-        position's ``(file_id, blocks)`` charges to ``probes`` in exactly
-        the order the scalar :meth:`get` walk issues them (sequences
-        newest-first, Bloom false positives included), so replaying
-        ``probes`` position by position reproduces the scalar clock, cache
-        and metrics trajectory.  ``counters`` accumulates
-        ``[bloom_probes, bloom_negatives]``.  Raises TypeError when a
-        sequence's key column is not uint64-representable (the caller then
-        falls back to the scalar path).
-        """
-        fid = self.file_id
-        for seq in reversed(self.sequences):
-            if not live:
-                break
-            if snapshot is not None and seq.min_seq > snapshot:
-                continue
-            live_arr = np.fromiter(live, dtype=np.intp, count=len(live))
-            sub = key_arr[live_arr]
-            mask = (sub >= np.uint64(seq.min_key)) & (sub <= np.uint64(seq.max_key))
-            if not mask.any():
-                continue
-            cand_pos = live_arr[mask]
-            cand_keys = sub[mask]
-            counters[0] += cand_pos.size
-            admit = seq.bloom.contains_many(cand_keys)
-            n_admit = int(admit.sum())
-            counters[1] += cand_pos.size - n_admit
-            if not n_admit:
-                continue
-            hit_pos = cand_pos[admit]
-            hit_keys = cand_keys[admit]
-            i_arr, j_arr = seq.spans_for_keys(hit_keys)
-            run = seq.run
-            nrec = seq.n_records
-            resolved = None
-            for t in range(hit_pos.size):
-                g = int(hit_pos[t])
-                i = int(i_arr[t])
-                j = int(j_arr[t])
-                if i >= j:
-                    # Bloom false positive: the data block is still fetched
-                    # and searched before the miss is known (same block the
-                    # scalar miss touches).
-                    if i < nrec:
-                        blocks = seq._blocks_for_span(i, i + 1)
-                    else:
-                        blocks = seq._blocks_for_span(nrec - 1, nrec)
-                    probes[g].append((fid, blocks))
-                    continue
-                probes[g].append((fid, seq._blocks_for_span(i, j)))
-                if snapshot is not None:
-                    visible = np.flatnonzero(run.seqs[i:j] <= snapshot)
-                    if not visible.size:
-                        continue  # span charged, no visible version: keep looking
-                    i += int(visible[0])  # versions run newest first
-                results[g] = run.record_at(i)
-                if resolved is None:
-                    resolved = set()
-                resolved.add(g)
-            if resolved:
-                live = [g for g in live if g not in resolved]
-        return live
 
     def cursor(self, lo_key: Optional[Key] = None,
                hi_key: Optional[Key] = None) -> Iterator[RecordTuple]:

@@ -81,8 +81,7 @@ def finish_report(db: IamDB, name: str, ops: int, t0: float,
 
 
 def run_ycsb(db: IamDB, spec: "YcsbSpec", n_ops: int, n_records: int, *, seed: int = 11,
-             value_size: int = 256, clients: int = 1,
-             coalesce_reads: bool = False) -> WorkloadReport:
+             value_size: int = 256, clients: int = 1) -> WorkloadReport:
     """Run ``n_ops`` operations of a YCSB workload spec (see ycsb.py).
 
     ``n_records`` is the loaded record count; keys are ``permute64(item)``
@@ -94,14 +93,6 @@ def run_ycsb(db: IamDB, spec: "YcsbSpec", n_ops: int, n_records: int, *, seed: i
     requests interleave round-robin, one op per client per turn.  The total
     op count stays ``n_ops``; ``clients=1`` is byte-identical to the
     original single-stream runner.
-
-    ``coalesce_reads`` models a batching front door: each round-robin
-    turn's point reads are grouped into one :meth:`multi_get` call (one
-    batched op against a cluster router that fans out per shard), executed
-    before the round's remaining ops run in client order.  Read-modify-
-    write stays atomic (never split across the batch).  Coalescing changes
-    timing by design -- fewer RPCs for the same logical ops -- so it is a
-    performance mode, not an equivalence-preserving one.
     """
     from repro.workloads.ycsb import build_op_stream  # cycle-free local import
 
@@ -110,10 +101,6 @@ def run_ycsb(db: IamDB, spec: "YcsbSpec", n_ops: int, n_records: int, *, seed: i
     t0 = db.runtime.clock.now
     marks = latency_marks(db)
     ops = 0
-    if coalesce_reads:
-        ops = _run_coalesced(db, spec, n_ops, n_records, seed=seed,
-                             value_size=value_size, clients=clients)
-        return finish_report(db, spec.name, ops, t0, marks)
     if clients == 1:
         stream = build_op_stream(db, spec, n_ops, n_records, seed=seed,
                                  value_size=value_size)
@@ -144,53 +131,3 @@ def run_ycsb(db: IamDB, spec: "YcsbSpec", n_ops: int, n_records: int, *, seed: i
         for stream in finished:
             live.remove(stream)
     return finish_report(db, spec.name, ops, t0, marks)
-
-
-def _run_coalesced(db: IamDB, spec: "YcsbSpec", n_ops: int, n_records: int, *, seed: int,
-                   value_size: int, clients: int) -> int:
-    """Round-robin execution with per-round point reads batched.
-
-    Each round drains one descriptor per live client; the round's reads
-    coalesce into a single ``db.multi_get`` (fired first), then the other
-    ops run in client order.  Returns the logical op count.
-    """
-    from repro.workloads.ycsb import build_descriptor_stream
-
-    insert_state = {"inserted": n_records}
-    streams = []
-    for c in range(clients):
-        client_ops = (n_ops - c + clients - 1) // clients
-        streams.append(build_descriptor_stream(
-            spec, client_ops, n_records, seed=seed, client=c,
-            key_offset=(c * n_records) // clients if clients > 1 else 0,
-            insert_state=insert_state))
-    ops = 0
-    live = list(streams)
-    while live:
-        finished = []
-        reads = []
-        deferred = []
-        for stream in live:
-            desc = next(stream, None)
-            if desc is None:
-                finished.append(stream)
-                continue
-            if desc[0] == "read":
-                reads.append(desc[1])
-            else:
-                deferred.append(desc)
-            ops += 1
-        if reads:
-            db.multi_get(reads)
-        for desc in deferred:
-            kind = desc[0]
-            if kind == "update" or kind == "insert":
-                db.put(desc[1], value_size)
-            elif kind == "scan":
-                db.scan(desc[1], None, limit=desc[2])
-            else:  # rmw: read-modify-write stays atomic
-                db.get(desc[1])
-                db.put(desc[1], value_size)
-        for stream in finished:
-            live.remove(stream)
-    return ops

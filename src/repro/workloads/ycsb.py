@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional
 
 from repro.common.errors import ConfigError
 from repro.db.iamdb import IamDB
@@ -146,75 +146,3 @@ def build_op_stream(db: IamDB, spec: YcsbSpec, n_ops: int, n_records: int, *,
                 break
         else:  # floating-point edge: fall through to the last op type
             yield thresholds[-1][1]
-
-
-def build_descriptor_stream(spec: YcsbSpec, n_ops: int, n_records: int, *,
-                            seed: int, client: int = 0, key_offset: int = 0,
-                            insert_state: Optional[Dict[str, int]] = None,
-                            ) -> Iterator[Tuple]:
-    """Yield ``n_ops`` operation *descriptors* instead of bound closures.
-
-    Same RNG discipline as :func:`build_op_stream` (identical seeding, same
-    draw order per client), but each op comes out as a data tuple --
-    ``("read", key)``, ``("update", key)``, ``("insert", key)``,
-    ``("scan", start_key, length)`` or ``("rmw", key)`` -- with every random
-    draw made at generation time.  This is what the read-coalescing runner
-    consumes: it needs to *see* a round's reads before executing anything,
-    so it can batch them into one ``multi_get`` per round.
-    """
-    if client == 0:
-        rng = random.Random(f"{seed}:{spec.name}")
-    else:
-        rng = random.Random(f"{seed}:{spec.name}:c{client}")
-    if spec.distribution == "zipfian":
-        chooser = ScrambledZipfian(n_records, rng)
-    elif spec.distribution == "uniform":
-        chooser = UniformChooser(n_records, rng)
-    else:
-        chooser = LatestChooser(n_records, rng)
-
-    state = insert_state if insert_state is not None else {"inserted": n_records}
-
-    def key_of(item: int) -> int:
-        if key_offset and item < n_records:
-            item = (item + key_offset) % n_records
-        return permute64(item)
-
-    def gen_read() -> Tuple:
-        return ("read", key_of(chooser.sample()))
-
-    def gen_update() -> Tuple:
-        return ("update", key_of(chooser.sample()))
-
-    def gen_insert() -> Tuple:
-        item = state["inserted"]
-        state["inserted"] += 1
-        if isinstance(chooser, LatestChooser):
-            chooser.advance()
-        return ("insert", key_of(item))
-
-    def gen_scan() -> Tuple:
-        start = key_of(chooser.sample())
-        length = rng.randrange(1, spec.max_scan_len + 1)
-        return ("scan", start, length)
-
-    def gen_rmw() -> Tuple:
-        return ("rmw", key_of(chooser.sample()))
-
-    thresholds = []
-    acc = 0.0
-    for frac, fn in ((spec.read, gen_read), (spec.update, gen_update),
-                     (spec.insert, gen_insert), (spec.scan, gen_scan),
-                     (spec.rmw, gen_rmw)):
-        if frac > 0:
-            acc += frac
-            thresholds.append((acc, fn))
-
-    for _ in range(n_ops):
-        u = rng.random()
-        for bound, fn in thresholds:
-            if u <= bound:
-                yield fn()
-                break
-        else:
-            yield thresholds[-1][1]()

@@ -46,6 +46,13 @@ def make_tiny_db(engine: str = "iam", *, storage_kw=None, **engine_kw) -> IamDB:
     return IamDB(engine, engine_options=opts, storage_options=storage)
 
 
+def member_dbs(store):
+    """The IamDBs behind a store: itself, or every replica of a cluster."""
+    if isinstance(store, IamDB):
+        return [store]
+    return [r.db for sh in store.router.shards for r in sh.group.replicas]
+
+
 def make_matched_db(engine: str, *, storage_kw=None, **engine_kw) -> IamDB:
     """A DB with paper-ratio options (fanout/multiplier 10) at small size.
 

@@ -115,3 +115,11 @@ def test_retired_scheduling_flags_are_rejected(command, flag, capsys):
         build_parser().parse_args(command + flag)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_retired_read_coalescing_flag_is_rejected(capsys):
+    # One point-read path: there is no batching front door to switch on.
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["cluster", "ycsb", "--coalesce-reads"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -75,20 +75,6 @@ def test_snapshot_gets_identical(ops, snapshot):
         assert new.get(key, snapshot) == ref.get(key, snapshot)
 
 
-@given(ops_strategy, st.lists(st.integers(0, 120), max_size=4))
-def test_add_many_equals_sequential_add(ops, cut_points):
-    recs = _records(ops)
-    ref, _ = _loaded(ops)
-    new = Memtable(KEY_SIZE)
-    cuts = sorted({c for c in cut_points if c < len(recs)})
-    start = 0
-    for cut in cuts + [len(recs)]:
-        new.add_many(recs[start:cut])
-        start = cut
-    assert new.sorted_records().records() == ref.sorted_records()
-    _assert_same_accounting(ref, new)
-
-
 @given(ops_strategy)
 def test_interleaved_reads_do_not_disturb_writes(ops):
     # Consolidation happens on read; reading mid-stream must not change
@@ -112,7 +98,8 @@ def test_non_increasing_seq_raises_and_state_matches():
             ref.add(rec)
     new = Memtable(KEY_SIZE)
     with pytest.raises(InvariantViolation):
-        new.add_many(recs)
+        for rec in recs:
+            new.add(rec)
     # Both stop at the bad record with the first two fully applied.
     assert new.sorted_records().records() == ref.sorted_records()
     _assert_same_accounting(ref, new)

@@ -1,16 +1,14 @@
-"""Batched read path vs the frozen scalar references: state-identical.
+"""Read paths vs their references: state-identical.
 
-The vectorized read kernels -- :meth:`repro.db.iamdb.IamDB.multi_get`
-(two-phase plan/replay batch lookups) and the planned scan assembler in
-:mod:`repro.table.scanplan` -- must be *indistinguishable* from the seed
-scalar walks in :mod:`repro.bench.reference` at every observable level:
-returned records, the simulated clock, Bloom counters, and the page-cache
-trajectory (insertions, evictions, LRU order).  Hypothesis drives both
-sides of each pair with randomized MVCC workloads across all three engine
-families; pinned tests cover the edge cases batching is most likely to
-get wrong (duplicate keys in one batch, snapshot boundaries, tombstones,
-mid-flush memtable rotation, empty stores), and a 1-shard zero-cost
-cluster proves the scatter-gather layer adds nothing.
+The planned scan assembler in :mod:`repro.table.scanplan` must be
+*indistinguishable* from the seed scalar walk in
+:mod:`repro.bench.reference` at every observable level: returned rows, the
+simulated clock, Bloom counters, and the page-cache trajectory (insertions,
+evictions, LRU order).  ``multi_get`` has no second implementation to
+compare: its contract -- validate every key, then the ``get`` loop -- is
+held on twin stores, bare and clustered, and its edges (duplicate keys,
+snapshot boundaries, tombstones, mid-flush rotation, empty stores) are
+pinned as literal expectations.
 
 Two contracts sit beside the equivalences.  *Declines*: whatever the scan
 planner cannot plan (a key outside uint64, an engine that hands out plain
@@ -24,17 +22,14 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.bench.reference import (
-    reference_cluster_read_loop,
-    reference_multi_get,
-    reference_scan,
-)
+from repro.bench.reference import reference_scan
 from repro.cluster import ClusterDB, ClusterOptions, NetworkOptions
 from repro.common.errors import ConfigError
 from repro.common.records import make_put
 from repro.db import iamdb
 from repro.table.run import Run
-from tests.conftest import make_tiny_db, tiny_iam_options, tiny_storage_options
+from tests.conftest import (make_tiny_db, member_dbs, tiny_iam_options,
+                            tiny_storage_options)
 
 #: A fixed, spread-out key pool (arbitrary points in the 64-bit key space).
 KEY_POOL = [(0x9E3779B97F4A7C15 * (i + 1)) % 2 ** 64 for i in range(24)]
@@ -82,29 +77,75 @@ workload = st.lists(
     max_size=120)
 
 
-@settings(max_examples=25, deadline=None,
+def _full_state(store):
+    """``_observable_state`` of every DB behind ``store`` (itself, or each
+    replica of a cluster) plus latency sample counts per class and pool
+    state; for a cluster also its clock, op count and network counters."""
+    def samples(m):
+        return ({op: r.count for op, r in m.latency.items()},
+                {op: h.count for op, h in m.op_hist.items()})
+    state = [(_observable_state(db), samples(db.metrics), db.immutable is None,
+              db.runtime.pool.completed_jobs, len(db.runtime.pool.queue),
+              [(j.name, j.debt_s) for j in db.runtime.pool.active])
+             for db in member_dbs(store)]
+    if isinstance(store, ClusterDB):
+        state.append((store.clock.now, store._ops, samples(store.metrics),
+                      store.network.snapshot(),
+                      [s.reads for s in store.router.shards]))
+    return state
+
+
+@settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(engine=st.sampled_from(ENGINES), ops=workload,
-       small_keys=st.booleans(), quiesce=st.booleans(),
+@given(engine=st.sampled_from(ENGINES + ("flsm", "cluster")), ops=workload,
+       quiesce=st.booleans(),
        batch=st.lists(st.integers(0, 23), min_size=1, max_size=40),
-       snap_back=st.one_of(st.none(), st.integers(0, 60)))
-def test_multi_get_matches_scalar_reference(engine, ops, small_keys,
-                                            quiesce, batch, snap_back):
-    pool = SMALL_POOL if small_keys else KEY_POOL
-    db_ref, db_opt = _twin_dbs(engine, ops, pool)
+       snap_back=st.one_of(st.none(), st.integers(0, 60)),
+       bad=st.sampled_from(["k", 1.0, True, None]))
+def test_multi_get_is_validate_then_get_loop(engine, ops, quiesce, batch,
+                                             snap_back, bad):
+    # The whole contract of multi_get, bare and through a real 4x2 cluster:
+    # a bad key anywhere refuses the batch and touches nothing; otherwise
+    # it *is* the get loop -- rows, clock, cache, sample classes, pool and
+    # network -- quiesced or (bare) with a memtable rotation in flight.
+    cluster = engine == "cluster"
+    small_cache = dict(page_cache_bytes=1024)  # misses move the clock
+    if cluster:
+        a, b = (ClusterDB(ClusterOptions(
+            n_shards=4, n_replicas=2, engine_options=tiny_iam_options(),
+            storage_options=tiny_storage_options(**small_cache)))
+            for _ in range(2))
+    else:
+        a, b = (make_tiny_db(engine, storage_kw=small_cache) for _ in range(2))
+    for store in (a, b):
+        store.metrics.enable_histograms()
+        for op, key_i, size in ops:
+            if op == "delete":
+                store.delete(KEY_POOL[key_i])
+            else:
+                store.put(KEY_POOL[key_i], size)
     if quiesce:
-        db_ref.quiesce()
-        db_opt.quiesce()
-    snapshot = None
-    if snap_back is not None and db_ref._seq > 0:
-        snapshot = max(1, db_ref._seq - snap_back)
-    keys = [pool[i] for i in batch]
-    want = reference_multi_get(db_ref, keys, snapshot)
-    got = db_opt.multi_get(keys, snapshot)
-    assert got == want
-    assert _observable_state(db_opt) == _observable_state(db_ref)
-    db_ref.close()
-    db_opt.close()
+        a.quiesce()
+        b.quiesce()
+    elif not cluster:
+        # Write a few keys on until a memtable rotation is in flight: reads
+        # of the others go to disk, move the clock and let pumps retire it.
+        i = 0
+        while a.immutable is None:
+            a.put(KEY_POOL[i % 6], 300 + i)
+            b.put(KEY_POOL[i % 6], 300 + i)
+            i += 1
+    kw = {}
+    if snap_back is not None and not cluster and a._seq > 0:
+        kw["snapshot"] = max(1, a._seq - snap_back)
+    keys = [KEY_POOL[i] for i in batch]
+    with pytest.raises(ConfigError):
+        a.multi_get(keys + [bad], **kw)
+    assert _full_state(a) == _full_state(b)
+    assert a.multi_get(keys, **kw) == [b.get(k, **kw) for k in keys]
+    assert _full_state(a) == _full_state(b)
+    a.close()
+    b.close()
 
 
 #: Keys the uint64 columns cannot hold: the planner declines the scans that
@@ -148,99 +189,70 @@ def test_scan_matches_scalar_reference(engine, ops, small_keys, quiesce, odd,
 
 
 # ------------------------------------------------------------- pinned edges
-def _loaded_pair(engine="iam", n=60, quiesce=True):
-    db_ref, db_opt = make_tiny_db(engine), make_tiny_db(engine)
+def _loaded(n=60):
+    db = make_tiny_db("iam")
     for i in range(n):
-        for db in (db_ref, db_opt):
-            db.put(KEY_POOL[i % len(KEY_POOL)], 100 + i)
-    if quiesce:
-        db_ref.quiesce()
-        db_opt.quiesce()
-    return db_ref, db_opt
-
-
-def _assert_batch_matches(db_ref, db_opt, keys, snapshot=None):
-    want = reference_multi_get(db_ref, keys, snapshot)
-    got = db_opt.multi_get(keys, snapshot)
-    assert got == want
-    assert _observable_state(db_opt) == _observable_state(db_ref)
-    return got
+        db.put(KEY_POOL[i % len(KEY_POOL)], 100 + i)
+    return db
 
 
 def test_multi_get_duplicate_keys_in_batch():
-    # The same key several times in one batch must produce one answer per
-    # request slot -- and charge I/O exactly as many times as the scalar
-    # walk would (the second lookup hits the warmed cache).
-    db_ref, db_opt = _loaded_pair()
+    # The same key several times in one batch: one answer per request slot.
+    db = _loaded()
+    db.quiesce()
     k = KEY_POOL[3]
-    got = _assert_batch_matches(db_ref, db_opt, [k, k, KEY_POOL[5], k, k])
-    assert got[0] == got[1] == got[3] == got[4]
-    db_ref.close()
-    db_opt.close()
+    assert db.multi_get([k, k, KEY_POOL[5], k, k]) == [151, 151, 153, 151, 151]
+    db.close()
 
 
 def test_multi_get_snapshot_boundary():
     # Exactly at the snapshot seq the version is visible; one below the
-    # write it is not.  Run the same batch at seq, seq-1 and latest.
-    db_ref, db_opt = make_tiny_db("iam"), make_tiny_db("iam")
+    # write it is not.
+    db = make_tiny_db("iam")
     k = KEY_POOL[0]
-    for db in (db_ref, db_opt):
-        db.put(k, 111)
-    seq_v1 = db_ref._seq
-    for db in (db_ref, db_opt):
-        db.put(k, 222)
-        db.quiesce()
-    for snap in (seq_v1, seq_v1 - 1, None):
-        got = _assert_batch_matches(db_ref, db_opt, [k, k], snap)
-        if snap == seq_v1:
-            assert got == [111, 111]
-        elif snap == seq_v1 - 1:
-            assert got == [None, None]
-        else:
-            assert got == [222, 222]
-    db_ref.close()
-    db_opt.close()
+    db.put(k, 111)
+    seq_v1 = db._seq
+    db.put(k, 222)
+    db.quiesce()
+    assert db.multi_get([k, k], seq_v1) == [111, 111]
+    assert db.multi_get([k, k], seq_v1 - 1) == [None, None]
+    assert db.multi_get([k, k]) == [222, 222]
+    db.close()
 
 
 def test_multi_get_tombstoned_keys():
-    db_ref, db_opt = _loaded_pair(quiesce=False)
-    dead = [KEY_POOL[2], KEY_POOL[7]]
-    for db in (db_ref, db_opt):
-        for k in dead:
-            db.delete(k)
-        db.quiesce()
-    got = _assert_batch_matches(
-        db_ref, db_opt, [dead[0], KEY_POOL[4], dead[1], KEY_POOL[9]])
-    assert got[0] is None and got[2] is None
-    assert got[1] is not None and got[3] is not None
-    db_ref.close()
-    db_opt.close()
+    db = _loaded()
+    db.delete(KEY_POOL[2])
+    db.delete(KEY_POOL[7])
+    db.quiesce()
+    assert db.multi_get([KEY_POOL[2], KEY_POOL[4], KEY_POOL[7], KEY_POOL[9]]) \
+        == [None, 152, None, 157]
+    db.close()
 
 
 def test_multi_get_mid_flush_rotation():
-    # Keep writing until a memtable rotation is in flight (immutable
-    # memtable present, flush not yet retired), then read through all
-    # three tiers: active memtable, immutable, and on-disk sequences.
-    db_ref, db_opt = _loaded_pair(quiesce=True)
+    # Keep writing until a memtable rotation is in flight, then read through
+    # all three tiers: active memtable, immutable, and on-disk sequences.
+    db = _loaded()
+    db.quiesce()
+    model = {KEY_POOL[i % 24]: 100 + i for i in range(60)}
     i = 0
-    while db_ref.immutable is None and i < 4000:
-        for db in (db_ref, db_opt):
-            db.put(KEY_POOL[i % len(KEY_POOL)], 300 + i)
+    while db.immutable is None and i < 4000:
+        db.put(KEY_POOL[i % 24], 300 + i)
+        model[KEY_POOL[i % 24]] = 300 + i
         i += 1
-    assert db_ref.immutable is not None, "never caught a rotation in flight"
-    assert db_opt.immutable is not None
-    _assert_batch_matches(db_ref, db_opt, KEY_POOL)
-    db_ref.close()
-    db_opt.close()
+    assert db.immutable is not None, "never caught a rotation in flight"
+    assert db.multi_get(KEY_POOL) == [model[k] for k in KEY_POOL]
+    db.close()
 
 
 def test_multi_get_empty_db_and_empty_batch():
-    db_ref, db_opt = make_tiny_db("iam"), make_tiny_db("iam")
-    assert db_opt.multi_get([]) == []
-    got = _assert_batch_matches(db_ref, db_opt, KEY_POOL[:6])
-    assert got == [None] * 6
-    db_ref.close()
-    db_opt.close()
+    db = make_tiny_db("iam")
+    before = _observable_state(db)
+    assert db.multi_get([]) == []
+    assert _observable_state(db) == before
+    assert db.multi_get(KEY_POOL[:6]) == [None] * 6
+    db.close()
 
 
 def test_scan_empty_db():
@@ -252,7 +264,7 @@ def test_scan_empty_db():
     db_opt.close()
 
 
-# ------------------------------------------------------ cluster scatter-gather
+# ------------------------------------------------------------ trivial cluster
 def _trivial_cluster_pair():
     cluster = ClusterDB(ClusterOptions(
         n_shards=1, n_replicas=1,
@@ -261,29 +273,6 @@ def _trivial_cluster_pair():
         network=NetworkOptions.zero()))
     bare = make_tiny_db("iam")
     return cluster, bare
-
-
-@settings(max_examples=15, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(ops=workload, batch=st.lists(st.integers(0, 23), min_size=1,
-                                    max_size=30))
-def test_trivial_cluster_multi_get_equals_bare_db(ops, batch):
-    # 1 shard, 1 replica, zero-cost fabric: the scatter-gather batch read
-    # must return exactly the bare DB's values at the same simulated clock.
-    cluster, bare = _trivial_cluster_pair()
-    for op, key_i, size in ops:
-        key = KEY_POOL[key_i]
-        if op == "delete":
-            cluster.delete(key)
-            bare.delete(key)
-        else:
-            cluster.put(key, size)
-            bare.put(key, size)
-    keys = [KEY_POOL[i] for i in batch]
-    assert cluster.multi_get(keys) == bare.multi_get(keys)
-    assert cluster.clock.now == bare.runtime.clock.now
-    cluster.close()
-    bare.close()
 
 
 def test_scan_limit_zero_and_negative_bare_equals_trivial_cluster():
@@ -308,26 +297,6 @@ def test_scan_limit_zero_and_negative_bare_equals_trivial_cluster():
     assert len(bare.scan(None, None, limit=1)) == 1
     cluster.close()
     bare.close()
-
-
-def test_cluster_multi_get_matches_per_key_loop():
-    # On a real (non-trivial) topology the batched scatter-gather must
-    # return the same values as routing every key individually.
-    opts = dict(engine_options=tiny_iam_options(),
-                storage_options=tiny_storage_options())
-    c_batch = ClusterDB(ClusterOptions(n_shards=4, n_replicas=2, **opts))
-    c_loop = ClusterDB(ClusterOptions(n_shards=4, n_replicas=2, **opts))
-    rng = random.Random(11)
-    for _ in range(150):
-        k = KEY_POOL[rng.randrange(len(KEY_POOL))]
-        v = rng.randrange(1, 200)
-        c_batch.put(k, v)
-        c_loop.put(k, v)
-    keys = [KEY_POOL[rng.randrange(len(KEY_POOL))] for _ in range(60)]
-    keys += [2 ** 61 + 17]  # a key no one wrote
-    assert c_batch.multi_get(keys) == reference_cluster_read_loop(c_loop, keys)
-    c_batch.close()
-    c_loop.close()
 
 
 # ------------------------------------------------------------ lazy level chains

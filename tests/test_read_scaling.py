@@ -62,3 +62,15 @@ def test_calls_per_read_do_not_grow_with_level_width():
         few = _calls(lambda: read(narrow))
         many = _calls(lambda: read(wide))
         assert abs(many - few) < 0.10 * few, (few, many)
+
+
+def test_multi_get_costs_the_get_loop_plus_a_constant():
+    # multi_get *is* the get loop; a batch path must beat the loop to get in.
+    db, _ = _store(widen=False)
+    rng = random.Random(5)
+    keys = [rng.randrange(1 << 20) for _ in range(64)]
+
+    def extra(batch):
+        return (_calls(lambda: db.multi_get(batch))
+                - _calls(lambda: [db.get(k) for k in batch]))
+    assert extra(keys) == extra(keys[:4]) <= 4

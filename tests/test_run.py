@@ -26,6 +26,7 @@ from repro.table.run import Run, split_run
 from tests.conftest import (
     ALL_ENGINES,
     make_tiny_db,
+    member_dbs,
     tiny_iam_options,
     tiny_storage_options,
 )
@@ -243,15 +244,13 @@ def test_write_entry_points_refuse_non_integer_keys(key):
 
 def _read_side_state(store):
     """What a refused read must leave alone: clock, cache, counters."""
+    dbs, extra = member_dbs(store), ()
     if isinstance(store, ClusterDB):
-        dbs = [r.db for sh in store.router.shards for r in sh.group.replicas]
         extra = (store.clock.now, store._ops, store.network.messages,
                  [(sh.reads, sh.writes, sh.scans) for sh in store.router.shards],
                  list(store._acked_audit.items()))
-    else:
-        dbs, extra = [store], ()
     return extra, [(db.runtime.clock.now, db._seq, m.bloom_probes,
-                    m.cache_hits, m.cache_misses, m.query_seeks,
+                    m.bloom_negatives, m.cache_hits, m.cache_misses, m.query_seeks,
                     {op: lat.count for op, lat in m.latency.items()},
                     list(db.runtime.cache._lru))
                    for db in dbs for m in (db.metrics,)]
@@ -261,13 +260,20 @@ def _read_side_state(store):
 def test_read_entry_points_refuse_non_integer_keys(kind):
     """Once: a raw ``TypeError: '<' not supported between 'str' and 'int'``
     out of a fence bisect (bare) or out of the router's shard bisect, which
-    on a cluster also sat in front of the write check."""
+    on a cluster also sat in front of the write check.  The engine's ``get``
+    hashes its key unconditionally: a bad key must never reach it."""
     store = make_store(kind, n_shards=4)
     for i in range(400):
         store.put(i << 54, 16)  # spread over the cluster's shards
     store.flush()
     before = _read_side_state(store)
+
+    def entered(*args):
+        raise AssertionError("engine.get entered with a refused key")
+    for db in member_dbs(store):
+        db.engine.get = entered
     calls = [lambda: store.get("k"), lambda: store.multi_get([1, "k"]),
+             lambda: store.get(1.0),
              lambda: store.scan("a", None), lambda: store.scan(1, "z"),
              lambda: store.scan(1, 7.5), lambda: store.scan("a", None, limit=0),
              lambda: list(store.iterate("a")), lambda: store.get(True),
@@ -281,6 +287,8 @@ def test_read_entry_points_refuse_non_integer_keys(kind):
         with pytest.raises(ConfigError, match="keys must be Python ints"):
             call()
     assert _read_side_state(store) == before
+    for db in member_dbs(store):
+        del db.engine.get
     assert store.get(3 << 54) == 16 and len(store.scan(1, 1 << 60)) == 63
 
 
