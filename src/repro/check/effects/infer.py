@@ -8,9 +8,10 @@ the program:
 CLOCK_ADVANCE    store to ``<clock>.now``; call to ``<clock>.advance``
 DISK_CHARGE      store to ``<disk>.busy_until``; call to a raw
                  ``SimDisk`` costing method (``fg_io``, ``fg_stream``,
-                 ``bg_grant``, ``bg_count``, ``sync_drain``, ``_count``)
-NET_CHARGE       ``SimNetwork._enqueue`` (link-horizon reservation)
-OBJSTORE_CHARGE  ``SimObjectStore._enqueue`` (store-channel reservation)
+                 ``bg_grant``, ``bg_count``, ``sync_drain``, ``_count``);
+                 ``fg`` / ``reserve`` on a server, from a ``SimDisk`` method
+NET_CHARGE       ``fg`` / ``reserve`` from a ``SimNetwork`` method
+OBJSTORE_CHARGE  ``fg`` / ``reserve`` from a ``SimObjectStore`` method
 RNG_DRAW         method call on a ``random.Random`` / numpy Generator
                  receiver; module-global ``random.*`` / ``np.random.*``;
                  unseeded ``Random()`` / ``default_rng()``
@@ -58,6 +59,7 @@ from repro.check.effects.registry import (
     STATE_MUTATE,
 )
 from repro.check.lint import _GLOBAL_RANDOM_FNS, _WALL_CLOCK
+from repro.common.errors import ConfigError
 
 #: Raw SimDisk costing methods: calling one *is* touching the device.
 RAW_DEVICE_METHODS: FrozenSet[str] = frozenset({
@@ -68,22 +70,29 @@ _RAW_DEVICE_CLOCK: FrozenSet[str] = frozenset({
     "fg_io", "fg_stream", "sync_drain",
 })
 
-#: Seeded effects for functions whose intrinsic nature is not pattern-
-#: recognizable (the network link reservation mutates a dict entry; pulling
-#: a row out of the scan merge runs the sequence cursors underneath, and
-#: iteration leaves no call edge to follow).
-SEED_EFFECTS: Dict[str, FrozenSet[str]] = {
-    "repro.cluster.network.SimNetwork._enqueue": frozenset({NET_CHARGE}),
-    "repro.objstore.store.SimObjectStore._enqueue":
-        frozenset({OBJSTORE_CHARGE}),
-    "repro.db.iterator.merge_visible":
+#: The simulated hardware, as (module, class): each is (or holds)
+#: ``SimResource`` servers, and a request (``fg`` / ``reserve``) one of its
+#: methods queues on a server is that kind of charge.
+SERVER_OWNERS: Dict[Tuple[str, str], str] = {
+    ("repro.storage.simdisk", "SimDisk"): DISK_CHARGE,
+    ("repro.cluster.network", "SimNetwork"): NET_CHARGE,
+    ("repro.objstore.store", "SimObjectStore"): OBJSTORE_CHARGE,
+}
+
+#: Seeded effects, by (module, function), for functions whose intrinsic
+#: nature is not pattern-recognizable (pulling a row out of the scan merge
+#: runs the sequence cursors underneath, and iteration leaves no call edge
+#: to follow).
+SEED_EFFECTS: Dict[Tuple[str, str], FrozenSet[str]] = {
+    ("repro.db.iterator", "merge_visible"):
         frozenset({CLOCK_ADVANCE, DISK_CHARGE}),
-    "repro.db.iterator.DbIterator.__next__":
+    ("repro.db.iterator", "DbIterator.__next__"):
         frozenset({CLOCK_ADVANCE, DISK_CHARGE}),
 }
 
 _SIMDISK = "repro.storage.simdisk.SimDisk"
 _SIMCLOCK = "repro.storage.simdisk.SimClock"
+_SIMRESOURCE = "repro.storage.simdisk.SimResource"
 
 
 @dataclass(frozen=True)
@@ -92,8 +101,8 @@ class LeafSite:
 
     effect: str
     #: Site category: "clock-store", "clock-advance", "raw-device",
-    #: "net-charge", "rng-draw", "rng-unseeded", "rng-global", "host-time",
-    #: "span-begin", "span-end", "state-store", "seed".
+    #: "server-request", "rng-draw", "rng-unseeded", "rng-global",
+    #: "host-time", "span-begin", "span-end", "state-store", "seed".
     kind: str
     lineno: int
     col: int
@@ -147,7 +156,9 @@ class _FunctionScanner:
         self._collect_locals(self.info.node.body)
         for stmt in self.info.node.body:
             self._walk(stmt)
-        seeded = SEED_EFFECTS.get(self.info.qualname)
+        info = self.info
+        seeded = SEED_EFFECTS.get(
+            (info.module, info.qualname[len(info.module) + 1:]))
         if seeded:
             for effect in sorted(seeded):
                 self._leaf(effect, "seed", self.info.node,
@@ -398,6 +409,18 @@ class _FunctionScanner:
                     self._leaf(CLOCK_ADVANCE, "raw-device", call,
                                f"clock moves inside SimDisk.{func.attr}")
 
+            # --- a request a hardware class queues on one of its servers
+            if func.attr in ("fg", "reserve") and self.info.cls is not None:
+                owner = self.info.cls
+                charge = SERVER_OWNERS.get((owner.module, owner.name))
+                if charge is not None:
+                    self._leaf(charge, "server-request", call,
+                               f"{owner.name} queues a request ({func.attr})")
+                    # A link comes out of a dict untyped: a server all the same.
+                    for target in self.graph.resolve_method(_SIMRESOURCE,
+                                                            func.attr):
+                        self._edge(target)
+
             # --- tracer spans
             tracer_recv = (recv_t is not None and
                            self.graph.classes.get(recv_t) is not None and
@@ -451,6 +474,15 @@ def analyze_function(graph: CallGraph, info: FunctionInfo) -> EffectInfo:
 
 def infer_effects(graph: CallGraph) -> Dict[str, EffectInfo]:
     """Whole-program fixpoint: qualname -> :class:`EffectInfo`."""
+    # The registries are looked up by name: after a rename an entry matches
+    # nothing and its effect silently leaves every caller's inferred set.
+    known = graph.functions.keys() | graph.classes.keys()
+    gone = [f"{module}.{member}"
+            for module, member in [*SEED_EFFECTS, *SERVER_OWNERS]
+            if module in graph.modules and f"{module}.{member}" not in known]
+    if gone:
+        raise ConfigError("SEED_EFFECTS / SERVER_OWNERS name code that is "
+                          "gone (re-home or delete): " + ", ".join(gone))
     table: Dict[str, EffectInfo] = {}
     for qual, info in graph.functions.items():
         table[qual] = analyze_function(graph, info)

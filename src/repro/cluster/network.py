@@ -1,23 +1,16 @@
 """Simulated cluster message fabric on the shared sim clock.
 
-The network is a set of directed point-to-point links, each with one-way
-latency, finite bandwidth and FIFO delivery: a link busy with an earlier
-transfer delays the next one behind it, exactly like :class:`SimDisk`'s
-single-channel ``busy_until`` model.  Nothing here reads a wall clock --
-every timestamp comes from the one :class:`SimClock` the whole cluster
+The network is a cost model -- one-way latency, finite bandwidth, framing
+bytes -- over one :class:`~repro.storage.simdisk.SimResource` per directed
+point-to-point link, all on the one :class:`SimClock` the whole cluster
 shares, so network transfers and disk I/O interleave on a single timeline.
 
-Two charging modes mirror the storage runtime's foreground/background
-split:
-
-* :meth:`SimNetwork.send` / :meth:`SimNetwork.rpc` -- foreground messages.
-  The caller waits for delivery: the shared clock advances to the delivery
-  time (queueing behind the link plus service time).
+* :meth:`SimNetwork.send` / :meth:`SimNetwork.rpc` -- foreground messages
+  (the link's ``fg``): the caller waits for delivery.
 * :meth:`SimNetwork.reserve` -- background transfers (rebalance file
-  shipping).  The link is reserved FIFO like a foreground send, but the
-  clock does not move; the returned duration is device-time *debt* for a
-  :class:`~repro.storage.background.BackgroundJob`, so bulk copies overlap
-  foreground traffic the same way compactions overlap queries.
+  shipping; the link's ``reserve``): the returned tail is device-time
+  *debt* for a :class:`~repro.storage.background.BackgroundJob`, so bulk
+  copies overlap foreground traffic the way compactions overlap queries.
 
 The zero network (``NetworkOptions.zero()``) has no latency, infinite
 bandwidth and no framing overhead: every transfer takes exactly 0 simulated
@@ -31,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.common.errors import ConfigError
-from repro.storage.simdisk import SimClock
+from repro.storage.simdisk import SimClock, SimResource
 from repro.check.effects.registry import effects
 
 #: Default per-link bandwidth: 2 GiB/s full duplex (a 25 GbE-ish fabric,
@@ -75,10 +68,8 @@ class SimNetwork:
                  options: Optional[NetworkOptions] = None) -> None:
         self.clock = clock
         self.options = options if options is not None else NetworkOptions()
-        #: Per-directed-link FIFO horizon: (src, dst) -> sim time the link
-        #: is busy through.  Missing entries mean the link has never carried
-        #: traffic (busy through 0.0).
-        self._link_busy: Dict[Tuple[int, int], float] = {}
+        #: One FIFO server per directed link, made at its first message.
+        self._links: Dict[Tuple[int, int], SimResource] = {}
         #: Total messages carried (both foreground and background).
         self.messages = 0
         #: Total bytes carried, framing included.
@@ -87,42 +78,32 @@ class SimNetwork:
         self.link_bytes: Dict[Tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------ model
-    def service_time(self, nbytes: int) -> float:
-        """Latency + serialization time of one message of ``nbytes``."""
-        t = self.options.latency_s
-        if nbytes > 0:
-            t += nbytes / self.options.bandwidth
-        return t
-
-    def _enqueue(self, src: int, dst: int, nbytes: int) -> Tuple[float, float]:
-        """Reserve the (src, dst) link FIFO; returns (start, end) times."""
-        total = nbytes + self.options.rpc_bytes
-        service = self.service_time(total)
-        link = (src, dst)
-        start = self._link_busy.get(link, 0.0)
-        if start < self.clock.now:
-            start = self.clock.now
-        end = start + service
-        self._link_busy[link] = end
+    def _charge(self, src: int, dst: int,
+                nbytes: int) -> Tuple[SimResource, float]:
+        """The cost model: count one framed message; returns its link and
+        its service time (latency + serialization)."""
+        options = self.options
+        total = nbytes + options.rpc_bytes
+        service = options.latency_s
+        if total > 0:
+            service += total / options.bandwidth
+        key = (src, dst)
+        link = self._links.get(key)
+        if link is None:
+            link = self._links[key] = SimResource(self.clock)
         self.messages += 1
         self.bytes_sent += total
-        self.link_bytes[link] = self.link_bytes.get(link, 0) + total
-        return start, end
+        self.link_bytes[key] = self.link_bytes.get(key, 0) + total
+        return link, service
 
     # ------------------------------------------------------------- foreground
     @effects("CLOCK_ADVANCE", "NET_CHARGE", "STATE_MUTATE")
     def send(self, src: int, dst: int, nbytes: int) -> float:
-        """Deliver one message synchronously; returns the elapsed sim time.
-
-        The caller blocks until delivery: the shared clock advances past any
-        queueing behind earlier traffic on the same directed link plus the
-        message's own service time.
-        """
-        _, end = self._enqueue(src, dst, nbytes)
-        elapsed = end - self.clock.now
-        if elapsed > 0.0:
-            self.clock.advance(elapsed)
-        return elapsed
+        """Deliver one message synchronously; returns the elapsed sim time
+        (queueing behind earlier traffic on the same directed link plus the
+        message's own service time)."""
+        link, service = self._charge(src, dst, nbytes)
+        return link.fg(service)[0]
 
     @effects("CLOCK_ADVANCE", "NET_CHARGE", "STATE_MUTATE")
     def rpc(self, src: int, dst: int, request_bytes: int,
@@ -134,14 +115,10 @@ class SimNetwork:
 
     # ------------------------------------------------------------- background
     def reserve(self, src: int, dst: int, nbytes: int) -> float:
-        """Reserve a background transfer; returns debt, clock untouched.
-
-        The returned duration (queueing behind the link's horizon plus
-        service time) is meant to be a background job's device-time debt:
-        the transfer completes when the pool drains that debt.
-        """
-        start, end = self._enqueue(src, dst, nbytes)
-        return end - self.clock.now
+        """Reserve a background transfer; returns its tail, clock untouched
+        (the transfer completes when the pool drains that debt)."""
+        link, service = self._charge(src, dst, nbytes)
+        return link.reserve(service)
 
     # ------------------------------------------------------------- inspection
     def snapshot(self) -> Dict[str, object]:

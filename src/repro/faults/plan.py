@@ -29,10 +29,9 @@ from repro.common.options import ConfigError, FaultOptions
 from repro.check.effects.registry import effects
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.objstore.store import SimObjectStore
     from repro.storage.background import BackgroundJob
     from repro.storage.runtime import Runtime
-    from repro.storage.simdisk import SimClock, SimDisk
+    from repro.storage.simdisk import SimClock
 
 #: Retry attempts per single logical I/O before declaring the plan broken;
 #: far above anything a rate < 1 plan can produce (backoff escapes time
@@ -89,27 +88,16 @@ class FaultInjector:
 
     # ------------------------------------------------------------- foreground
     @effects("CLOCK_ADVANCE", "STATE_MUTATE")
-    def on_foreground_io(self, disk: "SimDisk") -> None:
-        """Retry loop in front of every foreground device request.
+    def on_foreground_request(self, clock: "SimClock") -> None:
+        """Retry loop in front of every foreground device or store request.
 
         Each faulted attempt advances the clock by the backoff delay; the
         caller's request then proceeds normally, so injected faults surface
-        purely as added latency (plus trace/metric events).
+        purely as added latency (plus trace/metric events).  Device I/O and
+        store requests (throttling, 5xx) share the plan's single attempt
+        stream, so a run's fault sequence stays a pure function of
+        (options, workload).
         """
-        self._foreground_retry(disk.clock)
-
-    @effects("CLOCK_ADVANCE", "STATE_MUTATE")
-    def on_objstore_request(self, store: "SimObjectStore") -> None:
-        """Same retry loop in front of every foreground object-store request.
-
-        Transient store faults (throttling, 5xx) share the plan's single
-        attempt stream with device I/O, so a run's fault sequence stays a
-        pure function of (options, workload).
-        """
-        self._foreground_retry(store.clock)
-
-    @effects("CLOCK_ADVANCE", "STATE_MUTATE")
-    def _foreground_retry(self, clock: "SimClock") -> None:
         if not self.options.enabled:
             return
         o = self.options

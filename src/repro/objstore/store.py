@@ -2,23 +2,19 @@
 
 The store models a disaggregated blob service (S3-style): a flat namespace
 of **immutable** objects behind a single high-bandwidth channel with
-per-request latency.  Requests queue FIFO on a ``busy_until`` horizon
-exactly like :class:`~repro.storage.simdisk.SimDisk`'s single channel and
-:class:`~repro.cluster.network.SimNetwork`'s links, so store traffic and
-local disk I/O interleave on the one shared timeline.
+per-request latency.  The channel is one
+:class:`~repro.storage.simdisk.SimResource` on the cluster's clock, so store
+traffic and local disk I/O interleave on the one shared timeline; this
+module adds the cost model (``latency_s`` + bytes/bandwidth per request),
+the counters and the objects.
 
-Two charging modes mirror the storage runtime's foreground/background
-split:
-
-* :meth:`SimObjectStore.put` / :meth:`get` / :meth:`list_prefix` /
-  :meth:`delete` -- foreground requests.  The caller waits: the shared
-  clock advances past queueing behind earlier requests plus the request's
-  own service time (``latency_s`` + bytes/bandwidth).
+* :meth:`SimObjectStore.put` / :meth:`get` / :meth:`read_fill` /
+  :meth:`list_prefix` / :meth:`delete` -- foreground requests (``fg``):
+  the caller waits.
 * :meth:`reserve_put` / :meth:`reserve_delete` -- background requests
-  (MSTable mirroring, tombstone cleanup).  The channel is reserved FIFO
-  but the clock does not move; the returned duration is the transfer's
-  tail, and later foreground requests queue behind it -- uploads overlap
-  foreground work the way compactions overlap queries.
+  (MSTable mirroring, tombstone cleanup; ``reserve``): the returned tail
+  is the transfer's, and later foreground requests queue behind it --
+  uploads overlap foreground work the way compactions overlap queries.
 
 Objects are write-once: a second ``put`` of a live name is an
 :class:`~repro.common.errors.InvariantViolation`.  Growing local files
@@ -39,7 +35,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError, InvariantViolation
-from repro.storage.simdisk import SimClock
+from repro.storage.simdisk import SimClock, SimResource
 from repro.check.effects.registry import effects
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -84,31 +80,17 @@ class ObjStoreOptions:
                                request_bytes=0)
 
 
-class _StoredObject:
-    """One immutable object: size plus the sim time its upload lands."""
-
-    __slots__ = ("nbytes", "created_at", "ready_at")
-
-    def __init__(self, nbytes: int, created_at: float, ready_at: float) -> None:
-        self.nbytes = nbytes
-        self.created_at = created_at
-        self.ready_at = ready_at
-
-
-class SimObjectStore:
+class SimObjectStore(SimResource):
     """Immutable put/get/list/delete blob store, one FIFO channel."""
 
     def __init__(self, clock: SimClock,
                  options: Optional[ObjStoreOptions] = None) -> None:
-        self.clock = clock
+        super().__init__(clock)
         self.options = options if options is not None else ObjStoreOptions()
-        #: Live objects by name.  The mapping *is* the durable state: what
-        #: survives a simulated process crash is exactly what is in here
-        #: (the store is a separate service; node crashes do not touch it).
-        self.objects: Dict[str, _StoredObject] = {}
-        #: Single-channel FIFO horizon (sim time the channel is busy
-        #: through), shared by foreground and background requests.
-        self._busy_until = 0.0
+        #: Live objects: name -> size in bytes.  The mapping *is* the durable
+        #: state: what survives a simulated process crash is exactly what is
+        #: in here (a separate service; node crashes do not touch it).
+        self.objects: Dict[str, int] = {}
         #: Fault injector; None = no transient request faults.
         self.faults: Optional["FaultInjector"] = None
         # Request counters for the report / sampler.
@@ -128,27 +110,11 @@ class SimObjectStore:
             t += total / self.options.bandwidth
         return t
 
-    def _enqueue(self, nbytes: int, requests: int = 1) -> Tuple[float, float]:
-        """Reserve the channel FIFO; returns (start, end) sim times."""
-        service = self.service_time(nbytes, requests)
-        start = self._busy_until
-        if start < self.clock.now:
-            start = self.clock.now
-        end = start + service
-        self._busy_until = end
-        return start, end
-
     def _fg_request(self, nbytes: int, requests: int = 1) -> Tuple[float, float]:
-        """Foreground request: advance the clock; (elapsed, queued)."""
+        """Foreground request behind the fault hook; (elapsed, queued)."""
         if self.faults is not None:
-            self.faults.on_objstore_request(self)
-        start, end = self._enqueue(nbytes, requests)
-        now = self.clock.now
-        queued = start - now
-        elapsed = end - now
-        if elapsed > 0.0:
-            self.clock.advance(elapsed)
-        return elapsed, (queued if queued > 0.0 else 0.0)
+            self.faults.on_foreground_request(self.clock)
+        return self.fg(self.service_time(nbytes, requests))
 
     # ------------------------------------------------------------- foreground
     @effects("CLOCK_ADVANCE", "OBJSTORE_CHARGE", "STATE_MUTATE")
@@ -165,8 +131,7 @@ class SimObjectStore:
         elapsed, queued = self._fg_request(nbytes)
         self.puts += 1
         self.bytes_up += nbytes
-        self.objects[name] = _StoredObject(nbytes, self.clock.now,
-                                           self.clock.now)
+        self.objects[name] = nbytes
         return elapsed, queued
 
     @effects("CLOCK_ADVANCE", "OBJSTORE_CHARGE", "STATE_MUTATE")
@@ -177,12 +142,12 @@ class SimObjectStore:
         background upload, so an object reserved earlier is always fully
         landed by the time a later get's service window starts.
         """
-        obj = self.objects.get(name)
-        if obj is None:
+        nbytes = self.objects.get(name)
+        if nbytes is None:
             raise InvariantViolation(f"objstore get of missing object {name!r}")
-        elapsed, queued = self._fg_request(obj.nbytes)
+        elapsed, queued = self._fg_request(nbytes)
         self.gets += 1
-        self.bytes_down += obj.nbytes
+        self.bytes_down += nbytes
         return elapsed, queued
 
     @effects("CLOCK_ADVANCE", "OBJSTORE_CHARGE", "STATE_MUTATE")
@@ -224,30 +189,28 @@ class SimObjectStore:
     def reserve_put(self, name: str, nbytes: int) -> float:
         """Reserve a background upload; returns its tail, clock untouched.
 
-        The object is visible immediately with ``ready_at`` at the end of
-        its channel window; because the channel is one FIFO, every later
-        request -- including a follower's bootstrap get -- starts after the
-        upload lands.  Used for mirroring flushed/compacted MSTables.
+        The object is visible immediately; because the channel is one FIFO,
+        every later request -- including a follower's bootstrap get --
+        starts after the upload lands.  Used for mirroring flushed/compacted
+        MSTables.
         """
         if name in self.objects:
             raise InvariantViolation(
                 f"objstore put of existing object {name!r} (objects are "
                 f"immutable; version the name instead)")
-        _, end = self._enqueue(nbytes)
         self.puts += 1
         self.bytes_up += nbytes
-        self.objects[name] = _StoredObject(nbytes, self.clock.now, end)
-        return end - self.clock.now
+        self.objects[name] = nbytes
+        return self.reserve(self.service_time(nbytes))
 
     def reserve_delete(self, name: str) -> float:
         """Reserve a background delete (tombstone cleanup); returns its tail."""
         if name not in self.objects:
             raise InvariantViolation(
                 f"objstore delete of missing object {name!r}")
-        _, end = self._enqueue(0)
         self.deletes += 1
         del self.objects[name]
-        return end - self.clock.now
+        return self.reserve(self.service_time(0))
 
     # ------------------------------------------------------------- inspection
     def exists(self, name: str) -> bool:
@@ -255,14 +218,14 @@ class SimObjectStore:
 
     def size_of(self, name: str) -> int:
         """Size in bytes of a live object (raises if missing)."""
-        obj = self.objects.get(name)
-        if obj is None:
+        nbytes = self.objects.get(name)
+        if nbytes is None:
             raise InvariantViolation(f"objstore size_of missing object {name!r}")
-        return obj.nbytes
+        return nbytes
 
     @property
     def live_bytes(self) -> int:
-        return sum(obj.nbytes for obj in self.objects.values())
+        return sum(self.objects.values())
 
     @property
     def requests(self) -> int:

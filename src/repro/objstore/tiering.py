@@ -28,7 +28,7 @@ objects whose cut never landed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.options import StorageOptions
@@ -183,26 +183,8 @@ class AsOfRuntime(Runtime):
 
     @effects("CLOCK_ADVANCE", "OBJSTORE_CHARGE", "STATE_MUTATE",
              "SPAN_BEGIN", "SPAN_END")
-    def fg_read_blocks(self, file_id: int, block_nos: Iterable[int]) -> float:
-        if isinstance(block_nos, range):
-            n_requested = len(block_nos)
-        else:
-            block_nos = list(block_nos)
-            n_requested = len(block_nos)
-        misses: List[int] = self.cache.touch_many(file_id, block_nos)
-        if not misses:
-            self.metrics.add_query_io(seeks=0, hits=n_requested, misses=0)
-            return 0.0
-        runs = 1
-        for prev, cur in zip(misses, misses[1:]):
-            if cur != prev + 1:
-                runs += 1
-        nbytes = len(misses) * self.block_size
-        elapsed = self.objstore_read_fill(nbytes, runs)
-        self.cache.insert_many(file_id, misses)
-        self.metrics.add_query_io(seeks=runs, hits=n_requested - len(misses),
-                                  misses=len(misses))
-        return elapsed
+    def _fill_misses(self, nbytes: int, runs: int) -> float:
+        return self.objstore_read_fill(nbytes, runs)
 
 
 class AsOfReader:

@@ -54,18 +54,19 @@ that the engines' token-bucket pacers read to estimate the sustainable
 ingest rate (see :mod:`repro.storage.pacing`).
 
 **Compaction offload** (shared-storage clusters): when ``offload_disk``
-is set, compaction-class jobs drain their device debt against that disk
-instead of the node's own -- the merge runs on a dedicated compaction
-node against shared storage, so local device idle stays available for
-flushes and queries.  Flushes always stay local (they persist the only
-copy of the memtable).  With ``offload_disk`` left ``None`` every code
-path is byte-identical to the pre-offload pool.
+is set, compaction-class jobs activate on that disk instead of the node's
+own and drain their whole debt there (a job keeps the disk it was activated
+on) -- the merge runs on a dedicated compaction node against shared storage,
+so local device idle stays available for flushes and queries.  Flushes
+always stay local (they persist the only copy of the memtable).  With
+``offload_disk`` left ``None`` every code path is byte-identical to the
+pre-offload pool.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, List, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Iterator, List, Optional
 
 from repro.common.errors import InvariantViolation
 from repro.obs.tracer import NULL_TRACER, NullTracer
@@ -104,7 +105,10 @@ class BackgroundJob:
 
     __slots__ = ("name", "start_fn", "debt_s", "debt_total", "not_before",
                  "state", "on_complete", "job_id", "high_priority", "klass",
-                 "retries", "retry_at", "failed", "seq")
+                 "retries", "retry_at", "failed", "seq", "disk")
+
+    #: The device the debt drains against: chosen once, at activation.
+    disk: SimDisk
 
     def __init__(self, name: str, start_fn: StartFn,
                  on_complete: Optional[Callable[[], None]] = None) -> None:
@@ -182,12 +186,6 @@ class BackgroundPool:
         #: that could change its answer has happened since.
         self._provider_idle = False
 
-    def _drain_disk(self, job: BackgroundJob) -> SimDisk:
-        """The device one job's debt drains against (offload aware)."""
-        if self.offload_disk is not None and not job.high_priority:
-            return self.offload_disk
-        return self.disk
-
     def set_provider(self, provider: Optional[Provider]) -> None:
         """Register the engine's compaction-picking callback."""
         self.provider = provider
@@ -261,7 +259,10 @@ class BackgroundPool:
         job.state = ACTIVE
         job.seq = self._next_seq
         self._next_seq += 1
-        job.not_before = max(self._drain_disk(job).busy_until, 0.0)
+        # Compactions offload when a dedicated disk is set; flushes never.
+        job.disk = disk = (self.disk if job.high_priority
+                           or self.offload_disk is None else self.offload_disk)
+        job.not_before = disk.busy_until
         self.wake()  # start_fn mutates engine structure
         job.debt_s = job.start_fn()
         if job.debt_s < 0:
@@ -329,42 +330,33 @@ class BackgroundPool:
             # compaction through the provider -- failed work re-queues.
             job.on_complete()
 
-    def _pop_ready(self) -> Optional[BackgroundJob]:
-        """Next queued job whose backoff has expired (FIFO otherwise).
+    def _eligible(self) -> Iterator[BackgroundJob]:
+        """Queued jobs that may activate next, in queue order: every
+        compaction, but only the *first* queued flush.  Recovery needs
+        memtables on disk in sequence order, so younger flushes wait behind
+        the head flush even through its fault backoff."""
+        flush_seen = False
+        for job in self.queue:
+            if not (job.high_priority and flush_seen):
+                yield job
+            flush_seen = flush_seen or job.high_priority
 
-        A flush whose backoff has not expired *blocks every later flush*:
-        recovery correctness needs memtables on disk in sequence order, so
-        a re-queued flush must not be overtaken by a younger one
-        (compactions may still proceed).
-        """
+    def _pop_ready(self) -> Optional[BackgroundJob]:
+        """Next eligible queued job whose backoff has expired."""
         if self.injector is None:
             return self.queue.popleft() if self.queue else None
         now = self.disk.clock.now
-        for i, job in enumerate(self.queue):
-            if not self._eligible_now(job, i):
-                continue
+        for job in self._eligible():
             if job.retry_at <= now:
-                del self.queue[i]
+                self.queue.remove(job)
                 return job
         return None
-
-    def _eligible_now(self, job: BackgroundJob, index: int) -> bool:
-        """Whether queue[index] may activate next (flush-head blocking).
-
-        Only the *first* queued flush is eligible; younger flushes wait
-        behind it even through its fault backoff.  Compactions are always
-        eligible.
-        """
-        if not job.high_priority:
-            return True
-        return not any(self.queue[i].high_priority for i in range(index))
 
     def _queue_ready(self) -> bool:
         if self.injector is None:
             return bool(self.queue)
         now = self.disk.clock.now
-        return any(job.retry_at <= now and self._eligible_now(job, i)
-                   for i, job in enumerate(self.queue))
+        return any(job.retry_at <= now for job in self._eligible())
 
     @effects("CLOCK_ADVANCE", "STATE_MUTATE")
     def _sleep_until_ready(self) -> Optional[float]:
@@ -373,8 +365,7 @@ class BackgroundPool:
         if self.injector is None or not self.queue:
             return None
         now = self.disk.clock.now
-        target = min(job.retry_at for i, job in enumerate(self.queue)
-                     if self._eligible_now(job, i))
+        target = min(job.retry_at for job in self._eligible())
         if target <= now:
             return 0.0
         self.disk.clock.advance(target - now)
@@ -417,7 +408,7 @@ class BackgroundPool:
             for job in order:
                 if job.state != ACTIVE:
                     continue
-                disk = self._drain_disk(job)
+                disk = job.disk
                 ask = min(job.debt_s, FAIR_QUANTUM_S) if contested else job.debt_s
                 granted = disk.bg_grant(job.not_before, ask, self.lookahead_s)
                 if granted > 0.0:
@@ -464,6 +455,18 @@ class BackgroundPool:
             job.on_complete()
 
     # ---------------------------------------------------------------- waiting
+    def _step(self, prefer: Optional[BackgroundJob] = None) -> Optional[float]:
+        """Fill idle threads, then finish one active job -- ``prefer`` if it
+        is running, else the head (jobs holding the threads finish before a
+        queued one activates) -- or, with none running, sleep to the next
+        queued retry.  Elapsed sim time; None = nothing to wait for."""
+        self._fill_threads()
+        if not self.active:
+            return self._sleep_until_ready()
+        if prefer is None or prefer.state != ACTIVE:
+            prefer = self.active[0]
+        return self._drain_one(prefer)
+
     def wait_for(self, job: BackgroundJob, *,
                  reason: Optional[str] = None) -> float:
         """Stall until ``job`` completes; returns elapsed simulated time.
@@ -478,18 +481,11 @@ class BackgroundPool:
             guard += 1
             if guard > 1_000_000:
                 raise InvariantViolation(f"wait_for({job.name}) did not converge")
-            self._fill_threads()
-            if job.state == ACTIVE:
-                elapsed += self._drain_one(job)
-            elif self.active:
-                # Jobs holding the threads must finish before ours activates.
-                elapsed += self._drain_one(self.active[0])
-            else:
-                slept = self._sleep_until_ready()
-                if slept is None:
-                    raise InvariantViolation(
-                        f"job {job.name} pending but no thread busy")
-                elapsed += slept
+            step = self._step(job)
+            if step is None:
+                raise InvariantViolation(
+                    f"job {job.name} pending but no thread busy")
+            elapsed += step
         if elapsed > 0.0:
             why = reason if reason is not None else f"wait:{job.name}"
             if self.metrics is not None:
@@ -503,52 +499,18 @@ class BackgroundPool:
         """Synchronously finish every pending job (end-of-run barrier)."""
         elapsed = 0.0
         while True:
-            self._fill_threads()
-            if not self.active:
+            step = self._step()
+            if step is None:
                 if self.queue:
-                    slept = self._sleep_until_ready()
-                    if slept is None:
-                        raise InvariantViolation("queued jobs but no free thread")
-                    elapsed += slept
-                    continue
+                    raise InvariantViolation("queued jobs but no free thread")
                 return elapsed
-            elapsed += self._drain_one(self.active[0])
-
-    def drain_queue_only(self) -> float:
-        """Finish submitted jobs without consulting the provider."""
-        elapsed = 0.0
-        provider, self.provider = self.provider, None
-        try:
-            while self.active or self.queue:
-                self._fill_threads()
-                if self.active:
-                    elapsed += self._drain_one(self.active[0])
-                elif self.queue:
-                    slept = self._sleep_until_ready()
-                    if slept is None:
-                        raise InvariantViolation(
-                            "queued jobs but no free thread")
-                    elapsed += slept
-        finally:
-            self.set_provider(provider)
-        return elapsed
+            elapsed += step
 
     def step_drain(self) -> float:
-        """Synchronously finish the head active job (stall helper).
-
-        Fills idle threads first so pending/provided work can activate.
-        Returns the elapsed simulated time (0.0 when nothing is running).
-        """
-        self._fill_threads()
-        if not self.active:
-            slept = self._sleep_until_ready()
-            if slept is None:
-                return 0.0
-            self._fill_threads()
-            if not self.active:
-                return slept
-            return slept + self._drain_one(self.active[0])
-        return self._drain_one(self.active[0])
+        """One :meth:`_step` for a stall loop (0.0 when nothing is running
+        or queued)."""
+        step = self._step()
+        return 0.0 if step is None else step
 
     # --------------------------------------------------------------- crashing
     @effects("SPAN_END", "STATE_MUTATE")
@@ -579,8 +541,7 @@ class BackgroundPool:
 
     def _drain_one(self, job: BackgroundJob) -> float:
         self._account_drain(job, job.debt_s)
-        disk = self._drain_disk(job)
-        elapsed = disk.sync_drain(job.debt_s)
+        elapsed = job.disk.sync_drain(job.debt_s)
         job.debt_s = 0.0
         self._retire(job)
         return elapsed

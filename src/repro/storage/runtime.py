@@ -141,7 +141,8 @@ class Runtime:
         return self.pool.drain_all()
 
     # ------------------------------------------------------------- query reads
-    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "STATE_MUTATE")
+    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "OBJSTORE_CHARGE", "SPAN_BEGIN",
+             "SPAN_END", "STATE_MUTATE")
     def fg_read_blocks(self, file_id: int, block_nos: Iterable[int]) -> float:
         """Read blocks for a query through the cache; returns elapsed time."""
         if isinstance(block_nos, range):
@@ -158,12 +159,18 @@ class Runtime:
         for prev, cur in zip(misses, misses[1:]):
             if cur != prev + 1:
                 runs += 1
-        nbytes = len(misses) * self.block_size
-        elapsed = self.disk.fg_io(nbytes_read=nbytes, seeks=runs)
+        n_missed = len(misses)
+        elapsed = self._fill_misses(n_missed * self.block_size, runs)
         self.cache.insert_many(file_id, misses)
-        self.metrics.add_query_io(seeks=runs, hits=n_requested - len(misses),
-                                  misses=len(misses))
+        self.metrics.add_query_io(seeks=runs, hits=n_requested - n_missed,
+                                  misses=n_missed)
         return elapsed
+
+    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "STATE_MUTATE")
+    def _fill_misses(self, nbytes: int, runs: int) -> float:
+        """Fetch ``nbytes`` of missing blocks lying in ``runs`` consecutive
+        runs: from this stack's own disk, one seek per run."""
+        return self.disk.fg_io(nbytes_read=nbytes, seeks=runs)
 
     # --------------------------------------------------------- compaction I/O
     @effects("DISK_CHARGE", "STATE_MUTATE")

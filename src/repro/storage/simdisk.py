@@ -1,17 +1,20 @@
-"""Simulated block device and virtual clock.
+"""Virtual clock, the one FIFO server, and the simulated block device.
 
-The device models exactly the two parameters the paper's analysis depends on:
-seek cost and sequential bandwidth (§2.1: LSM substitutes sequential I/O for
-random I/O).  All I/O -- foreground (user queries, WAL appends, stalls) and
-background (flush/compaction jobs) -- serializes through one channel tracked
-by ``busy_until``:
+:class:`SimResource` is how every piece of simulated hardware queues: one
+channel on the shared clock, committed through ``busy_until``.  A request
+starts at ``max(now, busy_until)``; the gap is its queueing delay.  ``fg`` is
+a request the caller waits for (the clock moves to its end); ``reserve``
+leaves the clock alone and returns the tail a background job owes.  Disk,
+network link and object store are this server plus a *cost model* -- bytes to
+service seconds, counters, files / objects (DESIGN.md "Simulated hardware").
 
-* *Foreground* I/O starts at ``max(now, busy_until)``; the gap is queueing
-  delay and surfaces as tail latency when compactions saturate the device.
-* *Background* work (see :mod:`repro.storage.background`) only consumes device
-  time in the past-idle window up to "now", so it can never starve foreground
-  traffic, but it does push ``busy_until`` forward and delay it -- the paper's
-  "writes might saturate disk bandwidth and block user queries".
+The disk's model is the two parameters the paper's analysis depends on: seek
+cost and sequential bandwidth (§2.1: LSM substitutes sequential I/O for random
+I/O).  The disk is also the one resource asked for *past-idle* time
+(:meth:`SimDisk.bg_grant`, see :mod:`repro.storage.background`): background
+work fills the channel only up to "now" plus a bounded lookahead, so it never
+starves foreground traffic but does push ``busy_until`` forward and delay it
+-- the paper's "writes might saturate disk bandwidth and block user queries".
 
 Space accounting is separate from time: :class:`SimFile` tracks live bytes
 (MSTable holes are sparse and cost nothing, §4.1).
@@ -19,7 +22,7 @@ Space accounting is separate from time: :class:`SimFile` tracks live bytes
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.check.diagnostics import invariant_error
 from repro.common.options import DeviceProfile
@@ -38,6 +41,39 @@ class SimClock:
             raise invariant_error("clock-monotonic",
                                   "clock cannot go backwards", dt=dt)
         self.now += dt
+
+
+class SimResource:
+    """One FIFO server on the shared clock: a channel busy through
+    ``busy_until``.  The only code that queues a request on a horizon."""
+
+    def __init__(self, clock: SimClock) -> None:
+        self.clock = clock
+        #: Timestamp until which the channel is committed.
+        self.busy_until = 0.0
+
+    def fg(self, service_s: float) -> Tuple[float, float]:
+        """Serve a request the caller waits for (the clock moves to its
+        end); returns ``(elapsed, queued)``."""
+        clock = self.clock
+        now = clock.now
+        start = self.busy_until
+        if start < now:
+            start = now
+        end = start + service_s
+        self.busy_until = end
+        clock.now = end
+        return end - now, start - now
+
+    def reserve(self, service_s: float) -> float:
+        """Queue a background request; returns its tail, clock untouched."""
+        now = self.clock.now
+        start = self.busy_until
+        if start < now:
+            start = now
+        end = start + service_s
+        self.busy_until = end
+        return end - now
 
 
 class SimFile:
@@ -66,14 +102,13 @@ class SimFile:
         return f"SimFile(id={self.file_id}, nbytes={self.nbytes})"
 
 
-class SimDisk:
-    """The simulated device: time, byte counters, and file space."""
+class SimDisk(SimResource):
+    """The simulated device: seek + bandwidth cost model, byte counters and
+    file space on one :class:`SimResource` channel."""
 
     def __init__(self, profile: DeviceProfile, clock: Optional[SimClock] = None) -> None:
+        super().__init__(clock if clock is not None else SimClock())
         self.profile = profile
-        self.clock = clock if clock is not None else SimClock()
-        #: Timestamp until which the device channel is committed.
-        self.busy_until = 0.0
         self.files: Dict[int, SimFile] = {}
         self._next_file_id = 1
         #: Optional fault injector (repro.faults.plan.FaultInjector); when set,
@@ -133,13 +168,9 @@ class SimDisk:
         Returns the elapsed simulated time (queueing delay + service).
         """
         if self.faults is not None:
-            self.faults.on_foreground_io(self)  # type: ignore[attr-defined]
-        service = self.io_time(nbytes_read=nbytes_read, nbytes_write=nbytes_write, seeks=seeks)
-        start = max(self.clock.now, self.busy_until)
-        end = start + service
-        self.busy_until = end
-        elapsed = end - self.clock.now
-        self.clock.now = end
+            self.faults.on_foreground_request(self.clock)  # type: ignore[attr-defined]
+        elapsed = self.fg(self.io_time(
+            nbytes_read=nbytes_read, nbytes_write=nbytes_write, seeks=seeks))[0]
         self._count(nbytes_read, nbytes_write, seeks)
         return elapsed
 
@@ -155,7 +186,7 @@ class SimDisk:
         paper's bursts and stalls originate (§6.2).
         """
         if self.faults is not None:
-            self.faults.on_foreground_io(self)  # type: ignore[attr-defined]
+            self.faults.on_foreground_request(self.clock)  # type: ignore[attr-defined]
         service = 0.0
         if nbytes_write:
             # io_time(nbytes_write=n), bit for bit (``0.0 + n/bw``), and
@@ -178,6 +209,8 @@ class SimDisk:
         traffic.  Foreground ops queue behind ``busy_until``, so bandwidth is
         shared and compaction pressure surfaces as foreground queueing delay
         ("writes might saturate disk bandwidth and block user queries", §1).
+        The one horizon write outside :class:`SimResource`: a grant may
+        start in the past, a request never does.
         """
         start = max(self.busy_until, not_before)
         horizon = self.clock.now + lookahead_s
@@ -202,17 +235,4 @@ class SimDisk:
             raise invariant_error("device-time",
                                   "sync_drain needs service_s >= 0",
                                   service_s=service_s)
-        start = max(self.clock.now, self.busy_until)
-        end = start + service_s
-        self.busy_until = end
-        elapsed = end - self.clock.now
-        self.clock.now = end
-        return elapsed
-
-    # -------------------------------------------------------------- reporting
-    @property
-    def utilization_window(self) -> float:
-        """Fraction of elapsed time the device has been busy so far."""
-        if self.clock.now <= 0:
-            return 0.0
-        return min(1.0, self.busy_until / self.clock.now) if self.busy_until > 0 else 0.0
+        return self.fg(service_s)[0]

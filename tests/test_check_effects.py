@@ -39,6 +39,7 @@ from repro.check.effects.registry import (
     effects,
     observation_only,
 )
+from repro.common.errors import ConfigError
 
 
 def build_tree(tmp_path: Path, files: "dict[str, str]") -> Path:
@@ -304,6 +305,31 @@ class TestRep105DeclaredHostTime:
         assert result.findings == []
 
 
+# ------------------------------------------------- analyzer registries
+class TestRegistryEntriesMustResolve:
+    """SEED_EFFECTS / SERVER_OWNERS are looked up by name.  PR 22's first
+    draft renamed both seeded ``_enqueue``s away: NET_CHARGE and
+    OBJSTORE_CHARGE lost their only origin and the gate still passed."""
+
+    def test_entry_naming_deleted_code_fails_the_gate(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"iterator\.merge_visible, "
+                           r"repro\.db\.iterator\.DbIterator\.__next__"):
+            gate(tmp_path, {"db/iterator.py": "def merge_visible2(): pass\n"})
+        with pytest.raises(ConfigError, match="network.SimNetwork"):
+            gate(tmp_path, {"cluster/network.py": "class Fabric: pass\n"})
+
+    def test_live_entries_seed_their_effects(self, tmp_path):
+        result = gate(tmp_path, {"db/iterator.py": (
+            "def merge_visible(streams):\n"
+            "    return list(streams)\n"
+            "class DbIterator:\n"
+            "    def __next__(self):\n"
+            "        return 1\n")})
+        assert result.findings == []
+        assert result.table["repro.db.iterator.merge_visible"].inferred == {
+            "CLOCK_ADVANCE", "DISK_CHARGE"}
+
+
 # ----------------------------------------------------- inference mechanics
 class TestInference:
     def test_fixpoint_closes_over_cycles(self, tmp_path):
@@ -344,6 +370,34 @@ class TestInference:
             "    d['k'] = 2\n"
             "    return d\n")})
         assert table["repro.m.f"].inferred == frozenset()
+
+
+    def test_a_queued_request_is_its_owners_charge(self, tmp_path):
+        _, table = analyze(tmp_path, {"storage/simdisk.py": (
+            "class SimResource:\n"
+            "    def fg(self, service_s):\n"
+            "        self.clock.now = self.busy_until + service_s\n"
+            "    def reserve(self, service_s):\n"
+            "        self.busy_until = self.busy_until + service_s\n"
+            "class SimDisk(SimResource):\n"
+            "    def sync_drain(self, service_s):\n"
+            "        return self.fg(service_s)\n"),
+            "cluster/network.py": (
+            "class SimNetwork:\n"
+            "    def send(self, src, dst):\n"
+            "        return self._links[src, dst].fg(1.0)\n"
+            "    def reserve(self, src, dst):\n"
+            "        link = self._links[src, dst]\n"
+            "        return link.reserve(1.0)\n")})
+        net = "repro.cluster.network.SimNetwork."
+        assert table[net + "send"].inferred >= {"NET_CHARGE", "CLOCK_ADVANCE"}
+        assert "NET_CHARGE" in table[net + "reserve"].inferred
+        assert "CLOCK_ADVANCE" not in table[net + "reserve"].inferred
+        disk = "repro.storage.simdisk."
+        assert "DISK_CHARGE" in table[disk + "SimDisk.sync_drain"].inferred
+        # The server itself charges nothing: the kind comes from the owner.
+        assert table[disk + "SimResource.fg"].inferred == {
+            "CLOCK_ADVANCE", "STATE_MUTATE"}
 
 
 # ------------------------------------------------------------ baseline
@@ -581,3 +635,9 @@ class TestCatalog:
             "\n".join(f.format() for f in result.findings)
         assert result.stale_baseline == []
         assert result.n_contracts >= 40
+        # The registry check only sees entries whose module is analysed;
+        # here all of them are.
+        from repro.check.effects.infer import SEED_EFFECTS, SERVER_OWNERS
+        assert all(f"{m}.{fn}" in result.table for m, fn in SEED_EFFECTS)
+        assert all(f"{m}.{cls}.__init__" in result.table
+                   for m, cls in SERVER_OWNERS)

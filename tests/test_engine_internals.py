@@ -13,21 +13,6 @@ from tests.conftest import make_tiny_db
 PROFILE = DeviceProfile("t", 0.0, 0.0, 1e6, 1e6)
 
 
-def test_drain_queue_only_skips_provider():
-    disk = SimDisk(PROFILE)
-    pool = BackgroundPool(disk, 1)
-    offered = []
-    pool.set_provider(lambda: offered.append(1) or None)
-    pool.submit("a", lambda: 1.0)
-    pool.submit("b", lambda: 1.0)
-    n_before = len(offered)
-    pool.drain_queue_only()
-    assert not pool.busy
-    assert len(offered) == n_before  # provider never consulted
-    # ... and the provider is restored afterwards.
-    assert pool.provider is not None
-
-
 def test_pool_handles_job_submitted_from_callback():
     """on_complete may submit follow-up work (the flush->checkpoint chain)."""
     disk = SimDisk(PROFILE)

@@ -18,6 +18,7 @@ import pytest
 
 from repro.bench.scale import SSD_100G, make_db
 from repro.cluster import ClusterDB, ClusterOptions
+from repro.cluster.network import SimNetwork
 from repro.common.errors import StoreClosedError
 from repro.common.options import DeviceProfile, FaultOptions
 from repro.db.iamdb import IamDB
@@ -90,6 +91,23 @@ def test_idle_cluster_pump_all_stays_in_budget():
     cluster = ClusterDB(ClusterOptions(n_shards=4, n_replicas=2))
     cluster._pump_all()
     assert _calls(cluster._pump_all) <= 22
+
+
+def test_one_hardware_request_stays_in_budget():
+    # One queueing rule (SimResource) under all three.  Parent commit: 6
+    # calls per link send and per store put; the disk's 4 / 2 / 3 (a refused
+    # grant 2) must not rise.
+    disk = SimDisk(DeviceProfile("t", 1e-4, 1e-5, 1e6, 1e6))
+    net, store = SimNetwork(disk.clock), SimObjectStore(disk.clock)
+    net.send(0, 1, 100)  # a link is made at its first message
+    assert _calls(lambda: net.send(0, 1, 100)) - 1 <= 5
+    assert _calls(lambda: store.put("a", 100)) - 1 <= 4
+    assert _calls(lambda: disk.fg_io(nbytes_read=4096, seeks=1)) - 1 <= 4
+    assert _calls(lambda: disk.sync_drain(0.5)) - 1 <= 2
+    disk.clock.advance(1.0)
+    assert _calls(lambda: disk.bg_grant(0.0, 0.25)) - 1 <= 3
+    assert disk.busy_until < disk.clock.now  # it granted, and idle remains
+    assert _calls(lambda: disk.bg_grant(disk.clock.now + 1.0, 0.25)) - 1 <= 2
 
 
 def test_put_on_a_closed_store_still_raises():
@@ -229,7 +247,7 @@ def test_first_pump_after_shipped_follower_restore_consults_the_provider():
     assert len(replica.db.engine.levels[0]) < trigger
 
 
-def test_pump_after_drain_queue_only_consults_the_provider():
+def test_pump_after_set_provider_consults_the_provider():
     disk = SimDisk(DeviceProfile("t", 0.0, 0.0, 1e6, 1e6))
     pool = BackgroundPool(disk, 1)
     asked = []
@@ -237,14 +255,13 @@ def test_pump_after_drain_queue_only_consults_the_provider():
     pool.pump()
     pool.pump()
     assert len(asked) == 1  # answered None once; not asked again
-    pool.drain_queue_only()  # nothing queued: only the provider swap happens
+    pool.set_provider(pool.provider)  # even the same one: a swap is a wake
+    pool.pump()
     pool.pump()
     assert len(asked) == 2
-    pool.submit("a", lambda: 1.0)
-    pool.drain_queue_only()
-    assert len(asked) == 2  # never consulted while swapped out
+    pool.set_provider(None)  # no provider: nothing to ask, and no crash
     pool.pump()
-    assert len(asked) == 3
+    assert len(asked) == 2 and pool._provider_idle
 
 
 class _DoomedJobsFail:
