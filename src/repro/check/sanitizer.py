@@ -10,7 +10,8 @@ rests on:
 ``level-sorted``            node ranges per level are sorted & disjoint
 ``range-covers-data``       every node's range covers its table's keys
 ``sequence-sorted``         every sequence is (key asc, seq desc) sorted
-``sequence-layout``         sequences occupy disjoint, increasing blocks
+``sequence-layout``         sequences occupy disjoint, increasing blocks;
+                            the table's probe rows mirror them newest-first
 ``mixed-level-bound``       ``Lm`` nodes never *grow* past ``k`` sequences
                             (move-down carry heals on first arrival, §5.1)
 ``leaf-is-last``            no nodes beyond the leaf level
@@ -179,6 +180,10 @@ class Sanitizer:
                        range=(node.range_lo, node.range_hi),
                        data=(table.min_key, table.max_key))
         self._check_table_file(table, level_no, event)
+        if not table.probe_rows_mirror_sequences():
+            self._fail("sequence-layout",
+                       "probe rows are not reversed(sequences)",
+                       event=event, level=level_no, file=table.file_id)
         prev_end = -1
         for seq in table.sequences:
             if seq.first_block < prev_end:

@@ -560,6 +560,8 @@ class LsaTree(EngineBase):
                         f"L{i} ranges overlap/unsorted: {a!r} vs {b!r}")
             for node in lst:
                 node.check_range_covers_data()
+                if node.table is not None and not node.table.probe_rows_mirror_sequences():
+                    raise InvariantViolation(f"L{i} probe rows drifted: {node!r}")
         for extra in self.levels[self.n + 1:]:
             if extra:
                 raise InvariantViolation("nodes beyond the leaf level")

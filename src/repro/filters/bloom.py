@@ -4,11 +4,14 @@ Every sorted sequence in an SSTable/MSTable carries one (§2.1, §5.2): point
 reads skip sequences whose filter rejects the key.  The paper allocates 14
 bits per record for a ~0.2% false-positive rate (§5.3.2).
 
-Implementation: a numpy bit array with ``k`` derived hash probes produced by
+Implementation: the bits are one little-endian ``bytes`` (bit ``i`` is
+``bits[i >> 3] >> (i & 7) & 1``) with ``k`` derived hash probes produced by
 double hashing over two splitmix64 mixes -- fully deterministic.  The pair
 depends on the key alone, so the write path computes it once per *run*
 (:func:`hash_columns`) and every sequence cut from that run builds its
 filter from a slice of it (:meth:`BloomFilter.build`, the one build kernel).
+Numpy builds the bits and lets go of them: probes are scalar and never index
+an ndarray (DESIGN.md "When arrays lose"); ``MSTable.get`` inlines the loop.
 """
 
 from __future__ import annotations
@@ -24,9 +27,6 @@ from repro.common.hashing import MASK64, splitmix64, splitmix64_array
 _SALT = 0xA5A5A5A5A5A5A5A5  # decorrelates h2 from h1
 _H2_SALT = np.uint64(_SALT)
 _ONE = np.uint64(1)
-#: Filter words are little-endian whatever the host, as ``packbits`` packs.
-_WORD = np.dtype("<u8")
-
 #: Probe multipliers ``0..k-1`` as a column, so ``h1 + steps * h2`` broadcasts
 #: to the whole ``k x n`` probe matrix (k is clamped to 30, see ``__init__``).
 _STEPS = np.arange(31, dtype=np.uint64)[:, None]
@@ -55,7 +55,7 @@ def hash_columns(keys: np.ndarray) -> np.ndarray:
 class BloomFilter:
     """Fixed-size Bloom filter sized at build time from the key count."""
 
-    __slots__ = ("n_bits", "n_hashes", "_bits")
+    __slots__ = ("n_bits", "n_hashes", "bits", "nbytes")
 
     def __init__(self, n_keys: int, bits_per_key: int) -> None:
         if n_keys < 0:
@@ -66,11 +66,9 @@ class BloomFilter:
         self.n_bits = n_bits
         # Optimal probe count k = ln(2) * bits/key, clamped like LevelDB.
         self.n_hashes = max(1, min(30, int(round(math.log(2) * bits_per_key)))) if bits_per_key else 0
-        self._bits = np.zeros((n_bits + 63) // 64, dtype=np.uint64)
-
-    @property
-    def nbytes(self) -> int:
-        return self._bits.nbytes
+        #: Whole 64-bit words, as the on-disk filter is sized.
+        self.nbytes = (n_bits + 63) // 64 * 8
+        self.bits = b"\0" * self.nbytes
 
     def _probes(self, hashes: np.ndarray) -> np.ndarray:
         """The ``k x n`` matrix of bit positions probed for ``hashes``.
@@ -92,14 +90,14 @@ class BloomFilter:
 
         ``hashes`` is ``hash_columns(keys)`` when the caller already holds
         it (a slice of the run's).  The whole probe matrix is scattered into
-        a byte-per-bit scratch with one assignment and packed into words --
-        bit-identical to setting the probes of each key in turn.
+        a byte-per-bit scratch with one assignment and packed little-endian
+        -- bit-identical to setting the probes of each key in turn.
         """
         f = BloomFilter(keys.size, bits_per_key)
         if f.n_hashes and keys.size:
-            scratch = np.zeros(f._bits.size * 64, dtype=np.uint8)
+            scratch = np.zeros(f.nbytes * 8, dtype=np.uint8)
             scratch[f._probes(hash_columns(keys) if hashes is None else hashes)] = 1
-            f._bits = np.packbits(scratch, bitorder="little").view(_WORD)
+            f.bits = np.packbits(scratch, bitorder="little").tobytes()
         return f
 
     def might_contain(self, key: int,
@@ -112,13 +110,14 @@ class BloomFilter:
         """
         if self.n_hashes == 0:
             return True
-        h1, h2 = hashes or hash_pair(key)
+        h, h2 = hashes or hash_pair(key)
         n_bits = self.n_bits
-        bits = self._bits
-        for i in range(self.n_hashes):
-            idx = ((h1 + i * h2) & MASK64) % n_bits
-            if not (int(bits[idx >> 6]) >> (idx & 63)) & 1:
+        bits = self.bits
+        for _ in range(self.n_hashes):
+            idx = h % n_bits
+            if not bits[idx >> 3] >> (idx & 7) & 1:
                 return False
+            h = (h + h2) & MASK64  # probe i is (h1 + i * h2) mod 2**64
         return True
 
     def expected_fpr(self, n_keys: int) -> float:

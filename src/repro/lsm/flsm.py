@@ -28,6 +28,7 @@ from repro.common.errors import InvariantViolation
 from repro.common.options import LsmOptions
 from repro.common.records import RecordTuple, sort_key
 from repro.core.engine import EngineBase
+from repro.filters.bloom import hash_pair
 from repro.storage.background import BackgroundJob
 from repro.storage.runtime import Runtime
 from repro.table.merge import merge_runs
@@ -244,12 +245,13 @@ class FlsmEngine(EngineBase):
     # ------------------------------------------------------------------- read
     def get(self, key, snapshot: Optional[int] = None) -> Tuple[Optional[RecordTuple], float]:
         latency = 0.0
+        hashes = hash_pair(key)  # one Bloom hash per get, not per fragment
         for level in range(self.options.max_levels):
             gi = self._guard_index(level, key)
             g = self.guards[level][gi]
             for table in reversed(g.tables):
                 if table.min_key <= key <= table.max_key:
-                    rec, lat = table.get(key, snapshot)
+                    rec, lat = table.get(key, snapshot, hashes)
                     latency += lat
                     if rec is not None:
                         return rec, latency

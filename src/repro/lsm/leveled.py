@@ -327,8 +327,9 @@ class LeveledLsm(EngineBase):
             if total != self.level_bytes[i]:
                 raise InvariantViolation(f"level {i} byte accounting drifted")
             for t in lst:
-                if t.n_sequences != 1:
-                    raise InvariantViolation("LSM tables must hold one sequence")
+                if t.n_sequences != 1 or not t.probe_rows_mirror_sequences():
+                    raise InvariantViolation(
+                        "LSM tables must hold one sequence, mirrored by one probe row")
             if i >= 1:
                 for a, b in zip(lst, lst[1:]):
                     if not a.max_key < b.min_key:

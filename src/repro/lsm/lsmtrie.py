@@ -30,6 +30,7 @@ from repro.common.errors import InvariantViolation, ReproError
 from repro.common.options import LsaOptions
 from repro.common.records import RecordTuple, SEQ, VALUE
 from repro.core.engine import EngineBase
+from repro.filters.bloom import hash_pair
 from repro.storage.background import BackgroundJob
 from repro.storage.runtime import Runtime
 from repro.common.hashing import splitmix64
@@ -192,31 +193,24 @@ class LsmTrieEngine(EngineBase):
     # ------------------------------------------------------------------- read
     def get(self, key, snapshot: Optional[int] = None) -> Tuple[Optional[RecordTuple], float]:
         tkey = trie_key(key)
+        hashes = hash_pair(tkey)  # one Bloom hash per get, not per container
         latency = 0.0
         node = self.root
         depth = 0
         while node is not None:
-            if node.table is not None and node.table.n_sequences:
-                trec, lat = self._node_get(node, tkey, key, snapshot)
+            table = node.table
+            # MSTable.get's walk, except that it goes on past a hash collision.
+            for seq in reversed(table.sequences) if table is not None else ():
+                if snapshot is not None and seq.min_seq > snapshot:
+                    continue
+                trec, lat = seq.get(self.runtime, table.file_id, tkey, snapshot, hashes)
                 latency += lat
                 if trec is not None:
-                    return trec, latency
+                    p = trec[VALUE]
+                    if p.orig_key == key:  # hash-collision guard
+                        return (p.orig_key, trec[SEQ], p.kind, p.value), latency
             node = node.children.get(_child_index(tkey, depth))
             depth += 1
-        return None, latency
-
-    def _node_get(self, node: _TrieNode, tkey: int, key,
-                  snapshot: Optional[int]) -> Tuple[Optional[RecordTuple], float]:
-        latency = 0.0
-        for seq in reversed(node.table.sequences):
-            if snapshot is not None and seq.min_seq > snapshot:
-                continue
-            trec, lat = seq.get(self.runtime, node.table.file_id, tkey, snapshot)
-            latency += lat
-            if trec is not None:
-                p = trec[VALUE]
-                if p.orig_key == key:  # hash-collision guard
-                    return (p.orig_key, trec[SEQ], p.kind, p.value), latency
         return None, latency
 
     def scan_cursors(self, lo_key, hi_key):

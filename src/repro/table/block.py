@@ -12,7 +12,7 @@ substrate); device reads are charged per block through
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterator, Optional, Tuple
+from typing import Any, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -48,6 +48,7 @@ class Sequence:
         "min_seq",
         "max_seq",
         "key_view",
+        "hit_views",
     )
 
     def __init__(self, run: Run, *, key_size: int, block_size: int,
@@ -84,6 +85,8 @@ class Sequence:
         self.n_blocks = len(starts)
         #: Keys as Python ints, zero-copy: what every point read bisects.
         keys = self.key_view = run.key_view()
+        #: The other columns likewise, opened by the first point-read hit.
+        self.hit_views: Optional[Tuple[Any, Any, Any]] = None
         self.min_key = keys[0]
         self.max_key = keys[-1]
         seqs = run.seqs.tolist()
@@ -154,6 +157,13 @@ class Sequence:
         if not self.bloom.might_contain(key, hashes):
             metrics.bloom_negatives += 1
             return None, 0.0
+        return self.lookup(runtime, file_id, key, snapshot)
+
+    def lookup(self, runtime: Runtime, file_id: int, key: Key,
+               snapshot: Optional[int] = None,
+               ) -> Tuple[Optional[RecordTuple], float]:
+        """:meth:`get` past the range and filter checks: search the data,
+        charging the block read whether or not the key is there."""
         keys = self.key_view
         i = bisect_left(keys, key)
         j = bisect_right(keys, key, i)
@@ -163,13 +173,25 @@ class Sequence:
             i = min(i, self.n_records - 1)
             return None, runtime.fg_read_blocks(file_id, self._blocks_for_span(i, i + 1))
         latency = runtime.fg_read_blocks(file_id, self._blocks_for_span(i, j))
-        run = self.run
+        seqs, kinds, values = self.hit_views or self._open_hit_views()
         if snapshot is not None:
-            visible = np.flatnonzero(run.seqs[i:j] <= snapshot)
-            if not visible.size:
-                return None, latency
-            i += int(visible[0])  # versions run newest first
-        return run.record_at(i), latency
+            while seqs[i] > snapshot:  # versions run newest first
+                i += 1
+                if i == j:
+                    return None, latency
+        return (keys[i], seqs[i], kinds[i], values[i]), latency
+
+    def _open_hit_views(self) -> Tuple[Any, Any, Any]:
+        """Seq, kind and value columns as indexables of plain Python values,
+        zero-copy.  Opened by the first hit, not the build (a view outweighs
+        a short column and most sequences of a write-heavy store are never
+        hit); held here, not on the Run: a memoryview cannot be deep-copied.
+        """
+        run = self.run
+        views = self.hit_views = (
+            memoryview(run.seqs), memoryview(run.kinds),
+            memoryview(run.sizes) if run.vals is None else run.vals)
+        return views
 
     def cursor(self, runtime: Runtime, file_id: int, lo_key: Optional[Key] = None,
                hi_key: Optional[Key] = None,

@@ -17,7 +17,9 @@ import heapq
 from typing import Iterator, List, Optional, Tuple
 
 from repro.common.errors import InvariantViolation
+from repro.common.hashing import MASK64
 from repro.common.records import Key, RecordTuple, sort_key
+from repro.filters.bloom import hash_pair
 from repro.storage.runtime import Runtime
 from repro.table.block import Sequence
 from repro.table.run import Run
@@ -26,7 +28,7 @@ from repro.table.run import Run
 class MSTable:
     """One on-disk node file holding one or more sorted sequences."""
 
-    __slots__ = ("runtime", "file", "sequences", "next_block", "key_size",
+    __slots__ = ("runtime", "file", "sequences", "probe_rows", "next_block", "key_size",
                  "bloom_bits_per_key", "deleted", "data_bytes",
                  "metadata_bytes", "n_records", "min_key", "max_key", "max_seq")
 
@@ -34,13 +36,16 @@ class MSTable:
         self.runtime = runtime
         self.file = runtime.create_file()
         self.sequences: List[Sequence] = []
+        #: What :meth:`get` reads of each sequence, newest first: ``(min_key,
+        #: max_key, min_seq, n_bits, n_hashes, bits, sequence)``.
+        self.probe_rows: List[tuple] = []
         self.next_block = 0
         self.key_size = key_size
         self.bloom_bits_per_key = bloom_bits_per_key
         self.deleted = False
-        # Aggregates over ``sequences``, kept current by the two places that
-        # change the list (append_sequence, from_snapshot): level fence
-        # bisects and node-size checks read them constantly.
+        # Aggregates over ``sequences``, kept current (as ``probe_rows`` is)
+        # by the two places that change the list (append_sequence,
+        # from_snapshot): level fence bisects and node-size checks read them.
         self.data_bytes = 0
         self.metadata_bytes = 0
         self.n_records = 0
@@ -58,7 +63,10 @@ class MSTable:
         return len(self.sequences)
 
     def _account(self, seq: Sequence) -> None:
-        """Fold one more sequence into the aggregates."""
+        """Fold one more sequence into the aggregates and the probe rows."""
+        bloom = seq.bloom
+        self.probe_rows.insert(0, (seq.min_key, seq.max_key, seq.min_seq, bloom.n_bits,
+                                   bloom.n_hashes, bloom.bits, seq))
         self.data_bytes += seq.nbytes
         self.metadata_bytes += seq.metadata_bytes
         self.n_records += seq.n_records
@@ -68,6 +76,13 @@ class MSTable:
             self.max_key = seq.max_key
         if seq.max_seq > self.max_seq:
             self.max_seq = seq.max_seq
+
+    def probe_rows_mirror_sequences(self) -> bool:
+        """Invariant: ``probe_rows`` is ``reversed(sequences)``, field for field."""
+        return self.probe_rows == [
+            (seq.min_key, seq.max_key, seq.min_seq, seq.bloom.n_bits,
+             seq.bloom.n_hashes, seq.bloom.bits, seq)
+            for seq in reversed(self.sequences)]
 
     def resident_bytes(self) -> int:
         """``mincore`` probe: cached bytes of this file (§5.1.3)."""
@@ -152,19 +167,31 @@ class MSTable:
             ) -> Tuple[Optional[RecordTuple], float]:
         """Newest visible version across sequences; (record|None, latency).
 
-        ``hashes`` is the caller's ``hash_pair(key)``, handed on to every
-        sequence's Bloom probe.
+        ``hashes`` is the caller's ``hash_pair(key)``.  Per probe row this is
+        ``Sequence.get`` with ``BloomFilter.might_contain`` written out on
+        the row's ``bytes``: only a filter pass calls into the sequence.
         """
         latency = 0.0
         runtime = self.runtime
+        metrics = runtime.metrics
         file_id = self.file.file_id
-        for seq in reversed(self.sequences):
-            if snapshot is not None and seq.min_seq > snapshot:
+        h1, h2 = hashes or hash_pair(key)
+        for min_key, max_key, min_seq, n_bits, n_hashes, bits, seq in self.probe_rows:
+            if key < min_key or key > max_key or (snapshot is not None and min_seq > snapshot):
                 continue
-            rec, lat = seq.get(runtime, file_id, key, snapshot, hashes)
-            latency += lat
-            if rec is not None:
-                return rec, latency
+            metrics.bloom_probes += 1
+            h = h1
+            for _ in range(n_hashes):
+                idx = h % n_bits
+                if not bits[idx >> 3] >> (idx & 7) & 1:
+                    metrics.bloom_negatives += 1
+                    break
+                h = (h + h2) & MASK64
+            else:
+                rec, lat = seq.lookup(runtime, file_id, key, snapshot)
+                latency += lat
+                if rec is not None:
+                    return rec, latency
         return None, latency
 
     def cursor(self, lo_key: Optional[Key] = None,

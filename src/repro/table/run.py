@@ -150,14 +150,6 @@ class Run:
     def value_at(self, i: int) -> Any:
         return int(self.sizes[i]) if self.vals is None else self.vals[i]
 
-    def record_at(self, i: int) -> RecordTuple:
-        """Record ``i`` as a tuple of plain Python values (every point-read
-        hit ends here: the two accessors above are spelled out again)."""
-        vals = self.vals
-        return (int(self.keys[i]) if self.okeys is None else self.okeys[i],
-                int(self.seqs[i]), int(self.kinds[i]),
-                int(self.sizes[i]) if vals is None else vals[i])
-
     def records(self) -> List[RecordTuple]:
         """All records as tuples (materialised on first use, then kept)."""
         recs = self._records

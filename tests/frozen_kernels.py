@@ -3,11 +3,29 @@
 Verbatim from the parent commit (``core/node.py`` and ``common/records.py``
 at 833192b), over lists of ``(key, seq, kind, value)`` tuples.  They exist
 only as oracles for ``tests/test_run.py``; do not "fix" or optimise them.
+
+``frozen_might_contain`` is the word-indexed Bloom probe of ``filters/
+bloom.py`` at 1751bf7, the oracle of ``tests/test_bloom.py``.
 """
 
 import bisect
 
+import numpy as np
+
+from repro.common.hashing import MASK64
 from repro.common.records import KEY, RECORD_OVERHEAD, VALUE
+
+
+def frozen_might_contain(bits, n_bits, n_hashes, h1, h2):
+    """``bits`` is the filter as the ``uint64`` ndarray it used to be."""
+    assert bits.dtype == np.uint64
+    if n_hashes == 0:
+        return True
+    for i in range(n_hashes):
+        idx = ((h1 + i * h2) & MASK64) % n_bits
+        if not (int(bits[idx >> 6]) >> (idx & 63)) & 1:
+            return False
+    return True
 
 
 def frozen_partition_records(records, children, *, leaf, child_weights=None):

@@ -10,6 +10,7 @@ import numpy as np
 from repro.common.errors import ConfigError
 from repro.common.hashing import MASK64
 from repro.filters.bloom import BloomFilter, hash_columns, hash_pair
+from tests.frozen_kernels import frozen_might_contain
 
 
 def build(keys, bits_per_key):
@@ -85,22 +86,27 @@ any_keys = st.lists(st.integers(-2**65, 2**65), min_size=1, max_size=100)
 
 
 @settings(max_examples=30, deadline=None)
-@given(any_keys, st.sampled_from([1, 10, 14, 100]))
-def test_scalar_probe_matches_vector_build(keys, bits_per_key):
+@given(any_keys, any_keys, st.sampled_from([1, 10, 14, 100]))
+def test_scalar_probe_matches_vector_build(keys, others, bits_per_key):
     """The build kernel (probe matrix scattered into a byte-per-bit scratch,
-    packed into words) sets exactly the bits the scalar probe sequence of
-    each key names -- bit for bit, so might_contain finds every key and a
-    filter never differs from the one-key-at-a-time construction."""
+    packed little-endian) sets exactly the bits the scalar probe sequence of
+    each key names, and the ``bytes`` probe reads them as the frozen
+    word-indexed probe does -- bit for bit, so might_contain finds every key
+    and a filter never differs from the one-key-at-a-time construction."""
     f = build(keys, bits_per_key)
-    want = np.zeros(f._bits.size, dtype=np.uint64)
+    want = np.zeros((f.n_bits + 63) // 64, dtype=np.uint64)
     for key in keys:
         h1, h2 = hash_pair(key)
         for i in range(f.n_hashes):
             idx = ((h1 + i * h2) & MASK64) % f.n_bits
             want[idx >> 6] |= np.uint64(1 << (idx & 63))
-    assert f._bits.dtype == np.uint64
-    assert f._bits.tolist() == want.tolist()
+    assert type(f.bits) is bytes and len(f.bits) == f.nbytes
+    assert f.bits == want.astype("<u8").tobytes()
     assert all(f.might_contain(key) for key in keys)
+    for key in keys + others:
+        pair = hash_pair(key)
+        verdict = frozen_might_contain(want, f.n_bits, f.n_hashes, *pair)
+        assert f.might_contain(key) is f.might_contain(key, pair) is verdict
 
 
 @settings(max_examples=30, deadline=None)
@@ -119,5 +125,4 @@ def test_inherited_hashes_build_the_same_filter(keys):
     cut = len(keys) // 2
     hashes = hash_columns(column)
     for part, share in ((column[:cut], hashes[:, :cut]), (column[cut:], hashes[:, cut:])):
-        assert (BloomFilter.build(part, 14, share)._bits.tolist()
-                == BloomFilter.build(part, 14)._bits.tolist())
+        assert BloomFilter.build(part, 14, share).bits == BloomFilter.build(part, 14).bits

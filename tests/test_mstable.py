@@ -65,6 +65,23 @@ def test_get_searches_newest_sequence_first():
     assert rec is None
 
 
+def test_get_charges_what_each_sequence_admits():
+    # Snapshot and range skips are free and unprobed; a filter pass reads the
+    # block even when the key turns out absent (a Bloom false positive).
+    rt = make_runtime()
+    t = make_table(rt)
+    seq, _ = t.append_sequence(run([10, 30], 4), level=1)
+    seq.bloom.bits = b"\xff" * seq.bloom.nbytes  # admits every key
+    t = MSTable.from_snapshot(rt, t.snapshot())  # rewrites the probe row
+    m = rt.metrics
+    assert t.get(10, snapshot=3) == t.get(31) == (None, 0.0)
+    assert (m.bloom_probes, m.cache_misses) == (0, 0)
+    rec, latency = t.get(20)
+    assert rec is None and latency > 0.0
+    assert (m.bloom_probes, m.bloom_negatives, m.cache_misses) == (1, 0, 1)
+    assert t.get(30)[0] == (30, 4, 0, 64)
+
+
 def test_min_max_across_sequences():
     rt = make_runtime()
     t = make_table(rt)

@@ -8,7 +8,9 @@ evictions, LRU order).  ``multi_get`` has no second implementation to
 compare: its contract -- validate every key, then the ``get`` loop -- is
 held on twin stores, bare and clustered, and its edges (duplicate keys,
 snapshot boundaries, tombstones, mid-flush rotation, empty stores) are
-pinned as literal expectations.
+pinned as literal expectations.  ``MSTable.get``, the one point-read kernel
+under every engine, is one fused loop over the table's probe rows; the
+newest-first loop of ``Sequence.get`` it replaced is its reference.
 
 Two contracts sit beside the equivalences.  *Declines*: whatever the scan
 planner cannot plan (a key outside uint64, an engine that hands out plain
@@ -18,6 +20,7 @@ that answers instead is held to the same reference.  *Seeks*: a
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -25,8 +28,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.bench.reference import reference_scan
 from repro.cluster import ClusterDB, ClusterOptions, NetworkOptions
 from repro.common.errors import ConfigError
-from repro.common.records import make_put
+from repro.common.records import make_delete, make_put, sort_key
 from repro.db import iamdb
+from repro.filters.bloom import hash_pair
+from repro.storage.runtime import Runtime
+from repro.table.mstable import MSTable
 from repro.table.run import Run
 from tests.conftest import (make_tiny_db, member_dbs, tiny_iam_options,
                             tiny_storage_options)
@@ -598,3 +604,60 @@ def test_iterators_created_before_flush_drained_after(engine):
     assert [heads[0]] + list(lazy) == want
     assert [heads[1]] + list(seekable) == want
     assert db.scan(lo, hi) == want
+
+
+# --------------------------------------- the fused point read vs Sequence.get
+#: uint64 keys (two of them adjacent), and one either side of that range.
+POINT_KEYS = st.sampled_from(KEY_POOL[:10] + [KEY_POOL[0] + 1, 0, 7, -5, 2 ** 64 + 3])
+POINT_VALUES = st.one_of(st.integers(1, 300), st.binary(min_size=1, max_size=9))
+
+
+def _sequence_get_loop(table, key, snapshot, hashes):
+    """``MSTable.get`` as it was before the probe rows: the reference."""
+    latency = 0.0
+    for seq in reversed(table.sequences):
+        if snapshot is not None and seq.min_seq > snapshot:
+            continue
+        rec, lat = seq.get(table.runtime, table.file_id, key, snapshot, hashes)
+        latency += lat
+        if rec is not None:
+            return rec, latency
+    return None, latency
+
+
+@settings(max_examples=120, deadline=None)
+@given(specs=st.lists(st.lists(st.tuples(POINT_KEYS, st.booleans(), POINT_VALUES),
+                               min_size=1, max_size=12), min_size=1, max_size=6),
+       bloom_bits=st.sampled_from([0, 1, 14]), blind=st.sets(st.integers(0, 5)),
+       cache_blocks=st.sampled_from([0, 2, 64]),
+       reads=st.lists(st.tuples(POINT_KEYS, st.one_of(st.none(), st.integers(0, 80)),
+                                st.booleans()), min_size=1, max_size=30))
+def test_fused_table_get_is_the_sequence_get_loop(specs, bloom_bits, blind,
+                                                  cache_blocks, reads):
+    # One table of several sequences with rising sequence numbers (a key
+    # drawn twice has two versions; the ``blind`` ones get an all-ones filter,
+    # every probe a false positive), rebuilt twice from its snapshot so that
+    # each twin, on a runtime of its own, writes its own probe rows.
+    scratch = MSTable(Runtime(tiny_storage_options()), key_size=8,
+                      bloom_bits_per_key=bloom_bits)
+    seqno = 0
+    for i, spec in enumerate(specs):
+        recs = []
+        for key, dead, value in spec:
+            seqno += 1
+            recs.append(make_delete(key, seqno) if dead else make_put(key, seqno, value))
+        seq, _ = scratch.append_sequence(Run.from_records(sorted(recs, key=sort_key)), level=1)
+        if i in blind:
+            seq.bloom.bits = b"\xff" * seq.bloom.nbytes
+    storage = tiny_storage_options(page_cache_bytes=cache_blocks * 256)
+    fused, loop = (MSTable.from_snapshot(Runtime(storage), scratch.snapshot())
+                   for _ in range(2))
+    states = [SimpleNamespace(runtime=t.runtime, metrics=t.runtime.metrics)
+              for t in (fused, loop)]
+    for key, snapshot, hashed in reads:  # snapshot 0 is older than every sequence
+        hashes = hash_pair(key) if hashed else None
+        rec, latency = fused.get(key, snapshot, hashes)
+        assert (rec, latency) == _sequence_get_loop(loop, key, snapshot, hashes)
+        if rec is not None:
+            assert [type(f) for f in rec[:3]] == [int] * 3 and type(rec[3]) in (int, bytes)
+        assert _observable_state(states[0]) == _observable_state(states[1])

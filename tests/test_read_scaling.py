@@ -7,14 +7,22 @@ same shape, so this guard widens the leaf level fourfold -- leaving the low
 end of the key space untouched -- and counts Python calls (``cProfile``, so
 the figure repeats to the digit) for one limit-bounded open-ended scan and
 one point read at that low end.
+
+Inside a node likewise: a sequence whose range or Bloom filter rejects the
+key costs a point read no Python call, and one get derives one hash pair.
 """
 
 import cProfile
+import gc
 import random
 
+import pytest
+
 from repro.common.records import make_put
+from repro.filters.bloom import hash_pair
 from repro.table.run import Run
 from tests.conftest import make_tiny_db
+from tests.test_lsmtrie import make_trie_db
 
 
 def _store(widen):
@@ -44,9 +52,13 @@ def _store(widen):
 def _calls(fn):
     fn()  # warm the page cache
     profiler = cProfile.Profile()
-    profiler.enable()
-    fn()
-    profiler.disable()
+    gc.disable()  # hypothesis hooks gc.callbacks: a collection would be counted
+    try:
+        profiler.enable()
+        fn()
+        profiler.disable()
+    finally:
+        gc.enable()
     return sum(entry.callcount for entry in profiler.getstats())
 
 
@@ -74,3 +86,42 @@ def test_multi_get_costs_the_get_loop_plus_a_constant():
         return (_calls(lambda: db.multi_get(batch))
                 - _calls(lambda: [db.get(k) for k in batch]))
     assert extra(keys) == extra(keys[:4]) <= 4
+
+
+def test_rejected_sequences_add_no_calls_to_a_point_read():
+    db, _ = _store(widen=False)
+    table = db.engine.levels[db.engine.n][0].table
+    below, key, above = sorted(table.sequences[0].key_view)[1:4]
+    m = db.metrics
+
+    def probed_get():
+        before = m.bloom_probes, m.bloom_negatives
+        assert db.get(key) == 40
+        return m.bloom_probes - before[0], m.bloom_negatives - before[1]
+    probes, negatives = probed_get()
+    hit = _calls(lambda: db.get(key))
+    assert hit <= 44
+    # Four newer sequences in the key's own leaf node: two whose range lies
+    # past the key, two that straddle it without holding it.
+    for keys in [(above,), (above, above + 1), (below, above), (below, above + 1)]:
+        table.append_sequence(Run.from_records(
+            [make_put(k, db._seq + 1, 41) for k in keys]), level=db.engine.n)
+    assert probed_get() == (probes + 2, negatives + 2)
+    assert _calls(lambda: db.get(key)) == hit
+
+
+@pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb", "flsm", "lsmtrie"])
+def test_one_bloom_hash_per_get(engine):
+    db = make_trie_db() if engine == "lsmtrie" else make_tiny_db(engine)
+    keys = random.Random(23).sample(range(1 << 20), 1500)
+    for key in keys:
+        db.put(key, 40)
+    db.quiesce()
+    probes = db.metrics.bloom_probes
+    profiler = cProfile.Profile()
+    profiler.enable()
+    assert [db.get(key) for key in keys[:50]] == [40] * 50
+    profiler.disable()
+    assert db.metrics.bloom_probes - probes > 50  # some get probed twice
+    assert [entry.callcount for entry in profiler.getstats()
+            if entry.code is hash_pair.__code__] == [50]

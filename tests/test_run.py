@@ -67,8 +67,6 @@ def test_round_trip_keeps_records_and_plain_types(recs):
     out = run.records()
     assert out == recs
     assert all(plain(field) for rec in out for field in rec)
-    assert [run.record_at(i) for i in range(run.n)] == recs
-    assert all(plain(field) for i in range(run.n) for field in run.record_at(i))
     assert [run.key_at(i) for i in range(run.n)] == [r[0] for r in recs]
     assert list(run.key_view()) == [r[0] for r in recs]
     assert run.is_sorted()

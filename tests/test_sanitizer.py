@@ -111,6 +111,17 @@ def test_detects_unsorted_sequence_records():
     assert "sequence-sorted" in checks_hit(s)
 
 
+def test_detects_probe_rows_drifting_from_sequences():
+    db = loaded_engine_db()
+    node = next(nd for lvl in db.engine.levels[1:] for nd in lvl if nd.n_sequences >= 2)
+    node.table.sequences.reverse()  # bypass _account: get() still reads the rows
+    s = fresh_sanitizer(db)
+    s.check_tree(db.engine)
+    assert "sequence-layout" in checks_hit(s)
+    with pytest.raises(InvariantViolation, match="probe rows"):
+        db.check_invariants()
+
+
 def test_detects_file_byte_mismatch():
     db = loaded_engine_db()
     engine = db.engine

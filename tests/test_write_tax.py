@@ -12,6 +12,7 @@ never hides a compaction -- in every write-path-golden configuration, and
 after each kind of structure change that happens outside a job.
 """
 
+import gc
 import sys
 
 import pytest
@@ -44,11 +45,13 @@ def _calls(fn):
         if event == "call" or event == "c_call":
             n[0] += 1
 
+    gc.disable()  # hypothesis hooks gc.callbacks: a collection would be counted
     sys.setprofile(profile)
     try:
         fn()
     finally:
         sys.setprofile(None)
+        gc.enable()
     return n[0] - 1  # the closing sys.setprofile(None) is a builtin call too
 
 
