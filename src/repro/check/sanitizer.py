@@ -233,7 +233,7 @@ class Sanitizer:
 
         Metadata-only move-downs may carry an over-bound node *into* a
         mixed/merging level (the policy merges it on its first arrival, see
-        ``IamTree.policy_debt``), so the bound is enforced on transitions: a
+        ``LsaTree.policy_debt``), so the bound is enforced on transitions: a
         node observed under-bound at its level must never be observed
         over-bound at the same level, and an over-bound node must never gain
         sequences while staying at its level.

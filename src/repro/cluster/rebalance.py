@@ -219,7 +219,8 @@ class Rebalancer:
         src_runtime.quiesce()
         for replica in dest.group.live_replicas():
             replica.db.runtime.quiesce()
-            self._checkpoint(replica.db)
+            # Ingest bypassed the WAL: the checkpoint is what makes it durable.
+            replica.db.take_checkpoint(run.n)
         dest.group.acked_seq = dest.group.leader.db._seq
 
     def _ingest(self, db: "IamDB", run: Run) -> None:
@@ -236,14 +237,6 @@ class Rebalancer:
             start = stop
         db._seq = run.n  # the rows were numbered 1..n
         db.runtime.pump()
-
-    def _checkpoint(self, db: "IamDB") -> None:
-        """Persist the ingested structure (ingest bypasses the WAL)."""
-        db.manifest.checkpoint({
-            "engine": db.engine.checkpoint_state(),
-            "seq": db._seq,
-        })
-        db.manifest.edits += 1
 
     def _retire(self, shard: Shard) -> None:
         """Stop the source replicas; their files leave the ownership map."""

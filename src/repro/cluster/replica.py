@@ -212,10 +212,7 @@ class ReplicaGroup:
                         self.network.send(leader.node_id, replica.node_id,
                                           f.nbytes)
                         shipped_bytes += f.nbytes
-                replica.db.engine.restore_state(state["engine"])
-                replica.db.manifest.checkpoint(state)
-                replica.db.manifest.edits += 1
-                replica.db._seq = int(state["seq"])
+                replica.db.adopt_checkpoint(state)
                 base_seq = int(state["seq"])
             report = {"mode": mode, "bootstrap_seq": base_seq,
                       "shipped_bytes": shipped_bytes}

@@ -34,12 +34,14 @@ from repro.storage.pacing import (
     degraded_extra_delay_s,
 )
 from repro.storage.runtime import Runtime
+from repro.table.merge import merge_runs
+from repro.table.mstable import MSTable
+from repro.table.run import Run
 from repro.check.effects.registry import effects, observation_only
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.check.sanitizer import Sanitizer
-    from repro.common.options import LsmOptions
-    from repro.table.run import Run
+    from repro.common.options import LsmOptions, TreeOptions
 
 #: Callable returning the live snapshot sequence numbers (for merge GC).
 SnapshotProvider = Callable[[], Sequence[int]]
@@ -66,6 +68,7 @@ class EngineBase(abc.ABC):
     #: Bytes after which the DB rotates the memtable (Ct / write_buffer);
     #: assigned once by each engine's constructor (its options are frozen).
     memtable_capacity: int
+    options: "TreeOptions"
 
     def __init__(self, runtime: Runtime) -> None:
         self.runtime = runtime
@@ -78,6 +81,8 @@ class EngineBase(abc.ABC):
         self._pacer: Optional[TokenBucketPacer] = None
         self._rate_estimator: Optional[RateEstimator] = None
         self._l0_options: Optional["LsmOptions"] = None
+        #: Levels claimed by picked compaction jobs (see :meth:`_claim_job`).
+        self._busy_levels: set = set()
         runtime.pool.set_provider(self.pick_background_job)
 
     def _init_pacer(self, l0_options: Optional["LsmOptions"] = None) -> None:
@@ -264,9 +269,46 @@ class EngineBase(abc.ABC):
                                 duration_s=stall_s)
         return stall_s
 
+    # ---------------------------------------------------- compaction skeleton
+    # Every structural job is gather -> merge -> partition -> place.  The
+    # first two steps and the table factory are engine-independent and live
+    # here; partition, place and pick are what each engine file is about.
+    def _gather_merge(self, tables: Iterable[MSTable], part: Optional[Run] = None,
+                      *, drop_tombstones: bool = False) -> Tuple[Run, float]:
+        """Read ``tables`` for compaction and merge them (with the in-flight
+        ``part``, newest, in front); returns (merged run, read debt).
+
+        Debt accumulates in table order and sequences merge in append
+        order: both orders are part of the simulation.
+        """
+        debt = 0.0
+        runs: List[Run] = [] if part is None else [part]
+        for table in tables:
+            debt += table.compaction_read_debt()
+            runs += [seq.run for seq in table.sequences]
+        merged = merge_runs(runs, drop_tombstones=drop_tombstones,
+                            snapshots=self.snapshots_provider())
+        return merged, debt
+
+    def _new_table(self) -> MSTable:
+        """A fresh, empty table file laid out by this engine's options."""
+        opts = self.options
+        return MSTable(self.runtime, key_size=opts.key_size,
+                       bloom_bits_per_key=opts.bloom_bits_per_key)
+
+    def _claim_job(self, name: str, levels: Tuple[int, ...],
+                   start: Callable[[], float]) -> BackgroundJob:
+        """A compaction job that keeps ``levels`` busy until it completes."""
+        self._busy_levels.update(levels)
+
+        def done() -> None:
+            self._busy_levels.difference_update(levels)
+
+        return BackgroundJob(name, start, on_complete=done)
+
     # ------------------------------------------------------------------ write
     @abc.abstractmethod
-    def submit_flush(self, run: "Run", nbytes: int) -> BackgroundJob:
+    def submit_flush(self, run: Run, nbytes: int) -> BackgroundJob:
         """Schedule the flush of a full (immutable) memtable's sorted run."""
 
     @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
@@ -357,6 +399,7 @@ class EngineBase(abc.ABC):
         the next pump asks the compaction picker again.
         """
         self._restore_state(state)
+        self._busy_levels = set()  # the jobs that claimed them are abandoned
         self.runtime.pool.wake()
 
     @abc.abstractmethod

@@ -1,9 +1,28 @@
-"""The Log-Structured Append-tree (§4).
+"""The append tree (LSA, §4) under IAM's append/merge rule (§5).
 
-LSA compacts with appends: a memtable flush partitions its run among the
-target level's nodes and *appends* each part as a new sequence, so every
-user byte is written roughly once per on-disk level (Eq. 3).  Three
-operations maintain the structure:
+A memtable flush partitions its run among the target level's nodes; each
+part is *appended* to its node as a new sequence or *merged* with it into
+one.  Which of the two is the paper's policy, one rule read by
+``_place_part`` (:meth:`LsaTree.merges_on_arrival`):
+
+* **appending levels** (``level < m``) append -- their data is small and
+  cached, so multiple sequences cost no disk seeks, and every user byte is
+  written roughly once per level (Eq. 3);
+* the **mixed level** (``level == m``) merges a child to a single sequence
+  once it already holds ``k`` sequences and appends otherwise (Figure 5):
+  every k-th arrival merges, so the per-flush write amplification is
+  t/2k + 1 (§5.3.1);
+* **merging levels** (``level > m``) merge every arrival, keeping one
+  sequence per node, so scans cost at most one seek per level (LSM's read
+  amplification, §5.3.2);
+* a full leaf child always merges and re-splits (Figure 4).
+
+``m`` and ``k`` come from ``IamOptions.fixed_m/fixed_k`` or are retuned from
+Eq. (1)/(2) every ``retune_interval`` flushes and at every tree deepening.
+LSA and LSM are the rule's two corners, not classes: ``as_lsa()`` puts the
+mixed level beyond the tree (pure appends), ``as_lsm()`` sets ``m = k = 1``
+(§1: "with proper user configuration").  Three operations maintain the
+structure under any ``(m, k)``:
 
 * **flush** (§4.2.1) -- move a full node's data to its children; with no
   children the node itself moves down by a metadata edit (the sequential-
@@ -14,10 +33,6 @@ operations maintain the structure:
 * **combine** (§4.2.3) -- when a level exceeds its ``t^i`` node budget, the
   candidate with the smallest covered-children count ``Tcn <= 3t`` flushes
   its data down and disappears; neighbours adopt its children evenly.
-
-The subclass hook pair ``_should_merge_internal`` / ``_should_merge_leaf``
-is what IAM overrides (§5): LSA never merges internally and merges a leaf
-child only once it is full.
 """
 
 from __future__ import annotations
@@ -27,9 +42,10 @@ from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, cast
 
 from repro.common.errors import InvariantViolation
-from repro.common.options import LsaOptions
+from repro.common.options import IamOptions
 from repro.common.records import Key, RecordTuple
 from repro.core.engine import EngineBase
+from repro.core.tuning import tune_m_k
 from repro.core.node import (
     RANGE_LO,
     LsaNode,
@@ -46,19 +62,21 @@ from repro.filters.bloom import hash_pair
 from repro.table.scan import chain_stream
 from repro.storage.background import BackgroundJob
 from repro.storage.runtime import Runtime
-from repro.table.block import Sequence
-from repro.table.merge import merge_runs
+# Not called here (EngineBase._gather_merge is the one call site): the e2e
+# benchmark's self-test reads this module global when it checks the ledger.
+from repro.table.merge import merge_runs  # noqa: F401
 from repro.table.mstable import MSTable
 from repro.table.run import Run, split_run
 from repro.check.effects.registry import observation_only
 
 
 class LsaTree(EngineBase):
-    """Log-Structured Append-tree engine."""
+    """Append-tree engine with the per-level ``(m, k)`` append/merge rule."""
 
-    name = "lsa"
+    name = "iam"
+    options: IamOptions
 
-    def __init__(self, options: LsaOptions, runtime: Runtime) -> None:
+    def __init__(self, options: IamOptions, runtime: Runtime) -> None:
         super().__init__(runtime)
         self.options = options
         #: levels[0] is unused (L0 is the memtable, held by the DB wrapper);
@@ -76,6 +94,11 @@ class LsaTree(EngineBase):
         self.max_flush_fanout = 0
         self.memtable_capacity = options.node_capacity
         self._init_pacer()
+        self.m = options.fixed_m if options.fixed_m is not None else 1
+        self.k = options.fixed_k if options.fixed_k is not None else 1
+        self._flushes_since_tune = 0
+        if options.fixed_m is None or options.fixed_k is None:
+            self.retune()
 
     # ------------------------------------------------------------------ write
     def submit_flush(self, run: Run, nbytes: int) -> BackgroundJob:
@@ -92,6 +115,10 @@ class LsaTree(EngineBase):
     # ----------------------------------------------------------------- ingest
     def _ingest(self, run: Run) -> float:
         """Flush one memtable run (the L0 node) into the tree."""
+        self._flushes_since_tune += 1
+        if self._flushes_since_tune >= self.options.retune_interval:
+            self._flushes_since_tune = 0
+            self.retune()
         debt = self._ensure_structure()
         self.flushes += 1
         lo, hi = run.key_at(0), run.key_at(-1)
@@ -114,7 +141,7 @@ class LsaTree(EngineBase):
             self.levels.append([])
             self.runtime.metrics.bump("deepen")
             self._trace("structure", "deepen", n_levels=self.n)
-            self._on_deepen()
+            self.retune()
         for i in range(1, self.n):
             guard = 0
             while len(self.levels[i]) > opts.level_node_threshold(i):
@@ -123,9 +150,6 @@ class LsaTree(EngineBase):
                     raise InvariantViolation(f"combine loop at L{i} did not converge")
                 debt += self._combine_one(i)
         return debt
-
-    def _on_deepen(self) -> None:
-        """Subclass hook: the tree grew a level (IAM retunes m)."""
 
     # ------------------------------------------------------------- flush core
     def _flush_into(self, target_level: int, children_fn: Callable[[], List[LsaNode]],
@@ -170,26 +194,28 @@ class LsaTree(EngineBase):
         return debt
 
     def _place_part(self, level: int, child: LsaNode, part: Run) -> float:
-        leaf = level == self.n
-        if leaf:
-            if self._should_merge_leaf(child):
-                return self._merge_leaf_child(child, part)
-        else:
-            if self._should_merge_internal(level, child):
-                return self._merge_internal_child(level, child, part)
-        return self._append_to_child(level, child, part)
+        if not self.merges_on_arrival(level, child):
+            return self._append_to_child(level, child, part)
+        if level == self.n:
+            return self._merge_leaf_child(child, part)
+        return self._merge_internal_child(level, child, part)
 
-    # ------------------------------------------------------------ policy hooks
-    def _should_merge_internal(self, level: int, child: LsaNode) -> bool:
-        return False  # LSA: appends only (IAM overrides, §5.1).
+    # ----------------------------------------------------------------- policy
+    def merges_on_arrival(self, level: int, child: LsaNode) -> bool:
+        """The rule (§5.1): does an arrival at ``child`` of ``level`` merge?
 
-    def _should_merge_leaf(self, child: LsaNode) -> bool:
-        return child.nbytes >= self.options.node_capacity  # full child (Fig. 4)
+        Deeper than ``L_m`` always, at ``L_m`` on every k-th arrival,
+        shallower never -- except that a full leaf child always merges.
+        """
+        if level > self.m or (level == self.m and child.n_sequences >= self.k):
+            return True
+        return level == self.n and child.nbytes >= self.options.node_capacity
 
     # -------------------------------------------------------------- placement
     def _append_to_child(self, level: int, child: LsaNode, part: Run) -> float:
-        table = child.ensure_table(self.runtime, key_size=self.options.key_size,
-                                   bloom_bits_per_key=self.options.bloom_bits_per_key)
+        table = child.table
+        if table is None or table.deleted:
+            table = child.table = self._new_table()
         seq, debt = table.append_sequence(part, level=level)
         child.extend_range(seq.min_key, seq.max_key)
         self.appends += 1
@@ -197,32 +223,33 @@ class LsaTree(EngineBase):
         if self.runtime.tracer.enabled:
             self._trace("compaction", "append", level=level,
                         seqs=child.n_sequences, records=part.n)
-        self._after_append(level, child, seq)
+        if self.options.pin_appended_sequences and level <= self.m:
+            # §5.1.3 forcible caching: pin appended sequences up to the mixed
+            # level so scans take at most one disk seek per level.
+            self.runtime.cache.pin_range(table.file_id,
+                                         seq.first_block, seq.n_blocks)
         return debt
 
-    def _after_append(self, level: int, child: LsaNode, seq: Sequence) -> None:
-        """Subclass hook: a sequence was appended to ``child`` (IAM pins)."""
-
     def _merge_internal_child(self, level: int, child: LsaNode, part: Run) -> float:
-        """Rewrite an internal child as a single sequence (IAM's merge)."""
-        debt = 0.0
-        runs: List[Run] = [part]
-        if not child.is_empty:
-            debt += child.table.compaction_read_debt()
-            runs += [s.run for s in child.table.sequences]
-        merged = merge_runs(runs, drop_tombstones=False,
-                            snapshots=self.snapshots_provider())
+        """Rewrite an internal child as a single sequence."""
+        tracing = self.runtime.tracer.enabled
+        n_runs = 1 + child.n_sequences if tracing else 0
+        if tracing and level == self.m:
+            # The mixed level's k-bound merge (§5.1.2): the child reached its
+            # k-th sequence and collapses back to one.
+            self._trace("compaction", "merge:mixed", level=level, k=self.k,
+                        seqs=child.n_sequences)
+        merged, debt = self._gather_merge(child.tables, part)
         child.drop_table()
-        table = child.ensure_table(self.runtime, key_size=self.options.key_size,
-                                   bloom_bits_per_key=self.options.bloom_bits_per_key)
-        seq, d = table.append_sequence(merged, level=level)
+        child.table = self._new_table()
+        seq, d = child.table.append_sequence(merged, level=level)
         debt += d
         child.extend_range(seq.min_key, seq.max_key)
         self.merges += 1
         self.runtime.metrics.bump("merge:internal")
-        if self.runtime.tracer.enabled:
+        if tracing:
             self._trace("compaction", "merge:internal", level=level,
-                        runs=len(runs), records=merged.n)
+                        runs=n_runs, records=merged.n)
         self._sanitize("merge")
         return debt
 
@@ -234,13 +261,9 @@ class LsaTree(EngineBase):
         """
         opts = self.options
         level = self.n
-        debt = 0.0
-        runs: List[Run] = [part]
-        if not child.is_empty:
-            debt += child.table.compaction_read_debt()
-            runs += [s.run for s in child.table.sequences]
-        merged = merge_runs(runs, drop_tombstones=True,
-                            snapshots=self.snapshots_provider())
+        tracing = self.runtime.tracer.enabled
+        n_runs = 1 + child.n_sequences if tracing else 0
+        merged, debt = self._gather_merge(child.tables, part, drop_tombstones=True)
         lst = self.levels[level]
         lst.pop(self._node_index(level, child))  # bisect-based removal
         child.drop_table()
@@ -251,17 +274,16 @@ class LsaTree(EngineBase):
                 debt += self._new_node(level, chunk)
         self.merges += 1
         self.runtime.metrics.bump("merge:leaf")
-        if self.runtime.tracer.enabled:
+        if tracing:
             self._trace("compaction", "merge:leaf", level=level,
-                        runs=len(runs), records=merged.n)
+                        runs=n_runs, records=merged.n)
         self._sanitize("merge")
         return debt
 
     def _new_node(self, level: int, run: Run) -> float:
         """Write ``run`` as a fresh single-sequence node of ``level``."""
-        table, debt = MSTable.build(
-            self.runtime, run, key_size=self.options.key_size,
-            bloom_bits_per_key=self.options.bloom_bits_per_key, level=level)
+        table = self._new_table()
+        _, debt = table.append_sequence(run, level=level)
         level_insert_sorted(self.levels[level],
                             LsaNode(table.min_key, table.max_key, table))
         return debt
@@ -271,6 +293,30 @@ class LsaTree(EngineBase):
         debt = self._new_node(level, run)
         self.runtime.metrics.bump("new_node")
         return debt
+
+    # ----------------------------------------------------------------- tuning
+    def memory_budget(self) -> int:
+        """Cache bytes reserved for appended sequences (M~ in Eq. 2)."""
+        return int(self.runtime.cache.capacity_bytes
+                   * self.options.memory_budget_fraction)
+
+    def retune(self) -> None:
+        """Recompute (m, k) from current level sizes (Eq. 1-2)."""
+        opts = self.options
+        if opts.fixed_m is not None and opts.fixed_k is not None:
+            self.m, self.k = opts.fixed_m, opts.fixed_k
+            return
+        m, k = tune_m_k(self.level_data_bytes(), self.n, self.memory_budget(),
+                        fanout=opts.fanout, k_max=opts.k_max)
+        if opts.fixed_m is not None:
+            m = opts.fixed_m
+        if opts.fixed_k is not None:
+            k = opts.fixed_k
+        if (m, k) != (self.m, self.k):
+            self.runtime.metrics.bump("retune")
+            self._trace("tuning", "retune", m=m, k=k,
+                        prev_m=self.m, prev_k=self.k)
+        self.m, self.k = m, k
 
     # ------------------------------------------------------------- node flush
     def _node_index(self, level: int, node: LsaNode) -> int:
@@ -314,11 +360,9 @@ class LsaTree(EngineBase):
                                      node.range_lo, node.range_hi)
 
         debt = 0.0
-        if not node.is_empty:
-            debt += node.table.compaction_read_debt()
-            merged = merge_runs([s.run for s in node.table.sequences],
-                                drop_tombstones=False,
-                                snapshots=self.snapshots_provider())
+        tables = node.tables
+        if tables:
+            merged, debt = self._gather_merge(tables)
             node.drop_table()
             if merged.n:
                 debt += self._flush_into(level + 1, kids_fn, merged)
@@ -348,14 +392,7 @@ class LsaTree(EngineBase):
         _, h = min(candidates)
         boundary = kids[h].range_lo
 
-        debt = 0.0
-        if node.is_empty:
-            merged = Run.from_records(())
-        else:
-            debt += node.table.compaction_read_debt()
-            merged = merge_runs([s.run for s in node.table.sequences],
-                                drop_tombstones=False,
-                                snapshots=self.snapshots_provider())
+        merged, debt = self._gather_merge(node.tables)
         cut = bisect.bisect_left(merged.key_view(), boundary)
         run_a, run_b = merged.slice(0, cut), merged.slice(cut, merged.n)
 
@@ -372,12 +409,10 @@ class LsaTree(EngineBase):
         # The node is gone but its halves are not yet inserted: a crash here
         # loses the in-flight rewrite (recovered from the checkpoint + WAL).
         self._crash_point("mid-split")
-        opts = self.options
         for new_node, half in ((node_a, run_a), (node_b, run_b)):
             if half.n:
-                table = new_node.ensure_table(self.runtime, key_size=opts.key_size,
-                                              bloom_bits_per_key=opts.bloom_bits_per_key)
-                _, d = table.append_sequence(half, level=level)
+                new_node.table = self._new_table()
+                _, d = new_node.table.append_sequence(half, level=level)
                 debt += d
             level_insert_sorted(lst, new_node)
         self.splits += 1
@@ -550,6 +585,26 @@ class LsaTree(EngineBase):
         return max((node.n_sequences
                     for level in self.levels for node in level), default=0)
 
+    def level_class(self, level: int) -> str:
+        """"appending", "mixed" or "merging" (§5.1)."""
+        if level < self.m:
+            return "appending"
+        return "mixed" if level == self.m else "merging"
+
+    def policy_debt(self) -> int:
+        """Nodes currently over their level's sequence bound.
+
+        Metadata-only move-downs can carry multi-sequence nodes into the
+        mixed/merging levels (that is the point: no rewrite); the rule
+        merges them on their first arrival.  This counts the not-yet-healed
+        nodes -- it should stay small and must never grow monotonically.
+        """
+        debt = 0
+        for level in range(self.m, self.n + 1):
+            bound = self.k if level == self.m else 1
+            debt += sum(1 for node in self.levels[level] if node.n_sequences > bound)
+        return debt
+
     @observation_only
     def check_invariants(self) -> None:
         for i in range(1, self.n + 1):
@@ -582,6 +637,9 @@ class LsaTree(EngineBase):
             "move_downs": self.move_downs,
             "appends": self.appends,
             "merges": self.merges,
+            "m": self.m,
+            "k": self.k,
+            "level_classes": {i: self.level_class(i) for i in range(1, self.n + 1)},
         }
 
     # --------------------------------------------------------------- recovery

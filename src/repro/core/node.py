@@ -21,7 +21,6 @@ from typing import Iterator, List, Optional, Tuple
 
 from repro.common.errors import InvariantViolation
 from repro.common.records import Key
-from repro.storage.runtime import Runtime
 from repro.table.mstable import MSTable
 from repro.table.run import Run
 
@@ -60,18 +59,18 @@ class LsaNode:
         return 0 if self.table is None else self.table.n_sequences
 
     @property
+    def tables(self) -> Tuple[MSTable, ...]:
+        """What a compaction of this node reads: its table, unless empty."""
+        table = self.table
+        return (table,) if table is not None and table.sequences else ()
+
+    @property
     def data_min_key(self) -> Optional[Key]:
         return None if self.is_empty else self.table.min_key
 
     @property
     def data_max_key(self) -> Optional[Key]:
         return None if self.is_empty else self.table.max_key
-
-    def covers(self, key: Key) -> bool:
-        return self.range_lo <= key <= self.range_hi
-
-    def overlaps(self, lo: Key, hi: Key) -> bool:
-        return not (self.range_hi < lo or self.range_lo > hi)
 
     # ----------------------------------------------------------------- ranges
     def extend_range(self, lo: Key, hi: Key) -> None:
@@ -95,12 +94,6 @@ class LsaNode:
         if self.table is not None:
             self.table.delete()
             self.table = None
-
-    def ensure_table(self, runtime: Runtime, *, key_size: int, bloom_bits_per_key: int) -> MSTable:
-        if self.table is None or self.table.deleted:
-            self.table = MSTable(runtime, key_size=key_size,
-                                 bloom_bits_per_key=bloom_bits_per_key)
-        return self.table
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"LsaNode([{self.range_lo!r},{self.range_hi!r}], "

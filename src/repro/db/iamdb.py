@@ -6,8 +6,8 @@ the manifest -- and delegates the on-disk structure to a pluggable engine:
 ======== ===================================== ==========================
 name     engine                                paper system
 ======== ===================================== ==========================
-iam      :class:`repro.core.iam.IamTree`       IAM-tree (I-nt)
-lsa      :class:`repro.core.lsa.LsaTree`       LSA-tree (A-nt)
+iam      :class:`repro.core.lsa.LsaTree`       IAM-tree (I-nt)
+lsa      the same tree under ``as_lsa()``      LSA-tree (A-nt)
 leveldb  :class:`repro.lsm.leveled.LeveledLsm` LevelDB (L)
 rocksdb  :class:`repro.lsm.leveled.LeveledLsm` RocksDB (R-nt)
 flsm     :class:`repro.lsm.flsm.FlsmEngine`    FLSM/PebblesDB (§6.8)
@@ -46,7 +46,6 @@ from repro.common.records import (
     make_put,
 )
 from repro.core.engine import EngineBase
-from repro.core.iam import IamTree
 from repro.core.lsa import LsaTree
 from repro.db.iterator import DbIterator, check_bounds, check_limit, merge_visible
 from repro.table.scan import list_stream, merge_scan
@@ -72,24 +71,15 @@ SnapshotLike = Union[None, int, Snapshot]
 
 def _engine_factory(name: str, engine_options: Any,
                     runtime: Runtime) -> EngineBase:
-    if name == "iam":
-        return IamTree(engine_options or IamOptions(), runtime)
-    if name == "lsa":
-        # LSA is IAM's degenerate pure-append configuration (§7: "LSA is a
-        # special case of IAM with minimum merges").
-        opts = engine_options
-        if opts is None:
-            opts = IamOptions()
-        if isinstance(opts, IamOptions):
-            opts = opts.as_lsa()
-        elif isinstance(opts, LsaOptions):
-            import dataclasses
-            opts = IamOptions(**dataclasses.asdict(opts)).as_lsa()
-        else:
-            raise ConfigError("lsa engine needs LsaOptions/IamOptions")
-        engine = IamTree(opts, runtime)
-        engine.name = "lsa"
-        return engine
+    if name in ("iam", "lsa"):
+        # LSA is IAM's pure-append corner (§7: "LSA is a special case of IAM
+        # with minimum merges"): the same tree under ``as_lsa()``.
+        opts = engine_options or IamOptions()
+        if not isinstance(opts, IamOptions):
+            raise ConfigError(f"{name} engine needs IamOptions")
+        tree = LsaTree(opts.as_lsa() if name == "lsa" else opts, runtime)
+        tree.name = name
+        return tree
     if name == "leveldb":
         return LeveledLsm(engine_options or LsmOptions.leveldb(), runtime)
     if name == "rocksdb":
@@ -278,11 +268,7 @@ class IamDB:
             # vanish.  A crash between the two steps here merely leaves
             # covered records in the log; recovery drops them.
             self._crash_point("pre-checkpoint")
-            self.manifest.checkpoint({
-                "engine": self.engine.checkpoint_state(),
-                "seq": flushed_through,
-            })
-            self.manifest.edits += 1
+            self.take_checkpoint(flushed_through)
             self._crash_point("post-checkpoint")
             self.wal.truncate_through(flushed_through)
 
@@ -291,6 +277,21 @@ class IamDB:
         else:
             job.on_complete = on_done
         self._crash_point("post-rotate")
+
+    def take_checkpoint(self, seq: int) -> None:
+        """Checkpoint the engine's structure as durable through ``seq``."""
+        self.manifest.checkpoint({"engine": self.engine.checkpoint_state(),
+                                  "seq": seq})
+
+    def adopt_checkpoint(self, state: Dict[str, Any]) -> None:
+        """Become the store a checkpoint describes (follower bootstrap).
+
+        Restore before checkpointing: a manifest mirror reads the engine's
+        live files when it takes the cut.
+        """
+        self.engine.restore_state(state["engine"])
+        self.manifest.checkpoint(state)
+        self._seq = int(state["seq"])
 
     def flush(self) -> float:
         """Flush the memtable and wait for the flush to hit the structure."""

@@ -31,7 +31,6 @@ from repro.core.engine import EngineBase
 from repro.filters.bloom import hash_pair
 from repro.storage.background import BackgroundJob
 from repro.storage.runtime import Runtime
-from repro.table.merge import merge_runs
 from repro.table.mstable import MSTable
 from repro.table.run import Run
 from repro.check.effects.registry import observation_only
@@ -58,6 +57,7 @@ class FlsmEngine(EngineBase):
     """Fragmented log-structured merge tree baseline."""
 
     name = "flsm"
+    options: LsmOptions
 
     def __init__(self, options: LsmOptions, runtime: Runtime) -> None:
         super().__init__(runtime)
@@ -69,7 +69,6 @@ class FlsmEngine(EngineBase):
         #: Cached guard cut keys per level (guards[level][1:].lo).
         self._cuts: List[List] = [[] for _ in range(n)]
         self.level_bytes: List[int] = [0] * n
-        self._busy_levels: set = set()
         self.compactions = 0
         self.memtable_capacity = options.memtable_bytes
         self._init_pacer(options)
@@ -77,12 +76,8 @@ class FlsmEngine(EngineBase):
     # ------------------------------------------------------------------ write
     def submit_flush(self, run: Run, nbytes: int) -> BackgroundJob:
         def start() -> float:
-            table, debt = MSTable.build(
-                self.runtime, run,
-                key_size=self.options.key_size,
-                bloom_bits_per_key=self.options.bloom_bits_per_key,
-                level=0,
-            )
+            table = self._new_table()
+            _, debt = table.append_sequence(run, level=0)
             self.guards[0][0].tables.append(table)
             self.level_bytes[0] += table.data_bytes
             return debt
@@ -112,17 +107,8 @@ class FlsmEngine(EngineBase):
             return self._pick_bottom_merge()
         # Highest score, lowest level on ties.
         level = max(candidates, key=lambda c: c[1])[0]
-        self._busy_levels.add(level)
-        self._busy_levels.add(level + 1)
-
-        def start() -> float:
-            return self._compact(level)
-
-        def done() -> None:
-            self._busy_levels.discard(level)
-            self._busy_levels.discard(level + 1)
-
-        return BackgroundJob(f"flsm-compact:L{level}", start, on_complete=done)
+        return self._claim_job(f"flsm-compact:L{level}", (level, level + 1),
+                               lambda: self._compact(level))
 
     def _pick_bottom_merge(self) -> Optional[BackgroundJob]:
         bottom = self._deepest_level()
@@ -130,15 +116,8 @@ class FlsmEngine(EngineBase):
             return None
         for g in self.guards[bottom]:
             if len(g.tables) > BOTTOM_MERGE_FANIN:
-                self._busy_levels.add(bottom)
-
-                def start(g=g, bottom=bottom) -> float:
-                    return self._merge_guard(bottom, g)
-
-                def done() -> None:
-                    self._busy_levels.discard(bottom)
-
-                return BackgroundJob(f"flsm-guard-merge:L{bottom}", start, on_complete=done)
+                return self._claim_job(f"flsm-guard-merge:L{bottom}", (bottom,),
+                                       lambda: self._merge_guard(bottom, g))
         return None
 
     def _deepest_level(self) -> int:
@@ -165,17 +144,10 @@ class FlsmEngine(EngineBase):
 
     def _compact(self, level: int) -> float:
         """Merge every fragment of ``level`` and append into level+1 guards."""
-        debt = 0.0
-        runs: List[Run] = []
-        old_tables: List[MSTable] = []
-        for g in self.guards[level]:
-            for t in g.tables:
-                debt += t.compaction_read_debt()
-                runs += [seq.run for seq in t.sequences]
-                old_tables.append(t)
-        if not runs:
+        old_tables = [t for g in self.guards[level] for t in g.tables]
+        if not old_tables:
             return 0.0
-        merged = merge_runs(runs, snapshots=self.snapshots_provider())
+        merged, debt = self._gather_merge(old_tables)
         self._ensure_guards(level + 1, merged)
 
         # Partition by the next level's guards and append (never merge).
@@ -189,12 +161,8 @@ class FlsmEngine(EngineBase):
             start = stop
             if not part.n:
                 continue
-            table, d = MSTable.build(
-                self.runtime, part,
-                key_size=self.options.key_size,
-                bloom_bits_per_key=self.options.bloom_bits_per_key,
-                level=level + 1,
-            )
+            table = self._new_table()
+            _, d = table.append_sequence(part, level=level + 1)
             debt += d
             g.tables.append(table)
             self.level_bytes[level + 1] += table.data_bytes
@@ -208,29 +176,20 @@ class FlsmEngine(EngineBase):
         self.runtime.metrics.bump(f"flsm-compaction:L{level}")
         if self.runtime.tracer.enabled:
             self._trace("compaction", f"compact:L{level}", level=level,
-                        runs=len(runs), records=merged.n)
+                        runs=len(old_tables), records=merged.n)
         return debt
 
     def _merge_guard(self, level: int, g: _Guard) -> float:
         """In-place merge of one bottom-level guard's fragments."""
-        debt = 0.0
-        runs: List[Run] = []
-        for t in g.tables:
-            debt += t.compaction_read_debt()
-            runs += [seq.run for seq in t.sequences]
-        merged = merge_runs(runs, drop_tombstones=True,
-                            snapshots=self.snapshots_provider())
+        old_tables = g.tables
+        merged, debt = self._gather_merge(old_tables, drop_tombstones=True)
         old_bytes = g.nbytes
-        for t in g.tables:
+        for t in old_tables:
             t.delete()
         g.tables = []
         if merged.n:
-            table, d = MSTable.build(
-                self.runtime, merged,
-                key_size=self.options.key_size,
-                bloom_bits_per_key=self.options.bloom_bits_per_key,
-                level=level,
-            )
+            table = self._new_table()
+            _, d = table.append_sequence(merged, level=level)
             debt += d
             g.tables = [table]
             self.level_bytes[level] += table.data_bytes - old_bytes
@@ -239,7 +198,7 @@ class FlsmEngine(EngineBase):
         self.runtime.metrics.bump("flsm-guard-merge")
         if self.runtime.tracer.enabled:
             self._trace("compaction", "guard-merge", level=level,
-                        runs=len(runs), records=merged.n)
+                        runs=len(old_tables), records=merged.n)
         return debt
 
     # ------------------------------------------------------------------- read
@@ -257,6 +216,7 @@ class FlsmEngine(EngineBase):
                         return rec, latency
         return None, latency
 
+    @observation_only
     def scan_cursors(self, lo_key, hi_key) -> List:
         cursors = []
         for level in range(self.options.max_levels):
@@ -325,7 +285,6 @@ class FlsmEngine(EngineBase):
             self.guards = [[_Guard(None)] for _ in range(n)]
             self._cuts = [[] for _ in range(n)]
             self.level_bytes = [0] * n
-            self._busy_levels = set()
             return
         sdict = cast(Dict[str, Any], state)
         self.guards = []
@@ -339,7 +298,6 @@ class FlsmEngine(EngineBase):
             self.guards.append(level)
         self._cuts = [[g.lo for g in lvl[1:]] for lvl in self.guards]
         self.level_bytes = [sum(g.nbytes for g in lvl) for lvl in self.guards]
-        self._busy_levels = set()
 
     def live_file_ids(self) -> Set[int]:
         return {t.file_id for lvl in self.guards for g in lvl

@@ -34,7 +34,6 @@ from repro.filters.bloom import hash_pair
 from repro.storage.background import BackgroundJob
 from repro.storage.runtime import Runtime
 from repro.common.hashing import splitmix64
-from repro.table.merge import merge_runs
 from repro.table.mstable import MSTable
 from repro.table.run import Run
 from repro.check.effects.registry import observation_only
@@ -114,6 +113,7 @@ class LsmTrieEngine(EngineBase):
     """Hash-trie append engine (LSM-trie)."""
 
     name = "lsmtrie"
+    options: LsaOptions
 
     def __init__(self, options: LsaOptions, runtime: Runtime) -> None:
         super().__init__(runtime)
@@ -155,19 +155,15 @@ class LsmTrieEngine(EngineBase):
         if node.nbytes >= self.options.node_capacity and node.depth < MAX_DEPTH:
             debt += self._spill(node)
         if node.table is None or node.table.deleted:
-            node.table = MSTable(self.runtime, key_size=self.options.key_size,
-                                 bloom_bits_per_key=self.options.bloom_bits_per_key)
+            node.table = self._new_table()
         _, d = node.table.append_sequence(trecs, level=node.depth + 1)
         self.runtime.metrics.bump("trie-append")
         return debt + d
 
     def _spill(self, node: _TrieNode) -> float:
         """Move a full node's records down to its TRIE_FANOUT children."""
-        debt = node.table.compaction_read_debt()
-        runs = [s.run for s in node.table.sequences]
         bottom = not node.children and node.depth + 1 >= MAX_DEPTH
-        merged = merge_runs(runs, drop_tombstones=bottom,
-                            snapshots=self.snapshots_provider())
+        merged, debt = self._gather_merge((node.table,), drop_tombstones=bottom)
         node.table.delete()
         node.table = None
         # The node's keys share their leading bits, so the child index (the

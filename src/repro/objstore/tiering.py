@@ -162,11 +162,7 @@ def bootstrap_from_store(db: "IamDB", log: SharedManifestLog) -> Dict[str, int]:
     for name in cut.files:
         bytes_down += log.store.size_of(name)
         runtime.objstore_get(name)
-    state = cut.state
-    db.engine.restore_state(state["engine"])
-    db.manifest.checkpoint(state)
-    db.manifest.edits += 1
-    db._seq = cut.seq
+    db.adopt_checkpoint(cut.state)
     return {"cut_id": cut.cut_id, "seq": cut.seq, "objects": len(cut.files),
             "bytes_down": bytes_down}
 

@@ -3,8 +3,10 @@
 LevelDB persists version edits to a MANIFEST file; LSA additionally relies on
 cheap metadata-only "move down" operations (§4.2.1), which are manifest edits
 rather than data rewrites.  The simulated manifest stores an opaque
-checkpoint object (the engine's serialized structure) plus an edit counter,
-and charges a small sequential write per edit.
+checkpoint object (the engine's serialized structure) and charges nothing
+locally: a checkpoint costs device or store time only through a
+:attr:`Manifest.mirror`.  Its (empty) file keeps a file id, so the orphan
+sweep and the file-id order see a manifest.
 """
 
 from __future__ import annotations
@@ -12,9 +14,6 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.storage.runtime import Runtime
-
-#: Charged bytes per manifest edit (a version-edit record is tiny).
-EDIT_BYTES = 64
 
 
 class Manifest:
@@ -24,18 +23,11 @@ class Manifest:
         self.runtime = runtime
         self._file = runtime.create_file()
         self._checkpoint: Optional[Any] = None
-        self.edits = 0
         #: Optional durable mirror (an ``ObjStoreTier``): when set, every
         #: checkpoint is also appended to the shared manifest log.  Duck
         #: typed -- anything with ``on_checkpoint(state)`` -- so the
         #: storage layer stays import-free of :mod:`repro.objstore`.
         self.mirror: Optional[Any] = None
-
-    def log_edit(self) -> float:
-        """Charge one metadata edit; returns the foreground latency."""
-        self.edits += 1
-        self._file.grow(EDIT_BYTES)
-        return self.runtime.disk.fg_stream(nbytes_write=EDIT_BYTES)
 
     def checkpoint(self, state: Any) -> None:
         """Store the engine's durable structure snapshot.
@@ -59,10 +51,6 @@ class Manifest:
     def restore(self) -> Optional[Any]:
         """The last checkpointed structure (None before the first one)."""
         return self._checkpoint
-
-    @property
-    def nbytes(self) -> int:
-        return self._file.nbytes
 
     @property
     def file_id(self) -> int:

@@ -150,8 +150,3 @@ def merge_runs(runs: PySequence[Run], *, drop_tombstones: bool = False,
             kept.append(rec)
     emit()
     return Run.from_records(out)
-
-
-def merged_size_records(runs: PySequence[Run]) -> int:
-    """Total input records across runs (diagnostics)."""
-    return sum(len(r) for r in runs)

@@ -116,14 +116,6 @@ class MSTable:
         )
         return seq, debt
 
-    @staticmethod
-    def build(runtime: Runtime, run: Run, *, key_size: int,
-              bloom_bits_per_key: int, level: int) -> Tuple["MSTable", float]:
-        """Create a fresh single-sequence table (merge output / SSTable)."""
-        table = MSTable(runtime, key_size=key_size, bloom_bits_per_key=bloom_bits_per_key)
-        _, debt = table.append_sequence(run, level=level)
-        return table, debt
-
     def delete(self) -> None:
         """Release the file (after a merge/split replaced this node)."""
         if not self.deleted:

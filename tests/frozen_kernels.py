@@ -6,6 +6,10 @@ only as oracles for ``tests/test_run.py``; do not "fix" or optimise them.
 
 ``frozen_might_contain`` is the word-indexed Bloom probe of ``filters/
 bloom.py`` at 1751bf7, the oracle of ``tests/test_bloom.py``.
+
+``frozen_gather_merge`` is the gather + merge every engine wrote inline at
+987e509 (here ``LsaTree._merge_leaf_child``'s), the oracle of
+``EngineBase._gather_merge`` in ``tests/test_engine_internals.py``.
 """
 
 import bisect
@@ -14,6 +18,7 @@ import numpy as np
 
 from repro.common.hashing import MASK64
 from repro.common.records import KEY, RECORD_OVERHEAD, VALUE
+from repro.table.merge import merge_runs
 
 
 def frozen_might_contain(bits, n_bits, n_hashes, h1, h2):
@@ -26,6 +31,17 @@ def frozen_might_contain(bits, n_bits, n_hashes, h1, h2):
         if not (int(bits[idx >> 6]) >> (idx & 63)) & 1:
             return False
     return True
+
+
+def frozen_gather_merge(engine, tables, part, *, drop_tombstones):
+    debt = 0.0
+    runs = [part]
+    for table in tables:
+        debt += table.compaction_read_debt()
+        runs += [s.run for s in table.sequences]
+    merged = merge_runs(runs, drop_tombstones=drop_tombstones,
+                        snapshots=engine.snapshots_provider())
+    return merged, debt
 
 
 def frozen_partition_records(records, children, *, leaf, child_weights=None):

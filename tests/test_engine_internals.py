@@ -4,11 +4,14 @@ import random
 
 import pytest
 
-from repro.common.records import KEY
+from repro.common.records import KEY, make_delete, make_put
 from repro.storage.background import BackgroundPool
 from repro.storage.simdisk import SimDisk
 from repro.common.options import DeviceProfile
+from repro.core.engine import EngineBase
+from repro.table.run import Run
 from tests.conftest import make_tiny_db
+from tests.frozen_kernels import frozen_gather_merge
 
 PROFILE = DeviceProfile("t", 0.0, 0.0, 1e6, 1e6)
 
@@ -25,6 +28,27 @@ def test_pool_handles_job_submitted_from_callback():
     pool.submit("first", lambda: 1.0, on_complete=chain)
     pool.drain_all()
     assert done == [2]
+
+
+def test_gather_merge_is_the_inline_code_it_replaced():
+    """Multi-sequence table, one live snapshot, file partly cache-resident:
+    equal run columns, equal float debt, equal compaction-read accounting."""
+    results = []
+    for gather in (frozen_gather_merge, EngineBase._gather_merge):
+        db = make_tiny_db("iam", storage_kw=dict(page_cache_bytes=4 * 256))
+        engine = db.engine
+        engine.snapshots_provider = lambda: (150,)
+        table = engine._new_table()
+        for base in (100, 200, 300):  # the later sequences evict the first
+            table.append_sequence(Run.from_records(
+                [make_put(k, base + k, 64) for k in range(40)]), level=1)
+        assert 0 < table.resident_bytes() < table.data_bytes
+        part = Run.from_records([make_delete(3, 400), make_put(7, 401, 64)])
+        merged, debt = gather(engine, [table], part, drop_tombstones=True)
+        assert debt > 0.0 and merged.n > 40  # the snapshot keeps old versions
+        columns = [getattr(merged, c).tolist() for c in ("keys", "seqs", "kinds", "sizes")]
+        results.append((columns, debt, db.metrics.compaction_read_bytes))
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("engine", ["iam", "leveldb"])

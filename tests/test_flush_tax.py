@@ -51,6 +51,19 @@ def test_twice_the_records_cost_the_same_flush(config):
     assert many - few <= new_blocks + 8, (few, many)
 
 
+@pytest.mark.parametrize("config, ceiling", [("I-1t", 1089), ("L", 206)])
+def test_a_flush_costs_no_more_calls_than_before_the_shared_skeleton(config, ceiling):
+    # Parent commit (987e509): 1,089 calls on I-1t (13 appends), 205 on L.
+    # The engines' flush is call-neutral on L (`_new_table` stands where
+    # `MSTable.build` stood) and 11 calls cheaper on I-1t (no `_ingest`
+    # override, no `_after_append` hook); L's one extra call is
+    # `IamDB.take_checkpoint`, the checkpoint dict's single owner.
+    base = [permute64(10_000 + i) for i in range(50)]
+    calls, shape = _flush_calls(config, base)
+    assert shape["flushes"] == 1
+    assert calls <= ceiling, calls
+
+
 def test_evicting_admission_is_a_handful_of_calls_per_block():
     # Parent commit: 11 per block (a method call, three len() and _dec for
     # every admission); now popitem + discard + add.

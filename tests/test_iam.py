@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro.core.node import LsaNode
-from tests.conftest import make_tiny_db
+from repro.db.iamdb import IamDB
+from tests.conftest import make_tiny_db, tiny_iam_options, tiny_storage_options
 
 VAL = 64
 
@@ -34,10 +34,10 @@ def test_policy_by_level_class():
     assert eng.level_class(1) == "appending"
     assert eng.level_class(2) == "mixed"
     assert eng.level_class(3) == "merging"
-    assert not eng._should_merge_internal(1, _FakeNode(10))
-    assert not eng._should_merge_internal(2, _FakeNode(2))
-    assert eng._should_merge_internal(2, _FakeNode(3))
-    assert eng._should_merge_internal(3, _FakeNode(1))
+    assert not eng.merges_on_arrival(1, _FakeNode(10))
+    assert not eng.merges_on_arrival(2, _FakeNode(2))
+    assert eng.merges_on_arrival(2, _FakeNode(3))
+    assert eng.merges_on_arrival(3, _FakeNode(1))
 
 
 def test_leaf_policy():
@@ -45,22 +45,36 @@ def test_leaf_policy():
     eng = db.engine
     ct = eng.options.node_capacity
     eng.n = 3  # leaf deeper than mixed -> merging class: always merge
-    assert eng._should_merge_leaf(_FakeNode(1, 10))
+    assert eng.merges_on_arrival(3, _FakeNode(1, 10))
     eng.n = 2  # leaf == mixed -> merge at k sequences or when full
-    assert not eng._should_merge_leaf(_FakeNode(1, 10))
-    assert eng._should_merge_leaf(_FakeNode(3, 10))
-    assert eng._should_merge_leaf(_FakeNode(1, ct))
+    assert not eng.merges_on_arrival(2, _FakeNode(1, 10))
+    assert eng.merges_on_arrival(2, _FakeNode(3, 10))
+    assert eng.merges_on_arrival(2, _FakeNode(1, ct))
     eng.n = 1  # leaf above mixed -> LSA behaviour (merge only when full)
-    assert not eng._should_merge_leaf(_FakeNode(5, 10))
+    assert not eng.merges_on_arrival(1, _FakeNode(5, 10))
+    assert eng.merges_on_arrival(1, _FakeNode(5, ct))
+
+
+def test_lsa_corner_never_merges_internally():
+    db = make_tiny_db("lsa")
+    load_random(db, 5000, seed=12)
+    db.quiesce()
+    assert db.engine.n > 1  # there are internal levels to not merge in
+    assert db.metrics.events.get("merge:internal", 0) == 0
+    assert db.engine.max_sequences_per_node() > 1
 
 
 def test_merging_levels_keep_single_sequences():
-    db = make_tiny_db("iam", fixed_m=1, fixed_k=1)
+    db = IamDB("iam", engine_options=tiny_iam_options().as_lsm(),
+               storage_options=tiny_storage_options())
     load_random(db, 4000, seed=1)
     db.quiesce()
     eng = db.engine
-    # m=1: every level merges; nodes that received data hold one sequence.
-    assert eng.max_sequences_per_node() <= 1 + 0  # moves can't add sequences here
+    # The LSM corner (m=1, k=1): every level merges, so every node that
+    # received data holds one sequence (moves can't add sequences here).
+    assert (eng.m, eng.k) == (1, 1)
+    assert db.metrics.events.get("merge:internal", 0) > 0
+    assert eng.max_sequences_per_node() <= 1
     db.check_invariants()
 
 

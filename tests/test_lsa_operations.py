@@ -19,7 +19,8 @@ KS = 8
 
 
 def build_tree(fanout=10, node_capacity=4096) -> LsaTree:
-    opts = IamOptions(node_capacity=node_capacity, fanout=fanout, key_size=KS)
+    opts = IamOptions(node_capacity=node_capacity, fanout=fanout,
+                      key_size=KS).as_lsa()
     runtime = Runtime(StorageOptions(page_cache_bytes=64 * 1024, block_size=256))
     tree = LsaTree(opts, runtime)
     return tree
@@ -27,7 +28,7 @@ def build_tree(fanout=10, node_capacity=4096) -> LsaTree:
 
 def filled_node(tree, lo, hi, keys, level):
     node = LsaNode(lo, hi)
-    table = node.ensure_table(tree.runtime, key_size=KS, bloom_bits_per_key=14)
+    table = node.table = tree._new_table()
     recs = [make_put(k, i + 1, 64) for i, k in enumerate(sorted(keys))]
     table.append_sequence(Run.from_records(recs), level=level)
     return node

@@ -83,9 +83,6 @@ def test_trailing_tombstones_stripped_at_bottom():
     assert out == []
 
 
-def test_merged_size_records_counts_inputs():
-    from repro.table.merge import merged_size_records
-    assert merged_size_records([[make_put(1, 1, 8)], [], [make_put(2, 2, 8)] * 3]) == 4
 
 
 def test_merge_many_runs_sorted_output():

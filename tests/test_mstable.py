@@ -105,9 +105,8 @@ def test_cursor_merges_sequences_sorted():
 
 
 def test_build_single_sequence_table():
-    rt = make_runtime()
-    t, debt = MSTable.build(rt, run(range(5), 1), key_size=KS,
-                            bloom_bits_per_key=14, level=3)
+    t = make_table(make_runtime())
+    _, debt = t.append_sequence(run(range(5), 1), level=3)
     assert t.n_sequences == 1
     assert debt > 0.0
 

@@ -32,13 +32,6 @@ def test_node_range_validation():
         LsaNode(5, 4)
 
 
-def test_covers_and_overlaps():
-    n = node(10, 20)
-    assert n.covers(10) and n.covers(20) and not n.covers(21)
-    assert n.overlaps(15, 30) and n.overlaps(0, 10)
-    assert not n.overlaps(21, 30)
-
-
 def test_extend_range():
     n = node(10, 20)
     n.extend_range(5, 25)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.options import StorageOptions
 from repro.common.records import encoded_size, make_delete, make_put
-from repro.storage.manifest import EDIT_BYTES, Manifest
+from repro.storage.manifest import Manifest
 from repro.storage.runtime import Runtime
 from repro.storage.wal import WriteAheadLog
 
@@ -79,14 +79,6 @@ def test_manifest_checkpoint_roundtrip(runtime):
     state = {"levels": [1, 2, 3]}
     m.checkpoint(state)
     assert m.restore() == state
-
-
-def test_manifest_edit_accounting(runtime):
-    m = Manifest(runtime)
-    m.log_edit()
-    m.log_edit()
-    assert m.edits == 2
-    assert m.nbytes == 2 * EDIT_BYTES
 
 
 def test_truncate_charges_suffix_rewrite(runtime):
