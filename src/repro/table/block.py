@@ -14,8 +14,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Any, Iterator, Optional, Tuple
 
-import numpy as np
-
 from repro.common.errors import InvariantViolation
 from repro.common.records import Key, RECORD_OVERHEAD, RecordTuple
 from repro.filters.bloom import BloomFilter
@@ -66,7 +64,9 @@ class Sequence:
             # One record size throughout: every block takes the same count.
             record_bytes = key_size + RECORD_OVERHEAD + sizes[0]
             self.nbytes = n * record_bytes
-            starts = list(range(0, n, block_size // record_bytes or 1))
+            # Kept as the range it is: the scan planner finds a chunk as
+            # ``i // step`` instead of bisecting a list.
+            starts = range(0, n, block_size // record_bytes or 1)
         else:
             # Each block is the longest record prefix that fits, found by
             # bisecting the cumulative size column.
@@ -112,19 +112,6 @@ class Sequence:
         i = 0 if lo_key is None else bisect_left(keys, lo_key)
         j = self.n_records if hi_key is None else bisect_right(keys, hi_key)
         return i, j
-
-    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                               Optional[np.ndarray]]:
-        """``(keys, seqs, kinds, values)`` columns for the scan planner.
-
-        The value column is None when some value is not a synthetic size
-        (scans then assemble their output row by row).  Raises TypeError
-        when the keys are not uint64 (the planner then declines the scan).
-        """
-        run = self.run
-        if run.okeys is not None:
-            raise TypeError("sequence keys are not uint64")
-        return run.keys, run.seqs, run.kinds, run.sizes if run.vals is None else None
 
     def _blocks_for_span(self, i: int, j: int) -> range:
         """File-relative block numbers covering record indices [i, j)."""

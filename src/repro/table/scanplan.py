@@ -37,20 +37,33 @@ records per sequence, whole trailing chain tails reduced to their fill
 charges); the plan is valid iff the scan terminates strictly below the
 smallest excluded key, else it retries with a wider cut.
 
+One pass per component
+----------------------
+Each sequence component is visited once before the sort: the walk records
+``(run, key view, i, j)`` and its charge facts and folds the cut key, then
+every span is cut with one ``bisect_left`` on its key view -- before
+anything is sliced -- and each column is gathered with one comprehension
+into one ``np.concatenate``.  The charge events are derived in Python ints
+(``ranks.tolist()``, the offsets as a list, a uniform sequence's block
+index being the ``range`` it is, so a chunk index is ``i // step``): at
+the scan's T of a few hundred records numpy scalars cost more than the
+arithmetic they carry.
+
 Declines
 --------
 ``planned_scan`` returns None -- always before the first charge, so the
 caller runs ``merge_scan`` over the same, untouched streams -- when what it
-observes in its input does not fit the plan: a stream that is not a
-:class:`~repro.table.scan.ListStream` / :class:`~repro.table.scan.ChainStream`
-value (FLSM's guard generators), or a value that does not fit the uint64
-columns (a negative or >= 2**64 key anywhere in the gathered memtable lists
-or sequences; a snapshot number outside uint64).
+observes in its input does not fit the plan: a snapshot number outside
+uint64, a stream that is not a :class:`~repro.table.scan.ListStream` /
+:class:`~repro.table.scan.ChainStream` value (FLSM's guard generators), or
+a key outside uint64 (``okeys`` set) in a gathered memtable list or
+sequence.  Those three checks are explicit; any other exception is a bug
+and propagates.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -77,38 +90,36 @@ def planned_scan(streams: list, *, snapshot: Optional[int] = None,
     """
     if not streams:
         return []
+    if snapshot is not None and not 0 <= snapshot < (1 << 64):
+        return None
     runtime: Optional[Runtime]  # typed: the effects gate follows the replay
     # ``limit`` is None or >= 1: the DB answers limit=0 and rejects
     # negative limits before planning.
     cap = None if limit is None else max(96, limit + 64)
-    try:
-        while True:
-            res = _attempt(streams, snapshot, hi_key, limit, cap)
-            if res is not _RETRY:
-                out, events, runtime = res
-                break
-            cap *= 8
-            if cap > (1 << 40):  # defensive: never loop forever
-                return None
-    except (OverflowError, TypeError, ValueError):
-        return None
+    while True:
+        res = _attempt(streams, snapshot, hi_key, limit, cap)
+        if res is None:
+            return None
+        if res is not _RETRY:
+            out, events, runtime = res
+            break
+        cap *= 8
+        if cap > (1 << 40):  # defensive: never loop forever
+            return None
     for _trigger, _gen, fid, blocks in events:
         runtime.fg_read_blocks(fid, blocks)
     return out
 
 
 def _attempt(streams, snapshot, hi_key, n_stop, cap):
-    """One planning pass at truncation width ``cap`` (None = no cut)."""
-    key_parts: List[np.ndarray] = []
-    seq_parts: List[np.ndarray] = []
-    kind_parts: List[np.ndarray] = []
-    val_parts: List[np.ndarray] = []  # column-wise output; dropped on flag
-    vals_ok = True
-    run_parts: List[Tuple[Run, int]] = []  # (run, span start) per comp
-    lens: List[int] = []
-    # Per sequence component: (fid, starts, first_block, n_blocks, i, charge_end)
-    charge_info: List[Optional[tuple]] = []
-    # Per chain: (runtime, [(comp_idxs, truncated_any)], fill_only_events)
+    """One planning pass at truncation width ``cap`` (None = no cut);
+    None declines, ``_RETRY`` asks for a wider cut."""
+    # Per component: (run, key view, i, j, charge) -- the span [i, j) of
+    # the run; charge is None (memtable) or the sequence's charge facts
+    # (fid, block index, first block, n_blocks, charge_end).
+    comps: List[tuple] = []
+    vals_ok = True  # every value synthetic: the sizes column is the output
+    # Per chain: ([(comp_idxs, truncated_any)] per table, fill_only events)
     chains = []
     cut_key: Optional[int] = None
     runtime = None
@@ -120,18 +131,9 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
             # The same typed column builder sequences were built with.
             run = Run.from_records(s.recs)
             if run.okeys is not None:
-                raise TypeError("memtable keys are not uint64")
-            key_parts.append(run.keys)
-            seq_parts.append(run.seqs)
-            kind_parts.append(run.kinds)
-            if vals_ok:
-                if run.vals is None:
-                    val_parts.append(run.sizes)
-                else:
-                    vals_ok = False
-            run_parts.append((run, 0))
-            lens.append(run.n)
-            charge_info.append(None)
+                return None
+            vals_ok = vals_ok and run.vals is None
+            comps.append((run, run.key_view(), 0, run.n, None))
         elif isinstance(s, ChainStream):
             runtime = s.runtime
             lo = s.lo_key
@@ -152,107 +154,89 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                     # node.  Later nodes need that node to exhaust first,
                     # which cannot happen below M.
                     fill_only = []
-                    first_key = None
                     for seq in table.sequences:
-                        i2, j2 = seq.span_for_range(None, hi)
-                        if j2 <= i2:
+                        kv = seq.key_view
+                        if hi is not None and bisect_right(kv, hi) == 0:
                             continue
                         if seq.run.okeys is not None:
-                            raise TypeError("sequence keys are not uint64")
-                        k0 = seq.key_view[i2]
-                        if first_key is None or k0 < first_key:
-                            first_key = k0
-                        starts = seq.block_start_idx
-                        c0 = bisect_right(starts, i2) - 1
-                        stop = min(c0 + READAHEAD_BLOCKS, seq.n_blocks)
-                        fill_only.append((fid, range(seq.first_block + c0,
+                            return None
+                        if cut_key is None or kv[0] < cut_key:
+                            cut_key = kv[0]
+                        stop = min(READAHEAD_BLOCKS, seq.n_blocks)
+                        fill_only.append((fid, range(seq.first_block,
                                                      seq.first_block + stop)))
-                    if first_key is not None and (cut_key is None
-                                                  or first_key < cut_key):
-                        cut_key = first_key
                     break
                 comp_idxs = []
                 truncated_any = False
                 kept = 0
                 for seq in table.sequences:
-                    if ti == 0 or hi is not None:
-                        i, j = seq.span_for_range(lo if ti == 0 else None, hi)
-                    else:
-                        i, j = 0, seq.n_records  # interior table: full span
+                    kv = seq.key_view
+                    i = 0 if ti or lo is None else bisect_left(kv, lo)
+                    j = seq.n_records if hi is None else bisect_right(kv, hi)
                     if j <= i:
                         continue
-                    j_eff = j
-                    if cap is not None and j - i > cap:
-                        j_eff = i + cap
-                        truncated_any = True
-                        k_cut = seq.key_view[j_eff]
-                        if cut_key is None or k_cut < cut_key:
-                            cut_key = k_cut
-                    col, seqs_col, kinds_col, vals_col = seq.columns()
-                    comp_idxs.append(len(lens))
-                    key_parts.append(col[i:j_eff])
-                    seq_parts.append(seqs_col[i:j_eff])
-                    kind_parts.append(kinds_col[i:j_eff])
-                    if vals_ok:
-                        if vals_col is None:
-                            vals_ok = False
-                        else:
-                            val_parts.append(vals_col[i:j_eff])
-                    run_parts.append((seq.run, i))
-                    lens.append(j_eff - i)
+                    if seq.run.okeys is not None:
+                        return None
                     # A truncated span still pulls (and may charge) one
                     # record past the cut before the plan's validity bound
                     # stops it -- mirror that single-record overshoot.
-                    charge_end = j_eff + 1 if j_eff < j else j
-                    charge_info.append((fid, seq.block_start_idx,
-                                        seq.first_block, seq.n_blocks,
-                                        i, charge_end))
-                    kept += j_eff - i
+                    charge_end = j
+                    if cap is not None and j - i > cap:
+                        j = i + cap
+                        charge_end = j + 1
+                        truncated_any = True
+                        if cut_key is None or kv[j] < cut_key:
+                            cut_key = kv[j]
+                    run = seq.run
+                    vals_ok = vals_ok and run.vals is None
+                    comp_idxs.append(len(comps))
+                    comps.append((run, kv, i, j, (fid, seq.block_start_idx,
+                                                  seq.first_block, seq.n_blocks,
+                                                  charge_end)))
+                    kept += j - i
                 if budget is not None:
                     budget -= kept
                 tables_meta.append((comp_idxs, truncated_any))
             chains.append((tables_meta, fill_only))
         else:
-            raise TypeError("not a scan stream value")
+            return None
 
-    if not lens:
+    if not comps:
         return [], [], runtime
 
     # Cut-key prefilter: in a truncated plan every record with key >=
     # cut_key sorts past the (validated) termination rank M, so it can
-    # never be emitted and never triggers a charge below M.  Dropping
-    # those tails before the sort shrinks T toward M; the only scalar
-    # effect they keep is a sequence's cursor-fill charge, preserved by
-    # retaining filter-emptied components (their chunk loop stops at the
-    # fill because the missing ranks are all >= M).
-    filtered = [False] * len(lens)
-    if cut_key is not None and cut_key < (1 << 64):
-        ck = np.uint64(cut_key)
-        for pi, kp in enumerate(key_parts):
-            jf = int(kp.searchsorted(ck, side="left"))
-            if jf < kp.size:
-                key_parts[pi] = kp[:jf]
-                seq_parts[pi] = seq_parts[pi][:jf]
-                kind_parts[pi] = kind_parts[pi][:jf]
-                if vals_ok:
-                    val_parts[pi] = val_parts[pi][:jf]
-                lens[pi] = jf
-                filtered[pi] = True
-
-    offsets = np.zeros(len(lens) + 1, dtype=np.intp)
-    np.cumsum(lens, out=offsets[1:])
-    keys_g = np.concatenate(key_parts)
-    seqs_g = np.concatenate(seq_parts)
-    kinds_g = np.concatenate(kind_parts)
-    T = int(keys_g.size)
+    # never be emitted and never triggers a charge below M.  Cutting those
+    # tails before the gather shrinks T toward M; the only scalar effect
+    # they keep is a sequence's cursor-fill charge, preserved by retaining
+    # cut-emptied components (their chunk loop stops at the fill because
+    # the missing ranks are all >= M).
+    n_comps = len(comps)
+    filtered = [False] * n_comps
+    offsets = [0] * (n_comps + 1)
+    T = 0
+    for ci, (run, kv, i, j, charge) in enumerate(comps):
+        if cut_key is not None:
+            jf = bisect_left(kv, cut_key, i, j)
+            if jf < j:
+                comps[ci] = (run, kv, i, jf, charge)
+                filtered[ci] = True
+                j = jf
+        T += j - i
+        offsets[ci + 1] = T
     if not T:
-        # Every gathered record was filtered out: the scan cannot prove
-        # its termination below the cut, so widen and retry.
+        # Every gathered record was cut: the scan cannot prove its
+        # termination below the cut, so widen and retry.
         return _RETRY
+    keys_g = np.concatenate([run.keys[i:j] for run, _, i, j, _ in comps])
+    seqs_g = np.concatenate([run.seqs[i:j] for run, _, i, j, _ in comps])
+    kinds_g = np.concatenate([run.kinds[i:j] for run, _, i, j, _ in comps])
     # Total order by (key asc, seq desc): unique (key, seq) pairs, so the
     # bit-complement trick needs no tie-breaking.  When key and sequence
     # widths fit one word, pack them into a single composite and do one
     # stable (radix) argsort -- half the cost of the two-pass lexsort.
+    # Scans over a compact key space take it (db_bench readseq over
+    # fillseq keys, the ``reads`` perf suite); hashed 64-bit keys never do.
     s_bits = int(seqs_g.max()).bit_length()
     total_bits = int(keys_g.max()).bit_length() + s_bits
     if s_bits < 64 and total_bits <= 64:
@@ -315,6 +299,9 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
             return _RETRY
 
     # ---------------------------------------------------------- charge events
+    # All in Python ints: rank of record p of component ci is
+    # ranks[offsets[ci] - i + p].
+    ranks = ranks.tolist()
     events: List[Tuple[int, int, int, range]] = []
     gen = 0
     for tables_meta, fill_only in chains:
@@ -326,41 +313,41 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
             last = -1
             cut_any = truncated_any
             for ci in comp_idxs:
-                fid, starts, first, n_blocks, i, charge_end = charge_info[ci]
-                g0 = int(offsets[ci])
-                m = lens[ci]
-                r = ranks[g0:g0 + m]
-                c0 = bisect_right(starts, i) - 1
-                last_b = bisect_right(starts, charge_end - 1) - 1
-                b = c0
-                p = i
-                while True:
-                    if p == i:
-                        trigger = fill_tr
-                    elif p - 1 - i >= m:
-                        break  # predecessor was cut-filtered: rank >= M
-                    else:
-                        trigger = int(r[p - 1 - i])
-                    if trigger >= M:
-                        break  # triggers ascend: nothing later fires either
-                    stop = min(b + READAHEAD_BLOCKS, n_blocks)
-                    events.append((trigger, gen, fid,
-                                   range(first + b, first + stop)))
+                _, _, i, _, (fid, starts, first, n_blocks, charge_end) = comps[ci]
+                base = offsets[ci] - i
+                end = offsets[ci + 1] - base  # past the last gathered record
+                if type(starts) is range:
+                    step = starts.step
+                    b = i // step
+                    last_b = (charge_end - 1) // step
+                else:
+                    b = bisect_right(starts, i) - 1
+                    last_b = bisect_right(starts, charge_end - 1) - 1
+                trigger = fill_tr
+                # Triggers ascend: once one reaches M nothing later fires.
+                while trigger < M:
+                    stop = b + READAHEAD_BLOCKS
+                    if stop > n_blocks:
+                        stop = n_blocks
+                    events.append((trigger, gen, fid, range(first + b, first + stop)))
                     gen += 1
                     b += READAHEAD_BLOCKS
                     if b > last_b:
                         break
                     p = starts[b]
+                    if p > end:
+                        break  # predecessor was cut: rank >= M
+                    trigger = ranks[base + p - 1]
                 if filtered[ci]:
                     cut_any = True  # true tail rank >= M
-                elif (tail := int(r[m - 1])) > last:
+                elif (tail := ranks[base + end - 1]) > last:
                     last = tail
             prev = T if cut_any else last
         if fill_only is not None and prev < M:
             for fid, blocks in fill_only:
                 events.append((prev, gen, fid, blocks))
                 gen += 1
-    events.sort(key=lambda e: (e[0], e[1]))
+    events.sort()  # by (trigger, gen): gen is unique
 
     # ---------------------------------------------------------------- output
     out: List[Tuple[Key, object]] = []
@@ -368,14 +355,12 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
         if vals_ok:
             # Column-wise assembly: the value columns make the whole
             # result two gathers + one zip, no per-row record indexing.
-            vals_g = np.concatenate(val_parts)
+            vals_g = np.concatenate([run.sizes[i:j] for run, _, i, j, _ in comps])
             out = list(zip(skeys[emit].tolist(),
                            vals_g[order[emit]].tolist()))
         else:
-            gs = order[emit]
-            cis = offsets.searchsorted(gs, side="right") - 1
-            locs = gs - offsets[cis]
-            for key, ci, loc in zip(skeys[emit].tolist(), cis.tolist(), locs.tolist()):
-                run, base = run_parts[ci]
-                out.append((key, run.value_at(base + loc)))
+            for key, g in zip(skeys[emit].tolist(), order[emit].tolist()):
+                ci = bisect_right(offsets, g) - 1
+                run, _, i, _, _ = comps[ci]
+                out.append((key, run.value_at(i + g - offsets[ci])))
     return out, events, runtime

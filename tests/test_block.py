@@ -41,7 +41,7 @@ def test_block_layout_and_sizes():
     per = encoded_size(recs[0], KS)
     assert s.nbytes == 12 * per
     assert s.n_blocks == 4
-    assert s.block_start_idx == [0, 3, 6, 9]
+    assert list(s.block_start_idx) == [0, 3, 6, 9]
     assert (s.min_key, s.max_key) == (0, 11)
     assert s.metadata_bytes == s.bloom.nbytes + 4 * INDEX_ENTRY_BYTES
 

@@ -13,9 +13,9 @@ under every engine, is one fused loop over the table's probe rows; the
 newest-first loop of ``Sequence.get`` it replaced is its reference.
 
 Two contracts sit beside the equivalences.  *Declines*: whatever the scan
-planner cannot plan (a key outside uint64, an engine that hands out plain
-generators) it must decline before charging anything, and the heap merge
-that answers instead is held to the same reference.  *Seeks*: a
+planner cannot plan (a key or snapshot outside uint64, an engine that hands
+out plain generators) it must decline before charging anything, and the
+heap merge that answers instead is held to the same reference.  *Seeks*: a
 ``DbIterator`` after ``seek(k)`` is a fresh ``iterate`` at ``k``.
 """
 
@@ -426,6 +426,46 @@ def test_scan_retry_rewalks_chain_from_start(engine, monkeypatch):
     assert len(attempts) >= 2 and attempts[1] == 8 * attempts[0]
 
 
+def test_scan_across_both_block_index_arms(monkeypatch):
+    # A uniform-size sequence keeps its block index as a ``range`` (chunk =
+    # i // step), a mixed-size one as a list (bisected): one level holding
+    # both, bytes values included, under full, bounded and retried scans.
+    from repro.table import scanplan
+
+    dbs = (make_tiny_db("iam"), make_tiny_db("iam"))
+    rng = random.Random(7)
+    later = [(k, bytes(rng.randrange(1, 120))) for k in rng.choices(WIDE_KEYS, k=200)]
+    for db in dbs:
+        for key in WIDE_KEYS:
+            db.put(key, 40)
+        db.quiesce()
+        for key, value in later:
+            db.put(key, value)
+        for key in WIDE_KEYS[100:400]:
+            db.delete(key)
+        db.quiesce()
+    db_ref, db_opt = dbs
+    eng = db_opt.engine
+    arms = [{(type(s.block_start_idx) is range, s.run.vals is not None)
+             for nd in eng.levels[li] if nd.table is not None
+             for s in nd.table.sequences} for li in range(1, eng.n + 1)]
+    assert any({(True, False), (False, True)} <= level for level in arms), arms
+    attempts = []
+    real = scanplan._attempt
+
+    def counting(*args):
+        attempts.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(scanplan, "_attempt", counting)
+    snapshot = db_ref._seq - 150
+    for lo, hi, limit in ((None, None, None), (None, None, 7), (WIDE_KEYS[90], None, 30),
+                          (WIDE_KEYS[100], None, 2), (WIDE_KEYS[50], WIDE_KEYS[500], None)):
+        for snap in (None, snapshot):
+            _assert_scan_matches(db_ref, db_opt, lo, hi, limit, snap)
+    assert 8 * 96 in attempts  # the tombstone run defeated a narrow plan
+
+
 # --------------------------------------------------------- planner declines
 # The planner declines only on what it observes in its input, always before
 # the first charge; the heap merge over the same streams answers instead and
@@ -477,6 +517,14 @@ def test_key_outside_uint64_is_declined_then_merged(engine, odd, plain,
         rows = _assert_scan_matches(db_ref, db_opt, None, None, snapshot=snapshot)
         assert (key, 55) not in rows
         assert verdicts == [planned] * 4
+
+
+def test_snapshot_outside_uint64_is_declined_then_merged(monkeypatch):
+    verdicts = _planner_verdicts(monkeypatch)
+    db_ref, db_opt = _wide_pair("iam", n=300)
+    for snapshot in (-1, 2 ** 64, 0, 2 ** 64 - 1):
+        _assert_scan_matches(db_ref, db_opt, None, None, 7, snapshot)
+    assert verdicts == [False, False, True, True]
 
 
 def test_wide_key_in_the_chain_tail_is_declined(monkeypatch):
