@@ -33,7 +33,7 @@ from repro.cluster.network import NetworkOptions, SimNetwork
 from repro.cluster.rebalance import RebalanceOptions, Rebalancer
 from repro.cluster.replica import LeaderKill, Replica, ReplicaGroup
 from repro.cluster.router import REQUEST_BYTES, ROUTER_NODE, Router
-from repro.cluster.shard import Shard, even_ranges
+from repro.cluster.shard import KEY_SPACE_HI, KEY_SPACE_LO, Shard, even_ranges
 from repro.common.errors import ConfigError, InvariantViolation, StoreClosedError
 from repro.common.options import FaultOptions, StorageOptions
 from repro.common.records import Key, Value, bad_key
@@ -54,6 +54,13 @@ AUDIT_WINDOW = 256
 #: Salt for deriving per-replica fault seeds from the base seed: every node
 #: sees an independent (but reproducible) transient-fault sequence.
 _FAULT_SEED_SALT = 7919
+
+
+def _unroutable(key: object) -> ConfigError:
+    """The error for a non-``int`` key or one outside the key space."""
+    if type(key) is not int:
+        return bad_key(key)
+    return ConfigError(f"key {key} outside the key space [0, 2**64)")
 
 
 @dataclass(frozen=True)
@@ -345,15 +352,18 @@ class ClusterDB:
             self.rebalancer.maybe_rebalance()
 
     def _pump_all(self) -> None:
-        """Drain every node's background debt up to the shared clock."""
+        """Drain every node's background debt up to the shared clock; an
+        idle node that drives no sampler has nothing to pump and is skipped."""
         for shard in self.router.shards:
             for replica in shard.group.replicas:
                 if replica.alive:
-                    replica.db.runtime.pump()
+                    runtime = replica.db.runtime
+                    if not runtime.pool.idle or runtime.sampler is not None:
+                        runtime.pump()
 
     def put(self, key: Key, value: Value) -> None:
-        if type(key) is not int:
-            raise bad_key(key)
+        if type(key) is not int or not KEY_SPACE_LO <= key < KEY_SPACE_HI:
+            raise _unroutable(key)
         self._begin_op()
         t0 = self.clock.now
         self.router.put(key, value)
@@ -365,8 +375,8 @@ class ClusterDB:
             self.metrics.observe("put", elapsed)
 
     def delete(self, key: Key) -> None:
-        if type(key) is not int:
-            raise bad_key(key)
+        if type(key) is not int or not KEY_SPACE_LO <= key < KEY_SPACE_HI:
+            raise _unroutable(key)
         self._begin_op()
         t0 = self.clock.now
         self.router.delete(key)
@@ -379,8 +389,8 @@ class ClusterDB:
 
     def get(self, key: Key, *,
             as_of_cut: Optional[int] = None) -> Optional[Value]:
-        if type(key) is not int:
-            raise bad_key(key)
+        if type(key) is not int or not KEY_SPACE_LO <= key < KEY_SPACE_HI:
+            raise _unroutable(key)
         if as_of_cut is not None:
             return self._get_as_of(key, as_of_cut)
         self._begin_op()
@@ -435,8 +445,8 @@ class ClusterDB:
         leaves the cluster untouched.
         """
         for key in keys:
-            if type(key) is not int:
-                raise bad_key(key)
+            if type(key) is not int or not KEY_SPACE_LO <= key < KEY_SPACE_HI:
+                raise _unroutable(key)
         return [self.get(key) for key in keys]
 
     def scan(self, lo_key: Optional[Key] = None, hi_key: Optional[Key] = None,

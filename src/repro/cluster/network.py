@@ -61,6 +61,15 @@ class NetworkOptions:
                               rpc_bytes=0)
 
 
+class Link(SimResource):
+    """One directed link: a FIFO server and the bytes it has carried."""
+
+    def __init__(self, clock: SimClock) -> None:
+        super().__init__(clock)
+        #: Bytes carried, framing included.
+        self.nbytes = 0
+
+
 class SimNetwork:
     """Directed FIFO links between integer node ids, on one shared clock."""
 
@@ -69,17 +78,19 @@ class SimNetwork:
         self.clock = clock
         self.options = options if options is not None else NetworkOptions()
         #: One FIFO server per directed link, made at its first message.
-        self._links: Dict[Tuple[int, int], SimResource] = {}
+        self._links: Dict[Tuple[int, int], Link] = {}
         #: Total messages carried (both foreground and background).
         self.messages = 0
         #: Total bytes carried, framing included.
         self.bytes_sent = 0
-        #: Per-directed-link byte counters, for the cluster report.
-        self.link_bytes: Dict[Tuple[int, int], int] = {}
+
+    @property
+    def link_bytes(self) -> Dict[Tuple[int, int], int]:
+        """Bytes carried per directed link, framing included (a copy)."""
+        return {key: link.nbytes for key, link in self._links.items()}
 
     # ------------------------------------------------------------------ model
-    def _charge(self, src: int, dst: int,
-                nbytes: int) -> Tuple[SimResource, float]:
+    def _charge(self, src: int, dst: int, nbytes: int) -> Tuple[Link, float]:
         """The cost model: count one framed message; returns its link and
         its service time (latency + serialization)."""
         options = self.options
@@ -87,13 +98,12 @@ class SimNetwork:
         service = options.latency_s
         if total > 0:
             service += total / options.bandwidth
-        key = (src, dst)
-        link = self._links.get(key)
+        link = self._links.get((src, dst))
         if link is None:
-            link = self._links[key] = SimResource(self.clock)
+            link = self._links[src, dst] = Link(self.clock)
+        link.nbytes += total
         self.messages += 1
         self.bytes_sent += total
-        self.link_bytes[key] = self.link_bytes.get(key, 0) + total
         return link, service
 
     # ------------------------------------------------------------- foreground

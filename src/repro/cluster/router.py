@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 from repro.cluster.network import SimNetwork
 from repro.cluster.shard import Shard
 from repro.common.errors import ConfigError, InvariantViolation
-from repro.common.records import Key, Value, encoded_size, make_put
+from repro.common.records import Key, Value, encoded_size, make_put, value_nbytes
 from repro.metrics import MetricsRegistry
 from repro.obs.tracer import NullTracer
 from repro.check.effects.registry import effects
@@ -157,7 +157,7 @@ class Router:
         leader_node = shard.group.leader.node_id
         self.network.send(ROUTER_NODE, leader_node, REQUEST_BYTES)
         value = shard.group.get(key)
-        resp = value if isinstance(value, int) else 0
+        resp = value_nbytes(value) if value is not None else 0
         self.network.send(leader_node, ROUTER_NODE, resp)
         return value
 
@@ -173,7 +173,7 @@ class Router:
             leader_node = shard.group.leader.node_id
             self.network.send(ROUTER_NODE, leader_node, REQUEST_BYTES)
             rows = shard.group.scan(lo_key, hi_key, limit=remaining)
-            resp = sum(v if isinstance(v, int) else 0 for _, v in rows)
+            resp = sum(value_nbytes(v) for _, v in rows)
             self.network.send(leader_node, ROUTER_NODE, resp)
             out.extend(rows)
         return out

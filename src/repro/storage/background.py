@@ -46,8 +46,9 @@ The pool is *event-driven*: providers read only structure that jobs and
 restores mutate, so once the provider has answered ``None`` the pool does
 not ask again until a job's ``start_fn`` or ``on_complete`` ran, the jobs
 were abandoned, the provider was swapped, or ``EngineBase.restore_state``
-called :meth:`BackgroundPool.wake`.  An idle pump (no active job, empty
-queue, provider known idle) returns without calling anything.
+called :meth:`BackgroundPool.wake`.  ``idle`` records that a pump would do
+nothing (no active job, empty queue, provider known idle); every wake and
+every enqueue clears it, and callers test it instead of calling ``pump``.
 
 The pool also keeps a cumulative retired-debt counter (``bg_drained_s``)
 that the engines' token-bucket pacers read to estimate the sustainable
@@ -185,6 +186,8 @@ class BackgroundPool:
         #: The provider answered None (or there is none) and no event
         #: that could change its answer has happened since.
         self._provider_idle = False
+        #: A pump would do nothing: no job, no queue, provider known idle.
+        self.idle = False
 
     def set_provider(self, provider: Optional[Provider]) -> None:
         """Register the engine's compaction-picking callback."""
@@ -196,6 +199,7 @@ class BackgroundPool:
         notices what its own jobs do; ``EngineBase.restore_state``, the one
         structure change outside a job, calls this."""
         self._provider_idle = False
+        self.idle = False
 
     # ----------------------------------------------------------------- submit
     def submit(self, name: str, start_fn: StartFn, *, high_priority: bool = False,
@@ -223,6 +227,7 @@ class BackgroundPool:
         the flush class, so every flush still queued is younger and must
         stay behind it.
         """
+        self.idle = False
         job.high_priority = high_priority
         job.klass = "flush" if high_priority else "compaction"
         if high_priority:
@@ -385,13 +390,14 @@ class BackgroundPool:
             job = provider() if provider is not None else None
             if job is None:
                 self._provider_idle = True
+                self.idle = not self.active and not self.queue
                 return
             self._activate(job)
 
     # ------------------------------------------------------------------- pump
     def pump(self) -> None:
         """Drain active-job debt from device idle time up to "now"."""
-        if self._provider_idle and not self.active and not self.queue:
+        if self.idle:
             return
         active = self.active
         while True:

@@ -59,7 +59,8 @@ class Runtime:
         self.pool.metrics = self.metrics
         #: Trace sink; NULL_TRACER until :meth:`attach_tracer` swaps it.
         self.tracer: NullTracer = NULL_TRACER
-        self._sampler: Optional["TimeseriesSampler"] = None
+        #: Timeseries sampler driven by :meth:`pump`; None until attached.
+        self.sampler: Optional["TimeseriesSampler"] = None
         #: Fault injector; None until :meth:`attach_faults` wires one in.
         self.faults: Optional["FaultInjector"] = None
         #: Crash-point scheduler; None until :meth:`arm_crash_points`.
@@ -81,7 +82,7 @@ class Runtime:
 
     def attach_sampler(self, sampler: "TimeseriesSampler") -> None:
         """Drive ``sampler`` from this runtime's per-operation pump."""
-        self._sampler = sampler
+        self.sampler = sampler
 
     # -------------------------------------------------------- fault injection
     def attach_faults(self, options: "FaultOptions") -> "FaultInjector":
@@ -114,9 +115,10 @@ class Runtime:
         return self.clock.now
 
     def pump(self) -> None:
-        self.pool.pump()
-        if self._sampler is not None:
-            self._sampler.maybe_sample()
+        if not self.pool.idle:
+            self.pool.pump()
+        if self.sampler is not None:
+            self.sampler.maybe_sample()
 
     def submit_job(self, name: str, start_fn: Callable[[], float], *,
                    high_priority: bool = False,

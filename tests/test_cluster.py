@@ -90,6 +90,35 @@ def test_network_snapshot_is_sorted_and_deterministic():
     net.send(0, 1, 20)
     snap = net.snapshot()
     assert list(snap["link_bytes"]) == sorted(snap["link_bytes"])
+    assert snap["link_bytes"] == {"0->1": 84, "2->1": 74}
+
+
+def test_bytes_and_int_values_of_one_size_cost_the_same_on_the_wire():
+    # A read ships the value's payload size back, whatever its type.
+    charged = []
+    for value in (b"v" * 1000, 1000):
+        cluster = tiny_cluster(n_shards=2, n_replicas=2)
+        cluster.put(5, value)
+        assert cluster.get(5) == value and cluster.scan() == [(5, value)]
+        charged.append((cluster.network.bytes_sent, cluster.clock.now))
+    assert charged[0] == charged[1]
+
+
+@pytest.mark.parametrize("key", [-1, KEY_SPACE_HI, 2 ** 70])
+def test_out_of_range_keys_are_config_errors_that_touch_nothing(key):
+    cluster = tiny_cluster(n_shards=2, n_replicas=2)
+    cluster.arm_faults(None, [LeaderKill(shard=0, at_op=2)])
+    cluster.put(1, VALUE)
+    net = cluster.network
+
+    def state():
+        return cluster._ops, cluster.clock.now, net.messages, net.bytes_sent
+    before = state()
+    for op in (lambda: cluster.put(key, VALUE), lambda: cluster.delete(key),
+               lambda: cluster.get(key), lambda: cluster.multi_get([1, key])):
+        with pytest.raises(ConfigError):
+            op()
+    assert state() == before and not cluster.failover_reports
 
 
 # ------------------------------------------------------------------ partitions

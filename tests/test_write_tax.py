@@ -6,19 +6,21 @@ function calls -- Python and builtin, under ``sys.setprofile``, so the
 figures repeat to the digit -- and pin that this fixed cost depends on what
 changed since the last operation, not on re-deriving what did not.
 
-The one piece of state that buys the idle pump is the pool's provider memo
-(``BackgroundPool._provider_idle``): the second half of this file proves it
-never hides a compaction -- in every write-path-golden configuration, and
-after each kind of structure change that happens outside a job.
+The state that buys the idle pump is the pool's provider memo
+(``BackgroundPool._provider_idle``) and the ``idle`` flag that callers test
+instead of calling the pool: the second half of this file proves neither
+hides work -- in every write-path-golden configuration, across cluster
+configurations, and after each kind of structure change outside a job.
 """
 
 import gc
+import random
 import sys
 
 import pytest
 
 from repro.bench.scale import SSD_100G, make_db
-from repro.cluster import ClusterDB, ClusterOptions
+from repro.cluster import ClusterDB, ClusterOptions, attach_cluster_trace
 from repro.cluster.network import SimNetwork
 from repro.common.errors import StoreClosedError
 from repro.common.options import DeviceProfile, FaultOptions
@@ -71,11 +73,13 @@ def test_put_on_an_idle_store_stays_in_budget(config, budget):
 
 
 @pytest.mark.parametrize("config", ["I-1t", "L"])
-def test_idle_pump_is_two_calls(config):
-    # Parent commit: 7 calls on I-1t, 11 on L.
+def test_idle_pump_is_one_call(config):
+    # Parent commit: 2 calls (Runtime.pump called into the pool to learn
+    # that it was idle).
     db = make_db(config, SSD_100G)
     db.runtime.pump()  # the provider answers None once
-    assert _calls(db.runtime.pump) <= 2
+    assert db.runtime.pool.idle
+    assert _calls(db.runtime.pump) <= 1
 
 
 def test_pump_with_one_draining_job_stays_in_budget():
@@ -89,21 +93,38 @@ def test_pump_with_one_draining_job_stays_in_budget():
 
 
 def test_idle_cluster_pump_all_stays_in_budget():
-    # Parent commit: 66 calls (a live_replicas() list per shard and eight
-    # seven-call idle pumps).
-    cluster = ClusterDB(ClusterOptions(n_shards=4, n_replicas=2))
-    cluster._pump_all()
-    assert _calls(cluster._pump_all) <= 22
+    # Parent commit: 18 calls at 4x2, two idle-pump calls per node; an
+    # idle node now costs an attribute test, at any node count.
+    for shards, replicas in [(4, 2), (16, 3)]:
+        cluster = ClusterDB(ClusterOptions(n_shards=shards,
+                                           n_replicas=replicas))
+        cluster._pump_all()
+        assert _calls(cluster._pump_all) <= 2
+
+
+def _quiesced_cluster(shards):
+    cluster = ClusterDB(ClusterOptions(n_shards=shards, n_replicas=2))
+    cluster.put(12345, 100)  # makes the links the measured ops use
+    cluster.quiesce()
+    return cluster
+
+
+def test_cluster_ops_cost_the_same_at_any_node_count():
+    # Parent commit: +2 calls per extra node on every op (its idle pump).
+    small, large = _quiesced_cluster(2), _quiesced_cluster(8)
+    for op in (lambda db: db.put(12345, 100), lambda db: db.get(12345)):
+        assert _calls(lambda: op(small)) == _calls(lambda: op(large))
 
 
 def test_one_hardware_request_stays_in_budget():
-    # One queueing rule (SimResource) under all three.  Parent commit: 6
-    # calls per link send and per store put; the disk's 4 / 2 / 3 (a refused
-    # grant 2) must not rise.
+    # One queueing rule (SimResource) under all three.  Parent commit: 5
+    # calls per link send (its bytes sat in a second dict keyed like the
+    # links); a store put's 4 and the disk's 4 / 2 / 3 (a refused grant 2)
+    # must not rise.
     disk = SimDisk(DeviceProfile("t", 1e-4, 1e-5, 1e6, 1e6))
     net, store = SimNetwork(disk.clock), SimObjectStore(disk.clock)
     net.send(0, 1, 100)  # a link is made at its first message
-    assert _calls(lambda: net.send(0, 1, 100)) - 1 <= 5
+    assert _calls(lambda: net.send(0, 1, 100)) - 1 <= 4
     assert _calls(lambda: store.put("a", 100)) - 1 <= 4
     assert _calls(lambda: disk.fg_io(nbytes_read=4096, seeks=1)) - 1 <= 4
     assert _calls(lambda: disk.sync_drain(0.5)) - 1 <= 2
@@ -142,12 +163,14 @@ def test_crash_points_still_see_every_wal_append():
 
 def _check_every_skip(db):
     """Make the pool prove each provider skip: whenever it enters a fill or
-    a pump believing the provider idle, the engine's picker must agree."""
+    a pump believing the provider idle, the engine's picker must agree --
+    and a pool that calls itself idle holds no job."""
     pool, engine = db.runtime.pool, db.engine
     skips = [0]
 
     def checked(inner):
         def call():
+            assert not (pool.idle and (pool.active or pool.queue))
             if pool._provider_idle and pool.provider is not None:
                 skips[0] += 1
                 assert engine.pick_background_job() is None, (
@@ -157,6 +180,7 @@ def _check_every_skip(db):
 
     pool._fill_threads = checked(pool._fill_threads)
     pool.pump = checked(pool.pump)
+    db.runtime.pump = checked(db.runtime.pump)
     return skips
 
 
@@ -248,6 +272,93 @@ def test_first_pump_after_shipped_follower_restore_consults_the_provider():
     assert replica.db.engine.flushes == 0  # no job of its own woke the pool
     assert asked[0] >= 1
     assert len(replica.db.engine.levels[0]) < trigger
+
+
+def _assert_nothing_to_pump(pool):
+    assert not pool.active and not pool.queue and pool._provider_idle
+    assert pool.provider is None or pool.provider() is None, (
+        "an idle pool hid a background job")
+
+
+def _check_every_node_skip(cluster):
+    """Make the cluster prove each skip: every node ``_pump_all`` passes
+    over, and every pool a fill finds idle, has nothing a pump would do."""
+    skips = [0]
+
+    def watch(replica):
+        pool = replica.db.runtime.pool
+        fill = pool._fill_threads
+
+        def checked_fill():
+            if pool.idle:
+                _assert_nothing_to_pump(pool)
+            return fill()
+        pool._fill_threads = checked_fill
+        return replica
+
+    def checked_pump_all():
+        for shard in cluster.router.shards:
+            for replica in shard.group.replicas:
+                runtime = replica.db.runtime
+                if (replica.alive and runtime.pool.idle
+                        and runtime.sampler is None):
+                    skips[0] += 1
+                    _assert_nothing_to_pump(runtime.pool)
+        pump_all()
+
+    pump_all, make = cluster._pump_all, cluster._make_replica
+    cluster._pump_all = checked_pump_all
+    cluster._make_replica = lambda: watch(make())
+    for shard in cluster.router.shards:
+        for replica in shard.group.replicas:
+            watch(replica)
+    return skips
+
+
+def _mixed_ops(cluster, n, seed):
+    rng = random.Random(seed)
+    for _ in range(n):
+        key = (0x9E3779B97F4A7C15 * rng.randrange(1, 400)) % 2 ** 64
+        if rng.random() < 0.8:
+            cluster.put(key, 64)
+        else:
+            cluster.get(key)
+
+
+def _kill_a_leader(cluster):
+    _owe_a_compaction(cluster.put, cluster.router.shards[0].group.replicas[1].db)
+    cluster.crash_leader(0)  # its promoted follower restores on an idle pool
+
+
+SKIP_CASES = {  # topology, then what happens between two runs of ops
+    "leader-kill": ({"n_shards": 1, "n_replicas": 3}, _kill_a_leader),
+    "transient-faults": ({}, lambda c: c.arm_faults(
+        FaultOptions(seed=5, rate=0.2), [])),
+    "split-merge": ({}, lambda c: c.rebalancer.merge(
+        *c.rebalancer.split(c.router.shards[0]))),
+    "objstore-follower": ({"n_shards": 1, "n_replicas": 1,
+                           "objstore": ObjStoreOptions()},
+                          lambda c: c.spawn_follower(0, mode="objstore")),
+    "compaction-offload": ({"objstore": ObjStoreOptions(),
+                            "compaction_offload": True}, lambda c: None),
+    "traced": ({}, attach_cluster_trace),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SKIP_CASES))
+def test_cluster_skips_only_nodes_with_nothing_to_pump(case):
+    topology, between = SKIP_CASES[case]
+    cluster = ClusterDB(ClusterOptions(**{
+        "n_shards": 2, "n_replicas": 2, **topology}, engine="leveldb",
+        engine_options=tiny_lsm_options(),
+        storage_options=tiny_storage_options()))
+    skips = _check_every_node_skip(cluster)
+    _mixed_ops(cluster, 200, seed=3)
+    between(cluster)
+    _mixed_ops(cluster, 200, seed=4)
+    cluster.quiesce()
+    assert skips[0] > 0
+    cluster.check_invariants()
 
 
 def test_pump_after_set_provider_consults_the_provider():
