@@ -132,7 +132,6 @@ class ClusterDB:
         self._trace: Optional[Any] = None
         self._ops = 0
         self._closed = False
-        self._hist_enabled = False
         #: Last acked value per recently written key (failover audit window).
         self._acked_audit: "OrderedDict[int, Optional[Value]]" = OrderedDict()
         self.failover_reports: List[Dict[str, object]] = []
@@ -168,7 +167,7 @@ class ClusterDB:
             db.runtime.attach_faults(replace(
                 self._fault_options,
                 seed=self._fault_options.seed + node_id * _FAULT_SEED_SALT))
-        if self._hist_enabled:
+        if self.metrics.hist_enabled:
             db.metrics.enable_histograms()
         return Replica(node_id, db)
 
@@ -252,11 +251,10 @@ class ClusterDB:
 
         Enables the cluster-tier registry (routed-op latencies) and every
         replica DB's registry; replicas provisioned later (splits,
-        failover re-replication) inherit the setting.  Off by default --
-        the pay-for-what-you-use contract of the single-node layer holds
-        here too.
+        failover re-replication) inherit the setting.  Each registry folds
+        its histograms from the latency samples it already keeps, when
+        they are read, so an op costs the same with histograms on or off.
         """
-        self._hist_enabled = True
         self.metrics.enable_histograms()
         for shard in self.router.shards:
             for replica in shard.group.replicas:
@@ -369,10 +367,7 @@ class ClusterDB:
         self.router.put(key, value)
         self._remember_ack(key, value)
         self._pump_all()
-        elapsed = self.clock.now - t0
-        self.metrics.record_latency("insert", elapsed)
-        if self.metrics.hist_enabled:
-            self.metrics.observe("put", elapsed)
+        self.metrics.latency["insert"].samples.append(self.clock.now - t0)
 
     def delete(self, key: Key) -> None:
         if type(key) is not int or not KEY_SPACE_LO <= key < KEY_SPACE_HI:
@@ -382,10 +377,7 @@ class ClusterDB:
         self.router.delete(key)
         self._remember_ack(key, None)
         self._pump_all()
-        elapsed = self.clock.now - t0
-        self.metrics.record_latency("insert", elapsed)
-        if self.metrics.hist_enabled:
-            self.metrics.observe("put", elapsed)
+        self.metrics.latency["insert"].samples.append(self.clock.now - t0)
 
     def get(self, key: Key, *,
             as_of_cut: Optional[int] = None) -> Optional[Value]:
@@ -397,10 +389,7 @@ class ClusterDB:
         t0 = self.clock.now
         value = self.router.get(key)
         self._pump_all()
-        elapsed = self.clock.now - t0
-        self.metrics.record_latency("read", elapsed)
-        if self.metrics.hist_enabled:
-            self.metrics.observe("get", elapsed)
+        self.metrics.latency["read"].samples.append(self.clock.now - t0)
         return value
 
     def _get_as_of(self, key: Key, cut_id: int) -> Optional[Value]:
@@ -432,10 +421,7 @@ class ClusterDB:
             self._as_of_readers[cache_key] = reader
         value = reader.get(key)
         self._pump_all()
-        elapsed = self.clock.now - t0
-        self.metrics.record_latency("read", elapsed)
-        if self.metrics.hist_enabled:
-            self.metrics.observe("get", elapsed)
+        self.metrics.latency["read"].samples.append(self.clock.now - t0)
         return value
 
     def multi_get(self, keys: List[Key]) -> List[Optional[Value]]:
@@ -457,10 +443,7 @@ class ClusterDB:
         t0 = self.clock.now
         rows = self.router.scan(lo_key, hi_key, limit=limit)
         self._pump_all()
-        elapsed = self.clock.now - t0
-        self.metrics.record_latency("scan", elapsed)
-        if self.metrics.hist_enabled:
-            self.metrics.observe("scan", elapsed)
+        self.metrics.latency["scan"].samples.append(self.clock.now - t0)
         return rows
 
     def iterate(self, lo_key: Optional[Key] = None,

@@ -196,10 +196,7 @@ class IamDB:
         if self.memtable.nbytes >= self.engine.memtable_capacity:
             self._rotate_memtable()
         runtime.pump()
-        elapsed = runtime.clock.now - t0
-        self.metrics.record_latency("insert", elapsed)
-        if self.metrics.hist_enabled:
-            self.metrics.observe("put", elapsed)
+        self.metrics.latency["insert"].samples.append(runtime.clock.now - t0)
 
     def _write(self, rec: RecordTuple) -> None:
         runtime = self.runtime
@@ -218,10 +215,7 @@ class IamDB:
         if memtable.nbytes >= engine.memtable_capacity:
             self._rotate_memtable()
         runtime.pump()
-        elapsed = clock.now - t0
-        metrics.latency["insert"].record(elapsed)
-        if metrics.hist_enabled:
-            metrics.observe("put", elapsed)
+        metrics.latency["insert"].samples.append(clock.now - t0)
 
     @observation_only
     def _sanitize_db(self, event: str) -> None:
@@ -332,10 +326,7 @@ class IamDB:
         if rec is None:
             rec, _ = self.engine.get(key, snap)
         runtime.pump()
-        elapsed = runtime.clock.now - t0
-        self.metrics.record_latency("read", elapsed)
-        if self.metrics.hist_enabled:
-            self.metrics.observe("get", elapsed)
+        self.metrics.latency["read"].samples.append(runtime.clock.now - t0)
         if rec is None or rec[KIND] == DELETE:
             return None
         return rec[VALUE]
@@ -389,10 +380,7 @@ class IamDB:
         if out is None:
             out = merge_scan(streams, snapshot=snap, hi_key=hi_key, limit=limit)
         runtime.pump()
-        elapsed = runtime.clock.now - t0
-        self.metrics.record_latency("scan", elapsed)
-        if self.metrics.hist_enabled:
-            self.metrics.observe("scan", elapsed)
+        self.metrics.latency["scan"].samples.append(runtime.clock.now - t0)
         return out
 
     def iterate(self, lo_key: Optional[Key] = None,

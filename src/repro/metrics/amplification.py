@@ -11,12 +11,16 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.check.effects.registry import observation_only
 from repro.metrics.latency import (LatencyHistogram, LatencyRecorder,
                                    merge_histogram_snapshots)
 from repro.metrics.stalls import StallBreakdown
+
+#: Histogram op class of each :attr:`MetricsRegistry.latency` recorder key.
+HIST_OP_CLASSES = {"insert": "put", "read": "get", "scan": "scan"}
 
 
 class StallStat:
@@ -75,9 +79,9 @@ class MetricsRegistry:
         self.gate_delays: Dict[str, StallStat] = {}
         #: Opt-in per-op-class latency histograms (see enable_histograms).
         self.hist_enabled = False
-        #: Log-linear histogram per op class ("put", "get", "scan");
-        #: populated only while ``hist_enabled`` is True.
-        self.op_hist: Dict[str, LatencyHistogram] = {}
+        #: Per recorder key: samples folded into its histogram so far.
+        self._hist_folded: Dict[str, int] = {}
+        self._op_hist: Dict[str, LatencyHistogram] = {}
 
     # ------------------------------------------------------------------ write
     def add_user_bytes(self, nbytes: int) -> None:
@@ -109,46 +113,56 @@ class MetricsRegistry:
         self.events[event] += n
 
     def record_latency(self, op: str, latency_s: float) -> None:
-        self.latency[op].record(latency_s)
+        """One op's latency (the op paths inline it as one append)."""
+        self.latency[op].samples.append(latency_s)
 
     # ------------------------------------------------------------- histograms
     @observation_only
     def enable_histograms(self) -> None:
-        """Turn on per-op-class latency histograms (pay-for-what-you-use).
-
-        Off by default: the disabled path is a single attribute test in
-        :meth:`observe`, and runs with histograms off are byte-identical
-        to runs without this feature (proved in
-        ``tests/test_stability.py``).
+        """Turn on per-op-class latency histograms: free for an op, since
+        :attr:`op_hist` folds them from the :attr:`latency` samples recorded
+        after this call (a second call changes nothing).  Runs with them on
+        and off are byte-identical (proved in ``tests/test_stability.py``).
         """
+        if self.hist_enabled:
+            return
         self.hist_enabled = True
+        self._hist_folded = {key: rec.count
+                             for key, rec in self.latency.items()
+                             if key in HIST_OP_CLASSES}
 
+    @property
     @observation_only
-    def observe(self, op_class: str, latency_s: float) -> None:
-        """Record one op latency into the op-class histogram (if enabled).
+    def op_hist(self) -> Mapping[str, LatencyHistogram]:
+        """Read-only log-linear histogram per op class (empty while off).
 
         Op classes are the user-facing verbs -- "put", "get", "scan" --
-        distinct from the :attr:`latency` recorder keys (which predate this
-        and call them "insert", "read", "scan").
+        mapped from the :attr:`latency` recorder keys (which predate them
+        and say "insert", "read", "scan").  A read folds only the samples
+        recorded since the previous one.
         """
-        if not self.hist_enabled:
-            return
-        hist = self.op_hist.get(op_class)
-        if hist is None:
-            hist = LatencyHistogram()
-            self.op_hist[op_class] = hist
-        hist.record(latency_s)
+        if self.hist_enabled:
+            for key, op in HIST_OP_CLASSES.items():
+                rec = self.latency.get(key)
+                start = self._hist_folded.get(key, 0)
+                if rec is not None and len(rec.samples) > start:
+                    end = len(rec.samples)
+                    self._op_hist.setdefault(op, LatencyHistogram()).fold(
+                        rec.window(start, end), op)
+                    self._hist_folded[key] = end
+        return MappingProxyType(self._op_hist)
 
     @observation_only
     def hist_snapshots(self) -> Dict[str, Dict[str, object]]:
         """Snapshot of every op-class histogram (empty when disabled)."""
-        return {op: self.op_hist[op].snapshot() for op in sorted(self.op_hist)}
+        hists = self.op_hist
+        return {op: hists[op].snapshot() for op in sorted(hists)}
 
     @observation_only
     def hist_percentiles(self) -> Dict[str, Dict[str, float]]:
         """p50/p99/p999/max/mean/count per op class (empty when disabled)."""
-        return {op: self.op_hist[op].percentiles()
-                for op in sorted(self.op_hist)}
+        hists = self.op_hist
+        return {op: hists[op].percentiles() for op in sorted(hists)}
 
     # ----------------------------------------------------------------- stalls
     def add_stall(self, reason: str, duration_s: float) -> None:
@@ -302,7 +316,8 @@ class MetricsRegistry:
         self.latency.clear()
         self.stalls.clear()
         self.gate_delays.clear()
-        self.op_hist.clear()  # hist_enabled is configuration, not a counter
+        self._hist_folded.clear()  # hist_enabled is configuration
+        self._op_hist.clear()
 
 
 def merge_snapshots(snapshots: "Iterable[Dict[str, object]]") -> Dict[str, object]:

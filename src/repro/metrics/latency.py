@@ -1,20 +1,21 @@
 """Latency recording on the simulated clock.
 
-Latencies are simulated seconds, not wall-clock time.  Two collectors live
-here:
+Latencies are simulated seconds, not wall-clock time.  One collector and
+one view live here:
 
 * :class:`LatencyRecorder` keeps **every sample** (simulation runs are
-  op-count bounded, so sample counts stay modest) and computes percentiles
-  lazily with numpy.  Exact, but O(samples) memory and not mergeable
+  op-count bounded, so sample counts stay modest) and derives everything
+  else when read.  Exact, but O(samples) memory and not mergeable
   without shipping the raw stream.
 * :class:`LatencyHistogram` keeps **fixed log-linear buckets** (HDR-style:
   a power-of-two octave split into :data:`HIST_SUBBUCKETS` linear
   sub-buckets, worst-case ~3.1% relative resolution at 32).  O(occupied
   buckets) memory, deterministic, and mergeable across shards by
-  bucket-count
-  addition -- percentiles of a merged histogram are *identical* to
-  percentiles of the histogram built from the concatenated sample stream,
-  which is what makes cluster-level p99.9 honest.
+  bucket-count addition -- percentiles of a merged histogram are
+  *identical* to percentiles of the histogram built from the concatenated
+  sample stream, which is what makes cluster-level p99.9 honest.  The
+  registry folds them from recorder samples on read (:meth:`fold`, which
+  reproduces the one-sample :meth:`record` bit for bit).
 
 Percentile semantics -- two conventions coexist and are named explicitly:
 
@@ -40,6 +41,7 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 import numpy as np
 
 from repro.check.effects.registry import observation_only
+from repro.common.errors import InvariantViolation
 
 #: Linear sub-buckets per power-of-two octave.  32 gives a worst-case
 #: relative bucket width of 1/32 at the bottom of an octave (~3.1%), which
@@ -99,6 +101,13 @@ def bucket_index(value: float) -> int:
     return e * HIST_SUBBUCKETS + sub
 
 
+def left_sum(acc: float, window: np.ndarray) -> float:
+    """``acc + w[0] + w[1] + ...`` added strictly left to right -- the bits a
+    ``+=`` loop gives.  ``np.sum`` (pairwise), ``math.fsum`` (exact) and
+    Python 3.12's ``sum`` (compensated) each round differently."""
+    return float(np.add.accumulate(np.concatenate(((acc,), window)))[-1])
+
+
 def bucket_bounds(index: int) -> Tuple[float, float]:
     """``(low, high]`` value bounds of a bucket index (exact, via ldexp)."""
     e, sub = divmod(index, HIST_SUBBUCKETS)
@@ -129,6 +138,9 @@ class LatencyHistogram:
 
     @observation_only
     def record(self, latency_s: float) -> None:
+        if not latency_s < math.inf:  # NaN or +inf: no bucket holds it
+            raise InvariantViolation(
+                f"latency sample {latency_s!r} is not finite")
         self._count += 1
         self._sum += latency_s
         if latency_s > self._max:
@@ -140,6 +152,35 @@ class LatencyHistogram:
             return
         idx = bucket_index(latency_s)
         self._buckets[idx] = self._buckets.get(idx, 0) + 1
+
+    @observation_only
+    def fold(self, window: np.ndarray, op_class: str) -> None:
+        """:meth:`record` every sample of a non-empty ``window``, in order,
+        in a fixed number of calls whatever its length: the same counts,
+        ``sum`` bits and exact max/min.  A NaN or +inf sample raises
+        :class:`InvariantViolation` naming ``op_class`` and the value."""
+        top, bottom = float(window.max()), float(window.min())
+        if not top < math.inf:  # max() propagates a NaN
+            raise InvariantViolation(
+                f"{op_class} latency sample {top!r} is not finite")
+        self._count += len(window)
+        self._sum = left_sum(self._sum, window)
+        self._max = max(self._max, top)  # first wins a tie, as ">" keeps it
+        self._min = min(self._min, bottom)
+        positive = window[window > 0.0]
+        self._zero += len(window) - len(positive)
+        # bucket_index, vectorised: frexp, truncate (m - 0.5) * 2S, clamp.
+        m, e = np.frexp(positive)
+        sub = np.minimum(((m - 0.5) * (2 * HIST_SUBBUCKETS)).astype(np.int64),
+                         HIST_SUBBUCKETS - 1)
+        idx, counts = np.unique(e.astype(np.int64) * HIST_SUBBUCKETS + sub,
+                                return_counts=True)
+        buckets = self._buckets
+        for i, c in zip(idx.tolist(), counts.tolist()):
+            if i in buckets:
+                buckets[i] += c
+            else:
+                buckets[i] = c
 
     def __len__(self) -> int:
         return self._count
@@ -296,47 +337,66 @@ def merge_histogram_snapshots(
 
 
 class LatencyRecorder:
-    """Accumulates per-operation latencies for one operation type."""
+    """Every latency of one operation type, in arrival order.
 
-    __slots__ = ("_samples", "_max", "_sum")
+    ``samples`` is the only state an op writes (hot paths append to it
+    directly); ``max`` and ``total`` catch up from a cursor when read.
+    """
+
+    __slots__ = ("samples", "_folded", "_max", "_sum")
 
     def __init__(self) -> None:
-        self._samples = array("d")
+        self.samples = array("d")
+        self._folded = 0
         self._max = 0.0
         self._sum = 0.0
 
     def record(self, latency_s: float) -> None:
-        self._samples.append(latency_s)
-        self._sum += latency_s
-        if latency_s > self._max:
-            self._max = latency_s
+        self.samples.append(latency_s)
+
+    def window(self, start: int, end: int) -> np.ndarray:
+        """``samples[start:end]`` as float64, over a copy: a view of the live
+        array would lock it against ``append`` while the view lives."""
+        return np.frombuffer(self.samples[start:end], dtype=np.float64)
+
+    def _fold(self) -> None:
+        end = len(self.samples)
+        if end > self._folded:
+            window = self.window(self._folded, end)
+            self._sum = left_sum(self._sum, window)
+            top = float(np.fmax.reduce(window))  # skips NaN, as ">" does
+            if top > self._max:
+                self._max = top
+            self._folded = end
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return len(self.samples)
 
     @property
     def count(self) -> int:
-        return len(self._samples)
+        return len(self.samples)
 
     @property
     def max(self) -> float:
+        self._fold()
         return self._max
 
     @property
     def total(self) -> float:
+        self._fold()
         return self._sum
 
     @property
     def mean(self) -> float:
-        return self._sum / len(self._samples) if self._samples else 0.0
+        return self.total / len(self.samples) if self.samples else 0.0
 
     def percentile(self, q: float) -> float:
         """Linear-interpolation percentile (see module docstring)."""
-        return percentile(self._samples, q)
+        return percentile(self.samples, q)
 
     def percentile_nearest_rank(self, q: float) -> float:
         """Nearest-rank percentile -- always a recorded sample value."""
-        return percentile_nearest_rank(self._samples, q)
+        return percentile_nearest_rank(self.samples, q)
 
     def p99(self) -> float:
         return self.percentile(99.0)
@@ -351,7 +411,7 @@ class LatencyRecorder:
         Lets one DB serve several back-to-back workload runs (as the paper
         reuses its 1 TB store) with per-run latency reporting.
         """
-        window = self._samples[start_index:]
+        window = self.samples[start_index:]
         if not window:
             return {"count": 0.0, "mean": 0.0, "p50": 0.0, "p99": 0.0, "max": 0.0}
         arr = np.asarray(window, dtype=np.float64)
@@ -365,8 +425,5 @@ class LatencyRecorder:
 
     def merged_with(self, other: "LatencyRecorder") -> "LatencyRecorder":
         out = LatencyRecorder()
-        out._samples = array("d", self._samples)
-        out._samples.extend(other._samples)
-        out._max = max(self._max, other._max)
-        out._sum = self._sum + other._sum
+        out.samples = self.samples + other.samples
         return out

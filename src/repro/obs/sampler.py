@@ -200,9 +200,9 @@ class TimeseriesSampler:
             # Windowed per-op-class latency percentiles from histogram
             # deltas -- the p99/p99.9 timelines of the stability reports.
             lat_window: Dict[str, Dict[str, float]] = {}
-            for op in sorted(metrics.op_hist):
-                delta = metrics.op_hist[op].delta_since(
-                    self._last_hist.get(op, {}))
+            hists = metrics.op_hist
+            for op in sorted(hists):
+                delta = hists[op].delta_since(self._last_hist.get(op, {}))
                 if delta.count > 0:
                     per_op = {key: delta.percentile(q)
                               for key, q in HIST_QUANTILES}

@@ -161,10 +161,11 @@ class TraceSession:
                     f"max {max_s * 1e3:>9.3f}ms  {frac * 100:>5.1f}% of run")
         else:
             lines.append("  (no blamed time)")
-        if metrics.hist_enabled and metrics.op_hist:
+        percentiles = metrics.hist_percentiles()
+        if percentiles:
             lines.append("")
             lines.append("latency percentiles (sim ms):")
-            for op, pcts in sorted(metrics.hist_percentiles().items()):
+            for op, pcts in sorted(percentiles.items()):
                 lines.append(
                     f"  {op:<10} p50 {pcts['p50'] * 1e3:>9.4f} "
                     f"p99 {pcts['p99'] * 1e3:>9.4f} "

@@ -196,9 +196,9 @@ class StabilityProbe:
     def latency_since(self, mark: Mark) -> Dict[str, Dict[str, float]]:
         """Per-op-class percentile digest of samples since ``mark``."""
         out: Dict[str, Dict[str, float]] = {}
-        for op in sorted(self.db.metrics.op_hist):
-            delta = self.db.metrics.op_hist[op].delta_since(
-                mark.hist.get(op, {}))
+        hists = self.db.metrics.op_hist
+        for op in sorted(hists):
+            delta = hists[op].delta_since(mark.hist.get(op, {}))
             if delta.count > 0:
                 out[op] = delta.percentiles()
         return out

@@ -7,20 +7,25 @@ are *identical* to the percentiles of the histogram built from the
 concatenated sample stream, for any sharding of the stream.
 """
 
+import copy
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.common.errors import InvariantViolation
 from repro.metrics import (
     HIST_SUBBUCKETS,
     LatencyHistogram,
+    MetricsRegistry,
     merge_histogram_snapshots,
     merge_snapshots,
     percentile,
     percentile_nearest_rank,
 )
+from repro.metrics.amplification import HIST_OP_CLASSES
 from repro.metrics.latency import bucket_bounds, bucket_index
 
 #: Worst-case ratio of a bucket's upper bound to its lower bound (bottom of
@@ -168,8 +173,6 @@ def test_delta_since_equals_tail_histogram():
 
 # -------------------------------------------------- registry-level snapshots
 def test_registry_merge_snapshots_carries_hist_and_gate_delays():
-    from repro.metrics import MetricsRegistry
-
     regs = [MetricsRegistry() for _ in range(3)]
     all_samples = []
     rng = random.Random(9)
@@ -177,7 +180,7 @@ def test_registry_merge_snapshots_carries_hist_and_gate_delays():
         m.enable_histograms()
         for _ in range(50):
             v = rng.uniform(0.0, 0.005)
-            m.observe("get", v)
+            m.record_latency("read", v)
             all_samples.append(v)
         m.add_gate_delay("slowdown:l0", 0.001 * (i + 1))
     merged = merge_snapshots([m.snapshot() for m in regs])
@@ -198,14 +201,126 @@ def test_registry_merge_snapshots_carries_hist_and_gate_delays():
 
 
 def test_registry_observe_disabled_is_a_noop():
-    from repro.metrics import MetricsRegistry
-
     m = MetricsRegistry()
-    m.observe("get", 0.001)   # histograms not enabled: swallowed
+    m.record_latency("read", 0.001)   # histograms not enabled: no view
     assert m.op_hist == {}
     snap = m.snapshot()
     assert "latency_hist" not in snap
-    m.enable_histograms()
-    m.observe("get", 0.001)
+    m.enable_histograms()             # starts after the sample above
+    assert m.op_hist == {}
+    m.record_latency("read", 0.001)
     assert m.op_hist["get"].count == 1
     assert "latency_hist" in m.snapshot()
+
+
+# ------------------------------------ the folded view vs the online reference
+#: Bucket-geometry edges: zero, subnormals, the smallest normal, exact
+#: powers of two, ``m = 1 - ulp`` just below an octave, and the "<= 0"
+#: side (a negative and -inf land in the zero bucket).
+_EDGES = [0.0, 5e-324, 2.5e-310, sys.float_info.min, 0.5, 1.0, 2.0 ** -30,
+          math.nextafter(1.0, 0.0), math.nextafter(2.0 ** -10, 0.0),
+          math.nextafter(0.5, 1.0), 1e-4, -1e-6, -math.inf]
+
+_sample = st.one_of(st.sampled_from(_EDGES),
+                    st.floats(min_value=0.0, max_value=1.0))
+_keys = st.sampled_from(sorted(HIST_OP_CLASSES))
+_step = st.one_of(
+    st.tuples(st.just("record"), _keys, _sample),
+    # A run of seeded lognormal samples: long windows of values whose sums
+    # round, where any re-associated sum (np.sum is 8-way) changes bits.
+    st.tuples(st.just("burst"), _keys, st.integers(0, 2 ** 16),
+              st.integers(1, 64)),
+    st.tuples(st.just("enable")), st.tuples(st.just("read")),
+    st.tuples(st.just("reset")), st.tuples(st.just("clone")))
+
+
+class _Online:
+    """The two collectors every op used to feed, one sample at a time: a
+    running count / ``+=`` sum / max per recorder key, and, once enabled,
+    :meth:`LatencyHistogram.record` per op class."""
+
+    def __init__(self):
+        self.enabled = False
+        self.totals = {}
+        self.hists = {}
+
+    def record(self, key, v):
+        count, total, top = self.totals.get(key, (0, 0.0, 0.0))
+        self.totals[key] = (count + 1, total + v, v if v > top else top)
+        if self.enabled:
+            op = HIST_OP_CLASSES[key]
+            self.hists.setdefault(op, LatencyHistogram()).record(v)
+
+    def reset(self):
+        self.totals.clear()
+        self.hists.clear()
+
+
+def _assert_same(m, ref):
+    want = {op: ref.hists[op].snapshot() for op in sorted(ref.hists)}
+    assert m.hist_snapshots() == want
+    for op, snap in want.items():  # "==" would let -0.0 pass for 0.0
+        assert m.op_hist[op].total.hex() == snap["sum"].hex()
+    assert {k: r.count for k, r in m.latency.items() if r.count} == {
+        k: t[0] for k, t in ref.totals.items()}
+    for key, (count, total, top) in ref.totals.items():
+        rec = m.latency[key]
+        assert rec.total.hex() == total.hex()
+        assert rec.max.hex() == top.hex()
+        assert rec.mean.hex() == (total / count).hex()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_step, max_size=160))
+def test_folded_view_equals_online_reference(steps):
+    """Whatever the interleaving of records, reads (the sampler's cadence),
+    a mid-stream enable, resets and deep copies, the folded view is the
+    online collectors' state: snapshot dicts, ``sum`` bits, and the
+    recorders' ``total`` / ``max`` / ``mean``."""
+    pairs = [(MetricsRegistry(), _Online())]
+    for i, step in enumerate(steps):
+        m, ref = pairs[i % len(pairs)]
+        if step[0] == "record":
+            m.record_latency(step[1], step[2])
+            ref.record(step[1], step[2])
+        elif step[0] == "burst":
+            rng = random.Random(step[2])
+            for _ in range(step[3]):
+                v = rng.lognormvariate(-9.0, 2.0)
+                m.record_latency(step[1], v)
+                ref.record(step[1], v)
+        elif step[0] == "enable":
+            m.enable_histograms()
+            ref.enabled = True
+        elif step[0] == "read":
+            _assert_same(m, ref)
+        elif step[0] == "reset":
+            m.reset()
+            ref.reset()
+        elif len(pairs) < 3:
+            pairs.append((copy.deepcopy(m), copy.deepcopy(ref)))
+    for m, ref in pairs:  # each copy diverged on its own records
+        _assert_same(m, ref)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_sample_is_a_classified_error(bad):
+    m = MetricsRegistry()
+    m.enable_histograms()
+    m.record_latency("read", 0.001)
+    m.record_latency("read", bad)
+    with pytest.raises(InvariantViolation, match=r"get latency sample (inf|nan)"):
+        m.hist_percentiles()
+    with pytest.raises(InvariantViolation, match="not finite"):
+        LatencyHistogram().record(bad)
+
+
+def test_minus_infinity_is_a_zero_bucket_sample():
+    m = MetricsRegistry()
+    m.enable_histograms()
+    m.record_latency("scan", -math.inf)
+    m.record_latency("scan", 0.002)
+    snap = m.hist_snapshots()["scan"]
+    assert snap["zero"] == 1 and snap["count"] == 2
+    assert m.hist_percentiles()["scan"]["p50"] == 0.0

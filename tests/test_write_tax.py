@@ -26,6 +26,7 @@ from repro.common.errors import StoreClosedError
 from repro.common.options import DeviceProfile, FaultOptions
 from repro.db.iamdb import IamDB
 from repro.faults.crash import CrashPoints, SimulatedCrash
+from repro.metrics import MetricsRegistry
 from repro.objstore import (
     ObjStoreOptions,
     ObjStoreTier,
@@ -59,17 +60,60 @@ def _calls(fn):
 
 # ------------------------------------------------------------ call budgets
 
-@pytest.mark.parametrize("config, budget", [("I-1t", 24), ("L", 34)])
-def test_put_on_an_idle_store_stays_in_budget(config, budget):
-    # Parent commit: 42 calls per put on I-1t, 51 on L.
+def _hundred_idle_puts(config):
+    """Calls made by 100 puts on a fresh store that stay in its memtable."""
     db = make_db(config, SSD_100G)
 
     def hundred_puts():
         for i in range(100):
             db.put(i * 7919, 256)
 
-    assert _calls(hundred_puts) <= 100 * budget
+    calls = _calls(hundred_puts)
     assert db.engine.flushes == 0  # the budget is the spine, not a flush
+    return calls
+
+
+@pytest.mark.parametrize("config, budget", [("I-1t", 24), ("L", 34)])
+def test_put_on_an_idle_store_stays_in_budget(config, budget):
+    # Parent commit: 42 calls per put on I-1t, 51 on L.
+    assert _hundred_idle_puts(config) <= 100 * budget
+
+
+@pytest.mark.parametrize("config, budget", [("I-1t", 22), ("L", 25)])
+def test_put_records_its_latency_in_one_append(config, budget):
+    # Parent commit: 22.08 calls per put on I-1t, 25.12 on L (the latency
+    # went record_latency -> record -> append; now it is one append).
+    assert _hundred_idle_puts(config) <= 100 * budget
+
+
+@pytest.mark.parametrize("config", ["I-1t", "L"])
+def test_histograms_add_no_calls_per_op(config):
+    # Parent commit: +6 calls per put and +3 per get and scan, the second
+    # collector each op fed; the histograms are now folded on read.
+    plain, hist = make_db(config, SSD_100G), make_db(config, SSD_100G)
+    hist.metrics.enable_histograms()
+    for op in (lambda db: [db.put(i * 7919, 256) for i in range(50)],
+               lambda db: [db.get(i * 7919) for i in range(50)],
+               lambda db: [db.scan(i * 7919, limit=10) for i in range(50)]):
+        assert _calls(lambda: op(hist)) == _calls(lambda: op(plain))
+    assert hist.metrics.hist_percentiles()["scan"]["count"] == 50.0
+
+
+def test_hist_percentiles_calls_do_not_grow_with_samples():
+    # It runs inside the counted region of every benchmark row (the
+    # workload report reads it), so a fold is a fixed number of calls.
+    def registry(n_ops):
+        m = MetricsRegistry()
+        m.enable_histograms()
+        rng = random.Random(5)
+        for _ in range(n_ops):
+            m.record_latency(rng.choice(("insert", "read", "scan")),
+                             rng.lognormvariate(-9.0, 1.5))
+        return m
+
+    small, large = registry(1_000), registry(10_000)
+    assert _calls(small.hist_percentiles) == _calls(large.hist_percentiles)
+    assert large.hist_percentiles()["get"]["count"] > 3_000
 
 
 @pytest.mark.parametrize("config", ["I-1t", "L"])
@@ -102,8 +146,10 @@ def test_idle_cluster_pump_all_stays_in_budget():
         assert _calls(cluster._pump_all) <= 2
 
 
-def _quiesced_cluster(shards):
+def _quiesced_cluster(shards, histograms=False):
     cluster = ClusterDB(ClusterOptions(n_shards=shards, n_replicas=2))
+    if histograms:
+        cluster.enable_histograms()
     cluster.put(12345, 100)  # makes the links the measured ops use
     cluster.quiesce()
     return cluster
@@ -114,6 +160,14 @@ def test_cluster_ops_cost_the_same_at_any_node_count():
     small, large = _quiesced_cluster(2), _quiesced_cluster(8)
     for op in (lambda db: db.put(12345, 100), lambda db: db.get(12345)):
         assert _calls(lambda: op(small)) == _calls(lambda: op(large))
+
+
+def test_cluster_histograms_add_no_calls_per_op():
+    # Parent commit: +18 calls per put and +11 per get at 2x2 (the router
+    # tier and every replica that applied the op observed it).
+    plain, hist = _quiesced_cluster(2), _quiesced_cluster(2, histograms=True)
+    for op in (lambda db: db.put(12345, 100), lambda db: db.get(12345)):
+        assert _calls(lambda: op(hist)) == _calls(lambda: op(plain))
 
 
 def test_one_hardware_request_stays_in_budget():
