@@ -46,9 +46,11 @@ The pool is *event-driven*: providers read only structure that jobs and
 restores mutate, so once the provider has answered ``None`` the pool does
 not ask again until a job's ``start_fn`` or ``on_complete`` ran, the jobs
 were abandoned, the provider was swapped, or ``EngineBase.restore_state``
-called :meth:`BackgroundPool.wake`.  ``idle`` records that a pump would do
-nothing (no active job, empty queue, provider known idle); every wake and
-every enqueue clears it, and callers test it instead of calling ``pump``.
+called :meth:`BackgroundPool.wake`.  ``settled`` records that a thread fill
+would do nothing (threads full, or empty queue and provider known idle), so
+a pump fills only after an event; ``idle`` is its empty-pool case, a pump
+that would do nothing.  Every wake and every enqueue clears both, and
+callers test ``idle`` instead of calling ``pump``.
 
 The pool also keeps a cumulative retired-debt counter (``bg_drained_s``)
 that the engines' token-bucket pacers read to estimate the sustainable
@@ -67,6 +69,7 @@ pre-offload pool.
 from __future__ import annotations
 
 from collections import deque
+from math import inf
 from typing import TYPE_CHECKING, Callable, Deque, Iterator, List, Optional
 
 from repro.common.errors import InvariantViolation
@@ -186,7 +189,10 @@ class BackgroundPool:
         #: The provider answered None (or there is none) and no event
         #: that could change its answer has happened since.
         self._provider_idle = False
-        #: A pump would do nothing: no job, no queue, provider known idle.
+        #: A fill would do nothing: the threads are full, or the queue is
+        #: empty and the provider is known idle.
+        self.settled = False
+        #: A pump would do nothing: ``settled`` with no active job.
         self.idle = False
 
     def set_provider(self, provider: Optional[Provider]) -> None:
@@ -199,7 +205,7 @@ class BackgroundPool:
         notices what its own jobs do; ``EngineBase.restore_state``, the one
         structure change outside a job, calls this."""
         self._provider_idle = False
-        self.idle = False
+        self.settled = self.idle = False
 
     # ----------------------------------------------------------------- submit
     def submit(self, name: str, start_fn: StartFn, *, high_priority: bool = False,
@@ -227,7 +233,7 @@ class BackgroundPool:
         the flush class, so every flush still queued is younger and must
         stay behind it.
         """
-        self.idle = False
+        self.settled = self.idle = False
         job.high_priority = high_priority
         job.klass = "flush" if high_priority else "compaction"
         if high_priority:
@@ -269,10 +275,11 @@ class BackgroundPool:
                            or self.offload_disk is None else self.offload_disk)
         job.not_before = disk.busy_until
         self.wake()  # start_fn mutates engine structure
-        job.debt_s = job.start_fn()
-        if job.debt_s < 0:
-            raise InvariantViolation(f"job {job.name} returned negative debt")
-        job.debt_total = job.debt_s
+        job.debt_s = debt = job.start_fn()
+        if not 0.0 <= debt < inf:
+            raise InvariantViolation(
+                f"job {job.name} returned debt {debt!r}, outside [0, inf)")
+        job.debt_total = debt
         if self.tracer.enabled:
             # Span opens before a zero-debt job retires, so every begin is
             # balanced by exactly one end even for instant jobs.
@@ -377,31 +384,41 @@ class BackgroundPool:
         return target - now
 
     def _fill_threads(self) -> None:
-        """Activate queued work, then ask the provider, while threads idle."""
-        while len(self.active) < self.threads and self.queue:
+        """Activate queued work, then ask the provider, while threads idle;
+        then record whether the next fill would do anything."""
+        active = self.active
+        while len(active) < self.threads and self.queue:
             job = self._pop_ready()
             if job is None:
                 break
             self._activate(job)
-        if self._provider_idle:
-            return
-        provider = self.provider
-        while len(self.active) < self.threads and not self._queue_ready():
-            job = provider() if provider is not None else None
-            if job is None:
-                self._provider_idle = True
-                self.idle = not self.active and not self.queue
-                return
-            self._activate(job)
+        if not self._provider_idle:
+            provider = self.provider
+            while len(active) < self.threads and not self._queue_ready():
+                job = provider() if provider is not None else None
+                if job is None:
+                    self._provider_idle = True
+                    break
+                self._activate(job)
+        # A job in backoff keeps the pool unsettled: the clock makes it ready.
+        self.settled = (len(active) >= self.threads
+                        or not self.queue and self._provider_idle)
+        self.idle = self.settled and not active
 
     # ------------------------------------------------------------------- pump
     def pump(self) -> None:
-        """Drain active-job debt from device idle time up to "now"."""
+        """Drain active-job debt from device idle time up to "now": one
+        grant pass per running job.  The pump never moves the clock, so
+        another pass runs only if a fill is due (a retire unsettles the
+        pool) or a job's disk has room left before its horizon -- after a
+        whole fair quantum, or a grant one ulp short."""
         if self.idle:
             return
         active = self.active
+        lookahead_s = self.lookahead_s
         while True:
-            self._fill_threads()
+            if not self.settled:
+                self._fill_threads()
             if not active:
                 return
             progressed = False
@@ -416,7 +433,7 @@ class BackgroundPool:
                     continue
                 disk = job.disk
                 ask = min(job.debt_s, FAIR_QUANTUM_S) if contested else job.debt_s
-                granted = disk.bg_grant(job.not_before, ask, self.lookahead_s)
+                granted = disk.bg_grant(job.not_before, ask, lookahead_s)
                 if granted > 0.0:
                     progressed = True
                     job.debt_s -= granted
@@ -427,6 +444,17 @@ class BackgroundPool:
                         self._retire(job)
             if not progressed:
                 return
+            if self.settled:
+                # bg_grant's own test, on each job's own disk.
+                for job in active:
+                    disk = job.disk
+                    start = disk.busy_until
+                    if start < job.not_before:
+                        start = job.not_before
+                    if start < disk.clock.now + lookahead_s:
+                        break
+                else:
+                    return
 
     def _fair_order(self) -> List[BackgroundJob]:
         """Active jobs in weighted-fair drain order.
@@ -466,7 +494,8 @@ class BackgroundPool:
         is running, else the head (jobs holding the threads finish before a
         queued one activates) -- or, with none running, sleep to the next
         queued retry.  Elapsed sim time; None = nothing to wait for."""
-        self._fill_threads()
+        if not (self.settled and self.active):  # an empty pool always fills
+            self._fill_threads()
         if not self.active:
             return self._sleep_until_ready()
         if prefer is None or prefer.state != ACTIVE:

@@ -210,13 +210,23 @@ class SimDisk(SimResource):
         shared and compaction pressure surfaces as foreground queueing delay
         ("writes might saturate disk bandwidth and block user queries", §1).
         The one horizon write outside :class:`SimResource`: a grant may
-        start in the past, a request never does.
+        start in the past, a request never does.  A zero ask is granted
+        nothing and leaves the horizon alone.
         """
-        start = max(self.busy_until, not_before)
+        if not want_s > 0.0:
+            if want_s == 0.0:
+                return 0.0
+            raise invariant_error("device-time", "bg_grant needs want_s >= 0",
+                                  want_s=want_s)
+        start = self.busy_until
+        if start < not_before:
+            start = not_before
         horizon = self.clock.now + lookahead_s
         if start >= horizon:
             return 0.0
-        granted = min(want_s, horizon - start)
+        granted = horizon - start
+        if want_s < granted:
+            granted = want_s
         self.busy_until = start + granted
         return granted
 

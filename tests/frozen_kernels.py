@@ -10,6 +10,11 @@ bloom.py`` at 1751bf7, the oracle of ``tests/test_bloom.py``.
 ``frozen_gather_merge`` is the gather + merge every engine wrote inline at
 987e509 (here ``LsaTree._merge_leaf_child``'s), the oracle of
 ``EngineBase._gather_merge`` in ``tests/test_engine_internals.py``.
+
+``FrozenPumpPool`` is ``BackgroundPool`` with the drain loop of da5d5b2
+(``pump`` and ``_fill_threads``): a thread fill before every pass, and
+passes until one grants nothing; the oracle of
+``tests/test_pump_equivalence.py``.
 """
 
 import bisect
@@ -18,6 +23,7 @@ import numpy as np
 
 from repro.common.hashing import MASK64
 from repro.common.records import KEY, RECORD_OVERHEAD, VALUE
+from repro.storage.background import ACTIVE, FAIR_QUANTUM_S, BackgroundPool
 from repro.table.merge import merge_runs
 
 
@@ -95,3 +101,55 @@ def frozen_split_run(recs, key_size, max_bytes):
         acc += sz
     if chunk:
         yield chunk
+
+
+class FrozenPumpPool(BackgroundPool):
+
+    def _fill_threads(self):
+        while len(self.active) < self.threads and self.queue:
+            job = self._pop_ready()
+            if job is None:
+                break
+            self._activate(job)
+        if self._provider_idle:
+            return
+        provider = self.provider
+        while len(self.active) < self.threads and not self._queue_ready():
+            job = provider() if provider is not None else None
+            if job is None:
+                self._provider_idle = True
+                self.idle = not self.active and not self.queue
+                return
+            self._activate(job)
+
+    def pump(self):
+        if self.idle:
+            return
+        active = self.active
+        while True:
+            self._fill_threads()
+            if not active:
+                return
+            progressed = False
+            if len(active) > 1:
+                contested = len({j.klass for j in active}) > 1
+                order = self._fair_order()
+            else:  # one job: nothing to arbitrate, no order to compute
+                contested = False
+                order = active[:]
+            for job in order:
+                if job.state != ACTIVE:
+                    continue
+                disk = job.disk
+                ask = min(job.debt_s, FAIR_QUANTUM_S) if contested else job.debt_s
+                granted = disk.bg_grant(job.not_before, ask, self.lookahead_s)
+                if granted > 0.0:
+                    progressed = True
+                    job.debt_s -= granted
+                    job.not_before = disk.busy_until
+                    self._account_drain(job, granted)
+                    if job.debt_s <= 1e-12:
+                        job.debt_s = 0.0
+                        self._retire(job)
+            if not progressed:
+                return

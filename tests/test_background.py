@@ -145,6 +145,16 @@ def test_negative_debt_rejected():
         pool.submit("bad", lambda: -1.0)
 
 
+@pytest.mark.parametrize("debt", [float("nan"), float("inf")])
+def test_non_finite_debt_rejected(debt):
+    # A NaN debt used to pass the ``< 0`` test and leave the clock at NaN
+    # once the pool drained it.
+    disk, pool = make_pool()
+    with pytest.raises(InvariantViolation, match="probe"):
+        pool.submit("probe", lambda: debt)
+    assert disk.clock.now == 0.0 and disk.busy_until == 0.0
+
+
 def test_threads_validation():
     disk = SimDisk(PROFILE)
     with pytest.raises(InvariantViolation):

@@ -77,6 +77,19 @@ def test_bg_grant_cannot_run_before_submission(disk):
     assert granted == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("want_s", [0.0, -0.25, float("nan")])
+def test_bg_grant_of_nothing_or_less_leaves_the_channel_alone(disk, want_s):
+    # A zero ask used to mark [busy_until, not_before) busy, and a negative
+    # one to move busy_until back (to -0.25 here); both now refuse.
+    disk.clock.now = 1.0
+    if want_s == 0.0:
+        assert disk.bg_grant(0.6, want_s) == 0.0
+    else:
+        with pytest.raises(InvariantViolation, match="device-time"):
+            disk.bg_grant(0.6, want_s)
+    assert disk.busy_until == 0.0
+
+
 def test_sync_drain_jumps_clock(disk):
     disk.clock.now = 2.0
     disk.busy_until = 3.0
