@@ -1,7 +1,7 @@
-"""Merge-kernel microbenchmark: tiered merge_runs vs the seed heapq path.
+"""Merge-kernel microbenchmark: the columnar merge_runs vs the seed heapq path.
 
-Covers the 2-way pairwise fast path, the 5-way heap path, and the
-snapshot-retention path, each against the frozen reference merge.
+Covers a 2-way and a 5-way merge and a 2-way merge under two live
+snapshots, each against the frozen reference merge.
 """
 
 if __name__ == "__main__":

@@ -56,13 +56,6 @@ AUDIT_WINDOW = 256
 _FAULT_SEED_SALT = 7919
 
 
-def _unroutable(key: object) -> ConfigError:
-    """The error for a non-``int`` key or one outside the key space."""
-    if type(key) is not int:
-        return bad_key(key)
-    return ConfigError(f"key {key} outside the key space [0, 2**64)")
-
-
 @dataclass(frozen=True)
 class ClusterOptions:
     """Topology + substrate configuration of one simulated cluster."""
@@ -361,7 +354,7 @@ class ClusterDB:
 
     def put(self, key: Key, value: Value) -> None:
         if type(key) is not int or not KEY_SPACE_LO <= key < KEY_SPACE_HI:
-            raise _unroutable(key)
+            raise bad_key(key)
         self._begin_op()
         t0 = self.clock.now
         self.router.put(key, value)
@@ -371,7 +364,7 @@ class ClusterDB:
 
     def delete(self, key: Key) -> None:
         if type(key) is not int or not KEY_SPACE_LO <= key < KEY_SPACE_HI:
-            raise _unroutable(key)
+            raise bad_key(key)
         self._begin_op()
         t0 = self.clock.now
         self.router.delete(key)
@@ -382,7 +375,7 @@ class ClusterDB:
     def get(self, key: Key, *,
             as_of_cut: Optional[int] = None) -> Optional[Value]:
         if type(key) is not int or not KEY_SPACE_LO <= key < KEY_SPACE_HI:
-            raise _unroutable(key)
+            raise bad_key(key)
         if as_of_cut is not None:
             return self._get_as_of(key, as_of_cut)
         self._begin_op()
@@ -432,7 +425,7 @@ class ClusterDB:
         """
         for key in keys:
             if type(key) is not int or not KEY_SPACE_LO <= key < KEY_SPACE_HI:
-                raise _unroutable(key)
+                raise bad_key(key)
         return [self.get(key) for key in keys]
 
     def scan(self, lo_key: Optional[Key] = None, hi_key: Optional[Key] = None,

@@ -5,11 +5,10 @@ speed the hot paths treat records as plain 4-tuples
 
     ``(key, seq, kind, value)``
 
-* ``key``   -- a Python ``int`` of any sign or size (the write and read
-  entry points reject everything else, see :func:`bad_key`).  The workloads
-  use 64-bit unsigned keys, which sort the same as their big-endian byte
-  encoding and live in a ``uint64`` column; wider or negative keys ride in
-  an object column beside it (:mod:`repro.table.run`).
+* ``key``   -- a Python ``int`` in ``[0, 2**64)``: the one key domain a
+  store holds (the write and point-read entry points reject everything
+  else, see :func:`bad_key`).  Keys sort the same as their big-endian byte
+  encoding and live in a ``uint64`` column (:mod:`repro.table.run`).
 * ``seq``   -- global MVCC sequence number (monotonically increasing per DB).
 * ``kind``  -- :data:`PUT` or :data:`DELETE` (a tombstone).
 * ``value`` -- either real ``bytes`` (small values through the public API) or
@@ -29,18 +28,17 @@ ordering for :func:`sorted` / ``heapq``.
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple, Sequence, Tuple, Union
+from typing import NamedTuple, Sequence, Tuple, Union
 
 from repro.common.errors import ConfigError
 
 PUT = 0
 DELETE = 1
 
-#: A record key: a Python ``int`` of any sign or size -- enforced where
-#: keys enter (the DB and cluster entry points), so the alias stays the
-#: permissive ``Any`` it always was rather than a promise the type checker
-#: cannot keep.
-Key = Any
+#: A record key: a Python ``int`` in ``[0, 2**64)``, checked where keys
+#: enter (the DB and cluster entry points).  Scan bounds and seek targets
+#: share the alias but may be any ``int``.
+Key = int
 
 KEY = 0
 SEQ = 1
@@ -52,13 +50,13 @@ VALUE = 3
 RECORD_OVERHEAD = 13
 
 Value = Union[int, bytes]
-RecordTuple = Tuple[object, int, int, Value]
+RecordTuple = Tuple[int, int, int, Value]
 
 
 class Record(NamedTuple):
     """Readable record wrapper; layout-compatible with the raw 4-tuple."""
 
-    key: object
+    key: int
     seq: int
     kind: int
     value: Value
@@ -73,10 +71,13 @@ def value_nbytes(value: Value) -> int:
     return value if type(value) is int else len(value)
 
 
-def bad_key(key: Key) -> ConfigError:
-    """The error every entry point raises for a non-``int`` key or bound."""
-    return ConfigError(
-        f"keys must be Python ints, got {type(key).__name__}: {key!r}")
+def bad_key(key: object) -> ConfigError:
+    """The error every entry point raises for a non-``int`` key or bound, or
+    for a stored or point-read key outside ``[0, 2**64)``."""
+    if type(key) is not int:
+        return ConfigError(
+            f"keys must be Python ints, got {type(key).__name__}: {key!r}")
+    return ConfigError(f"key {key} outside the key space [0, 2**64)")
 
 
 def make_put(key: Key, seq: int, value: Value) -> RecordTuple:

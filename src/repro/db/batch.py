@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Tuple
 
 from repro.common.errors import ReproError
+from repro.common.hashing import MASK64
 from repro.common.records import Key, Value, bad_key
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,19 +36,19 @@ class WriteBatch:
 
     def __init__(self, db: "IamDB") -> None:
         self._db = db
-        self._ops: List[Tuple[str, object, Value]] = []
+        self._ops: List[Tuple[str, Key, Value]] = []
         self._committed = False
 
     def put(self, key: Key, value: Value) -> "WriteBatch":
         self._check()
-        if type(key) is not int:
+        if type(key) is not int or not 0 <= key <= MASK64:
             raise bad_key(key)
         self._ops.append((PUT_OP, key, value))
         return self
 
     def delete(self, key: Key) -> "WriteBatch":
         self._check()
-        if type(key) is not int:
+        if type(key) is not int or not 0 <= key <= MASK64:
             raise bad_key(key)
         self._ops.append((DELETE_OP, key, 0))
         return self

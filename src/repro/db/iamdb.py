@@ -31,6 +31,7 @@ from repro.common.options import (
     LsmOptions,
     StorageOptions,
 )
+from repro.common.hashing import MASK64
 from repro.common.records import (
     KIND,
     DELETE,
@@ -154,7 +155,7 @@ class IamDB:
     def put(self, key: Key, value: Value) -> None:
         """Insert/overwrite ``key``.  ``value``: bytes, or int = synthetic size."""
         self._check_open()
-        if type(key) is not int:
+        if type(key) is not int or not 0 <= key <= MASK64:
             raise bad_key(key)
         self._seq += 1
         self._write(make_put(key, self._seq, value))
@@ -162,7 +163,7 @@ class IamDB:
     def delete(self, key: Key) -> None:
         """Delete ``key`` (writes a tombstone; space reclaimed by merges)."""
         self._check_open()
-        if type(key) is not int:
+        if type(key) is not int or not 0 <= key <= MASK64:
             raise bad_key(key)
         self._seq += 1
         self._write(make_delete(key, self._seq))
@@ -315,7 +316,7 @@ class IamDB:
     def get(self, key: Key, snapshot: SnapshotLike = None) -> Optional[Value]:
         """Newest visible value of ``key``, or None."""
         self._check_open()
-        if type(key) is not int:
+        if type(key) is not int or not 0 <= key <= MASK64:
             raise bad_key(key)
         runtime = self.runtime
         t0 = runtime.clock.now
@@ -340,7 +341,7 @@ class IamDB:
         """
         self._check_open()
         for key in keys:
-            if type(key) is not int:
+            if type(key) is not int or not 0 <= key <= MASK64:
                 raise bad_key(key)
         return [self.get(key, snapshot) for key in keys]
 

@@ -47,7 +47,7 @@ def check_bounds(lo_key: Optional[Key], hi_key: Optional[Key]) -> None:
 def merge_visible(streams: List[Iterable[RecordTuple]], *,
                   snapshot: Optional[int] = None,
                   hi_key: Optional[Key] = None,
-                  limit: Optional[int] = None) -> Iterator[Tuple[object, object]]:
+                  limit: Optional[int] = None) -> Iterator[Tuple[Key, object]]:
     """Yield ``(key, value)`` pairs visible at ``snapshot``.
 
     ``hi_key`` is exclusive; ``limit`` caps the number of yielded pairs

@@ -6,83 +6,31 @@ outdated records while keeping every version some live snapshot still needs
 compactions").  Tombstones are only eliminated at the bottom level, where no
 older data can exist beneath them.
 
-The kernel is tiered by how much work the inputs actually need:
+One kernel serves every merge: the runs' columns are concatenated, ordered
+with one ``lexsort`` by (key asc, seq desc) and filtered with a keep mask --
+no per-record Python step, whatever the inputs.  The mask keeps
 
-* **No live snapshots, uint64 keys** (every merge of every benchmark
-  workload): only the newest version of each key can survive, so the runs'
-  columns are concatenated, ordered with one ``lexsort`` and filtered with a
-  first-of-key mask -- no per-record Python step.
-* **Live snapshots or wider keys**: the general loop over record tuples --
-  a pairwise index-pointer merge for two runs, ``heapq.merge`` beyond --
-  walking the per-key view list with an advancing index.
+* the first version of each key (the "latest" view), and
+* with live snapshots, each later version some snapshot in
+  ``[seq, seq of the version before it)`` sees as its newest.
 
-All paths are record-identical to
+With ``drop_tombstones`` a kept tombstone then goes unless an older kept PUT
+of its key follows it: dropping that tombstone would let the views it
+serves see the PUT again.
+
+The output is record-identical to
 :func:`repro.bench.reference.reference_merge_runs` (enforced by
 ``tests/test_merge_equivalence.py``).
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterable, List, Optional, Sequence as PySequence
+from typing import Optional, Sequence as PySequence
 
 import numpy as np
 
-from repro.common.records import DELETE, KEY, KIND, RecordTuple, SEQ, sort_key
+from repro.common.records import DELETE
 from repro.table.run import Run
-
-
-def _merge2(a: List[RecordTuple], b: List[RecordTuple]) -> List[RecordTuple]:
-    """Pairwise merge of two (key asc, seq desc) sorted runs."""
-    out: List[RecordTuple] = []
-    append = out.append
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        ra = a[i]
-        rb = b[j]
-        # (key asc, seq desc): ra first if key smaller, or same key newer.
-        ka, kb = ra[0], rb[0]
-        if ka < kb or (ka == kb and ra[1] > rb[1]):
-            append(ra)
-            i += 1
-        else:
-            append(rb)
-            j += 1
-    if i < na:
-        out.extend(a[i:])
-    elif j < nb:
-        out.extend(b[j:])
-    return out
-
-
-def _merge_newest(runs: PySequence[Run], drop_tombstones: bool) -> Run:
-    """No-snapshot tier: keep only the newest version of each key.
-
-    With no live snapshots every older version is unreachable, and a
-    surviving tombstone is elided iff ``drop_tombstones`` (it is then by
-    construction the oldest -- and only -- kept version of its key).
-    """
-    if len(runs) == 1:
-        merged = runs[0]  # already (key asc, seq desc)
-        order = None
-    else:
-        merged = Run.concat(runs)
-        order = np.lexsort((~merged.seqs, merged.keys))
-    if not merged.n:
-        return merged
-    keys = merged.keys if order is None else merged.keys[order]
-    # The first record per key is its newest version.
-    keep = np.empty(merged.n, dtype=bool)
-    keep[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    if drop_tombstones:
-        kinds = merged.kinds if order is None else merged.kinds[order]
-        keep &= kinds != DELETE
-    return merged.take(keep if order is None else order[keep])
-
-
-_SENTINEL = object()
 
 
 def merge_runs(runs: PySequence[Run], *, drop_tombstones: bool = False,
@@ -96,57 +44,38 @@ def merge_runs(runs: PySequence[Run], *, drop_tombstones: bool = False,
     """
     if not runs:
         return Run.from_records(())
-
-    # Views that must stay observable, newest first; None stands for "latest".
-    snap_desc: List[int] = sorted(set(snapshots), reverse=True) if snapshots else []
-    if not snap_desc:
-        for run in runs:
-            if run.okeys is not None:
-                break
-        else:
-            return _merge_newest(runs, drop_tombstones)
-
     if len(runs) == 1:
-        stream: Iterable[RecordTuple] = runs[0].records()
-    elif len(runs) == 2:
-        stream = _merge2(runs[0].records(), runs[1].records())
+        merged = runs[0]  # already (key asc, seq desc)
+        order = None
     else:
-        stream = heapq.merge(*[run.records() for run in runs], key=sort_key)
-
-    n_views = len(snap_desc)
-    out: List[RecordTuple] = []
-    kept: List[RecordTuple] = []  # versions of the current key, newest first
-    cur_key = _SENTINEL
-    vi = n_views  # index into snap_desc: views [vi:] are still unserved
-    served_latest = False
-
-    def emit() -> None:
-        # A tombstone is only removable at the bottom when nothing older of
-        # its key survives beneath it -- otherwise dropping it would
-        # resurrect the older version for newer views.
+        merged = Run.concat(runs)
+        order = np.lexsort((~merged.seqs, merged.keys))
+    n = merged.n
+    if not n:
+        return merged
+    keys = merged.keys if order is None else merged.keys[order]
+    # The first record per key is its newest version.
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    if drop_tombstones:
+        put = (merged.kinds if order is None else merged.kinds[order]) != DELETE
+    if snapshots:
+        seqs = merged.seqs if order is None else merged.seqs[order]
+        # Snapshots below each version: a change against the (newer)
+        # predecessor means some snapshot sees this version as its newest.
+        below = np.searchsorted(np.array(sorted(set(snapshots)), dtype=np.uint64), seqs)
+        keep = first.copy()
+        keep[1:] |= below[1:] != below[:-1]
         if drop_tombstones:
-            while kept and kept[-1][KIND] == DELETE:
-                kept.pop()
-        out.extend(kept)
-        kept.clear()
-
-    for rec in stream:
-        key = rec[KEY]
-        if key != cur_key:
-            emit()
-            cur_key = key
-            vi = 0
-            served_latest = False
-        seq = rec[SEQ]
-        keep = False
-        if not served_latest:
-            served_latest = True
-            keep = True
-        # Serve every snapshot view this version is the newest visible for.
-        while vi < n_views and snap_desc[vi] >= seq:
-            vi += 1
-            keep = True
-        if keep:
-            kept.append(rec)
-    emit()
-    return Run.from_records(out)
+            pos = np.arange(n)
+            last_put = np.maximum.reduceat(np.where(keep & put, pos, -1),
+                                           np.flatnonzero(first))
+            keep &= put | (pos < last_put[np.cumsum(first) - 1])
+    else:
+        # With no snapshot every older version is unreachable, and a kept
+        # tombstone is the only -- so the oldest -- kept version of its key.
+        keep = first
+        if drop_tombstones:
+            keep &= put
+    return merged.take(keep if order is None else order[keep])

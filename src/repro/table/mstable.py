@@ -14,7 +14,7 @@ stop at the first visible hit (§5.2).
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.common.errors import InvariantViolation
 from repro.common.hashing import MASK64
@@ -49,8 +49,11 @@ class MSTable:
         self.data_bytes = 0
         self.metadata_bytes = 0
         self.n_records = 0
-        self.min_key: Key = None  # None while the table is empty
-        self.max_key: Key = None
+        # Keys once a sequence is appended, None while the table is empty:
+        # ``Any``, not ``Optional[Key]``, as fence compares only ever see
+        # non-empty tables.
+        self.min_key: Any = None
+        self.max_key: Any = None
         self.max_seq = 0
 
     # ------------------------------------------------------------- properties

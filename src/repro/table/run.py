@@ -8,12 +8,10 @@ and gathers -- no per-record Python loop touches it again.
 
 Columns
 -------
-``keys``  uint64, the key (its low 64 bits when ``okeys`` is set: still what
-          the Bloom filter hashes).
+``keys``  uint64 keys: the one key domain a store holds, and what the
+          Bloom filter hashes.
 ``seqs``  uint64 sequence numbers; ``kinds`` uint8 PUT/DELETE.
 ``sizes`` uint64 payload bytes: the synthetic size, or ``len(value)``.
-``okeys`` ``None``, or an object column of the exact Python ints when some
-          key lies outside ``[0, 2**64)``; ordering then goes by it.
 ``vals``  ``None`` when every value is a synthetic size (``sizes`` *is* the
           value column), else an object column of the values as given.
 
@@ -22,9 +20,9 @@ The typed-column rule: a value is synthetic iff ``type(v) is int`` -- never
 convert to an integer dtype).  :meth:`Run.from_columns` is the one place
 that decides, for sequences and memtable scan streams alike.
 
-Runs are immutable once built.  Only the pull-based range readers and the
-general merge tier need tuples; :meth:`Run.records` materialises them on
-first use.
+Runs are immutable once built.  Only the pull-based range reader
+(:meth:`repro.table.block.Sequence.cursor`) and LSM-trie's re-keying need
+tuples; :meth:`Run.records` materialises them on first use.
 """
 
 from __future__ import annotations
@@ -36,25 +34,23 @@ import numpy as np
 
 from repro.common.errors import ConfigError
 from repro.common.hashing import MASK64
-from repro.common.records import Key, RECORD_OVERHEAD, RecordTuple
+from repro.common.records import Key, RECORD_OVERHEAD, RecordTuple, bad_key
 from repro.filters.bloom import hash_columns
 
 
 class Run:
     """One immutable sorted run in columnar form (see the module docstring)."""
 
-    __slots__ = ("keys", "seqs", "kinds", "sizes", "okeys", "vals", "n",
-                 "hashes", "_records")
+    __slots__ = ("keys", "seqs", "kinds", "sizes", "vals", "n", "hashes",
+                 "_records")
 
     def __init__(self, keys: np.ndarray, seqs: np.ndarray, kinds: np.ndarray,
-                 sizes: np.ndarray, okeys: Optional[np.ndarray] = None,
-                 vals: Optional[np.ndarray] = None,
+                 sizes: np.ndarray, vals: Optional[np.ndarray] = None,
                  hashes: Optional[np.ndarray] = None) -> None:
         self.keys = keys
         self.seqs = seqs
         self.kinds = kinds
         self.sizes = sizes
-        self.okeys = okeys
         self.vals = vals
         self.n: int = keys.size
         #: ``hash_columns(keys)`` while sequences are being cut from this
@@ -74,12 +70,10 @@ class Run:
         n = len(keys)
         if set(map(type, keys)) - {int}:
             raise ConfigError("record keys must be Python ints")
-        if n and (keys[0] < 0 or keys[-1] > MASK64):  # sorted: the extremes
-            okeys = np.fromiter(keys, dtype=object, count=n)
-            key_col = np.fromiter((k & MASK64 for k in keys), dtype=np.uint64, count=n)
-        else:
-            okeys = None
-            key_col = np.fromiter(keys, dtype=np.uint64, count=n)
+        # Sorted: the extremes decide.  Checked here, not left to fromiter,
+        # which would raise a bare OverflowError.
+        if n and (keys[0] < 0 or keys[-1] > MASK64):
+            raise bad_key(keys[0] if keys[0] < 0 else keys[-1])
         if set(map(type, values)) - {int}:
             val_col = np.fromiter(values, dtype=object, count=n)
             sizes = np.fromiter((v if type(v) is int else len(v) for v in values),
@@ -87,8 +81,9 @@ class Run:
         else:
             val_col = None
             sizes = np.fromiter(values, dtype=np.uint64, count=n)
-        return Run(key_col, np.fromiter(seqs, dtype=np.uint64, count=n),
-                   np.fromiter(kinds, dtype=np.uint8, count=n), sizes, okeys, val_col)
+        return Run(np.fromiter(keys, dtype=np.uint64, count=n),
+                   np.fromiter(seqs, dtype=np.uint64, count=n),
+                   np.fromiter(kinds, dtype=np.uint8, count=n), sizes, val_col)
 
     @staticmethod
     def from_records(records: PySequence[RecordTuple]) -> "Run":
@@ -99,8 +94,8 @@ class Run:
 
     @staticmethod
     def concat(runs: PySequence["Run"]) -> "Run":
-        """Column-wise concatenation of uint64-keyed runs (merge input; the
-        result is *not* sorted)."""
+        """Column-wise concatenation of runs (merge input; the result is
+        *not* sorted)."""
         vals = None
         for run in runs:
             if run.vals is not None:
@@ -110,25 +105,21 @@ class Run:
         return Run(np.concatenate([r.keys for r in runs]),
                    np.concatenate([r.seqs for r in runs]),
                    np.concatenate([r.kinds for r in runs]),
-                   np.concatenate([r.sizes for r in runs]), None, vals)
+                   np.concatenate([r.sizes for r in runs]), vals)
 
     # ----------------------------------------------------------------- pieces
     def slice(self, i: int, j: int) -> "Run":
         """Records ``[i, j)`` as views of this run's columns."""
-        okeys, vals, hashes = self.okeys, self.vals, self.hashes
+        vals, hashes = self.vals, self.hashes
         return Run(self.keys[i:j], self.seqs[i:j], self.kinds[i:j],
-                   self.sizes[i:j],
-                   None if okeys is None else okeys[i:j],
-                   None if vals is None else vals[i:j],
+                   self.sizes[i:j], None if vals is None else vals[i:j],
                    None if hashes is None else hashes[:, i:j])
 
     def take(self, idx: np.ndarray) -> "Run":
         """The records picked by an index (or boolean mask) array, in order."""
-        okeys, vals = self.okeys, self.vals
+        vals = self.vals
         return Run(self.keys[idx], self.seqs[idx], self.kinds[idx],
-                   self.sizes[idx],
-                   None if okeys is None else okeys[idx],
-                   None if vals is None else vals[idx])
+                   self.sizes[idx], None if vals is None else vals[idx])
 
     def ensure_hashes(self) -> None:
         """Hash the key column now, so every slice inherits its share.
@@ -140,12 +131,12 @@ class Run:
             self.hashes = hash_columns(self.keys)
 
     # ---------------------------------------------------------------- reading
-    def key_view(self) -> Any:
+    def key_view(self) -> memoryview:
         """Keys as an indexable of Python ints, zero-copy (for ``bisect``)."""
-        return memoryview(self.keys) if self.okeys is None else self.okeys
+        return memoryview(self.keys)
 
     def key_at(self, i: int) -> Key:
-        return int(self.keys[i]) if self.okeys is None else self.okeys[i]
+        return int(self.keys[i])
 
     def value_at(self, i: int) -> Any:
         return int(self.sizes[i]) if self.vals is None else self.vals[i]
@@ -154,9 +145,8 @@ class Run:
         """All records as tuples (materialised on first use, then kept)."""
         recs = self._records
         if recs is None:
-            keys = self.keys if self.okeys is None else self.okeys
             vals = self.sizes if self.vals is None else self.vals
-            recs = self._records = list(zip(keys.tolist(), self.seqs.tolist(),
+            recs = self._records = list(zip(self.keys.tolist(), self.seqs.tolist(),
                                             self.kinds.tolist(), vals.tolist()))
         return recs
 
@@ -171,8 +161,7 @@ class Run:
 
     def is_sorted(self) -> bool:
         """True for a valid sorted run: (key asc, seq desc), no dup (key, seq)."""
-        keys = self.keys if self.okeys is None else self.okeys
-        seqs = self.seqs
+        keys, seqs = self.keys, self.seqs
         bad = (keys[1:] < keys[:-1]) | ((keys[1:] == keys[:-1])
                                         & (seqs[1:] >= seqs[:-1]))
         return not bad.any()

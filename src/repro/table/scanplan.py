@@ -2,13 +2,14 @@
 
 The generator tier (:func:`repro.table.scan.merge_scan`: a heap merge over
 lazily-charging cursors) is correct everywhere, but takes one Python step
-per merged record.  This module is the other tier, for the common case
-(uint64 keys): it reads each stream's *description* instead of iterating it
--- gathers the in-range slices of every key/seq/kind column, computes the
-global merge order with one ``np.lexsort`` (unique ``(key, seq)`` pairs
-make the order total), derives the visible output and the termination rank
-with array ops, and then replays the exact foreground charge sequence the
-cursor pipeline would have issued.
+per merged record.  This module is the other tier, for memtable lists and
+table chains (every engine's streams but FLSM's): it reads each stream's
+*description* instead of iterating it -- gathers the in-range slices of
+every key/seq/kind column, computes the global merge order with one
+``np.lexsort`` (unique ``(key, seq)`` pairs make the order total), derives
+the visible output and the termination rank with array ops, and then
+replays the exact foreground charge sequence the cursor pipeline would
+have issued.
 
 The charge model
 ----------------
@@ -54,11 +55,10 @@ Declines
 ``planned_scan`` returns None -- always before the first charge, so the
 caller runs ``merge_scan`` over the same, untouched streams -- when what it
 observes in its input does not fit the plan: a snapshot number outside
-uint64, a stream that is not a :class:`~repro.table.scan.ListStream` /
-:class:`~repro.table.scan.ChainStream` value (FLSM's guard generators), or
-a key outside uint64 (``okeys`` set) in a gathered memtable list or
-sequence.  Those three checks are explicit; any other exception is a bug
-and propagates.
+uint64, or a stream that is not a :class:`~repro.table.scan.ListStream` /
+:class:`~repro.table.scan.ChainStream` value (FLSM's guard generators).
+Every stored key is uint64 (the write entry points refuse the rest), so
+those two checks are all; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -130,8 +130,6 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                 continue
             # The same typed column builder sequences were built with.
             run = Run.from_records(s.recs)
-            if run.okeys is not None:
-                return None
             vals_ok = vals_ok and run.vals is None
             comps.append((run, run.key_view(), 0, run.n, None))
         elif isinstance(s, ChainStream):
@@ -158,8 +156,6 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                         kv = seq.key_view
                         if hi is not None and bisect_right(kv, hi) == 0:
                             continue
-                        if seq.run.okeys is not None:
-                            return None
                         if cut_key is None or kv[0] < cut_key:
                             cut_key = kv[0]
                         stop = min(READAHEAD_BLOCKS, seq.n_blocks)
@@ -175,8 +171,6 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                     j = seq.n_records if hi is None else bisect_right(kv, hi)
                     if j <= i:
                         continue
-                    if seq.run.okeys is not None:
-                        return None
                     # A truncated span still pulls (and may charge) one
                     # record past the cut before the plan's validity bound
                     # stops it -- mirror that single-record overshoot.

@@ -9,10 +9,15 @@ built -- not by the record count.  The budgets below count function calls
 digit), like ``tests/test_write_tax.py`` does for the per-put spine.
 """
 
+import random
+
 import pytest
 
 from repro.bench.scale import RECORD_BYTES, SSD_100G, make_db
+from repro.common.records import DELETE, PUT, sort_key
 from repro.storage.pagecache import PageCache
+from repro.table.merge import merge_runs
+from repro.table.run import Run
 from repro.workloads import hash_load, permute64
 from tests.test_write_tax import _calls
 
@@ -72,3 +77,18 @@ def test_evicting_admission_is_a_handful_of_calls_per_block():
     assert len(cache) == cache.max_blocks
     assert _calls(lambda: cache.insert_many(2, range(64))) <= 6 * 64
     assert cache.evictions == 64 and cache.resident_blocks(2) == 64
+
+
+@pytest.mark.parametrize("drop_tombstones", [False, True])
+def test_a_snapshot_merge_costs_the_same_at_four_times_the_records(drop_tombstones):
+    # Parent commit: live snapshots took a per-record tuple loop (a heap
+    # merge over three runs), so its calls grew with every record.
+    def merge_calls(n):
+        rng = random.Random(3)
+        recs = [(rng.randrange(n // 2), seq, DELETE if rng.random() < 0.1 else PUT, 256)
+                for seq in range(1, n + 1)]
+        runs = [Run.from_records(sorted(recs[i::3], key=sort_key)) for i in range(3)]
+        return _calls(lambda: merge_runs(runs, drop_tombstones=drop_tombstones,
+                                         snapshots=[n // 3, n // 2]))
+    few, many = merge_calls(300), merge_calls(1200)
+    assert few == many, (few, many)

@@ -1,19 +1,18 @@
-"""Tiered merge kernel vs the frozen seed merge: record-identical outputs.
+"""The merge kernel vs the frozen seed merge: record-identical outputs.
 
-``repro.table.merge.merge_runs`` picks between the columnar no-snapshot tier
-(concatenate, lexsort, first-of-key mask) and the general tuple loop (pairwise
-2-way merge or heap merge) for live snapshots and keys outside uint64; every
-tier must produce exactly the records of
+``repro.table.merge.merge_runs`` is one columnar kernel (concatenate,
+lexsort, keep mask); it must produce exactly the records of
 :func:`repro.bench.reference.reference_merge_runs` for any combination of run
-count, key width, value type, tombstones, live snapshots and
-``drop_tombstones``.
+count, value type, tombstones, live snapshots and ``drop_tombstones``.
 """
 
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.bench.reference import reference_merge_runs
+from repro.common.errors import ConfigError
 from repro.common.records import DELETE, PUT, sort_key
 from repro.table.merge import merge_runs as merge_run_columns
 from repro.table.run import Run
@@ -34,9 +33,8 @@ def runs_and_views(draw):
     seqs = list(range(1, n + 1))
     rng.shuffle(seqs)  # globally unique seqs, randomly ordered
     runs = [[] for _ in range(n_runs)]
-    # uint64 keys (the columnar tier); negative keys and keys straddling
-    # 2**64 ride in the object key column and take the general loop.
-    key_base = draw(st.sampled_from([0, 0, -6, 2**64 - 6]))
+    # Both ends of the key space: keys near 2**64 - 1 sort past 2**63.
+    key_base = draw(st.sampled_from([0, 2**64 - 12]))
     real_values = draw(st.booleans())  # some bytes payloads: object values
     for seq in seqs:
         key = key_base + rng.randrange(12)
@@ -70,19 +68,21 @@ def test_empty_inputs():
 
 
 def test_each_tier_exercised_explicitly():
-    # One run (mask only), two and four runs (lexsort) in the columnar tier;
-    # with snapshots or wide keys one run, two runs (_merge2) and four runs
-    # (heap) in the general loop -- pinned examples beyond the random sweep.
+    # One run (mask only) and two and four runs (lexsort), each under the
+    # first-of-key mask and the snapshot mask, with and without tombstone
+    # elision -- pinned examples beyond the random sweep.
     a = [(1, 9, PUT, 5), (1, 3, PUT, 5), (2, 4, DELETE, 0)]
     b = [(1, 7, PUT, 6), (3, 2, PUT, 6)]
     c = [(2, 8, PUT, 7)]
     d = [(0, 1, DELETE, 0)]
-    wide = [[(key - 2, seq, kind, value) for key, seq, kind, value in run]
-            for run in (a, b, c, d)]  # key -2: the object key column
-    for runs in ([a], [a, b], [a, b, c, d], wide[:1], wide[:2], wide):
+    for runs in ([a], [a, b], [a, b, c, d]):
         for snaps in (None, [], [3], [3, 7, 100]):
             for drop in (False, True):
                 assert merge_runs(runs, drop_tombstones=drop,
                                   snapshots=snaps) == \
                     reference_merge_runs(runs, drop_tombstones=drop,
                                          snapshots=snaps)
+    # A key outside uint64 never reaches a merge: a run refuses it.
+    for key in (-2, 2**64):
+        with pytest.raises(ConfigError, match="outside the key space"):
+            Run.from_records([(key, 1, PUT, 5)])

@@ -13,9 +13,10 @@ under every engine, is one fused loop over the table's probe rows; the
 newest-first loop of ``Sequence.get`` it replaced is its reference.
 
 Two contracts sit beside the equivalences.  *Declines*: whatever the scan
-planner cannot plan (a key or snapshot outside uint64, an engine that hands
-out plain generators) it must decline before charging anything, and the
-heap merge that answers instead is held to the same reference.  *Seeks*: a
+planner cannot plan (a snapshot outside uint64, an engine that hands out
+plain generators) it must decline before charging anything, and the heap
+merge that answers instead is held to the same reference; a key outside
+uint64 never gets that far -- the write refuses it.  *Seeks*: a
 ``DbIterator`` after ``seek(k)`` is a fresh ``iterate`` at ``k``.
 """
 
@@ -154,8 +155,9 @@ def test_multi_get_is_validate_then_get_loop(engine, ops, quiesce, batch,
     b.close()
 
 
-#: Keys the uint64 columns cannot hold: the planner declines the scans that
-#: gather one, and the heap merge answers.
+#: Ints the uint64 columns cannot hold: no store holds one as a key, but
+#: each is a valid scan bound (a negative one replaces ``lo``, a wide one
+#: ``hi``).
 ODD_KEYS = (-1, -(2 ** 63), 2 ** 64, 2 ** 70)
 
 
@@ -163,8 +165,7 @@ ODD_KEYS = (-1, -(2 ** 63), 2 ** 64, 2 ** 70)
           suppress_health_check=[HealthCheck.too_slow])
 @given(engine=st.sampled_from(ENGINES + ("flsm",)), ops=workload,
        small_keys=st.booleans(), quiesce=st.booleans(),
-       odd=st.one_of(st.none(), st.tuples(st.sampled_from(ODD_KEYS),
-                                          st.integers(0, 120))),
+       odd=st.one_of(st.none(), st.sampled_from(ODD_KEYS)),
        lo_i=st.one_of(st.none(), st.integers(0, 23)),
        span=st.one_of(st.none(), st.integers(0, 23)),
        limit=st.one_of(st.none(), st.integers(1, 40)),
@@ -172,11 +173,6 @@ ODD_KEYS = (-1, -(2 ** 63), 2 ** 64, 2 ** 70)
 def test_scan_matches_scalar_reference(engine, ops, small_keys, quiesce, odd,
                                        lo_i, span, limit, snap_back):
     pool = SMALL_POOL if small_keys else KEY_POOL
-    if odd is not None:
-        # One put of a key outside uint64 somewhere in the history (pool
-        # index 24 is past both pools: it selects the odd key).
-        ops = ops[:odd[1]] + [("put", 24, 77)] + ops[odd[1]:]
-        pool = pool + [odd[0]]
     db_ref, db_opt = _twin_dbs(engine, ops, pool)
     if quiesce:
         db_ref.quiesce()
@@ -186,6 +182,10 @@ def test_scan_matches_scalar_reference(engine, ops, small_keys, quiesce, odd,
         snapshot = max(1, db_ref._seq - snap_back)
     lo = None if lo_i is None else pool[lo_i]
     hi = None if span is None else (lo or 0) + sorted(pool[:24])[span] + 1
+    if odd is not None and odd < 0:
+        lo = odd
+    elif odd is not None:
+        hi = odd
     want = reference_scan(db_ref, lo, hi, limit=limit, snapshot=snapshot)
     got = db_opt.scan(lo, hi, limit=limit, snapshot=snapshot)
     assert got == want
@@ -471,7 +471,8 @@ def test_scan_across_both_block_index_arms(monkeypatch):
 # the first charge; the heap merge over the same streams answers instead and
 # answers to the same reference.  Each case pins the verdict both ways -- a
 # decline here, a plan on the uint64 twin -- so the test keeps its meaning if
-# the planner ever learns to plan what it declines today.
+# the planner ever learns to plan what it declines today.  A key outside
+# uint64 is declined earlier, by the write, and what follows is planned.
 def _planner_verdicts(monkeypatch):
     """Per ``db.scan`` from here on: True = planned, False = declined."""
     verdicts = []
@@ -486,37 +487,38 @@ def _planner_verdicts(monkeypatch):
     return verdicts
 
 
-def _pair_holding(engine, key, flushed):
-    """Twin WIDE_KEYS stores (tombstones included) that also hold ``key``:
-    in a flushed sequence, or in the memtable only."""
-    dbs = _wide_pair(engine, n=700)
-    for db in dbs:
-        db.put(key, 55)
-        if flushed:
-            db.quiesce()
-    return dbs
-
-
 @pytest.mark.parametrize("flushed", [False, True], ids=["memtable", "sequence"])
-@pytest.mark.parametrize("odd,plain", [(-7, 7), (2 ** 64 + 7, 2 ** 63 + 7)],
+@pytest.mark.parametrize("odd,plain", [(-7, 7), (2 ** 64 + 7, 2 ** 64 - 7)],
                          ids=["negative", "wide"])
 @pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb"])
 def test_key_outside_uint64_is_declined_then_merged(engine, odd, plain,
                                                     flushed, monkeypatch):
+    # Twin WIDE_KEYS stores (tombstones included) both take the uint64 key
+    # at the odd key's end of the key space; one of them is also offered
+    # the odd key, which the write declines before anything moves.  Every
+    # scan reaching toward it -- the odd key itself as the bound -- is then
+    # planned, and the twins stay indistinguishable, the memtable holding
+    # the plain key or it flushed to a sequence.
     verdicts = _planner_verdicts(monkeypatch)
-    for key, planned in ((odd, False), (plain, True)):
-        db_ref, db_opt = _pair_holding(engine, key, flushed)
-        snapshot = db_ref._seq - 200  # the key itself is newer: invisible
-        # Each range reaches the key from its own side of the key space.
-        near = (None, WIDE_KEYS[9]) if key < WIDE_KEYS[0] else (WIDE_KEYS[690], None)
-        del verdicts[:]
-        rows = _assert_scan_matches(db_ref, db_opt, None, None)
-        assert (key, 55) in rows and len(rows) < 701  # tombstones elided
-        _assert_scan_matches(db_ref, db_opt, *near, limit=7)
-        _assert_scan_matches(db_ref, db_opt, near[0], near[1])
-        rows = _assert_scan_matches(db_ref, db_opt, None, None, snapshot=snapshot)
-        assert (key, 55) not in rows
-        assert verdicts == [planned] * 4
+    db_ref, db_opt = _wide_pair(engine, n=700)
+    for db in (db_ref, db_opt):
+        db.put(plain, 55)
+    before = _observable_state(db_opt), db_opt._seq, len(db_opt.memtable)
+    with pytest.raises(ConfigError, match="outside the key space"):
+        db_opt.put(odd, 55)
+    assert (_observable_state(db_opt), db_opt._seq, len(db_opt.memtable)) == before
+    if flushed:
+        for db in (db_ref, db_opt):
+            db.quiesce()
+    snapshot = db_ref._seq - 200  # the plain key is newer: invisible
+    near = (odd, WIDE_KEYS[9]) if odd < 0 else (WIDE_KEYS[690], odd)
+    rows = _assert_scan_matches(db_ref, db_opt, None, None)
+    assert (plain, 55) in rows and len(rows) < 701  # tombstones elided
+    _assert_scan_matches(db_ref, db_opt, *near, limit=7)
+    assert (plain, 55) in _assert_scan_matches(db_ref, db_opt, *near)
+    rows = _assert_scan_matches(db_ref, db_opt, None, None, snapshot=snapshot)
+    assert (plain, 55) not in rows
+    assert verdicts == [True] * 4
 
 
 def test_snapshot_outside_uint64_is_declined_then_merged(monkeypatch):
@@ -529,12 +531,14 @@ def test_snapshot_outside_uint64_is_declined_then_merged(monkeypatch):
 
 def test_wide_key_in_the_chain_tail_is_declined(monkeypatch):
     # A limit-bounded plan reads one table past its record budget -- only
-    # to place that table's first charges.  A key outside uint64 in *that*
-    # table is a decline; one table further on it is never looked at.
+    # to place that table's first charges.  A run holding a key outside
+    # uint64 is declined when it is built, so no table carries one; the top
+    # uint64 key, in *that* table or one further on, is planned.
     verdicts = _planner_verdicts(monkeypatch)
-    per_table, budget, base, wide = 32, 96, 1 << 30, 2 ** 64 + 5
-    for n_tables, planned in ((budget // per_table + 1, False),
-                              (budget // per_table + 2, True)):
+    per_table, budget, base, top = 32, 96, 1 << 30, 2 ** 64 - 1
+    with pytest.raises(ConfigError, match="outside the key space"):
+        Run.from_records([make_put(top + 1, 1, 40)])
+    for n_tables in (budget // per_table + 1, budget // per_table + 2):
         db_ref, db_opt = make_tiny_db("iam"), make_tiny_db("iam")
         for db in (db_ref, db_opt):
             for i in range(300):
@@ -544,15 +548,15 @@ def test_wide_key_in_the_chain_tail_is_declined(monkeypatch):
             for t in range(n_tables):
                 keys = [base + 1000 * t + i for i in range(per_table)]
                 if t == n_tables - 1:
-                    keys[-1] = wide
+                    keys[-1] = top
                 run = [make_put(k, seq + per_table * t + i + 1, 40)
                        for i, k in enumerate(keys)]
                 eng._create_node_from_run(eng.n, Run.from_records(run))
             db.check_invariants()
         _assert_scan_matches(db_ref, db_opt, base, None, limit=3)
         got = _assert_scan_matches(db_ref, db_opt, base, None)
-        assert got[-1] == (wide, 40)
-        assert verdicts == [planned, False]
+        assert got[-1] == (top, 40)
+        assert verdicts == [True, True]
         del verdicts[:]
 
 
@@ -655,8 +659,10 @@ def test_iterators_created_before_flush_drained_after(engine):
 
 
 # --------------------------------------- the fused point read vs Sequence.get
-#: uint64 keys (two of them adjacent), and one either side of that range.
-POINT_KEYS = st.sampled_from(KEY_POOL[:10] + [KEY_POOL[0] + 1, 0, 7, -5, 2 ** 64 + 3])
+#: uint64 keys (two of them adjacent, and both ends of the key space); a
+#: read also probes one int either side of it.
+POINT_KEYS = st.sampled_from(KEY_POOL[:10] + [KEY_POOL[0] + 1, 0, 7, 2 ** 64 - 1])
+PROBE_KEYS = st.one_of(POINT_KEYS, st.sampled_from([-5, 2 ** 64 + 3]))
 POINT_VALUES = st.one_of(st.integers(1, 300), st.binary(min_size=1, max_size=9))
 
 
@@ -678,7 +684,7 @@ def _sequence_get_loop(table, key, snapshot, hashes):
                                min_size=1, max_size=12), min_size=1, max_size=6),
        bloom_bits=st.sampled_from([0, 1, 14]), blind=st.sets(st.integers(0, 5)),
        cache_blocks=st.sampled_from([0, 2, 64]),
-       reads=st.lists(st.tuples(POINT_KEYS, st.one_of(st.none(), st.integers(0, 80)),
+       reads=st.lists(st.tuples(PROBE_KEYS, st.one_of(st.none(), st.integers(0, 80)),
                                 st.booleans()), min_size=1, max_size=30))
 def test_fused_table_get_is_the_sequence_get_loop(specs, bloom_bits, blind,
                                                   cache_blocks, reads):

@@ -1,14 +1,16 @@
 """The columnar sorted run and the typed-column rule, kernel by kernel.
 
-* ``Run.from_records(r).records() == r`` for every key width and value type,
-  with plain Python element types on the way out.
+* ``Run.from_records(r).records() == r`` at both ends of the uint64 key
+  space and for every value type, with plain Python element types on the
+  way out.
 * The columnar ``partition_records`` and ``split_run`` against frozen copies
   of the scalar loops they replaced (``tests/frozen_kernels.py``).
 * End to end: what a store hands back is what was put in -- ``bytes`` stay
   ``bytes`` however digit-like, every key and value is a Python ``int`` or
-  ``bytes`` (never a numpy scalar), non-integer keys are refused at the
-  door, and integers of any sign or size work through flush, merge, scan
-  and crash recovery.
+  ``bytes`` (never a numpy scalar), non-integer keys and ints outside
+  ``[0, 2**64)`` are refused at the door before anything moves, and keys
+  across the whole of uint64 work through flush, merge, scan and crash
+  recovery, with scan bounds of any sign or size.
 """
 
 import json
@@ -32,9 +34,9 @@ from tests.conftest import (
 )
 from tests.frozen_kernels import frozen_partition_records, frozen_split_run
 
-#: Where a key column lives: uint64, or the object column beside it
-#: (negative keys; keys straddling 2**64).
-KEY_BASES = (0, 0, -40, 2**64 - 40)
+#: Both ends of the key space: from ``2**64 - 256`` up the top bit is set,
+#: where a signed conversion or comparison would go wrong.
+KEY_BASES = (0, 2**64 - 256)
 
 values = st.one_of(st.integers(0, 300),                      # synthetic sizes
                    st.binary(max_size=6),                    # real payloads
@@ -42,7 +44,7 @@ values = st.one_of(st.integers(0, 300),                      # synthetic sizes
 
 
 @st.composite
-def sorted_records(draw, max_keys=40, key_span=80, value=values):
+def sorted_records(draw, max_keys=40, key_span=255, value=values):
     """A valid sorted run as tuples: (key asc, seq desc), unique (key, seq)."""
     base = draw(st.sampled_from(KEY_BASES))
     keys = draw(st.lists(st.integers(0, key_span), max_size=max_keys))
@@ -77,9 +79,7 @@ def test_round_trip_keeps_records_and_plain_types(recs):
 @given(sorted_records())
 def test_typed_column_rule(recs):
     run = Run.from_records(recs)
-    wide = any(not 0 <= r[0] < 2**64 for r in recs)
-    assert (run.okeys is not None) == wide
-    assert run.keys.tolist() == [r[0] & (2**64 - 1) for r in recs]
+    assert run.keys.tolist() == [r[0] for r in recs]
     real = any(type(r[3]) is not int for r in recs)
     assert (run.vals is not None) == real  # b"21" is a payload, not size 21
     assert run.sizes.tolist() == [r[3] if type(r[3]) is int else len(r[3])
@@ -106,7 +106,7 @@ def test_non_integer_record_keys_are_refused(key):
 def test_unsorted_run_is_detected():
     assert not Run.from_records([(2, 1, PUT, 8), (1, 2, PUT, 8)]).is_sorted()
     assert not Run.from_records([(1, 1, PUT, 8), (1, 2, PUT, 8)]).is_sorted()
-    assert not Run.from_records([(-1, 1, PUT, 8), (-2, 2, PUT, 8)]).is_sorted()
+    assert not Run.from_records([(2**64 - 1, 1, PUT, 8), (2**63, 2, PUT, 8)]).is_sorted()
 
 
 # ---------------------------------------------------------------- partition
@@ -114,14 +114,14 @@ def test_unsorted_run_is_detected():
 def children_and_records(draw):
     base = draw(st.sampled_from(KEY_BASES))
     n = draw(st.integers(1, 7))
-    lo = 0
+    lo = 10  # room for records below the first child
     children = []
     for _ in range(n):
         # step 0 shares the previous range_lo; width 0 is a one-key range;
         # step == previous width + 1 makes the two ranges adjacent.
         lo += draw(st.integers(0, 12))
         children.append(LsaNode(base + lo, base + lo + draw(st.integers(0, 12))))
-    keys = draw(st.lists(st.integers(-10, lo + 25), max_size=60))
+    keys = draw(st.lists(st.integers(0, lo + 25), max_size=60))
     recs = sorted(((base + key, seq, PUT, 8) for seq, key in enumerate(keys, 1)),
                   key=sort_key)
     weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
@@ -290,6 +290,29 @@ def test_read_entry_points_refuse_non_integer_keys(kind):
     assert store.get(3 << 54) == 16 and len(store.scan(1, 1 << 60)) == 63
 
 
+@pytest.mark.parametrize("key", [-1, 2**64])
+def test_keys_outside_uint64_are_refused_before_anything_moves(key):
+    """Once stored, in an object key column beside the uint64 one: now the
+    write and point-read entry points refuse them before anything is
+    numbered, logged, buffered or charged."""
+    db = make_tiny_db("iam")
+    for i in range(40):
+        db.put(i, 16)
+
+    def state():
+        return (db._seq, db.wal.nbytes, len(db.memtable), db.memtable.nbytes,
+                db.runtime.clock.now)
+    before = state()
+    batch = db.write_batch()
+    for refused in (lambda: db.put(key, 8), lambda: db.delete(key),
+                    lambda: batch.put(key, 8), lambda: batch.delete(key),
+                    lambda: db.get(key), lambda: db.multi_get([3, key])):
+        with pytest.raises(ConfigError, match="outside the key space"):
+            refused()
+    assert len(batch) == 0
+    assert state() == before
+
+
 def test_string_keys_no_longer_kill_the_flush_job():
     """Once: accepted, then a raw TypeError out of the Bloom build in some
     later put's pump, and the rotated memtable's acknowledged records gone."""
@@ -306,13 +329,14 @@ def test_string_keys_no_longer_kill_the_flush_job():
 
 @pytest.mark.parametrize("engine", ALL_ENGINES)
 def test_integers_of_any_sign_or_size_work_end_to_end(engine):
-    """Negative and >= 2**64 keys ride in the object key column: load, flush,
-    merge, get, scan, crash-recover."""
+    """As keys, ints from both ends of uint64 -- the top bit set and clear --
+    load, flush, merge, get, scan and crash-recover, and ints outside it are
+    refused; as scan bounds, ints of any sign or size work."""
     db = make_tiny_db(engine)
     rng = random.Random(5)
     model = {}
     for _ in range(2500):
-        key = rng.choice([-1, 1]) * rng.randrange(1, 400) + rng.choice([0, 2**64])
+        key = rng.randrange(400) + rng.choice([0, 2**63 - 200, 2**64 - 400])
         if rng.random() < 0.1:
             db.delete(key)
             model.pop(key, None)
@@ -323,19 +347,25 @@ def test_integers_of_any_sign_or_size_work_end_to_end(engine):
     described = db.engine.describe()
     assert described.get("merges", 0) + described.get("compactions", 0) > 0
     for _ in range(30):  # leave something in the memtable and the WAL
-        key = -rng.randrange(1, 400)
+        key = 2**64 - rng.randrange(1, 400)
         model[key] = 44
         db.put(key, 44)
+    for key in (-1, 2**64, 10**30):
+        for refused in (lambda: db.put(key, 1), lambda: db.get(key)):
+            with pytest.raises(ConfigError, match="outside the key space"):
+                refused()
+
+    def in_range(lo, hi):
+        return sorted((k, v) for k, v in model.items() if lo <= k < hi)
 
     def check():
         assert all(db.get(k) == v for k, v in model.items())
         assert db.multi_get(list(model)) == list(model.values())
-        assert db.get(-(10**30)) is None and db.get(10**30) is None
         assert db.scan() == sorted(model.items())
-        assert db.scan(-50, 2**64 + 50, limit=25) == sorted(
-            (k, v) for k, v in model.items() if -50 <= k < 2**64 + 50)[:25]
-        assert list(db.iterate(-10, 10)) == sorted(
-            (k, v) for k, v in model.items() if -10 <= k < 10)
+        assert db.scan(-50, 2**64 + 50, limit=25) == in_range(-50, 2**64)[:25]
+        assert db.scan(2**64 - 50, 2**70) == in_range(2**64 - 50, 2**64)
+        assert list(db.iterate(-10, 10)) == in_range(0, 10)
+        assert list(db.iterate(2**63 - 10, 2**63 + 10)) == in_range(2**63 - 10, 2**63 + 10)
         db.check_invariants()
 
     check()
