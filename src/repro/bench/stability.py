@@ -80,9 +80,9 @@ def run_engine(engine: str, *, records: int = DEFAULT_RECORDS,
     db = make_db(ENGINES[engine], SSD_100G)
     tracer = None
     if trace_path is not None:
-        from repro.obs.tracer import TraceOptions, Tracer
+        from repro.obs.tracer import Tracer
 
-        tracer = Tracer(db.runtime.clock, TraceOptions())
+        tracer = Tracer(db.runtime.clock)
         db.runtime.attach_tracer(tracer)
     probe = StabilityProbe(db, interval_s)
     phases: Dict[str, object] = {}

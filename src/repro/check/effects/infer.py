@@ -86,8 +86,6 @@ SERVER_OWNERS: Dict[Tuple[str, str], str] = {
 SEED_EFFECTS: Dict[Tuple[str, str], FrozenSet[str]] = {
     ("repro.db.iterator", "merge_visible"):
         frozenset({CLOCK_ADVANCE, DISK_CHARGE}),
-    ("repro.db.iterator", "DbIterator.__next__"):
-        frozenset({CLOCK_ADVANCE, DISK_CHARGE}),
 }
 
 _SIMDISK = "repro.storage.simdisk.SimDisk"

@@ -366,12 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=GATE_NAMES,
                    help="run only the named gate(s); repeatable "
                         f"(choices: {', '.join(GATE_NAMES)})")
-    p.add_argument("--skip-lint", action="store_true")
-    p.add_argument("--skip-types", action="store_true")
-    p.add_argument("--skip-sanitizer", action="store_true")
-    p.add_argument("--skip-cluster", action="store_true")
-    p.add_argument("--skip-objstore", action="store_true")
-    p.add_argument("--skip-effects", action="store_true")
     p.add_argument("--strict", action="store_true",
                    help="effects gate: baselined findings also FAIL "
                         "(the weekly CI variant)")
@@ -418,11 +412,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     outcomes: List[GateOutcome] = []
     for name in GATE_NAMES:
         if name not in selected:
-            continue
-        if getattr(args, f"skip_{name}"):
-            outcomes.append(GateOutcome(name, "SKIP",
-                                        detail=f"--skip-{name}"))
-            print(f"{name:<9}  SKIP (--skip-{name})")
             continue
         try:
             outcome = _GATE_RUNNERS[name](args)

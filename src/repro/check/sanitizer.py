@@ -37,7 +37,7 @@ Violations raise :class:`InvariantViolation` with a structured
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.check.diagnostics import Diagnostic, invariant_error
@@ -51,16 +51,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class SanitizerOptions:
-    """Configuration of the runtime sanitizer (all checks default on)."""
+    """Configuration of the runtime sanitizer (every check always runs)."""
 
-    #: Verify record-level sortedness of every sequence (O(data) per walk).
-    deep_records: bool = True
-    #: Verify page-cache pin/residency balance.
-    check_cache: bool = True
-    #: Verify WAL <-> memtable agreement at DB checkpoints.
-    check_wal: bool = True
-    #: Walk the tree every Nth structural event (1 = every event).
-    check_every: int = 1
     #: Raise on the first violation (False: collect into ``violations``).
     halt_on_violation: bool = True
 
@@ -118,8 +110,6 @@ class Sanitizer:
     def after_structural_event(self, engine: "LsaTree", event: str) -> None:
         """Engine hook: called after every flush/split/combine/merge."""
         self.events_seen += 1
-        if self.events_seen % max(1, self.options.check_every) != 0:
-            return
         self.check_tree(engine, event=event)
 
     @observation_only
@@ -134,8 +124,7 @@ class Sanitizer:
             self._check_levels(engine, event)
             self._check_policy_bounds(engine, event)
         self._check_space_accounting()
-        if self.options.check_cache:
-            self._check_cache()
+        self._check_page_cache()
 
     @observation_only
     def check_db(self, event: str = "rotation") -> None:
@@ -147,13 +136,11 @@ class Sanitizer:
         """
         self.checks_run += 1
         self._check_clock()
-        if self.options.check_wal:
-            self._check_wal_memtable(event)
+        self._check_memtable_wal(event)
         self._check_manifest(event)
 
     # ------------------------------------------------------------- tree walk
     def _check_levels(self, engine: "LsaTree", event: str) -> None:
-        opts = self.options
         for level_no in range(1, engine.n + 1):
             level = engine.levels[level_no]
             for a, b in zip(level, level[1:]):
@@ -163,14 +150,14 @@ class Sanitizer:
                                event=event, level=level_no, left=repr(a),
                                right=repr(b))
             for node in level:
-                self._check_node(node, level_no, event, deep=opts.deep_records)
+                self._check_node(node, level_no, event)
         for extra_no in range(engine.n + 1, len(engine.levels)):
             if engine.levels[extra_no]:
                 self._fail("leaf-is-last", "nodes exist beyond the leaf level",
                            event=event, leaf=engine.n, level=extra_no,
                            nodes=len(engine.levels[extra_no]))
 
-    def _check_node(self, node: Any, level_no: int, event: str, *, deep: bool) -> None:
+    def _check_node(self, node: Any, level_no: int, event: str) -> None:
         if node.is_empty:
             return
         table = node.table
@@ -192,8 +179,7 @@ class Sanitizer:
                            event=event, level=level_no, file=table.file_id,
                            first_block=seq.first_block, prev_end=prev_end)
             prev_end = seq.first_block + seq.n_blocks
-            if deep:
-                self._check_sequence(seq, level_no, event, table.file_id)
+            self._check_sequence(seq, level_no, event, table.file_id)
 
     def _check_sequence(self, seq: Any, level_no: int, event: str, file_id: int) -> None:
         run = seq.run
@@ -296,7 +282,7 @@ class Sanitizer:
                        "disk live_bytes disagrees with per-file bytes",
                        live_bytes=disk.live_bytes, file_sum=total)
 
-    def _check_cache(self) -> None:
+    def _check_page_cache(self) -> None:
         cache = self.db.runtime.cache
         disk = self.db.runtime.disk
         lru_keys = set(cache._lru)
@@ -326,7 +312,7 @@ class Sanitizer:
                 out.append((key, seq))
         return out
 
-    def _check_wal_memtable(self, event: str) -> None:
+    def _check_memtable_wal(self, event: str) -> None:
         db = self.db
         wal_entries = sorted((rec[KEY], rec[SEQ]) for rec in db.wal._records)
         mem_entries = self._memtable_entries(db.memtable)

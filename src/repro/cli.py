@@ -4,7 +4,6 @@ Commands
 --------
 
 ``load``         hash-load records into an engine and report WA/throughput
-``fillseq``      sequential load
 ``ycsb``         run a YCSB workload (A-G) on a freshly loaded store
 ``cluster``      run a workload on a sharded, replicated multi-node cluster
 ``objstore``     cluster run against the shared object-store tier
@@ -53,6 +52,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from repro.bench import harness
@@ -65,6 +65,7 @@ from repro.bench.scale import (
     SSD_100G,
     make_db,
 )
+from repro.common.errors import ConfigError
 from repro.common.options import HDD, IamOptions, LsaOptions, LsmOptions, SSD, StorageOptions
 from repro.db.iamdb import IamDB
 from repro.workloads import YCSB_WORKLOADS, fill_seq, hash_load, run_ycsb
@@ -158,13 +159,11 @@ def cmd_load(args) -> int:
     db = _build_db(args.engine, args.device, args.memory_mb, args.threads)
     session = _maybe_trace(args, db)
     injector = _maybe_faults(args, db)
-    fn = fill_seq if args.sequential else hash_load
-    rep = fn(db, args.records, quiesce=args.quiesce)
+    rep = hash_load(db, args.records, quiesce=False)
     print(format_table(
         ["engine", "WA", "ops/s", "p99", "max", "space MB"],
         [[args.engine] + _report_rows(rep, db)],
-        title=f"{'fillseq' if args.sequential else 'hash load'} of "
-              f"{args.records} records ({args.device})"))
+        title=f"hash load of {args.records} records ({args.device})"))
     print("\nstructure:", db.engine.describe())
     _report_faults(injector)
     if session is not None:
@@ -311,8 +310,7 @@ def cmd_faults(args) -> int:
     from repro.faults.crash import run_crash_matrix
     report = run_crash_matrix(
         tuple(args.engines), n_ops=args.ops, per_site=args.per_site,
-        seed=args.seed, torn_variants=tuple(args.torn),
-        sanitize=not args.no_sanitize)
+        seed=args.seed)
     for engine, counts in report["sites"].items():
         print(f"{engine}: sites {counts}")
     print(f"{report['n_cases']} crash cases, "
@@ -328,12 +326,17 @@ def cmd_faults(args) -> int:
     return 1 if report["n_failures"] else 0
 
 
-def _cluster_storage(args) -> StorageOptions:
-    """Per-node storage: ``--memory-mb`` is split evenly across shards."""
+def _cluster_options(args, **kw):
+    """The run's ClusterOptions.  They validate the topology before
+    ``--memory-mb`` is split evenly across the shards' nodes."""
+    from repro.cluster import ClusterOptions
+    options = ClusterOptions(
+        n_shards=args.shards, n_replicas=args.replicas, engine=args.engine,
+        engine_options=_engine_options(args.engine, args.threads), **kw)
     dev = HDD if args.device == "hdd" else SSD
-    return StorageOptions(
+    return dataclasses.replace(options, storage_options=StorageOptions(
         device=dev,
-        page_cache_bytes=max(1, int(args.memory_mb * 1e6 / args.shards)))
+        page_cache_bytes=max(1, int(args.memory_mb * 1e6 / options.n_shards))))
 
 
 def _start_cluster(args, options):
@@ -416,21 +419,9 @@ def _write_cluster_report(stats, args, label: str) -> None:
 
 def cmd_cluster(args) -> int:
     """Sharded, replicated cluster run: load (+ optional YCSB), full report."""
-    from repro.cluster import ClusterOptions, NetworkOptions, RebalanceOptions
     _apply_sanitize(args)
-    net_kwargs = {}
-    if args.net_latency_us is not None:
-        net_kwargs["latency_s"] = args.net_latency_us * 1e-6
-    if args.net_bandwidth_mb is not None:
-        net_kwargs["bandwidth"] = args.net_bandwidth_mb * 1e6
-    rebalance = (RebalanceOptions(
-        split_threshold_bytes=int(args.split_mb * 1e6))
-        if args.split_mb else RebalanceOptions())
-    cluster, session = _start_cluster(args, ClusterOptions(
-        n_shards=args.shards, n_replicas=args.replicas, engine=args.engine,
-        engine_options=_engine_options(args.engine, args.threads),
-        storage_options=_cluster_storage(args),
-        network=NetworkOptions(**net_kwargs), rebalance=rebalance))
+    cluster, session = _start_cluster(args, _cluster_options(
+        args, split_threshold_bytes=int(args.split_mb * 1e6)))
     rep = _load_then_ycsb(cluster, args)
     cluster.quiesce()
     rc = _check_cluster_invariants(cluster)
@@ -473,23 +464,13 @@ def cmd_cluster(args) -> int:
 
 def cmd_objstore(args) -> int:
     """Shared-storage cluster run: every shard mirrors to the object store."""
-    from repro.cluster import ClusterOptions, NetworkOptions
-    from repro.common.errors import ConfigError
     from repro.objstore import ObjStoreOptions
     from repro.objstore.report import format_objstore_report
     _apply_sanitize(args)
-    store_kwargs = {}
-    if args.store_latency_us is not None:
-        store_kwargs["latency_s"] = args.store_latency_us * 1e-6
-    if args.store_bandwidth_mb is not None:
-        store_kwargs["bandwidth"] = args.store_bandwidth_mb * 1e6
-    cluster, session = _start_cluster(args, ClusterOptions(
-        n_shards=args.shards, n_replicas=args.replicas, engine=args.engine,
-        engine_options=_engine_options(args.engine, args.threads),
-        storage_options=_cluster_storage(args), network=NetworkOptions(),
-        objstore=ObjStoreOptions(**store_kwargs),
-        objstore_retain_cuts=args.retain_cuts,
-        compaction_offload=args.offload_compaction))
+    store = (ObjStoreOptions() if args.store_latency_us is None
+             else ObjStoreOptions(latency_s=args.store_latency_us * 1e-6))
+    cluster, session = _start_cluster(args, _cluster_options(
+        args, objstore=store, compaction_offload=args.offload_compaction))
     rep = _load_then_ycsb(cluster, args)
     cluster.flush()
     cluster.quiesce()
@@ -547,46 +528,56 @@ def build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--engine", choices=ENGINES, default="iam")
-        sp.add_argument("--device", choices=("ssd", "hdd"), default="ssd")
-        sp.add_argument("--records", type=int, default=30_000)
-        sp.add_argument("--memory-mb", type=float,
-                        default=SSD_100G.memory_bytes / 1e6)
-        sp.add_argument("--threads", type=int, default=1)
-        sp.add_argument("--sanitize", action="store_true",
-                        help="attach the runtime sanitizer to every DB")
-        sp.add_argument("--trace", metavar="PATH", default=None,
-                        help="trace the run; write Chrome trace JSON "
-                             "(or JSONL when PATH ends in .jsonl)")
-        sp.add_argument("--faults", metavar="SPEC", default=None,
-                        help="inject deterministic transient device faults, "
-                             "e.g. rate=0.01,seed=7 or rate=0.5,ops=500:600")
+    # Parent parsers: each shared flag is declared once.
+    store = argparse.ArgumentParser(add_help=False)
+    store.add_argument("--engine", choices=ENGINES, default="iam")
+    store.add_argument("--device", choices=("ssd", "hdd"), default="ssd")
+    store.add_argument("--records", type=int, default=30_000)
+    store.add_argument("--memory-mb", type=float,
+                       default=SSD_100G.memory_bytes / 1e6,
+                       help="page-cache size (a cluster splits it evenly "
+                            "across shards)")
+    store.add_argument("--threads", type=int, default=1)
+    store.add_argument("--sanitize", action="store_true",
+                       help="attach the runtime sanitizer to every DB")
+    run = argparse.ArgumentParser(add_help=False, parents=[store])
+    run.add_argument("--trace", metavar="PATH", default=None,
+                     help="trace the run; write Chrome trace JSON (a "
+                          "single store writes JSONL when PATH ends in "
+                          ".jsonl)")
+    run.add_argument("--faults", metavar="SPEC", default=None,
+                     help="inject deterministic transient device faults, "
+                          "e.g. rate=0.01,seed=7 or rate=0.5,ops=500:600; "
+                          "clusters also take leader kills, kill=SHARD:OP")
+    ycsb = argparse.ArgumentParser(add_help=False)
+    ycsb.add_argument("--workload", choices=list("ABCDEFG") + list("abcdefg"),
+                      default="A", help="YCSB workload")
+    ycsb.add_argument("--ops", type=int, default=3000,
+                      help="YCSB operations after the load phase")
+    cluster = argparse.ArgumentParser(add_help=False, parents=[run, ycsb])
+    cluster.add_argument("mode", choices=("load", "ycsb"),
+                         help="hash-load only, or hash-load then a YCSB phase")
+    cluster.add_argument("--replicas", type=int, default=2,
+                         help="copies per shard, leader included")
+    cluster.add_argument("--clients", type=int, default=1,
+                         help="deterministically interleaved YCSB client "
+                              "streams")
+    cluster.add_argument("--validate", action="store_true",
+                         help="validate the merged Chrome trace schema")
+    cluster.add_argument("--report", metavar="PATH", default=None,
+                         help="write the deterministic JSON report")
 
-    sp = sub.add_parser("load", help="hash-load records, report amplifications")
-    common(sp)
-    sp.add_argument("--sequential", action="store_true")
-    sp.add_argument("--quiesce", action="store_true")
+    sp = sub.add_parser("load", parents=[run],
+                        help="hash-load records, report amplifications")
     sp.set_defaults(fn=cmd_load)
 
-    sp = sub.add_parser("ycsb", help="run a YCSB workload")
-    common(sp)
-    sp.add_argument("--workload", choices=list("ABCDEFG") + list("abcdefg"),
-                    default="A")
-    sp.add_argument("--ops", type=int, default=3000)
+    sp = sub.add_parser("ycsb", parents=[run, ycsb], help="run a YCSB workload")
     sp.set_defaults(fn=cmd_ycsb)
 
     sp = sub.add_parser(
-        "trace", help="run a workload under the sim-time tracer")
+        "trace", parents=[store],
+        help="run a workload under the sim-time tracer")
     sp.add_argument("workload", choices=TRACE_WORKLOADS)
-    sp.add_argument("--engine", choices=ENGINES, default="iam")
-    sp.add_argument("--device", choices=("ssd", "hdd"), default="ssd")
-    sp.add_argument("--records", type=int, default=30_000)
-    sp.add_argument("--memory-mb", type=float,
-                    default=SSD_100G.memory_bytes / 1e6)
-    sp.add_argument("--threads", type=int, default=1)
-    sp.add_argument("--sanitize", action="store_true",
-                    help="attach the runtime sanitizer too")
     sp.add_argument("--ops", type=int, default=3000,
                     help="YCSB operation count (ycsb-* workloads)")
     sp.add_argument("--interval", type=float, default=None,
@@ -651,84 +642,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--per-site", type=int, default=1,
                     help="crash occurrences to test per reachable site")
     sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--torn", type=int, nargs="+", default=[0, 4],
-                    help="torn-WAL-tail record counts to test")
-    sp.add_argument("--no-sanitize", action="store_true",
-                    help="skip the runtime sanitizer during the matrix")
     sp.add_argument("--out", metavar="PATH", default=None,
                     help="write the JSON report to PATH")
     sp.set_defaults(fn=cmd_faults)
 
     sp = sub.add_parser(
-        "cluster",
+        "cluster", parents=[cluster],
         help="run a workload on a sharded, replicated multi-node cluster")
-    sp.add_argument("mode", choices=("load", "ycsb"),
-                    help="hash-load only, or hash-load then a YCSB phase")
     sp.add_argument("--shards", type=int, default=4)
-    sp.add_argument("--replicas", type=int, default=2,
-                    help="copies per shard, leader included")
-    sp.add_argument("--workload", choices=list("ABCDEFG") + list("abcdefg"),
-                    default="A", help="YCSB workload for the ycsb mode")
-    sp.add_argument("--ops", type=int, default=3000,
-                    help="YCSB operations after the load phase")
-    sp.add_argument("--clients", type=int, default=1,
-                    help="deterministically interleaved YCSB client streams")
-    sp.add_argument("--engine", choices=ENGINES, default="iam")
-    sp.add_argument("--device", choices=("ssd", "hdd"), default="ssd")
-    sp.add_argument("--records", type=int, default=30_000)
-    sp.add_argument("--memory-mb", type=float,
-                    default=SSD_100G.memory_bytes / 1e6,
-                    help="total cluster memory, split evenly across shards")
-    sp.add_argument("--threads", type=int, default=1)
-    sp.add_argument("--net-latency-us", type=float, default=None,
-                    help="per-message link latency in microseconds")
-    sp.add_argument("--net-bandwidth-mb", type=float, default=None,
-                    help="per-link bandwidth in MB/s")
     sp.add_argument("--split-mb", type=float, default=0.0,
                     help="split a shard when its data exceeds this many MB")
-    sp.add_argument("--sanitize", action="store_true",
-                    help="attach the runtime sanitizer to every replica")
-    sp.add_argument("--faults", metavar="SPEC", default=None,
-                    help="device faults plus scheduled leader kills, e.g. "
-                         "kill=1:2000,rate=0.001,seed=7")
-    sp.add_argument("--trace", metavar="PATH", default=None,
-                    help="write the merged cluster Chrome trace to PATH")
-    sp.add_argument("--validate", action="store_true",
-                    help="validate the merged Chrome trace schema")
-    sp.add_argument("--report", metavar="PATH", default=None,
-                    help="write the deterministic JSON cluster report")
     sp.set_defaults(fn=cmd_cluster)
 
     sp = sub.add_parser(
-        "objstore",
+        "objstore", parents=[cluster],
         help="run a cluster workload against the shared object-store tier")
-    sp.add_argument("mode", choices=("load", "ycsb"),
-                    help="hash-load only, or hash-load then a YCSB phase")
     sp.add_argument("--shards", type=int, default=2)
-    sp.add_argument("--replicas", type=int, default=2,
-                    help="copies per shard, leader included")
-    sp.add_argument("--workload", choices=list("ABCDEFG") + list("abcdefg"),
-                    default="A", help="YCSB workload for the ycsb mode")
-    sp.add_argument("--ops", type=int, default=3000,
-                    help="YCSB operations after the load phase")
-    sp.add_argument("--clients", type=int, default=1,
-                    help="deterministically interleaved YCSB client streams")
-    sp.add_argument("--engine", choices=ENGINES, default="iam")
-    sp.add_argument("--device", choices=("ssd", "hdd"), default="ssd")
-    sp.add_argument("--records", type=int, default=30_000)
-    sp.add_argument("--memory-mb", type=float,
-                    default=SSD_100G.memory_bytes / 1e6,
-                    help="total cluster memory, split evenly across shards")
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--store-latency", dest="store_latency_us", type=float,
                     default=None, metavar="US",
                     help="per-request object-store latency in microseconds "
                          "(0 = the byte-identical mirror mode)")
-    sp.add_argument("--store-bandwidth-mb", type=float, default=None,
-                    help="object-store bandwidth in MB/s")
-    sp.add_argument("--retain-cuts", type=int, default=8,
-                    help="manifest cuts retained for time travel before the "
-                         "cleanup compactor truncates dead segments")
     sp.add_argument("--offload-compaction", action="store_true",
                     help="drain compaction device time on a shared offload "
                          "disk instead of each leader's own disk")
@@ -740,17 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="CUT",
                     help="after the workload, sample time-travel reads at "
                          "this manifest cut id")
-    sp.add_argument("--sanitize", action="store_true",
-                    help="attach the runtime sanitizer to every replica")
-    sp.add_argument("--faults", metavar="SPEC", default=None,
-                    help="device faults plus scheduled leader kills, e.g. "
-                         "kill=1:2000,rate=0.001,seed=7")
-    sp.add_argument("--trace", metavar="PATH", default=None,
-                    help="write the merged cluster Chrome trace to PATH")
-    sp.add_argument("--validate", action="store_true",
-                    help="validate the merged Chrome trace schema")
-    sp.add_argument("--report", metavar="PATH", default=None,
-                    help="write the deterministic JSON objstore report")
     sp.set_defaults(fn=cmd_objstore)
 
     sp = sub.add_parser("info", help="print the scaled configuration")
@@ -761,16 +683,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # argparse.REMAINDER mis-parses leading options under a subparser, so the
-    # perf suite (which owns its own argparse) is dispatched before parsing.
-    if argv and argv[0] == "perf":
-        return cmd_perf(argparse.Namespace(perf_args=list(argv[1:])))
-    if argv and argv[0] == "stability":
-        return cmd_stability(argparse.Namespace(stability_args=list(argv[1:])))
-    if argv and argv[0] == "check":
-        return cmd_check(argparse.Namespace(check_args=list(argv[1:])))
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        # argparse.REMAINDER mis-parses leading options under a subparser,
+        # so the suites that own their argparse are dispatched before parsing.
+        if argv and argv[0] == "perf":
+            return cmd_perf(argparse.Namespace(perf_args=list(argv[1:])))
+        if argv and argv[0] == "stability":
+            return cmd_stability(
+                argparse.Namespace(stability_args=list(argv[1:])))
+        if argv and argv[0] == "check":
+            return cmd_check(argparse.Namespace(check_args=list(argv[1:])))
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
+    except ConfigError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

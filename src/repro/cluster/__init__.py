@@ -16,7 +16,7 @@ from repro.cluster.cluster import ClusterDB, ClusterOptions
 from repro.cluster.invariants import check_cluster_invariants
 from repro.cluster.network import NetworkOptions, SimNetwork
 from repro.cluster.obs import ClusterTraceSession, attach_cluster_trace
-from repro.cluster.rebalance import RebalanceOptions, Rebalancer
+from repro.cluster.rebalance import Rebalancer
 from repro.cluster.replica import (
     LeaderKill,
     Replica,
@@ -34,7 +34,6 @@ __all__ = [
     "KEY_SPACE_LO",
     "LeaderKill",
     "NetworkOptions",
-    "RebalanceOptions",
     "Rebalancer",
     "Replica",
     "ReplicaGroup",

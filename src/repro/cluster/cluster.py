@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.cluster.network import NetworkOptions, SimNetwork
-from repro.cluster.rebalance import RebalanceOptions, Rebalancer
+from repro.cluster.rebalance import REBALANCE_CHECK_OPS, Rebalancer
 from repro.cluster.replica import LeaderKill, Replica, ReplicaGroup
 from repro.cluster.router import REQUEST_BYTES, ROUTER_NODE, Router
 from repro.cluster.shard import KEY_SPACE_HI, KEY_SPACE_LO, Shard, even_ranges
@@ -67,7 +67,8 @@ class ClusterOptions:
     engine_options: Any = None
     storage_options: Optional[StorageOptions] = None
     network: NetworkOptions = field(default_factory=NetworkOptions)
-    rebalance: RebalanceOptions = field(default_factory=RebalanceOptions)
+    #: Split a shard whose leader structure exceeds this (0 = no splits).
+    split_threshold_bytes: int = 0
     #: Shared object-store service parameters; None disables the shared
     #: storage tier (no store, no manifest logs, no tiering).
     objstore: Optional[ObjStoreOptions] = None
@@ -82,6 +83,8 @@ class ClusterOptions:
             raise ConfigError("n_shards must be >= 1")
         if self.n_replicas < 1:
             raise ConfigError("n_replicas must be >= 1")
+        if self.split_threshold_bytes < 0:
+            raise ConfigError("split_threshold_bytes must be >= 0")
         if self.objstore_retain_cuts < 1:
             raise ConfigError("objstore_retain_cuts must be >= 1")
         if self.compaction_offload and self.objstore is None:
@@ -146,7 +149,7 @@ class ClusterDB:
         shards = [self._make_shard(lo, hi)
                   for lo, hi in even_ranges(self.options.n_shards)]
         self.router = Router(shards, self.network, self.metrics, self.tracer)
-        self.rebalancer = Rebalancer(self, self.options.rebalance)
+        self.rebalancer = Rebalancer(self)
 
     # ------------------------------------------------------------- provisioning
     def _make_replica(self) -> Replica:
@@ -339,7 +342,7 @@ class ClusterDB:
         while self._kills and self._kills[0].at_op <= self._ops:
             kill = self._kills.pop(0)
             self.crash_leader(kill.shard)
-        if self._ops % self.options.rebalance.check_interval_ops == 0:
+        if self._ops % REBALANCE_CHECK_OPS == 0:
             self.rebalancer.maybe_rebalance()
 
     def _pump_all(self) -> None:

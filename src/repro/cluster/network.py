@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.common.errors import ConfigError
+from repro.common.options import ChannelOptions
 from repro.storage.simdisk import SimClock, SimResource
 from repro.check.effects.registry import effects
 
@@ -35,30 +35,18 @@ DEFAULT_BANDWIDTH = float(2 * 1024**3)
 DEFAULT_LATENCY_S = 50e-6
 
 
+#: Default framing/header overhead per message.
+DEFAULT_FRAME_BYTES = 64
+
+
 @dataclass(frozen=True)
-class NetworkOptions:
-    """Per-link fabric parameters (every link is identical)."""
+class NetworkOptions(ChannelOptions):
+    """Per-link fabric parameters (every link is identical; ``latency_s`` is
+    the one-way propagation latency per message)."""
 
-    #: One-way propagation latency per message, in seconds.
     latency_s: float = DEFAULT_LATENCY_S
-    #: Link bandwidth in bytes/second (``float("inf")`` = no serialization).
     bandwidth: float = DEFAULT_BANDWIDTH
-    #: Fixed framing/header overhead added to every message's payload.
-    rpc_bytes: int = 64
-
-    def __post_init__(self) -> None:
-        if self.latency_s < 0.0:
-            raise ConfigError("network latency_s must be >= 0")
-        if not self.bandwidth > 0.0:
-            raise ConfigError("network bandwidth must be > 0")
-        if self.rpc_bytes < 0:
-            raise ConfigError("network rpc_bytes must be >= 0")
-
-    @staticmethod
-    def zero() -> "NetworkOptions":
-        """The free fabric: zero latency, infinite bandwidth, no framing."""
-        return NetworkOptions(latency_s=0.0, bandwidth=float("inf"),
-                              rpc_bytes=0)
+    frame_bytes: int = DEFAULT_FRAME_BYTES
 
 
 class Link(SimResource):
@@ -94,7 +82,7 @@ class SimNetwork:
         """The cost model: count one framed message; returns its link and
         its service time (latency + serialization)."""
         options = self.options
-        total = nbytes + options.rpc_bytes
+        total = nbytes + options.frame_bytes
         service = options.latency_s
         if total > 0:
             service += total / options.bandwidth

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.obs.export import merge_chrome_traces, write_json
 from repro.obs.session import TraceConfig, TraceSession
-from repro.obs.tracer import TraceOptions, Tracer
+from repro.obs.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import ClusterDB
@@ -33,9 +33,7 @@ class ClusterTraceSession:
                  config: Optional[TraceConfig] = None) -> None:
         self.config = config if config is not None else TraceConfig()
         self.cluster = cluster
-        self.tracer = Tracer(
-            cluster.clock,
-            TraceOptions(ring_capacity=self.config.ring_capacity))
+        self.tracer = Tracer(cluster.clock)
         cluster.tracer = self.tracer
         cluster.router.tracer = self.tracer
         cluster._trace = self

@@ -1,17 +1,14 @@
 """Shard split and cold-shard merge: data movement over the network.
 
 Rebalance runs at deterministic op-count checkpoints (every
-``check_interval_ops`` routed operations) and performs at most one action
-per checkpoint:
+:data:`REBALANCE_CHECK_OPS` routed operations) and performs at most one
+split per checkpoint:
 
-* **split** -- a shard whose leader holds more than
-  ``split_threshold_bytes`` of structural data (or, with the load trigger
-  enabled, attracts more than ``load_split_fraction`` of the window's
-  writes) is cut at the median key of its visible records into two fresh
-  shards.
-* **merge** -- two *adjacent* shards whose combined size is under
-  ``merge_threshold_bytes`` collapse into one fresh shard, reclaiming the
-  per-shard overhead of cold ranges.
+* **split** -- the largest shard whose leader holds more than
+  ``ClusterOptions.split_threshold_bytes`` of structural data is cut at the
+  median key of its visible records into two fresh shards.
+* **merge** -- two *adjacent* shards collapse into one fresh shard
+  (:meth:`Rebalancer.merge`; called directly, no trigger fires it).
 
 Data moves the way a real system ships SSTables: the source leader's
 visible records are read out (charged query I/O on the source), shipped to
@@ -32,7 +29,6 @@ the identical record list, so the group stays seq-aligned.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.cluster.shard import Shard
@@ -45,98 +41,36 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.db.iamdb import IamDB
 
 
-@dataclass(frozen=True)
-class RebalanceOptions:
-    """Rebalance triggers; 0 disables a trigger entirely."""
-
-    #: Split a shard whose leader structure exceeds this (0 = no size splits).
-    split_threshold_bytes: int = 0
-    #: Merge adjacent shards whose combined size is under this (0 = never).
-    merge_threshold_bytes: int = 0
-    #: Split a shard drawing more than this fraction of a window's writes
-    #: (0.0 = no load splits).  Needs at least ``min_window_writes`` writes
-    #: in the window to trigger, so idle clusters never thrash.
-    load_split_fraction: float = 0.0
-    min_window_writes: int = 64
-    #: Routed ops between rebalance checks.
-    check_interval_ops: int = 512
-
-    def __post_init__(self) -> None:
-        if self.split_threshold_bytes < 0 or self.merge_threshold_bytes < 0:
-            raise ConfigError("rebalance thresholds must be >= 0")
-        if not 0.0 <= self.load_split_fraction <= 1.0:
-            raise ConfigError("load_split_fraction must be in [0, 1]")
-        if self.check_interval_ops < 1:
-            raise ConfigError("check_interval_ops must be >= 1")
-
-    @property
-    def enabled(self) -> bool:
-        return (self.split_threshold_bytes > 0
-                or self.merge_threshold_bytes > 0
-                or self.load_split_fraction > 0.0)
+#: Routed ops between rebalance checks.
+REBALANCE_CHECK_OPS = 512
 
 
 class Rebalancer:
-    """Applies :class:`RebalanceOptions` to one cluster."""
+    """Splits one cluster's oversized shards; moves data for split/merge."""
 
-    def __init__(self, cluster: "ClusterDB",
-                 options: RebalanceOptions) -> None:
+    def __init__(self, cluster: "ClusterDB") -> None:
         self.cluster = cluster
-        self.options = options
         self.splits = 0
         self.merges = 0
         #: Bytes shipped over the network by rebalance moves.
         self.moved_bytes = 0
-        #: Per-shard write counts at the last window boundary.
-        self._write_marks: Dict[int, int] = {}
 
     # ---------------------------------------------------------------- trigger
     def maybe_rebalance(self) -> None:
-        """Run at an op checkpoint; performs at most one split or merge."""
-        o = self.options
-        if not o.enabled:
+        """Run at an op checkpoint: split the largest oversized shard
+        (0 = no size splits; ties go to the lowest range)."""
+        threshold = self.cluster.options.split_threshold_bytes
+        if threshold <= 0:
             return
-        router = self.cluster.router
-        target = self._pick_split(router.shards)
-        if target is not None:
-            self.split(target)
-            self._mark_window(router.shards)
-            return
-        pair = self._pick_merge(router.shards)
-        if pair is not None:
-            self.merge(pair[0], pair[1])
-        self._mark_window(router.shards)
-
-    def _mark_window(self, shards: List[Shard]) -> None:
-        self._write_marks = {s.shard_id: s.writes for s in shards}
-
-    def _pick_split(self, shards: List[Shard]) -> Optional[Shard]:
-        o = self.options
         best: Optional[Tuple[int, int, Shard]] = None
-        window_writes = [(s, s.writes - self._write_marks.get(s.shard_id, 0))
-                         for s in shards]
-        total_window = sum(w for _, w in window_writes)
-        for shard, window in window_writes:
+        for shard in self.cluster.router.shards:
             nbytes = shard.data_bytes()
-            oversized = (o.split_threshold_bytes > 0
-                         and nbytes > o.split_threshold_bytes)
-            hot = (o.load_split_fraction > 0.0
-                   and total_window >= o.min_window_writes
-                   and window > o.load_split_fraction * total_window)
-            if not (oversized or hot):
+            if nbytes <= threshold:
                 continue
             if best is None or (nbytes, -shard.lo) > (best[0], -best[1]):
                 best = (nbytes, shard.lo, shard)
-        return best[2] if best is not None else None
-
-    def _pick_merge(self, shards: List[Shard]) -> Optional[Tuple[Shard, Shard]]:
-        o = self.options
-        if o.merge_threshold_bytes <= 0 or len(shards) < 2:
-            return None
-        for left, right in zip(shards, shards[1:]):
-            if left.data_bytes() + right.data_bytes() < o.merge_threshold_bytes:
-                return left, right
-        return None
+        if best is not None:
+            self.split(best[2])
 
     # ---------------------------------------------------------------- actions
     def split(self, shard: Shard) -> Optional[Tuple[Shard, Shard]]:

@@ -44,7 +44,7 @@ ADMISSION_MAX_S = 0.05
 ADMISSION_MAX_DOUBLINGS = 16
 
 #: Encoded size of a routed read/scan request (key + framing handled by
-#: the network's rpc_bytes; this is the logical payload).
+#: the network's frame_bytes; this is the logical payload).
 REQUEST_BYTES = 16
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Type, TypeVar
 
 from repro.common.errors import ConfigError
 
@@ -76,16 +76,47 @@ class StorageOptions:
     page_cache_bytes: int = paper_bytes(16 * GIB)
     #: Cache block granularity; the paper uses 4 KiB blocks at full scale.
     block_size: int = 1024
-    #: Device I/O chunk used when background jobs stream data.
-    io_chunk_bytes: int = 16 * KIB
 
     def __post_init__(self) -> None:
         if self.page_cache_bytes < 0:
             raise ConfigError("page_cache_bytes must be >= 0")
         if self.block_size <= 0:
             raise ConfigError("block_size must be > 0")
-        if self.io_chunk_bytes <= 0:
-            raise ConfigError("io_chunk_bytes must be > 0")
+
+
+#: Device I/O chunk background jobs stream in: a job may run this far ahead
+#: of "now" on its disk (bandwidth sharing between concurrent jobs).
+IO_CHUNK_BYTES = 16 * KIB
+
+
+_Channel = TypeVar("_Channel", bound="ChannelOptions")
+
+
+@dataclass(frozen=True)
+class ChannelOptions:
+    """Cost model of one FIFO message channel: per-message latency, a
+    bandwidth and a fixed framing overhead (a network link, the object
+    store).  Subclasses supply the defaults."""
+
+    #: Per-message (request) first-byte latency, in seconds.
+    latency_s: float
+    #: Channel bandwidth in bytes/second (``float("inf")`` = free bytes).
+    bandwidth: float
+    #: Fixed framing/header overhead added to every message's payload.
+    frame_bytes: int
+
+    def __post_init__(self) -> None:
+        if self.latency_s < 0.0:
+            raise ConfigError(f"{type(self).__name__}: latency_s must be >= 0")
+        if not self.bandwidth > 0.0:
+            raise ConfigError(f"{type(self).__name__}: bandwidth must be > 0")
+        if self.frame_bytes < 0:
+            raise ConfigError(f"{type(self).__name__}: frame_bytes must be >= 0")
+
+    @classmethod
+    def zero(cls: Type[_Channel]) -> _Channel:
+        """The free channel: zero latency, infinite bandwidth, no framing."""
+        return cls(latency_s=0.0, bandwidth=float("inf"), frame_bytes=0)
 
 
 @dataclass(frozen=True)
@@ -225,6 +256,20 @@ class LsmOptions(TreeOptions):
         return LsmOptions(**defaults)
 
 
+#: Merge-generated leaf children start at ``Ct / LEAF_SPLIT_FACTOR`` (§4).
+LEAF_SPLIT_FACTOR = 5
+
+#: Combine candidate filter: a node whose neighbours span ``Tcn <=
+#: COMBINE_TCN_FACTOR * t`` children is preferred (§4.2.3: 3t).
+COMBINE_TCN_FACTOR = 3
+
+#: Upper bound for the tuned k.  Each extra sequence at the mixed level
+#: saves merges but costs scans a(nother) potential seek when appended
+#: sequences fall out of cache; the paper's tuned configurations land
+#: around k = 2-4 (Tables 3/4).
+K_MAX = 4
+
+
 @dataclass(frozen=True)
 class LsaOptions(TreeOptions):
     """LSA-tree configuration (§4).
@@ -232,14 +277,11 @@ class LsaOptions(TreeOptions):
     ``node_capacity`` is the paper's ``Ct`` (128 MB); ``fanout`` is ``t``
     (node-count threshold of level i is ``t**i``); a node splits when its
     child count reaches ``2 * fanout``; merge-generated leaf children start at
-    ``Ct / leaf_split_factor`` (paper: Ct/5).
+    ``Ct / LEAF_SPLIT_FACTOR`` (paper: Ct/5).
     """
 
     node_capacity: int = paper_bytes(128 * MIB)
     fanout: int = 10
-    leaf_split_factor: int = 5
-    #: Candidate filter for combine: Tcn <= combine_tcn_factor * t (paper: 3).
-    combine_tcn_factor: int = 3
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -247,10 +289,6 @@ class LsaOptions(TreeOptions):
             raise ConfigError("node_capacity must be > 0")
         if self.fanout < 2:
             raise ConfigError("fanout must be >= 2")
-        if self.leaf_split_factor < 1:
-            raise ConfigError("leaf_split_factor must be >= 1")
-        if self.combine_tcn_factor < 1:
-            raise ConfigError("combine_tcn_factor must be >= 1")
 
     @property
     def split_children_threshold(self) -> int:
@@ -258,7 +296,7 @@ class LsaOptions(TreeOptions):
 
     @property
     def leaf_initial_bytes(self) -> int:
-        return max(1, self.node_capacity // self.leaf_split_factor)
+        return max(1, self.node_capacity // LEAF_SPLIT_FACTOR)
 
     def level_node_threshold(self, level: int) -> int:
         """Node-count threshold ``t**i`` of internal level ``level``."""
@@ -273,20 +311,12 @@ class IamOptions(LsaOptions):
 
     ``fixed_m`` / ``fixed_k`` pin the mixed level and its sequence bound; when
     either is None the tree tunes them from page-cache residency via Eq. (1)
-    and (2), reserving ``memory_budget_fraction`` of the cache for appended
-    sequences (the paper suggests M/2).
+    and (2), reserving the whole cache M for appended sequences (the
+    paper's default) and capping k at :data:`K_MAX`.
     """
 
     fixed_m: Optional[int] = None
     fixed_k: Optional[int] = None
-    #: Upper bound for the tuned k.  Each extra sequence at the mixed level
-    #: saves merges but costs scans a(nother) potential seek when appended
-    #: sequences fall out of cache; the paper's tuned configurations land
-    #: around k = 2-4 (Tables 3/4).
-    k_max: int = 4
-    #: Fraction of the page cache reserved for appended sequences in Eq. (2);
-    #: the paper uses M by default and suggests M/2 as a conservative option.
-    memory_budget_fraction: float = 1.0
     #: Re-run the m/k tuner every this many memtable flushes.
     retune_interval: int = 8
     #: §5.1.3 "forcible caching": pin appended sequences of the appending and
@@ -301,10 +331,6 @@ class IamOptions(LsaOptions):
             raise ConfigError("fixed_m must be >= 1")
         if self.fixed_k is not None and self.fixed_k < 1:
             raise ConfigError("fixed_k must be >= 1")
-        if self.k_max < 1:
-            raise ConfigError("k_max must be >= 1")
-        if not (0.0 < self.memory_budget_fraction <= 1.0):
-            raise ConfigError("memory_budget_fraction must be in (0, 1]")
         if self.retune_interval < 1:
             raise ConfigError("retune_interval must be >= 1")
 

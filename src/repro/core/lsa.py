@@ -42,7 +42,7 @@ from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, cast
 
 from repro.common.errors import InvariantViolation
-from repro.common.options import IamOptions
+from repro.common.options import COMBINE_TCN_FACTOR, K_MAX, IamOptions
 from repro.common.records import Key, RecordTuple
 from repro.core.engine import EngineBase
 from repro.core.tuning import tune_m_k
@@ -297,8 +297,7 @@ class LsaTree(EngineBase):
     # ----------------------------------------------------------------- tuning
     def memory_budget(self) -> int:
         """Cache bytes reserved for appended sequences (M~ in Eq. 2)."""
-        return int(self.runtime.cache.capacity_bytes
-                   * self.options.memory_budget_fraction)
+        return self.runtime.cache.capacity_bytes
 
     def retune(self) -> None:
         """Recompute (m, k) from current level sizes (Eq. 1-2)."""
@@ -307,7 +306,7 @@ class LsaTree(EngineBase):
             self.m, self.k = opts.fixed_m, opts.fixed_k
             return
         m, k = tune_m_k(self.level_data_bytes(), self.n, self.memory_budget(),
-                        fanout=opts.fanout, k_max=opts.k_max)
+                        fanout=opts.fanout, max_k=K_MAX)
         if opts.fixed_m is not None:
             m = opts.fixed_m
         if opts.fixed_k is not None:
@@ -430,7 +429,7 @@ class LsaTree(EngineBase):
             victim = lst[-1]
         else:
             kids_lst = self.levels[level + 1]
-            limit = self.options.combine_tcn_factor * self.options.fanout
+            limit = COMBINE_TCN_FACTOR * self.options.fanout
             best_ok = None  # smallest Tcn among candidates with Tcn <= 3t
             best_any = None  # fallback: smallest Tcn overall
             for idx in range(1, len(lst) - 1):

@@ -12,7 +12,7 @@ and (m, k) must satisfy (Eq. 2)::
 
 where ``M~`` is the memory budget reserved for appended sequences -- the
 cache size M by default; the paper notes M/2 as a conservative option that
-leaves room for merge-generated sequences (``memory_budget_fraction``).  Larger
+leaves room for merge-generated sequences.  Larger
 m and k mean less merging, so the tuner returns the largest feasible m, then
 the largest feasible k.  ``m = n + 1`` means every level appends (the LSA
 degenerate case); ``(1, 1)`` merges everywhere (the LSM degenerate case).
@@ -33,7 +33,7 @@ def appended_sequences_bytes(d_m: int, k: int, t: int) -> float:
 
 
 def tune_m_k(level_sizes: Dict[int, int], n_levels: int, memory_budget: int,
-             *, fanout: int, k_max: int) -> Tuple[int, int]:
+             *, fanout: int, max_k: int) -> Tuple[int, int]:
     """Largest (m, k) satisfying Eq. (2); m wins ties over k.
 
     ``level_sizes`` maps level index -> data bytes (the paper's D_j).
@@ -56,7 +56,7 @@ def tune_m_k(level_sizes: Dict[int, int], n_levels: int, memory_budget: int,
         if m == n_levels + 1:
             return (m, 1)
         d_m = level_sizes.get(m, 0)
-        for k in range(k_max, 0, -1):
+        for k in range(max_k, 0, -1):
             if below + appended_sequences_bytes(d_m, k, fanout) <= memory_budget:
                 return (m, k)
     return (1, 1)

@@ -48,7 +48,7 @@ from repro.common.records import (
 )
 from repro.core.engine import EngineBase
 from repro.core.lsa import LsaTree
-from repro.db.iterator import DbIterator, check_bounds, check_limit, merge_visible
+from repro.db.iterator import check_bounds, check_limit, merge_visible
 from repro.table.scan import list_stream, merge_scan
 from repro.table.scanplan import planned_scan
 from repro.db.snapshot import Snapshot
@@ -398,12 +398,6 @@ class IamDB:
         check_bounds(lo_key, hi_key)
         return merge_visible(self._scan_streams(lo_key, hi_key),
                              snapshot=self._snap_seq(snapshot), hi_key=hi_key)
-
-    def iterator(self, lo_key: Optional[Key] = None,
-                 hi_key: Optional[Key] = None, *,
-                 snapshot: SnapshotLike = None) -> DbIterator:
-        """A seekable :meth:`iterate` (see :class:`~repro.db.iterator.DbIterator`)."""
-        return DbIterator(self, lo_key, hi_key, self._snap_seq(snapshot))
 
     # -------------------------------------------------------------- snapshots
     def snapshot(self) -> Snapshot:

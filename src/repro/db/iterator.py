@@ -11,7 +11,7 @@ tombstones, and applies bound/limit cut-offs.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.records import (
@@ -25,9 +25,6 @@ from repro.common.records import (
     bad_key,
     sort_key,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.db.iamdb import IamDB
 
 
 def check_limit(limit: Optional[int]) -> None:
@@ -78,42 +75,3 @@ def merge_visible(streams: List[Iterable[RecordTuple]], *,
         if limit is not None and count >= limit:
             break
 
-
-class DbIterator:
-    """Seekable ordered iterator over ``(key, value)`` pairs.
-
-    It is :meth:`repro.db.iamdb.IamDB.iterate` plus :meth:`seek`, and the
-    seek contract is exact: after ``seek(k)`` the iterator is
-    indistinguishable -- rows and charges -- from a fresh
-    ``iterate(max(k, lo_key), hi_key, snapshot=snapshot)``.  So a seek
-    costs what opening an iterator costs (the per-level fence bisects; no
-    I/O until the next row is pulled), blocks consumed before the seek are
-    not touched again, and the view of the store is the one at the seek.
-    """
-
-    def __init__(self, db: "IamDB", lo_key: Optional[Key],
-                 hi_key: Optional[Key], snapshot: Optional[int]) -> None:
-        self._db = db
-        self._lo_key = lo_key
-        self._hi_key = hi_key
-        self._snapshot = snapshot
-        self._rows = db.iterate(lo_key, hi_key, snapshot=snapshot)
-
-    def __iter__(self) -> "DbIterator":
-        return self
-
-    def __next__(self) -> Tuple[Key, object]:
-        return next(self._rows)
-
-    def seek(self, key: Key) -> None:
-        """Reposition at the first visible pair with key >= ``key``.
-
-        The target is clamped into the iterator's ``[lo_key, hi_key)``
-        bounds; seeking backwards is allowed.
-        """
-        if type(key) is not int:
-            raise bad_key(key)
-        if self._lo_key is not None and key < self._lo_key:
-            key = self._lo_key
-        self._rows = self._db.iterate(key, self._hi_key,
-                                      snapshot=self._snapshot)

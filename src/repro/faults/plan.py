@@ -161,8 +161,7 @@ def parse_fault_spec(spec: str) -> FaultOptions:
         rate=0.01,seed=7,retries=4,ops=100:200,time=0.5:0.75
 
     ``ops`` and ``time`` may repeat and add half-open fault windows (attempt
-    indices / sim-seconds).  Remaining keys: ``backoff`` (base seconds),
-    ``backoff_max``, ``giveup``.
+    indices / sim-seconds).  The backoff schedule keeps its defaults.
     """
     kwargs: Dict[str, object] = {}
     op_windows = []
@@ -183,12 +182,6 @@ def parse_fault_spec(spec: str) -> FaultOptions:
                 kwargs["rate"] = float(value)
             elif key == "retries":
                 kwargs["max_retries"] = int(value)
-            elif key == "backoff":
-                kwargs["backoff_base_s"] = float(value)
-            elif key == "backoff_max":
-                kwargs["backoff_max_s"] = float(value)
-            elif key == "giveup":
-                kwargs["giveup_backoff_s"] = float(value)
             elif key == "ops":
                 lo, _, hi = value.partition(":")
                 op_windows.append((int(lo), int(hi)))

@@ -34,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.common.errors import ConfigError, InvariantViolation
+from repro.common.errors import InvariantViolation
+from repro.common.options import ChannelOptions
 from repro.storage.simdisk import SimClock, SimResource
 from repro.check.effects.registry import effects
 
@@ -55,29 +56,13 @@ DEFAULT_REQUEST_BYTES = 256
 
 
 @dataclass(frozen=True)
-class ObjStoreOptions:
-    """Service parameters of the simulated object store."""
+class ObjStoreOptions(ChannelOptions):
+    """Service parameters of the simulated object store (one request is one
+    message on its channel)."""
 
-    #: Per-request first-byte latency, in seconds.
     latency_s: float = DEFAULT_LATENCY_S
-    #: Channel bandwidth in bytes/second (``float("inf")`` = free bytes).
     bandwidth: float = DEFAULT_BANDWIDTH
-    #: Fixed framing overhead added to every request's payload.
-    request_bytes: int = DEFAULT_REQUEST_BYTES
-
-    def __post_init__(self) -> None:
-        if self.latency_s < 0.0:
-            raise ConfigError("objstore latency_s must be >= 0")
-        if not self.bandwidth > 0.0:
-            raise ConfigError("objstore bandwidth must be > 0")
-        if self.request_bytes < 0:
-            raise ConfigError("objstore request_bytes must be >= 0")
-
-    @staticmethod
-    def zero() -> "ObjStoreOptions":
-        """The free store: zero latency, infinite bandwidth, no framing."""
-        return ObjStoreOptions(latency_s=0.0, bandwidth=float("inf"),
-                               request_bytes=0)
+    frame_bytes: int = DEFAULT_REQUEST_BYTES
 
 
 class SimObjectStore(SimResource):
@@ -105,7 +90,7 @@ class SimObjectStore(SimResource):
     def service_time(self, nbytes: int, requests: int = 1) -> float:
         """Latency + transfer time of ``requests`` requests of ``nbytes``."""
         t = requests * self.options.latency_s
-        total = nbytes + requests * self.options.request_bytes
+        total = nbytes + requests * self.options.frame_bytes
         if total > 0:
             t += total / self.options.bandwidth
         return t

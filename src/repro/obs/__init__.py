@@ -23,14 +23,12 @@ from repro.obs.stability import (
 from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
-    TraceOptions,
     Tracer,
 )
 
 __all__ = [
     "NULL_TRACER",
     "NullTracer",
-    "TraceOptions",
     "Tracer",
     "TimeseriesSampler",
     "DEFAULT_INTERVAL_S",

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.metrics.stalls import STALL_CLASSES
 from repro.obs.export import chrome_trace, to_jsonl, write_json
 from repro.obs.sampler import DEFAULT_INTERVAL_S, TimeseriesSampler
-from repro.obs.tracer import PH_END, TraceOptions, Tracer
+from repro.obs.tracer import PH_END, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.iamdb import IamDB
@@ -27,7 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover
 class TraceConfig:
     """Configuration for one trace session."""
 
-    ring_capacity: int = 1 << 16
     sample_interval_s: float = DEFAULT_INTERVAL_S
 
 
@@ -37,8 +36,7 @@ class TraceSession:
     def __init__(self, db: "IamDB", config: Optional[TraceConfig] = None) -> None:
         self.config = config if config is not None else TraceConfig()
         self.db = db
-        self.tracer = Tracer(db.runtime.clock,
-                             TraceOptions(ring_capacity=self.config.ring_capacity))
+        self.tracer = Tracer(db.runtime.clock)
         self.sampler = TimeseriesSampler(db, self.config.sample_interval_s)
         db.runtime.attach_tracer(self.tracer)
         db.runtime.attach_sampler(self.sampler)

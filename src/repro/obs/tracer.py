@@ -30,7 +30,6 @@ without tracing does no extra allocation on the hot path.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Tuple
 
 
@@ -55,16 +54,10 @@ PH_BEGIN = "b"
 PH_END = "e"
 
 
-@dataclass(frozen=True)
-class TraceOptions:
-    """Tracer configuration.
-
-    ``ring_capacity`` bounds the in-memory event buffer; when full, the
-    oldest events are dropped (and counted in ``Tracer.dropped``) so a long
-    run keeps its most recent window instead of growing without bound.
-    """
-
-    ring_capacity: int = 1 << 16
+#: Bound of the in-memory event buffer; when full, the oldest events are
+#: dropped (and counted in ``Tracer.dropped``) so a long run keeps its most
+#: recent window instead of growing without bound.
+RING_CAPACITY = 1 << 16
 
 
 class NullTracer:
@@ -97,12 +90,9 @@ class Tracer(NullTracer):
 
     enabled = True
 
-    def __init__(self, clock: ClockLike,
-                 options: Optional[TraceOptions] = None) -> None:
+    def __init__(self, clock: ClockLike) -> None:
         self.clock = clock
-        self.options = options if options is not None else TraceOptions()
         self.events: Deque[Event] = deque()
-        self._capacity = max(1, self.options.ring_capacity)
         #: Events evicted from the ring (ring overflow, not an error).
         self.dropped = 0
         #: Per-event-name counters; survive ring overflow (summary input).
@@ -116,7 +106,7 @@ class Tracer(NullTracer):
 
     # ------------------------------------------------------------------- sink
     def _push(self, event: Event) -> None:
-        if len(self.events) >= self._capacity:
+        if len(self.events) >= RING_CAPACITY:
             self.events.popleft()
             self.dropped += 1
         self.events.append(event)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
-from repro.common.options import StorageOptions
+from repro.common.options import IO_CHUNK_BYTES, StorageOptions
 from repro.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.storage.background import BackgroundJob, BackgroundPool
@@ -53,7 +53,7 @@ class Runtime:
         self.cache = PageCache(self.options.page_cache_bytes, self.options.block_size)
         self.pool = BackgroundPool(self.disk, background_threads)
         # Background I/O may run one chunk ahead of "now" (bandwidth sharing).
-        self.pool.lookahead_s = (self.options.io_chunk_bytes
+        self.pool.lookahead_s = (IO_CHUNK_BYTES
                                  / self.options.device.write_bandwidth)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.pool.metrics = self.metrics

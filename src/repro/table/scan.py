@@ -8,8 +8,8 @@ value with two faces:
 * it **is iterable** -- iterating it runs the lazily-charging generator
   cursors (:meth:`repro.table.mstable.MSTable.cursor`, read-ahead charges
   landing as records are consumed).  That is what the heap merge of
-  :func:`repro.db.iterator.merge_visible` consumes: ``iterate()``, every
-  :class:`~repro.db.iterator.DbIterator` and :func:`merge_scan`.
+  :func:`repro.db.iterator.merge_visible` consumes: ``iterate()`` and
+  :func:`merge_scan`.
 * it **carries its description** -- the record list, or the level's lazy
   table walk plus the scan bounds.  That is what the vectorized planner
   (:func:`repro.table.scanplan.planned_scan`) reads to compute the same

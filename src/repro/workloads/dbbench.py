@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+from repro.common.errors import ConfigError
 from repro.db.iamdb import IamDB
 from repro.workloads.distributions import permute64_many
 from repro.workloads.runner import WorkloadReport, finish_report, latency_marks
@@ -36,6 +37,8 @@ KEYGEN_CHUNK = 8192
 def hash_load(db: IamDB, n_records: int, *, value_size: int = DEFAULT_VALUE_SIZE,
               quiesce: bool = True, name: str = "hash-load") -> WorkloadReport:
     """Insert ``n_records`` unique unordered keys (the paper's load, §6.2)."""
+    if n_records < 0:
+        raise ConfigError(f"n_records must be >= 0, got {n_records}")
     t0 = db.runtime.clock.now
     marks = latency_marks(db)
     put = db.put
@@ -51,6 +54,8 @@ def hash_load(db: IamDB, n_records: int, *, value_size: int = DEFAULT_VALUE_SIZE
 def fill_seq(db: IamDB, n_records: int, *, value_size: int = DEFAULT_VALUE_SIZE,
              quiesce: bool = True) -> WorkloadReport:
     """Insert ``n_records`` strictly increasing keys (db_bench fillseq)."""
+    if n_records < 0:
+        raise ConfigError(f"n_records must be >= 0, got {n_records}")
     t0 = db.runtime.clock.now
     marks = latency_marks(db)
     put = db.put

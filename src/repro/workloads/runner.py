@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, TYPE_CHECKING
 
+from repro.common.errors import ConfigError
 from repro.db.iamdb import IamDB
 
 if TYPE_CHECKING:  # cycle-free: ycsb imports this module's report types
@@ -96,8 +97,10 @@ def run_ycsb(db: IamDB, spec: "YcsbSpec", n_ops: int, n_records: int, *, seed: i
     """
     from repro.workloads.ycsb import build_op_stream  # cycle-free local import
 
+    if n_ops < 0:
+        raise ConfigError(f"n_ops must be >= 0, got {n_ops}")
     if clients < 1:
-        raise ValueError("clients must be >= 1")
+        raise ConfigError(f"clients must be >= 1, got {clients}")
     t0 = db.runtime.clock.now
     marks = latency_marks(db)
     ops = 0

@@ -24,8 +24,7 @@ def test_list_rules(capsys):
 
 
 def test_unknown_rule_rejected(capsys):
-    assert runner.main(["--rule", "REP999", "--skip-types",
-                        "--skip-sanitizer"]) == 2
+    assert runner.main(["--rule", "REP999", "--gate", "lint"]) == 2
 
 
 def test_full_check_passes_on_this_repo(capsys):
@@ -39,7 +38,7 @@ def test_full_check_passes_on_this_repo(capsys):
 def test_lint_failure_sets_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("import time\nt = time.time()\n")
-    rc = runner.main([str(bad), "--skip-types", "--skip-sanitizer"])
+    rc = runner.main([str(bad), "--gate", "lint"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "REP001" in out

@@ -20,9 +20,9 @@ def test_load_small(capsys):
 
 
 def test_load_sequential_lsa(capsys):
-    assert main(["load", "--engine", "lsa", "--records", "2000",
-                 "--sequential"]) == 0
-    assert "fillseq" in capsys.readouterr().out
+    assert main(["trace", "fillseq", "--engine", "lsa",
+                 "--records", "2000"]) == 0
+    assert "lsa" in capsys.readouterr().out
 
 
 def test_ycsb_command(capsys):
@@ -123,3 +123,35 @@ def test_retired_read_coalescing_flag_is_rejected(capsys):
         build_parser().parse_args(["cluster", "ycsb", "--coalesce-reads"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_retired_flags_are_rejected(capsys):
+    # Flags only tests passed are gone, --skip-* too (--gate selects).
+    from repro.check.runner import GATE_NAMES, build_parser as check_parser
+    from repro.common.errors import ConfigError
+    from repro.faults.plan import parse_fault_spec
+    argvs = [(build_parser(), a.split()) for a in (
+        "cluster load --net-latency-us 5", "cluster load --net-bandwidth-mb 5",
+        "objstore load --store-bandwidth-mb 5", "objstore load --retain-cuts 4",
+        "load --quiesce", "load --sequential", "faults --torn 0",
+        "faults --no-sanitize")]
+    for parser, argv in argvs + [(check_parser(), [f"--skip-{g}"]) for g in GATE_NAMES]:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    for key in ("backoff", "backoff_max", "giveup"):
+        with pytest.raises(ConfigError, match="unknown --faults key"):
+            parse_fault_spec(f"rate=0.1,{key}=0.5")
+
+
+@pytest.mark.parametrize("argv", [
+    "cluster load --shards 0", "objstore load --shards 0",
+    "cluster ycsb --shards 1 --replicas 1 --clients 0", "load --records -5",
+    "ycsb --ops -3 --records 300", "load --faults giveup=0.5"])
+def test_config_errors_are_usage_errors(argv, capsys):
+    # Once a raw ZeroDivisionError / ValueError traceback or a silent
+    # zero-op run; now one line and exit status 2.
+    assert main(argv.split() + ["--records", "300"] * ("--records" not in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: ") and err.count("\n") == 1

@@ -21,7 +21,6 @@ from repro.cluster import (
     KEY_SPACE_LO,
     LeaderKill,
     NetworkOptions,
-    RebalanceOptions,
     SimNetwork,
     even_ranges,
     parse_cluster_fault_spec,
@@ -53,7 +52,7 @@ def spread_keys(rng, n):
 def test_network_charges_latency_and_bandwidth():
     clock = SimClock()
     net = SimNetwork(clock, NetworkOptions(
-        latency_s=1e-3, bandwidth=1e6, rpc_bytes=0))
+        latency_s=1e-3, bandwidth=1e6, frame_bytes=0))
     elapsed = net.send(0, 1, 1000)
     assert elapsed == pytest.approx(1e-3 + 1000 / 1e6)
     assert clock.now == pytest.approx(elapsed)
@@ -64,7 +63,7 @@ def test_network_charges_latency_and_bandwidth():
 def test_network_links_are_fifo():
     clock = SimClock()
     net = SimNetwork(clock, NetworkOptions(
-        latency_s=0.0, bandwidth=1e3, rpc_bytes=0))
+        latency_s=0.0, bandwidth=1e3, frame_bytes=0))
     # Two reserved background transfers on one link queue behind each other.
     first = net.reserve(0, 1, 1000)   # 1 s of serialization
     second = net.reserve(0, 1, 1000)  # starts only after the first
@@ -314,16 +313,14 @@ def test_split_and_merge_preserve_data_and_ownership(rng):
 
 
 def test_auto_split_triggers_on_size(rng):
-    cluster = tiny_cluster(
-        n_shards=2, n_replicas=1,
-        rebalance=RebalanceOptions(split_threshold_bytes=8_000,
-                                   check_interval_ops=64))
+    cluster = tiny_cluster(n_shards=2, n_replicas=1, split_threshold_bytes=8_000)
     model = {}
-    for key in spread_keys(rng, 400):
+    for i, key in enumerate(spread_keys(rng, 600), start=1):
         cluster.put(key, VALUE)
         model[key] = VALUE
-    assert cluster.rebalancer.splits > 0
-    assert len(cluster.router.shards) > 2
+        # The check runs every REBALANCE_CHECK_OPS (512) routed ops.
+        assert cluster.rebalancer.splits == (i >= 512)
+    assert len(cluster.router.shards) == 3
     check_cluster_invariants(cluster)
     assert cluster.scan() == sorted(model.items())
     cluster.close()

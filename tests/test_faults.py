@@ -38,10 +38,8 @@ def test_parse_fault_spec():
     o = parse_fault_spec("rate=0.01,seed=7,retries=4,ops=100:200")
     assert o.rate == 0.01 and o.seed == 7 and o.max_retries == 4
     assert o.op_windows == ((100, 200),)
-    o = parse_fault_spec("time=0.5:0.75,backoff=0.001,backoff_max=0.01,giveup=0.5")
-    assert o.time_windows == ((0.5, 0.75),)
-    assert o.backoff_base_s == 0.001 and o.backoff_max_s == 0.01
-    assert o.giveup_backoff_s == 0.5
+    o = parse_fault_spec("time=0.5:0.75,time=1:2")
+    assert o.time_windows == ((0.5, 0.75), (1.0, 2.0))
     with pytest.raises(ConfigError):
         parse_fault_spec("nonsense=1")
     with pytest.raises(ConfigError):

@@ -25,7 +25,7 @@ def _store(**kw):
 
 # ------------------------------------------------------------------- service
 def test_service_time_is_latency_plus_transfer():
-    _, store = _store(latency_s=1e-3, bandwidth=1e6, request_bytes=100)
+    _, store = _store(latency_s=1e-3, bandwidth=1e6, frame_bytes=100)
     # 2 requests: 2 * 1ms latency + (1000 payload + 2*100 framing) / 1e6 B/s.
     assert store.service_time(1000, requests=2) == pytest.approx(
         2e-3 + 1200 / 1e6)
@@ -37,7 +37,7 @@ def test_options_validation():
     with pytest.raises(ConfigError):
         ObjStoreOptions(bandwidth=0.0)
     with pytest.raises(ConfigError):
-        ObjStoreOptions(request_bytes=-1)
+        ObjStoreOptions(frame_bytes=-1)
 
 
 # ---------------------------------------------------------------- immutability
@@ -62,7 +62,7 @@ def test_get_and_delete_of_missing_name_raise():
 
 # ------------------------------------------------------------------- charging
 def test_foreground_put_advances_the_clock():
-    clock, store = _store(latency_s=1e-3, bandwidth=1e6, request_bytes=0)
+    clock, store = _store(latency_s=1e-3, bandwidth=1e6, frame_bytes=0)
     elapsed, queued = store.put("a", 1000)
     assert elapsed == pytest.approx(1e-3 + 1000 / 1e6)
     assert queued == 0.0
@@ -70,7 +70,7 @@ def test_foreground_put_advances_the_clock():
 
 
 def test_foreground_queues_fifo_behind_background_reserve():
-    clock, store = _store(latency_s=1e-3, bandwidth=1e6, request_bytes=0)
+    clock, store = _store(latency_s=1e-3, bandwidth=1e6, frame_bytes=0)
     # Background upload reserves the channel without moving the clock.
     tail = store.reserve_put("big", 10_000)
     assert clock.now == 0.0
@@ -85,7 +85,7 @@ def test_foreground_queues_fifo_behind_background_reserve():
 
 def test_zero_store_never_advances_the_clock():
     clock, store = _store(latency_s=0.0, bandwidth=float("inf"),
-                          request_bytes=0)
+                          frame_bytes=0)
     store.put("a", 10_000)
     store.reserve_put("b", 10_000)
     store.get("a")

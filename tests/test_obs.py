@@ -12,7 +12,6 @@ from repro.obs import (
     NULL_TRACER,
     NullTracer,
     TraceConfig,
-    TraceOptions,
     Tracer,
     attach_trace,
     chrome_trace,
@@ -21,12 +20,12 @@ from repro.obs import (
     to_jsonl,
     validate_chrome_trace,
 )
-from repro.obs.tracer import ClockLike, PH_BEGIN, PH_END, PH_INSTANT
+from repro.obs.tracer import ClockLike, PH_BEGIN, PH_END, PH_INSTANT, RING_CAPACITY
 
 
-def make_tracer(capacity: int = 64):
+def make_tracer():
     clock = ClockLike()
-    return clock, Tracer(clock, TraceOptions(ring_capacity=capacity))
+    return clock, Tracer(clock)
 
 
 # ------------------------------------------------------------------- tracer
@@ -61,18 +60,17 @@ def test_tracer_records_sim_time_events():
 
 
 def test_tracer_ring_drops_oldest_and_counts():
-    clock, tracer = make_tracer(capacity=4)
-    for i in range(10):
+    clock, tracer = make_tracer()
+    total = RING_CAPACITY + 6
+    for i in range(total):
         clock.now = float(i)
-        tracer.instant("c", f"e{i}")
-    assert len(tracer) == 4
+        tracer.instant("c", f"e{i % 8}")
+    assert len(tracer) == RING_CAPACITY
     assert tracer.dropped == 6
-    assert tracer.event_count() == 10
-    # The ring keeps the most recent window.
-    names = [ev[3] for ev in tracer.events]
-    assert names == ["e6", "e7", "e8", "e9"]
-    # Per-name counts survive eviction.
-    assert sum(tracer.counts.values()) == 10
+    assert tracer.event_count() == total
+    # The ring keeps the most recent window; per-name counts survive eviction.
+    assert tracer.events[0][0] == 6.0 and tracer.events[-1][0] == total - 1
+    assert sum(tracer.counts.values()) == total
 
 
 def test_open_span_tracking():

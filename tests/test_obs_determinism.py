@@ -25,7 +25,7 @@ OPS = st.sampled_from(["put", "delete", "get", "scan"])
 STEP = st.tuples(OPS, st.integers(min_value=0, max_value=255),
                  st.integers(min_value=16, max_value=96))
 
-TRACE_CONFIG = TraceConfig(ring_capacity=1 << 14, sample_interval_s=0.00002)
+TRACE_CONFIG = TraceConfig(sample_interval_s=0.00002)
 
 
 def run_workload(engine: str, steps, *, trace: bool, crash_at=None):

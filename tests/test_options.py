@@ -65,7 +65,7 @@ def test_lsm_styles():
 
 
 def test_lsa_options_derived():
-    opts = LsaOptions(node_capacity=1000, fanout=10, leaf_split_factor=5)
+    opts = LsaOptions(node_capacity=1000, fanout=10)
     assert opts.split_children_threshold == 20
     assert opts.leaf_initial_bytes == 200
     assert opts.level_node_threshold(3) == 1000
@@ -84,9 +84,7 @@ def test_iam_options_validation():
     with pytest.raises(ConfigError):
         IamOptions(fixed_m=0)
     with pytest.raises(ConfigError):
-        IamOptions(k_max=0)
-    with pytest.raises(ConfigError):
-        IamOptions(memory_budget_fraction=0.0)
+        IamOptions(fixed_k=0)
 
 
 def test_iam_degenerate_configs():

@@ -219,10 +219,8 @@ def test_every_key_and_value_read_back_is_a_plain_python_object(engine):
     keys = list(range(0, 400, 7))
     assert all(v is None or plain(v) for v in map(db.get, keys))
     assert all(v is None or plain(v) for v in db.multi_get(keys))
-    it = db.iterator(5, 300)
-    it.seek(100)
     for rows in (db.scan(), db.scan(10, 200, limit=30), list(db.iterate(10, 200)),
-                 list(it)):
+                 list(db.iterate(100, 300))):
         assert rows and all(plain(k) and plain(v) for k, v in rows)
     synthetic = [(k, v) for k, v in db.scan() if type(v) is int]
     assert json.loads(json.dumps(synthetic)) == [list(row) for row in synthetic]
@@ -279,8 +277,7 @@ def test_read_entry_points_refuse_non_integer_keys(kind):
     if kind == "cluster":
         calls += [lambda: store.put("k", 1), lambda: store.delete("k")]
     else:
-        calls += [lambda: store.iterator("a"), lambda: store.iterator(None, "z"),
-                  lambda: store.iterator(1, 9).seek("k")]
+        calls += [lambda: store.iterate(None, "z")]
     for call in calls:
         with pytest.raises(ConfigError, match="keys must be Python ints"):
             call()

@@ -11,7 +11,7 @@ PROFILE = DeviceProfile("test", seek_time_s=0.01, bulk_seek_time_s=0.001,
 
 def make_runtime(cache_bytes=10 * 256) -> Runtime:
     return Runtime(StorageOptions(device=PROFILE, page_cache_bytes=cache_bytes,
-                                  block_size=256, io_chunk_bytes=256))
+                                  block_size=256))
 
 
 def test_fg_read_blocks_charges_one_seek_per_run():

@@ -17,11 +17,10 @@ from repro.memtable import Memtable
 from repro.storage.simdisk import SimClock
 
 
-def make_sanitized_db(engine: str = "iam", **opt_kw) -> IamDB:
-    options = SanitizerOptions(**opt_kw)
+def make_sanitized_db(engine: str = "iam") -> IamDB:
     return IamDB(engine, engine_options=tiny_iam_options(),
                  storage_options=tiny_storage_options(),
-                 sanitizer_options=options)
+                 sanitizer_options=SanitizerOptions())
 
 
 def load(db: IamDB, n: int, seed: int = 7) -> None:
@@ -50,17 +49,6 @@ def test_sanitizer_not_attached_by_default():
     db = make_tiny_db("iam")
     assert db.sanitizer is None
     assert db.engine.sanitizer is None
-    db.close()
-
-
-def test_check_every_skips_walks():
-    db = make_sanitized_db("iam", check_every=3)
-    s = db.sanitizer
-    walks_before = s.checks_run
-    for _ in range(6):
-        s.after_structural_event(db.engine, "flush")
-    assert s.events_seen == 6
-    assert s.checks_run == walks_before + 2  # every 3rd event walks the tree
     db.close()
 
 

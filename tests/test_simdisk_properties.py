@@ -91,14 +91,14 @@ def _disk(clock):
 
 def _link(clock):
     net = SimNetwork(clock, NetworkOptions(latency_s=0.01, bandwidth=1000.0,
-                                           rpc_bytes=8))
+                                           frame_bytes=8))
     return (lambda n: 0.01 + (n + 8) / 1000.0,
             lambda n: net.send(0, 1, n), lambda n: net.reserve(0, 1, n))
 
 
 def _store(clock):
     store = SimObjectStore(clock, ObjStoreOptions(
-        latency_s=0.02, bandwidth=2000.0, request_bytes=16))
+        latency_s=0.02, bandwidth=2000.0, frame_bytes=16))
     names = iter(range(10**6))
     return (store.service_time, lambda n: store.put(f"fg{next(names)}", n),
             lambda n: store.reserve_put(f"bg{next(names)}", n))
