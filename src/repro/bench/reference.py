@@ -290,6 +290,23 @@ class ReferencePageCache:
             if self.contains(file_id, b):
                 self._pinned.add((file_id, b))
 
+    def unpin_file(self, file_id: int) -> int:
+        """Release every pin on ``file_id``; returns the number released."""
+        mine = [k for k in self._pinned if k[0] == file_id]
+        for k in mine:
+            self._pinned.discard(k)
+        return len(mine)
+
+    def invalidate_file(self, file_id: int) -> int:
+        """Drop every block of ``file_id`` (file deletion).  Returns count."""
+        blocks = self._per_file.pop(file_id, None)
+        if not blocks:
+            return 0
+        for block_no in blocks:
+            self._lru.pop((file_id, block_no), None)
+            self._pinned.discard((file_id, block_no))
+        return len(blocks)
+
     def _dec(self, key: BlockKey) -> None:
         blocks = self._per_file.get(key[0])
         if blocks is not None:

@@ -37,6 +37,7 @@ Violations raise :class:`InvariantViolation` with a structured
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -294,14 +295,11 @@ class Sanitizer:
                 self._fail("cache-pin-balance",
                            "pinned block belongs to a deleted file",
                            file=key[0], block=key[1])
-        per_file_keys = {(fid, b) for fid, blocks in cache._per_file.items()
-                         for b in blocks}
-        if per_file_keys != lru_keys:
-            extra = len(per_file_keys - lru_keys)
-            missing = len(lru_keys - per_file_keys)
+        counts = dict(Counter(fid for fid, _ in lru_keys))
+        if counts != cache._per_file:
             self._fail("cache-pin-balance",
-                       "per-file residency sets disagree with the LRU",
-                       extra_in_per_file=extra, missing_from_per_file=missing)
+                       "per-file resident counts disagree with the LRU",
+                       drift=sorted(counts.items() ^ cache._per_file.items()))
 
     # ------------------------------------------------------------- db checks
     @staticmethod

@@ -29,6 +29,7 @@ from repro.table.run import Run
 #: off the live nodes, so it cannot go stale when ``extend_range``, a split
 #: or a combine moves a boundary (a per-level fence cache could).
 RANGE_LO = attrgetter("range_lo")
+TABLE = attrgetter("table")
 
 
 class LsaNode:
@@ -138,16 +139,15 @@ def level_overlapping(level: List[LsaNode], lo: Optional[Key],
     return level[start:stop]
 
 
-def level_tables(nodes: List[LsaNode]) -> Iterator[MSTable]:
-    """Tables of the non-empty ``nodes`` in order, one at a time.
+def level_tables(nodes: List[LsaNode]) -> Iterator[Optional[MSTable]]:
+    """Each node's table in order (``None`` for an empty node), lazily.
 
-    The lazy level walk under every scan: ``nodes`` is a scan's captured
-    slice of a level, and a node costs work only when the consumer advances
-    to it -- a limit-bounded scan never looks at the rest of a wide level.
+    The level walk under every scan: ``nodes`` is a scan's captured slice of
+    a level, and the C-level ``map`` reads a node only when the consumer
+    advances to it -- a limit-bounded scan never looks at the rest of a wide
+    level.  Consumers skip empty tables inline, so a table costs no call.
     """
-    for node in nodes:
-        if not node.is_empty:
-            yield node.table
+    return map(TABLE, nodes)
 
 
 def children_slice(parents: List[LsaNode], kids: List[LsaNode],

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import bisect
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.check.diagnostics import invariant_error
 from repro.common.records import (
@@ -118,20 +118,18 @@ class Memtable:
         return keys
 
     def iter_range(self, lo: Optional[Key] = None,
-                   hi: Optional[Key] = None) -> Iterator[RecordTuple]:
-        """Yield records with ``lo <= key < hi`` in (key asc, seq desc) order.
+                   hi: Optional[Key] = None) -> List[RecordTuple]:
+        """Records with ``lo <= key < hi`` in (key asc, seq desc) order.
 
-        ``None`` bounds are open.  All versions are yielded; scan-level
-        snapshot filtering happens in the merging iterator.
+        ``None`` bounds are open; every version is listed (the merge filters
+        snapshots), by one comprehension -- no call per record.
         """
         keys = self._consolidate()
         start = 0 if lo is None else bisect.bisect_left(keys, lo)
         stop = len(keys) if hi is None else bisect.bisect_left(keys, hi)
-        versions_map = self._versions
-        for i in range(start, stop):
-            key = keys[i]
-            for seq, kind, vsize in reversed(versions_map[key]):
-                yield (key, seq, kind, vsize)
+        versions = self._versions
+        return [(key, seq, kind, vsize) for key in keys[start:stop]
+                for seq, kind, vsize in versions[key][::-1]]
 
     def sorted_records(self) -> Run:
         """All records as one columnar sorted run, ready for flushing."""

@@ -4,7 +4,9 @@ Caches fixed-size blocks keyed by ``(file_id, block_no)``.  Blocks enter on
 both reads and writes (write-back page cache), so freshly appended sequences
 are resident -- the property IAM's mixed level exploits (§5.1.2).  The
 ``resident_bytes`` probe is the simulation's analogue of the paper's
-``mincore`` sampling (§5.1.3).
+``mincore`` sampling (§5.1.3); it needs only *how many* of a file's blocks
+are resident, so the cache keeps a resident-block count per file beside the
+LRU (:meth:`PageCache.invalidate_file` walks block numbers against the LRU).
 
 Batch entry points (:meth:`PageCache.insert_many` / :meth:`touch_many` /
 :meth:`touch_range`) let the runtime charge a whole appended sequence or read
@@ -24,7 +26,7 @@ BlockKey = Tuple[int, int]
 
 
 class PageCache:
-    """LRU cache of fixed-size blocks with per-file residency accounting."""
+    """LRU cache of fixed-size blocks with a resident-block count per file."""
 
     def __init__(self, capacity_bytes: int, block_size: int) -> None:
         if capacity_bytes < 0:
@@ -35,7 +37,8 @@ class PageCache:
         self.block_size = block_size
         self.max_blocks = capacity_bytes // block_size
         self._lru: "OrderedDict[BlockKey, None]" = OrderedDict()
-        self._per_file: Dict[int, set] = {}
+        #: Resident blocks per file; a file with none has no entry.
+        self._per_file: Dict[int, int] = {}
         #: Blocks exempt from eviction (§5.1.3 "forcible caching" of appended
         #: sequences).  Pinned blocks still count against capacity.
         self._pinned: set = set()
@@ -57,8 +60,7 @@ class PageCache:
         return (file_id, block_no) in self._lru
 
     def resident_blocks(self, file_id: int) -> int:
-        blocks = self._per_file.get(file_id)
-        return len(blocks) if blocks else 0
+        return self._per_file.get(file_id, 0)
 
     def resident_bytes(self, file_id: int) -> int:
         """``mincore``-style probe: resident bytes of a file's blocks."""
@@ -131,11 +133,6 @@ class PageCache:
             n = None
         if n is not None and len(lru) + n <= max_blocks:
             # Fast path: no eviction possible for this whole batch.
-            blocks = per_file.get(file_id)
-            if blocks is None:
-                blocks = set()
-                per_file[file_id] = blocks
-            add = blocks.add
             admitted = 0
             for b in block_nos:
                 key = (file_id, b)
@@ -143,18 +140,18 @@ class PageCache:
                     move_to_end(key)
                 else:
                     lru[key] = None
-                    add(b)
                     admitted += 1
+            if admitted:
+                per_file[file_id] = per_file.get(file_id, 0) + admitted
             self.insertions += admitted
             return
-        # Admission and victim scan as one pass over locals; the counters
-        # are settled once per batch, the eviction observer once per
-        # admission (as per-block inserts would notify it).
+        # One pass over locals; the counters and this file's count (less
+        # ``lost``, its own evicted blocks) settle once per batch.
         popitem = lru.popitem
         pinned = self._pinned
         on_evictions = self.on_evictions
         resident = len(lru)
-        admitted = evicted_total = 0
+        admitted = evicted_total = lost = 0
         for b in block_nos:
             key = (file_id, b)
             if key in lru:
@@ -169,25 +166,22 @@ class PageCache:
                     continue
                 resident -= 1
                 evicted += 1
-                old_file, old_block = old_key
-                blocks = per_file[old_file]
-                blocks.discard(old_block)
-                if not blocks:
+                old_file = old_key[0]
+                if old_file == file_id:
+                    lost += 1
+                elif per_file[old_file] == 1:
                     del per_file[old_file]
-            if evicted:
+                else:
+                    per_file[old_file] -= 1
+            if evicted:  # the observer hears each admission's batch
                 evicted_total += evicted
                 if on_evictions is not None:
                     on_evictions(evicted)
             lru[key] = None
             resident += 1
-            # Looked up per block: evicting this file's last resident block
-            # drops the per-file set, so a cached reference goes stale.
-            blocks = per_file.get(file_id)
-            if blocks is None:
-                per_file[file_id] = {b}
-            else:
-                blocks.add(b)
             admitted += 1
+        if admitted:  # the last admitted block is resident: the count is > 0
+            per_file[file_id] = per_file.get(file_id, 0) + admitted - lost
         self.insertions += admitted
         self.evictions += evicted_total
 
@@ -219,10 +213,15 @@ class PageCache:
     # ------------------------------------------------------------- invalidate
     def invalidate_file(self, file_id: int) -> int:
         """Drop every block of ``file_id`` (file deletion).  Returns count."""
-        blocks = self._per_file.pop(file_id, None)
-        if not blocks:
-            return 0
-        for block_no in blocks:
-            self._lru.pop((file_id, block_no), None)
-            self._pinned.discard((file_id, block_no))
-        return len(blocks)
+        count = left = self._per_file.pop(file_id, 0)
+        lru, pinned = self._lru, self._pinned
+        block_no = 0
+        while left:
+            key = (file_id, block_no)
+            if key in lru:
+                del lru[key]
+                left -= 1
+                if pinned:
+                    pinned.discard(key)
+            block_no += 1
+        return count

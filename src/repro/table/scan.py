@@ -47,7 +47,7 @@ class ChainStream:
     """One on-disk component: a run of disjoint tables in key order.
 
     ``walk()`` is the engine's lazy walk of the level -- a fresh in-order
-    iterator over the non-empty tables of the scan's captured slice.  A
+    iterator over the tables of the scan's slice (consumers skip empties).  A
     table costs work only when a consumer advances to it: its cursors are
     opened (and their first blocks charged) on reaching it, and the members
     a limit-bounded scan never reaches are never looked at.
@@ -65,7 +65,8 @@ class ChainStream:
     def __iter__(self) -> Iterator[RecordTuple]:
         lo_key, hi_key = self.lo_key, self.hi_key
         for table in self.walk():
-            yield from table.cursor(lo_key, hi_key)
+            if table is not None and table.sequences:
+                yield from table.cursor(lo_key, hi_key)
 
 
 # The constructors stay functions of their own (never aliases of the

@@ -139,11 +139,12 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
             budget = cap
             tables_meta = []
             fill_only = None
-            # A fresh lazy walk per attempt: the loop leaves it at the first
-            # table past the budget, so the level's remaining members are
-            # never looked at (and a wider retry starts over from the head).
-            for ti, table in enumerate(s.walk()):
-                fid = table.file_id
+            # A fresh lazy walk per attempt, stopped at the first table past
+            # the budget; an empty node is skipped before the budget test.
+            for table in s.walk():
+                if table is None or not table.sequences:
+                    continue
+                fid = table.file.file_id
                 if budget is not None and budget <= 0:
                     # Chain tail cut: the dropped node's records all sort
                     # past the (validated) termination rank, but its cursor
@@ -167,7 +168,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                 kept = 0
                 for seq in table.sequences:
                     kv = seq.key_view
-                    i = 0 if ti or lo is None else bisect_left(kv, lo)
+                    i = 0 if lo is None else bisect_left(kv, lo)
                     j = seq.n_records if hi is None else bisect_right(kv, hi)
                     if j <= i:
                         continue
@@ -188,6 +189,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                                                   seq.first_block, seq.n_blocks,
                                                   charge_end)))
                     kept += j - i
+                lo = None  # only the chain's first table seeks
                 if budget is not None:
                     budget -= kept
                 tables_meta.append((comp_idxs, truncated_any))

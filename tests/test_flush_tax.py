@@ -49,8 +49,8 @@ def test_twice_the_records_cost_the_same_flush(config):
     few, shape_few = _flush_calls(config, base)
     many, shape_many = _flush_calls(config, base + neighbours)
     assert shape_few == shape_many and shape_few["flushes"] == 1
-    # What still scales is page-cache admission: one set.add per new data
-    # block.  Everything else is a constant.
+    # What may still scale is page-cache admission: one popitem per block
+    # it evicts.  Everything else is a constant.
     block_size = SSD_100G.storage_options().block_size
     new_blocks = -(-n * RECORD_BYTES // block_size)
     assert many - few <= new_blocks + 8, (few, many)
@@ -70,13 +70,29 @@ def test_a_flush_costs_no_more_calls_than_before_the_shared_skeleton(config, cei
 
 
 def test_evicting_admission_is_a_handful_of_calls_per_block():
-    # Parent commit: 11 per block (a method call, three len() and _dec for
-    # every admission); now popitem + discard + add.
+    # Once 11 per block (a method call, three len() and _dec for every
+    # admission), then popitem + discard + add; now popitem alone -- the
+    # per-file resident counts settle once per batch.
     cache = PageCache(128 * 1024, 1024)
     cache.insert_range(1, 0, 128)
     assert len(cache) == cache.max_blocks
-    assert _calls(lambda: cache.insert_many(2, range(64))) <= 6 * 64
+    assert _calls(lambda: cache.insert_many(2, range(64))) <= 64 + 8
     assert cache.evictions == 64 and cache.resident_blocks(2) == 64
+    assert cache.resident_blocks(1) == 64
+
+
+def test_invalidating_a_file_costs_the_same_at_four_times_the_blocks():
+    # Parent commit: a dict pop and a set discard per resident block.
+    def invalidate_calls(n):
+        cache = PageCache(4 * n * 1024, 1024)
+        cache.insert_range(1, 0, n)
+        cache.insert_range(2, 0, n)
+        calls = _calls(lambda: cache.invalidate_file(1))
+        assert len(cache) == cache.resident_blocks(2) == n
+        assert cache.resident_blocks(1) == 0
+        return calls
+    few, many = invalidate_calls(64), invalidate_calls(256)
+    assert few == many, (few, many)
 
 
 @pytest.mark.parametrize("drop_tombstones", [False, True])

@@ -197,7 +197,7 @@ def test_insert_many_into_fully_pinned_full_cache_overcommits():
 _batch_ops = st.lists(
     st.tuples(st.sampled_from(["insert", "insert_many", "insert_range",
                                "touch", "touch_many", "touch_range",
-                               "pin_range"]),
+                               "pin_range", "unpin_file", "invalidate_file"]),
               st.integers(0, 3),                              # file_id
               st.lists(st.integers(0, 12), max_size=8),       # block list
               st.integers(0, 10),                             # first_block
@@ -209,8 +209,9 @@ _batch_ops = st.lists(
 def test_batch_ops_state_identical_to_reference(ops, cap_blocks):
     """insert_many/touch_many/etc. leave the exact per-block-loop state.
 
-    LRU order, residency, counters and return values must all match the
-    seed cache driven one block at a time.
+    LRU order, pins, counters and return values -- and every file's
+    residency after every op -- must all match the seed cache driven one
+    block at a time (its set-based unpin and invalidate included).
     """
     new = PageCache(cap_blocks * 64, 64)
     ref = ReferencePageCache(cap_blocks * 64, 64)
@@ -236,11 +237,32 @@ def test_batch_ops_state_identical_to_reference(ops, cap_blocks):
             hits = new.touch_range(f, first, n)
             ref_hits = sum(ref.touch(f, b) for b in range(first, first + n))
             assert hits == ref_hits
-        else:
+        elif kind == "pin_range":
             new.pin_range(f, first, n)
             ref.pin_range(f, first, n)
+        elif kind == "unpin_file":
+            assert new.unpin_file(f) == ref.unpin_file(f)
+        else:
+            assert new.invalidate_file(f) == ref.invalidate_file(f)
         assert list(new._lru) == list(ref._lru)
+        assert new._pinned == ref._pinned
         assert new.insertions == ref.insertions
         assert new.evictions == ref.evictions
-    for f in range(4):
-        assert new.resident_blocks(f) == ref.resident_blocks(f)
+        assert ([new.resident_blocks(g) for g in range(4)]
+                == [ref.resident_blocks(g) for g in range(4)])
+
+
+def test_invalidate_walks_a_sparse_file_exactly():
+    # Blocks {0, 4096} of one file: the walk steps over the 4,095-block gap,
+    # drops both blocks and the pin, and stops once the count is found.
+    new, ref = PageCache(8 * 64, 64), ReferencePageCache(8 * 64, 64)
+    for c in (new, ref):
+        c.insert(1, 0)
+        c.insert(2, 4097)
+        c.pin_range(1, 4096, 1)
+    assert new.resident_blocks(1) == ref.resident_blocks(1) == 2
+    assert new.invalidate_file(1) == ref.invalidate_file(1) == 2
+    assert list(new._lru) == list(ref._lru) == [(2, 4097)]
+    assert new._pinned == ref._pinned == set()
+    assert new._per_file == {2: 1}
+    assert new.invalidate_file(1) == 0
