@@ -307,11 +307,15 @@ class IamDB:
     # ------------------------------------------------------------------ reads
     @staticmethod
     def _snap_seq(snapshot: SnapshotLike) -> Optional[int]:
+        """The sequence number a read sees; validated like a key."""
         if snapshot is None:
             return None
         if isinstance(snapshot, Snapshot):
             return snapshot.seq
-        return int(snapshot)
+        if type(snapshot) is not int or not 0 <= snapshot <= MASK64:
+            raise ConfigError("a snapshot must be a Snapshot or an int in "
+                              f"[0, 2**64), got {snapshot!r}")
+        return snapshot
 
     def get(self, key: Key, snapshot: SnapshotLike = None) -> Optional[Value]:
         """Newest visible value of ``key``, or None."""
@@ -367,11 +371,11 @@ class IamDB:
         self._check_open()
         check_limit(limit)
         check_bounds(lo_key, hi_key)
+        snap = self._snap_seq(snapshot)
         if limit == 0:
             return []
         runtime = self.runtime
         t0 = runtime.clock.now
-        snap = self._snap_seq(snapshot)
         streams = self._scan_streams(lo_key, hi_key)
         # Plan the whole merge vectorized; the planner declines -- before it
         # charges anything -- what it cannot plan, and the heap merge over

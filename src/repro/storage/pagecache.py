@@ -8,17 +8,18 @@ are resident -- the property IAM's mixed level exploits (§5.1.2).  The
 are resident, so the cache keeps a resident-block count per file beside the
 LRU (:meth:`PageCache.invalidate_file` walks block numbers against the LRU).
 
-Batch entry points (:meth:`PageCache.insert_many` / :meth:`touch_many` /
-:meth:`touch_range`) let the runtime charge a whole appended sequence or read
-run in one call instead of per-4KiB-block Python method calls; residency,
-LRU order and the insertion/eviction counters stay byte-exact with the
+Batch entry points let the runtime charge a whole appended sequence
+(:meth:`PageCache.insert_many`) or a query's read run (:meth:`touch_run`,
+which counts misses and seeks without listing them, then :meth:`admit_run`)
+in one call instead of per-4KiB-block Python method calls; residency, LRU
+order and the insertion/eviction counters stay byte-exact with the
 per-block reference (:class:`repro.bench.reference.ReferencePageCache`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.common.errors import ConfigError
 
@@ -78,29 +79,40 @@ class PageCache:
             return True
         return False
 
-    def touch_many(self, file_id: int, block_nos: Iterable[int]) -> List[int]:
-        """Touch a batch of blocks in order; returns the list of *misses*.
+    def touch_run(self, file_id: int, blocks: Iterable[int]) -> Tuple[int, int]:
+        """Touch a run of blocks in order; returns ``(missing, seeks)``.
 
         Hits are promoted to most-recently-used exactly as per-block
-        :meth:`touch` calls would; missing block numbers are returned (in
-        input order) for the caller to fetch and :meth:`insert_many`.
+        :meth:`touch` calls would.  Misses are only counted, one seek per
+        stretch of consecutive missing block numbers: nothing is listed, and
+        :meth:`admit_run` admits them once the caller has fetched them.
         """
         lru = self._lru
         move_to_end = lru.move_to_end
-        misses: List[int] = []
-        append = misses.append
-        for b in block_nos:
+        missing = seeks = 0
+        last_miss = -2
+        for b in blocks:
             key = (file_id, b)
             if key in lru:
                 move_to_end(key)
-            else:
-                append(b)
-        return misses
+                continue
+            missing += 1
+            if b != last_miss + 1:
+                seeks += 1
+            last_miss = b
+        return missing, seeks
+
+    def admit_run(self, file_id: int, blocks: Iterable[int]) -> None:
+        """Admit a run's non-resident blocks in order: after :meth:`touch_run`,
+        :meth:`insert_many` of its misses alone (the whole run would promote
+        its hits again, reordering the LRU)."""
+        lru = self._lru
+        self.insert_many(file_id, [b for b in blocks if (file_id, b) not in lru])
 
     def touch_range(self, file_id: int, first_block: int, n_blocks: int) -> int:
         """Touch ``n_blocks`` consecutive blocks; returns the hit count."""
-        return n_blocks - len(self.touch_many(file_id,
-                                              range(first_block, first_block + n_blocks)))
+        return n_blocks - self.touch_run(
+            file_id, range(first_block, first_block + n_blocks))[0]
 
     def insert(self, file_id: int, block_no: int) -> None:
         """Insert (or refresh) one block, evicting LRU blocks as needed."""

@@ -3,9 +3,9 @@
 Bundles the clock, device, page cache, background pool and metrics of one DB
 instance, and centralizes the charging conventions:
 
-* Query block reads (:meth:`fg_read_blocks`) go through the page cache; each
-  run of consecutive missing blocks costs one seek plus bandwidth and counts
-  toward read amplification.
+* A query's block reads are one request (:meth:`fg_read_blocks`) through the
+  page cache; each run of consecutive missing blocks costs one seek plus
+  bandwidth and counts toward read amplification.
 * Flush/compaction I/O is charged through :meth:`bg_write_run` /
   :meth:`bg_read_run`, which return device-time *debt* for a
   :class:`~repro.storage.background.BackgroundJob`; bytes are counted and
@@ -145,27 +145,24 @@ class Runtime:
     # ------------------------------------------------------------- query reads
     @effects("CLOCK_ADVANCE", "DISK_CHARGE", "OBJSTORE_CHARGE", "SPAN_BEGIN",
              "SPAN_END", "STATE_MUTATE")
-    def fg_read_blocks(self, file_id: int, block_nos: Iterable[int]) -> float:
-        """Read blocks for a query through the cache; returns elapsed time."""
-        if isinstance(block_nos, range):
-            n_requested = len(block_nos)
-        else:
-            block_nos = list(block_nos)
-            n_requested = len(block_nos)
-        misses: List[int] = self.cache.touch_many(file_id, block_nos)
-        if not misses:
-            self.metrics.add_query_io(seeks=0, hits=n_requested, misses=0)
-            return 0.0
-        # Group consecutive missing blocks into runs: one seek per run.
-        runs = 1
-        for prev, cur in zip(misses, misses[1:]):
-            if cur != prev + 1:
-                runs += 1
-        n_missed = len(misses)
-        elapsed = self._fill_misses(n_missed * self.block_size, runs)
-        self.cache.insert_many(file_id, misses)
-        self.metrics.add_query_io(seeks=runs, hits=n_requested - n_missed,
-                                  misses=n_missed)
+    def fg_read_blocks(self, reads: Iterable[Tuple[int, range]]) -> float:
+        """Read one request's ``(file_id, blocks)`` runs through the cache in
+        order; returns the elapsed time.  Each run is touched, its misses
+        fetched and admitted before the next; the counters settle once."""
+        cache = self.cache
+        block_size = self.options.block_size
+        elapsed = 0.0
+        requested = missed = seeks = 0
+        for file_id, blocks in reads:
+            requested += blocks.stop - blocks.start
+            missing, runs = cache.touch_run(file_id, blocks)
+            if missing:
+                elapsed += self._fill_misses(missing * block_size, runs)
+                cache.admit_run(file_id, blocks)
+                missed += missing
+                seeks += runs
+        self.metrics.add_query_io(seeks=seeks, hits=requested - missed,
+                                  misses=missed)
         return elapsed
 
     @effects("CLOCK_ADVANCE", "DISK_CHARGE", "STATE_MUTATE")

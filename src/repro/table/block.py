@@ -158,8 +158,9 @@ class Sequence:
             # Bloom false positive: the data block is still fetched and
             # searched before the miss is known.
             i = min(i, self.n_records - 1)
-            return None, runtime.fg_read_blocks(file_id, self._blocks_for_span(i, i + 1))
-        latency = runtime.fg_read_blocks(file_id, self._blocks_for_span(i, j))
+            return None, runtime.fg_read_blocks(
+                ((file_id, self._blocks_for_span(i, i + 1)),))
+        latency = runtime.fg_read_blocks(((file_id, self._blocks_for_span(i, j)),))
         seqs, kinds, values = self.hit_views or self._open_hit_views()
         if snapshot is not None:
             while seqs[i] > snapshot:  # versions run newest first
@@ -206,7 +207,7 @@ class Sequence:
             abs_block = first + b
             if abs_block > charged_through:
                 stop = min(abs_block + readahead_blocks, last_block)
-                runtime.fg_read_blocks(file_id, range(abs_block, stop))
+                runtime.fg_read_blocks(((file_id, range(abs_block, stop)),))
                 charged_through = stop - 1
             yield recs[idx]
             idx += 1

@@ -13,10 +13,10 @@ have issued.
 
 The charge model
 ----------------
-Everything simulation-observable about a scan flows through the
-``fg_read_blocks`` calls of :meth:`repro.table.block.Sequence.cursor`
-(read-ahead chunks of ``READAHEAD_BLOCKS`` blocks).  In the ``heapq.merge``
-pipeline each charge is triggered by one *pull*:
+Everything simulation-observable about a scan flows through the read-ahead
+runs :meth:`repro.table.block.Sequence.cursor` charges (chunks of
+``READAHEAD_BLOCKS`` blocks, one ``fg_read_blocks`` request each).  In the
+``heapq.merge`` pipeline each charge is triggered by one *pull*:
 
 * the initial fill pulls one record per top-level stream, in stream order,
   before the first yield (trigger rank ``-1``);
@@ -31,7 +31,8 @@ A pull fires iff its trigger rank is below the termination rank ``M`` (the
 rank whose push ends the scan: the first key ``>= hi_key``, the record
 that fills ``limit``, or exhaustion).  Sorting the charge events by
 (trigger, generation order) therefore reproduces the generator tier's
-charge sequence exactly -- same clock, same page-cache trajectory.
+charge sequence exactly -- same clock, same page-cache trajectory -- and
+hands it to the runtime as one ``fg_read_blocks`` request.
 
 Limit-bounded scans are planned against truncated spans (``~limit + 64``
 records per sequence, whole trailing chain tails reduced to their fill
@@ -54,11 +55,11 @@ Declines
 --------
 ``planned_scan`` returns None -- always before the first charge, so the
 caller runs ``merge_scan`` over the same, untouched streams -- when what it
-observes in its input does not fit the plan: a snapshot number outside
-uint64, or a stream that is not a :class:`~repro.table.scan.ListStream` /
-:class:`~repro.table.scan.ChainStream` value (FLSM's guard generators).
-Every stored key is uint64 (the write entry points refuse the rest), so
-those two checks are all; any other exception is a bug and propagates.
+observes in its input does not fit the plan: a stream that is not a
+:class:`~repro.table.scan.ListStream` / :class:`~repro.table.scan.ChainStream`
+value (FLSM's guard generators).  Every stored key and every snapshot is
+uint64 (the write and read entry points refuse the rest), so that check
+is all; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -90,8 +91,6 @@ def planned_scan(streams: list, *, snapshot: Optional[int] = None,
     """
     if not streams:
         return []
-    if snapshot is not None and not 0 <= snapshot < (1 << 64):
-        return None
     runtime: Optional[Runtime]  # typed: the effects gate follows the replay
     # ``limit`` is None or >= 1: the DB answers limit=0 and rejects
     # negative limits before planning.
@@ -106,8 +105,8 @@ def planned_scan(streams: list, *, snapshot: Optional[int] = None,
         cap *= 8
         if cap > (1 << 40):  # defensive: never loop forever
             return None
-    for _trigger, _gen, fid, blocks in events:
-        runtime.fg_read_blocks(fid, blocks)
+    if events:  # one request: a memtable-only scan has no runtime
+        runtime.fg_read_blocks([(fid, blocks) for _, _, fid, blocks in events])
     return out
 
 

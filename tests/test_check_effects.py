@@ -639,3 +639,14 @@ class TestCatalog:
         assert all(f"{m}.{fn}" in result.table for m, fn in SEED_EFFECTS)
         assert all(f"{m}.{cls}.__init__" in result.table
                    for m, cls in SERVER_OWNERS)
+
+    @pytest.mark.parametrize("fn", [
+        "repro.storage.runtime.Runtime.fg_read_blocks",
+        "repro.table.block.Sequence.lookup",
+        "repro.table.scanplan.planned_scan"])
+    def test_the_read_path_charge_is_inferred(self, fn):
+        # Not only declared: the call graph must reach the disk charge from
+        # each read entry.  A fill handed into the page cache as a callback
+        # would leave these at {STATE_MUTATE} and still pass the gate.
+        inferred = run_effects_gate().table[fn].inferred
+        assert {"CLOCK_ADVANCE", "DISK_CHARGE"} <= inferred, sorted(inferred)

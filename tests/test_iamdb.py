@@ -115,6 +115,36 @@ def test_snapshot_accepts_int():
     assert db.get(1, seq) == 10
 
 
+@pytest.mark.parametrize("snapshot", [2.9, "5", True, -1, 2 ** 64],
+                         ids=["float", "str", "bool", "negative", "wide"])
+def test_bad_snapshot_is_refused_before_any_charge(snapshot):
+    # A snapshot is validated like a key: a float is not truncated (2.9
+    # used to read at seq 2, before key 3 existed), a string is not parsed
+    # ("5" used to read seq 5), and nothing outside [0, 2**64) reads.
+    db = make_tiny_db("iam")
+    for key in range(300):
+        db.put(key * 7 + 1000, 40)
+    db.put(3, 41)  # seq 301
+    db.put(3, 42)  # seq 302
+    db.quiesce()
+    db.put(3, 43)  # seq 303, in the memtable
+    assert db.get(3, 301) == 41 and db.get(3, 302) == 42
+    assert db.get(3, db.snapshot()) == 43
+
+    def state():
+        return (db.clock_now, repr(db.metrics.snapshot()),
+                list(db.runtime.cache._lru))
+    before = state()
+    for read in (lambda: db.get(3, snapshot),
+                 lambda: db.multi_get([3, 1000], snapshot),
+                 lambda: db.scan(None, None, snapshot=snapshot),
+                 lambda: db.scan(0, 10, limit=0, snapshot=snapshot),
+                 lambda: db.iterate(None, None, snapshot=snapshot)):
+        with pytest.raises(ConfigError, match="snapshot"):
+            read()
+        assert state() == before
+
+
 def test_closed_db_rejects_operations():
     db = make_tiny_db("iam")
     db.put(1, 10)

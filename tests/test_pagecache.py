@@ -196,7 +196,7 @@ def test_insert_many_into_fully_pinned_full_cache_overcommits():
 # ------------------------------------------- batch ops vs per-block reference
 _batch_ops = st.lists(
     st.tuples(st.sampled_from(["insert", "insert_many", "insert_range",
-                               "touch", "touch_many", "touch_range",
+                               "touch", "touch_run", "touch_range", "read_run",
                                "pin_range", "unpin_file", "invalidate_file"]),
               st.integers(0, 3),                              # file_id
               st.lists(st.integers(0, 12), max_size=8),       # block list
@@ -205,9 +205,16 @@ _batch_ops = st.lists(
     max_size=60)
 
 
+def _stretches(block_nos):
+    """Stretches of consecutive block numbers: one seek each."""
+    return sum(1 for i, b in enumerate(block_nos)
+               if i == 0 or b != block_nos[i - 1] + 1)
+
+
 @given(_batch_ops, st.integers(1, 8))
 def test_batch_ops_state_identical_to_reference(ops, cap_blocks):
-    """insert_many/touch_many/etc. leave the exact per-block-loop state.
+    """insert_many/touch_run/admit_run/etc. leave the exact per-block-loop
+    state.
 
     LRU order, pins, counters and return values -- and every file's
     residency after every op -- must all match the seed cache driven one
@@ -230,9 +237,18 @@ def test_batch_ops_state_identical_to_reference(ops, cap_blocks):
         elif kind == "touch":
             for b in blocks:
                 assert new.touch(f, b) == ref.touch(f, b)
-        elif kind == "touch_many":
-            misses = new.touch_many(f, blocks)
-            assert misses == [b for b in blocks if not ref.touch(f, b)]
+        elif kind == "touch_run":
+            misses = [b for b in blocks if not ref.touch(f, b)]
+            assert new.touch_run(f, blocks) == (len(misses), _stretches(misses))
+        elif kind == "read_run":
+            # The runtime's read of one run: touch, then admit the misses
+            # alone -- the reference's per-block loop over those misses.
+            run = range(first, first + n)
+            misses = [b for b in run if not ref.touch(f, b)]
+            assert new.touch_run(f, run) == (len(misses), _stretches(misses))
+            new.admit_run(f, run)
+            for b in misses:
+                ref.insert(f, b)
         elif kind == "touch_range":
             hits = new.touch_range(f, first, n)
             ref_hits = sum(ref.touch(f, b) for b in range(first, first + n))
@@ -250,6 +266,22 @@ def test_batch_ops_state_identical_to_reference(ops, cap_blocks):
         assert new.evictions == ref.evictions
         assert ([new.resident_blocks(g) for g in range(4)]
                 == [ref.resident_blocks(g) for g in range(4)])
+
+
+def test_admit_run_admits_the_touched_misses_only():
+    # A run longer than the cache: admitting its misses (blocks 0 and 1)
+    # evicts its own hit (block 2) before the run reaches it.  The evicted
+    # hit stays out, as in the per-block loop over the misses alone.
+    new, ref = PageCache(2 * 64, 64), ReferencePageCache(2 * 64, 64)
+    for c in (new, ref):
+        c.insert(9, 0)
+        c.insert(1, 2)
+    assert new.touch_run(1, range(0, 3)) == (2, 1)
+    new.admit_run(1, range(0, 3))
+    for b in [b for b in range(0, 3) if not ref.touch(1, b)]:
+        ref.insert(1, b)
+    assert list(new._lru) == list(ref._lru) == [(1, 0), (1, 1)]
+    assert new.evictions == ref.evictions == 2
 
 
 def test_invalidate_walks_a_sparse_file_exactly():

@@ -13,14 +13,15 @@ under every engine, is one fused loop over the table's probe rows; the
 newest-first loop of ``Sequence.get`` it replaced is its reference.
 
 Two contracts sit beside the equivalences.  *Declines*: whatever the scan
-planner cannot plan (a snapshot outside uint64, an engine that hands out
-plain generators) it must decline before charging anything, and the heap
-merge that answers instead is held to the same reference; a key outside
-uint64 never gets that far -- the write refuses it.  *Seeks*: an
+planner cannot plan (an engine that hands out plain generators) it must
+decline before charging anything, and the heap merge that answers instead
+is held to the same reference; a key or a snapshot outside uint64 never
+gets that far -- the write or the read refuses it.  *Seeks*: an
 ``iterate`` reopened at any ``k`` is the reference scan from ``k``.
 """
 
 import random
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -522,11 +523,20 @@ def test_key_outside_uint64_is_declined_then_merged(engine, odd, plain,
 
 
 def test_snapshot_outside_uint64_is_declined_then_merged(monkeypatch):
+    # Like a key outside uint64, such a snapshot is declined by the entry
+    # point -- the scan, and the reference with it -- before anything is
+    # charged; the range's two ends are planned.
     verdicts = _planner_verdicts(monkeypatch)
     db_ref, db_opt = _wide_pair("iam", n=300)
-    for snapshot in (-1, 2 ** 64, 0, 2 ** 64 - 1):
+    for snapshot in (-1, 2 ** 64):
+        before = _observable_state(db_opt), _observable_state(db_ref)
+        for scan in (db_opt.scan, partial(reference_scan, db_ref)):
+            with pytest.raises(ConfigError, match="snapshot"):
+                scan(None, None, limit=7, snapshot=snapshot)
+        assert (_observable_state(db_opt), _observable_state(db_ref)) == before
+    for snapshot in (0, 2 ** 64 - 1):
         _assert_scan_matches(db_ref, db_opt, None, None, 7, snapshot)
-    assert verdicts == [False, False, True, True]
+    assert verdicts == [True, True]
 
 
 def test_wide_key_in_the_chain_tail_is_declined(monkeypatch):

@@ -18,8 +18,10 @@ import random
 
 import pytest
 
+from repro.common.options import StorageOptions
 from repro.common.records import make_put
 from repro.filters.bloom import hash_pair
+from repro.storage.runtime import Runtime
 from repro.table.run import Run
 from tests.conftest import make_tiny_db
 from tests.test_lsmtrie import make_trie_db
@@ -49,7 +51,8 @@ def _store(widen):
     return db, n_leaf
 
 
-def _calls(fn):
+def _calls(fn, name=None):
+    """Calls ``fn()`` makes (only to functions called ``name``, if given)."""
     fn()  # warm the page cache
     profiler = cProfile.Profile()
     gc.disable()  # hypothesis hooks gc.callbacks: a collection would be counted
@@ -59,7 +62,8 @@ def _calls(fn):
         profiler.disable()
     finally:
         gc.enable()
-    return sum(entry.callcount for entry in profiler.getstats())
+    return sum(entry.callcount for entry in profiler.getstats()
+               if name is None or getattr(entry.code, "co_name", None) == name)
 
 
 def test_calls_per_read_do_not_grow_with_level_width():
@@ -77,17 +81,42 @@ def test_calls_per_read_do_not_grow_with_level_width():
 
 
 # The case ids keep the ceilings they were first given (450 / 580).
-@pytest.mark.parametrize("limit,ceiling", [(10, 320), (100, 400)],
+@pytest.mark.parametrize("limit,ceiling", [(10, 290), (100, 355)],
                          ids=["10-450", "100-580"])
 def test_calls_per_scan_budget(limit, ceiling):
     # The planner visits each sequence component once before the sort and
     # derives its charges in Python ints; the level walk costs no call per
-    # table and the memtable slice none per record (296 / 374 calls here;
-    # 361 / 466 with generator walks and per-block residency sets, 649 / 841
-    # with the three-pass planner before that).
+    # table, the memtable slice none per record, and the charges go to the
+    # runtime as one request (279 / 345 calls here; 296 / 374 with a
+    # request per read-ahead run, 361 / 466 with generator walks and
+    # per-block residency sets, 649 / 841 with the three-pass planner).
     db, _ = _store(widen=False)
     assert len(db.scan(0, None, limit=limit)) == limit
     assert _calls(lambda: db.scan(0, None, limit=limit)) <= ceiling
+
+
+def test_a_planned_scan_is_one_read_request():
+    # Every read-ahead run of a planned scan -- several here -- reaches the
+    # runtime in one fg_read_blocks call.
+    db, _ = _store(widen=False)
+
+    def scan():
+        return db.scan(0, None, limit=100)
+    assert _calls(scan, "planned_scan") == 1
+    assert _calls(scan, "fg_read_blocks") == 1
+    assert _calls(scan, "touch_run") > 4
+
+
+@pytest.mark.parametrize("k", [5, 20])
+def test_an_all_hit_request_settles_its_counters_once(k):
+    # The query counters settle once per request, however many runs it has.
+    rt = Runtime(StorageOptions(page_cache_bytes=1 << 20, block_size=256))
+    reads = [(f, range(2 * f, 2 * f + 3)) for f in range(k)]
+    for f, blocks in reads:
+        rt.cache.insert_many(f, blocks)
+    assert _calls(lambda: rt.fg_read_blocks(reads), "add_query_io") == 1
+    assert _calls(lambda: rt.fg_read_blocks(reads), "touch_run") == k
+    assert rt.metrics.cache_hits == 4 * 3 * k and rt.metrics.cache_misses == 0
 
 
 def test_a_scan_pays_no_call_per_memtable_record():
@@ -128,7 +157,7 @@ def test_rejected_sequences_add_no_calls_to_a_point_read():
         return m.bloom_probes - before[0], m.bloom_negatives - before[1]
     probes, negatives = probed_get()
     hit = _calls(lambda: db.get(key))
-    assert hit <= 44
+    assert hit <= 41
     # Four newer sequences in the key's own leaf node: two whose range lies
     # past the key, two that straddle it without holding it.
     for keys in [(above,), (above, above + 1), (below, above), (below, above + 1)]:

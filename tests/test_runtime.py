@@ -15,11 +15,12 @@ def make_runtime(cache_bytes=10 * 256) -> Runtime:
 
 
 def test_fg_read_blocks_charges_one_seek_per_run():
-    rt = make_runtime(cache_bytes=0)
-    lat = rt.fg_read_blocks(1, [0, 1, 2])  # one consecutive run
+    rt = make_runtime()
+    rt.cache.insert(1, 6)
+    lat = rt.fg_read_blocks(((1, range(0, 3)),))  # one consecutive run
     assert lat == pytest.approx(0.01 + 3 * 256 / 1000.0)
     assert rt.metrics.query_seeks == 1
-    lat = rt.fg_read_blocks(1, [5, 7])  # two runs
+    lat = rt.fg_read_blocks(((1, range(5, 8)),))  # two runs: block 6 is resident
     assert lat == pytest.approx(2 * 0.01 + 2 * 256 / 1000.0)
     assert rt.metrics.query_seeks == 3
 
@@ -27,7 +28,7 @@ def test_fg_read_blocks_charges_one_seek_per_run():
 def test_fg_read_blocks_cache_hits_are_free():
     rt = make_runtime()
     rt.cache.insert_range(1, 0, 3)
-    lat = rt.fg_read_blocks(1, [0, 1, 2])
+    lat = rt.fg_read_blocks(((1, range(0, 3)),))
     assert lat == 0.0
     assert rt.metrics.cache_hits == 3
     assert rt.metrics.query_seeks == 0
@@ -36,12 +37,66 @@ def test_fg_read_blocks_cache_hits_are_free():
 def test_fg_read_blocks_partial_miss():
     rt = make_runtime()
     rt.cache.insert(1, 1)
-    rt.fg_read_blocks(1, [0, 1, 2])
+    lat = rt.fg_read_blocks(((1, range(0, 3)),))  # a resident block between
+    assert lat == pytest.approx(2 * 0.01 + 2 * 256 / 1000.0)
     assert rt.metrics.cache_hits == 1
     assert rt.metrics.cache_misses == 2
     assert rt.metrics.query_seeks == 2  # blocks 0 and 2 are separate runs
-    # missed blocks are now resident
-    assert rt.cache.contains(1, 0) and rt.cache.contains(1, 2)
+    # missed blocks are now resident, admitted after the touched hit
+    assert list(rt.cache._lru) == [(1, 1), (1, 0), (1, 2)]
+
+
+def _traced_runtime(cache_blocks):
+    rt = make_runtime(cache_bytes=cache_blocks * 256)
+    instants = []
+    rt.cache.on_evictions = lambda n: instants.append((rt.clock.now, n))
+    return rt, instants
+
+
+def _observed(rt, instants):
+    m = rt.metrics
+    return (rt.clock.now, m.query_seeks, m.cache_hits, m.cache_misses,
+            list(rt.cache._lru), rt.cache.insertions, rt.cache.evictions,
+            instants)
+
+
+@pytest.mark.parametrize("cache_blocks,reads", [
+    # Partial-miss runs among hits and misses of two files; nothing evicted.
+    (16, [(1, range(0, 4)), (2, range(2, 5)), (1, range(3, 8)),
+          (2, range(0, 2))]),
+    # Runs that evict what earlier runs admitted and touched.
+    (8, [(1, range(0, 6)), (2, range(0, 6)), (1, range(4, 9)),
+         (3, range(1, 3)), (2, range(3, 7))]),
+], ids=["partial-miss", "evicting"])
+def test_one_request_equals_its_runs_one_call_each(cache_blocks, reads):
+    # One fg_read_blocks over k runs is the k one-run calls it replaces:
+    # same clock, query counters, LRU order, and eviction instants stamped
+    # at the same times (each run is touched, filled, then admitted).
+    observed = []
+    for batched in (True, False):
+        rt, instants = _traced_runtime(cache_blocks)
+        rt.cache.insert_range(1, 2, 3)  # residents inside the first run
+        rt.cache.insert(2, 3)
+        if batched:
+            elapsed = rt.fg_read_blocks(reads)
+        else:
+            elapsed = sum(rt.fg_read_blocks((run,)) for run in reads)
+        observed.append((elapsed, _observed(rt, instants)))
+    (lat_one, one), (lat_each, each) = observed
+    assert one == each
+    assert lat_one == pytest.approx(lat_each)
+    _, seeks, hits, _, _, _, evictions, instants = one
+    assert seeks > len(reads) and hits > 0  # a run with a resident block
+    assert (evictions > 0) == (cache_blocks == 8) == bool(instants)
+
+
+def test_evictions_are_stamped_after_the_fill():
+    # touch -> fill -> admit: the admission's evictions happen at the clock
+    # the fill left, not at the request's start.
+    rt, instants = _traced_runtime(cache_blocks=2)
+    rt.cache.insert_range(9, 0, 2)
+    lat = rt.fg_read_blocks(((1, range(0, 2)),))
+    assert lat > 0.0 and instants == [(lat, 1), (lat, 1)]
 
 
 def test_bg_write_run_accounting():
