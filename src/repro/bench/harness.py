@@ -42,8 +42,8 @@ _loaded_cache: Dict[Tuple, IamDB] = {}
 
 
 @contextlib.contextmanager
-def maybe_profile(enabled: bool, *, sort: str = "cumulative",
-                  limit: int = 30, stream: Optional[TextIO] = None,
+def maybe_profile(enabled: bool, *, limit: int = 30,
+                  stream: Optional[TextIO] = None,
                   ) -> Iterator[Optional[cProfile.Profile]]:
     """Optionally cProfile the enclosed block (``--profile`` CLI flag).
 
@@ -61,25 +61,23 @@ def maybe_profile(enabled: bool, *, sort: str = "cumulative",
     finally:
         prof.disable()
         out = stream if stream is not None else sys.stderr
-        pstats.Stats(prof, stream=out).sort_stats(sort).print_stats(limit)
+        pstats.Stats(prof, stream=out).sort_stats("cumulative").print_stats(limit)
 
 
 def clear_cache() -> None:
     _loaded_cache.clear()
 
 
-def loaded_db(config: str, setup: ScaledSetup, *, fresh: bool = False,
-              quiesce: bool = False,
+def loaded_db(config: str, setup: ScaledSetup, *, quiesce: bool = False,
               **engine_kw: Any) -> Tuple[IamDB, WorkloadReport]:
-    """A DB hash-loaded with the setup's dataset (cached unless ``fresh``)."""
+    """A DB hash-loaded with the setup's dataset (cached per arguments)."""
     key = (config, setup.name, setup.n_records, quiesce,
            tuple(sorted(engine_kw.items())))
-    if fresh or key not in _loaded_cache:
+    if key not in _loaded_cache:
         db = make_db(config, setup, **engine_kw)
         report = hash_load(db, setup.n_records, quiesce=quiesce)
         db._load_report = report  # type: ignore[attr-defined] # stash for reuse
-        if not fresh:
-            _loaded_cache[key] = db
+        _loaded_cache[key] = db
         return db, report
     db = _loaded_cache[key]
     return db, db._load_report  # type: ignore[attr-defined]
@@ -214,28 +212,6 @@ def exp_fig8_stability(setup: ScaledSetup = SSD_100G,
 
 
 # ---------------------------------------------------------------- Table 5
-def exp_table5(setups: Sequence[ScaledSetup] = (SSD_100G, HDD_100G, HDD_1T),
-               workloads: Sequence[str] = ("B", "C", "D", "E", "G"),
-               configs: Sequence[str] = ("L", "R-1t", "A-1t", "I-1t"),
-               n_ops: int = DEFAULT_RUN_OPS,
-               ) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """99th-percentile latencies for the query-intensive workloads.
-
-    Returns {workload: {config: {setup_name: p99_seconds}}}.
-    """
-    out: Dict[str, Dict[str, Dict[str, float]]] = {
-        w: {c: {} for c in configs} for w in workloads}
-    for setup in setups:
-        for config in configs:
-            db, _ = loaded_db(config, setup)
-            for w in workloads:
-                spec = YCSB_WORKLOADS[w]
-                rep = run_ycsb(db, spec, _query_ops(w, n_ops), setup.n_records)
-                op_type = "scan" if spec.scan > 0 else "read"
-                out[w][config][setup.name] = rep.latency.get(op_type, {}).get("p99", 0.0)
-    return out
-
-
 def exp_table5_hist(setups: Sequence[ScaledSetup] = (SSD_100G, HDD_100G,
                                                      HDD_1T),
                     workloads: Sequence[str] = ("B", "C", "D", "E", "G"),
@@ -244,10 +220,10 @@ def exp_table5_hist(setups: Sequence[ScaledSetup] = (SSD_100G, HDD_100G,
                     ) -> Dict[str, Dict[str, Dict[str, Dict[str, float]]]]:
     """Table 5 on the histogram primitives: tail latencies per phase.
 
-    Same runs as :func:`exp_table5`, but the tails come from the per-op-
-    class log-linear histograms (windowed per workload with
-    :meth:`~repro.obs.stability.StabilityProbe.latency_since`) rather than
-    the per-op sample recorder.  Each cell is the full digest
+    The query-intensive workloads on every setup and configuration; the
+    tails come from the per-op-class log-linear histograms (windowed per
+    workload with :meth:`~repro.obs.stability.StabilityProbe.latency_since`)
+    rather than the per-op sample recorder.  Each cell is the full digest
     ``{"p50", "p99", "p999", "max", ...}`` plus ``p99_recorder``, the old
     sample-interpolated p99, so the benchmark can assert the two
     conventions agree to within the histogram's bucket resolution.

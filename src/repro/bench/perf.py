@@ -360,8 +360,7 @@ def bench_reads(quick: bool = False) -> Dict[str, Dict[str, float]]:
 
 # --------------------------------------------------------------- end to end
 @effects("CLOCK_ADVANCE", "DISK_CHARGE", "HOST_TIME", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
-def bench_end_to_end(quick: bool = False, *, config: str = "I-1t",
-                     records: Optional[int] = None,
+def bench_end_to_end(quick: bool = False, *, records: Optional[int] = None,
                      trace_path: Optional[str] = None) -> Dict[str, Dict[str, float]]:
     """Wall-clock of one scaled hash load (the exp_fig6-style inner loop).
 
@@ -376,7 +375,7 @@ def bench_end_to_end(quick: bool = False, *, config: str = "I-1t",
     n = records if records is not None else SSD_100G.n_records
     if quick:
         n = max(1000, n // 4)
-    db = make_db(config, SSD_100G)
+    db = make_db("I-1t", SSD_100G)
     session = None
     if trace_path is not None:
         from repro.obs import attach_trace
@@ -385,7 +384,7 @@ def bench_end_to_end(quick: bool = False, *, config: str = "I-1t",
     rep = hash_load(db, n, quiesce=False)
     seconds = time.perf_counter() - t0  # repro: noqa-REP001 (host benchmark timer)
     entry = _entry(n, seconds)
-    entry.update({"config": config, "setup": "SSD-100G",
+    entry.update({"config": "I-1t", "setup": "SSD-100G",
                   "write_amplification": round(rep.write_amplification, 6),
                   "sim_seconds": round(rep.sim_seconds, 6)})
     if session is not None and trace_path is not None:

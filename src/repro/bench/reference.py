@@ -36,7 +36,6 @@ from repro.common.records import (
     DELETE,
     KEY,
     KIND,
-    PUT,
     RecordTuple,
     SEQ,
     VALUE,
@@ -110,9 +109,6 @@ class ReferenceMemtable:
 
     def sorted_records(self) -> List[RecordTuple]:
         return list(self.iter_range())
-
-    def approximate_live_records(self) -> int:
-        return sum(1 for v in self._versions.values() if v[-1][1] == PUT)
 
 
 def reference_merge_runs(runs: PySequence[List[RecordTuple]], *,
@@ -289,13 +285,6 @@ class ReferencePageCache:
             self.insert(file_id, b)
             if self.contains(file_id, b):
                 self._pinned.add((file_id, b))
-
-    def unpin_file(self, file_id: int) -> int:
-        """Release every pin on ``file_id``; returns the number released."""
-        mine = [k for k in self._pinned if k[0] == file_id]
-        for k in mine:
-            self._pinned.discard(k)
-        return len(mine)
 
     def invalidate_file(self, file_id: int) -> int:
         """Drop every block of ``file_id`` (file deletion).  Returns count."""

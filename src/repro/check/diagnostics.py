@@ -57,19 +57,6 @@ def invariant_error(check: str, message: str, **context: Any) -> InvariantViolat
     return exc
 
 
-def diagnostic_of(exc: BaseException) -> Diagnostic:
-    """The structured diagnostic of an exception, synthesizing one if absent."""
-    diag = getattr(exc, "diagnostic", None)
-    if isinstance(diag, Diagnostic):
-        return diag
-    return Diagnostic(check="unstructured", message=str(exc))
-
-
-def format_violations(diagnostics: "list[Diagnostic]") -> str:
-    """Render a list of diagnostics, one per line, for reports and tests."""
-    return "\n".join(d.format() for d in diagnostics)
-
-
 # --------------------------------------------------------------------------
 # Shared static-check plumbing: suppression comments, path relativization
 # and deterministic ordering.  Both the determinism lint (REP0xx) and the

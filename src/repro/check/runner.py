@@ -270,7 +270,7 @@ def _run_objstore_smoke(args: argparse.Namespace) -> GateOutcome:
         before = sum(v for (src, _dst), v
                      in cluster.network.link_bytes.items()
                      if src == leader_node)
-        boot = cluster.spawn_follower(0, mode="objstore")
+        boot = cluster.spawn_follower(0)
         after = sum(v for (src, _dst), v
                     in cluster.network.link_bytes.items()
                     if src == leader_node)

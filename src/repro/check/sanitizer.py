@@ -219,11 +219,11 @@ class Sanitizer:
         """The mixed level ``Lm`` never *grows* past ``k`` sequences (§5).
 
         Metadata-only move-downs may carry an over-bound node *into* a
-        mixed/merging level (the policy merges it on its first arrival, see
-        ``LsaTree.policy_debt``), so the bound is enforced on transitions: a
-        node observed under-bound at its level must never be observed
-        over-bound at the same level, and an over-bound node must never gain
-        sequences while staying at its level.
+        mixed/merging level (the policy merges it on its first arrival), so
+        the bound is enforced on transitions: a node observed under-bound at
+        its level must never be observed over-bound at the same level, and
+        an over-bound node must never gain sequences while staying at its
+        level.
         """
         m = getattr(engine, "m", None)
         k = getattr(engine, "k", None)

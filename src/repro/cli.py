@@ -475,8 +475,7 @@ def cmd_objstore(args) -> int:
     cluster.flush()
     cluster.quiesce()
     if args.bootstrap_follower is not None:
-        boot = cluster.spawn_follower(args.bootstrap_follower,
-                                      mode="objstore")
+        boot = cluster.spawn_follower(args.bootstrap_follower)
         print(f"follower bootstrap (shard {args.bootstrap_follower}): "
               f"cut {boot['cut_id']} @ seq {boot['bootstrap_seq']}, "
               f"{boot['objects_fetched']} objects / "

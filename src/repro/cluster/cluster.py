@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.network import NetworkOptions, SimNetwork
 from repro.cluster.rebalance import REBALANCE_CHECK_OPS, Rebalancer
@@ -206,17 +206,14 @@ class ClusterDB:
             leader.db.runtime.pool.offload_disk = self.offload_disk
         return tier
 
-    def spawn_follower(self, shard_index: int, *,
-                       mode: str = "objstore") -> Dict[str, object]:
+    def spawn_follower(self, shard_index: int) -> Dict[str, object]:
         """Provision a brand-new follower and catch it up to the leader.
 
-        ``mode="objstore"``: bootstrap from shared storage -- replay the
-        shard's manifest log and fetch data objects from the store; the
+        The follower bootstraps from shared storage -- it replays the
+        shard's manifest log and fetches data objects from the store; the
         leader then ships only WAL records *newer* than the bootstrap cut
-        (zero leader network bytes for the flushed prefix).
-        ``mode="ship"``: the baseline -- the leader ships its checkpointed
-        state and every live file over the network, then the same WAL tail.
-        Returns the group's deterministic catch-up report.
+        (zero leader network bytes for the flushed prefix).  Returns the
+        group's deterministic catch-up report.
         """
         self._check_open()
         shards = self.router.shards
@@ -224,19 +221,18 @@ class ClusterDB:
             raise ConfigError(
                 f"spawn_follower targets shard {shard_index}, cluster has "
                 f"{len(shards)}")
-        if mode == "objstore" and self.objstore is None:
+        if self.objstore is None:
             raise ConfigError(
                 "objstore bootstrap needs ClusterOptions.objstore")
         shard = shards[shard_index]
         replica = self._make_replica()
-        log = (self.manifest_logs.get(shard.shard_id)
-               if mode == "objstore" else None)
-        report = shard.group.add_follower(replica, mode=mode, log=log)
+        report = shard.group.add_follower(
+            replica, self.manifest_logs[shard.shard_id])
         report["shard"] = shard.shard_id
         self.metrics.bump("follower:spawn")
         if self.tracer.enabled:
             self.tracer.instant("cluster", "follower-spawn",
-                                shard=shard.shard_id, mode=mode,
+                                shard=shard.shard_id, mode="objstore",
                                 node=replica.node_id)
         self._pump_all()
         return report
@@ -395,11 +391,23 @@ class ClusterDB:
         :class:`~repro.objstore.tiering.AsOfReader` over the owning shard's
         manifest log -- the historical tree is restored once per (shard,
         cut) and its page-cache misses fill from the object store at store
-        latency.
+        latency.  A cut that is not an int in ``[0, 2**64)``, or that the
+        owning shard does not retain and no cached reader holds, is refused
+        before the op is counted.
         """
         if self.objstore is None:
             raise ConfigError(
                 "as_of_cut reads need ClusterOptions.objstore")
+        if type(cut_id) is not int or not 0 <= cut_id < 2 ** 64:
+            raise ConfigError(
+                f"as_of_cut must be an int in [0, 2**64), got {cut_id!r}")
+        shard_id = self.router.shard_for(key).shard_id
+        log = self.manifest_logs[shard_id]
+        if (shard_id, cut_id) not in self._as_of_readers \
+                and log.cut(cut_id) is None:
+            raise ConfigError(
+                f"as_of_cut={cut_id} is not a retained manifest cut "
+                f"(retained: {[c.cut_id for c in log.cuts]})")
         self._begin_op()
         t0 = self.clock.now
         shard = self.router.shard_for(key)
@@ -435,17 +443,15 @@ class ClusterDB:
              *, limit: Optional[int] = None) -> List[Tuple[Key, object]]:
         check_limit(limit)
         check_bounds(lo_key, hi_key)
+        if limit == 0:
+            self._check_open()
+            return []
         self._begin_op()
         t0 = self.clock.now
         rows = self.router.scan(lo_key, hi_key, limit=limit)
         self._pump_all()
         self.metrics.latency["scan"].samples.append(self.clock.now - t0)
         return rows
-
-    def iterate(self, lo_key: Optional[Key] = None,
-                hi_key: Optional[Key] = None) -> Iterator[Tuple[Key, object]]:
-        """Eager scatter-gather iteration (cluster scans materialize)."""
-        return iter(self.scan(lo_key, hi_key))
 
     def _remember_ack(self, key: Key, value: Optional[Value]) -> None:
         audit = self._acked_audit

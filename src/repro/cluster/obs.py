@@ -95,26 +95,6 @@ class ClusterTraceSession:
         return {name: list(session.sampler.rows)
                 for name, _, session in self._sessions}
 
-    def to_timeseries_jsonl(self) -> str:
-        """All shards' sampler rows as JSON lines tagged with their shard.
-
-        Deterministic (sorted keys, compact separators) like every other
-        exporter; one line per row, ``{"node": <process>, ...row}``.
-        """
-        import json
-        lines: List[str] = []
-        for name, rows in self.timeseries().items():
-            for row in rows:
-                obj: Dict[str, object] = {"node": name}
-                obj.update(row)
-                lines.append(json.dumps(obj, sort_keys=True,
-                                        separators=(",", ":")))
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def write_timeseries_jsonl(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_timeseries_jsonl())
-
     # ----------------------------------------------------------------- summary
     def summary(self) -> str:
         """One line per traced process: event and sample counts."""

@@ -173,51 +173,25 @@ class ReplicaGroup:
         self._replicate("delete", key, 0, rec_bytes)
 
     # -------------------------------------------------------------- follower add
-    def add_follower(self, replica: Replica, *, mode: str = "objstore",
-                     log: Optional["SharedManifestLog"] = None,
-                     ) -> Dict[str, object]:
+    def add_follower(self, replica: Replica,
+                     log: "SharedManifestLog") -> Dict[str, object]:
         """Attach a brand-new follower, caught up before it joins the group.
 
-        ``mode="objstore"``: the follower bootstraps itself from the shard's
-        shared manifest log -- entry replay plus data-object fetches charged
-        to the *follower's* runtime; zero leader network bytes for the
-        flushed prefix.  ``mode="ship"``: the pre-shared-storage baseline --
-        the leader ships its checkpointed state and every live file's bytes
-        over its own network link.  Both modes then ship the leader's WAL
-        tail (records newer than the bootstrap cut), applied through the
-        follower's full write path so sequence numbers line up exactly.
+        The follower bootstraps itself from the shard's shared manifest log
+        -- entry replay plus data-object fetches charged to the *follower's*
+        runtime; zero leader network bytes for the flushed prefix.  The
+        leader then ships its WAL tail (records newer than the bootstrap
+        cut), applied through the follower's full write path so sequence
+        numbers line up exactly.
         """
+        from repro.objstore.tiering import bootstrap_from_store
         leader = self.leader
-        report: Dict[str, object]
-        if mode == "objstore":
-            if log is None:
-                raise ConfigError("objstore follower mode needs the shard's "
-                                  "manifest log")
-            from repro.objstore.tiering import bootstrap_from_store
-            boot = bootstrap_from_store(replica.db, log)
-            base_seq = int(boot["seq"])
-            report = {"mode": mode, "cut_id": boot["cut_id"],
-                      "bootstrap_seq": base_seq,
-                      "objects_fetched": boot["objects"],
-                      "store_bytes_down": boot["bytes_down"]}
-        elif mode == "ship":
-            base_seq = 0
-            shipped_bytes = 0
-            state = leader.db.manifest.restore()
-            if state is not None:
-                disk = leader.db.runtime.disk
-                for fid in sorted(leader.db.engine.live_file_ids()):
-                    f = disk.files.get(fid)
-                    if f is not None:
-                        self.network.send(leader.node_id, replica.node_id,
-                                          f.nbytes)
-                        shipped_bytes += f.nbytes
-                replica.db.adopt_checkpoint(state)
-                base_seq = int(state["seq"])
-            report = {"mode": mode, "bootstrap_seq": base_seq,
-                      "shipped_bytes": shipped_bytes}
-        else:
-            raise ConfigError(f"unknown follower mode {mode!r}")
+        boot = bootstrap_from_store(replica.db, log)
+        base_seq = int(boot["seq"])
+        report: Dict[str, object] = {
+            "mode": "objstore", "cut_id": boot["cut_id"],
+            "bootstrap_seq": base_seq, "objects_fetched": boot["objects"],
+            "store_bytes_down": boot["bytes_down"]}
         # Catch-up: only WAL records newer than the bootstrap cut cross the
         # leader's link (the WAL suffix is contiguous from the flushed
         # prefix, so applied seqs line up with the leader's).

@@ -76,9 +76,6 @@ class Shard:
         })
         return d
 
-    def live_dbs(self) -> List[object]:
-        return [r.db for r in self.group.live_replicas()]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Shard({self.shard_id}, [{self.lo:#x}, {self.hi:#x}), "
                 f"replicas={len(self.group.replicas)})")

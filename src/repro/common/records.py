@@ -61,10 +61,6 @@ class Record(NamedTuple):
     kind: int
     value: Value
 
-    @property
-    def is_tombstone(self) -> bool:
-        return self.kind == DELETE
-
 
 def value_nbytes(value: Value) -> int:
     """Payload size in bytes of a real or synthetic value."""
@@ -109,13 +105,3 @@ def encoded_size_many(recs: Sequence[RecordTuple], key_size: int) -> int:
 def sort_key(rec: RecordTuple) -> Tuple[Key, int]:
     """Sort key producing (key asc, seq desc) order."""
     return (rec[KEY], -rec[SEQ])
-
-
-def is_sorted_run(recs: Sequence[RecordTuple]) -> bool:
-    """True when ``recs`` is a valid sorted run: (key asc, seq desc), no dup (key, seq)."""
-    for a, b in zip(recs, recs[1:]):
-        if a[KEY] > b[KEY]:
-            return False
-        if a[KEY] == b[KEY] and a[SEQ] <= b[SEQ]:
-            return False
-    return True

@@ -566,9 +566,6 @@ class LsaTree(EngineBase):
         return {i: sum(node.nbytes for node in self.levels[i])
                 for i in range(1, self.n + 1)}
 
-    def level_node_counts(self) -> Dict[int, int]:
-        return {i: len(self.levels[i]) for i in range(1, self.n + 1)}
-
     def max_children(self) -> int:
         """Largest child count of any node (worst-write-case indicator)."""
         worst = 0
@@ -580,29 +577,11 @@ class LsaTree(EngineBase):
                 worst = max(worst, j - i)
         return worst
 
-    def max_sequences_per_node(self) -> int:
-        return max((node.n_sequences
-                    for level in self.levels for node in level), default=0)
-
     def level_class(self, level: int) -> str:
         """"appending", "mixed" or "merging" (§5.1)."""
         if level < self.m:
             return "appending"
         return "mixed" if level == self.m else "merging"
-
-    def policy_debt(self) -> int:
-        """Nodes currently over their level's sequence bound.
-
-        Metadata-only move-downs can carry multi-sequence nodes into the
-        mixed/merging levels (that is the point: no rewrite); the rule
-        merges them on their first arrival.  This counts the not-yet-healed
-        nodes -- it should stay small and must never grow monotonically.
-        """
-        debt = 0
-        for level in range(self.m, self.n + 1):
-            bound = self.k if level == self.m else 1
-            debt += sum(1 for node in self.levels[level] if node.n_sequences > bound)
-        return debt
 
     @observation_only
     def check_invariants(self) -> None:

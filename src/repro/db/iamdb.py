@@ -21,11 +21,10 @@ one of the two stall sources the tail-latency experiments measure.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.common.errors import ConfigError, StoreClosedError
 from repro.common.options import (
-    FaultOptions,
     IamOptions,
     LsaOptions,
     LsmOptions,
@@ -48,7 +47,7 @@ from repro.common.records import (
 )
 from repro.core.engine import EngineBase
 from repro.core.lsa import LsaTree
-from repro.db.iterator import check_bounds, check_limit, merge_visible
+from repro.db.iterator import check_bounds, check_limit
 from repro.table.scan import list_stream, merge_scan
 from repro.table.scanplan import planned_scan
 from repro.db.snapshot import Snapshot
@@ -101,7 +100,6 @@ class IamDB:
                  engine_options: Any = None,
                  storage_options: Optional[StorageOptions] = None,
                  sanitizer_options: Optional["SanitizerOptions"] = None,
-                 fault_options: Optional[FaultOptions] = None,
                  clock: Optional["SimClock"] = None) -> None:
         self.metrics = MetricsRegistry()
         threads = getattr(engine_options, "background_threads", None)
@@ -109,8 +107,6 @@ class IamDB:
             threads = 1
         self.runtime = Runtime(storage_options, background_threads=threads,
                                metrics=self.metrics, clock=clock)
-        if fault_options is not None and fault_options.enabled:
-            self.runtime.attach_faults(fault_options)
         self.engine = _engine_factory(engine, engine_options, self.runtime)
         self.engine.snapshots_provider = self._live_snapshots
         self.key_size = self.engine.options.key_size
@@ -386,21 +382,6 @@ class IamDB:
         runtime.pump()
         self.metrics.latency["scan"].samples.append(runtime.clock.now - t0)
         return out
-
-    def iterate(self, lo_key: Optional[Key] = None,
-                hi_key: Optional[Key] = None, *,
-                snapshot: SnapshotLike = None) -> Iterator[Tuple[Key, object]]:
-        """Lazy ordered iterator over ``(key, value)`` pairs, lo <= key < hi.
-
-        Unlike :meth:`scan`, results stream as they are consumed -- I/O is
-        charged with read-ahead while you iterate.  The view is fixed at call
-        time (plus the given snapshot); interleaving writes with iteration is
-        not supported.
-        """
-        self._check_open()
-        check_bounds(lo_key, hi_key)
-        return merge_visible(self._scan_streams(lo_key, hi_key),
-                             snapshot=self._snap_seq(snapshot), hi_key=hi_key)
 
     # -------------------------------------------------------------- snapshots
     def snapshot(self) -> Snapshot:

@@ -125,6 +125,10 @@ class CrashPoints:
 # Deterministic workload for the matrix (tiny trees, like tests/conftest.py).
 # --------------------------------------------------------------------------
 
+#: ``CrashSpec.torn_tail_records`` of each crash case: an intact WAL tail,
+#: and one that loses up to four trailing records.
+TORN_VARIANTS: Tuple[int, ...] = (0, 4)
+
 #: Wide enough that the tiny trees split (mid-split coverage), small enough
 #: that keys are overwritten and combined (mid-combine coverage).
 _KEYSPACE = 2000
@@ -367,7 +371,6 @@ def _run_case(engine: str, ops: Sequence[Op], site: str, occurrence: int,
 
 def run_crash_matrix(engines: Sequence[str] = ("iam", "leveldb"), *,
                      n_ops: int = 400, per_site: int = 2, seed: int = 1,
-                     torn_variants: Sequence[int] = (0, 4),
                      sanitize: bool = True) -> Dict[str, Any]:
     """Enumerate crash points across the pipeline; assert the contract.
 
@@ -381,7 +384,7 @@ def run_crash_matrix(engines: Sequence[str] = ("iam", "leveldb"), *,
     report: Dict[str, Any] = {
         "params": {"engines": list(engines), "n_ops": n_ops,
                    "per_site": per_site, "seed": seed,
-                   "torn_variants": list(torn_variants)},
+                   "torn_variants": list(TORN_VARIANTS)},
         "sites": {}, "cases": [], "failures": [],
     }
     for engine in engines:
@@ -389,7 +392,7 @@ def run_crash_matrix(engines: Sequence[str] = ("iam", "leveldb"), *,
         report["sites"][engine] = counts
         for site in CRASH_SITES:
             for occurrence in _spread(counts.get(site, 0), per_site):
-                for torn in torn_variants:
+                for torn in TORN_VARIANTS:
                     case = _run_case(engine, ops, site, occurrence, torn,
                                      sanitize=sanitize)
                     report["cases"].append(case)

@@ -119,10 +119,3 @@ class BloomFilter:
                 return False
             h = (h + h2) & MASK64  # probe i is (h1 + i * h2) mod 2**64
         return True
-
-    def expected_fpr(self, n_keys: int) -> float:
-        """Theoretical false-positive rate after inserting ``n_keys`` keys."""
-        if self.n_hashes == 0:
-            return 1.0
-        k = self.n_hashes
-        return (1.0 - math.exp(-k * n_keys / self.n_bits)) ** k

@@ -278,27 +278,6 @@ class LeveledLsm(EngineBase):
     def level_data_bytes(self) -> Dict[int, int]:
         return {i: b for i, b in enumerate(self.level_bytes) if b or self.levels[i]}
 
-    def overflow_factors(self) -> Dict[int, float]:
-        """Actual size over threshold per level (§6.2's "data overflows").
-
-        LevelDB under write pressure lets levels exceed their thresholds
-        (the paper measures L1 at 5.6x), which shrinks the effective
-        adjacent-level fan-out and with it the write amplification.
-        """
-        out = {}
-        for i in range(1, self.options.max_levels - 1):
-            if self.level_bytes[i]:
-                out[i] = self.level_bytes[i] / self.options.level_target_bytes(i)
-        return out
-
-    def effective_size_ratios(self) -> Dict[int, float]:
-        """Measured size ratio between adjacent levels (paper: 5.4 vs 10)."""
-        out = {}
-        for i in range(1, self.options.max_levels - 1):
-            if self.level_bytes[i] and self.level_bytes[i + 1]:
-                out[i] = self.level_bytes[i + 1] / self.level_bytes[i]
-        return out
-
     @observation_only
     def check_invariants(self) -> None:
         for i, lst in enumerate(self.levels):

@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.check.diagnostics import invariant_error
 from repro.common.records import (
     Key,
-    PUT,
     RecordTuple,
     encoded_size,
 )
@@ -144,7 +143,3 @@ class Memtable:
         if not versions:
             return Run.from_records(())
         return Run.from_columns(keys, *zip(*versions))
-
-    def approximate_live_records(self) -> int:
-        """Distinct keys whose newest version is a PUT (diagnostics)."""
-        return sum(1 for v in self._versions.values() if v[-1][1] == PUT)

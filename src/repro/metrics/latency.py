@@ -401,10 +401,6 @@ class LatencyRecorder:
     def p99(self) -> float:
         return self.percentile(99.0)
 
-    def tail_summary(self) -> Dict[str, float]:
-        """The paper's tail-latency digest: p50 / p99 / max (seconds)."""
-        return self.window_summary(0)
-
     def window_summary(self, start_index: int) -> Dict[str, float]:
         """Tail digest over samples recorded at/after ``start_index``.
 
@@ -422,8 +418,3 @@ class LatencyRecorder:
             "p99": float(np.percentile(arr, 99.0)),
             "max": float(arr.max()),
         }
-
-    def merged_with(self, other: "LatencyRecorder") -> "LatencyRecorder":
-        out = LatencyRecorder()
-        out.samples = self.samples + other.samples
-        return out

@@ -99,7 +99,7 @@ def _render_stall_family(lines: List[str], ns: str, stem: str, noun: str,
             f" {_fmt(triples[reason][2])}")
 
 
-def render_prom(snapshot: Mapping[str, object], *, namespace: str = "repro",
+def render_prom(snapshot: Mapping[str, object], *,
                 extra_gauges: Optional[Mapping[str, Union[float,
                                                           Tuple[str, float]]]] = None,
                 ) -> str:
@@ -109,7 +109,7 @@ def render_prom(snapshot: Mapping[str, object], *, namespace: str = "repro",
     context the snapshot itself does not carry (simulated time, shard
     count...).
     """
-    ns = namespace
+    ns = "repro"
     lines: List[str] = []
     for key, help_text in _SCALAR_COUNTERS:
         value = snapshot.get(key)

@@ -6,7 +6,7 @@ Three consumers of :class:`~repro.objstore.manifestlog.SharedManifestLog`:
   :class:`~repro.storage.manifest.Manifest` checkpoint durably to the
   store: background uploads of new/changed MSTable files (size-versioned
   immutable objects), then one synchronous log-entry put, then -- every
-  ``cleanup_interval`` cuts -- the tombstone-cleanup compactor.  The local
+  :data:`CLEANUP_INTERVAL` cuts -- the tombstone-cleanup compactor.  The local
   write path is untouched: with a zero-latency store the mirrored run is
   byte-identical to a bare one.
 * :func:`bootstrap_from_store` -- point a fresh DB at the latest cut:
@@ -45,15 +45,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.db.iamdb import IamDB
 
 #: Run the tombstone-cleanup compactor every this many cuts.
-DEFAULT_CLEANUP_INTERVAL = 4
+CLEANUP_INTERVAL = 4
 
 
 class ObjStoreTier:
     """Mirrors one DB's manifest checkpoints to the shared store."""
 
     def __init__(self, db: "IamDB", log: SharedManifestLog, *,
-                 node_tag: str = "n0",
-                 cleanup_interval: int = DEFAULT_CLEANUP_INTERVAL) -> None:
+                 node_tag: str = "n0") -> None:
         self.db = db
         self.log = log
         self.store = log.store
@@ -61,7 +60,6 @@ class ObjStoreTier:
         #: must be globally unique; after a failover the new leader
         #: mirrors under its own tag, so versions never collide).
         self.node_tag = node_tag
-        self.cleanup_interval = cleanup_interval
         #: file_id -> (object name, mirrored nbytes).  IAM/LSA node files
         #: grow in place, so an unchanged size means the mirrored version
         #: is current; a grown file gets a new size-versioned object.
@@ -88,7 +86,7 @@ class ObjStoreTier:
         Runs synchronously inside :meth:`Manifest.checkpoint`: data-object
         uploads are background reserves on the store channel (the clock
         does not move), the log entry is one foreground put, and the
-        cleanup compactor fires every ``cleanup_interval`` cuts.
+        cleanup compactor fires every :data:`CLEANUP_INTERVAL` cuts.
         """
         db = self.db
         runtime = db.runtime
@@ -117,7 +115,7 @@ class ObjStoreTier:
                             files=files, tombstones=tuple(sorted(tombstones)))
         self._crash_point("post-objstore-log")
         self._cuts_since_cleanup += 1
-        if self._cuts_since_cleanup >= self.cleanup_interval:
+        if self._cuts_since_cleanup >= CLEANUP_INTERVAL:
             self._cuts_since_cleanup = 0
             if self.log.gc_candidates():
                 self._crash_point("mid-objstore-cleanup")

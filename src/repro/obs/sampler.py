@@ -61,10 +61,6 @@ class TimeseriesSampler:
         self._last_hist: Dict[str, Dict[str, object]] = {}
 
     # ---------------------------------------------------------------- driving
-    @property
-    def next_due(self) -> float:
-        return self._next_due
-
     def maybe_sample(self) -> None:
         """Take a sample when the clock has crossed the next grid point."""
         if self.db.runtime.clock.now >= self._next_due:
@@ -231,10 +227,3 @@ class TimeseriesSampler:
             due += (int(behind / step) + 1) * step
         self._next_due = due
         return row
-
-    # ------------------------------------------------------------- inspection
-    def throughput_timeline(self) -> List[Dict[str, float]]:
-        """(ts, ops/s) pairs -- the Fig. 8 stable-throughput axis."""
-        return [{"ts": float(r["ts"]),  # type: ignore[arg-type]
-                 "ops_per_s": float(r["throughput_ops_s"])}  # type: ignore[arg-type]
-                for r in self.rows]

@@ -37,6 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 Row = Mapping[str, object]
 
+#: A window report's timelines keep at most this many points.
+TIMELINE_POINTS = 32
+
 
 def _row_float(row: Row, key: str) -> float:
     value = row.get(key, 0.0)
@@ -203,13 +206,12 @@ class StabilityProbe:
                 out[op] = delta.percentiles()
         return out
 
-    def window_report(self, mark: Mark, *,
-                      timeline_points: int = 32) -> Dict[str, object]:
+    def window_report(self, mark: Mark) -> Dict[str, object]:
         """The stability digest of everything since ``mark``.
 
         Flushes the sampler's final partial window first, so the report
         always covers the full phase.  ``timeline`` series are downsampled
-        to at most ``timeline_points`` entries (ends always kept).
+        to at most :data:`TIMELINE_POINTS` entries (ends always kept).
         """
         self.sampler.finalize()
         rows = self.sampler.rows[mark.row_index:]
@@ -219,9 +221,9 @@ class StabilityProbe:
              "ops_per_s": _row_float(r, "throughput_ops_s")}
             for r in rows[1:]]
         timeline: Dict[str, object] = {
-            "throughput": downsample(throughput, timeline_points),
+            "throughput": downsample(throughput, TIMELINE_POINTS),
             "latency": {op: downsample(percentile_timeline(rows, op),
-                                       timeline_points)
+                                       TIMELINE_POINTS)
                         for op in sorted(latency)},
         }
         last_ts = _row_float(rows[-1], "ts") if rows else mark.ts

@@ -67,9 +67,6 @@ class PageCache:
         """``mincore``-style probe: resident bytes of a file's blocks."""
         return self.resident_blocks(file_id) * self.block_size
 
-    def total_resident_bytes(self) -> int:
-        return self.used_bytes
-
     # ----------------------------------------------------------------- access
     def touch(self, file_id: int, block_no: int) -> bool:
         """Mark a block most-recently-used.  Returns True on hit."""
@@ -205,19 +202,12 @@ class PageCache:
         """Exempt blocks from eviction (§5.1.3 forcible caching).
 
         Blocks not currently resident are inserted first.  Pins are released
-        by :meth:`unpin_file` or when the file is invalidated.
+        when the file is invalidated.
         """
         for b in range(first_block, first_block + n_blocks):
             self.insert(file_id, b)
             if self.contains(file_id, b):
                 self._pinned.add((file_id, b))
-
-    def unpin_file(self, file_id: int) -> int:
-        """Release every pin on ``file_id``; returns the number released."""
-        mine = [k for k in self._pinned if k[0] == file_id]
-        for k in mine:
-            self._pinned.discard(k)
-        return len(mine)
 
     def pinned_blocks(self) -> int:
         return len(self._pinned)

@@ -122,10 +122,6 @@ class Sequence:
         b_hi = bisect_right(starts, j - 1) - 1
         return range(self.first_block + b_lo, self.first_block + b_hi + 1)
 
-    def block_numbers(self) -> range:
-        """All file-relative block numbers of this sequence."""
-        return range(self.first_block, self.first_block + self.n_blocks)
-
     # ------------------------------------------------------------------ reads
     def get(self, runtime: Runtime, file_id: int, key: Key,
             snapshot: Optional[int] = None,
@@ -182,11 +178,10 @@ class Sequence:
         return views
 
     def cursor(self, runtime: Runtime, file_id: int, lo_key: Optional[Key] = None,
-               hi_key: Optional[Key] = None,
-               readahead_blocks: int = READAHEAD_BLOCKS) -> Iterator[RecordTuple]:
+               hi_key: Optional[Key] = None) -> Iterator[RecordTuple]:
         """Lazily-charging forward iterator over [lo, hi] (inclusive).
 
-        Blocks are charged as the cursor reaches them, ``readahead_blocks``
+        Blocks are charged as the cursor reaches them, ``READAHEAD_BLOCKS``
         at a time, so a limit-bounded scan only pays for what it consumes.  Positioning
         uses the cached index and is free.
         """
@@ -206,7 +201,7 @@ class Sequence:
                 next_start = starts[b + 1] if b + 1 < len(starts) else len(recs)
             abs_block = first + b
             if abs_block > charged_through:
-                stop = min(abs_block + readahead_blocks, last_block)
+                stop = min(abs_block + READAHEAD_BLOCKS, last_block)
                 runtime.fg_read_blocks(((file_id, range(abs_block, stop)),))
                 charged_through = stop - 1
             yield recs[idx]

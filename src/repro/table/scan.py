@@ -8,7 +8,7 @@ value with two faces:
 * it **is iterable** -- iterating it runs the lazily-charging generator
   cursors (:meth:`repro.table.mstable.MSTable.cursor`, read-ahead charges
   landing as records are consumed).  That is what the heap merge of
-  :func:`repro.db.iterator.merge_visible` consumes: ``iterate()`` and
+  :func:`repro.db.iterator.merge_visible` consumes, through
   :func:`merge_scan`.
 * it **carries its description** -- the record list, or the level's lazy
   table walk plus the scan bounds.  That is what the vectorized planner

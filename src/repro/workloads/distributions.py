@@ -137,9 +137,3 @@ class LatestChooser:
         max_item = self.max_item
         ranks = np.asarray(self._zipf.sample_many(k), dtype=np.int64)
         return (max_item - 1 - ranks % max_item).tolist()
-
-
-def zipfian_pmf_head(n: int, theta: float, k: int) -> float:
-    """Probability mass of the k hottest ranks (testing aid)."""
-    zeta_n = ZipfianGenerator._zeta(n, theta)
-    return sum(1.0 / (i ** theta) for i in range(1, k + 1)) / zeta_n

@@ -32,9 +32,6 @@ class WorkloadReport:
     def p99(self, op: str) -> float:
         return self.latency.get(op, {}).get("p99", 0.0)
 
-    def max_latency(self, op: str) -> float:
-        return self.latency.get(op, {}).get("max", 0.0)
-
     def row(self) -> Dict[str, object]:
         """Flat dict for table rendering."""
         return {

@@ -1,4 +1,5 @@
-"""Shared fixtures: tiny engine configurations that exercise deep trees fast."""
+"""Shared fixtures: tiny engine configurations that exercise deep trees fast,
+and the oracles several test files read a store through."""
 
 from __future__ import annotations
 
@@ -6,7 +7,9 @@ import random
 
 import pytest
 
+from repro.check.diagnostics import Diagnostic
 from repro.common.options import IamOptions, LsmOptions, StorageOptions, SSD
+from repro.common.records import KEY, SEQ
 from repro.db.iamdb import IamDB
 
 TINY_VALUE = 64
@@ -51,6 +54,30 @@ def member_dbs(store):
     if isinstance(store, IamDB):
         return [store]
     return [r.db for sh in store.router.shards for r in sh.group.replicas]
+
+
+def diagnostic_of(exc: BaseException) -> Diagnostic:
+    """The structured diagnostic of an exception, synthesizing one if absent."""
+    diag = getattr(exc, "diagnostic", None)
+    if isinstance(diag, Diagnostic):
+        return diag
+    return Diagnostic(check="unstructured", message=str(exc))
+
+
+def is_sorted_run(recs) -> bool:
+    """True when ``recs`` is a valid sorted run: (key asc, seq desc), no dup (key, seq)."""
+    for a, b in zip(recs, recs[1:]):
+        if a[KEY] > b[KEY]:
+            return False
+        if a[KEY] == b[KEY] and a[SEQ] <= b[SEQ]:
+            return False
+    return True
+
+
+def max_sequences_per_node(engine) -> int:
+    """Most sorted sequences any node of an LSA-family tree holds."""
+    return max((node.n_sequences for level in engine.levels for node in level),
+               default=0)
 
 
 def make_matched_db(engine: str, *, storage_kw=None, **engine_kw) -> IamDB:

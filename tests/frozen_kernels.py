@@ -15,6 +15,12 @@ bloom.py`` at 1751bf7, the oracle of ``tests/test_bloom.py``.
 (``pump`` and ``_fill_threads``): a thread fill before every pass, and
 passes until one grants nothing; the oracle of
 ``tests/test_pump_equivalence.py``.
+
+``frozen_ship_follower`` is ``ReplicaGroup.add_follower(mode="ship")`` at
+ae35e43, the pre-shared-storage bootstrap: the leader ships its checkpoint
+and every live file over its own link, then the WAL tail.  It is the
+reference the store bootstrap is compared against in
+``tests/test_objstore_equivalence.py`` and ``tests/test_write_tax.py``.
 """
 
 import bisect
@@ -22,7 +28,9 @@ import bisect
 import numpy as np
 
 from repro.common.hashing import MASK64
-from repro.common.records import KEY, RECORD_OVERHEAD, VALUE
+from repro.common.errors import InvariantViolation
+from repro.common.records import (
+    DELETE, KEY, KIND, RECORD_OVERHEAD, SEQ, VALUE, encoded_size)
 from repro.storage.background import ACTIVE, FAIR_QUANTUM_S, BackgroundPool
 from repro.table.merge import merge_runs
 
@@ -48,6 +56,46 @@ def frozen_gather_merge(engine, tables, part, *, drop_tombstones):
     merged = merge_runs(runs, drop_tombstones=drop_tombstones,
                         snapshots=engine.snapshots_provider())
     return merged, debt
+
+
+def frozen_ship_follower(group, replica):
+    leader = group.leader
+    base_seq = 0
+    shipped_bytes = 0
+    state = leader.db.manifest.restore()
+    if state is not None:
+        disk = leader.db.runtime.disk
+        for fid in sorted(leader.db.engine.live_file_ids()):
+            f = disk.files.get(fid)
+            if f is not None:
+                group.network.send(leader.node_id, replica.node_id,
+                                   f.nbytes)
+                shipped_bytes += f.nbytes
+        replica.db.adopt_checkpoint(state)
+        base_seq = int(state["seq"])
+    report = {"mode": "ship", "bootstrap_seq": base_seq,
+              "shipped_bytes": shipped_bytes}
+    tail = 0
+    for rec in leader.db.wal.replay():
+        if rec[SEQ] <= base_seq:
+            continue
+        rec_bytes = encoded_size(rec, group.key_size)
+        group.network.send(leader.node_id, replica.node_id, rec_bytes)
+        if rec[KIND] == DELETE:
+            replica.db.delete(rec[KEY])
+        else:
+            replica.db.put(rec[KEY], rec[VALUE])
+        group.network.send(replica.node_id, leader.node_id, 0)
+        tail += 1
+    if replica.db._seq != leader.db._seq:
+        raise InvariantViolation(
+            f"shard {group.shard_id}: new follower caught up to seq "
+            f"{replica.db._seq}, leader at {leader.db._seq}")
+    group.replicas.append(replica)
+    report["wal_tail_records"] = tail
+    report["follower_node"] = replica.node_id
+    report["seq"] = replica.db._seq
+    return report
 
 
 def frozen_partition_records(records, children, *, leaf, child_weights=None):

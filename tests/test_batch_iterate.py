@@ -1,4 +1,4 @@
-"""WriteBatch atomicity and the lazy iterate() API."""
+"""WriteBatch atomicity."""
 
 import pytest
 
@@ -95,45 +95,3 @@ def test_batch_len_and_clear():
     assert len(b) == 0
     b.commit()
     assert db.get(1) is None
-
-
-@pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb"])
-def test_iterate_matches_scan(engine):
-    db = make_tiny_db(engine)
-    import random
-    rng = random.Random(1)
-    for _ in range(2000):
-        db.put(rng.randrange(500), rng.randrange(10, 80))
-    assert list(db.iterate(100, 400)) == db.scan(100, 400)
-    assert list(db.iterate()) == db.scan()
-
-
-def test_iterate_is_lazy():
-    db = make_tiny_db("iam", storage_kw=dict(page_cache_bytes=0))
-    import random
-    rng = random.Random(2)
-    seen = set()
-    while len(seen) < 3000:
-        k = rng.randrange(1 << 28)
-        if k not in seen:
-            seen.add(k)
-            db.put(k, 64)
-    db.quiesce()
-    before = db.metrics.cache_misses
-    it = db.iterate()
-    for _ in range(5):
-        next(it)
-    partial = db.metrics.cache_misses - before
-    list(it)  # drain
-    full = db.metrics.cache_misses - before
-    assert partial < full / 3
-
-
-def test_iterate_with_snapshot():
-    db = make_tiny_db("iam")
-    db.put(1, 10)
-    snap = db.snapshot()
-    db.put(1, 20)
-    db.put(2, 30)
-    assert list(db.iterate(snapshot=snap)) == [(1, 10)]
-    snap.release()

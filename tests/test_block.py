@@ -6,7 +6,7 @@ from repro.common.errors import InvariantViolation
 from repro.common.options import DeviceProfile, StorageOptions
 from repro.common.records import KEY, SEQ, encoded_size, make_put
 from repro.storage.runtime import Runtime
-from repro.table.block import INDEX_ENTRY_BYTES, Sequence
+from repro.table.block import INDEX_ENTRY_BYTES, READAHEAD_BLOCKS, Sequence
 from repro.table.run import Run
 
 KS = 8
@@ -112,13 +112,13 @@ def test_cursor_yields_range_in_order():
 def test_cursor_charges_lazily_with_readahead():
     rt = make_runtime()
     s = make_seq(records_of(60))  # 20 blocks
-    cur = s.cursor(rt, 1, None, None, readahead_blocks=4)
+    cur = s.cursor(rt, 1, None, None)
     next(cur)
-    assert rt.metrics.cache_misses == 4  # first readahead window only
-    for _ in range(3 * 4 - 1):  # finish the window's records (3/block)
+    assert rt.metrics.cache_misses == READAHEAD_BLOCKS  # first window only
+    for _ in range(3 * READAHEAD_BLOCKS - 1):  # finish its records (3/block)
         next(cur)
     next(cur)
-    assert rt.metrics.cache_misses == 8
+    assert rt.metrics.cache_misses == 2 * READAHEAD_BLOCKS
 
 
 def test_cursor_consumed_fully_charges_all_blocks():
@@ -136,5 +136,7 @@ def test_cursor_empty_range_charges_nothing():
 
 
 def test_blocks_numbered_from_first_block():
+    rt = make_runtime(cache_bytes=100 * BLOCK)
     s = make_seq(records_of(12), first_block=7)
-    assert list(s.block_numbers()) == [7, 8, 9, 10]
+    assert len(list(s.cursor(rt, 1))) == 12
+    assert sorted(rt.cache._lru) == [(1, 7), (1, 8), (1, 9), (1, 10)]

@@ -1,5 +1,6 @@
 """Bloom filters: no false negatives, bounded false positives."""
 
+import math
 import random
 
 import pytest
@@ -63,9 +64,15 @@ def test_nbytes_grows_with_keys():
 
 
 def test_expected_fpr_formula():
-    f = BloomFilter(1000, 14)
-    fpr = f.expected_fpr(1000)
-    assert 0.0 < fpr < 0.01
+    # The measured false-positive rate sits near (1 - e^(-kn/m))^k.
+    keys = list(range(1000))
+    f = build(keys, 14)
+    k = f.n_hashes
+    expected = (1.0 - math.exp(-k * len(keys) / f.n_bits)) ** k
+    absent = range(10 ** 6, 10 ** 6 + 20000)
+    measured = sum(map(f.might_contain, absent)) / len(absent)
+    assert 0.0 < expected < 0.01
+    assert measured < 3 * expected
 
 
 def test_hash_count_clamped():

@@ -14,15 +14,14 @@ from pathlib import Path
 from repro.check.diagnostics import (
     Diagnostic,
     NoqaIndex,
-    diagnostic_of,
     finding_sort_key,
-    format_violations,
     invariant_error,
     parse_noqa,
     relativize_path,
     sort_findings,
 )
 from repro.common.errors import InvariantViolation
+from tests.conftest import diagnostic_of
 
 
 @dataclass(frozen=True)
@@ -54,11 +53,6 @@ class TestDiagnostic:
         d = diagnostic_of(ValueError("boom"))
         assert d.check == "unstructured"
         assert d.message == "boom"
-
-    def test_format_violations_one_per_line(self):
-        ds = [Diagnostic(check="a", message="x"),
-              Diagnostic(check="b", message="y")]
-        assert format_violations(ds) == "[a] x\n[b] y"
 
 
 class TestNoqaParsing:

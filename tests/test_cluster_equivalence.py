@@ -53,7 +53,7 @@ def test_trivial_cluster_equals_bare_db(ops):
             assert cluster.get(key) == bare.get(key)
         else:
             lo = KEY_POOL[size % len(KEY_POOL)]
-            limit = 1 + size % 8
+            limit = size % 8
             assert (cluster.scan(lo, None, limit=limit)
                     == bare.scan(lo, None, limit=limit))
     # Identical final state: KV contents, sequence counter, sim clock,
@@ -64,23 +64,7 @@ def test_trivial_cluster_equals_bare_db(ops):
     assert cluster.clock.now == bare.runtime.clock.now
     assert cluster.write_amplification() == bare.write_amplification()
     assert cluster.space_used_bytes() == bare.space_used_bytes()
-    cluster.close()
-    bare.close()
-
-
-@settings(max_examples=10, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(ops=ops_strategy)
-def test_trivial_cluster_iterate_matches(ops):
-    cluster, bare = _pair()
-    for op, key_i, size in ops:
-        key = KEY_POOL[key_i]
-        if op in ("put", "scan", "get"):
-            cluster.put(key, size)
-            bare.put(key, size)
-        else:
-            cluster.delete(key)
-            bare.delete(key)
-    assert list(cluster.iterate()) == list(bare.iterate())
+    assert ({op: lat.count for op, lat in cluster.metrics.latency.items()}
+            == {op: lat.count for op, lat in bare.metrics.latency.items()})
     cluster.close()
     bare.close()

@@ -164,8 +164,7 @@ def test_workload_continues_after_recovery():
 
 # ----------------------------------------------------------------- the matrix
 def test_crash_matrix_iam_holds_contract():
-    report = run_crash_matrix(("iam",), n_ops=150, per_site=1, seed=1,
-                              torn_variants=(0, 3))
+    report = run_crash_matrix(("iam",), n_ops=150, per_site=1, seed=1)
     assert report["n_cases"] > 0
     assert report["n_failures"] == 0, report["failures"]
     # The workload reaches the flush/checkpoint pipeline at minimum.
@@ -175,8 +174,7 @@ def test_crash_matrix_iam_holds_contract():
 
 
 def test_crash_matrix_leveldb_holds_contract():
-    report = run_crash_matrix(("leveldb",), n_ops=150, per_site=1, seed=1,
-                              torn_variants=(0,))
+    report = run_crash_matrix(("leveldb",), n_ops=150, per_site=1, seed=1)
     assert report["n_failures"] == 0, report["failures"]
     assert report["sites"]["leveldb"].get("post-compact", 0) > 0
 
@@ -184,5 +182,5 @@ def test_crash_matrix_leveldb_holds_contract():
 def test_crash_matrix_report_is_jsonable():
     import json
     report = run_crash_matrix(("iam",), n_ops=60, per_site=1, seed=2,
-                              torn_variants=(0,), sanitize=False)
+                              sanitize=False)
     json.dumps(report)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tests.conftest import ALL_ENGINES, make_tiny_db
+from tests.conftest import ALL_ENGINES, make_tiny_db, max_sequences_per_node
 
 
 def _load(db, n=2500, seed=1):
@@ -24,18 +24,10 @@ def test_level_data_bytes_sum_close_to_space(engine):
     assert 0 < level_sum <= space
 
 
-def test_lsa_level_node_counts():
-    db = make_tiny_db("lsa")
-    _load(db, 4000)
-    counts = db.engine.level_node_counts()
-    assert set(counts) == set(range(1, db.engine.n + 1))
-    assert all(v >= 0 for v in counts.values())
-
-
 def test_lsa_max_sequences_per_node_reports():
     db = make_tiny_db("lsa")
     _load(db, 3000)
-    assert db.engine.max_sequences_per_node() >= 1
+    assert max_sequences_per_node(db.engine) >= 1
 
 
 def test_stats_include_simulated_time(any_engine_db):

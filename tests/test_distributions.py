@@ -11,8 +11,13 @@ from repro.workloads.distributions import (
     UniformChooser,
     ZipfianGenerator,
     permute64,
-    zipfian_pmf_head,
 )
+
+
+def zipfian_pmf_head(n: int, theta: float, k: int) -> float:
+    """Probability mass of the k hottest ranks."""
+    zeta_n = ZipfianGenerator._zeta(n, theta)
+    return sum(1.0 / (i ** theta) for i in range(1, k + 1)) / zeta_n
 
 
 def test_permute64_no_collisions_in_large_range():

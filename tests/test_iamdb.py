@@ -138,8 +138,7 @@ def test_bad_snapshot_is_refused_before_any_charge(snapshot):
     for read in (lambda: db.get(3, snapshot),
                  lambda: db.multi_get([3, 1000], snapshot),
                  lambda: db.scan(None, None, snapshot=snapshot),
-                 lambda: db.scan(0, 10, limit=0, snapshot=snapshot),
-                 lambda: db.iterate(None, None, snapshot=snapshot)):
+                 lambda: db.scan(0, 10, limit=0, snapshot=snapshot)):
         with pytest.raises(ConfigError, match="snapshot"):
             read()
         assert state() == before

@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.records import KEY, make_put
 from repro.core.node import children_slice
-from tests.conftest import make_tiny_db
+from tests.conftest import make_tiny_db, max_sequences_per_node
 
 VAL = 64
 
@@ -131,7 +131,7 @@ def test_multiple_sequences_accumulate_in_nodes():
     """LSA nodes hold multiple sorted sequences (the append tree signature)."""
     db = make_tiny_db("lsa")
     load_random(db, 4000, seed=9)
-    assert db.engine.max_sequences_per_node() >= 2
+    assert max_sequences_per_node(db.engine) >= 2
 
 
 def test_flush_empties_node_but_keeps_range():

@@ -10,11 +10,11 @@ from repro.common.records import (
     PUT,
     SEQ,
     encoded_size,
-    is_sorted_run,
     make_delete,
     make_put,
 )
 from repro.memtable import Memtable
+from tests.conftest import is_sorted_run
 
 KS = 8
 
@@ -83,14 +83,6 @@ def test_iter_range_bounds():
     assert [r[KEY] for r in mt.iter_range(None, 4)] == [1, 3]
     assert [r[KEY] for r in mt.iter_range(8, None)] == [9]
     assert [r[KEY] for r in mt.iter_range()] == [1, 3, 5, 7, 9]
-
-
-def test_approximate_live_records_excludes_tombstoned():
-    mt = Memtable(KS)
-    mt.add(make_put(1, 1, 8))
-    mt.add(make_put(2, 2, 8))
-    mt.add(make_delete(1, 3))
-    assert mt.approximate_live_records() == 1
 
 
 @settings(max_examples=60, deadline=None)

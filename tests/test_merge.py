@@ -8,13 +8,13 @@ from repro.common.records import (
     KIND,
     PUT,
     SEQ,
-    is_sorted_run,
     make_delete,
     make_put,
     sort_key,
 )
 from repro.table.merge import merge_runs as merge_run_columns
 from repro.table.run import Run
+from tests.conftest import is_sorted_run
 
 
 def merge_runs(runs, **kw):

@@ -48,7 +48,7 @@ def test_follower_bootstrap_ships_zero_leader_bytes_for_flushed_prefix():
     cluster.flush()
     cluster.quiesce()
     before = _leader_link_bytes(cluster)
-    boot = cluster.spawn_follower(0, mode="objstore")
+    boot = cluster.spawn_follower(0)
     after = _leader_link_bytes(cluster)
     # Everything flushed came from shared storage, nothing from the leader.
     assert boot["mode"] == "objstore"
@@ -74,7 +74,7 @@ def test_follower_bootstrap_ships_only_the_unflushed_tail():
     # The tiny memtable may have flushed again mid-tail; whatever the
     # latest cut covers at spawn time is the flushed prefix.
     flushed_seq = cluster.manifest_logs[0].latest_cut().seq
-    boot = cluster.spawn_follower(0, mode="objstore")
+    boot = cluster.spawn_follower(0)
     assert boot["bootstrap_seq"] == flushed_seq
     assert boot["wal_tail_records"] == \
         cluster.router.shards[0].group.leader.db._seq - flushed_seq
@@ -118,6 +118,30 @@ def test_time_travel_requires_a_retained_cut():
     with pytest.raises(ConfigError):
         plain.get(KEYS[0], as_of_cut=1)
     plain.close()
+    cluster.close()
+
+
+def test_refused_time_travel_reads_touch_nothing():
+    # Validated like a snapshot: a cut that is not an int in [0, 2**64),
+    # or not retained, is refused before the op is counted -- so a
+    # scheduled kill cannot fire on it -- and nothing is sent or sampled.
+    cluster = _cluster(replicas=1)
+    model = {}
+    _load(cluster, model, 30)
+    cluster.flush()
+    cluster.quiesce()
+    cut_id = cluster.manifest_logs[0].latest_cut().cut_id
+
+    def state():
+        return (cluster._ops, cluster.clock.now, cluster.network.messages,
+                cluster.metrics.latency["read"].count)
+    before = state()
+    for bad in (True, float(cut_id), str(cut_id), -1, 2 ** 64, 10 ** 6):
+        with pytest.raises(ConfigError, match="as_of_cut"):
+            cluster.get(KEYS[0], as_of_cut=bad)
+        assert state() == before
+    assert cluster.get(KEYS[0], as_of_cut=cut_id) == model[KEYS[0]]
+    assert state() != before
     cluster.close()
 
 

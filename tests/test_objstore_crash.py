@@ -34,7 +34,7 @@ def _mirrored_db(node_tag="n0", store=None, log=None):
         store = SimObjectStore(db.runtime.clock, ObjStoreOptions.zero())
     if log is None:
         log = SharedManifestLog(store, "shard0/")
-    tier = ObjStoreTier(db, log, node_tag=node_tag, cleanup_interval=2)
+    tier = ObjStoreTier(db, log, node_tag=node_tag)
     return db, store, log, tier
 
 
@@ -68,7 +68,7 @@ def test_crash_at_site_leaves_whole_entries_and_recovers(site):
     # fresh mirror map under a new node tag, log resynced from the store.
     tier.detach()
     db.crash_and_recover(CrashSpec(torn_tail_records=0))
-    tier2 = ObjStoreTier(db, log, node_tag="n1", cleanup_interval=2)
+    tier2 = ObjStoreTier(db, log, node_tag="n1")
     report = tier2.recover()
     assert report["cuts"] == len(log.cuts)
     assert log.verify() == []
@@ -118,7 +118,7 @@ def test_crash_between_upload_and_append_never_loses_local_writes():
 def test_default_crash_matrix_stays_green():
     """Without a tier the new sites are unreachable; the matrix is unchanged."""
     report = run_crash_matrix(engines=("iam",), n_ops=120, per_site=1,
-                              seed=3, torn_variants=(0,))
+                              seed=3)
     assert report["n_failures"] == 0
     assert report["n_cases"] > 0
     for site in NEW_SITES:

@@ -21,6 +21,7 @@ explicit flushes, so checkpoints (and therefore mirroring) actually fire.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tests.conftest import tiny_iam_options, tiny_storage_options
+from tests.frozen_kernels import frozen_ship_follower
 from repro.cluster import ClusterDB, ClusterOptions, NetworkOptions
 from repro.db.iamdb import IamDB
 from repro.objstore import ObjStoreOptions, ObjStoreTier, SharedManifestLog, SimObjectStore
@@ -135,8 +136,10 @@ def test_objstore_follower_equals_shipped_follower(ops):
     via_ship.flush()
     via_store.quiesce()
     via_ship.quiesce()
-    boot_a = via_store.spawn_follower(0, mode="objstore")
-    boot_b = via_ship.spawn_follower(0, mode="ship")
+    boot_a = via_store.spawn_follower(0)
+    boot_b = frozen_ship_follower(via_ship.router.shards[0].group,
+                                  via_ship._make_replica())
+    via_ship._pump_all()
     assert boot_a["seq"] == boot_b["seq"]
     fol_a = via_store.router.shards[0].group.replicas[-1].db
     fol_b = via_ship.router.shards[0].group.replicas[-1].db

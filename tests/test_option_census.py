@@ -1,6 +1,7 @@
-"""Option census: every option field and CLI flag has a caller outside
-``tests/`` (code, docs, CI) or a reason in ``KEPT``; a setting only tests
-set is dead configuration, and its default becomes a module constant."""
+"""Option and name census: every option field, CLI flag, function, method
+and keyword-only parameter has a caller outside ``tests/`` (code, docs, CI)
+or a reason in ``KEPT`` / ``KEPT_NAMES``; a setting only tests set is dead
+configuration, and its default becomes a module constant."""
 
 import ast
 import dataclasses
@@ -67,3 +68,69 @@ def test_every_cli_flag_has_a_caller_outside_tests():
         assert len(names) <= budget
     live = {f.split(".")[1] for f in _option_fields()}
     assert set(KEPT) <= live | set(_add_argument_names(SRC / "cli.py"))
+
+
+# ----------------------------------------------------------------- functions
+#: A function, method or keyword-only parameter nothing outside ``tests/``
+#: names, kept on purpose.
+KEPT_NAMES = {"baseline": "run_effects_gate: lets a test substitute a baseline file"}
+
+
+def _defs():
+    """``(path, def)`` for every def in ``src/repro``."""
+    return [(path, node) for path in sorted(SRC.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _named_outside_tests():
+    """Identifiers code outside ``tests/`` names -- loads, attributes,
+    imports, words of string literals (``getattr`` probes) -- but not
+    docstrings, and not a name inside a def of that name (a delegating
+    wrapper does not make its target live)."""
+    names = set()
+
+    def walk(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant):
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, inside | {child.name})
+                continue
+            found = []
+            if isinstance(child, ast.Name):
+                found = [child.id]
+            elif isinstance(child, ast.Attribute):
+                found = [child.attr]
+            elif isinstance(child, ast.alias):
+                found = [child.name.rsplit(".", 1)[-1]]
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                found = re.findall(r"[A-Za-z_]\w*", child.value)
+            names.update(n for n in found if n not in inside)
+            walk(child, inside)
+    for path in PY:
+        walk(ast.parse(path.read_text()), frozenset())
+    return names
+
+
+def test_every_function_has_a_caller_outside_tests():
+    # By name: an override of a base method shares the name its callers use;
+    # dunders and the lint's ``visit_*`` hooks are called by the machinery.
+    defs = _defs()
+    named = _named_outside_tests() | set(KEPT_NAMES)
+    dead = [f"{path.relative_to(SRC)}:{fn.lineno} {fn.name}" for path, fn in defs
+            if fn.name not in named and not re.fullmatch(r"__\w+__|visit_\w+", fn.name)]
+    assert dead == [], "only tests call these; delete them or say why in KEPT_NAMES"
+    assert len(defs) <= 996
+
+
+def test_every_keyword_only_parameter_has_a_caller_outside_tests():
+    passed = set(KEPT_NAMES)
+    for node in (n for p in PY for n in ast.walk(ast.parse(p.read_text()))):
+        if isinstance(node, ast.Call):
+            passed.update(k.arg for k in node.keywords)
+    params = [(path, fn, a.arg) for path, fn in _defs() for a in fn.args.kwonlyargs]
+    assert [f"{path.relative_to(SRC)}:{fn.lineno} {fn.name}({arg}=)"
+            for path, fn, arg in params if arg not in passed] == [], \
+        "only tests pass these; make them constants"
+    assert len(params) <= 156

@@ -57,7 +57,6 @@ def test_resident_bytes_per_file():
     assert c.resident_bytes(1) == 3 * 256
     assert c.resident_bytes(2) == 2 * 256
     assert c.resident_bytes(99) == 0
-    assert c.total_resident_bytes() == 5 * 256
 
 
 def test_invalidate_file_drops_all_blocks():
@@ -96,16 +95,6 @@ def test_pinned_blocks_survive_eviction_pressure():
     assert c.contains(1, 0) and c.contains(1, 1)
     assert c.pinned_blocks() == 2
     assert len(c) <= c.max_blocks
-
-
-def test_unpin_makes_blocks_evictable():
-    c = PageCache(4 * 256, 256)
-    c.pin_range(1, 0, 2)
-    c.unpin_file(1)
-    for b in range(10):
-        c.insert(2, b)
-    assert not c.contains(1, 0)
-    assert c.pinned_blocks() == 0
 
 
 def test_invalidate_releases_pins():
@@ -174,15 +163,6 @@ def test_insert_into_fully_pinned_full_cache_overcommits():
     assert c.evictions == 1
 
 
-def test_unpinning_lets_cache_shrink_back_to_capacity():
-    c = PageCache(2 * 256, 256)
-    c.pin_range(1, 0, 2)
-    c.insert(2, 0)               # overcommitted to 3 blocks
-    c.unpin_file(1)
-    c.insert(2, 1)               # eviction now drains back under capacity
-    assert len(c) == c.max_blocks
-
-
 def test_insert_many_into_fully_pinned_full_cache_overcommits():
     c = PageCache(2 * 256, 256)
     c.pin_range(1, 0, 2)
@@ -197,7 +177,7 @@ def test_insert_many_into_fully_pinned_full_cache_overcommits():
 _batch_ops = st.lists(
     st.tuples(st.sampled_from(["insert", "insert_many", "insert_range",
                                "touch", "touch_run", "touch_range", "read_run",
-                               "pin_range", "unpin_file", "invalidate_file"]),
+                               "pin_range", "invalidate_file"]),
               st.integers(0, 3),                              # file_id
               st.lists(st.integers(0, 12), max_size=8),       # block list
               st.integers(0, 10),                             # first_block
@@ -218,7 +198,7 @@ def test_batch_ops_state_identical_to_reference(ops, cap_blocks):
 
     LRU order, pins, counters and return values -- and every file's
     residency after every op -- must all match the seed cache driven one
-    block at a time (its set-based unpin and invalidate included).
+    block at a time (its set-based invalidate included).
     """
     new = PageCache(cap_blocks * 64, 64)
     ref = ReferencePageCache(cap_blocks * 64, 64)
@@ -256,8 +236,6 @@ def test_batch_ops_state_identical_to_reference(ops, cap_blocks):
         elif kind == "pin_range":
             new.pin_range(f, first, n)
             ref.pin_range(f, first, n)
-        elif kind == "unpin_file":
-            assert new.unpin_file(f) == ref.unpin_file(f)
         else:
             assert new.invalidate_file(f) == ref.invalidate_file(f)
         assert list(new._lru) == list(ref._lru)

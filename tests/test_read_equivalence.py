@@ -16,8 +16,8 @@ Two contracts sit beside the equivalences.  *Declines*: whatever the scan
 planner cannot plan (an engine that hands out plain generators) it must
 decline before charging anything, and the heap merge that answers instead
 is held to the same reference; a key or a snapshot outside uint64 never
-gets that far -- the write or the read refuses it.  *Seeks*: an
-``iterate`` reopened at any ``k`` is the reference scan from ``k``.
+gets that far -- the write or the read refuses it.  *Seeks*: a scan
+from any ``k`` is the reference scan from ``k``.
 """
 
 import random
@@ -293,12 +293,14 @@ def test_scan_limit_zero_and_negative_bare_equals_trivial_cluster():
     cluster.quiesce()
     bare.quiesce()
     before = _observable_state(bare)
+    cluster_before = (cluster._ops, cluster.metrics.latency["scan"].count)
     assert cluster.scan(None, None, limit=0) == bare.scan(None, None, limit=0) == []
     assert cluster.scan(KEY_POOL[3], None, limit=0) == bare.scan(KEY_POOL[3], None, limit=0) == []
     for db in (cluster, bare):
         with pytest.raises(ConfigError):
             db.scan(None, None, limit=-1)
     assert _observable_state(bare) == before
+    assert (cluster._ops, cluster.metrics.latency["scan"].count) == cluster_before
     assert cluster.clock.now == bare.runtime.clock.now
     assert cluster.scan(None, None, limit=1) == bare.scan(None, None, limit=1)
     assert len(bare.scan(None, None, limit=1)) == 1
@@ -584,25 +586,14 @@ def test_flsm_streams_are_declined_then_merged(kwargs, monkeypatch):
     assert verdicts == [False] * 3
 
 
-@pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb"])
-def test_db_iterator_drain_and_seek_across_chain(engine):
-    db_ref, db_opt = _wide_pair(engine)
-    lo, hi = WIDE_KEYS[40], WIDE_KEYS[650]
-    # A drain is the scalar scan, charge for charge.
-    assert list(db_opt.iterate(lo, hi)) == reference_scan(db_ref, lo, hi)
-    assert _observable_state(db_opt) == _observable_state(db_ref)
-    it = db_opt.iterate(lo, hi)
-    assert [next(it) for _ in range(5)] == reference_scan(db_ref, lo, hi, limit=5)
-
-
 @pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb", "flsm"])
-def test_iterate_reopened_at_any_target_is_the_reference_scan(engine):
-    # A seek is a fresh iterate: over member starts and ends, into a fence
-    # gap, backwards, at lo_key -- then whatever a seeded walk comes up
-    # with, empty pulls included; past hi_key nothing is left.
+def test_scan_from_any_target_is_the_reference_scan(engine):
+    # A drain across the chain, then scans from member starts and ends, into
+    # a fence gap, backwards, at lo_key -- then whatever a seeded walk comes
+    # up with, empty limits included; past hi_key nothing is left.
     db_ref, db_opt = _wide_pair(engine)
     lo, hi = WIDE_KEYS[40], WIDE_KEYS[650]
-    schedule = [(WIDE_KEYS[350], 9), (WIDE_KEYS[333] + 1, 9),
+    schedule = [(lo, None), (WIDE_KEYS[350], 9), (WIDE_KEYS[333] + 1, 9),
                 (WIDE_KEYS[60], 30), (lo, 3), (WIDE_KEYS[500], 0)]
     if engine != "flsm":
         level = _widest(db_opt)
@@ -612,32 +603,11 @@ def test_iterate_reopened_at_any_target_is_the_reference_scan(engine):
     rng = random.Random(29)
     schedule += [(rng.randrange(lo, hi), rng.choice([0, 1, 4, 25])) for _ in range(25)]
     for target, n in schedule:
-        got = [r for _, r in zip(range(n), db_opt.iterate(target, hi))]
-        # (The frozen seed merge yields one row at limit=0.)
-        assert got == (reference_scan(db_ref, target, hi, limit=n) if n else [])
-    assert list(db_opt.iterate(hi + 1, hi)) == []
-
-
-@pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb"])
-def test_iterators_created_before_flush_drained_after(engine):
-    # The iterators capture the memtable's records and each level's member
-    # slice when they are created; a flush of those same records before the
-    # drain must not change what they return (the flushed copies carry the
-    # same keys and sequence numbers, so they collapse in the merge).
-    db = make_tiny_db(engine)
-    for i, key in enumerate(WIDE_KEYS[:60]):
-        db.put(key, 10 + i)
-    db.quiesce()
-    for i, key in enumerate(WIDE_KEYS[20:50:3]):
-        db.put(key, 200 + i)
-    db.delete(WIDE_KEYS[5])
-    lo, hi = WIDE_KEYS[2], WIDE_KEYS[55]
-    want = db.scan(lo, hi)
-    lazy = db.iterate(lo, hi)
-    assert next(lazy) == want[0]
-    db.flush()
-    assert [want[0]] + list(lazy) == want
-    assert db.scan(lo, hi) == want
+        if n == 0:  # (the frozen seed merge yields one row at limit=0)
+            assert db_opt.scan(target, hi, limit=0) == []
+        else:
+            _assert_scan_matches(db_ref, db_opt, target, hi, limit=n)
+    assert db_opt.scan(hi + 1, hi) == []
 
 
 # --------------------------------------- the fused point read vs Sequence.get

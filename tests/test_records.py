@@ -14,12 +14,12 @@ from repro.common.records import (
     VALUE,
     encoded_size,
     encoded_size_many,
-    is_sorted_run,
     make_delete,
     make_put,
     sort_key,
     value_nbytes,
 )
+from tests.conftest import is_sorted_run
 
 
 def test_make_put_layout():
@@ -39,8 +39,7 @@ def test_make_delete_is_tombstone_with_empty_value():
 def test_record_namedtuple_is_layout_compatible():
     rec = Record(key=3, seq=9, kind=PUT, value=64)
     assert rec == (3, 9, PUT, 64)
-    assert not rec.is_tombstone
-    assert Record(1, 1, DELETE, 0).is_tombstone
+    assert (rec.key, rec.seq, rec.kind, rec.value) == (3, 9, PUT, 64)
 
 
 def test_encoded_size_synthetic_value():

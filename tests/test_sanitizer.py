@@ -8,8 +8,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from tests.conftest import make_tiny_db, tiny_iam_options, tiny_storage_options
-from repro.check.diagnostics import Diagnostic, diagnostic_of, invariant_error
+from tests.conftest import (diagnostic_of, make_tiny_db, tiny_iam_options,
+                            tiny_storage_options)
+from repro.check.diagnostics import Diagnostic, invariant_error
 from repro.check.sanitizer import Sanitizer, SanitizerOptions
 from repro.common.errors import InvariantViolation
 from repro.db.iamdb import IamDB

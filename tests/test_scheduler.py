@@ -92,11 +92,10 @@ def test_flush_fifo_survives_fault_requeues():
     from tests.conftest import tiny_lsm_options, tiny_storage_options
 
     db = IamDB("leveldb", engine_options=tiny_lsm_options("leveldb"),
-               storage_options=tiny_storage_options(),
-               fault_options=FaultOptions(
-                   seed=3, rate=0.35, max_retries=1,
-                   backoff_base_s=1e-6, backoff_max_s=8e-6,
-                   giveup_backoff_s=2e-5))
+               storage_options=tiny_storage_options())
+    db.runtime.attach_faults(FaultOptions(
+        seed=3, rate=0.35, max_retries=1,
+        backoff_base_s=1e-6, backoff_max_s=8e-6, giveup_backoff_s=2e-5))
     pool = db.runtime.pool
     submit_order = {}
     refs = []  # keep jobs alive so id() stays unique

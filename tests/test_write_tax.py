@@ -38,6 +38,7 @@ from repro.objstore.tiering import bootstrap_from_store
 from repro.storage.background import BackgroundJob, BackgroundPool
 from repro.storage.simdisk import SimDisk
 from tests.conftest import tiny_lsm_options, tiny_storage_options
+from tests.frozen_kernels import frozen_ship_follower
 from tests.write_path_golden import CASES, make_golden_db
 
 
@@ -370,7 +371,7 @@ def test_first_pump_after_shipped_follower_restore_consults_the_provider():
     replica.db.runtime.pump()
     assert replica.db.runtime.pool._provider_idle
     asked = _spy_on_provider(replica.db.runtime.pool)
-    group.add_follower(replica, mode="ship")
+    frozen_ship_follower(group, replica)
     replica.db.runtime.pump()
     assert replica.db.engine.flushes == 0  # no job of its own woke the pool
     assert asked[0] >= 1
@@ -443,7 +444,7 @@ SKIP_CASES = {  # topology, then what happens between two runs of ops
         *c.rebalancer.split(c.router.shards[0]))),
     "objstore-follower": ({"n_shards": 1, "n_replicas": 1,
                            "objstore": ObjStoreOptions()},
-                          lambda c: c.spawn_follower(0, mode="objstore")),
+                          lambda c: c.spawn_follower(0)),
     "compaction-offload": ({"objstore": ObjStoreOptions(),
                             "compaction_offload": True}, lambda c: None),
     "traced": ({}, attach_cluster_trace),

@@ -86,8 +86,10 @@ def make_golden_db(config: str, *, faulted: Any = False, threads: int = 1,
         # quantum (2 ms), so contested grants really are chunked.
         storage = StorageOptions(device=DeviceProfile(
             "slow", 0.0, 0.0, 512 * 1024, 512 * 1024))
-    return IamDB(engine, engine_options=opts, storage_options=storage,
-                 fault_options=fault_options)
+    db = IamDB(engine, engine_options=opts, storage_options=storage)
+    if fault_options is not None:
+        db.runtime.attach_faults(fault_options)
+    return db
 
 
 def _load(db: Any) -> None:
