@@ -586,14 +586,23 @@ def test_flsm_streams_are_declined_then_merged(kwargs, monkeypatch):
     assert verdicts == [False] * 3
 
 
-@pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb", "flsm"])
-def test_scan_from_any_target_is_the_reference_scan(engine):
-    # A drain across the chain, then scans from member starts and ends, into
-    # a fence gap, backwards, at lo_key -- then whatever a seeded walk comes
-    # up with, empty limits included; past hi_key nothing is left.
+@pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb"])
+def test_scan_drain_and_limit_across_chain(engine):
     db_ref, db_opt = _wide_pair(engine)
     lo, hi = WIDE_KEYS[40], WIDE_KEYS[650]
-    schedule = [(lo, None), (WIDE_KEYS[350], 9), (WIDE_KEYS[333] + 1, 9),
+    # A drain is the scalar scan, charge for charge; so is its first page.
+    _assert_scan_matches(db_ref, db_opt, lo, hi)
+    _assert_scan_matches(db_ref, db_opt, lo, hi, limit=5)
+
+
+@pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb", "flsm"])
+def test_scan_from_any_target_is_the_reference_scan(engine):
+    # Scans from member starts and ends, into a fence gap, backwards, at
+    # lo_key -- then whatever a seeded walk comes up with, empty limits
+    # included; past hi_key nothing is left.
+    db_ref, db_opt = _wide_pair(engine)
+    lo, hi = WIDE_KEYS[40], WIDE_KEYS[650]
+    schedule = [(WIDE_KEYS[350], 9), (WIDE_KEYS[333] + 1, 9),
                 (WIDE_KEYS[60], 30), (lo, 3), (WIDE_KEYS[500], 0)]
     if engine != "flsm":
         level = _widest(db_opt)
