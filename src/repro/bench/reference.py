@@ -39,6 +39,7 @@ from repro.common.records import (
     RecordTuple,
     SEQ,
     VALUE,
+    check_scan,
     encoded_size,
     sort_key,
 )
@@ -203,7 +204,7 @@ def reference_scan(db: Any, lo_key: Any = None, hi_key: Any = None, *,
     """
     runtime = db.runtime
     t0 = runtime.clock.now
-    snap = db._snap_seq(snapshot)
+    snap = check_scan(lo_key, hi_key, limit, snapshot)
     streams = [list(db.memtable.iter_range(lo_key, hi_key))]
     if db.immutable is not None:
         streams.append(list(db.immutable.iter_range(lo_key, hi_key)))

@@ -27,18 +27,18 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.cluster.network import NetworkOptions, SimNetwork
 from repro.cluster.rebalance import REBALANCE_CHECK_OPS, Rebalancer
 from repro.cluster.replica import LeaderKill, Replica, ReplicaGroup
 from repro.cluster.router import REQUEST_BYTES, ROUTER_NODE, Router
-from repro.cluster.shard import KEY_SPACE_HI, KEY_SPACE_LO, Shard, even_ranges
+from repro.cluster.shard import Shard, even_ranges
 from repro.common.errors import ConfigError, InvariantViolation, StoreClosedError
 from repro.common.options import FaultOptions, StorageOptions
-from repro.common.records import Key, Value, bad_key
+from repro.common.records import (Key, Value, check_cut, check_key, check_keys,
+                                  check_scan, make_put)
 from repro.db.iamdb import IamDB
-from repro.db.iterator import check_bounds, check_limit
 from repro.metrics import MetricsRegistry, StallBreakdown, merge_snapshots
 from repro.objstore.manifestlog import DEFAULT_RETAIN_CUTS, SharedManifestLog
 from repro.objstore.report import objstore_summary
@@ -352,18 +352,16 @@ class ClusterDB:
                         runtime.pump()
 
     def put(self, key: Key, value: Value) -> None:
-        if type(key) is not int or not KEY_SPACE_LO <= key < KEY_SPACE_HI:
-            raise bad_key(key)
+        rec = make_put(key, 0, value)
         self._begin_op()
         t0 = self.clock.now
-        self.router.put(key, value)
+        self.router.put(rec)
         self._remember_ack(key, value)
         self._pump_all()
         self.metrics.latency["insert"].samples.append(self.clock.now - t0)
 
     def delete(self, key: Key) -> None:
-        if type(key) is not int or not KEY_SPACE_LO <= key < KEY_SPACE_HI:
-            raise bad_key(key)
+        check_key(key)
         self._begin_op()
         t0 = self.clock.now
         self.router.delete(key)
@@ -373,8 +371,7 @@ class ClusterDB:
 
     def get(self, key: Key, *,
             as_of_cut: Optional[int] = None) -> Optional[Value]:
-        if type(key) is not int or not KEY_SPACE_LO <= key < KEY_SPACE_HI:
-            raise bad_key(key)
+        check_key(key)
         if as_of_cut is not None:
             return self._get_as_of(key, as_of_cut)
         self._begin_op()
@@ -391,16 +388,13 @@ class ClusterDB:
         :class:`~repro.objstore.tiering.AsOfReader` over the owning shard's
         manifest log -- the historical tree is restored once per (shard,
         cut) and its page-cache misses fill from the object store at store
-        latency.  A cut that is not an int in ``[0, 2**64)``, or that the
-        owning shard does not retain and no cached reader holds, is refused
-        before the op is counted.
+        latency.  A cut the owning shard does not retain and no cached
+        reader holds is refused before the op is counted.
         """
         if self.objstore is None:
             raise ConfigError(
                 "as_of_cut reads need ClusterOptions.objstore")
-        if type(cut_id) is not int or not 0 <= cut_id < 2 ** 64:
-            raise ConfigError(
-                f"as_of_cut must be an int in [0, 2**64), got {cut_id!r}")
+        check_cut(cut_id)
         shard_id = self.router.shard_for(key).shard_id
         log = self.manifest_logs[shard_id]
         if (shard_id, cut_id) not in self._as_of_readers \
@@ -428,21 +422,14 @@ class ClusterDB:
         self.metrics.latency["read"].samples.append(self.clock.now - t0)
         return value
 
-    def multi_get(self, keys: List[Key]) -> List[Optional[Value]]:
-        """:meth:`get` of every key, in request order: one routed op per key.
-
-        Every key is validated before the first is routed, so a bad key
-        leaves the cluster untouched.
-        """
-        for key in keys:
-            if type(key) is not int or not KEY_SPACE_LO <= key < KEY_SPACE_HI:
-                raise bad_key(key)
-        return [self.get(key) for key in keys]
+    def multi_get(self, keys: Iterable[Key]) -> List[Optional[Value]]:
+        """:meth:`get` of every key in request order, one routed op per key;
+        all are checked before any is routed."""
+        return [self.get(key) for key in check_keys(keys)]
 
     def scan(self, lo_key: Optional[Key] = None, hi_key: Optional[Key] = None,
              *, limit: Optional[int] = None) -> List[Tuple[Key, object]]:
-        check_limit(limit)
-        check_bounds(lo_key, hi_key)
+        check_scan(lo_key, hi_key, limit)
         if limit == 0:
             self._check_open()
             return []

@@ -40,7 +40,7 @@ from repro.common.records import (
     Value,
     encoded_size,
 )
-from repro.db.iamdb import IamDB, SnapshotLike
+from repro.db.iamdb import IamDB
 from repro.faults.crash import CrashSpec
 from repro.cluster.network import SimNetwork
 
@@ -218,9 +218,9 @@ class ReplicaGroup:
         return report
 
     # ------------------------------------------------------------------ reads
-    def get(self, key: Key, snapshot: SnapshotLike = None) -> Optional[Value]:
+    def get(self, key: Key) -> Optional[Value]:
         """Leader read (the group serves linearizable reads from the leader)."""
-        return self.leader.db.get(key, snapshot)
+        return self.leader.db.get(key)
 
     def scan(self, lo_key: Optional[Key], hi_key: Optional[Key], *,
              limit: Optional[int] = None) -> List[Tuple[Key, object]]:

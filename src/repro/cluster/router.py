@@ -26,7 +26,8 @@ from typing import List, Optional, Tuple
 from repro.cluster.network import SimNetwork
 from repro.cluster.shard import Shard
 from repro.common.errors import ConfigError, InvariantViolation
-from repro.common.records import Key, Value, encoded_size, make_put, value_nbytes
+from repro.common.records import (KEY, RECORD_OVERHEAD, VALUE, Key, RecordTuple,
+                                  Value, encoded_size, value_nbytes)
 from repro.metrics import MetricsRegistry
 from repro.obs.tracer import NullTracer
 from repro.check.effects.registry import effects
@@ -129,15 +130,15 @@ class Router:
                                 delay_s=delay)
 
     # ------------------------------------------------------------ forwarding
-    def put(self, key: Key, value: Value) -> None:
-        shard = self.shard_for(key)
+    def put(self, rec: RecordTuple) -> None:
+        shard = self.shard_for(rec[KEY])
         self._admit_write(shard)
         shard.writes += 1
         group = shard.group
-        rec_bytes = encoded_size(make_put(key, 0, value), group.key_size)
+        rec_bytes = encoded_size(rec, group.key_size)
         leader_node = group.leader.node_id
         self.network.send(ROUTER_NODE, leader_node, rec_bytes)
-        group.put(key, value, rec_bytes)
+        group.put(rec[KEY], rec[VALUE], rec_bytes)
         self.network.send(leader_node, ROUTER_NODE, 0)
 
     def delete(self, key: Key) -> None:
@@ -145,7 +146,7 @@ class Router:
         self._admit_write(shard)
         shard.writes += 1
         group = shard.group
-        rec_bytes = encoded_size(make_put(key, 0, 0), group.key_size)
+        rec_bytes = group.key_size + RECORD_OVERHEAD  # a tombstone's size
         leader_node = group.leader.node_id
         self.network.send(ROUTER_NODE, leader_node, rec_bytes)
         group.delete(key, rec_bytes)

@@ -5,16 +5,16 @@ speed the hot paths treat records as plain 4-tuples
 
     ``(key, seq, kind, value)``
 
-* ``key``   -- a Python ``int`` in ``[0, 2**64)``: the one key domain a
-  store holds (the write and point-read entry points reject everything
-  else, see :func:`bad_key`).  Keys sort the same as their big-endian byte
-  encoding and live in a ``uint64`` column (:mod:`repro.table.run`).
+* ``key``   -- a Python ``int`` in ``[0, 2**64)``.  Keys sort the same as
+  their big-endian byte encoding and live in a ``uint64`` column
+  (:mod:`repro.table.run`).
 * ``seq``   -- global MVCC sequence number (monotonically increasing per DB).
 * ``kind``  -- :data:`PUT` or :data:`DELETE` (a tombstone).
 * ``value`` -- either real ``bytes`` (small values through the public API) or
-  an ``int`` meaning a *synthetic* payload of that many bytes.  The workload
-  generators use synthetic payloads: the simulation accounts for every byte
-  moved without shuffling payload content around (see DESIGN.md).
+  an ``int`` in ``[0, 2**64)`` meaning a *synthetic* payload of that many
+  bytes.  The workload generators use synthetic payloads: the simulation
+  accounts for every byte moved without shuffling payload content around
+  (see DESIGN.md).
 
 Index constants :data:`KEY`, :data:`SEQ`, :data:`KIND`, :data:`VALUE` document
 tuple positions for hot loops.  :class:`Record` is a NamedTuple with the same
@@ -24,20 +24,24 @@ tuple.
 Sort order: within a sorted run records are ordered by ``(key asc, seq desc)``
 so the newest version of a key comes first.  :func:`sort_key` produces that
 ordering for :func:`sorted` / ``heapq``.
+
+It is also the public argument contract, written once: every entry point
+checks its arguments here (:func:`make_put`, :func:`make_delete` and the
+``check_*`` functions) before anything is numbered, counted or charged.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import ConfigError
+from repro.common.hashing import MASK64
 
 PUT = 0
 DELETE = 1
 
-#: A record key: a Python ``int`` in ``[0, 2**64)``, checked where keys
-#: enter (the DB and cluster entry points).  Scan bounds and seek targets
-#: share the alias but may be any ``int``.
+#: A record key: a Python ``int`` in ``[0, 2**64)``.  Scan bounds and seek
+#: targets share the alias but may be any ``int``.
 Key = int
 
 KEY = 0
@@ -67,22 +71,69 @@ def value_nbytes(value: Value) -> int:
     return value if type(value) is int else len(value)
 
 
-def bad_key(key: object) -> ConfigError:
-    """The error every entry point raises for a non-``int`` key or bound, or
-    for a stored or point-read key outside ``[0, 2**64)``."""
+def check_key(key: object, snapshot: object = None) -> Optional[int]:
+    """Refuse ``key`` unless it is an int in ``[0, 2**64)``; return the sequence
+    number a read of it at ``snapshot`` pins (:func:`check_snapshot`)."""
     if type(key) is not int:
-        return ConfigError(
-            f"keys must be Python ints, got {type(key).__name__}: {key!r}")
-    return ConfigError(f"key {key} outside the key space [0, 2**64)")
+        raise ConfigError(f"keys must be Python ints, got {type(key).__name__}: {key!r}")
+    if not 0 <= key <= MASK64:
+        raise ConfigError(f"key {key} outside the key space [0, 2**64)")
+    return None if snapshot is None else check_snapshot(snapshot)
+
+
+def check_keys(keys: Iterable[Key]) -> List[Key]:
+    """``keys`` read once into a list, every key checked before any is read."""
+    try:
+        listed = [*keys]
+    except TypeError:
+        raise ConfigError(f"keys must be an iterable of ints, got {keys!r}") from None
+    for key in listed:
+        if type(key) is not int or not 0 <= key <= MASK64:
+            check_key(key)
+    return listed
+
+
+def check_snapshot(snapshot: object) -> Optional[int]:
+    """The seq a read pins: ``None`` (the newest), a ``Snapshot``'s, or an int in ``[0, 2**64)``."""
+    if snapshot is None or type(snapshot) is int and 0 <= snapshot <= MASK64:
+        return snapshot
+    from repro.db.snapshot import Snapshot  # repro.db imports this module
+    if isinstance(snapshot, Snapshot):
+        return snapshot.seq
+    raise ConfigError(f"a snapshot must be a Snapshot or an int in [0, 2**64), got {snapshot!r}")
+
+
+def check_scan(lo_key: object, hi_key: object, limit: object,
+               snapshot: object = None) -> Optional[int]:
+    """Refuse a scan unless its bounds are ``None`` or ints of any size and its
+    ``limit`` is ``None`` or an int >= 0; return what :func:`check_snapshot` does."""
+    for bound in (lo_key, hi_key):
+        if bound is not None and type(bound) is not int:
+            check_key(bound)
+    if limit is not None and (type(limit) is not int or limit < 0):
+        raise ConfigError(f"scan limit must be None or an int >= 0, got {limit!r}")
+    return check_snapshot(snapshot)
+
+
+def check_cut(cut: object) -> None:
+    """Refuse a manifest cut (``as_of_cut``) unless it is an int in ``[0, 2**64)``."""
+    if type(cut) is not int or not 0 <= cut <= MASK64:
+        raise ConfigError(f"as_of_cut must be an int in [0, 2**64), got {cut!r}")
 
 
 def make_put(key: Key, seq: int, value: Value) -> RecordTuple:
-    """Build a PUT record tuple (``value``: bytes, or int = synthetic size)."""
+    """Build a PUT record tuple: the one check of a written key and value."""
+    if type(key) is not int or not 0 <= key <= MASK64:
+        check_key(key)
+    if type(value) is not bytes and (type(value) is not int or not 0 <= value <= MASK64):
+        raise ConfigError(f"values must be bytes or an int in [0, 2**64), got {value!r}")
     return (key, seq, PUT, value)
 
 
 def make_delete(key: Key, seq: int) -> RecordTuple:
-    """Build a DELETE (tombstone) record tuple."""
+    """Build a DELETE (tombstone) record tuple: the one check of its key."""
+    if type(key) is not int or not 0 <= key <= MASK64:
+        check_key(key)
     return (key, seq, DELETE, 0)
 
 

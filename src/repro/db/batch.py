@@ -8,17 +8,13 @@ per-append device trip -- the classic group-commit win.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, List
 
 from repro.common.errors import ReproError
-from repro.common.hashing import MASK64
-from repro.common.records import Key, Value, bad_key
+from repro.common.records import Key, RecordTuple, Value, make_delete, make_put
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.iamdb import IamDB
-
-PUT_OP = "put"
-DELETE_OP = "delete"
 
 
 class WriteBatch:
@@ -36,21 +32,18 @@ class WriteBatch:
 
     def __init__(self, db: "IamDB") -> None:
         self._db = db
-        self._ops: List[Tuple[str, Key, Value]] = []
+        #: Checked records; the commit numbers them.
+        self._ops: List[RecordTuple] = []
         self._committed = False
 
     def put(self, key: Key, value: Value) -> "WriteBatch":
         self._check()
-        if type(key) is not int or not 0 <= key <= MASK64:
-            raise bad_key(key)
-        self._ops.append((PUT_OP, key, value))
+        self._ops.append(make_put(key, 0, value))
         return self
 
     def delete(self, key: Key) -> "WriteBatch":
         self._check()
-        if type(key) is not int or not 0 <= key <= MASK64:
-            raise bad_key(key)
-        self._ops.append((DELETE_OP, key, 0))
+        self._ops.append(make_delete(key, 0))
         return self
 
     def clear(self) -> None:

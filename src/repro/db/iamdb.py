@@ -30,7 +30,6 @@ from repro.common.options import (
     LsmOptions,
     StorageOptions,
 )
-from repro.common.hashing import MASK64
 from repro.common.records import (
     KIND,
     DELETE,
@@ -39,15 +38,17 @@ from repro.common.records import (
     SEQ,
     VALUE,
     Value,
+    check_key,
+    check_keys,
+    check_scan,
+    check_snapshot,
     encoded_size,
     encoded_size_many,
-    bad_key,
     make_delete,
     make_put,
 )
 from repro.core.engine import EngineBase
 from repro.core.lsa import LsaTree
-from repro.db.iterator import check_bounds, check_limit
 from repro.table.scan import list_stream, merge_scan
 from repro.table.scanplan import planned_scan
 from repro.db.snapshot import Snapshot
@@ -151,18 +152,12 @@ class IamDB:
     def put(self, key: Key, value: Value) -> None:
         """Insert/overwrite ``key``.  ``value``: bytes, or int = synthetic size."""
         self._check_open()
-        if type(key) is not int or not 0 <= key <= MASK64:
-            raise bad_key(key)
-        self._seq += 1
-        self._write(make_put(key, self._seq, value))
+        self._write(make_put(key, self._seq + 1, value))
 
     def delete(self, key: Key) -> None:
         """Delete ``key`` (writes a tombstone; space reclaimed by merges)."""
         self._check_open()
-        if type(key) is not int or not 0 <= key <= MASK64:
-            raise bad_key(key)
-        self._seq += 1
-        self._write(make_delete(key, self._seq))
+        self._write(make_delete(key, self._seq + 1))
 
     def write_batch(self) -> "WriteBatch":
         """An atomic :class:`~repro.db.batch.WriteBatch` bound to this DB."""
@@ -170,19 +165,15 @@ class IamDB:
         from repro.db.batch import WriteBatch
         return WriteBatch(self)
 
-    def _apply_batch(self, ops: List[Tuple[str, Key, Value]]) -> None:
+    def _apply_batch(self, ops: List[RecordTuple]) -> None:
         """Commit a WriteBatch: consecutive seqs, one WAL run, all-or-nothing."""
-        from repro.db.batch import PUT_OP
         self._check_open()
         runtime = self.runtime
         t0 = runtime.clock.now
         recs = []
-        for op, key, value in ops:
+        for key, _, kind, value in ops:
             self._seq += 1
-            if op == PUT_OP:
-                recs.append(make_put(key, self._seq, value))
-            else:
-                recs.append(make_delete(key, self._seq))
+            recs.append((key, self._seq, kind, value))
         total = encoded_size_many(recs, self.key_size)
         self.engine.write_gate(total)
         self.wal.append_many(recs)
@@ -196,6 +187,8 @@ class IamDB:
         self.metrics.latency["insert"].samples.append(runtime.clock.now - t0)
 
     def _write(self, rec: RecordTuple) -> None:
+        """Log and insert one checked record numbered ``_seq + 1``."""
+        self._seq = rec[SEQ]
         runtime = self.runtime
         clock = runtime.clock
         metrics = self.metrics
@@ -301,26 +294,12 @@ class IamDB:
         return elapsed + self.runtime.quiesce()
 
     # ------------------------------------------------------------------ reads
-    @staticmethod
-    def _snap_seq(snapshot: SnapshotLike) -> Optional[int]:
-        """The sequence number a read sees; validated like a key."""
-        if snapshot is None:
-            return None
-        if isinstance(snapshot, Snapshot):
-            return snapshot.seq
-        if type(snapshot) is not int or not 0 <= snapshot <= MASK64:
-            raise ConfigError("a snapshot must be a Snapshot or an int in "
-                              f"[0, 2**64), got {snapshot!r}")
-        return snapshot
-
     def get(self, key: Key, snapshot: SnapshotLike = None) -> Optional[Value]:
         """Newest visible value of ``key``, or None."""
         self._check_open()
-        if type(key) is not int or not 0 <= key <= MASK64:
-            raise bad_key(key)
+        snap = check_key(key, snapshot)
         runtime = self.runtime
         t0 = runtime.clock.now
-        snap = self._snap_seq(snapshot)
         rec = self.memtable.get(key, snap)
         if rec is None and self.immutable is not None:
             rec = self.immutable.get(key, snap)
@@ -332,18 +311,13 @@ class IamDB:
             return None
         return rec[VALUE]
 
-    def multi_get(self, keys: List[Key],
+    def multi_get(self, keys: Iterable[Key],
                   snapshot: SnapshotLike = None) -> List[Optional[Value]]:
-        """:meth:`get` of every key, in request order.
-
-        Every key is validated before the first is read, so a bad key
-        leaves the store untouched.
-        """
+        """:meth:`get` of every key in request order; all are checked before
+        any is read."""
         self._check_open()
-        for key in keys:
-            if type(key) is not int or not 0 <= key <= MASK64:
-                raise bad_key(key)
-        return [self.get(key, snapshot) for key in keys]
+        snap = check_snapshot(snapshot)
+        return [self.get(key, snap) for key in check_keys(keys)]
 
     def _scan_streams(self, lo_key: Optional[Key],
                       hi_key: Optional[Key]) -> List[Iterable[RecordTuple]]:
@@ -361,13 +335,10 @@ class IamDB:
              snapshot: SnapshotLike = None) -> List[Tuple[Key, object]]:
         """Ordered ``(key, value)`` pairs with lo <= key < hi (both optional).
 
-        ``limit`` caps the row count: 0 returns ``[]`` without touching the
-        store, a negative one raises :class:`ConfigError`.
+        ``limit`` caps the row count (0: ``[]``, touching nothing).
         """
         self._check_open()
-        check_limit(limit)
-        check_bounds(lo_key, hi_key)
-        snap = self._snap_seq(snapshot)
+        snap = check_scan(lo_key, hi_key, limit, snapshot)
         if limit == 0:
             return []
         runtime = self.runtime

@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from repro.common.errors import ConfigError
 from repro.common.records import (
     DELETE,
     KEY,
@@ -22,23 +21,9 @@ from repro.common.records import (
     RecordTuple,
     SEQ,
     VALUE,
-    bad_key,
+    check_scan,
     sort_key,
 )
-
-
-def check_limit(limit: Optional[int]) -> None:
-    """Reject a negative scan ``limit`` (0 validly asks for no rows)."""
-    if limit is not None and limit < 0:
-        raise ConfigError(f"scan limit must be >= 0, got {limit}")
-
-
-def check_bounds(lo_key: Optional[Key], hi_key: Optional[Key]) -> None:
-    """Reject a scan bound that is not a Python int (None leaves it open)."""
-    if lo_key is not None and type(lo_key) is not int:
-        raise bad_key(lo_key)
-    if hi_key is not None and type(hi_key) is not int:
-        raise bad_key(hi_key)
 
 
 def merge_visible(streams: List[Iterable[RecordTuple]], *,
@@ -51,7 +36,7 @@ def merge_visible(streams: List[Iterable[RecordTuple]], *,
     (0 yields nothing and pulls nothing, so it charges nothing).
     Tombstoned keys are skipped (they still consume nothing from the limit).
     """
-    check_limit(limit)
+    check_scan(None, None, limit)
     live = [s for s in streams if s is not None]
     if not live or limit == 0:
         return

@@ -39,9 +39,6 @@ class Snapshot:
     def __exit__(self, *exc: object) -> None:
         self.release()
 
-    def __int__(self) -> int:
-        return self.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "released" if self._released else "live"
         return f"Snapshot(seq={self.seq}, {state})"

@@ -31,9 +31,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
-from repro.common.hashing import MASK64
 from repro.common.options import StorageOptions
-from repro.common.records import KIND, DELETE, Key, VALUE, Value, bad_key
+from repro.common.records import KIND, DELETE, Key, VALUE, Value, check_key
 from repro.metrics import MetricsRegistry
 from repro.objstore.manifestlog import ManifestCut, SharedManifestLog
 from repro.objstore.store import SimObjectStore
@@ -211,8 +210,7 @@ class AsOfReader:
 
     def get(self, key: Key) -> Optional[Value]:
         """Newest value of ``key`` as of the cut, or None."""
-        if type(key) is not int or not 0 <= key <= MASK64:
-            raise bad_key(key)
+        check_key(key)
         rec, _ = self.engine.get(key, None)
         if rec is None or rec[KIND] == DELETE:
             return None

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.common.errors import ConfigError
 from repro.common.hashing import MASK64
-from repro.common.records import Key, RECORD_OVERHEAD, RecordTuple, bad_key
+from repro.common.records import Key, RECORD_OVERHEAD, RecordTuple, check_key
 from repro.filters.bloom import hash_columns
 
 
@@ -73,7 +73,7 @@ class Run:
         # Sorted: the extremes decide.  Checked here, not left to fromiter,
         # which would raise a bare OverflowError.
         if n and (keys[0] < 0 or keys[-1] > MASK64):
-            raise bad_key(keys[0] if keys[0] < 0 else keys[-1])
+            check_key(keys[0] if keys[0] < 0 else keys[-1])  # raises
         if set(map(type, values)) - {int}:
             val_col = np.fromiter(values, dtype=object, count=n)
             sizes = np.fromiter((v if type(v) is int else len(v) for v in values),
