@@ -11,9 +11,13 @@ LRU (:meth:`PageCache.invalidate_file` walks block numbers against the LRU).
 Batch entry points let the runtime charge a whole appended sequence
 (:meth:`PageCache.insert_many`) or a query's read run (:meth:`touch_run`,
 which counts misses and seeks without listing them, then :meth:`admit_run`)
-in one call instead of per-4KiB-block Python method calls; residency, LRU
-order and the insertion/eviction counters stay byte-exact with the
-per-block reference (:class:`repro.bench.reference.ReferencePageCache`).
+in one call instead of per-4KiB-block Python method calls.  Both admit
+through one admission/eviction loop: :meth:`admit_run` is one pass over the
+run that leaves its hits in place, whenever the cache's capacity and pins
+show that no victim can be one of them, and the listed misses otherwise.
+Residency, LRU order, the insertion/eviction counters and the eviction
+batches stay byte-exact with the per-block reference
+(:class:`repro.bench.reference.ReferencePageCache`).
 """
 
 from __future__ import annotations
@@ -99,12 +103,23 @@ class PageCache:
             last_miss = b
         return missing, seeks
 
-    def admit_run(self, file_id: int, blocks: Iterable[int]) -> None:
-        """Admit a run's non-resident blocks in order: after :meth:`touch_run`,
-        :meth:`insert_many` of its misses alone (the whole run would promote
-        its hits again, reordering the LRU)."""
-        lru = self._lru
-        self.insert_many(file_id, [b for b in blocks if (file_id, b) not in lru])
+    def admit_run(self, file_id: int, blocks: range) -> None:
+        """Admit a run's non-resident blocks in order, after :meth:`touch_run`
+        promoted its hits -- the per-block loop over the misses alone.
+
+        One pass over the run, leaving its hits where they are, is that loop
+        while no victim can be one of the hits: the ``h`` hits sit at the
+        MRU end, the ``m`` misses evict at most ``resident + m - capacity``
+        blocks, and at least ``resident - h - pinned`` unpinned blocks lie
+        ahead of the hits.  ``h + m`` is the run's length, so that holds
+        when ``length + pinned <= capacity``; otherwise the misses are
+        listed first, and a hit they evict stays out.
+        """
+        admit: Iterable[int] = blocks
+        if blocks.stop - blocks.start + len(self._pinned) > self.max_blocks:
+            lru = self._lru
+            admit = [b for b in blocks if (file_id, b) not in lru]
+        self.insert_many(file_id, admit, False)
 
     def touch_range(self, file_id: int, first_block: int, n_blocks: int) -> int:
         """Touch ``n_blocks`` consecutive blocks; returns the hit count."""
@@ -115,13 +130,14 @@ class PageCache:
         """Insert (or refresh) one block, evicting LRU blocks as needed."""
         self.insert_many(file_id, (block_no,))
 
-    def insert_many(self, file_id: int, block_nos: Iterable[int]) -> None:
+    def insert_many(self, file_id: int, block_nos: Iterable[int],
+                    promote: bool = True) -> None:
         """Insert a batch of blocks of one file in order.
 
         State-identical to per-block inserts -- one interleaved pass, so
         hits are promoted and new blocks admitted (with their LRU evictions)
-        in exactly the same order.  When the batch provably fits without
-        eviction, the per-block capacity checks are skipped.
+        in exactly the same order.  ``promote=False`` leaves resident blocks
+        where they are: :meth:`admit_run`'s pass over a touched run.
 
         Admission under pressure scans from the LRU end: unpinned victims
         are evicted; pinned blocks are rotated to the MRU end and counted,
@@ -133,62 +149,46 @@ class PageCache:
         max_blocks = self.max_blocks
         if max_blocks == 0:
             return
-        lru = self._lru
-        move_to_end = lru.move_to_end
-        per_file = self._per_file
-        try:
-            n = len(block_nos)  # type: ignore[arg-type]
-        except TypeError:
-            n = None
-        if n is not None and len(lru) + n <= max_blocks:
-            # Fast path: no eviction possible for this whole batch.
-            admitted = 0
-            for b in block_nos:
-                key = (file_id, b)
-                if key in lru:
-                    move_to_end(key)
-                else:
-                    lru[key] = None
-                    admitted += 1
-            if admitted:
-                per_file[file_id] = per_file.get(file_id, 0) + admitted
-            self.insertions += admitted
-            return
         # One pass over locals; the counters and this file's count (less
         # ``lost``, its own evicted blocks) settle once per batch.
+        lru = self._lru
+        move_to_end = lru.move_to_end
         popitem = lru.popitem
+        per_file = self._per_file
         pinned = self._pinned
         on_evictions = self.on_evictions
-        resident = len(lru)
-        admitted = evicted_total = lost = 0
+        start = resident = len(lru)
+        evicted_total = lost = 0
         for b in block_nos:
             key = (file_id, b)
             if key in lru:
-                move_to_end(key)
+                if promote:
+                    move_to_end(key)
                 continue
-            evicted = rotations = 0
-            while resident >= max_blocks and rotations < resident:
-                old_key = popitem(False)[0]
-                if old_key in pinned:
-                    lru[old_key] = None
-                    rotations += 1
-                    continue
-                resident -= 1
-                evicted += 1
-                old_file = old_key[0]
-                if old_file == file_id:
-                    lost += 1
-                elif per_file[old_file] == 1:
-                    del per_file[old_file]
-                else:
-                    per_file[old_file] -= 1
-            if evicted:  # the observer hears each admission's batch
-                evicted_total += evicted
-                if on_evictions is not None:
-                    on_evictions(evicted)
+            if resident >= max_blocks:
+                evicted = rotations = 0
+                while resident >= max_blocks and rotations < resident:
+                    old_key = popitem(False)[0]
+                    if old_key in pinned:
+                        lru[old_key] = None
+                        rotations += 1
+                        continue
+                    resident -= 1
+                    evicted += 1
+                    old_file = old_key[0]
+                    if old_file == file_id:
+                        lost += 1
+                    elif per_file[old_file] == 1:
+                        del per_file[old_file]
+                    else:
+                        per_file[old_file] -= 1
+                if evicted:  # the observer hears each admission's batch
+                    evicted_total += evicted
+                    if on_evictions is not None:
+                        on_evictions(evicted)
             lru[key] = None
             resident += 1
-            admitted += 1
+        admitted = resident - start + evicted_total
         if admitted:  # the last admitted block is resident: the count is > 0
             per_file[file_id] = per_file.get(file_id, 0) + admitted - lost
         self.insertions += admitted

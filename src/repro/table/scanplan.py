@@ -39,17 +39,20 @@ records per sequence, whole trailing chain tails reduced to their fill
 charges); the plan is valid iff the scan terminates strictly below the
 smallest excluded key, else it retries with a wider cut.
 
-One pass per component
-----------------------
+One pass per component, books per table
+---------------------------------------
 Each sequence component is visited once before the sort: the walk records
-``(run, key view, i, j)`` and its charge facts and folds the cut key, then
-every span is cut with one ``bisect_left`` on its key view -- before
-anything is sliced -- and each column is gathered with one comprehension
-into one ``np.concatenate``.  The charge events are derived in Python ints
-(``ranks.tolist()``, the offsets as a list, a uniform sequence's block
-index being the ``range`` it is, so a chunk index is ``i // step``): at
-the scan's T of a few hundred records numpy scalars cost more than the
-arithmetic they carry.
+``(run, key view, i, j)`` and its charge facts and folds the cut key.  A
+table's components are consecutive, so its books are one index range
+``[first_ci, end_ci)`` counted in an int, and a dropped chain-tail node's
+fill charges are one comprehension (a sequence whose first key is past
+``hi`` has none).  Every span that reaches the cut key is then cut with one
+``bisect_left`` on its key view -- before anything is sliced -- and each
+column is gathered with one comprehension into one ``np.concatenate``.  The
+charge events are derived in Python ints (``ranks.tolist()``, the offsets
+as a list, a uniform sequence's block index being the ``range`` it is, so a
+chunk index is ``i // step``): at the scan's T of a few hundred records
+numpy scalars cost more than the arithmetic they carry.
 
 Declines
 --------
@@ -117,21 +120,16 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
     # the run; charge is None (memtable) or the sequence's charge facts
     # (fid, block index, first block, n_blocks, charge_end).
     comps: List[tuple] = []
+    n_comps = 0  # len(comps)
     vals_ok = True  # every value synthetic: the sizes column is the output
-    # Per chain: ([(comp_idxs, truncated_any)] per table, fill_only events)
+    # Per chain: ([(first_ci, end_ci, truncated_any)] per table -- its
+    # components are comps[first_ci:end_ci] -- , fill_only events)
     chains = []
     cut_key: Optional[int] = None
     runtime = None
 
     for s in streams:
-        if isinstance(s, ListStream):
-            if not s.recs:
-                continue
-            # The same typed column builder sequences were built with.
-            run = Run.from_records(s.recs)
-            vals_ok = vals_ok and run.vals is None
-            comps.append((run, run.key_view(), 0, run.n, None))
-        elif isinstance(s, ChainStream):
+        if isinstance(s, ChainStream):  # one per level: tested first
             runtime = s.runtime
             lo = s.lo_key
             hi = s.hi_key
@@ -150,19 +148,20 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                     # fill -- one first-chunk charge per sequence -- still
                     # fires when the chain advances past the last kept
                     # node.  Later nodes need that node to exhaust first,
-                    # which cannot happen below M.
-                    fill_only = []
-                    for seq in table.sequences:
-                        kv = seq.key_view
-                        if hi is not None and bisect_right(kv, hi) == 0:
-                            continue
-                        if cut_key is None or kv[0] < cut_key:
-                            cut_key = kv[0]
-                        stop = min(READAHEAD_BLOCKS, seq.n_blocks)
-                        fill_only.append((fid, range(seq.first_block,
-                                                     seq.first_block + stop)))
+                    # which cannot happen below M.  A sequence whose first
+                    # key is past ``hi`` has no in-range record to pull.
+                    fill_only = [
+                        (seq.key_view[0], fid,
+                         range(seq.first_block, seq.first_block
+                               + (seq.n_blocks if seq.n_blocks < READAHEAD_BLOCKS
+                                  else READAHEAD_BLOCKS)))
+                        for seq in table.sequences
+                        if hi is None or seq.key_view[0] <= hi]
+                    for first_key, _, _ in fill_only:
+                        if cut_key is None or first_key < cut_key:
+                            cut_key = first_key
                     break
-                comp_idxs = []
+                first_ci = n_comps
                 truncated_any = False
                 kept = 0
                 for seq in table.sequences:
@@ -183,16 +182,24 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                             cut_key = kv[j]
                     run = seq.run
                     vals_ok = vals_ok and run.vals is None
-                    comp_idxs.append(len(comps))
                     comps.append((run, kv, i, j, (fid, seq.block_start_idx,
                                                   seq.first_block, seq.n_blocks,
                                                   charge_end)))
+                    n_comps += 1
                     kept += j - i
                 lo = None  # only the chain's first table seeks
                 if budget is not None:
                     budget -= kept
-                tables_meta.append((comp_idxs, truncated_any))
+                tables_meta.append((first_ci, n_comps, truncated_any))
             chains.append((tables_meta, fill_only))
+        elif isinstance(s, ListStream):
+            if not s.recs:
+                continue
+            # The same typed column builder sequences were built with.
+            run = Run.from_records(s.recs)
+            vals_ok = vals_ok and run.vals is None
+            comps.append((run, run.key_view(), 0, run.n, None))
+            n_comps += 1
         else:
             return None
 
@@ -205,18 +212,16 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
     # tails before the gather shrinks T toward M; the only scalar effect
     # they keep is a sequence's cursor-fill charge, preserved by retaining
     # cut-emptied components (their chunk loop stops at the fill because
-    # the missing ranks are all >= M).
-    n_comps = len(comps)
+    # the missing ranks are all >= M).  A span whose last key is below
+    # cut_key keeps all of it: only the others are bisected.
     filtered = [False] * n_comps
     offsets = [0] * (n_comps + 1)
     T = 0
     for ci, (run, kv, i, j, charge) in enumerate(comps):
-        if cut_key is not None:
-            jf = bisect_left(kv, cut_key, i, j)
-            if jf < j:
-                comps[ci] = (run, kv, i, jf, charge)
-                filtered[ci] = True
-                j = jf
+        if cut_key is not None and kv[j - 1] >= cut_key:
+            j = bisect_left(kv, cut_key, i, j)
+            comps[ci] = (run, kv, i, j, charge)
+            filtered[ci] = True
         T += j - i
         offsets[ci + 1] = T
     if not T:
@@ -301,13 +306,13 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
     gen = 0
     for tables_meta, fill_only in chains:
         prev = -1  # merge rank of the last record of the last non-empty node
-        for comp_idxs, truncated_any in tables_meta:
-            if not comp_idxs:
+        for first_ci, end_ci, truncated_any in tables_meta:
+            if first_ci == end_ci:
                 continue
             fill_tr = prev
             last = -1
             cut_any = truncated_any
-            for ci in comp_idxs:
+            for ci in range(first_ci, end_ci):
                 _, _, i, _, (fid, starts, first, n_blocks, charge_end) = comps[ci]
                 base = offsets[ci] - i
                 end = offsets[ci + 1] - base  # past the last gathered record
@@ -339,7 +344,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                     last = tail
             prev = T if cut_any else last
         if fill_only is not None and prev < M:
-            for fid, blocks in fill_only:
+            for _, fid, blocks in fill_only:
                 events.append((prev, gen, fid, blocks))
                 gen += 1
     events.sort()  # by (trigger, gen): gen is unique

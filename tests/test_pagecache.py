@@ -276,3 +276,39 @@ def test_invalidate_walks_a_sparse_file_exactly():
     assert new._pinned == ref._pinned == set()
     assert new._per_file == {2: 1}
     assert new.invalidate_file(1) == 0
+
+
+@pytest.mark.parametrize("cap,pins,reach", [(4, 0, False), (3, 0, True),
+                                            (5, 1, False), (4, 1, True)],
+                         ids=["one-short", "reach", "one-short-pinned",
+                              "reach-pinned"])
+def test_admit_run_at_the_one_pass_guard(cap, pins, reach):
+    # A full cache: ``pins`` pinned blocks at the LRU end, then unpinned
+    # blocks of file 9, then the run's hits (1, 2) and (1, 3).  The run's
+    # two misses evict two blocks: the last victim sits just ahead of the
+    # hits, or is the hit (1, 2) the run has not reached yet.  Run length
+    # + pins == capacity is the one pass's edge; one more is the list form.
+    new, ref = PageCache(cap * 64, 64), ReferencePageCache(cap * 64, 64)
+    for c in (new, ref):
+        c.pin_range(8, 0, pins)
+        for b in range(cap - pins - 2):
+            c.insert(9, b)
+        c.insert(1, 2)
+        c.insert(1, 3)
+    batches, ref_batches = [], []
+    new.on_evictions = batches.append
+    run = range(0, 4)
+    assert new.touch_run(1, run) == (2, 1)
+    new.admit_run(1, run)
+    for b in [b for b in run if not ref.touch(1, b)]:
+        before = ref.evictions
+        ref.insert(1, b)
+        if ref.evictions > before:
+            ref_batches.append(ref.evictions - before)
+    assert list(new._lru) == list(ref._lru)
+    assert new._pinned == ref._pinned and len(new._pinned) == pins
+    assert (new.insertions, new.evictions) == (ref.insertions, ref.evictions)
+    assert ([new.resident_blocks(f) for f in (1, 8, 9)]
+            == [ref.resident_blocks(f) for f in (1, 8, 9)])
+    assert batches == ref_batches == [1, 1]
+    assert new.contains(1, 2) is not reach

@@ -572,6 +572,47 @@ def test_wide_key_in_the_chain_tail_is_declined(monkeypatch):
         del verdicts[:]
 
 
+@pytest.mark.parametrize("hi_at", ["first", "between", "second"])
+def test_chain_tail_fill_skips_sequences_starting_past_hi(hi_at, monkeypatch):
+    # Three nodes of 32 tombstones spend a limit-3 plan's 96-record budget,
+    # so the fourth node is dropped; the memtable's rows sort after the
+    # tombstones, so the chain still advances into it.  Its fill charges a
+    # first chunk for each sequence whose first key is <= hi_key: hi_key
+    # sits at the first sequence's first key, between the two, or at the
+    # second's.
+    verdicts = _planner_verdicts(monkeypatch)
+    base = 1 << 30
+    first, second = base + 5000, base + 5010
+    hi = {"first": first, "between": first + 5, "second": second}[hi_at]
+    db_ref, db_opt = make_tiny_db("iam"), make_tiny_db("iam")
+    for db in (db_ref, db_opt):
+        for i in range(300):
+            db.put(i * 11, 40)
+        db.quiesce()
+        for i in range(5):
+            db.put(base + 3500 + i, 40)
+        eng, seq = db.engine, db._seq
+        for t in range(3):
+            eng._create_node_from_run(eng.n, Run.from_records(
+                [make_delete(base + 1000 * t + i, seq + 32 * t + i + 1)
+                 for i in range(32)]))
+        seq += 96
+        eng._create_node_from_run(eng.n, Run.from_records(
+            [make_put(first + 2 * i, seq + i + 1, 40) for i in range(32)]))
+        node = eng.levels[eng.n][-1]
+        eng._append_to_child(eng.n, node, Run.from_records(
+            [make_put(second + 2 * i, seq + 33 + i, 40) for i in range(32)]))
+        db.check_invariants()
+    got = _assert_scan_matches(db_ref, db_opt, base, hi, limit=3)
+    assert got == [(base + 3500 + i, 40) for i in range(3)]
+    assert verdicts == [True]
+    table = node.table
+    lru = list(db_opt.runtime.cache._lru)
+    a, b = ((table.file_id, s.first_block) for s in table.sequences)
+    # Only a charged sequence's first block moves to the MRU end.
+    assert (lru.index(a) > lru.index(b)) == (hi_at != "second")
+
+
 @pytest.mark.parametrize("kwargs", [{}, {"limit": 7}, {"snapshot": 900},
                                     {"limit": 7, "snapshot": 900}],
                          ids=["all", "limit", "snapshot", "limit+snapshot"])
