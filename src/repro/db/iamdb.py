@@ -324,9 +324,10 @@ class IamDB:
         """What every scan merges, newest first: the memtable, the immutable
         memtable, then the engine's on-disk components (§5.2).  Captures the
         view; charges nothing."""
-        streams = [list_stream(self.memtable.iter_range(lo_key, hi_key))]
+        streams = [list_stream(self.memtable.sorted_records(), lo_key, hi_key)]
         if self.immutable is not None:
-            streams.append(list_stream(self.immutable.iter_range(lo_key, hi_key)))
+            streams.append(list_stream(self.immutable.sorted_records(),
+                                       lo_key, hi_key))
         streams.extend(self.engine.scan_cursors(lo_key, hi_key))
         return streams
 

@@ -21,7 +21,9 @@ The public behaviour is what the engines rely on:
 * Size accounting in *encoded* bytes, so the capacity threshold ``Ct``
   matches what the flush will write.
 * ``sorted_records()`` emits a valid sorted run, (key asc, seq desc), as the
-  columnar :class:`~repro.table.run.Run` the whole flush path carries.
+  columnar :class:`~repro.table.run.Run` the whole flush path carries, and
+  keeps it until the next ``add``: a scan's memtable stream is a span of it
+  (:func:`repro.table.scan.list_stream`), not a re-typed record list.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ class Memtable:
     """Sorted, MVCC-aware in-memory buffer."""
 
     __slots__ = ("key_size", "_sorted_keys", "_delta_keys", "_versions",
-                 "nbytes", "n_records", "min_seq", "max_seq")
+                 "nbytes", "n_records", "min_seq", "max_seq", "_run")
 
     def __init__(self, key_size: int) -> None:
         self.key_size = key_size
@@ -57,6 +59,8 @@ class Memtable:
         self.n_records = 0
         self.min_seq: Optional[int] = None
         self.max_seq: Optional[int] = None
+        #: :meth:`sorted_records`' run, until the next :meth:`add`.
+        self._run: Optional[Run] = None
 
     def __len__(self) -> int:
         return self.n_records
@@ -69,6 +73,7 @@ class Memtable:
         """Insert one record of any kind (``nbytes``: its encoded size, when
         the caller holds it already)."""
         key, seq, kind, vsize = rec
+        self._run = None
         versions = self._versions.get(key)
         if versions is None:
             self._delta_keys.append(key)
@@ -131,15 +136,18 @@ class Memtable:
                 for seq, kind, vsize in versions[key][::-1]]
 
     def sorted_records(self) -> Run:
-        """All records as one columnar sorted run, ready for flushing."""
-        keys = self._consolidate()
-        per_key = list(map(self._versions.__getitem__, keys))
-        if self.n_records == len(keys):
-            versions = [v[0] for v in per_key]
-        else:
-            # Some key holds several versions: newest first within the key.
-            keys = [key for key, v in zip(keys, per_key) for _ in v]
-            versions = list(chain.from_iterable(map(reversed, per_key)))
-        if not versions:
-            return Run.from_records(())
-        return Run.from_columns(keys, *zip(*versions))
+        """All records as one columnar sorted run, ready for flushing or
+        scanning; built once and kept until the next :meth:`add`."""
+        run = self._run
+        if run is None:
+            keys = self._consolidate()
+            per_key = list(map(self._versions.__getitem__, keys))
+            if self.n_records == len(keys):
+                versions = [v[0] for v in per_key]
+            else:
+                # Some key holds several versions: newest first within it.
+                keys = [key for key, v in zip(keys, per_key) for _ in v]
+                versions = list(chain.from_iterable(map(reversed, per_key)))
+            run = self._run = (Run.from_columns(keys, *zip(*versions))
+                               if versions else Run.from_records(()))
+        return run

@@ -9,21 +9,19 @@ are resident, so the cache keeps a resident-block count per file beside the
 LRU (:meth:`PageCache.invalidate_file` walks block numbers against the LRU).
 
 Batch entry points let the runtime charge a whole appended sequence
-(:meth:`PageCache.insert_many`) or a query's read run (:meth:`touch_run`,
-which counts misses and seeks without listing them, then :meth:`admit_run`)
-in one call instead of per-4KiB-block Python method calls.  Both admit
-through one admission/eviction loop: :meth:`admit_run` is one pass over the
-run that leaves its hits in place, whenever the cache's capacity and pins
-show that no victim can be one of them, and the listed misses otherwise.
-Residency, LRU order, the insertion/eviction counters and the eviction
-batches stay byte-exact with the per-block reference
-(:class:`repro.bench.reference.ReferencePageCache`).
+(:meth:`PageCache.insert_many`) or a query's read request
+(:meth:`read_request`: one pass over its runs that touches each, counts its
+misses and seeks without listing them, and admits them once the caller has
+fetched them) in one call instead of per-4KiB-block Python method calls.
+Both admit through one admission/eviction loop.  Residency, LRU order, the
+insertion/eviction counters and the eviction batches stay byte-exact with
+the per-block reference (:class:`repro.bench.reference.ReferencePageCache`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.common.errors import ConfigError
 
@@ -49,6 +47,8 @@ class PageCache:
         self._pinned: set = set()
         self.insertions = 0
         self.evictions = 0
+        #: Resident blocks found by read requests (:meth:`read_request`).
+        self.hits = 0
         #: Eviction-batch observer (trace hook); None when tracing is off, so
         #: the hot admission loop pays a single None check per batch.
         self.on_evictions: Optional[Callable[[int], None]] = None
@@ -80,51 +80,54 @@ class PageCache:
             return True
         return False
 
-    def touch_run(self, file_id: int, blocks: Iterable[int]) -> Tuple[int, int]:
-        """Touch a run of blocks in order; returns ``(missing, seeks)``.
+    def read_request(self, reads: Iterable[Tuple[int, range]]
+                     ) -> Iterator[Tuple[int, int]]:
+        """One read request's pass over its ``(file_id, blocks)`` runs.
 
-        Hits are promoted to most-recently-used exactly as per-block
-        :meth:`touch` calls would.  Misses are only counted, one seek per
-        stretch of consecutive missing block numbers: nothing is listed, and
-        :meth:`admit_run` admits them once the caller has fetched them.
+        Each run is touched in turn -- hits promoted to most-recently-used
+        as per-block :meth:`touch` calls would, misses only counted, one
+        seek per stretch of consecutive missing blocks, resident blocks
+        added to :attr:`hits`.  A run with misses yields ``(missing,
+        seeks)``; the caller fetches them, and the resumed pass admits them
+        (a pass abandoned at the yield admits nothing).
+
+        Admission is one pass over the run, leaving its hits in place: the
+        per-block loop over the misses alone while no victim can be a hit.
+        The ``h`` hits sit at the MRU end, the ``m`` misses evict at most
+        ``resident + m - capacity`` blocks, and at least ``resident - h -
+        pinned`` unpinned blocks lie ahead of the hits; ``h + m`` is the
+        run's length, so that holds when ``length + pinned <= capacity``.
+        Otherwise the misses are listed first; a hit they evict stays out.
         """
         lru = self._lru
         move_to_end = lru.move_to_end
-        missing = seeks = 0
-        last_miss = -2
-        for b in blocks:
-            key = (file_id, b)
-            if key in lru:
-                move_to_end(key)
-                continue
-            missing += 1
-            if b != last_miss + 1:
-                seeks += 1
-            last_miss = b
-        return missing, seeks
-
-    def admit_run(self, file_id: int, blocks: range) -> None:
-        """Admit a run's non-resident blocks in order, after :meth:`touch_run`
-        promoted its hits -- the per-block loop over the misses alone.
-
-        One pass over the run, leaving its hits where they are, is that loop
-        while no victim can be one of the hits: the ``h`` hits sit at the
-        MRU end, the ``m`` misses evict at most ``resident + m - capacity``
-        blocks, and at least ``resident - h - pinned`` unpinned blocks lie
-        ahead of the hits.  ``h + m`` is the run's length, so that holds
-        when ``length + pinned <= capacity``; otherwise the misses are
-        listed first, and a hit they evict stays out.
-        """
-        admit: Iterable[int] = blocks
-        if blocks.stop - blocks.start + len(self._pinned) > self.max_blocks:
-            lru = self._lru
-            admit = [b for b in blocks if (file_id, b) not in lru]
-        self.insert_many(file_id, admit, False)
+        for file_id, blocks in reads:
+            missing = seeks = 0
+            last_miss = -2
+            for b in blocks:
+                key = (file_id, b)
+                if key in lru:
+                    move_to_end(key)
+                    continue
+                missing += 1
+                if b != last_miss + 1:
+                    seeks += 1
+                last_miss = b
+            self.hits += blocks.stop - blocks.start - missing
+            if missing:
+                yield missing, seeks
+                admit: Iterable[int] = blocks
+                if blocks.stop - blocks.start + len(self._pinned) > self.max_blocks:
+                    admit = [b for b in blocks if (file_id, b) not in lru]
+                self.insert_many(file_id, admit, False)
 
     def touch_range(self, file_id: int, first_block: int, n_blocks: int) -> int:
-        """Touch ``n_blocks`` consecutive blocks; returns the hit count."""
-        return n_blocks - self.touch_run(
-            file_id, range(first_block, first_block + n_blocks))[0]
+        """Touch ``n_blocks`` consecutive blocks; returns the hit count.
+        Misses stay out: the request is abandoned at its yield."""
+        hits = self.hits
+        for _ in self.read_request(((file_id, range(first_block, first_block + n_blocks)),)):
+            break
+        return self.hits - hits
 
     def insert(self, file_id: int, block_no: int) -> None:
         """Insert (or refresh) one block, evicting LRU blocks as needed."""
@@ -137,7 +140,7 @@ class PageCache:
         State-identical to per-block inserts -- one interleaved pass, so
         hits are promoted and new blocks admitted (with their LRU evictions)
         in exactly the same order.  ``promote=False`` leaves resident blocks
-        where they are: :meth:`admit_run`'s pass over a touched run.
+        where they are: :meth:`read_request`'s pass over a touched run.
 
         Admission under pressure scans from the LRU end: unpinned victims
         are evicted; pinned blocks are rotated to the MRU end and counted,

@@ -147,21 +147,19 @@ class Runtime:
              "SPAN_END", "STATE_MUTATE")
     def fg_read_blocks(self, reads: Iterable[Tuple[int, range]]) -> float:
         """Read one request's ``(file_id, blocks)`` runs through the cache in
-        order; returns the elapsed time.  Each run is touched, its misses
-        fetched and admitted before the next; the counters settle once."""
+        order; returns the elapsed time.  The cache's one pass touches each
+        run and stops at a run with misses; they are fetched here, then
+        admitted as the pass resumes.  The counters settle once."""
         cache = self.cache
         block_size = self.options.block_size
         elapsed = 0.0
-        requested = missed = seeks = 0
-        for file_id, blocks in reads:
-            requested += blocks.stop - blocks.start
-            missing, runs = cache.touch_run(file_id, blocks)
-            if missing:
-                elapsed += self._fill_misses(missing * block_size, runs)
-                cache.admit_run(file_id, blocks)
-                missed += missing
-                seeks += runs
-        self.metrics.add_query_io(seeks=seeks, hits=requested - missed,
+        hits = cache.hits
+        missed = seeks = 0
+        for missing, runs in cache.read_request(reads):
+            elapsed += self._fill_misses(missing * block_size, runs)
+            missed += missing
+            seeks += runs
+        self.metrics.add_query_io(seeks=seeks, hits=cache.hits - hits,
                                   misses=missed)
         return elapsed
 

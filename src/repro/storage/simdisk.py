@@ -169,9 +169,22 @@ class SimDisk(SimResource):
         """
         if self.faults is not None:
             self.faults.on_foreground_request(self.clock)  # type: ignore[attr-defined]
-        elapsed = self.fg(self.io_time(
-            nbytes_read=nbytes_read, nbytes_write=nbytes_write, seeks=seeks))[0]
-        self._count(nbytes_read, nbytes_write, seeks)
+        # io_time(nbytes_read=r, nbytes_write=w, seeks=s), bit for bit (its
+        # ``bulk_seeks`` term adds 0.0), then _count, inline.
+        profile = self.profile
+        service = seeks * profile.seek_time_s
+        if nbytes_read:
+            service += nbytes_read / profile.read_bandwidth
+        if nbytes_write:
+            service += nbytes_write / profile.write_bandwidth
+        elapsed = self.fg(service)[0]
+        if nbytes_read:
+            self.bytes_read += nbytes_read
+            self.read_ops += 1
+        if nbytes_write:
+            self.bytes_written += nbytes_write
+            self.write_ops += 1
+        self.seeks += seeks
         return elapsed
 
     def fg_stream(self, *, nbytes_write: int) -> float:

@@ -10,11 +10,11 @@ value with two faces:
   landing as records are consumed).  That is what the heap merge of
   :func:`repro.db.iterator.merge_visible` consumes, through
   :func:`merge_scan`.
-* it **carries its description** -- the record list, or the level's lazy
-  table walk plus the scan bounds.  That is what the vectorized planner
-  (:func:`repro.table.scanplan.planned_scan`) reads to compute the same
-  merge with array operations and replay the same charges, iterating
-  nothing.
+* it **carries its description** -- the span of a memtable's columnar run,
+  or the level's lazy table walk plus the scan bounds.  That is what the
+  vectorized planner (:func:`repro.table.scanplan.planned_scan`) reads to
+  compute the same merge with array operations and replay the same
+  charges, iterating nothing.
 
 Engines whose levels are not a chain of disjoint tables (FLSM's guards) hand
 out plain generators instead; the planner declines any stream it does not
@@ -23,24 +23,30 @@ know, and the heap merge takes whatever iterates.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import partial
-from typing import Callable, Iterator, List, Optional, Sequence as SequenceType, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.common.records import Key, RecordTuple
 from repro.storage.runtime import Runtime
+from repro.table.run import Run
 from repro.check.effects.registry import effects
 
 
 class ListStream:
-    """In-memory sorted records (a memtable's slice of the scan range)."""
+    """In-memory sorted records: the span ``[i, j)`` of a memtable's run
+    (``key_view`` is the run's keys, for the planner's bisects)."""
 
-    __slots__ = ("recs",)
+    __slots__ = ("run", "key_view", "i", "j")
 
-    def __init__(self, recs: SequenceType[RecordTuple]) -> None:
-        self.recs = recs
+    def __init__(self, run: Run, key_view: memoryview, i: int, j: int) -> None:
+        self.run = run
+        self.key_view = key_view
+        self.i = i
+        self.j = j
 
     def __iter__(self) -> Iterator[RecordTuple]:
-        return iter(self.recs)
+        return iter(self.run.records()[self.i:self.j])
 
 
 class ChainStream:
@@ -85,8 +91,13 @@ def table_stream(runtime: Runtime, table, lo_key: Optional[Key],
     return ChainStream(runtime, partial(iter, (table,)), lo_key, hi_key)
 
 
-def list_stream(recs: SequenceType[RecordTuple]) -> ListStream:
-    return ListStream(recs)
+def list_stream(run: Run, lo_key: Optional[Key],
+                hi_key: Optional[Key]) -> ListStream:
+    """A memtable's stream: the records of its sorted ``run`` with ``lo_key
+    <= key < hi_key`` (None bounds are open), as a span of the run."""
+    kv = run.key_view()
+    return ListStream(run, kv, 0 if lo_key is None else bisect_left(kv, lo_key),
+                      run.n if hi_key is None else bisect_left(kv, hi_key))
 
 
 @effects("CLOCK_ADVANCE", "DISK_CHARGE", "STATE_MUTATE")

@@ -39,20 +39,25 @@ records per sequence, whole trailing chain tails reduced to their fill
 charges); the plan is valid iff the scan terminates strictly below the
 smallest excluded key, else it retries with a wider cut.
 
-One pass per component, books per table
----------------------------------------
-Each sequence component is visited once before the sort: the walk records
-``(run, key view, i, j)`` and its charge facts and folds the cut key.  A
-table's components are consecutive, so its books are one index range
-``[first_ci, end_ci)`` counted in an int, and a dropped chain-tail node's
-fill charges are one comprehension (a sequence whose first key is past
-``hi`` has none).  Every span that reaches the cut key is then cut with one
-``bisect_left`` on its key view -- before anything is sliced -- and each
-column is gathered with one comprehension into one ``np.concatenate``.  The
-charge events are derived in Python ints (``ranks.tolist()``, the offsets
-as a list, a uniform sequence's block index being the ``range`` it is, so a
-chunk index is ``i // step``): at the scan's T of a few hundred records
-numpy scalars cost more than the arithmetic they carry.
+Deepest level first, one pass per component
+-------------------------------------------
+The streams are walked deepest level first, so the densest level fixes the
+cut key before the shallower ones are looked at, and a chain's walk ends
+at its first table whose ``min_key`` is at or past the cut: that table is
+a fill-only tail exactly as a table past the record budget is.  The events
+are still generated in stream order (``gen`` follows the generator tier's
+pulls).  Each sequence component is visited once before the sort: the walk
+records ``(run, key view, i, j)`` and its charge facts and folds the cut
+key; a memtable is the span of its cached run the same way.  A table's
+components are consecutive, so its books are one index range ``[first_ci,
+end_ci)``, and a fill-only tail's charges are one comprehension.  Every
+span that reaches the cut key is then cut with one ``bisect_left`` on its
+key view -- before anything is sliced -- and each column is gathered with
+one comprehension into one ``np.concatenate``.  The charge events are
+derived in Python ints (``ranks.tolist()``, the offsets as a list, a
+uniform sequence's block index being the ``range`` it is, so a chunk index
+is ``i // step``): at the scan's T of a few hundred records numpy scalars
+cost more than the arithmetic they carry.
 
 Declines
 --------
@@ -75,7 +80,6 @@ import numpy as np
 from repro.common.records import DELETE, Key
 from repro.storage.runtime import Runtime
 from repro.table.block import READAHEAD_BLOCKS
-from repro.table.run import Run
 from repro.table.scan import ChainStream, ListStream
 from repro.check.effects.registry import effects
 
@@ -128,7 +132,9 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
     cut_key: Optional[int] = None
     runtime = None
 
-    for s in streams:
+    # Deepest level first: the densest level fixes the cut key, and each
+    # shallower chain stops at its first table wholly past it.
+    for s in reversed(streams):
         if isinstance(s, ChainStream):  # one per level: tested first
             runtime = s.runtime
             lo = s.lo_key
@@ -137,19 +143,23 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
             tables_meta = []
             fill_only = None
             # A fresh lazy walk per attempt, stopped at the first table past
-            # the budget; an empty node is skipped before the budget test.
+            # the budget or the cut key; an empty node is skipped first.
             for table in s.walk():
                 if table is None or not table.sequences:
                     continue
                 fid = table.file.file_id
-                if budget is not None and budget <= 0:
-                    # Chain tail cut: the dropped node's records all sort
-                    # past the (validated) termination rank, but its cursor
-                    # fill -- one first-chunk charge per sequence -- still
-                    # fires when the chain advances past the last kept
-                    # node.  Later nodes need that node to exhaust first,
-                    # which cannot happen below M.  A sequence whose first
-                    # key is past ``hi`` has no in-range record to pull.
+                if budget is not None and (budget <= 0 or (
+                        cut_key is not None and table.min_key >= cut_key)):
+                    # Chain tail cut, past the budget or wholly past the
+                    # cut key: the dropped node's records all sort past the
+                    # (validated) termination rank, but its cursor fill --
+                    # one first-chunk charge per sequence -- still fires
+                    # when the chain advances past the last kept node (or
+                    # at once, if none is kept: the cut key is >= ``lo``,
+                    # so that fill seeks to block 0).  Later nodes need
+                    # that node to exhaust first, which cannot happen below
+                    # M.  A sequence whose first key is past ``hi`` has no
+                    # in-range record to pull.
                     fill_only = [
                         (seq.key_view[0], fid,
                          range(seq.first_block, seq.first_block
@@ -193,18 +203,18 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                 tables_meta.append((first_ci, n_comps, truncated_any))
             chains.append((tables_meta, fill_only))
         elif isinstance(s, ListStream):
-            if not s.recs:
+            if s.j <= s.i:
                 continue
-            # The same typed column builder sequences were built with.
-            run = Run.from_records(s.recs)
+            run = s.run
             vals_ok = vals_ok and run.vals is None
-            comps.append((run, run.key_view(), 0, run.n, None))
+            comps.append((run, s.key_view, s.i, s.j, None))
             n_comps += 1
         else:
             return None
 
     if not comps:
         return [], [], runtime
+    chains.reverse()  # back to stream order: ``gen`` follows the pulls
 
     # Cut-key prefilter: in a truncated plan every record with key >=
     # cut_key sorts past the (validated) termination rank M, so it can

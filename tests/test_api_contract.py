@@ -211,3 +211,22 @@ def test_every_entry_point_answers_like_the_model_or_refuses_touching_nothing(op
                 assert _state(store) == before, (kind, op)
                 got = ConfigError
             assert got == want, (kind, op)
+
+
+@pytest.mark.xfail(strict=True, reason="an int snapshot pins no history: "
+                   "whether it must, or must be refused, is an open contract "
+                   "decision")
+def test_an_int_snapshot_reads_history_a_merge_discarded():
+    # The flushed prefix of the model test, then two writes of key 0 rotate
+    # the memtable; with no Snapshot live, the merge into L1 drops key 0's
+    # version 1, so reading at sequence 1 finds nothing where the model
+    # (and the same read a moment earlier) finds 16.
+    db = make_tiny_db("iam")
+    for i, key in enumerate(KEYS):
+        db.put(key, 16 + i)
+    db.flush()
+    assert db.get(0, snapshot=1) == 16
+    db.put(0, 2**63)
+    db.put(0, 2**63)
+    assert db.get(0) == 2**63
+    assert db.get(0, snapshot=1) == 16

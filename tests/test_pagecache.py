@@ -176,13 +176,18 @@ def test_insert_many_into_fully_pinned_full_cache_overcommits():
 # ------------------------------------------- batch ops vs per-block reference
 _batch_ops = st.lists(
     st.tuples(st.sampled_from(["insert", "insert_many", "insert_range",
-                               "touch", "touch_run", "touch_range", "read_run",
+                               "touch", "touch_range", "request",
                                "pin_range", "invalidate_file"]),
               st.integers(0, 3),                              # file_id
               st.lists(st.integers(0, 12), max_size=8),       # block list
               st.integers(0, 10),                             # first_block
-              st.integers(0, 5)),                             # n_blocks
+              st.integers(0, 5),                              # n_blocks
+              st.integers(-1, 3)),                            # failing fill
     max_size=60)
+
+
+class _FillFailed(Exception):
+    pass
 
 
 def _stretches(block_nos):
@@ -191,18 +196,65 @@ def _stretches(block_nos):
                if i == 0 or b != block_nos[i - 1] + 1)
 
 
+def _request(cache, reads, fail_at=-1):
+    """One read request, a scripted fill between each missed run's touch
+    and admission (the ``fail_at``-th raises); returns the fills asked."""
+    fills = []
+    try:
+        for missing, seeks in cache.read_request(reads):
+            fills.append((missing, seeks))
+            if len(fills) - 1 == fail_at:
+                raise _FillFailed
+    except _FillFailed:
+        pass
+    return fills
+
+
+def _ref_request(ref, reads, fail_at=-1):
+    """Per run, per-block touches, then its misses inserted one by one
+    unless its fill fails (ending the request); returns fills and hits."""
+    fills, hits = [], 0
+    for f, run in reads:
+        misses = [b for b in run if not ref.touch(f, b)]
+        hits += len(run) - len(misses)
+        if misses:
+            fills.append((len(misses), _stretches(misses)))
+            if len(fills) - 1 == fail_at:
+                break
+            for b in misses:
+                ref.insert(f, b)
+    return fills, hits
+
+
+def _record_batches(ref):
+    """Eviction batches of the reference: one per per-block insert."""
+    batches = []
+    insert = ref.insert
+
+    def recording_insert(f, b):
+        before = ref.evictions
+        insert(f, b)
+        if ref.evictions > before:
+            batches.append(ref.evictions - before)
+    ref.insert = recording_insert
+    return batches
+
+
 @given(_batch_ops, st.integers(1, 8))
 def test_batch_ops_state_identical_to_reference(ops, cap_blocks):
-    """insert_many/touch_run/admit_run/etc. leave the exact per-block-loop
-    state.
+    """insert_many/read_request/etc. leave the exact per-block-loop state.
 
-    LRU order, pins, counters and return values -- and every file's
-    residency after every op -- must all match the seed cache driven one
-    block at a time (its set-based invalidate included).
+    LRU order, pins, counters, eviction batches and return values -- and
+    every file's residency after every op -- must all match the seed cache
+    driven one block at a time (its set-based invalidate included).  A read
+    request's scripted fill may raise: that run admits nothing.
     """
     new = PageCache(cap_blocks * 64, 64)
     ref = ReferencePageCache(cap_blocks * 64, 64)
-    for kind, f, blocks, first, n in ops:
+    batches = []
+    new.on_evictions = batches.append
+    ref_batches = _record_batches(ref)
+    for kind, f, blocks, first, n, fail_at in ops:
         if kind == "insert":
             for b in blocks:
                 new.insert(f, b)
@@ -217,18 +269,12 @@ def test_batch_ops_state_identical_to_reference(ops, cap_blocks):
         elif kind == "touch":
             for b in blocks:
                 assert new.touch(f, b) == ref.touch(f, b)
-        elif kind == "touch_run":
-            misses = [b for b in blocks if not ref.touch(f, b)]
-            assert new.touch_run(f, blocks) == (len(misses), _stretches(misses))
-        elif kind == "read_run":
-            # The runtime's read of one run: touch, then admit the misses
-            # alone -- the reference's per-block loop over those misses.
-            run = range(first, first + n)
-            misses = [b for b in run if not ref.touch(f, b)]
-            assert new.touch_run(f, run) == (len(misses), _stretches(misses))
-            new.admit_run(f, run)
-            for b in misses:
-                ref.insert(f, b)
+        elif kind == "request":
+            # Runs over several files, some empty, some repeating blocks.
+            reads = [((f + k) % 4, range(b, b + n)) for k, b in enumerate(blocks)]
+            hits = new.hits
+            fills = _request(new, reads, fail_at)
+            assert (fills, new.hits - hits) == _ref_request(ref, reads, fail_at)
         elif kind == "touch_range":
             hits = new.touch_range(f, first, n)
             ref_hits = sum(ref.touch(f, b) for b in range(first, first + n))
@@ -242,11 +288,12 @@ def test_batch_ops_state_identical_to_reference(ops, cap_blocks):
         assert new._pinned == ref._pinned
         assert new.insertions == ref.insertions
         assert new.evictions == ref.evictions
+        assert batches == ref_batches
         assert ([new.resident_blocks(g) for g in range(4)]
                 == [ref.resident_blocks(g) for g in range(4)])
 
 
-def test_admit_run_admits_the_touched_misses_only():
+def test_a_request_admits_the_touched_misses_only():
     # A run longer than the cache: admitting its misses (blocks 0 and 1)
     # evicts its own hit (block 2) before the run reaches it.  The evicted
     # hit stays out, as in the per-block loop over the misses alone.
@@ -254,12 +301,23 @@ def test_admit_run_admits_the_touched_misses_only():
     for c in (new, ref):
         c.insert(9, 0)
         c.insert(1, 2)
-    assert new.touch_run(1, range(0, 3)) == (2, 1)
-    new.admit_run(1, range(0, 3))
-    for b in [b for b in range(0, 3) if not ref.touch(1, b)]:
-        ref.insert(1, b)
+    reads = [(1, range(0, 3))]
+    assert _request(new, reads) == _ref_request(ref, reads)[0] == [(2, 1)]
     assert list(new._lru) == list(ref._lru) == [(1, 0), (1, 1)]
     assert new.evictions == ref.evictions == 2
+
+
+def test_a_failed_fill_admits_nothing_and_ends_the_request():
+    # The second run's fill raises: the first run's misses are in, the
+    # second run's hit is promoted, its misses and the third run stay out.
+    new, ref = PageCache(8 * 64, 64), ReferencePageCache(8 * 64, 64)
+    for c in (new, ref):
+        c.insert(2, 1)
+        c.insert(3, 0)
+    reads = [(1, range(0, 2)), (2, range(0, 3)), (3, range(0, 2))]
+    assert _request(new, reads, 1) == _ref_request(ref, reads, 1)[0] == [(2, 1), (2, 2)]
+    assert list(new._lru) == list(ref._lru) == [(3, 0), (1, 0), (1, 1), (2, 1)]
+    assert new.resident_blocks(2) == 1 and new.insertions == ref.insertions == 4
 
 
 def test_invalidate_walks_a_sparse_file_exactly():
@@ -282,7 +340,7 @@ def test_invalidate_walks_a_sparse_file_exactly():
                                             (5, 1, False), (4, 1, True)],
                          ids=["one-short", "reach", "one-short-pinned",
                               "reach-pinned"])
-def test_admit_run_at_the_one_pass_guard(cap, pins, reach):
+def test_a_request_at_the_one_pass_guard(cap, pins, reach):
     # A full cache: ``pins`` pinned blocks at the LRU end, then unpinned
     # blocks of file 9, then the run's hits (1, 2) and (1, 3).  The run's
     # two misses evict two blocks: the last victim sits just ahead of the
@@ -295,16 +353,11 @@ def test_admit_run_at_the_one_pass_guard(cap, pins, reach):
             c.insert(9, b)
         c.insert(1, 2)
         c.insert(1, 3)
-    batches, ref_batches = [], []
+    batches = []
     new.on_evictions = batches.append
-    run = range(0, 4)
-    assert new.touch_run(1, run) == (2, 1)
-    new.admit_run(1, run)
-    for b in [b for b in run if not ref.touch(1, b)]:
-        before = ref.evictions
-        ref.insert(1, b)
-        if ref.evictions > before:
-            ref_batches.append(ref.evictions - before)
+    ref_batches = _record_batches(ref)
+    reads = [(1, range(0, 4))]
+    assert _request(new, reads) == _ref_request(ref, reads)[0] == [(2, 1)]
     assert list(new._lru) == list(ref._lru)
     assert new._pinned == ref._pinned and len(new._pinned) == pins
     assert (new.insertions, new.evictions) == (ref.insertions, ref.evictions)

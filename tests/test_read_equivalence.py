@@ -403,27 +403,27 @@ def test_scan_hi_inside_first_member(engine):
         _assert_scan_matches(db_ref, db_opt, None, hi, 3)
 
 
+def _truncation_widths(monkeypatch):
+    """The truncation width of every planning attempt from here on."""
+    from repro.table import scanplan
+    widths, real = [], scanplan._attempt
+    monkeypatch.setattr(scanplan, "_attempt",
+                        lambda *args: widths.append(args[-1]) or real(*args))
+    return widths
+
+
 @pytest.mark.parametrize("engine", ["iam", "leveldb"])
 def test_scan_retry_rewalks_chain_from_start(engine, monkeypatch):
     # A long tombstone run defeats the first, narrow plan (limit + 64 records
     # per sequence cannot prove the scan ends below the cut), so the planner
     # widens eightfold and walks every chain again from its head.
-    from repro.table import scanplan
-
     db_ref, db_opt = _wide_pair(engine)
     for key in WIDE_KEYS[100:400]:
         for db in (db_ref, db_opt):
             db.delete(key)
     for db in (db_ref, db_opt):
         db.quiesce()
-    attempts = []
-    real = scanplan._attempt
-
-    def counting(*args):
-        attempts.append(args[-1])  # the truncation width
-        return real(*args)
-
-    monkeypatch.setattr(scanplan, "_attempt", counting)
+    attempts = _truncation_widths(monkeypatch)
     got = _assert_scan_matches(db_ref, db_opt, WIDE_KEYS[100], None, 2)
     assert len(got) == 2 and got[0][0] >= WIDE_KEYS[400]
     assert len(attempts) >= 2 and attempts[1] == 8 * attempts[0]
@@ -433,8 +433,6 @@ def test_scan_across_both_block_index_arms(monkeypatch):
     # A uniform-size sequence keeps its block index as a ``range`` (chunk =
     # i // step), a mixed-size one as a list (bisected): one level holding
     # both, bytes values included, under full, bounded and retried scans.
-    from repro.table import scanplan
-
     dbs = (make_tiny_db("iam"), make_tiny_db("iam"))
     rng = random.Random(7)
     later = [(k, bytes(rng.randrange(1, 120))) for k in rng.choices(WIDE_KEYS, k=200)]
@@ -453,14 +451,7 @@ def test_scan_across_both_block_index_arms(monkeypatch):
              for nd in eng.levels[li] if nd.table is not None
              for s in nd.table.sequences} for li in range(1, eng.n + 1)]
     assert any({(True, False), (False, True)} <= level for level in arms), arms
-    attempts = []
-    real = scanplan._attempt
-
-    def counting(*args):
-        attempts.append(args[-1])
-        return real(*args)
-
-    monkeypatch.setattr(scanplan, "_attempt", counting)
+    attempts = _truncation_widths(monkeypatch)
     snapshot = db_ref._seq - 150
     for lo, hi, limit in ((None, None, None), (None, None, 7), (WIDE_KEYS[90], None, 30),
                           (WIDE_KEYS[100], None, 2), (WIDE_KEYS[50], WIDE_KEYS[500], None)):
@@ -611,6 +602,53 @@ def test_chain_tail_fill_skips_sequences_starting_past_hi(hi_at, monkeypatch):
     a, b = ((table.file_id, s.first_block) for s in table.sequences)
     # Only a charged sequence's first block moves to the MRU end.
     assert (lru.index(a) > lru.index(b)) == (hi_at != "second")
+
+
+@pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb"])
+def test_shallow_table_past_the_cut_is_fill_only(engine, monkeypatch):
+    # The planner walks the deepest level first: 400 dense keys from ``band``
+    # down there fix the cut key of a plan from ``band``, and the top
+    # stream's first table -- two later flushes, 60 keys from ``band +
+    # 10**5`` -- lies wholly past it.  That table is dropped at the cut and
+    # charged only its fill, seeking to block 0 (the cut key is >= lo).
+    # Held against the reference under a hi_key between its sequences'
+    # first keys, a snapshot from before it was written, and a limit whose
+    # first plan a tombstone run defeats (the ``cap *= 8`` retry).
+    band = 5 * 10 ** 6
+    dense = [band + 10 * i for i in range(400)]
+    db_ref, db_opt = _wide_pair(engine)
+    for db in (db_ref, db_opt):
+        for key in dense:
+            db.put(key, 30)
+        db.quiesce()
+        for key in dense[100:350]:
+            db.delete(key)
+        db.quiesce()
+        for part in range(2):
+            for i in range(part, 60, 2):
+                db.put(band + 10 ** 5 + 7 * i, 30)
+            db.flush()
+        db.quiesce()
+    snapshot = db_ref._seq - 60
+    top = db_opt.engine.scan_cursors(band, None)[0]
+    table = next(t for t in top.walk() if t is not None and t.sequences)
+    assert table.min_key >= band + 10 ** 5
+    attempts = _truncation_widths(monkeypatch)
+    requests = []
+    read = db_opt.runtime.fg_read_blocks
+    monkeypatch.setattr(db_opt.runtime, "fg_read_blocks",
+                        lambda reads: requests.append(reads) or read(reads))
+    for hi, limit, snap in ((None, 10, None), (band + 10 ** 5 + 3, 10, None),
+                            (None, 10, snapshot), (None, 100, None)):
+        got = _assert_scan_matches(db_ref, db_opt, band, hi, limit, snap)
+        assert got[-1][0] < band + 10 ** 5
+        # The dropped table's charges: one fill per sequence reaching hi.
+        assert ({blocks.start for fid, blocks in requests.pop() if fid == table.file_id}
+                == {s.first_block for s in table.sequences
+                    if hi is None or s.key_view[0] <= hi})
+    got = _assert_scan_matches(db_ref, db_opt, dense[100], None, 2)
+    assert [k for k, _ in got] == dense[350:352]
+    assert 8 * 96 in attempts
 
 
 @pytest.mark.parametrize("kwargs", [{}, {"limit": 7}, {"snapshot": 900},

@@ -81,18 +81,20 @@ def test_calls_per_read_do_not_grow_with_level_width():
 
 
 # The case ids keep the ceilings they were first given (450 / 580).
-@pytest.mark.parametrize("limit,ceiling", [(10, 215), (100, 260)],
+@pytest.mark.parametrize("limit,ceiling", [(10, 169), (100, 207)],
                          ids=["10-450", "100-580"])
 def test_calls_per_scan_budget(limit, ceiling):
-    # The planner visits each sequence component once before the sort,
-    # keeps a table's components as one index range and derives its
+    # The planner walks the deepest level first and stops each shallower
+    # chain at the cut key, visits each sequence component once before the
+    # sort, keeps a table's components as one index range and derives its
     # charges in Python ints; the level walk costs no call per table, the
-    # memtable slice none per record, the charges go to the runtime as one
-    # request, and a run's misses are admitted in one pass (206 / 249
-    # calls here; 278 / 344 with an index list per table and listed misses,
-    # 296 / 374 with a request per read-ahead run, 361 / 466 with generator
-    # walks and per-block residency sets, 649 / 841 with the three-pass
-    # planner).
+    # memtable slice is a span of its cached run, the charges go to the
+    # runtime as one request, which is one cache pass (161 / 198 calls
+    # here; 206 / 249 walking top level first with a touch and an admit
+    # call per run, 278 / 344 with an index list per table and listed
+    # misses, 296 / 374 with a request per read-ahead run, 361 / 466 with
+    # generator walks and per-block residency sets, 649 / 841 with the
+    # three-pass planner).
     db, _ = _store(widen=False)
     assert len(db.scan(0, None, limit=limit)) == limit
     assert _calls(lambda: db.scan(0, None, limit=limit)) <= ceiling
@@ -100,31 +102,63 @@ def test_calls_per_scan_budget(limit, ceiling):
 
 def test_a_planned_scan_is_one_read_request():
     # Every read-ahead run of a planned scan -- several here -- reaches the
-    # runtime in one fg_read_blocks call.
+    # runtime in one fg_read_blocks call, and the cache in one pass: one
+    # entry, plus one resume per run with misses, none per hit-only run.
     db, _ = _store(widen=False)
+    cache = db.runtime.cache
 
     def scan():
         return db.scan(0, None, limit=100)
+
+    def cold_scan():
+        for f in list(cache._per_file):
+            cache.invalidate_file(f)
+        return scan()
     assert _calls(scan, "planned_scan") == 1
     assert _calls(scan, "fg_read_blocks") == 1
-    assert _calls(scan, "touch_run") > 4
+    assert _calls(scan, "read_request") == 1  # warm: every run hits
+    missed_runs = _calls(cold_scan, "_fill_misses")
+    assert missed_runs > 4
+    assert _calls(cold_scan, "read_request") == 1 + missed_runs
 
 
 @pytest.mark.parametrize("k", [5, 20])
 def test_an_all_hit_request_settles_its_counters_once(k):
-    # The query counters settle once per request, however many runs it has.
+    # The query counters settle once per request, however many runs it
+    # has, and hit-only runs cost the cache pass no resume.
     rt = Runtime(StorageOptions(page_cache_bytes=1 << 20, block_size=256))
     reads = [(f, range(2 * f, 2 * f + 3)) for f in range(k)]
     for f, blocks in reads:
         rt.cache.insert_many(f, blocks)
     assert _calls(lambda: rt.fg_read_blocks(reads), "add_query_io") == 1
-    assert _calls(lambda: rt.fg_read_blocks(reads), "touch_run") == k
+    assert _calls(lambda: rt.fg_read_blocks(reads), "read_request") == 1
     assert rt.metrics.cache_hits == 4 * 3 * k and rt.metrics.cache_misses == 0
 
 
+def test_a_scan_stops_shallow_levels_at_the_cut():
+    # The deepest level fixes the cut key before the shallower levels are
+    # walked, and a chain's walk ends at its first table wholly past the
+    # cut: tables grafted beyond it onto the top level (as _store(widen=True)
+    # grafts leaf nodes) cost a limit-100 scan no call, one or four of them.
+    def scan_calls(n_tables):
+        db, _ = _store(widen=False)
+        seq = db._seq
+        for j in range(n_tables):
+            run = [make_put((1 << 21) + 100 * j + i, seq + 8 * j + i + 1, 40)
+                   for i in range(8)]
+            db.engine._create_node_from_run(1, Run.from_records(run))
+        db.check_invariants()
+        return (db.scan(0, None, limit=100),
+                _calls(lambda: db.scan(0, None, limit=100)))
+    (rows, few), (rows4, many) = scan_calls(1), scan_calls(4)
+    assert rows == rows4 and len(rows) == 100
+    assert few == many, (few, many)
+
+
 def test_a_scan_pays_no_call_per_memtable_record():
-    # The memtable slice is one list comprehension: a limit-100 scan makes
-    # the same calls over N and over 4N in-range memtable records.
+    # The memtable's stream is a span of its sorted run, built once until
+    # the next write: a limit-100 scan makes the same calls over N and over
+    # 4N in-range memtable records.
     def scan_calls(n):
         db = make_tiny_db("iam", node_capacity=1 << 16)
         for key in random.Random(5).sample(range(1 << 20), n):

@@ -184,13 +184,15 @@ def test_cluster_histograms_add_no_calls_per_op():
 def test_one_hardware_request_stays_in_budget():
     # One queueing rule (SimResource) under all three.  Parent commit: a
     # grant 3 calls, a refused grant 2 (max and min builtins); a link
-    # send's 4, a store put's 4 and the disk's 4 / 2 must not rise.
+    # send's 4, a store put's 4 and a drain's 2 must not rise, and a disk
+    # request is itself plus the one queueing call (4 with io_time and
+    # _count called out).
     disk = SimDisk(DeviceProfile("t", 1e-4, 1e-5, 1e6, 1e6))
     net, store = SimNetwork(disk.clock), SimObjectStore(disk.clock)
     net.send(0, 1, 100)  # a link is made at its first message
     assert _calls(lambda: net.send(0, 1, 100)) - 1 <= 4
     assert _calls(lambda: store.put("a", 100)) - 1 <= 4
-    assert _calls(lambda: disk.fg_io(nbytes_read=4096, seeks=1)) - 1 <= 4
+    assert _calls(lambda: disk.fg_io(nbytes_read=4096, seeks=1)) - 1 <= 2
     assert _calls(lambda: disk.sync_drain(0.5)) - 1 <= 2
     disk.clock.advance(1.0)
     assert _calls(lambda: disk.bg_grant(0.0, 0.25)) - 1 <= 1
