@@ -80,7 +80,8 @@ class SimNetwork:
     # ------------------------------------------------------------------ model
     def _charge(self, src: int, dst: int, nbytes: int) -> Tuple[Link, float]:
         """The cost model: count one framed message; returns its link and
-        its service time (latency + serialization)."""
+        its service time (latency + serialization).  ``send`` computes the
+        same model in place, bit for bit."""
         options = self.options
         total = nbytes + options.frame_bytes
         service = options.latency_s
@@ -99,8 +100,19 @@ class SimNetwork:
     def send(self, src: int, dst: int, nbytes: int) -> float:
         """Deliver one message synchronously; returns the elapsed sim time
         (queueing behind earlier traffic on the same directed link plus the
-        message's own service time)."""
-        link, service = self._charge(src, dst, nbytes)
+        message's own service time).  The cost model is ``_charge``'s,
+        computed in place: a send is one frame on the hot path."""
+        options = self.options
+        total = nbytes + options.frame_bytes
+        service = options.latency_s
+        if total > 0:
+            service += total / options.bandwidth
+        link = self._links.get((src, dst))
+        if link is None:
+            link = self._links[src, dst] = Link(self.clock)
+        link.nbytes += total
+        self.messages += 1
+        self.bytes_sent += total
         return link.fg(service)[0]
 
     @effects("CLOCK_ADVANCE", "NET_CHARGE", "STATE_MUTATE")

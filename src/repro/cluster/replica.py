@@ -130,14 +130,14 @@ class ReplicaGroup:
         return len(self.live_replicas()) // 2 + 1
 
     # ----------------------------------------------------------------- writes
-    def _replicate(self, op: str, key: Key, value: Value,
-                   rec_bytes: int) -> None:
-        """Apply one write to the leader, ship it, ack at quorum.
+    def _replicate(self, op: str, key: Key, value: Value, rec_bytes: int,
+                   leader: Replica) -> None:
+        """Apply one write to ``leader`` (the router has read it already),
+        ship it, ack at quorum.
 
         ``rec_bytes`` is the record's encoded size, which the router has
         already computed for its own hop.
         """
-        leader = self.leader
         if op == "put":
             leader.db.put(key, value)
         else:
@@ -146,8 +146,6 @@ class ReplicaGroup:
         # Ship the WAL record to every live follower; the payload is the
         # record's encoded size (same bytes the follower's WAL will append).
         acks = 1  # the leader's own durable copy
-        quorum = self.quorum()
-        acked = acks >= quorum
         for follower in self.replicas[1:]:
             if not follower.alive:
                 continue
@@ -158,19 +156,21 @@ class ReplicaGroup:
                 follower.db.delete(key)
             self.network.send(follower.node_id, leader.node_id, 0)
             acks += 1
-            if not acked and acks >= quorum:
-                acked = True
-        if not acked:
+        # quorum(), counted while shipping: the live followers plus a live
+        # leader make the live group.
+        quorum = (acks if leader.alive else acks - 1) // 2 + 1
+        if acks < quorum:
             raise InvariantViolation(
                 f"shard {self.shard_id}: write reached {acks} replicas, "
                 f"quorum is {quorum}")
         self.acked_seq = seq
 
-    def put(self, key: Key, value: Value, rec_bytes: int) -> None:
-        self._replicate("put", key, value, rec_bytes)
+    def put(self, key: Key, value: Value, rec_bytes: int,
+            leader: Replica) -> None:
+        self._replicate("put", key, value, rec_bytes, leader)
 
-    def delete(self, key: Key, rec_bytes: int) -> None:
-        self._replicate("delete", key, 0, rec_bytes)
+    def delete(self, key: Key, rec_bytes: int, leader: Replica) -> None:
+        self._replicate("delete", key, 0, rec_bytes, leader)
 
     # -------------------------------------------------------------- follower add
     def add_follower(self, replica: Replica,

@@ -112,11 +112,9 @@ class Router:
 
     # ----------------------------------------------------- admission control
     @effects("CLOCK_ADVANCE", "STATE_MUTATE")
-    def _admit_write(self, shard: Shard) -> None:
-        """Pace writes to a degraded shard (leader pool giving up on jobs)."""
-        streak = shard.group.leader.db.runtime.pool.failed_streak
-        if streak <= 0:
-            return
+    def _admit_write(self, shard: Shard, streak: int) -> None:
+        """Pace a write to a degraded shard (leader pool giving up on jobs,
+        ``streak`` > 0 times in a row)."""
         doublings = min(streak - 1, ADMISSION_MAX_DOUBLINGS)
         delay = ADMISSION_BASE_S * (2.0 ** doublings)
         if delay > ADMISSION_MAX_S:
@@ -130,26 +128,34 @@ class Router:
                                 delay_s=delay)
 
     # ------------------------------------------------------------ forwarding
+    # A write reads its shard's leader once and hands it down; admission is
+    # called only under a failure streak (the guard write_gate uses too).
     def put(self, rec: RecordTuple) -> None:
         shard = self.shard_for(rec[KEY])
-        self._admit_write(shard)
-        shard.writes += 1
         group = shard.group
+        leader = group.leader
+        streak = leader.db.runtime.pool.failed_streak
+        if streak > 0:
+            self._admit_write(shard, streak)
+        shard.writes += 1
         rec_bytes = encoded_size(rec, group.key_size)
-        leader_node = group.leader.node_id
+        leader_node = leader.node_id
         self.network.send(ROUTER_NODE, leader_node, rec_bytes)
-        group.put(rec[KEY], rec[VALUE], rec_bytes)
+        group.put(rec[KEY], rec[VALUE], rec_bytes, leader)
         self.network.send(leader_node, ROUTER_NODE, 0)
 
     def delete(self, key: Key) -> None:
         shard = self.shard_for(key)
-        self._admit_write(shard)
-        shard.writes += 1
         group = shard.group
+        leader = group.leader
+        streak = leader.db.runtime.pool.failed_streak
+        if streak > 0:
+            self._admit_write(shard, streak)
+        shard.writes += 1
         rec_bytes = group.key_size + RECORD_OVERHEAD  # a tombstone's size
-        leader_node = group.leader.node_id
+        leader_node = leader.node_id
         self.network.send(ROUTER_NODE, leader_node, rec_bytes)
-        group.delete(key, rec_bytes)
+        group.delete(key, rec_bytes, leader)
         self.network.send(leader_node, ROUTER_NODE, 0)
 
     def get(self, key: Key) -> Optional[Value]:

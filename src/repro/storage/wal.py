@@ -15,13 +15,15 @@ A *torn tail* (``tear``) models the crash-time loss of un-synced records:
 the kept prefix always snaps down to a group-commit boundary, so a batch is
 either wholly present or wholly absent after recovery -- the durability
 contract asserted by the crash-point matrix (:mod:`repro.faults.crash`).
+Every record position is such a boundary except one strictly inside a
+multi-record batch, so only those batches' spans are kept.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from operator import itemgetter
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.common.records import RecordTuple, SEQ, encoded_size, encoded_size_many
 from repro.storage.runtime import Runtime
@@ -39,9 +41,9 @@ class WriteAheadLog:
         self.key_size = key_size
         self._file = runtime.create_file()
         self._records: List[RecordTuple] = []
-        #: Record-count positions of group-commit boundaries: after each
-        #: append/append_many the current length is a consistent cut.
-        self._bounds: List[int] = []
+        #: ``[start, end)`` record positions of each multi-record
+        #: ``append_many`` batch: a cut strictly inside one would split it.
+        self._batches: List[Tuple[int, int]] = []
         self.appended_records = 0
 
     @property
@@ -60,9 +62,7 @@ class WriteAheadLog:
         holds it already); returns the foreground write latency."""
         if nbytes is None:
             nbytes = encoded_size(rec, self.key_size)
-        records = self._records
-        records.append(rec)
-        self._bounds.append(len(records))
+        self._records.append(rec)
         self._file.grow(nbytes)
         runtime = self.runtime
         runtime.metrics.wal_bytes += nbytes
@@ -76,11 +76,14 @@ class WriteAheadLog:
         if not recs:
             return 0.0
         nbytes = encoded_size_many(recs, self.key_size)
+        count = len(recs)
+        start = len(self._records)
         self._records.extend(recs)
-        self._bounds.append(len(self._records))
+        if count > 1:
+            self._batches.append((start, start + count))
         self._file.grow(nbytes)
         self.runtime.metrics.add_wal_bytes(nbytes)
-        self.appended_records += len(recs)
+        self.appended_records += count
         return self.runtime.disk.fg_stream(nbytes_write=nbytes)
 
     def truncate_through(self, seq: int) -> float:
@@ -94,7 +97,8 @@ class WriteAheadLog:
         """
         dropped = bisect_right(self._records, seq, key=_SEQ_OF)
         self._records = self._records[dropped:]
-        self._bounds = [b - dropped for b in self._bounds if b > dropped]
+        self._batches = [(max(0, start - dropped), end - dropped)
+                         for start, end in self._batches if end > dropped]
         old = self._file
         self._file = self.runtime.create_file()
         remaining = encoded_size_many(self._records, self.key_size)
@@ -116,16 +120,14 @@ class WriteAheadLog:
         """
         if drop_records <= 0 or not self._records:
             return 0
-        want_keep = max(0, len(self._records) - drop_records)
-        keep = 0
-        for b in self._bounds:
-            if b <= want_keep:
-                keep = b
-            else:
+        keep = max(0, len(self._records) - drop_records)
+        for start, end in self._batches:
+            if start < keep < end:
+                keep = start
                 break
         dropped = len(self._records) - keep
         self._records = self._records[:keep]
-        self._bounds = [b for b in self._bounds if b <= keep]
+        self._batches = [span for span in self._batches if span[1] <= keep]
         old = self._file
         self._file = self.runtime.create_file()
         remaining = encoded_size_many(self._records, self.key_size)

@@ -10,6 +10,7 @@ byte-identical determinism of the cluster report.
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -90,6 +91,23 @@ def test_network_snapshot_is_sorted_and_deterministic():
     snap = net.snapshot()
     assert list(snap["link_bytes"]) == sorted(snap["link_bytes"])
     assert snap["link_bytes"] == {"0->1": 84, "2->1": 74}
+
+
+@pytest.mark.parametrize("options", [
+    NetworkOptions(), NetworkOptions.zero(),
+    NetworkOptions(latency_s=3e-5, bandwidth=1e9 / 3, frame_bytes=0)])
+@pytest.mark.parametrize("nbytes", [0, 1, 4096 + 7])
+def test_send_and_reserve_charge_one_cost_model(options, nbytes):
+    # send computes _charge's model in place; reserve still calls it.
+    sender = SimNetwork(SimClock(), options)
+    reserver = SimNetwork(SimClock(), options)
+    service = sender.send(0, 1, nbytes)  # a fresh link: no queueing
+    assert reserver.reserve(0, 1, nbytes).hex() == service.hex()
+    assert sender.clock.now.hex() == service.hex()
+    for net in (sender, reserver):
+        assert (net.link_bytes, net.messages, net.bytes_sent) == (
+            {(0, 1): nbytes + options.frame_bytes}, 1,
+            nbytes + options.frame_bytes)
 
 
 def test_bytes_and_int_values_of_one_size_cost_the_same_on_the_wire():
@@ -237,6 +255,32 @@ def test_replication_keeps_replicas_sequence_identical(rng):
     seqs = [r.db._seq for r in group.live_replicas()]
     assert len(set(seqs)) == 1
     assert group.acked_seq == seqs[0] == 100
+    cluster.close()
+
+
+def test_a_put_ships_to_live_followers_and_counts_quorum_in_the_loop(rng):
+    cluster = tiny_cluster(n_shards=1, n_replicas=3)
+    group = cluster.router.shards[0].group
+    quorums = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code.co_name == "_replicate":
+            quorums.append(frame.f_locals["quorum"])
+
+    # One follower of three dead, then both: the quorum is the live group's.
+    for seq, (dead, live_followers) in enumerate(((2, 1), (1, 0)), 1):
+        group.replicas[dead].alive = False
+        before = cluster.network.messages
+        sys.setprofile(profile)
+        try:
+            cluster.put(spread_keys(rng, 1)[0], VALUE)
+        finally:
+            sys.setprofile(None)
+        assert cluster.network.messages - before == 2 + 2 * live_followers
+        assert group.acked_seq == group.leader.db._seq == seq
+        assert quorums == [group.quorum()] == [live_followers + 1]
+        quorums.clear()
+    assert [r.db._seq for r in group.replicas] == [2, 1, 0]
     cluster.close()
 
 

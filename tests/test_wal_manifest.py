@@ -1,9 +1,10 @@
 """Write-ahead log and manifest."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.options import StorageOptions
-from repro.common.records import encoded_size, make_delete, make_put
+from repro.common.records import SEQ, encoded_size, make_delete, make_put
 from repro.storage.manifest import Manifest
 from repro.storage.runtime import Runtime
 from repro.storage.wal import WriteAheadLog
@@ -145,6 +146,64 @@ def test_tear_then_append_keeps_boundaries(runtime):
     wal.append(make_put(10, 4, 10))  # reissued seq
     assert wal.tear(1) == 1  # the new record tears off alone
     assert [r[1] for r in wal.replay()] == [1, 2, 3]
+
+
+class _BoundsReference:
+    """The old boundary rule: a cut after every append and every batch."""
+
+    def __init__(self):
+        self.records, self.bounds, self.charged = [], [], 0
+
+    def append_many(self, recs):
+        if recs:
+            self.records += recs
+            self.bounds.append(len(self.records))
+            self.charged += sum(encoded_size(r, KEY_SIZE) for r in recs)
+
+    def truncate_through(self, seq):
+        dropped = sum(1 for r in self.records if r[SEQ] <= seq)
+        self.records = self.records[dropped:]
+        self.bounds = [b - dropped for b in self.bounds if b > dropped]
+        self.charged += sum(encoded_size(r, KEY_SIZE) for r in self.records)
+
+    def tear(self, drop):
+        if drop <= 0 or not self.records:
+            return 0
+        keep = max([b for b in self.bounds
+                    if b <= len(self.records) - drop], default=0)
+        dropped, self.records = len(self.records) - keep, self.records[:keep]
+        self.bounds = [b for b in self.bounds if b <= keep]
+        return dropped
+
+
+_WAL_OPS = st.lists(st.one_of(
+    st.just(("append", 1)),
+    st.tuples(st.just("append_many"), st.integers(0, 4)),
+    st.tuples(st.just("truncate_through"), st.integers(0, 8)),
+    st.tuples(st.just("tear"), st.integers(0, 7))), max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_WAL_OPS)
+@example([("append_many", 2), ("tear", 1)])  # the smallest batch splits
+@example([("append_many", 4), ("truncate_through", 2), ("tear", 1)])
+def test_batch_spans_tear_like_per_append_bounds(ops):
+    runtime = Runtime(StorageOptions(page_cache_bytes=0, block_size=256))
+    wal, ref, seq = WriteAheadLog(runtime, KEY_SIZE), _BoundsReference(), 0
+    for op, arg in ops:
+        if op == "truncate_through":  # back from the newest appended seq
+            wal.truncate_through(seq - arg)
+            ref.truncate_through(seq - arg)
+        elif op == "tear":
+            assert wal.tear(arg) == ref.tear(arg)
+        else:
+            recs = [make_put(seq + i, seq + i + 1, 10 + i) for i in range(arg)]
+            seq += arg
+            wal.append(recs[0]) if op == "append" else wal.append_many(recs)
+            ref.append_many(recs)
+        assert wal.replay() == ref.records
+        assert wal.nbytes == sum(encoded_size(r, KEY_SIZE) for r in ref.records)
+        assert runtime.metrics.wal_bytes == ref.charged
 
 
 def test_manifest_checkpoint_is_immune_to_later_mutation():
