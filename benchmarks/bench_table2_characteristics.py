@@ -5,8 +5,8 @@
 * good sequential writes: LSA/IAM/LSM load ordered data with WA ~ 1
   (metadata-only moves); FLSM rewrites at every level (paper: WA 6.42,
   ~6.7x fewer IOPS than LevelDB).
-* scan support: all engines here support scans (LSM-trie, which does not,
-  has no analogue worth building: it is hash-based).
+* scan support: every engine but LSM-trie scans (FLSM through its guard
+  chains); LSM-trie is hash-based and refuses scans.
 """
 
 import pytest
@@ -75,15 +75,28 @@ def test_table2_characteristics(benchmark):
 
 
 def test_scan_support_all_engines(benchmark):
+    from repro.bench.scale import KEY_SIZE
+    from repro.common.options import LsaOptions, LsmOptions
+    from repro.db.iamdb import IamDB
+    from repro.lsm import ScansUnsupportedError
+
     def scan_all():
         out = {}
-        for engine_cfg in ("L", "A-1t", "I-1t"):
-            db = make_db(engine_cfg, SSD_100G)
+        dbs = {cfg: make_db(cfg, SSD_100G) for cfg in ("L", "A-1t", "I-1t")}
+        dbs["flsm"] = IamDB("flsm", engine_options=LsmOptions.leveldb(key_size=KEY_SIZE),
+                            storage_options=SSD_100G.storage_options())
+        for name, db in dbs.items():
             hash_load(db, 5000, quiesce=False)
-            rows = db.scan(None, None, limit=500)
-            out[engine_cfg] = len(rows)
+            out[name] = len(db.scan(None, None, limit=500))
             db.close()
         return out
 
     counts = run_once(benchmark, scan_all)
+    assert set(counts) == {"L", "A-1t", "I-1t", "flsm"}
     assert all(v == 500 for v in counts.values())
+    trie = IamDB("lsmtrie", engine_options=LsaOptions(key_size=KEY_SIZE),
+                 storage_options=SSD_100G.storage_options())
+    hash_load(trie, 5000, quiesce=False)
+    with pytest.raises(ScansUnsupportedError):
+        trie.scan(None, None, limit=500)
+    trie.close()

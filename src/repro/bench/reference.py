@@ -198,9 +198,8 @@ def reference_scan(db: Any, lo_key: Any = None, hi_key: Any = None, *,
 
     Memtable/immutable snapshots plus the live engine's ``scan_cursors``
     streams, merged record by record through a frozen copy of the
-    visibility rule -- the oracle ``IamDB.scan`` (the scan planner, or
-    :func:`repro.table.scan.merge_scan` when it declines) is held
-    row- and charge-identical to.
+    visibility rule -- the oracle ``IamDB.scan`` (the scan planner) is
+    held row- and charge-identical to.
     """
     runtime = db.runtime
     t0 = runtime.clock.now

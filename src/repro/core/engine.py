@@ -355,10 +355,8 @@ class EngineBase(abc.ABC):
         deeper level); the DB merges them with the memtables.
         Iterating a stream charges I/O -- with read-ahead -- as records are
         consumed, so a limit-bounded scan pays only for what it reads.
-        Engines whose levels are chains of disjoint tables return
-        :mod:`repro.table.scan` stream values, which the scan planner can
-        also read without iterating; a plain generator is just as valid and
-        is always merged record by record.
+        Each is a :mod:`repro.table.scan` stream value, which the scan
+        planner reads without iterating.
         """
 
     # ------------------------------------------------------------- inspection

@@ -49,7 +49,7 @@ from repro.common.records import (
 )
 from repro.core.engine import EngineBase
 from repro.core.lsa import LsaTree
-from repro.table.scan import list_stream, merge_scan
+from repro.table.scan import list_stream
 from repro.table.scanplan import planned_scan
 from repro.db.snapshot import Snapshot
 from repro.faults.crash import CrashSpec, RecoveryReport
@@ -344,13 +344,8 @@ class IamDB:
             return []
         runtime = self.runtime
         t0 = runtime.clock.now
-        streams = self._scan_streams(lo_key, hi_key)
-        # Plan the whole merge vectorized; the planner declines -- before it
-        # charges anything -- what it cannot plan, and the heap merge over
-        # the same streams answers instead.
-        out = planned_scan(streams, snapshot=snap, hi_key=hi_key, limit=limit)
-        if out is None:
-            out = merge_scan(streams, snapshot=snap, hi_key=hi_key, limit=limit)
+        out = planned_scan(self._scan_streams(lo_key, hi_key), snapshot=snap,
+                           hi_key=hi_key, limit=limit)
         runtime.pump()
         self.metrics.latency["scan"].samples.append(runtime.clock.now - t0)
         return out

@@ -21,22 +21,26 @@ merges, point/scan reads) with honest I/O charging.
 from __future__ import annotations
 
 import bisect
-import heapq
-from typing import Any, Dict, List, Optional, Set, Tuple, cast
+from functools import partial
+from operator import attrgetter
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, cast
 
 from repro.common.errors import InvariantViolation
 from repro.common.options import LsmOptions
-from repro.common.records import RecordTuple, sort_key
+from repro.common.records import RecordTuple
 from repro.core.engine import EngineBase
 from repro.filters.bloom import hash_pair
 from repro.storage.background import BackgroundJob
 from repro.storage.runtime import Runtime
 from repro.table.mstable import MSTable
 from repro.table.run import Run
+from repro.table.scan import chain_stream
 from repro.check.effects.registry import observation_only
 
 #: Fragments per bottom-level guard before the guard is merged in place.
 BOTTOM_MERGE_FANIN = 8
+
+TABLES = attrgetter("tables")
 
 
 class _Guard:
@@ -51,6 +55,12 @@ class _Guard:
     @property
     def nbytes(self) -> int:
         return sum(t.data_bytes for t in self.tables)
+
+
+def guard_tables(guards: List[_Guard]) -> Iterator[Tuple[MSTable, ...]]:
+    """A level's scan walk: each non-empty guard's fragments as one tuple,
+    read when the consumer advances to it."""
+    return filter(None, map(tuple, map(TABLES, guards)))
 
 
 class FlsmEngine(EngineBase):
@@ -218,26 +228,20 @@ class FlsmEngine(EngineBase):
 
     @observation_only
     def scan_cursors(self, lo_key, hi_key) -> List:
-        cursors = []
-        for level in range(self.options.max_levels):
-            guards = [g for g in self.guards[level] if g.tables]
-            if guards:
-                cursors.append(self._level_cursor(guards, lo_key, hi_key))
-        return cursors
-
-    @staticmethod
-    def _level_cursor(guards: List[_Guard], lo_key, hi_key):
-        for g in guards:
-            live = [t for t in g.tables
-                    if not ((lo_key is not None and t.max_key < lo_key)
-                            or (hi_key is not None and t.min_key > hi_key))]
-            if not live:
+        """One guard chain per level, top level first, from the guard holding
+        ``lo_key`` to the one holding ``hi_key``; a guard's overlapping
+        fragments are one chain node (one outside [lo, hi] reads nothing)."""
+        streams = []
+        for level, guards in enumerate(self.guards):
+            if not self.level_bytes[level]:
                 continue
-            if len(live) == 1:
-                yield from live[0].cursor(lo_key, hi_key)
-            else:
-                yield from heapq.merge(*(t.cursor(lo_key, hi_key) for t in live),
-                                       key=sort_key)
+            cuts = self._cuts[level]
+            start = 0 if lo_key is None else bisect.bisect_right(cuts, lo_key)
+            stop = None if hi_key is None else bisect.bisect_right(cuts, hi_key) + 1
+            streams.append(chain_stream(self.runtime,
+                                        partial(guard_tables, guards[start:stop]),
+                                        lo_key, hi_key))
+        return streams
 
     # ------------------------------------------------------------- inspection
     def level_data_bytes(self) -> Dict[int, int]:

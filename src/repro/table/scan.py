@@ -7,27 +7,28 @@ value with two faces:
 
 * it **is iterable** -- iterating it runs the lazily-charging generator
   cursors (:meth:`repro.table.mstable.MSTable.cursor`, read-ahead charges
-  landing as records are consumed).  That is what the heap merge of
-  :func:`repro.db.iterator.merge_visible` consumes, through
-  :func:`merge_scan`.
+  landing as records are consumed).  That is the charge model's reference:
+  :func:`repro.bench.reference.reference_scan` heap-merges the iterated
+  streams record by record.
 * it **carries its description** -- the span of a memtable's columnar run,
-  or the level's lazy table walk plus the scan bounds.  That is what the
+  or the level's lazy node walk plus the scan bounds.  That is what the
   vectorized planner (:func:`repro.table.scanplan.planned_scan`) reads to
   compute the same merge with array operations and replay the same
   charges, iterating nothing.
 
-Engines whose levels are not a chain of disjoint tables (FLSM's guards) hand
-out plain generators instead; the planner declines any stream it does not
-know, and the heap merge takes whatever iterates.
+Every engine's level is a chain of key-disjoint nodes.  A node is one table
+(LSA, IAM, the leveled engines) or a tuple of tables whose ranges may
+overlap (an FLSM guard's fragments), opened together.
 """
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_left
 from functools import partial
 from typing import Callable, Iterator, List, Optional, Tuple
 
-from repro.common.records import Key, RecordTuple
+from repro.common.records import Key, RecordTuple, sort_key
 from repro.storage.runtime import Runtime
 from repro.table.run import Run
 from repro.check.effects.registry import effects
@@ -50,13 +51,14 @@ class ListStream:
 
 
 class ChainStream:
-    """One on-disk component: a run of disjoint tables in key order.
+    """One on-disk component: a run of key-disjoint nodes in key order.
 
     ``walk()`` is the engine's lazy walk of the level -- a fresh in-order
-    iterator over the tables of the scan's slice (consumers skip empties).  A
-    table costs work only when a consumer advances to it: its cursors are
-    opened (and their first blocks charged) on reaching it, and the members
-    a limit-bounded scan never reaches are never looked at.
+    iterator over the nodes of the scan's slice (a table, None or empty
+    ones skipped, or a non-empty tuple of overlapping tables).  A node costs
+    work only when a consumer advances to it: its cursors are opened (and
+    their first blocks charged) on reaching it, and the nodes a
+    limit-bounded scan never reaches are never looked at.
     """
 
     __slots__ = ("runtime", "walk", "lo_key", "hi_key")
@@ -70,18 +72,21 @@ class ChainStream:
 
     def __iter__(self) -> Iterator[RecordTuple]:
         lo_key, hi_key = self.lo_key, self.hi_key
-        for table in self.walk():
-            if table is not None and table.sequences:
-                yield from table.cursor(lo_key, hi_key)
+        for node in self.walk():
+            if node.__class__ is tuple:
+                yield from heapq.merge(*[t.cursor(lo_key, hi_key) for t in node],
+                                       key=sort_key)
+            elif node is not None and node.sequences:
+                yield from node.cursor(lo_key, hi_key)
 
 
 # The constructors stay functions of their own (never aliases of the
 # classes): the e2e ledger wraps them by name, and a wrapped alias would
-# replace the class the planner's isinstance checks.
+# replace the class the planner's class checks.
 def chain_stream(runtime: Runtime, walk: Callable[[], Iterator],
                  lo_key: Optional[Key], hi_key: Optional[Key]) -> ChainStream:
-    """A sorted level's stream: its overlapping tables, reached through the
-    engine's lazy ``walk`` (see :class:`ChainStream`)."""
+    """A sorted level's stream: its nodes overlapping the scan, reached
+    through the engine's lazy ``walk`` (see :class:`ChainStream`)."""
     return ChainStream(runtime, walk, lo_key, hi_key)
 
 
@@ -104,10 +109,11 @@ def list_stream(run: Run, lo_key: Optional[Key],
 def merge_scan(streams: list, *, snapshot: Optional[int] = None,
                hi_key: Optional[Key] = None,
                limit: Optional[int] = None) -> List[Tuple[Key, object]]:
-    """The generator tier, drained: every scan the planner declines.
+    """The generator tier, drained: ``streams`` heap-merged record by record
+    through ``merge_visible``, charging as the cursors advance.
 
-    Heap-merges ``streams`` record by record through ``merge_visible``, the
-    one statement of the visibility rule, charging as the cursors advance.
+    No scan takes this path (the planner plans every stream); it stays a
+    module-level function because the e2e ledger looks it up by name.
     """
     # Imported here: repro.db imports the engines, which import this module.
     from repro.db.iterator import merge_visible

@@ -1,15 +1,14 @@
 """Vectorized scan assembly: plan the whole merge, then replay its charges.
 
-The generator tier (:func:`repro.table.scan.merge_scan`: a heap merge over
-lazily-charging cursors) is correct everywhere, but takes one Python step
-per merged record.  This module is the other tier, for memtable lists and
-table chains (every engine's streams but FLSM's): it reads each stream's
-*description* instead of iterating it -- gathers the in-range slices of
-every key/seq/kind column, computes the global merge order with one
-``np.lexsort`` (unique ``(key, seq)`` pairs make the order total), derives
-the visible output and the termination rank with array ops, and then
-replays the exact foreground charge sequence the cursor pipeline would
-have issued.
+The generator tier (iterating the streams: a heap merge over
+lazily-charging cursors) defines the charges, but takes one Python step per
+merged record.  Every scan takes this module instead: it reads each
+stream's *description* (a memtable span, a level's node chain) instead of
+iterating it -- gathers the in-range slices of every key/seq/kind column,
+computes the global merge order with one ``np.lexsort`` (unique ``(key,
+seq)`` pairs make the order total), derives the visible output and the
+termination rank with array ops, and then replays the exact foreground
+charge sequence the cursor pipeline would have issued.
 
 The charge model
 ----------------
@@ -22,10 +21,13 @@ runs :meth:`repro.table.block.Sequence.cursor` charges (chunks of
   before the first yield (trigger rank ``-1``);
 * a sequence's later record is pulled right after its span predecessor is
   yielded (trigger = the predecessor's merge rank);
-* a chain opens the next table's cursors -- pulling one record per
-  sequence, in sequence order -- when it is pulled past its current table,
-  i.e. right after the table's last in-range record is yielded (trigger =
-  that record's rank; empty tables cascade without charging).
+* a chain opens the next node's cursors -- pulling one record per
+  sequence, in table then sequence order -- when it is pulled past its
+  current node, i.e. right after the node's last in-range record is
+  yielded (trigger = that record's rank; empty nodes cascade without
+  charging).  A node is a table, or an FLSM guard's tuple of overlapping
+  tables, which ``heapq.merge`` opens together exactly as it opens one
+  table's sequences.
 
 A pull fires iff its trigger rank is below the termination rank ``M`` (the
 rank whose push ends the scan: the first key ``>= hi_key``, the record
@@ -43,12 +45,12 @@ Deepest level first, one pass per component
 -------------------------------------------
 The streams are walked deepest level first, so the densest level fixes the
 cut key before the shallower ones are looked at, and a chain's walk ends
-at its first table whose ``min_key`` is at or past the cut: that table is
-a fill-only tail exactly as a table past the record budget is.  The events
+at its first node whose ``min_key`` is at or past the cut: that node is
+a fill-only tail exactly as a node past the record budget is.  The events
 are still generated in stream order (``gen`` follows the generator tier's
 pulls).  Each sequence component is visited once before the sort: the walk
 records ``(run, key view, i, j)`` and its charge facts and folds the cut
-key; a memtable is the span of its cached run the same way.  A table's
+key; a memtable is the span of its cached run the same way.  A node's
 components are consecutive, so its books are one index range ``[first_ci,
 end_ci)``, and a fill-only tail's charges are one comprehension.  Every
 span that reaches the cut key is then cut with one ``bisect_left`` on its
@@ -59,15 +61,9 @@ uniform sequence's block index being the ``range`` it is, so a chunk index
 is ``i // step``): at the scan's T of a few hundred records numpy scalars
 cost more than the arithmetic they carry.
 
-Declines
---------
-``planned_scan`` returns None -- always before the first charge, so the
-caller runs ``merge_scan`` over the same, untouched streams -- when what it
-observes in its input does not fit the plan: a stream that is not a
-:class:`~repro.table.scan.ListStream` / :class:`~repro.table.scan.ChainStream`
-value (FLSM's guard generators).  Every stored key and every snapshot is
-uint64 (the write and read entry points refuse the rest), so that check
-is all; any other exception is a bug and propagates.
+Every stream is a :class:`~repro.table.scan.ListStream` or a ``ChainStream``
+and every stored key and snapshot is uint64 (the entry points refuse the
+rest), so every scan is planned; an exception here is a bug.
 """
 
 from __future__ import annotations
@@ -77,10 +73,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.common.errors import InvariantViolation
 from repro.common.records import DELETE, Key
 from repro.storage.runtime import Runtime
 from repro.table.block import READAHEAD_BLOCKS
-from repro.table.scan import ChainStream, ListStream
+from repro.table.scan import ListStream
 from repro.check.effects.registry import effects
 
 _RETRY = object()
@@ -89,29 +86,22 @@ _RETRY = object()
 @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
 def planned_scan(streams: list, *, snapshot: Optional[int] = None,
                  hi_key: Optional[Key] = None,
-                 limit: Optional[int] = None) -> Optional[List[Tuple[Key, object]]]:
-    """Run a scan as one vectorized plan; None when it declines.
+                 limit: Optional[int] = None) -> List[Tuple[Key, object]]:
+    """Run a scan as one vectorized plan.
 
     ``streams`` are the scan's stream values (memtable lists first, then
     the engine's, newest first).  They are read, never iterated: the output
     is assembled from the columns and the charges are replayed directly.
     """
-    if not streams:
-        return []
     runtime: Optional[Runtime]  # typed: the effects gate follows the replay
     # ``limit`` is None or >= 1: the DB answers limit=0 and rejects
     # negative limits before planning.
     cap = None if limit is None else max(96, limit + 64)
-    while True:
-        res = _attempt(streams, snapshot, hi_key, limit, cap)
-        if res is None:
-            return None
-        if res is not _RETRY:
-            out, events, runtime = res
-            break
+    while (res := _attempt(streams, snapshot, hi_key, limit, cap)) is _RETRY:
         cap *= 8
         if cap > (1 << 40):  # defensive: never loop forever
-            return None
+            raise InvariantViolation(f"scan plan still truncated at width {cap}")
+    out, events, runtime = res
     if events:  # one request: a memtable-only scan has no runtime
         runtime.fg_read_blocks([(fid, blocks) for _, _, fid, blocks in events])
     return out
@@ -119,61 +109,76 @@ def planned_scan(streams: list, *, snapshot: Optional[int] = None,
 
 def _attempt(streams, snapshot, hi_key, n_stop, cap):
     """One planning pass at truncation width ``cap`` (None = no cut);
-    None declines, ``_RETRY`` asks for a wider cut."""
+    ``_RETRY`` asks for a wider cut."""
     # Per component: (run, key view, i, j, charge) -- the span [i, j) of
     # the run; charge is None (memtable) or the sequence's charge facts
     # (fid, block index, first block, n_blocks, charge_end).
     comps: List[tuple] = []
     n_comps = 0  # len(comps)
     vals_ok = True  # every value synthetic: the sizes column is the output
-    # Per chain: ([(first_ci, end_ci, truncated_any)] per table -- its
+    # Per chain: ([(first_ci, end_ci, truncated_any)] per node -- its
     # components are comps[first_ci:end_ci] -- , fill_only events)
     chains = []
     cut_key: Optional[int] = None
     runtime = None
 
     # Deepest level first: the densest level fixes the cut key, and each
-    # shallower chain stops at its first table wholly past it.
+    # shallower chain stops at its first node wholly past it.
     for s in reversed(streams):
-        if isinstance(s, ChainStream):  # one per level: tested first
-            runtime = s.runtime
-            lo = s.lo_key
-            hi = s.hi_key
-            budget = cap
-            tables_meta = []
-            fill_only = None
-            # A fresh lazy walk per attempt, stopped at the first table past
-            # the budget or the cut key; an empty node is skipped first.
-            for table in s.walk():
-                if table is None or not table.sequences:
-                    continue
+        if s.__class__ is ListStream:
+            if s.j <= s.i:
+                continue
+            run = s.run
+            vals_ok = vals_ok and run.vals is None
+            comps.append((run, s.key_view, s.i, s.j, None))
+            n_comps += 1
+            continue
+        # A ChainStream, one per level.
+        runtime = s.runtime
+        lo = s.lo_key
+        hi = s.hi_key
+        budget = cap
+        nodes_meta = []
+        fill_only = None
+        # A fresh lazy walk per attempt, stopped at the first node past the
+        # budget or the cut key; an empty node is skipped first.  A node is
+        # a table or a tuple of overlapping tables (an FLSM guard), whose
+        # sequences are its components, each charged under its own table.
+        for node in s.walk():
+            if node.__class__ is tuple:
+                min_key = min([table.min_key for table in node])
+            elif node is None or not node.sequences:
+                continue
+            else:
+                min_key = node.min_key
+                node = (node,)
+            if budget is not None and (budget <= 0 or (
+                    cut_key is not None and min_key >= cut_key)):
+                # Chain tail cut, past the budget or wholly past the cut
+                # key: the dropped node's records all sort past the
+                # (validated) termination rank, but its cursor fill -- one
+                # first-chunk charge per sequence -- still fires when the
+                # chain advances past the last kept node (or at once, if
+                # none is kept: the cut key is >= ``lo``, so that fill
+                # seeks to block 0).  Later nodes need that node to exhaust
+                # first, which cannot happen below M.  A sequence whose
+                # first key is past ``hi`` has no in-range record to pull.
+                fill_only = [
+                    (seq.key_view[0], table.file.file_id,
+                     range(seq.first_block, seq.first_block
+                           + (seq.n_blocks if seq.n_blocks < READAHEAD_BLOCKS
+                              else READAHEAD_BLOCKS)))
+                    for table in node for seq in table.sequences
+                    if hi is None or seq.key_view[0] <= hi]
+                for first_key, _, _ in fill_only:
+                    if cut_key is None or first_key < cut_key:
+                        cut_key = first_key
+                break
+            first_ci = n_comps
+            truncated_any = False
+            kept = 0
+            for table in node:
                 fid = table.file.file_id
-                if budget is not None and (budget <= 0 or (
-                        cut_key is not None and table.min_key >= cut_key)):
-                    # Chain tail cut, past the budget or wholly past the
-                    # cut key: the dropped node's records all sort past the
-                    # (validated) termination rank, but its cursor fill --
-                    # one first-chunk charge per sequence -- still fires
-                    # when the chain advances past the last kept node (or
-                    # at once, if none is kept: the cut key is >= ``lo``,
-                    # so that fill seeks to block 0).  Later nodes need
-                    # that node to exhaust first, which cannot happen below
-                    # M.  A sequence whose first key is past ``hi`` has no
-                    # in-range record to pull.
-                    fill_only = [
-                        (seq.key_view[0], fid,
-                         range(seq.first_block, seq.first_block
-                               + (seq.n_blocks if seq.n_blocks < READAHEAD_BLOCKS
-                                  else READAHEAD_BLOCKS)))
-                        for seq in table.sequences
-                        if hi is None or seq.key_view[0] <= hi]
-                    for first_key, _, _ in fill_only:
-                        if cut_key is None or first_key < cut_key:
-                            cut_key = first_key
-                    break
-                first_ci = n_comps
-                truncated_any = False
-                kept = 0
                 for seq in table.sequences:
                     kv = seq.key_view
                     i = 0 if lo is None else bisect_left(kv, lo)
@@ -197,20 +202,11 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                                                   charge_end)))
                     n_comps += 1
                     kept += j - i
-                lo = None  # only the chain's first table seeks
-                if budget is not None:
-                    budget -= kept
-                tables_meta.append((first_ci, n_comps, truncated_any))
-            chains.append((tables_meta, fill_only))
-        elif isinstance(s, ListStream):
-            if s.j <= s.i:
-                continue
-            run = s.run
-            vals_ok = vals_ok and run.vals is None
-            comps.append((run, s.key_view, s.i, s.j, None))
-            n_comps += 1
-        else:
-            return None
+            lo = None  # only the chain's first node seeks
+            if budget is not None:
+                budget -= kept
+            nodes_meta.append((first_ci, n_comps, truncated_any))
+        chains.append((nodes_meta, fill_only))
 
     if not comps:
         return [], [], runtime
@@ -314,9 +310,9 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
     ranks = ranks.tolist()
     events: List[Tuple[int, int, int, range]] = []
     gen = 0
-    for tables_meta, fill_only in chains:
+    for nodes_meta, fill_only in chains:
         prev = -1  # merge rank of the last record of the last non-empty node
-        for first_ci, end_ci, truncated_any in tables_meta:
+        for first_ci, end_ci, truncated_any in nodes_meta:
             if first_ci == end_ci:
                 continue
             fill_tr = prev

@@ -12,12 +12,11 @@ pinned as literal expectations.  ``MSTable.get``, the one point-read kernel
 under every engine, is one fused loop over the table's probe rows; the
 newest-first loop of ``Sequence.get`` it replaced is its reference.
 
-Two contracts sit beside the equivalences.  *Declines*: whatever the scan
-planner cannot plan (an engine that hands out plain generators) it must
-decline before charging anything, and the heap merge that answers instead
-is held to the same reference; a key or a snapshot outside uint64 never
-gets that far -- the write or the read refuses it.  *Seeks*: a scan
-from any ``k`` is the reference scan from ``k``.
+Two contracts sit beside the equivalences.  *One tier*: the planner plans
+every scan, FLSM's guards included, and no scan reaches the heap merge; a
+key or a snapshot outside uint64 never gets that far -- the write or the
+read refuses it.  *Seeks*: a scan from any ``k`` is the reference scan
+from ``k``.
 """
 
 import random
@@ -31,7 +30,7 @@ from repro.bench.reference import reference_scan
 from repro.cluster import ClusterDB, ClusterOptions, NetworkOptions
 from repro.common.errors import ConfigError
 from repro.common.records import make_delete, make_put, sort_key
-from repro.db import iamdb
+from repro.db import iterator
 from repro.filters.bloom import hash_pair
 from repro.storage.runtime import Runtime
 from repro.table.mstable import MSTable
@@ -460,40 +459,20 @@ def test_scan_across_both_block_index_arms(monkeypatch):
     assert 8 * 96 in attempts  # the tombstone run defeated a narrow plan
 
 
-# --------------------------------------------------------- planner declines
-# The planner declines only on what it observes in its input, always before
-# the first charge; the heap merge over the same streams answers instead and
-# answers to the same reference.  Each case pins the verdict both ways -- a
-# decline here, a plan on the uint64 twin -- so the test keeps its meaning if
-# the planner ever learns to plan what it declines today.  A key outside
-# uint64 is declined earlier, by the write, and what follows is planned.
-def _planner_verdicts(monkeypatch):
-    """Per ``db.scan`` from here on: True = planned, False = declined."""
-    verdicts = []
-    real = iamdb.planned_scan
-
-    def spy(streams, **kw):
-        out = real(streams, **kw)
-        verdicts.append(out is not None)
-        return out
-
-    monkeypatch.setattr(iamdb, "planned_scan", spy)
-    return verdicts
-
-
+# ---------------------------------------------------- keys outside uint64
+# A key outside uint64 is declined by the write, a snapshot outside it by
+# the read, before anything moves; what follows is planned like any scan.
 @pytest.mark.parametrize("flushed", [False, True], ids=["memtable", "sequence"])
 @pytest.mark.parametrize("odd,plain", [(-7, 7), (2 ** 64 + 7, 2 ** 64 - 7)],
                          ids=["negative", "wide"])
 @pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb"])
-def test_key_outside_uint64_is_declined_then_merged(engine, odd, plain,
-                                                    flushed, monkeypatch):
+def test_key_outside_uint64_is_declined_then_merged(engine, odd, plain, flushed):
     # Twin WIDE_KEYS stores (tombstones included) both take the uint64 key
     # at the odd key's end of the key space; one of them is also offered
     # the odd key, which the write declines before anything moves.  Every
-    # scan reaching toward it -- the odd key itself as the bound -- is then
-    # planned, and the twins stay indistinguishable, the memtable holding
-    # the plain key or it flushed to a sequence.
-    verdicts = _planner_verdicts(monkeypatch)
+    # scan reaching toward it -- the odd key itself as the bound -- leaves
+    # the twins indistinguishable, the memtable holding the plain key or it
+    # flushed to a sequence.
     db_ref, db_opt = _wide_pair(engine, n=700)
     for db in (db_ref, db_opt):
         db.put(plain, 55)
@@ -512,14 +491,12 @@ def test_key_outside_uint64_is_declined_then_merged(engine, odd, plain,
     assert (plain, 55) in _assert_scan_matches(db_ref, db_opt, *near)
     rows = _assert_scan_matches(db_ref, db_opt, None, None, snapshot=snapshot)
     assert (plain, 55) not in rows
-    assert verdicts == [True] * 4
 
 
-def test_snapshot_outside_uint64_is_declined_then_merged(monkeypatch):
+def test_snapshot_outside_uint64_is_declined_then_merged():
     # Like a key outside uint64, such a snapshot is declined by the entry
     # point -- the scan, and the reference with it -- before anything is
     # charged; the range's two ends are planned.
-    verdicts = _planner_verdicts(monkeypatch)
     db_ref, db_opt = _wide_pair("iam", n=300)
     for snapshot in (-1, 2 ** 64):
         before = _observable_state(db_opt), _observable_state(db_ref)
@@ -529,15 +506,13 @@ def test_snapshot_outside_uint64_is_declined_then_merged(monkeypatch):
         assert (_observable_state(db_opt), _observable_state(db_ref)) == before
     for snapshot in (0, 2 ** 64 - 1):
         _assert_scan_matches(db_ref, db_opt, None, None, 7, snapshot)
-    assert verdicts == [True, True]
 
 
-def test_wide_key_in_the_chain_tail_is_declined(monkeypatch):
+def test_wide_key_in_the_chain_tail_is_declined():
     # A limit-bounded plan reads one table past its record budget -- only
     # to place that table's first charges.  A run holding a key outside
     # uint64 is declined when it is built, so no table carries one; the top
     # uint64 key, in *that* table or one further on, is planned.
-    verdicts = _planner_verdicts(monkeypatch)
     per_table, budget, base, top = 32, 96, 1 << 30, 2 ** 64 - 1
     with pytest.raises(ConfigError, match="outside the key space"):
         Run.from_records([make_put(top + 1, 1, 40)])
@@ -559,19 +534,16 @@ def test_wide_key_in_the_chain_tail_is_declined(monkeypatch):
         _assert_scan_matches(db_ref, db_opt, base, None, limit=3)
         got = _assert_scan_matches(db_ref, db_opt, base, None)
         assert got[-1] == (top, 40)
-        assert verdicts == [True, True]
-        del verdicts[:]
 
 
 @pytest.mark.parametrize("hi_at", ["first", "between", "second"])
-def test_chain_tail_fill_skips_sequences_starting_past_hi(hi_at, monkeypatch):
+def test_chain_tail_fill_skips_sequences_starting_past_hi(hi_at):
     # Three nodes of 32 tombstones spend a limit-3 plan's 96-record budget,
     # so the fourth node is dropped; the memtable's rows sort after the
     # tombstones, so the chain still advances into it.  Its fill charges a
     # first chunk for each sequence whose first key is <= hi_key: hi_key
     # sits at the first sequence's first key, between the two, or at the
     # second's.
-    verdicts = _planner_verdicts(monkeypatch)
     base = 1 << 30
     first, second = base + 5000, base + 5010
     hi = {"first": first, "between": first + 5, "second": second}[hi_at]
@@ -596,7 +568,6 @@ def test_chain_tail_fill_skips_sequences_starting_past_hi(hi_at, monkeypatch):
         db.check_invariants()
     got = _assert_scan_matches(db_ref, db_opt, base, hi, limit=3)
     assert got == [(base + 3500 + i, 40) for i in range(3)]
-    assert verdicts == [True]
     table = node.table
     lru = list(db_opt.runtime.cache._lru)
     a, b = ((table.file_id, s.first_block) for s in table.sequences)
@@ -654,15 +625,85 @@ def test_shallow_table_past_the_cut_is_fill_only(engine, monkeypatch):
 @pytest.mark.parametrize("kwargs", [{}, {"limit": 7}, {"snapshot": 900},
                                     {"limit": 7, "snapshot": 900}],
                          ids=["all", "limit", "snapshot", "limit+snapshot"])
-def test_flsm_streams_are_declined_then_merged(kwargs, monkeypatch):
-    # FLSM's guards are not chains of disjoint tables: it hands out plain
-    # generators, which the planner does not know.  uint64 keys throughout.
-    verdicts = _planner_verdicts(monkeypatch)
+def test_flsm_guards_are_planned(kwargs, monkeypatch):
+    # FLSM hands out one guard chain per level, each guard a tuple of its
+    # overlapping fragments: the planner plans it, and no scan reaches the
+    # heap merge.  uint64 keys throughout.
+    merges = []
+    real = iterator.merge_visible
+    monkeypatch.setattr(iterator, "merge_visible",
+                        lambda *args, **kw: merges.append(kw) or real(*args, **kw))
     db_ref, db_opt = _wide_pair("flsm")
     for lo, hi in ((None, None), (WIDE_KEYS[40], WIDE_KEYS[650]),
                    (WIDE_KEYS[300] + 1, None)):
         _assert_scan_matches(db_ref, db_opt, lo, hi, **kwargs)
-    assert verdicts == [False] * 3
+    assert merges == []
+
+
+def test_flsm_lo_inside_a_middle_multi_table_guard():
+    # The level's chain starts at the guard holding lo, and every fragment
+    # of that guard seeks to lo: past one fragment's first key, at
+    # another's, and at the guard's own cut.
+    db_ref, db_opt = _wide_pair("flsm")
+    level = max(db_opt.engine.guards, key=lambda lvl: sum(len(g.tables) > 1 for g in lvl))
+    guard = level[len(level) // 2]
+    assert len(level) >= 5 and len(guard.tables) >= 2, "store shape changed"
+    firsts = sorted(t.min_key for t in guard.tables)
+    end = max(t.max_key for t in guard.tables)
+    for lo in (firsts[0] + 1, firsts[1], guard.lo):
+        for hi, limit in ((None, 3), (None, 30), (None, None), (end + 1, None),
+                          (end + 20000, 9)):
+            _assert_scan_matches(db_ref, db_opt, lo, hi, limit)
+
+
+def _flsm_l0_of_three_flushes():
+    """Twin FLSM stores: 400 dense keys from ``band`` down the levels, then
+    an L0 guard of three overlapping flushes, 60 keys from ``band + 10**5``."""
+    band = 5 * 10 ** 6
+    db_ref, db_opt = _wide_pair("flsm")
+    for db in (db_ref, db_opt):
+        for i in range(400):
+            db.put(band + 10 * i, 30)
+        db.quiesce()
+        db.engine._compact(0)  # empty L0 as its compaction would
+        for part in range(3):
+            for i in range(part, 60, 3):
+                db.put(band + 10 ** 5 + 7 * i, 30)
+            db.flush()
+        db.quiesce()
+        db.check_invariants()
+    tables = db_opt.engine.guards[0][0].tables
+    assert len(tables) == 3 and max(t.min_key for t in tables) < min(t.max_key for t in tables)
+    return db_ref, db_opt, band, tables
+
+
+def test_flsm_l0_guard_of_three_overlapping_flushes():
+    db_ref, db_opt, band, _ = _flsm_l0_of_three_flushes()
+    top = band + 10 ** 5
+    snapshot = db_ref._seq - 20  # before the last flush
+    for lo, hi, limit in ((top, None, None), (top + 70, None, 5), (top + 3, top + 200, None),
+                          (band + 3990, None, 12), (None, None, None)):
+        for snap in (None, snapshot):
+            _assert_scan_matches(db_ref, db_opt, lo, hi, limit, snap)
+
+
+def test_flsm_guard_past_the_cut_is_fill_only(monkeypatch):
+    # The dense band fixes the cut key of a plan from ``band``, and L0's one
+    # guard lies wholly past it: the guard is dropped at the cut and charged
+    # only its fill, each sequence's first chunk under its own table's id.
+    db_ref, db_opt, band, tables = _flsm_l0_of_three_flushes()
+    requests = []
+    read = db_opt.runtime.fg_read_blocks
+    monkeypatch.setattr(db_opt.runtime, "fg_read_blocks",
+                        lambda reads: requests.append(reads) or read(reads))
+    fids = {t.file_id: t for t in tables}
+    for hi, limit, snap in ((None, 10, None), (band + 10 ** 5 + 10, 10, None),
+                            (None, 10, db_ref._seq - 30), (None, 100, None)):
+        got = _assert_scan_matches(db_ref, db_opt, band, hi, limit, snap)
+        assert got[-1][0] < band + 10 ** 5
+        assert (sorted((fid, blocks.start) for fid, blocks in requests.pop() if fid in fids)
+                == sorted((t.file_id, s.first_block) for t in tables for s in t.sequences
+                          if hi is None or s.key_view[0] <= hi))
 
 
 @pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb"])

@@ -21,31 +21,41 @@ import pytest
 from repro.common.options import StorageOptions
 from repro.common.records import make_put
 from repro.filters.bloom import hash_pair
+from repro.lsm.flsm import _Guard
 from repro.storage.runtime import Runtime
 from repro.table.run import Run
 from tests.conftest import make_tiny_db
 from tests.test_lsmtrie import make_trie_db
 
 
-def _store(widen):
-    """A quiesced IAM store; ``widen`` grafts three more leaf levels' worth
-    of nodes beyond its largest key, so the leaf level holds N vs 4N nodes
-    over an identical low end."""
-    db = make_tiny_db("iam")
+def _store(widen, engine="iam"):
+    """A quiesced IAM (or FLSM) store; ``widen`` grafts three more leaf
+    levels' worth of nodes (guards) beyond its largest key, so the leaf
+    level holds N vs 4N of them over an identical low end."""
+    db = make_tiny_db(engine)
     rng = random.Random(23)
     for _ in range(1500):
         db.put(rng.randrange(1 << 20), 40)
     db.quiesce()
     eng = db.engine
-    leaf = eng.levels[eng.n]
+    depth = eng._deepest_level() if engine == "flsm" else eng.n
+    leaf = eng.guards[depth] if engine == "flsm" else eng.levels[depth]
     n_leaf = len(leaf)
     if widen:
         seq = db._seq
         base = 1 << 21
         for j in range(3 * n_leaf):
-            run = [make_put(base + 100 * j + i, seq + 8 * j + i + 1, 40)
-                   for i in range(8)]
-            eng._create_node_from_run(eng.n, Run.from_records(run))
+            run = Run.from_records([make_put(base + 100 * j + i, seq + 8 * j + i + 1, 40)
+                                    for i in range(8)])
+            if engine != "flsm":
+                eng._create_node_from_run(depth, run)
+                continue
+            guard = _Guard(base + 100 * j)
+            guard.tables.append(eng._new_table())
+            guard.tables[0].append_sequence(run, level=depth)
+            leaf.append(guard)
+            eng._cuts[depth].append(guard.lo)
+            eng.level_bytes[depth] += guard.nbytes
         assert len(leaf) == 4 * n_leaf
     db.check_invariants()
     return db, n_leaf
@@ -89,13 +99,35 @@ def test_calls_per_scan_budget(limit, ceiling):
     # sort, keeps a table's components as one index range and derives its
     # charges in Python ints; the level walk costs no call per table, the
     # memtable slice is a span of its cached run, the charges go to the
-    # runtime as one request, which is one cache pass (161 / 198 calls
-    # here; 206 / 249 walking top level first with a touch and an admit
-    # call per run, 278 / 344 with an index list per table and listed
-    # misses, 296 / 374 with a request per read-ahead run, 361 / 466 with
-    # generator walks and per-block residency sets, 649 / 841 with the
-    # three-pass planner).
+    # runtime as one request, which is one cache pass (155 / 192 calls
+    # here; 161 / 198 with an isinstance per stream, 206 / 249 walking top
+    # level first with a touch and an admit call per run, 278 / 344 with
+    # an index list per table and listed misses, 296 / 374 with a request
+    # per read-ahead run, 361 / 466 with generator walks and per-block
+    # residency sets, 649 / 841 with the three-pass planner).
     db, _ = _store(widen=False)
+    assert len(db.scan(0, None, limit=limit)) == limit
+    assert _calls(lambda: db.scan(0, None, limit=limit)) <= ceiling
+
+
+def test_flsm_scan_calls_do_not_grow_with_guard_count():
+    # An FLSM level is a chain of guards, walked lazily from the one
+    # holding lo: four times the leaf guards leave a low-end scan's calls.
+    narrow, n_leaf = _store(widen=False, engine="flsm")
+    wide, _ = _store(widen=True, engine="flsm")
+    assert n_leaf >= 20
+    assert narrow.scan(0, None, limit=10) == wide.scan(0, None, limit=10)
+    few = _calls(lambda: narrow.scan(0, None, limit=10))
+    many = _calls(lambda: wide.scan(0, None, limit=10))
+    assert abs(many - few) < 0.10 * few, (few, many)
+
+
+@pytest.mark.parametrize("limit,ceiling", [(10, 212), (100, 304)])
+def test_flsm_calls_per_scan_budget(limit, ceiling):
+    # FLSM's guards are planned as chain elements, each a tuple of its
+    # fragments (202 / 290 calls here; 236 / 1,085 when the planner
+    # declined them to the heap merge).
+    db, _ = _store(widen=False, engine="flsm")
     assert len(db.scan(0, None, limit=limit)) == limit
     assert _calls(lambda: db.scan(0, None, limit=limit)) <= ceiling
 
