@@ -29,12 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.common.errors import ConfigError, InvariantViolation
+from repro.common.errors import ConfigError, InvariantViolation, StoreClosedError
 from repro.common.records import (
-    DELETE,
     KEY,
     KIND,
     Key,
+    RecordTuple,
     SEQ,
     VALUE,
     Value,
@@ -130,19 +130,18 @@ class ReplicaGroup:
         return len(self.live_replicas()) // 2 + 1
 
     # ----------------------------------------------------------------- writes
-    def _replicate(self, op: str, key: Key, value: Value, rec_bytes: int,
-                   leader: Replica) -> None:
-        """Apply one write to ``leader`` (the router has read it already),
-        ship it, ack at quorum.
+    def put(self, rec: RecordTuple, rec_bytes: int, leader: Replica) -> None:
+        """Apply one checked record to ``leader`` (the router has read it
+        already), ship it, ack at quorum.
 
-        ``rec_bytes`` is the record's encoded size, which the router has
-        already computed for its own hop.
+        The router has sized ``rec`` (``rec_bytes``) for its own hop; each
+        replica logs it as-is under its own next sequence number.
         """
-        if op == "put":
-            leader.db.put(key, value)
-        else:
-            leader.db.delete(key)
-        seq = leader.db._seq
+        key, _, kind, value = rec
+        db = leader.db
+        if db._closed:
+            raise StoreClosedError("operation on a closed IamDB")
+        db._write((key, db._seq + 1, kind, value), rec_bytes)
         # Ship the WAL record to every live follower; the payload is the
         # record's encoded size (same bytes the follower's WAL will append).
         acks = 1  # the leader's own durable copy
@@ -150,10 +149,10 @@ class ReplicaGroup:
             if not follower.alive:
                 continue
             self.network.send(leader.node_id, follower.node_id, rec_bytes)
-            if op == "put":
-                follower.db.put(key, value)
-            else:
-                follower.db.delete(key)
+            db = follower.db
+            if db._closed:
+                raise StoreClosedError("operation on a closed IamDB")
+            db._write((key, db._seq + 1, kind, value), rec_bytes)
             self.network.send(follower.node_id, leader.node_id, 0)
             acks += 1
         # quorum(), counted while shipping: the live followers plus a live
@@ -163,14 +162,10 @@ class ReplicaGroup:
             raise InvariantViolation(
                 f"shard {self.shard_id}: write reached {acks} replicas, "
                 f"quorum is {quorum}")
-        self.acked_seq = seq
+        self.acked_seq = leader.db._seq
 
-    def put(self, key: Key, value: Value, rec_bytes: int,
-            leader: Replica) -> None:
-        self._replicate("put", key, value, rec_bytes, leader)
-
-    def delete(self, key: Key, rec_bytes: int, leader: Replica) -> None:
-        self._replicate("delete", key, 0, rec_bytes, leader)
+    #: A delete is a put of the router's tombstone record.
+    delete = put
 
     # -------------------------------------------------------------- follower add
     def add_follower(self, replica: Replica,
@@ -196,15 +191,14 @@ class ReplicaGroup:
         # leader's link (the WAL suffix is contiguous from the flushed
         # prefix, so applied seqs line up with the leader's).
         tail = 0
+        db = replica.db
         for rec in leader.db.wal.replay():
             if rec[SEQ] <= base_seq:
                 continue
             rec_bytes = encoded_size(rec, self.key_size)
             self.network.send(leader.node_id, replica.node_id, rec_bytes)
-            if rec[KIND] == DELETE:
-                replica.db.delete(rec[KEY])
-            else:
-                replica.db.put(rec[KEY], rec[VALUE])
+            db._write((rec[KEY], db._seq + 1, rec[KIND], rec[VALUE]),
+                      rec_bytes)
             self.network.send(replica.node_id, leader.node_id, 0)
             tail += 1
         if replica.db._seq != leader.db._seq:

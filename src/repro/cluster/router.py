@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 from repro.cluster.network import SimNetwork
 from repro.cluster.shard import Shard
 from repro.common.errors import ConfigError, InvariantViolation
-from repro.common.records import (KEY, RECORD_OVERHEAD, VALUE, Key, RecordTuple,
+from repro.common.records import (DELETE, KEY, RECORD_OVERHEAD, Key, RecordTuple,
                                   Value, encoded_size, value_nbytes)
 from repro.metrics import MetricsRegistry
 from repro.obs.tracer import NullTracer
@@ -128,8 +128,8 @@ class Router:
                                 delay_s=delay)
 
     # ------------------------------------------------------------ forwarding
-    # A write reads its shard's leader once and hands it down; admission is
-    # called only under a failure streak (the guard write_gate uses too).
+    # A write reads its shard's leader and sizes its record once; admission
+    # is called only under a failure streak (the guard write_gate uses too).
     def put(self, rec: RecordTuple) -> None:
         shard = self.shard_for(rec[KEY])
         group = shard.group
@@ -141,7 +141,7 @@ class Router:
         rec_bytes = encoded_size(rec, group.key_size)
         leader_node = leader.node_id
         self.network.send(ROUTER_NODE, leader_node, rec_bytes)
-        group.put(rec[KEY], rec[VALUE], rec_bytes, leader)
+        group.put(rec, rec_bytes, leader)
         self.network.send(leader_node, ROUTER_NODE, 0)
 
     def delete(self, key: Key) -> None:
@@ -155,7 +155,7 @@ class Router:
         rec_bytes = group.key_size + RECORD_OVERHEAD  # a tombstone's size
         leader_node = leader.node_id
         self.network.send(ROUTER_NODE, leader_node, rec_bytes)
-        group.delete(key, rec_bytes, leader)
+        group.delete((key, 0, DELETE, 0), rec_bytes, leader)
         self.network.send(leader_node, ROUTER_NODE, 0)
 
     def get(self, key: Key) -> Optional[Value]:

@@ -34,6 +34,7 @@ from repro.common.records import (
     KIND,
     DELETE,
     Key,
+    RECORD_OVERHEAD,
     RecordTuple,
     SEQ,
     VALUE,
@@ -152,12 +153,14 @@ class IamDB:
     def put(self, key: Key, value: Value) -> None:
         """Insert/overwrite ``key``.  ``value``: bytes, or int = synthetic size."""
         self._check_open()
-        self._write(make_put(key, self._seq + 1, value))
+        rec = make_put(key, self._seq + 1, value)
+        self._write(rec, encoded_size(rec, self.key_size))
 
     def delete(self, key: Key) -> None:
         """Delete ``key`` (writes a tombstone; space reclaimed by merges)."""
         self._check_open()
-        self._write(make_delete(key, self._seq + 1))
+        self._write(make_delete(key, self._seq + 1),
+                    self.key_size + RECORD_OVERHEAD)
 
     def write_batch(self) -> "WriteBatch":
         """An atomic :class:`~repro.db.batch.WriteBatch` bound to this DB."""
@@ -186,15 +189,15 @@ class IamDB:
         runtime.pump()
         self.metrics.latency["insert"].samples.append(runtime.clock.now - t0)
 
-    def _write(self, rec: RecordTuple) -> None:
-        """Log and insert one checked record numbered ``_seq + 1``."""
+    def _write(self, rec: RecordTuple, nbytes: int) -> None:
+        """Log and insert one checked record numbered ``_seq + 1``, sized
+        ``nbytes`` by the caller."""
         self._seq = rec[SEQ]
         runtime = self.runtime
         clock = runtime.clock
         metrics = self.metrics
         engine = self.engine
         t0 = clock.now
-        nbytes = encoded_size(rec, self.key_size)
         engine.write_gate(nbytes)
         self.wal.append(rec, nbytes)
         if runtime.crash_points is not None:
@@ -204,7 +207,8 @@ class IamDB:
         metrics.user_bytes += nbytes
         if memtable.nbytes >= engine.memtable_capacity:
             self._rotate_memtable()
-        runtime.pump()
+        if not runtime.pool.idle or runtime.sampler is not None:
+            runtime.pump()
         metrics.latency["insert"].samples.append(clock.now - t0)
 
     @observation_only

@@ -31,6 +31,7 @@ from repro.cluster.invariants import (
     check_file_ownership,
     check_partition,
 )
+from repro.cluster.replica import ReplicaGroup
 from repro.common.errors import ConfigError, StoreClosedError
 from repro.storage.simdisk import SimClock
 
@@ -264,7 +265,7 @@ def test_a_put_ships_to_live_followers_and_counts_quorum_in_the_loop(rng):
     quorums = []
 
     def profile(frame, event, arg):
-        if event == "return" and frame.f_code.co_name == "_replicate":
+        if event == "return" and frame.f_code is ReplicaGroup.put.__code__:
             quorums.append(frame.f_locals["quorum"])
 
     # One follower of three dead, then both: the quorum is the live group's.
@@ -281,6 +282,43 @@ def test_a_put_ships_to_live_followers_and_counts_quorum_in_the_loop(rng):
         assert quorums == [group.quorum()] == [live_followers + 1]
         quorums.clear()
     assert [r.db._seq for r in group.replicas] == [2, 1, 0]
+    cluster.close()
+
+
+def test_a_write_to_a_closed_replica_raises_before_it_moves(rng):
+    # The replica twin of test_put_on_a_closed_store_still_raises: the
+    # group applies the router's record without IamDB.put's own check.
+    cluster = tiny_cluster(n_shards=1, n_replicas=2)
+    key = spread_keys(rng, 1)[0]
+    cluster.put(key, VALUE)
+    dbs = [r.db for r in cluster.router.shards[0].group.replicas]
+    dbs[0].close()
+
+    def state():
+        return [(len(db.wal), len(db.memtable), db._seq) for db in dbs]
+
+    before = state()
+    for write in (lambda: cluster.put(key + 1, VALUE),
+                  lambda: cluster.delete(key)):
+        with pytest.raises(StoreClosedError):
+            write()
+        assert state() == before
+
+
+def test_a_cluster_delete_reads_none_on_every_replica(rng):
+    cluster = tiny_cluster(n_shards=1, n_replicas=3)
+    keys = spread_keys(rng, 40)
+    for key in keys:
+        cluster.put(key, VALUE)
+    for key in keys[::2]:
+        cluster.delete(key)
+    group = cluster.router.shards[0].group
+    want = [None if i % 2 == 0 else VALUE for i in range(len(keys))]
+    assert [cluster.get(key) for key in keys] == want
+    for replica in group.live_replicas():
+        assert [replica.db.get(key) for key in keys] == want
+    seqs = {r.db._seq for r in group.live_replicas()}
+    assert seqs == {group.acked_seq} == {60}
     cluster.close()
 
 

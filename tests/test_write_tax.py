@@ -24,6 +24,7 @@ from repro.bench.scale import SSD_100G, make_db
 from repro.cluster import ClusterDB, ClusterOptions, attach_cluster_trace
 from repro.cluster.network import SimNetwork
 from repro.common.errors import StoreClosedError
+from repro.common.records import encoded_size, make_put
 from repro.common.options import DeviceProfile, FaultOptions
 from repro.db.iamdb import IamDB
 from repro.faults.crash import CrashPoints, SimulatedCrash
@@ -86,13 +87,14 @@ def test_put_on_an_idle_store_stays_in_budget(config, budget):
 
 # The case ids name the first ceilings (22 / 25) so they stay stable as the
 # budget tightens.
-@pytest.mark.parametrize("config, budget", [("I-1t", 20), ("L", 23)],
+@pytest.mark.parametrize("config, budget", [("I-1t", 19), ("L", 22)],
                          ids=["I-1t-22", "L-25"])
 def test_put_records_its_latency_in_one_append(config, budget):
     # Parent commit: 22.08 calls per put on I-1t, 25.12 on L (the latency
     # went record_latency -> record -> append; now it is one append).
-    # Then 21.09 / 24.13, and 19.09 / 22.13 once a single WAL append no
-    # longer pushes its own group-commit boundary.
+    # Then 21.09 / 24.13, 19.09 / 22.13 once a single WAL append no longer
+    # pushes its own group-commit boundary, and 18.10 / 21.14 once an idle
+    # pool is not pumped.
     assert _hundred_idle_puts(config) <= 100 * budget
 
 
@@ -189,9 +191,35 @@ def test_cluster_histograms_add_no_calls_per_op():
 def test_a_replicated_put_stays_in_budget():
     # Parent commit: 84 calls per put at 2x2 (the leader read four times,
     # admission called on every write, quorum() re-listing the live
-    # replicas, a _charge frame per message); the write now pays 69.
+    # replicas, a _charge frame per message); then 69, and 58 once every
+    # replica applies the router's checked, sized record.
     cluster = _quiesced_cluster(2)
-    assert _calls(lambda: cluster.put(12345, 100)) <= 72
+    assert _calls(lambda: cluster.put(12345, 100)) <= 60
+
+
+def test_a_replicated_delete_stays_in_budget():
+    # Parent commit: 68 calls per delete at 2x2 (IamDB.delete on every
+    # replica); the write now pays 57.
+    cluster = _quiesced_cluster(2)
+    assert _calls(lambda: cluster.delete(12345)) <= 59
+
+
+def test_a_replicated_put_checks_and_sizes_its_record_once():
+    # Parent commit: make_put and encoded_size ran three times per put at
+    # 2x2 (the facade or router, then IamDB.put on each replica).
+    cluster = _quiesced_cluster(2)
+    counted = {make_put.__code__: 0, encoded_size.__code__: 0}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counted:
+            counted[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        cluster.put(12345, 100)
+    finally:
+        sys.setprofile(None)
+    assert list(counted.values()) == [1, 1]
 
 
 def test_one_hardware_request_stays_in_budget():
