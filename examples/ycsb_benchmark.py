@@ -16,7 +16,7 @@ Example:
 import sys
 
 from repro import HDD, SSD, IamDB, StorageOptions
-from repro.bench.scale import KEY_SIZE, SSD_100G
+from repro.bench.scale import KEY_SIZE, SSD_100G, VALUE_SIZE
 from repro.common.options import IamOptions, LsmOptions
 from repro.workloads import YCSB_WORKLOADS, hash_load, run_ycsb
 
@@ -44,12 +44,12 @@ def main() -> None:
     n_records = 30_000
     db = build_db(engine, device)
     print(f"loading {n_records} records into {engine} on {device}...")
-    load = hash_load(db, n_records, quiesce=False)
+    load = hash_load(db, n_records, value_size=VALUE_SIZE, quiesce=False)
     print(f"  load: {load.throughput:,.0f} ops/s, "
           f"WA {load.write_amplification:.2f}")
 
     print(f"running YCSB-{workload} ({n_ops} ops)...")
-    rep = run_ycsb(db, spec, n_ops, n_records)
+    rep = run_ycsb(db, spec, n_ops, n_records, value_size=VALUE_SIZE)
     print(f"  throughput: {rep.throughput:,.0f} ops/s "
           f"({rep.sim_seconds * 1e3:.2f} simulated ms)")
     for op, digest in sorted(rep.latency.items()):

@@ -6,18 +6,19 @@ keys) and "latest" (zipfian over recency, for workload D).  ``permute64``
 is the bijective mixer used to turn ordered insert counters into the
 collision-free unordered keys of a *hash load* (§6.2).
 
-Every generator also offers a chunked ``sample_many(k)``: the random draws
-still come one by one from the (stateful) ``random.Random`` so the sampled
-sequence is *identical* to ``k`` scalar ``sample()`` calls, but the
-arithmetic that turns draws into items -- the zipfian power transform and
-the 64-bit scramble -- runs vectorized over the whole chunk with numpy.
-``permute64_many`` is the chunked mixer for hash-load key generation.
+Every generator also splits ``sample()`` into ``draw``, the one serial
+``random.Random`` call a sample consumes, and a numpy ``transform`` of a
+chunk of draws into items (the zipfian power transform, the scramble).
+``sample_many(k)`` -- ``k`` draws, one transform -- equals ``k`` scalar
+``sample()`` calls; the YCSB op blocks interleave the draws with their own.
+``permute64_many`` is the chunked mixer for key generation.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List
+from functools import partial
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -39,15 +40,18 @@ class UniformChooser:
             raise ConfigError("n must be > 0")
         self.n = n
         self.rng = rng
+        self.draw = partial(rng.randrange, n)
 
     def sample(self) -> int:
         return self.rng.randrange(self.n)
 
+    def transform(self, draws: Sequence[float]) -> np.ndarray:
+        return np.asarray(draws, dtype=np.int64)
+
     def sample_many(self, k: int) -> List[int]:
         """``k`` samples; consumes the RNG exactly like ``k`` sample() calls."""
-        randrange = self.rng.randrange
-        n = self.n
-        return [randrange(n) for _ in range(k)]
+        draw = self.draw
+        return self.transform([draw() for _ in range(k)]).tolist()
 
 
 class ZipfianGenerator:
@@ -60,6 +64,7 @@ class ZipfianGenerator:
             raise ConfigError("theta must be in (0, 1)")
         self.n = n
         self.rng = rng
+        self.draw = rng.random
         self.theta = theta
         self.zeta_n = self._zeta(n, theta)
         self.zeta2 = self._zeta(2, theta)
@@ -80,22 +85,20 @@ class ZipfianGenerator:
             return 1
         return int(self.n * ((self.eta * u - self.eta + 1.0) ** self.alpha))
 
-    def sample_many(self, k: int) -> List[int]:
-        """``k`` ranks with the power transform vectorized over the chunk.
-
-        The uniform draws are taken serially from ``self.rng`` (identical
-        stream to ``k`` sample() calls); the IEEE-double transform matches
-        the scalar path bit for bit (asserted by ``tests/test_distributions``).
-        """
-        rng_random = self.rng.random
-        us = np.fromiter((rng_random() for _ in range(k)),
-                         dtype=np.float64, count=k)
+    def transform(self, draws: Sequence[float]) -> np.ndarray:
+        """Ranks of ``draws``, bit for bit the scalar path's (tests assert it)."""
+        us = np.asarray(draws, dtype=np.float64)
         uz = us * self.zeta_n
         ranks = (self.n * ((self.eta * us - self.eta + 1.0) ** self.alpha)
                  ).astype(np.int64)
         ranks[uz < 1.0 + 0.5 ** self.theta] = 1
         ranks[uz < 1.0] = 0
-        return ranks.tolist()
+        return ranks
+
+    def sample_many(self, k: int) -> List[int]:
+        """``k`` ranks; consumes the RNG exactly like ``k`` sample() calls."""
+        draw = self.draw
+        return self.transform([draw() for _ in range(k)]).tolist()
 
 
 class ScrambledZipfian:
@@ -104,13 +107,18 @@ class ScrambledZipfian:
     def __init__(self, n: int, rng: random.Random, theta: float = 0.99) -> None:
         self.n = n
         self._zipf = ZipfianGenerator(n, rng, theta)
+        self.draw = self._zipf.draw
 
     def sample(self) -> int:
         return permute64(self._zipf.sample()) % self.n
 
+    def transform(self, draws: Sequence[float]) -> np.ndarray:
+        ranks = self._zipf.transform(draws).astype(np.uint64)
+        return splitmix64_array(ranks) % np.uint64(self.n)
+
     def sample_many(self, k: int) -> List[int]:
-        ranks = np.asarray(self._zipf.sample_many(k), dtype=np.uint64)
-        return (splitmix64_array(ranks) % np.uint64(self.n)).tolist()
+        draw = self.draw
+        return self.transform([draw() for _ in range(k)]).tolist()
 
 
 class LatestChooser:
@@ -124,6 +132,7 @@ class LatestChooser:
         self.rng = rng
         self.theta = theta
         self._zipf = ZipfianGenerator(n, rng, theta)
+        self.draw = self._zipf.draw
 
     def advance(self) -> None:
         self.max_item += 1
@@ -132,8 +141,12 @@ class LatestChooser:
         rank = self._zipf.sample() % self.max_item
         return self.max_item - 1 - rank
 
+    def transform(self, draws: Sequence[float],
+                  max_item: Union[int, np.ndarray]) -> np.ndarray:
+        """Items of ``draws``, each at its own ``max_item`` (or one for all)."""
+        return max_item - 1 - self._zipf.transform(draws) % max_item
+
     def sample_many(self, k: int) -> List[int]:
         """``k`` samples at the *current* ``max_item`` (no advances between)."""
-        max_item = self.max_item
-        ranks = np.asarray(self._zipf.sample_many(k), dtype=np.int64)
-        return (max_item - 1 - ranks % max_item).tolist()
+        draw = self.draw
+        return self.transform([draw() for _ in range(k)], self.max_item).tolist()

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, TYPE_CHECKING
+from itertools import zip_longest
+from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from repro.common.errors import ConfigError
 from repro.db.iamdb import IamDB
+from repro.workloads.distributions import permute64
 
 if TYPE_CHECKING:  # cycle-free: ycsb imports this module's report types
     from repro.workloads.ycsb import YcsbSpec
@@ -89,10 +91,11 @@ def run_ycsb(db: IamDB, spec: "YcsbSpec", n_ops: int, n_records: int, *, seed: i
     each client gets its own seeded op stream with a rotated key-space
     offset (client c starts at item ``c * n_records // clients``) and the
     requests interleave round-robin, one op per client per turn.  The total
-    op count stays ``n_ops``; ``clients=1`` is byte-identical to the
-    original single-stream runner.
+    op count stays ``n_ops``; ``clients=1`` is the single-stream runner.
+    Inserts share one item counter, so concurrent clients never collide on
+    a new key.
     """
-    from repro.workloads.ycsb import build_op_stream  # cycle-free local import
+    from repro.workloads.ycsb import INSERT, READ, SCAN, UPDATE, op_blocks
 
     if n_ops < 0:
         raise ConfigError(f"n_ops must be >= 0, got {n_ops}")
@@ -100,34 +103,28 @@ def run_ycsb(db: IamDB, spec: "YcsbSpec", n_ops: int, n_records: int, *, seed: i
         raise ConfigError(f"clients must be >= 1, got {clients}")
     t0 = db.runtime.clock.now
     marks = latency_marks(db)
-    ops = 0
-    if clients == 1:
-        stream = build_op_stream(db, spec, n_ops, n_records, seed=seed,
-                                 value_size=value_size)
-        for op in stream:
-            op()
-            ops += 1
-        return finish_report(db, spec.name, ops, t0, marks)
-    # Shared insert counter: concurrent clients never collide on a new key.
-    insert_state = {"inserted": n_records}
-    streams = []
-    for c in range(clients):
-        client_ops = (n_ops - c + clients - 1) // clients
-        streams.append(build_op_stream(
-            db, spec, client_ops, n_records, seed=seed,
-            value_size=value_size, client=c,
-            key_offset=(c * n_records) // clients,
-            insert_state=insert_state))
-    live = list(streams)
-    while live:
-        finished = []
-        for stream in live:
-            op = next(stream, None)
-            if op is None:
-                finished.append(stream)
-                continue
-            op()
-            ops += 1
-        for stream in finished:
-            live.remove(stream)
-    return finish_report(db, spec.name, ops, t0, marks)
+    streams = [op_blocks(spec, (n_ops - c + clients - 1) // clients, n_records,
+                         seed, c, (c * n_records) // clients)
+               for c in range(clients)]
+    get, put, scan = db.get, db.put, db.scan
+    inserted = n_records
+    for blocks in zip_longest(*streams, fillvalue=[]):
+        # A round's blocks shrink by at most one op from client to client,
+        # so client c's ops fill every ``clients``-th turn from c exactly.
+        ops: List[Any] = [None] * sum(map(len, blocks))
+        for c, block in enumerate(blocks):
+            ops[c::clients] = block
+        for op, key, scan_len in ops:
+            if op == READ:
+                get(key)
+            elif op == UPDATE:
+                put(key, value_size)
+            elif op == SCAN:
+                scan(key, None, limit=scan_len)
+            elif op == INSERT:
+                put(permute64(inserted), value_size)
+                inserted += 1
+            else:  # read-modify-write
+                get(key)
+                put(key, value_size)
+    return finish_report(db, spec.name, n_ops, t0, marks)

@@ -15,22 +15,26 @@ G         95% scan / 5% update            zipfian     uniform 0-10,000
 ========= =============================== =========== =================
 
 Keys follow the hash-load convention (``permute64(item)``); scans start at a
-chosen item's key and read the next N records in key order.
+chosen item's key and read the next N records in key order.  The ops come
+in blocks (:func:`op_blocks`) that :func:`repro.workloads.runner.run_ycsb`
+dispatches to the store.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Tuple, Union
+
+import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.db.iamdb import IamDB
+from repro.workloads.dbbench import KEYGEN_CHUNK
 from repro.workloads.distributions import (
     LatestChooser,
     ScrambledZipfian,
     UniformChooser,
-    permute64,
+    permute64_many,
 )
 
 
@@ -48,7 +52,10 @@ class YcsbSpec:
     max_scan_len: int = 0
 
     def __post_init__(self) -> None:
-        total = self.read + self.update + self.insert + self.scan + self.rmw
+        fractions = (self.read, self.update, self.insert, self.scan, self.rmw)
+        if not all(f >= 0 for f in fractions):  # NaN fails every comparison
+            raise ConfigError(f"workload {self.name}: negative or NaN op fraction")
+        total = sum(fractions)
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"workload {self.name}: op mix sums to {total}")
         if self.distribution not in ("zipfian", "latest", "uniform"):
@@ -68,27 +75,34 @@ YCSB_WORKLOADS: Dict[str, YcsbSpec] = {
 }
 
 
-def build_op_stream(db: IamDB, spec: YcsbSpec, n_ops: int, n_records: int, *,
-                    seed: int, value_size: int, client: int = 0,
-                    key_offset: int = 0,
-                    insert_state: Optional[Dict[str, int]] = None,
-                    ) -> Iterator[Callable[[], None]]:
-    """Yield ``n_ops`` zero-argument operations implementing ``spec``.
+#: Op codes of an op block's ``(code, key, scan_len)`` entries.
+READ, UPDATE, INSERT, SCAN, RMW = range(5)
+
+
+def op_blocks(spec: YcsbSpec, n_ops: int, n_records: int, seed: int,
+              client: int, key_offset: int) -> Iterator[List[Tuple[int, int, int]]]:
+    """Yield one client's ``n_ops`` ops of ``spec`` in blocks of ``KEYGEN_CHUNK``.
+
+    An op is ``(code, key, scan_len)``; an ``INSERT``'s key is a placeholder,
+    since inserts take the next item of the counter the clients share when
+    they run.  Draws come serially from one ``random.Random``, per op: the
+    op type, then the chooser's draw (none for an insert), then a scan's
+    length; the chooser's vectorized ``transform`` and ``permute64_many``
+    turn a block's draws into keys.
 
     The RNG is seeded per (seed, workload): back-to-back workloads on one
     store must not replay each other's key sequence (which would read
-    entirely from page cache and inflate throughput).
-
-    Multi-client runs give each client its own stream: ``client`` salts the
-    RNG (client 0 keeps the single-client seed string, so its stream is
-    unchanged), ``key_offset`` rotates the client's item space so clients
-    hit different key neighborhoods, and ``insert_state`` shares the
-    inserted-item counter so concurrent inserts never collide on a key.
+    entirely from page cache and inflate throughput).  ``client`` salts it
+    (client 0 keeps the single-client seed string), and ``key_offset``
+    rotates the loaded item space so clients hit different key
+    neighborhoods; inserted items (``>= n_records``) keep their global ids
+    so the latest-distribution reads still find them.
     """
     if client == 0:
         rng = random.Random(f"{seed}:{spec.name}")
     else:
         rng = random.Random(f"{seed}:{spec.name}:c{client}")
+    chooser: Union[ScrambledZipfian, UniformChooser, LatestChooser]
     if spec.distribution == "zipfian":
         chooser = ScrambledZipfian(n_records, rng)
     elif spec.distribution == "uniform":
@@ -96,53 +110,40 @@ def build_op_stream(db: IamDB, spec: YcsbSpec, n_ops: int, n_records: int, *,
     else:
         chooser = LatestChooser(n_records, rng)
 
-    state = insert_state if insert_state is not None else {"inserted": n_records}
-
-    def key_of(item: int) -> int:
-        # The client's key-space rotation applies to the loaded item space
-        # only; freshly inserted items (>= n_records) keep their global ids
-        # so the latest-distribution reads still find them.
-        if key_offset and item < n_records:
-            item = (item + key_offset) % n_records
-        return permute64(item)
-
-    def do_read() -> None:
-        db.get(key_of(chooser.sample()))
-
-    def do_update() -> None:
-        db.put(key_of(chooser.sample()), value_size)
-
-    def do_insert() -> None:
-        item = state["inserted"]
-        state["inserted"] += 1
-        if isinstance(chooser, LatestChooser):
-            chooser.advance()
-        db.put(key_of(item), value_size)
-
-    def do_scan() -> None:
-        start = key_of(chooser.sample())
-        length = rng.randrange(1, spec.max_scan_len + 1)
-        db.scan(start, None, limit=length)
-
-    def do_rmw() -> None:
-        key = key_of(chooser.sample())
-        db.get(key)
-        db.put(key, value_size)
-
     thresholds = []
     acc = 0.0
-    for frac, fn in ((spec.read, do_read), (spec.update, do_update),
-                     (spec.insert, do_insert), (spec.scan, do_scan),
-                     (spec.rmw, do_rmw)):
+    for frac, code in ((spec.read, READ), (spec.update, UPDATE),
+                       (spec.insert, INSERT), (spec.scan, SCAN), (spec.rmw, RMW)):
         if frac > 0:
             acc += frac
-            thresholds.append((acc, fn))
+            thresholds.append((acc, code))
 
-    for _ in range(n_ops):
-        u = rng.random()
-        for bound, fn in thresholds:
-            if u <= bound:
-                yield fn
-                break
-        else:  # floating-point edge: fall through to the last op type
-            yield thresholds[-1][1]
+    rng_random, draw, randrange = rng.random, chooser.draw, rng.randrange
+    scan_stop = spec.max_scan_len + 1
+    for start in range(0, n_ops, KEYGEN_CHUNK):
+        k = min(KEYGEN_CHUNK, n_ops - start)
+        codes, lens = [0] * k, [0] * k
+        draws: List[float] = [0] * k
+        for i in range(k):
+            u = rng_random()
+            # No break (a floating-point edge) leaves the last op type.
+            for bound, code in thresholds:
+                if u <= bound:
+                    break
+            codes[i] = code
+            if code != INSERT:
+                draws[i] = draw()
+                if code == SCAN:
+                    lens[i] = randrange(1, scan_stop)
+        if isinstance(chooser, LatestChooser):
+            # A read sees every earlier insert of this stream, this block's
+            # too (an insert's own slot is a placeholder).
+            seen = np.cumsum(np.equal(codes, INSERT))
+            items = chooser.transform(draws, chooser.max_item + seen)
+            chooser.max_item += int(seen[-1])
+        else:
+            items = chooser.transform(draws)
+        if key_offset:
+            items = np.where(items < n_records, (items + key_offset) % n_records,
+                             items)
+        yield list(zip(codes, permute64_many(items), lens))

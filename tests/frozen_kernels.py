@@ -21,9 +21,15 @@ ae35e43, the pre-shared-storage bootstrap: the leader ships its checkpoint
 and every live file over its own link, then the WAL tail.  It is the
 reference the store bootstrap is compared against in
 ``tests/test_objstore_equivalence.py`` and ``tests/test_write_tax.py``.
+
+``build_op_stream`` is ``repro.workloads.ycsb``'s per-op stream at 5c17a7a
+(its body verbatim: a closure per op, scalar ``sample`` and ``permute64``
+calls); driven round-robin, it is the oracle of ``run_ycsb``'s op blocks in
+``tests/test_ycsb.py``.
 """
 
 import bisect
+import random
 
 import numpy as np
 
@@ -33,6 +39,8 @@ from repro.common.records import (
     DELETE, KEY, KIND, RECORD_OVERHEAD, SEQ, VALUE, encoded_size)
 from repro.storage.background import ACTIVE, FAIR_QUANTUM_S, BackgroundPool
 from repro.table.merge import merge_runs
+from repro.workloads.distributions import (
+    LatestChooser, ScrambledZipfian, UniformChooser, permute64)
 
 
 def frozen_might_contain(bits, n_bits, n_hashes, h1, h2):
@@ -201,3 +209,68 @@ class FrozenPumpPool(BackgroundPool):
                         self._retire(job)
             if not progressed:
                 return
+
+
+def build_op_stream(db, spec, n_ops, n_records, *, seed, value_size, client=0,
+                    key_offset=0, insert_state=None):
+    if client == 0:
+        rng = random.Random(f"{seed}:{spec.name}")
+    else:
+        rng = random.Random(f"{seed}:{spec.name}:c{client}")
+    if spec.distribution == "zipfian":
+        chooser = ScrambledZipfian(n_records, rng)
+    elif spec.distribution == "uniform":
+        chooser = UniformChooser(n_records, rng)
+    else:
+        chooser = LatestChooser(n_records, rng)
+
+    state = insert_state if insert_state is not None else {"inserted": n_records}
+
+    def key_of(item: int) -> int:
+        # The client's key-space rotation applies to the loaded item space
+        # only; freshly inserted items (>= n_records) keep their global ids
+        # so the latest-distribution reads still find them.
+        if key_offset and item < n_records:
+            item = (item + key_offset) % n_records
+        return permute64(item)
+
+    def do_read() -> None:
+        db.get(key_of(chooser.sample()))
+
+    def do_update() -> None:
+        db.put(key_of(chooser.sample()), value_size)
+
+    def do_insert() -> None:
+        item = state["inserted"]
+        state["inserted"] += 1
+        if isinstance(chooser, LatestChooser):
+            chooser.advance()
+        db.put(key_of(item), value_size)
+
+    def do_scan() -> None:
+        start = key_of(chooser.sample())
+        length = rng.randrange(1, spec.max_scan_len + 1)
+        db.scan(start, None, limit=length)
+
+    def do_rmw() -> None:
+        key = key_of(chooser.sample())
+        db.get(key)
+        db.put(key, value_size)
+
+    thresholds = []
+    acc = 0.0
+    for frac, fn in ((spec.read, do_read), (spec.update, do_update),
+                     (spec.insert, do_insert), (spec.scan, do_scan),
+                     (spec.rmw, do_rmw)):
+        if frac > 0:
+            acc += frac
+            thresholds.append((acc, fn))
+
+    for _ in range(n_ops):
+        u = rng.random()
+        for bound, fn in thresholds:
+            if u <= bound:
+                yield fn
+                break
+        else:  # floating-point edge: fall through to the last op type
+            yield thresholds[-1][1]

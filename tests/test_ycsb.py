@@ -1,13 +1,19 @@
-"""YCSB workload specs and the operation stream."""
+"""YCSB workload specs and the op blocks."""
 
-import random
+import gc
+import itertools
+import sys
 
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.workloads import ycsb
+from repro.workloads.distributions import permute64, permute64_many
 from repro.workloads.runner import run_ycsb
-from repro.workloads.ycsb import YCSB_WORKLOADS, YcsbSpec, build_op_stream
+from repro.workloads.ycsb import (
+    INSERT, READ, RMW, SCAN, UPDATE, YCSB_WORKLOADS, YcsbSpec, op_blocks)
 from tests.conftest import make_tiny_db
+from tests.frozen_kernels import build_op_stream
 
 
 def test_paper_workload_mixes():
@@ -29,8 +35,14 @@ def test_spec_validation():
         YcsbSpec("bad", scan=1.0, max_scan_len=0)
 
 
+def test_spec_refuses_negative_or_nan_fractions():
+    with pytest.raises(ConfigError):
+        YcsbSpec("bad", read=1.5, update=-0.5)  # sums to 1, ran all reads
+    with pytest.raises(ConfigError):
+        YcsbSpec("bad", read=float("nan"), update=1.0)
+
+
 def _loaded_db(n=300):
-    from repro.workloads.distributions import permute64
     db = make_tiny_db("iam")
     for i in range(n):
         db.put(permute64(i), 64)
@@ -102,28 +114,21 @@ def test_multi_client_covers_all_ops_and_differs_from_single():
     assert r1.latency != r2.latency
 
 
-class _RecordingDB:
-    """Logs (op, key) pairs instead of doing simulated I/O."""
-
-    def __init__(self):
-        self.log = []
-
-    def get(self, key):
-        self.log.append(("get", key))
-
-    def put(self, key, value_size):
-        self.log.append(("put", key))
-
-    def scan(self, start, stop, limit=None):
-        self.log.append(("scan", start))
+STORE_CALLS = {READ: ["get"], UPDATE: ["put"], INSERT: ["put"], SCAN: ["scan"],
+               RMW: ["get", "put"]}
 
 
-def _logged_stream(spec, n_ops, n_records, **kw):
-    db = _RecordingDB()
-    for op in build_op_stream(db, spec, n_ops, n_records, seed=9,
-                              value_size=64, **kw):
-        op()
-    return db.log
+def _logged_stream(spec, n_ops, n_records, client=0, key_offset=0,
+                   insert_state=None):
+    """One client's op blocks as the (op, key) store calls they make."""
+    state, log = insert_state or {"inserted": n_records}, []
+    for code, key, _ in itertools.chain(*op_blocks(spec, n_ops, n_records, 9,
+                                                   client, key_offset)):
+        if code == INSERT:
+            key = permute64(state["inserted"])
+            state["inserted"] += 1
+        log += [(op, key) for op in STORE_CALLS[code]]
+    return log
 
 
 def test_client_zero_stream_matches_single_client():
@@ -148,3 +153,74 @@ def test_key_offset_rotates_loaded_keyspace_only():
         if op in ("get", "put"):
             assert key in loaded | grown
     assert state["inserted"] > 100  # shared insert state advanced
+
+
+def _recording_db():
+    """A tiny store whose get / put / scan log each call instead of running."""
+    db, log = make_tiny_db("iam"), []
+    for name in ("get", "put", "scan"):
+        setattr(db, name, lambda *args, _name=name, **kw: log.append(
+            (_name, args, kw, [type(a) for a in (*args, *kw.values())])))
+    return db, log
+
+
+MIXED_UNIFORM = YcsbSpec("U", read=0.3, update=0.2, insert=0.1, scan=0.2,
+                         rmw=0.2, distribution="uniform", max_scan_len=7)
+
+
+def _assert_blocks_issue_the_frozen_stream(spec, n_ops, n_records, clients):
+    frozen_db, want = _recording_db()
+    state = {"inserted": n_records}
+    live = [build_op_stream(frozen_db, spec, (n_ops - c + clients - 1) // clients,
+                            n_records, seed=9, value_size=64, client=c,
+                            key_offset=(c * n_records) // clients, insert_state=state)
+            for c in range(clients)]
+    while live:  # a turn: each live client runs its next op, in client order
+        live = [s for s in live if (op := next(s, None)) is not None and op() is None]
+    db, got = _recording_db()
+    assert run_ycsb(db, spec, n_ops, n_records, seed=9, value_size=64,
+                    clients=clients).ops == n_ops
+    assert got == want, (spec.name, n_ops, n_records, clients)
+    # The shared insert counter handed out the frozen one's items, no more.
+    puts = {args[0] for name, args, _, _ in got if name == "put"}
+    assert puts - set(permute64_many(range(n_records))) == set(
+        permute64_many(range(n_records, state["inserted"])))
+
+
+@pytest.mark.parametrize("block", [4, 5, 6])
+def test_op_blocks_issue_the_frozen_per_op_stream(monkeypatch, block):
+    """A-G and a uniform mix, 1/3/4 clients, runs around block boundaries."""
+    monkeypatch.setattr(ycsb, "KEYGEN_CHUNK", block)
+    for spec, clients, n_records in itertools.product(
+            [*YCSB_WORKLOADS.values(), MIXED_UNIFORM], (1, 3, 4), (1, 300)):
+        for n_ops in {0, 1, block - 1, block, 2 * block + 5, clients * block - 1,
+                      clients * block, clients * block + 1, clients * (2 * block + 5)}:
+            _assert_blocks_issue_the_frozen_stream(spec, n_ops, n_records, clients)
+
+
+@pytest.mark.parametrize("name, clients", [("A", 4), ("D", 1), ("E", 4), ("U", 1)])
+def test_full_size_op_blocks_issue_the_frozen_per_op_stream(name, clients):
+    _assert_blocks_issue_the_frozen_stream(YCSB_WORKLOADS.get(name, MIXED_UNIFORM),
+                                           clients * (ycsb.KEYGEN_CHUNK + 1) + 1, 300, clients)
+
+
+@pytest.mark.parametrize("workload, clients", [("C", 1), ("A", 4)])
+def test_driver_calls_per_op_budget(workload, clients):
+    """An op's calls ("call" + "c_call") besides a no-op store's: two serial
+    draws, not the per-op closure, resume, ``sample`` and mixing (9-10)."""
+    db, totals, n = make_tiny_db(), [], 2 * ycsb.KEYGEN_CHUNK
+    db.get = db.put = db.scan = noop = lambda *args, **kw: None
+    for n_ops in (n, 2 * n):
+        totals.append(0)
+
+        def profile(frame, event, arg):
+            totals[-1] += event == "c_call" or (
+                event == "call" and frame.f_code is not noop.__code__)
+        gc.disable()
+        sys.setprofile(profile)
+        try:
+            run_ycsb(db, YCSB_WORKLOADS[workload], n_ops, 300, clients=clients)
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+    assert (totals[1] - totals[0]) / n <= 3
