@@ -94,13 +94,15 @@ def check_keys(keys: Iterable[Key]) -> List[Key]:
 
 
 def check_snapshot(snapshot: object) -> Optional[int]:
-    """The seq a read pins: ``None`` (the newest), a ``Snapshot``'s, or an int in ``[0, 2**64)``."""
-    if snapshot is None or type(snapshot) is int and 0 <= snapshot <= MASK64:
-        return snapshot
+    """The seq a read pins: ``None`` (the newest) or a ``Snapshot``'s.  An int
+    is refused: it pins no history, so a merge may already have dropped what
+    it would read (internal layers take the int a handle carries)."""
+    if snapshot is None:
+        return None
     from repro.db.snapshot import Snapshot  # repro.db imports this module
     if isinstance(snapshot, Snapshot):
         return snapshot.seq
-    raise ConfigError(f"a snapshot must be a Snapshot or an int in [0, 2**64), got {snapshot!r}")
+    raise ConfigError(f"a snapshot must be a Snapshot handle or None, got {snapshot!r}")
 
 
 def check_scan(lo_key: object, hi_key: object, limit: object,

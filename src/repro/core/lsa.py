@@ -52,7 +52,6 @@ from repro.core.node import (
     children_of,
     children_slice,
     count_children,
-    level_find_node,
     level_insert_sorted,
     level_overlapping,
     level_tables,
@@ -539,11 +538,18 @@ class LsaTree(EngineBase):
             snapshot: Optional[int] = None) -> Tuple[Optional[RecordTuple], float]:
         latency = 0.0
         hashes = hash_pair(key)  # one Bloom hash per get, not per sequence
+        levels = self.levels
         for level in range(1, self.n + 1):
-            node = level_find_node(self.levels[level], key)
-            if node is None or node.is_empty:
+            # One fence bisect: the node whose range covers the key, if any.
+            nodes = levels[level]
+            idx = bisect.bisect_right(nodes, key, key=RANGE_LO) - 1
+            if idx < 0:
                 continue
-            rec, lat = node.table.get(key, snapshot, hashes)
+            node = nodes[idx]
+            table = node.table
+            if node.range_hi < key or table is None or not table.probe_rows:
+                continue
+            rec, lat = table.get(key, snapshot, hashes)
             latency += lat
             if rec is not None:
                 return rec, latency

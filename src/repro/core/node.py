@@ -102,14 +102,6 @@ class LsaNode:
 
 
 # --------------------------------------------------------------------- levels
-def level_find_node(level: List[LsaNode], key: Key) -> Optional[LsaNode]:
-    """The unique node whose range covers ``key``, if any."""
-    idx = bisect.bisect_right(level, key, key=RANGE_LO) - 1
-    if idx >= 0 and level[idx].range_hi >= key:
-        return level[idx]
-    return None
-
-
 def level_insert_sorted(level: List[LsaNode], node: LsaNode) -> None:
     """Insert keeping the level sorted; rejects range overlap."""
     idx = bisect.bisect_right(level, node.range_lo, key=RANGE_LO)

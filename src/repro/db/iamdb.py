@@ -21,7 +21,7 @@ one of the two stall sources the tail-latency experiments measure.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ConfigError, StoreClosedError
 from repro.common.options import (
@@ -30,6 +30,7 @@ from repro.common.options import (
     LsmOptions,
     StorageOptions,
 )
+from repro.common.hashing import MASK64
 from repro.common.records import (
     KIND,
     DELETE,
@@ -67,8 +68,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.check.sanitizer import Sanitizer, SanitizerOptions
     from repro.db.batch import WriteBatch
     from repro.storage.simdisk import SimClock
-
-SnapshotLike = Union[None, int, Snapshot]
 
 
 def _engine_factory(name: str, engine_options: Any,
@@ -298,10 +297,13 @@ class IamDB:
         return elapsed + self.runtime.quiesce()
 
     # ------------------------------------------------------------------ reads
-    def get(self, key: Key, snapshot: SnapshotLike = None) -> Optional[Value]:
+    def get(self, key: Key, snapshot: Optional[Snapshot] = None) -> Optional[Value]:
         """Newest visible value of ``key``, or None."""
-        self._check_open()
-        snap = check_key(key, snapshot)
+        snap = None
+        if self._closed or snapshot is not None or type(key) is not int \
+                or not 0 <= key <= MASK64:
+            self._check_open()
+            snap = check_key(key, snapshot)
         runtime = self.runtime
         t0 = runtime.clock.now
         rec = self.memtable.get(key, snap)
@@ -309,19 +311,20 @@ class IamDB:
             rec = self.immutable.get(key, snap)
         if rec is None:
             rec, _ = self.engine.get(key, snap)
-        runtime.pump()
+        if not runtime.pool.idle or runtime.sampler is not None:
+            runtime.pump()
         self.metrics.latency["read"].samples.append(runtime.clock.now - t0)
         if rec is None or rec[KIND] == DELETE:
             return None
         return rec[VALUE]
 
     def multi_get(self, keys: Iterable[Key],
-                  snapshot: SnapshotLike = None) -> List[Optional[Value]]:
+                  snapshot: Optional[Snapshot] = None) -> List[Optional[Value]]:
         """:meth:`get` of every key in request order; all are checked before
         any is read."""
         self._check_open()
-        snap = check_snapshot(snapshot)
-        return [self.get(key, snap) for key in check_keys(keys)]
+        check_snapshot(snapshot)
+        return [self.get(key, snapshot) for key in check_keys(keys)]
 
     def _scan_streams(self, lo_key: Optional[Key],
                       hi_key: Optional[Key]) -> List[Iterable[RecordTuple]]:
@@ -337,7 +340,7 @@ class IamDB:
 
     def scan(self, lo_key: Optional[Key] = None,
              hi_key: Optional[Key] = None, *, limit: Optional[int] = None,
-             snapshot: SnapshotLike = None) -> List[Tuple[Key, object]]:
+             snapshot: Optional[Snapshot] = None) -> List[Tuple[Key, object]]:
         """Ordered ``(key, value)`` pairs with lo <= key < hi (both optional).
 
         ``limit`` caps the row count (0: ``[]``, touching nothing).

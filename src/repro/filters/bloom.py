@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.common.hashing import MASK64, splitmix64, splitmix64_array
+from repro.common.hashing import MASK64, splitmix64_array
 
 _SALT = 0xA5A5A5A5A5A5A5A5  # decorrelates h2 from h1
 _H2_SALT = np.uint64(_SALT)
@@ -33,9 +33,17 @@ _STEPS = np.arange(31, dtype=np.uint64)[:, None]
 
 
 def hash_pair(key: int) -> Tuple[int, int]:
-    """The double-hashing pair ``(h1, h2)`` all of a key's probes derive from."""
+    """The double-hashing pair ``(h1, h2)`` all of a key's probes derive from:
+    ``splitmix64(k)`` and ``splitmix64(k ^ _SALT) | 1`` of ``k = key & MASK64``,
+    both mixes written out (one frame per point read, not three)."""
     k = key & MASK64
-    return splitmix64(k), splitmix64(k ^ _SALT) | 1
+    z = (k + 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    y = ((k ^ _SALT) + 0x9E3779B97F4A7C15) & MASK64
+    y = ((y ^ (y >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    y = ((y ^ (y >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31), (y ^ (y >> 31)) | 1
 
 
 def hash_columns(keys: np.ndarray) -> np.ndarray:

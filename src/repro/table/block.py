@@ -113,15 +113,6 @@ class Sequence:
         j = self.n_records if hi_key is None else bisect_right(keys, hi_key)
         return i, j
 
-    def _blocks_for_span(self, i: int, j: int) -> range:
-        """File-relative block numbers covering record indices [i, j)."""
-        if i >= j:
-            return range(0)
-        starts = self.block_start_idx
-        b_lo = bisect_right(starts, i) - 1
-        b_hi = bisect_right(starts, j - 1) - 1
-        return range(self.first_block + b_lo, self.first_block + b_hi + 1)
-
     # ------------------------------------------------------------------ reads
     def get(self, runtime: Runtime, file_id: int, key: Key,
             snapshot: Optional[int] = None,
@@ -150,13 +141,18 @@ class Sequence:
         keys = self.key_view
         i = bisect_left(keys, key)
         j = bisect_right(keys, key, i)
+        # File-relative block numbers: record ``i`` lives in block
+        # ``first_block + bisect_right(starts, i) - 1`` (past the last
+        # record, that is the last block).
+        starts = self.block_start_idx
+        first = self.first_block - 1
+        b = first + bisect_right(starts, i)
         if i >= j:
             # Bloom false positive: the data block is still fetched and
             # searched before the miss is known.
-            i = min(i, self.n_records - 1)
-            return None, runtime.fg_read_blocks(
-                ((file_id, self._blocks_for_span(i, i + 1)),))
-        latency = runtime.fg_read_blocks(((file_id, self._blocks_for_span(i, j)),))
+            return None, runtime.fg_read_blocks(((file_id, range(b, b + 1)),))
+        end = b + 1 if j == i + 1 else first + bisect_right(starts, j - 1) + 1
+        latency = runtime.fg_read_blocks(((file_id, range(b, end)),))
         seqs, kinds, values = self.hit_views or self._open_hit_views()
         if snapshot is not None:
             while seqs[i] > snapshot:  # versions run newest first

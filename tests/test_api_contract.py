@@ -2,7 +2,8 @@
 
 Keys are ints in ``[0, 2**64)``; values are ``bytes`` or an int in that range
 (a synthetic size); scan bounds are any int or ``None``; a ``limit`` is
-``None`` or an int ``>= 0``; a key iterable is read once.  Every entry point
+``None`` or an int ``>= 0``; a snapshot is ``None`` or a ``Snapshot``
+handle, never an int; a key iterable is read once.  Every entry point
 of both facades, ``WriteBatch`` and the time-travel reader either answers as
 a dict model does or raises :class:`ConfigError` with nothing moved: no
 sequence number, op count, clock tick, WAL or user byte, or latency sample.
@@ -21,6 +22,8 @@ from tests.conftest import make_tiny_db, member_dbs, tiny_iam_options, tiny_stor
 
 KEYS = [0, 1, 5, 2**63, 2**64 - 1]
 U64 = 2**64
+#: Drawn as a bare store's snapshot: its live handle on the flushed prefix.
+HANDLE = "snapshot()"
 
 
 def _store(kind):
@@ -107,6 +110,7 @@ class Model:
 
     def __init__(self):
         self.log = []
+        self.handle = None, None  # (Snapshot, its sequence number)
 
     def view(self, seq=None):
         out = {}
@@ -130,7 +134,7 @@ def _mostly(good):
     return st.tuples(st.integers(0, 4), good, ODD).map(lambda t: t[2 if t[0] == 0 else 1])
 
 
-ARG = _mostly(st.sampled_from(KEYS + [None]))
+ARG = _mostly(st.sampled_from(KEYS + [None, HANDLE]))
 #: ``(op, key iterable, a, b, c, d)``: ``multi_get`` takes the iterable in place of ``a``.
 OPS = st.tuples(st.sampled_from(["put", "delete", "get", "multi_get", "scan", "batch", "as_of"]),
                 _mostly(st.one_of(KEY_LISTS, KEY_LISTS.map(iter))), ARG, ARG, ARG, ARG)
@@ -141,9 +145,11 @@ def _plan(store, model, op, keys, a, b, c, d):
     model's answer, or ``ConfigError`` where the contract refuses the
     arguments.  A write the contract accepts goes into the model."""
     bare = not isinstance(store, ClusterDB)
-    snap = b if bare else None
-    snap_ok = snap is None or _key_ok(snap)
-    view = model.view(snap if snap_ok else None)
+    snap, seq = b if bare else None, None
+    if snap is HANDLE:
+        snap, seq = model.handle
+    snap_ok = snap is None or seq is not None
+    view = model.view(seq)
     if op == "multi_get":
         a = keys
         if isinstance(a, Iterator):
@@ -175,7 +181,7 @@ def _plan(store, model, op, keys, a, b, c, d):
     if op == "scan":
         ok = snap_ok and all(x is None or type(x) is int for x in (a, c)) \
             and (d is None or type(d) is int and d >= 0)
-        want = model.scan(a, c, d, snap) if ok else ConfigError
+        want = model.scan(a, c, d, seq) if ok else ConfigError
         if bare:
             return (lambda: store.scan(a, c, limit=d, snapshot=snap)), want
         return (lambda: store.scan(a, c, limit=d)), want
@@ -202,6 +208,8 @@ def test_every_entry_point_answers_like_the_model_or_refuses_touching_nothing(op
             store.put(key, 16 + i)
             model.log.append((key, 16 + i))
         store.flush()
+        if kind == "bare":
+            model.handle = store.snapshot(), len(model.log)
         for op in ops:
             call, want = _plan(store, model, *op)
             before = _state(store)
@@ -213,20 +221,24 @@ def test_every_entry_point_answers_like_the_model_or_refuses_touching_nothing(op
             assert got == want, (kind, op)
 
 
-@pytest.mark.xfail(strict=True, reason="an int snapshot pins no history: "
-                   "whether it must, or must be refused, is an open contract "
-                   "decision")
-def test_an_int_snapshot_reads_history_a_merge_discarded():
+def test_an_int_snapshot_is_refused_and_a_handle_keeps_its_history():
     # The flushed prefix of the model test, then two writes of key 0 rotate
-    # the memtable; with no Snapshot live, the merge into L1 drops key 0's
-    # version 1, so reading at sequence 1 finds nothing where the model
-    # (and the same read a moment earlier) finds 16.
+    # the memtable and merge into L1.  An int pins no history: with no
+    # handle live, that merge dropped key 0's version 1, and a read at
+    # sequence 1 found nothing where the same read a moment earlier found
+    # 16.  So an int is refused before anything moves, and a handle reads
+    # the history it pins.
     db = make_tiny_db("iam")
     for i, key in enumerate(KEYS):
         db.put(key, 16 + i)
     db.flush()
-    assert db.get(0, snapshot=1) == 16
+    snap = db.snapshot()
     db.put(0, 2**63)
     db.put(0, 2**63)
-    assert db.get(0) == 2**63
-    assert db.get(0, snapshot=1) == 16
+    assert db.get(0) == 2**63 and db.get(0, snap) == 16
+    before = _state(db)
+    for read in (lambda: db.get(0, 1), lambda: db.multi_get([0], 1),
+                 lambda: db.scan(0, 2, snapshot=1)):
+        with pytest.raises(ConfigError, match="snapshot"):
+            read()
+        assert _state(db) == before

@@ -102,6 +102,18 @@ def test_get_with_snapshot_picks_visible_version():
     assert rec[SEQ] == 9
 
 
+def test_lookup_reads_the_blocks_its_span_covers():
+    # Key 2's versions run across the block boundary: its hit reads both
+    # blocks.  A one-record hit and a false positive -- in a gap, or past
+    # the last key -- read the one block the search ends in.
+    recs = [make_put(0, 10, 64)] + [make_put(2, s, 64) for s in (9, 8, 7, 6)]
+    s = make_seq(recs + [make_put(4, 5, 64)], first_block=7)
+    for key, blocks in ((2, [7, 8]), (0, [7]), (4, [8]), (1, [7]), (3, [8]), (5, [8])):
+        rt = make_runtime(cache_bytes=100 * BLOCK)
+        s.lookup(rt, 1, key)
+        assert sorted(b for _, b in rt.cache._lru) == blocks, key
+
+
 def test_cursor_yields_range_in_order():
     rt = make_runtime(cache_bytes=100 * BLOCK)
     s = make_seq(records_of(30))

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.common.hashing import MASK64
-from repro.filters.bloom import BloomFilter, hash_columns, hash_pair
+from repro.common.hashing import MASK64, splitmix64
+from repro.filters.bloom import _SALT, BloomFilter, hash_columns, hash_pair
 from tests.frozen_kernels import frozen_might_contain
 
 
@@ -122,6 +122,14 @@ def test_hash_columns_is_hash_pair_per_key(keys):
     column = np.array([k & MASK64 for k in keys], dtype=np.uint64)
     h1, h2 = hash_columns(column).tolist()
     assert list(zip(h1, h2)) == [hash_pair(k) for k in keys]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(0, MASK64), st.sampled_from([-1, -(2 ** 63), 2 ** 64, 2 ** 70])))
+def test_hash_pair_is_two_scalar_splitmix64_mixes(key):
+    # hash_pair writes both mixes out; the scalar kernel is their oracle.
+    k = key & MASK64
+    assert hash_pair(key) == (splitmix64(k), splitmix64(k ^ _SALT) | 1)
 
 
 @settings(max_examples=30, deadline=None)

@@ -9,12 +9,12 @@ from repro.core.node import (
     children_of,
     children_slice,
     count_children,
-    level_find_node,
     level_insert_sorted,
     level_overlapping,
     partition_records,
 )
 from repro.table.run import Run
+from tests.conftest import make_tiny_db
 
 
 def node(lo, hi):
@@ -40,12 +40,20 @@ def test_extend_range():
     assert (n.range_lo, n.range_hi) == (5, 25)
 
 
-def test_level_find_node():
-    level = [node(0, 9), node(20, 29), node(40, 49)]
-    assert level_find_node(level, 5) is level[0]
-    assert level_find_node(level, 25) is level[1]
-    assert level_find_node(level, 15) is None  # gap
-    assert level_find_node(level, 60) is None
+def test_a_point_read_probes_the_node_its_fence_finds():
+    # LsaTree.get bisects each level by range_lo and checks range_hi: a key
+    # equal to range_hi reads its node; a gap, an empty node, or a key below
+    # the first node or above the last reads nothing there and walks on.
+    engine = make_tiny_db("iam").engine
+    engine.levels.append([])
+    engine.n = 2
+    for level, keys in ((1, (3, 12)), (1, (45,)), (2, (15, 25))):
+        engine._new_node(level, Run.from_records([make_put(k, k, 40) for k in keys]))
+    engine.levels[1][0].extend_range(1, 12)
+    level_insert_sorted(engine.levels[1], node(20, 29))  # empty, as after a flush
+    found = {key: engine.get(key)[0] for key in (0, 12, 15, 25, 40, 45, 60)}
+    assert {key: rec and rec[KEY] for key, rec in found.items()} == {
+        0: None, 12: 12, 15: 15, 25: 25, 40: None, 45: 45, 60: None}
 
 
 def test_level_insert_sorted_keeps_order_and_rejects_overlap():

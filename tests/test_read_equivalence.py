@@ -14,8 +14,8 @@ newest-first loop of ``Sequence.get`` it replaced is its reference.
 
 Two contracts sit beside the equivalences.  *One tier*: the planner plans
 every scan, FLSM's guards included, and no scan reaches the heap merge; a
-key or a snapshot outside uint64 never gets that far -- the write or the
-read refuses it.  *Seeks*: a scan from any ``k`` is the reference scan
+key outside uint64 or an int snapshot never gets that far -- the write or
+the read refuses it.  *Seeks*: a scan from any ``k`` is the reference scan
 from ``k``.
 """
 
@@ -31,6 +31,7 @@ from repro.cluster import ClusterDB, ClusterOptions, NetworkOptions
 from repro.common.errors import ConfigError
 from repro.common.records import make_delete, make_put, sort_key
 from repro.db import iterator
+from repro.db.snapshot import Snapshot
 from repro.filters.bloom import hash_pair
 from repro.storage.runtime import Runtime
 from repro.table.mstable import MSTable
@@ -45,6 +46,13 @@ KEY_POOL = [(0x9E3779B97F4A7C15 * (i + 1)) % 2 ** 64 for i in range(24)]
 SMALL_POOL = list(range(24))
 
 ENGINES = ("iam", "lsa", "leveldb")
+
+
+def _at(seq):
+    """A read view at sequence ``seq`` (``None``: the newest).  Twins hold one
+    history, so the read paths compared here see the same versions whether
+    or not a merge kept older ones: the handle needs no registration."""
+    return None if seq is None else Snapshot(None, seq)
 
 
 def _observable_state(db):
@@ -144,7 +152,7 @@ def test_multi_get_is_validate_then_get_loop(engine, ops, quiesce, batch,
             i += 1
     kw = {}
     if snap_back is not None and not cluster and a._seq > 0:
-        kw["snapshot"] = max(1, a._seq - snap_back)
+        kw["snapshot"] = _at(max(1, a._seq - snap_back))
     keys = [KEY_POOL[i] for i in batch]
     with pytest.raises(ConfigError):
         a.multi_get(keys + [bad], **kw)
@@ -179,7 +187,7 @@ def test_scan_matches_scalar_reference(engine, ops, small_keys, quiesce, odd,
         db_opt.quiesce()
     snapshot = None
     if snap_back is not None and db_ref._seq > 0:
-        snapshot = max(1, db_ref._seq - snap_back)
+        snapshot = _at(max(1, db_ref._seq - snap_back))
     lo = None if lo_i is None else pool[lo_i]
     hi = None if span is None else (lo or 0) + sorted(pool[:24])[span] + 1
     if odd is not None and odd < 0:
@@ -216,12 +224,13 @@ def test_multi_get_snapshot_boundary():
     # write it is not.
     db = make_tiny_db("iam")
     k = KEY_POOL[0]
+    before = db.snapshot()
     db.put(k, 111)
-    seq_v1 = db._seq
+    at_v1 = db.snapshot()
     db.put(k, 222)
     db.quiesce()
-    assert db.multi_get([k, k], seq_v1) == [111, 111]
-    assert db.multi_get([k, k], seq_v1 - 1) == [None, None]
+    assert db.multi_get([k, k], at_v1) == [111, 111]
+    assert db.multi_get([k, k], before) == [None, None]
     assert db.multi_get([k, k]) == [222, 222]
     db.close()
 
@@ -334,6 +343,7 @@ def _wide_pair(engine, n=1800, seed=17):
 
 
 def _assert_scan_matches(db_ref, db_opt, lo, hi, limit=None, snapshot=None):
+    snapshot = _at(snapshot)
     want = reference_scan(db_ref, lo, hi, limit=limit, snapshot=snapshot)
     got = db_opt.scan(lo, hi, limit=limit, snapshot=snapshot)
     assert got == want
@@ -494,11 +504,11 @@ def test_key_outside_uint64_is_declined_then_merged(engine, odd, plain, flushed)
 
 
 def test_snapshot_outside_uint64_is_declined_then_merged():
-    # Like a key outside uint64, such a snapshot is declined by the entry
-    # point -- the scan, and the reference with it -- before anything is
-    # charged; the range's two ends are planned.
+    # Like a key outside uint64, an int snapshot -- in uint64 or not -- is
+    # declined by the entry point (the scan, and the reference with it)
+    # before anything is charged; views at the range's two ends are planned.
     db_ref, db_opt = _wide_pair("iam", n=300)
-    for snapshot in (-1, 2 ** 64):
+    for snapshot in (-1, 2 ** 64, 0, 2 ** 64 - 1):
         before = _observable_state(db_opt), _observable_state(db_ref)
         for scan in (db_opt.scan, partial(reference_scan, db_ref)):
             with pytest.raises(ConfigError, match="snapshot"):

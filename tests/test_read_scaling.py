@@ -226,7 +226,7 @@ def test_rejected_sequences_add_no_calls_to_a_point_read():
         return m.bloom_probes - before[0], m.bloom_negatives - before[1]
     probes, negatives = probed_get()
     hit = _calls(lambda: db.get(key))
-    assert hit <= 41
+    assert hit <= 26  # 24: one bisect and one table probe per level walked
     # Four newer sequences in the key's own leaf node: two whose range lies
     # past the key, two that straddle it without holding it.
     for keys in [(above,), (above, above + 1), (below, above), (below, above + 1)]:
@@ -234,6 +234,29 @@ def test_rejected_sequences_add_no_calls_to_a_point_read():
             [make_put(k, db._seq + 1, 41) for k in keys]), level=db.engine.n)
     assert probed_get() == (probes + 2, negatives + 2)
     assert _calls(lambda: db.get(key)) == hit
+
+
+def test_an_absent_key_pays_one_fence_bisect_per_level():
+    # A key past every node's range: each level costs its bisect and
+    # nothing else (12 calls on this 4-level store; 21 with a node-finding
+    # call, the empty-node property and the Bloom hash's two mix calls).
+    db, _ = _store(widen=False)
+    assert db.engine.n == 4 and db.get(1 << 40) is None
+    assert _calls(lambda: db.get(1 << 40)) <= 13
+
+
+def test_a_get_pumps_a_busy_pool_only(monkeypatch):
+    # As a write does: a get on an idle pool with no sampler makes no pump
+    # call, and one on a pool a wake left unsettled pumps it once.
+    db, _ = _store(widen=False)
+    key = db.engine.levels[db.engine.n][0].table.min_key
+    runtime, pumps = db.runtime, []
+    pump = runtime.pump
+    monkeypatch.setattr(runtime, "pump", lambda: pumps.append(runtime.pool.idle) or pump())
+    assert runtime.pool.idle and runtime.sampler is None
+    assert db.get(key) == 40 and pumps == []
+    runtime.pool.wake()
+    assert db.get(key) == 40 and pumps == [False]
 
 
 @pytest.mark.parametrize("engine", ["iam", "lsa", "leveldb", "flsm", "lsmtrie"])
