@@ -8,9 +8,8 @@ page-cache code.  They exist for two reasons:
   :mod:`repro.memtable`, :mod:`repro.table.merge` and
   :mod:`repro.storage.pagecache` produce record-identical / state-identical
   results on randomized MVCC workloads.
-* **Perf baselines** -- ``benchmarks/perf/`` times each reference against its
-  optimized counterpart, so every ``BENCH_perf.json`` carries live
-  before/after numbers on the machine that produced it.
+* **Scan oracle** -- ``tests/test_read_equivalence.py`` holds every planned
+  scan to ``reference_scan``'s scalar merge over the live cursors.
 
 Do not "fix" or optimize this module: its value is that it never changes.
 """

@@ -11,8 +11,8 @@ Runs one sustained hash load plus one mixed YCSB-A phase per engine with a
   worst window, the stall-time fraction or any op class's p99.9 regresses
   against the committed baseline.
 
-Unlike ``BENCH_perf.json`` (wall-clock, machine-dependent), everything here
-is *simulated*: same seed, same report, byte for byte, on any machine --
+Unlike a host wall-clock timing (machine-dependent), everything here is
+*simulated*: same seed, same report, byte for byte, on any machine --
 so the check tolerances guard against behavioral regressions (a scheduling
 change that makes writes burstier), not runner noise.  The report therefore
 carries no host fields (no wall time, no platform string).

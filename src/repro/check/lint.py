@@ -23,7 +23,7 @@ fix).  For decorated defs the marker may sit on any line of the decorator
 block (findings anchored to the ``def`` line would otherwise need the
 marker on a line the reader never wrote).  ``# repro: noqa-file-REPxxx``
 anywhere in a file silences the rule for the whole file -- reserved for
-modules whose *purpose* violates a rule (the bench harness's host timers).
+modules whose *purpose* violates a rule (``src/repro`` has none).
 Each rule has a fixture test in ``tests/test_check_lint.py`` proving it
 fires on minimal bad code and stays quiet on the equivalent good code.
 """

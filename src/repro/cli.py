@@ -11,7 +11,6 @@ Commands
 ``trace``        run a workload with sim-time tracing; export + summarize
 ``compare``      run one load across several engines side by side
 ``experiment``   regenerate a paper table/figure via the bench harness
-``perf``         run the hot-path microbenchmarks (BENCH_perf.json)
 ``stability``    run the stability suite (BENCH_stability.json)
 ``check``        determinism lint + typing gate + sanitizer smoke run
 ``faults``       crash-point matrix: crash everywhere, assert durability
@@ -287,11 +286,6 @@ def cmd_experiment(args) -> int:
     import pprint
     pprint.pprint(result)
     return 0
-
-
-def cmd_perf(args) -> int:
-    from repro.bench.perf import main as perf_main
-    return perf_main(args.perf_args)
 
 
 def cmd_stability(args) -> int:
@@ -608,13 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_experiment)
 
     sp = sub.add_parser(
-        "perf", help="hot-path microbenchmarks (see `perf --help`)",
-        add_help=False)
-    sp.add_argument("perf_args", nargs=argparse.REMAINDER,
-                    help="arguments for the perf suite, e.g. --quick --check")
-    sp.set_defaults(fn=cmd_perf)
-
-    sp = sub.add_parser(
         "stability",
         help="stability suite: windowed throughput, stall blame, tail "
              "latency (see `stability --help`)",
@@ -685,8 +672,6 @@ def main(argv=None) -> int:
     try:
         # argparse.REMAINDER mis-parses leading options under a subparser,
         # so the suites that own their argparse are dispatched before parsing.
-        if argv and argv[0] == "perf":
-            return cmd_perf(argparse.Namespace(perf_args=list(argv[1:])))
         if argv and argv[0] == "stability":
             return cmd_stability(
                 argparse.Namespace(stability_args=list(argv[1:])))

@@ -29,8 +29,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.db.iamdb import IamDB
 
 #: Default sampling interval in simulated seconds.  Scaled runs complete in
-#: a few hundred sim-milliseconds (see BENCH_perf.json ``sim_seconds``), so
-#: 5 sim-ms yields on the order of 100 rows for a full load.
+#: a few hundred sim-milliseconds, so 5 sim-ms yields on the order of 100
+#: rows for a full load.
 DEFAULT_INTERVAL_S = 0.005
 
 

@@ -242,7 +242,8 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
     # widths fit one word, pack them into a single composite and do one
     # stable (radix) argsort -- half the cost of the two-pass lexsort.
     # Scans over a compact key space take it (db_bench readseq over
-    # fillseq keys, the ``reads`` perf suite); hashed 64-bit keys never do.
+    # fillseq keys, the read-equivalence tests' ``small_keys`` cases);
+    # hashed 64-bit keys never do.
     s_bits = int(seqs_g.max()).bit_length()
     total_bits = int(keys_g.max()).bit_length() + s_bits
     if s_bits < 64 and total_bits <= 64:

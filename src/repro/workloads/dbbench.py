@@ -69,6 +69,8 @@ def fill_seq(db: IamDB, n_records: int, *, value_size: int = DEFAULT_VALUE_SIZE,
 def fill_random(db: IamDB, n_records: int, *, value_size: int = DEFAULT_VALUE_SIZE,
                 seed: int = 1, quiesce: bool = True) -> WorkloadReport:
     """Insert random keys drawn from a space of ``n_records`` (has updates)."""
+    if n_records < 0:
+        raise ConfigError(f"n_records must be >= 0, got {n_records}")
     rng = random.Random(seed)
     t0 = db.runtime.clock.now
     marks = latency_marks(db)
@@ -88,6 +90,9 @@ def overwrite(db: IamDB, n_ops: int, n_records: int, *,
               value_size: int = DEFAULT_VALUE_SIZE, seed: int = 2,
               quiesce: bool = True) -> WorkloadReport:
     """Update existing keys uniformly (db_bench overwrite; space test §6.7)."""
+    if n_ops < 0 or n_records <= 0:
+        raise ConfigError(f"need n_ops >= 0 and n_records > 0, "
+                          f"got {n_ops} and {n_records}")
     rng = random.Random(seed)
     t0 = db.runtime.clock.now
     marks = latency_marks(db)
@@ -114,6 +119,9 @@ def read_seq(db: IamDB, *, limit: Optional[int] = None) -> WorkloadReport:
 def read_random(db: IamDB, n_ops: int, n_records: int, *,
                 seed: int = 3) -> WorkloadReport:
     """Uniform point reads over a hash-loaded key space."""
+    if n_ops < 0 or n_records <= 0:
+        raise ConfigError(f"need n_ops >= 0 and n_records > 0, "
+                          f"got {n_ops} and {n_records}")
     rng = random.Random(seed)
     t0 = db.runtime.clock.now
     marks = latency_marks(db)

@@ -9,8 +9,8 @@ collision-free unordered keys of a *hash load* (§6.2).
 Every generator also splits ``sample()`` into ``draw``, the one serial
 ``random.Random`` call a sample consumes, and a numpy ``transform`` of a
 chunk of draws into items (the zipfian power transform, the scramble).
-``sample_many(k)`` -- ``k`` draws, one transform -- equals ``k`` scalar
-``sample()`` calls; the YCSB op blocks interleave the draws with their own.
+``transform([draw() for _ in range(k)])`` equals ``k`` scalar ``sample()``
+calls; the YCSB op blocks interleave the draws with their own.
 ``permute64_many`` is the chunked mixer for key generation.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from typing import List, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -47,11 +47,6 @@ class UniformChooser:
 
     def transform(self, draws: Sequence[float]) -> np.ndarray:
         return np.asarray(draws, dtype=np.int64)
-
-    def sample_many(self, k: int) -> List[int]:
-        """``k`` samples; consumes the RNG exactly like ``k`` sample() calls."""
-        draw = self.draw
-        return self.transform([draw() for _ in range(k)]).tolist()
 
 
 class ZipfianGenerator:
@@ -95,11 +90,6 @@ class ZipfianGenerator:
         ranks[uz < 1.0] = 0
         return ranks
 
-    def sample_many(self, k: int) -> List[int]:
-        """``k`` ranks; consumes the RNG exactly like ``k`` sample() calls."""
-        draw = self.draw
-        return self.transform([draw() for _ in range(k)]).tolist()
-
 
 class ScrambledZipfian:
     """Zipfian popularity spread over the item space by hashing (YCSB)."""
@@ -115,10 +105,6 @@ class ScrambledZipfian:
     def transform(self, draws: Sequence[float]) -> np.ndarray:
         ranks = self._zipf.transform(draws).astype(np.uint64)
         return splitmix64_array(ranks) % np.uint64(self.n)
-
-    def sample_many(self, k: int) -> List[int]:
-        draw = self.draw
-        return self.transform([draw() for _ in range(k)]).tolist()
 
 
 class LatestChooser:
@@ -145,8 +131,3 @@ class LatestChooser:
                   max_item: Union[int, np.ndarray]) -> np.ndarray:
         """Items of ``draws``, each at its own ``max_item`` (or one for all)."""
         return max_item - 1 - self._zipf.transform(draws) % max_item
-
-    def sample_many(self, k: int) -> List[int]:
-        """``k`` samples at the *current* ``max_item`` (no advances between)."""
-        draw = self.draw
-        return self.transform([draw() for _ in range(k)], self.max_item).tolist()

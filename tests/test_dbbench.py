@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import ConfigError
 from repro.workloads import (
     fill_random,
     fill_seq,
@@ -73,3 +74,14 @@ def test_quiesce_false_leaves_background_work():
     rep = hash_load(db, 2000, value_size=64, quiesce=False)
     rep_q = db.quiesce()
     db.check_invariants()
+
+
+@pytest.mark.parametrize("fn, sizes", [
+    (fill_random, (-3,)), (overwrite, (-1, 5)), (overwrite, (5, 0)),
+    (read_random, (-1, 5)), (read_random, (5, 0))],
+    ids=lambda v: getattr(v, "__name__", None) or ",".join(map(str, v)))
+def test_invalid_sizes_are_refused_before_any_op(fn, sizes):
+    db = make_tiny_db("iam")
+    with pytest.raises(ConfigError):
+        fn(db, *sizes)
+    assert db.runtime.clock.now == 0.0 and db.scan(None, None) == []

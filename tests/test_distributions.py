@@ -98,10 +98,16 @@ def test_latest_chooser_advance_extends_range():
 
 
 # ---------------------------------------------- chunked == scalar, same RNG
+def _chunk(chooser, k, *extra):
+    """``k`` serial draws, one transform: what a YCSB op block does."""
+    draw = chooser.draw
+    return chooser.transform([draw() for _ in range(k)], *extra).tolist()
+
+
 def test_uniform_sample_many_matches_scalar():
     a = UniformChooser(1000, random.Random(11))
     b = UniformChooser(1000, random.Random(11))
-    assert a.sample_many(5000) == [b.sample() for _ in range(5000)]
+    assert _chunk(a, 5000) == [b.sample() for _ in range(5000)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345])
@@ -111,22 +117,23 @@ def test_zipfian_sample_many_matches_scalar(seed, n):
     # bit for bit, including the rank-0 / rank-1 special cases.
     a = ZipfianGenerator(n, random.Random(seed))
     b = ZipfianGenerator(n, random.Random(seed))
-    assert a.sample_many(4000) == [b.sample() for _ in range(4000)]
+    assert _chunk(a, 4000) == [b.sample() for _ in range(4000)]
 
 
 def test_scrambled_sample_many_matches_scalar():
     a = ScrambledZipfian(1000, random.Random(9))
     b = ScrambledZipfian(1000, random.Random(9))
-    assert a.sample_many(4000) == [b.sample() for _ in range(4000)]
+    assert _chunk(a, 4000) == [b.sample() for _ in range(4000)]
 
 
 def test_latest_sample_many_matches_scalar():
+    # One max_item for the whole chunk: no advances between the draws.
     a = LatestChooser(1000, random.Random(4))
     b = LatestChooser(1000, random.Random(4))
     for _ in range(17):
         a.advance()
         b.advance()
-    assert a.sample_many(4000) == [b.sample() for _ in range(4000)]
+    assert _chunk(a, 4000, a.max_item) == [b.sample() for _ in range(4000)]
 
 
 def test_permute64_many_matches_scalar():
