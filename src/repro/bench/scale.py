@@ -18,15 +18,12 @@ from repro.common.options import (
     GIB,
     DeviceProfile,
     HDD,
-    IamOptions,
-    LsmOptions,
     SSD,
     StorageOptions,
-    TreeOptions,
     paper_bytes,
 )
 from repro.common.records import RECORD_OVERHEAD
-from repro.db.iamdb import IamDB
+from repro.db.iamdb import ENGINE_TABLE, IamDB
 
 #: Paper value size is 1024 B; scaled to keep ~4 records per cache block.
 VALUE_SIZE = 256
@@ -92,14 +89,7 @@ ENGINE_CONFIGS = {
 def make_db(config: str, setup: ScaledSetup, **engine_kw: Any) -> IamDB:
     """Build a DB for one legend config ("L", "R-1t", "I-4t", ...)."""
     engine, threads = ENGINE_CONFIGS[config]
-    opts: TreeOptions
-    if engine in ("iam", "lsa"):
-        opts = IamOptions(key_size=KEY_SIZE, background_threads=threads, **engine_kw)
-    elif engine == "rocksdb":
-        opts = LsmOptions.rocksdb(key_size=KEY_SIZE, background_threads=threads,
-                                  **engine_kw)
-    else:
-        opts = LsmOptions.leveldb(key_size=KEY_SIZE, background_threads=threads,
-                                  **engine_kw)
+    opts = ENGINE_TABLE[engine][2](key_size=KEY_SIZE, background_threads=threads,
+                                   **engine_kw)
     return IamDB(engine, engine_options=opts,
                  storage_options=setup.storage_options())

@@ -8,10 +8,12 @@ tooling"):
   must be seeded, structural checks must raise :class:`InvariantViolation`.
 * :mod:`repro.check.typing_gate` -- the mypy strict-ish gate configured in
   ``pyproject.toml`` (skipped gracefully when mypy is not installed).
-* :mod:`repro.check.sanitizer` -- an opt-in runtime sanitizer that walks the
-  live tree after every structural operation and verifies the paper's
-  invariants (range disjointness, sortedness, the mixed-level ``k`` bound,
-  WAL/memtable agreement, cache pin balance, clock monotonicity).
+* :mod:`repro.check.sanitizer` -- an opt-in runtime sanitizer that, after
+  every structural operation of any engine, runs that engine's own
+  ``check_invariants`` (range disjointness, sortedness, table/file
+  agreement) plus the checks that need the sanitizer's memory or timing
+  (the mixed-level ``k`` bound, WAL/memtable agreement, cache pin balance,
+  clock monotonicity).
 
 Only :mod:`repro.check.diagnostics` is imported eagerly: engine modules import
 it for the shared violation-message code path, so this ``__init__`` must stay

@@ -7,8 +7,10 @@ Runs the six correctness gates in order and reports one status line each:
 2. **types** -- the mypy strict-ish gate (:mod:`repro.check.typing_gate`);
    SKIPs with a notice when mypy is not installed.
 3. **sanitizer** -- a smoke workload (mixed puts/deletes/reads/scans, an
-   explicit flush and a crash/recovery cycle) on the IAM and LSA engines with
-   the runtime sanitizer collecting violations.
+   explicit flush and a crash/recovery cycle) on each of the six engines
+   (LSM-trie reads instead of scanning) with the runtime sanitizer
+   collecting violations; the status line counts each engine's structural
+   events.
 4. **cluster** -- a tiny sharded/replicated cluster run (mixed ops, a forced
    leader failover, a forced shard split) with the cluster invariant catalog
    (:mod:`repro.cluster.invariants`) checked throughout: shard ranges tile
@@ -88,16 +90,12 @@ def _smoke_workload(engine: str, seed: int) -> "tuple[int, int, List[str]]":
 
     Returns (events_seen, checks_run, violation messages).
     """
-    from repro.check.sanitizer import Sanitizer, SanitizerOptions
-    from repro.common.options import IamOptions, SSD, StorageOptions
+    from repro.check.sanitizer import SanitizerOptions
     from repro.db.iamdb import IamDB
+    from repro.faults.crash import tiny_store
 
-    opts = IamOptions(node_capacity=2048, fanout=3, key_size=8,
-                      bloom_bits_per_key=14, retune_interval=2)
-    storage = StorageOptions(device=SSD, page_cache_bytes=16 * 1024,
-                             block_size=256)
-    db = IamDB(engine, engine_options=opts, storage_options=storage,
-               sanitizer_options=SanitizerOptions(halt_on_violation=False))
+    db = IamDB(engine, sanitizer_options=SanitizerOptions(halt_on_violation=False),
+               **tiny_store(engine))
     rng = random.Random(seed)
     keyspace = 512
     for i in range(900):
@@ -107,7 +105,7 @@ def _smoke_workload(engine: str, seed: int) -> "tuple[int, int, List[str]]":
             db.put(key, 64)
         elif roll < 0.65:
             db.delete(key)
-        elif roll < 0.85:
+        elif roll < 0.85 or engine == "lsmtrie":  # LSM-trie refuses scans
             db.get(key)
         else:
             lo = rng.randrange(keyspace)
@@ -127,15 +125,17 @@ def _smoke_workload(engine: str, seed: int) -> "tuple[int, int, List[str]]":
 
 
 def _run_sanitizer_smoke(args: argparse.Namespace) -> GateOutcome:
-    total_events = 0
+    from repro.db.iamdb import ENGINE_TABLE
+
+    events: List[str] = []
     total_checks = 0
     failures: List[str] = []
-    for engine in ("iam", "lsa"):
-        events, checks, messages = _smoke_workload(engine, seed=args.seed)
-        total_events += events
+    for engine in ENGINE_TABLE:
+        n_events, checks, messages = _smoke_workload(engine, seed=args.seed)
+        events.append(f"{engine} {n_events}")
         total_checks += checks
         failures.extend(f"[{engine}] {m}" for m in messages)
-    detail = f"{total_events} events, {total_checks} checks"
+    detail = f"events: {', '.join(events)}; {total_checks} checks"
     if failures:
         return GateOutcome("sanitizer", "FAIL",
                            body="\n".join(failures + [detail]))
@@ -152,15 +152,9 @@ def _run_cluster_smoke(args: argparse.Namespace) -> GateOutcome:
     from repro.cluster import ClusterDB, ClusterOptions
     from repro.cluster.invariants import check_cluster_invariants
     from repro.common.errors import InvariantViolation
-    from repro.common.options import IamOptions, SSD, StorageOptions
+    from repro.faults.crash import tiny_store
 
-    opts = IamOptions(node_capacity=2048, fanout=3, key_size=8,
-                      bloom_bits_per_key=14, retune_interval=2)
-    storage = StorageOptions(device=SSD, page_cache_bytes=16 * 1024,
-                             block_size=256)
-    cluster = ClusterDB(ClusterOptions(
-        n_shards=3, n_replicas=2, engine_options=opts,
-        storage_options=storage))
+    cluster = ClusterDB(ClusterOptions(n_shards=3, n_replicas=2, **tiny_store("iam")))
     rng = random.Random(args.seed)
     keys = [rng.randrange(2 ** 64) for _ in range(256)]
     model: "dict[int, int]" = {}
@@ -228,17 +222,12 @@ def _run_objstore_smoke(args: argparse.Namespace) -> GateOutcome:
     from repro.cluster import ClusterDB, ClusterOptions
     from repro.cluster.invariants import check_cluster_invariants
     from repro.common.errors import InvariantViolation
-    from repro.common.options import IamOptions, SSD, StorageOptions
+    from repro.faults.crash import tiny_store
     from repro.objstore import ObjStoreOptions
 
-    opts = IamOptions(node_capacity=2048, fanout=3, key_size=8,
-                      bloom_bits_per_key=14, retune_interval=2)
-    storage = StorageOptions(device=SSD, page_cache_bytes=16 * 1024,
-                             block_size=256)
     cluster = ClusterDB(ClusterOptions(
-        n_shards=1, n_replicas=2, engine_options=opts,
-        storage_options=storage, objstore=ObjStoreOptions(),
-        objstore_retain_cuts=64))
+        n_shards=1, n_replicas=2, objstore=ObjStoreOptions(),
+        objstore_retain_cuts=64, **tiny_store("iam")))
     rng = random.Random(args.seed)
     keys = [rng.randrange(2 ** 64) for _ in range(160)]
     model: "dict[int, int]" = {}

@@ -1,21 +1,20 @@
-"""Runtime structural sanitizer for the LSA/IAM engine (opt-in debug layer).
+"""Runtime structural sanitizer: *when* to check, for every engine.
 
 When enabled (``IamDB(..., sanitizer_options=SanitizerOptions())`` or the
-``--sanitize`` CLI flag), the sanitizer walks the live tree after every
-structural operation -- flush, split, combine, merge -- and the DB state at
-every memtable rotation, verifying the invariant catalog the paper's analysis
-rests on:
+``--sanitize`` CLI flag), the sanitizer runs after every structural
+operation -- each engine's flush and compaction; LSA/IAM's split, combine
+and merge -- and checks the DB state at every memtable rotation.  Each
+structural invariant has one implementation, on the object that owns the
+state: the sanitizer calls ``engine.check_invariants()``, which checks the
+engine's layout (``LsaTree``: ``level-sorted``, ``range-covers-data``,
+``leaf-is-last``; the LSM baselines their levels, guards or trie) and calls
+``MSTable.check_invariants`` (``node-file-agreement``, ``sequence-layout``,
+``sequence-sorted``) for every live table.  The sanitizer itself keeps only
+the checks that need its memory across walks or the DB's quiescent points:
 
 ==========================  ===========================================
-``level-sorted``            node ranges per level are sorted & disjoint
-``range-covers-data``       every node's range covers its table's keys
-``sequence-sorted``         every sequence is (key asc, seq desc) sorted
-``sequence-layout``         sequences occupy disjoint, increasing blocks;
-                            the table's probe rows mirror them newest-first
 ``mixed-level-bound``       ``Lm`` nodes never *grow* past ``k`` sequences
                             (move-down carry heals on first arrival, §5.1)
-``leaf-is-last``            no nodes beyond the leaf level
-``node-file-agreement``     node bytes == live SimFile bytes (manifest view)
 ``clock-monotonic``         the simulated clock never goes backwards
 ``space-accounting``        disk live_bytes == sum of live file bytes
 ``cache-pin-balance``       pinned blocks are resident and belong to live
@@ -32,7 +31,8 @@ an unsanitized one (enforced by ``tests/test_sanitizer_equivalence.py``).
 
 Violations raise :class:`InvariantViolation` with a structured
 :class:`~repro.check.diagnostics.Diagnostic` (or are collected when
-``halt_on_violation=False``).
+``halt_on_violation=False``: an engine's catalog stops at its first
+breach, so a walk records at most one engine violation).
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.check.diagnostics import Diagnostic, invariant_error
+from repro.common.errors import InvariantViolation
 from repro.common.records import KEY, SEQ
 from repro.check.effects.registry import observation_only
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.lsa import LsaTree
+    from repro.core.engine import EngineBase
     from repro.db.iamdb import IamDB
 
 
@@ -108,22 +109,24 @@ class Sanitizer:
 
     # ----------------------------------------------------------- entry points
     @observation_only
-    def after_structural_event(self, engine: "LsaTree", event: str) -> None:
-        """Engine hook: called after every flush/split/combine/merge."""
+    def after_structural_event(self, engine: "EngineBase", event: str) -> None:
+        """Engine hook: called after every flush, compaction, split,
+        combine and merge."""
         self.events_seen += 1
         self.check_tree(engine, event=event)
 
     @observation_only
-    def check_tree(self, engine: "LsaTree", *, event: str = "explicit") -> None:
-        """Walk the live tree and storage state; verify every invariant."""
+    def check_tree(self, engine: "EngineBase", *, event: str = "explicit") -> None:
+        """Run the engine's own invariant catalog plus the checks only the
+        sanitizer can make (bound transitions, clock, disk, page cache)."""
         self.checks_run += 1
         self._check_clock()
-        # The level walk reads LSA-shaped structure (per-level nodes with
-        # ranges); LeveledLsm also has ``levels`` but of bare MSTables, so
-        # gate on ``n`` too (recovery calls this for every engine).
-        if hasattr(engine, "levels") and hasattr(engine, "n"):
-            self._check_levels(engine, event)
-            self._check_policy_bounds(engine, event)
+        try:
+            engine.check_invariants()
+        except InvariantViolation as exc:
+            diag = exc.diagnostic
+            self._fail(diag.check, diag.message, event=event, **diag.context)
+        self._check_policy_bounds(engine, event)
         self._check_space_accounting()
         self._check_page_cache()
 
@@ -140,82 +143,8 @@ class Sanitizer:
         self._check_memtable_wal(event)
         self._check_manifest(event)
 
-    # ------------------------------------------------------------- tree walk
-    def _check_levels(self, engine: "LsaTree", event: str) -> None:
-        for level_no in range(1, engine.n + 1):
-            level = engine.levels[level_no]
-            for a, b in zip(level, level[1:]):
-                if not a.range_hi < b.range_lo:
-                    self._fail("level-sorted",
-                               "node ranges overlap or are unsorted",
-                               event=event, level=level_no, left=repr(a),
-                               right=repr(b))
-            for node in level:
-                self._check_node(node, level_no, event)
-        for extra_no in range(engine.n + 1, len(engine.levels)):
-            if engine.levels[extra_no]:
-                self._fail("leaf-is-last", "nodes exist beyond the leaf level",
-                           event=event, leaf=engine.n, level=extra_no,
-                           nodes=len(engine.levels[extra_no]))
-
-    def _check_node(self, node: Any, level_no: int, event: str) -> None:
-        if node.is_empty:
-            return
-        table = node.table
-        if not (node.range_lo <= table.min_key and table.max_key <= node.range_hi):
-            self._fail("range-covers-data", "node range does not cover its data",
-                       event=event, level=level_no,
-                       range=(node.range_lo, node.range_hi),
-                       data=(table.min_key, table.max_key))
-        self._check_table_file(table, level_no, event)
-        if not table.probe_rows_mirror_sequences():
-            self._fail("sequence-layout",
-                       "probe rows are not reversed(sequences)",
-                       event=event, level=level_no, file=table.file_id)
-        prev_end = -1
-        for seq in table.sequences:
-            if seq.first_block < prev_end:
-                self._fail("sequence-layout",
-                           "sequence blocks overlap an earlier sequence",
-                           event=event, level=level_no, file=table.file_id,
-                           first_block=seq.first_block, prev_end=prev_end)
-            prev_end = seq.first_block + seq.n_blocks
-            self._check_sequence(seq, level_no, event, table.file_id)
-
-    def _check_sequence(self, seq: Any, level_no: int, event: str, file_id: int) -> None:
-        run = seq.run
-        if not run.n:
-            self._fail("sequence-sorted", "empty sequence", event=event,
-                       level=level_no, file=file_id)
-            return
-        if not run.is_sorted():
-            self._fail("sequence-sorted",
-                       "sequence is not (key asc, seq desc) sorted",
-                       event=event, level=level_no, file=file_id,
-                       n_records=run.n)
-        if run.key_at(0) != seq.min_key or run.key_at(-1) != seq.max_key:
-            self._fail("sequence-sorted",
-                       "sequence min/max keys disagree with its records",
-                       event=event, level=level_no, file=file_id,
-                       min_key=seq.min_key, max_key=seq.max_key)
-
-    def _check_table_file(self, table: Any, level_no: int, event: str) -> None:
-        disk = self.db.runtime.disk
-        file = table.file
-        if file.deleted or file.file_id not in disk.files:
-            self._fail("node-file-agreement",
-                       "live node references a deleted file",
-                       event=event, level=level_no, file=file.file_id)
-            return
-        expected = table.data_bytes + table.metadata_bytes
-        if file.nbytes != expected:
-            self._fail("node-file-agreement",
-                       "file byte accounting disagrees with table contents",
-                       event=event, level=level_no, file=file.file_id,
-                       file_bytes=file.nbytes, table_bytes=expected)
-
     # ----------------------------------------------------------- policy bound
-    def _check_policy_bounds(self, engine: "LsaTree", event: str) -> None:
+    def _check_policy_bounds(self, engine: Any, event: str) -> None:
         """The mixed level ``Lm`` never *grows* past ``k`` sequences (§5).
 
         Metadata-only move-downs may carry an over-bound node *into* a
@@ -302,21 +231,13 @@ class Sanitizer:
                        drift=sorted(counts.items() ^ cache._per_file.items()))
 
     # ------------------------------------------------------------- db checks
-    @staticmethod
-    def _memtable_entries(memtable: Any) -> List[Tuple[Any, int]]:
-        out: List[Tuple[Any, int]] = []
-        for key, versions in memtable._versions.items():
-            for seq, _kind, _value in versions:
-                out.append((key, seq))
-        return out
-
     def _check_memtable_wal(self, event: str) -> None:
         db = self.db
         wal_entries = sorted((rec[KEY], rec[SEQ]) for rec in db.wal._records)
-        mem_entries = self._memtable_entries(db.memtable)
-        if db.immutable is not None:
-            mem_entries.extend(self._memtable_entries(db.immutable))
-        mem_entries.sort()
+        mem_entries = sorted((key, version[0])
+                             for memtable in (db.memtable, db.immutable) if memtable is not None
+                             for key, versions in memtable._versions.items()
+                             for version in versions)
         if wal_entries != mem_entries:
             self._fail("wal-memtable-agreement",
                        "WAL content disagrees with memtable + immutable "

@@ -65,23 +65,16 @@ from repro.bench.scale import (
     make_db,
 )
 from repro.common.errors import ConfigError
-from repro.common.options import HDD, IamOptions, LsaOptions, LsmOptions, SSD, StorageOptions
-from repro.db.iamdb import IamDB
+from repro.common.options import HDD, SSD, StorageOptions
+from repro.db.iamdb import ENGINE_TABLE, IamDB
 from repro.workloads import YCSB_WORKLOADS, fill_seq, hash_load, run_ycsb
 
-ENGINES = ("iam", "lsa", "leveldb", "rocksdb", "flsm", "lsmtrie")
+ENGINES = tuple(ENGINE_TABLE)
 SETUPS = {"ssd-100g": SSD_100G, "hdd-100g": HDD_100G, "hdd-1t": HDD_1T}
 
 
 def _engine_options(engine: str, threads: int):
-    kw = dict(key_size=KEY_SIZE, background_threads=threads)
-    if engine in ("iam", "lsa"):
-        return IamOptions(**kw)
-    if engine == "lsmtrie":
-        return LsaOptions(**kw)
-    if engine == "rocksdb":
-        return LsmOptions.rocksdb(**kw)
-    return LsmOptions.leveldb(**kw)
+    return ENGINE_TABLE[engine][2](key_size=KEY_SIZE, background_threads=threads)
 
 
 def _build_db(engine: str, device: str, memory_mb: float,
@@ -621,8 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
         "faults",
         help="crash-point matrix: crash at every pipeline site, verify the "
              "durability contract after recovery")
-    sp.add_argument("--engines", nargs="+", default=["iam", "leveldb"],
-                    help="engines to run the matrix over")
+    sp.add_argument("--engines", nargs="+", choices=ENGINES, default=list(ENGINES),
+                    help="engines to run the matrix over (default: all six)")
     sp.add_argument("--ops", type=int, default=300,
                     help="workload operations per matrix cell")
     sp.add_argument("--per-site", type=int, default=1,

@@ -74,7 +74,9 @@ class EngineBase(abc.ABC):
         self.runtime = runtime
         self.snapshots_provider: SnapshotProvider = tuple
         #: Optional runtime sanitizer (attached by the DB wrapper when the
-        #: debug layer is enabled; see :mod:`repro.check.sanitizer`).
+        #: debug layer is enabled; see :mod:`repro.check.sanitizer`).  Each
+        #: flush and compaction ends with ``after_structural_event``, the
+        #: ``is not None`` test written inline so a detached one costs no call.
         self.sanitizer: Optional["Sanitizer"] = None
         # Unset until the engine calls :meth:`_init_pacer` (the burst is
         # sized from :attr:`memtable_capacity`, which needs its options).
@@ -101,12 +103,6 @@ class EngineBase(abc.ABC):
         self._pacer = TokenBucketPacer(burst, now=self.runtime.clock.now)
         self._rate_estimator = RateEstimator(
             bandwidth, window_bytes=PACER_WINDOW_MEMTABLES * capacity)
-
-    @observation_only
-    def _sanitize(self, event: str) -> None:
-        """Run the structural sanitizer after ``event``, when attached."""
-        if self.sanitizer is not None:
-            self.sanitizer.after_structural_event(self, event)
 
     def _trace(self, cat: str, name: str, **args: object) -> None:
         """Emit a structural trace instant when tracing is enabled.

@@ -41,6 +41,7 @@ import bisect
 from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, cast
 
+from repro.check.diagnostics import invariant_error
 from repro.common.errors import InvariantViolation
 from repro.common.options import COMBINE_TCN_FACTOR, K_MAX, IamOptions
 from repro.common.records import Key, RecordTuple
@@ -72,11 +73,11 @@ from repro.check.effects.registry import observation_only
 class LsaTree(EngineBase):
     """Append-tree engine with the per-level ``(m, k)`` append/merge rule."""
 
-    name = "iam"
     options: IamOptions
 
-    def __init__(self, options: IamOptions, runtime: Runtime) -> None:
+    def __init__(self, options: IamOptions, runtime: Runtime, name: str = "iam") -> None:
         super().__init__(runtime)
+        self.name = name
         self.options = options
         #: levels[0] is unused (L0 is the memtable, held by the DB wrapper);
         #: levels[1..n] are the on-disk levels, n == leaf.
@@ -128,7 +129,8 @@ class LsaTree(EngineBase):
         # a brand-new node and is written to disk exactly once.
         debt += self._flush_into(
             1, lambda: level_overlapping(self.levels[1], lo, hi), run)
-        self._sanitize("flush")
+        if self.sanitizer is not None:
+            self.sanitizer.after_structural_event(self, "flush")
         return debt
 
     def _ensure_structure(self) -> float:
@@ -249,7 +251,8 @@ class LsaTree(EngineBase):
         if tracing:
             self._trace("compaction", "merge:internal", level=level,
                         runs=n_runs, records=merged.n)
-        self._sanitize("merge")
+        if self.sanitizer is not None:
+            self.sanitizer.after_structural_event(self, "merge")
         return debt
 
     def _merge_leaf_child(self, child: LsaNode, part: Run) -> float:
@@ -276,7 +279,8 @@ class LsaTree(EngineBase):
         if tracing:
             self._trace("compaction", "merge:leaf", level=level,
                         runs=n_runs, records=merged.n)
-        self._sanitize("merge")
+        if self.sanitizer is not None:
+            self.sanitizer.after_structural_event(self, "merge")
         return debt
 
     def _new_node(self, level: int, run: Run) -> float:
@@ -416,7 +420,8 @@ class LsaTree(EngineBase):
         self.splits += 1
         self.runtime.metrics.bump("split")
         self._trace("structure", "split", level=level)
-        self._sanitize("split")
+        if self.sanitizer is not None:
+            self.sanitizer.after_structural_event(self, "split")
         return debt
 
     # ---------------------------------------------------------------- combine
@@ -446,7 +451,8 @@ class LsaTree(EngineBase):
         self._trace("structure", "combine", level=level)
         debt = self._flush_node(level, victim, destroy=True)
         self._crash_point("mid-combine")
-        self._sanitize("combine")
+        if self.sanitizer is not None:
+            self.sanitizer.after_structural_event(self, "combine")
         return debt
 
     def _remove_and_adopt(self, level: int, node: LsaNode) -> None:
@@ -595,15 +601,21 @@ class LsaTree(EngineBase):
             lst = self.levels[i]
             for a, b in zip(lst, lst[1:]):
                 if not a.range_hi < b.range_lo:
-                    raise InvariantViolation(
-                        f"L{i} ranges overlap/unsorted: {a!r} vs {b!r}")
+                    raise invariant_error("level-sorted", "node ranges overlap or are unsorted",
+                                          level=i, left=repr(a), right=repr(b))
             for node in lst:
-                node.check_range_covers_data()
-                if node.table is not None and not node.table.probe_rows_mirror_sequences():
-                    raise InvariantViolation(f"L{i} probe rows drifted: {node!r}")
-        for extra in self.levels[self.n + 1:]:
-            if extra:
-                raise InvariantViolation("nodes beyond the leaf level")
+                for table in node.tables:
+                    if not node.range_lo <= table.min_key <= table.max_key <= node.range_hi:
+                        raise invariant_error(
+                            "range-covers-data", "node range does not cover its data",
+                            level=i, range=(node.range_lo, node.range_hi),
+                            data=(table.min_key, table.max_key))
+                    table.check_invariants(i)
+        for extra_no in range(self.n + 1, len(self.levels)):
+            if self.levels[extra_no]:
+                raise invariant_error("leaf-is-last", "nodes exist beyond the leaf level",
+                                      leaf=self.n, level=extra_no,
+                                      nodes=len(self.levels[extra_no]))
 
     @observation_only
     def describe(self) -> Dict[str, object]:

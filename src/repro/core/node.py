@@ -81,14 +81,6 @@ class LsaNode:
         if hi > self.range_hi:
             self.range_hi = hi
 
-    def check_range_covers_data(self) -> None:
-        if not self.is_empty:
-            if not (self.range_lo <= self.table.min_key
-                    and self.table.max_key <= self.range_hi):
-                raise InvariantViolation(
-                    f"node range [{self.range_lo!r}, {self.range_hi!r}] does not "
-                    f"cover data [{self.table.min_key!r}, {self.table.max_key!r}]")
-
     # ------------------------------------------------------------------- I/O
     def drop_table(self) -> None:
         """Release the node's file (after its data moved down)."""

@@ -3,15 +3,16 @@
 One wrapper owns the pieces every engine shares -- WAL, memtable, snapshots,
 the manifest -- and delegates the on-disk structure to a pluggable engine:
 
-======== ===================================== ==========================
-name     engine                                paper system
-======== ===================================== ==========================
-iam      :class:`repro.core.lsa.LsaTree`       IAM-tree (I-nt)
-lsa      the same tree under ``as_lsa()``      LSA-tree (A-nt)
-leveldb  :class:`repro.lsm.leveled.LeveledLsm` LevelDB (L)
-rocksdb  :class:`repro.lsm.leveled.LeveledLsm` RocksDB (R-nt)
-flsm     :class:`repro.lsm.flsm.FlsmEngine`    FLSM/PebblesDB (§6.8)
-======== ===================================== ==========================
+======== ========================================= ======================
+name     engine                                    paper system
+======== ========================================= ======================
+iam      :class:`repro.core.lsa.LsaTree`           IAM-tree (I-nt)
+lsa      the same tree under ``as_lsa()``          LSA-tree (A-nt)
+leveldb  :class:`repro.lsm.leveled.LeveledLsm`     LevelDB (L)
+rocksdb  :class:`repro.lsm.leveled.LeveledLsm`     RocksDB (R-nt)
+flsm     :class:`repro.lsm.flsm.FlsmEngine`        FLSM/PebblesDB (§6.8)
+lsmtrie  :class:`repro.lsm.lsmtrie.LsmTrieEngine`  LSM-trie (Table 2)
+======== ========================================= ======================
 
 Write path (§5.2, identical to LevelDB): append to the WAL, insert into the
 memtable; on overflow the memtable rotates and a background flush hands it to
@@ -21,7 +22,8 @@ one of the two stall sources the tail-latency experiments measure.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple, cast
 
 from repro.common.errors import ConfigError, StoreClosedError
 from repro.common.options import (
@@ -29,6 +31,7 @@ from repro.common.options import (
     LsaOptions,
     LsmOptions,
     StorageOptions,
+    TreeOptions,
 )
 from repro.common.hashing import MASK64
 from repro.common.records import (
@@ -57,6 +60,7 @@ from repro.db.snapshot import Snapshot
 from repro.faults.crash import CrashSpec, RecoveryReport
 from repro.lsm.flsm import FlsmEngine
 from repro.lsm.leveled import LeveledLsm
+from repro.lsm.lsmtrie import LsmTrieEngine
 from repro.memtable import Memtable
 from repro.metrics import MetricsRegistry
 from repro.storage.manifest import Manifest
@@ -70,28 +74,35 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.simdisk import SimClock
 
 
+#: Engine name -> (engine class, the options type it takes, its default
+#: options; keywords override their fields).  LSA is IAM's pure-append
+#: corner (§7: "LSA is a special case of IAM with minimum merges"): the same
+#: tree, built from ``as_lsa()``.
+ENGINE_TABLE: Dict[str, Tuple[Callable[..., EngineBase], type, Callable[..., TreeOptions]]] = {
+    "iam": (LsaTree, IamOptions, IamOptions),
+    "lsa": (partial(LsaTree, name="lsa"), IamOptions, IamOptions),
+    "leveldb": (LeveledLsm, LsmOptions, LsmOptions.leveldb),
+    "rocksdb": (LeveledLsm, LsmOptions, LsmOptions.rocksdb),
+    "flsm": (FlsmEngine, LsmOptions, LsmOptions.leveldb),
+    "lsmtrie": (LsmTrieEngine, LsaOptions, LsaOptions),
+}
+
+
 def _engine_factory(name: str, engine_options: Any,
-                    runtime: Runtime) -> EngineBase:
-    if name in ("iam", "lsa"):
-        # LSA is IAM's pure-append corner (§7: "LSA is a special case of IAM
-        # with minimum merges"): the same tree under ``as_lsa()``.
-        opts = engine_options or IamOptions()
-        if not isinstance(opts, IamOptions):
-            raise ConfigError(f"{name} engine needs IamOptions")
-        tree = LsaTree(opts.as_lsa() if name == "lsa" else opts, runtime)
-        tree.name = name
-        return tree
-    if name == "leveldb":
-        return LeveledLsm(engine_options or LsmOptions.leveldb(), runtime)
-    if name == "rocksdb":
-        return LeveledLsm(engine_options or LsmOptions.rocksdb(), runtime)
-    if name == "flsm":
-        return FlsmEngine(engine_options or LsmOptions.leveldb(), runtime)
-    if name == "lsmtrie":
-        from repro.lsm.lsmtrie import LsmTrieEngine
-        opts = engine_options or LsaOptions()
-        return LsmTrieEngine(opts, runtime)
-    raise ConfigError(f"unknown engine {name!r}")
+                    ) -> Tuple[Callable[[Runtime], EngineBase], TreeOptions]:
+    """Engine ``name``'s constructor bound to its options, and the options:
+    ``engine_options`` (the default when None) must be the type the engine
+    takes, or a ConfigError is raised before anything is built."""
+    if name not in ENGINE_TABLE:
+        raise ConfigError(f"unknown engine {name!r}")
+    cls, options_type, default = ENGINE_TABLE[name]
+    opts = default() if engine_options is None else engine_options
+    if not isinstance(opts, options_type):
+        raise ConfigError(f"{name} engine needs {options_type.__name__}, "
+                          f"not {type(opts).__name__}")
+    if name == "lsa":
+        opts = cast(IamOptions, opts).as_lsa()
+    return partial(cls, opts), opts
 
 
 class IamDB:
@@ -102,13 +113,11 @@ class IamDB:
                  storage_options: Optional[StorageOptions] = None,
                  sanitizer_options: Optional["SanitizerOptions"] = None,
                  clock: Optional["SimClock"] = None) -> None:
+        build_engine, opts = _engine_factory(engine, engine_options)
         self.metrics = MetricsRegistry()
-        threads = getattr(engine_options, "background_threads", None)
-        if threads is None:
-            threads = 1
-        self.runtime = Runtime(storage_options, background_threads=threads,
+        self.runtime = Runtime(storage_options, background_threads=opts.background_threads,
                                metrics=self.metrics, clock=clock)
-        self.engine = _engine_factory(engine, engine_options, self.runtime)
+        self.engine = build_engine(self.runtime)
         self.engine.snapshots_provider = self._live_snapshots
         self.key_size = self.engine.options.key_size
         self.wal = WriteAheadLog(self.runtime, self.key_size)

@@ -134,28 +134,35 @@ TORN_VARIANTS: Tuple[int, ...] = (0, 4)
 _KEYSPACE = 2000
 
 
-def _tiny_db(engine: str, *, sanitize: bool = True) -> Any:
+def tiny_store(engine: str) -> Dict[str, Any]:
+    """``engine_options`` and ``storage_options`` (keywords of both ``IamDB``
+    and ``ClusterOptions``) of a tiny store of ``engine``: its own options
+    type with thresholds small enough that a few hundred ops build deep
+    trees, split and combine."""
     from repro.common.options import IamOptions, LsmOptions, SSD, StorageOptions
-    from repro.db.iamdb import IamDB
+    from repro.db.iamdb import ENGINE_TABLE
 
-    storage = StorageOptions(device=SSD, page_cache_bytes=16 * 1024,
-                             block_size=256)
+    _, options_type, default = ENGINE_TABLE[engine]
     opts: Any
-    if engine in ("iam", "lsa"):
+    if options_type is LsmOptions:
+        opts = default(memtable_bytes=2048, file_bytes=1024, level1_bytes=3072,
+                       level_size_multiplier=4, max_levels=5, key_size=8)
+    else:  # IamOptions is also the LSM-trie's (an LsaOptions subclass)
         opts = IamOptions(node_capacity=2048, fanout=3, key_size=8,
                           bloom_bits_per_key=14, retune_interval=2)
-    else:
-        style = "rocksdb" if engine == "rocksdb" else "leveldb"
-        base = dict(memtable_bytes=2048, file_bytes=1024, level1_bytes=3072,
-                    level_size_multiplier=4, max_levels=5, key_size=8)
-        opts = (LsmOptions.rocksdb(**base) if style == "rocksdb"
-                else LsmOptions.leveldb(**base))
+    return {"engine_options": opts,
+            "storage_options": StorageOptions(device=SSD, page_cache_bytes=16 * 1024,
+                                              block_size=256)}
+
+
+def _tiny_db(engine: str, *, sanitize: bool = True) -> Any:
+    from repro.db.iamdb import IamDB
+
     sanitizer_options = None
     if sanitize:
         from repro.check.sanitizer import SanitizerOptions
         sanitizer_options = SanitizerOptions(halt_on_violation=True)
-    return IamDB(engine, engine_options=opts, storage_options=storage,
-                 sanitizer_options=sanitizer_options)
+    return IamDB(engine, sanitizer_options=sanitizer_options, **tiny_store(engine))
 
 
 #: One op: ("put", key, value) | ("del", key, None) | ("batch", sub_ops, None)
@@ -333,21 +340,19 @@ def _run_case(engine: str, ops: Sequence[Op], site: str, occurrence: int,
 
     try:
         i = 0
-        while i < len(ops):
+        while True:
             try:
-                _apply_op(db, ops[i])
-                i += 1
+                while i < len(ops):
+                    _apply_op(db, ops[i])
+                    i += 1
+                db.quiesce()
+                break
             except SimulatedCrash:
+                # The armed visit may live in the final drain (e.g. a
+                # provider compaction that only runs at quiesce): a torn
+                # tail then loses acked ops, which are re-applied too.
                 case["crashed"] = True
-                i = recover_and_validate(i)
-        try:
-            db.quiesce()
-        except SimulatedCrash:
-            # The armed visit lives in the final drain (e.g. a provider
-            # compaction that only runs at quiesce).
-            case["crashed"] = True
-            recover_and_validate(len(ops) - 1)
-            db.quiesce()
+                i = recover_and_validate(min(i, len(ops) - 1))
         # The workload keeps running after recovery: the final state must
         # match the full model (crashed ops were re-applied above).
         model = _model_at(ops, len(ops))

@@ -25,7 +25,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, cast
 
-from repro.common.errors import InvariantViolation
+from repro.check.diagnostics import invariant_error
 from repro.common.options import LsmOptions
 from repro.common.records import RecordTuple
 from repro.core.engine import EngineBase
@@ -90,6 +90,8 @@ class FlsmEngine(EngineBase):
             _, debt = table.append_sequence(run, level=0)
             self.guards[0][0].tables.append(table)
             self.level_bytes[0] += table.data_bytes
+            if self.sanitizer is not None:
+                self.sanitizer.after_structural_event(self, "flush")
             return debt
 
         return self.runtime.submit_job("flush->L0", start, high_priority=True)
@@ -187,6 +189,8 @@ class FlsmEngine(EngineBase):
         if self.runtime.tracer.enabled:
             self._trace("compaction", f"compact:L{level}", level=level,
                         runs=len(old_tables), records=merged.n)
+        if self.sanitizer is not None:
+            self.sanitizer.after_structural_event(self, "compaction")
         return debt
 
     def _merge_guard(self, level: int, g: _Guard) -> float:
@@ -209,6 +213,8 @@ class FlsmEngine(EngineBase):
         if self.runtime.tracer.enabled:
             self._trace("compaction", "guard-merge", level=level,
                         runs=len(old_tables), records=merged.n)
+        if self.sanitizer is not None:
+            self.sanitizer.after_structural_event(self, "guard-merge")
         return debt
 
     # ------------------------------------------------------------------- read
@@ -256,10 +262,16 @@ class FlsmEngine(EngineBase):
         for i, lvl in enumerate(self.guards):
             total = sum(g.nbytes for g in lvl)
             if total != self.level_bytes[i]:
-                raise InvariantViolation(f"FLSM level {i} byte accounting drifted")
+                raise invariant_error("guard-bytes", "level byte accounting drifted",
+                                      level=i, level_bytes=self.level_bytes[i], guard_sum=total)
             cuts = [g.lo for g in lvl[1:]]
-            if cuts != sorted(cuts):
-                raise InvariantViolation(f"FLSM level {i} guards out of order")
+            if cuts != sorted(cuts) or cuts != self._cuts[i]:
+                raise invariant_error("guards-sorted",
+                                      "guard cuts are out of order or stale",
+                                      level=i, cuts=cuts)
+            for g in lvl:
+                for t in g.tables:
+                    t.check_invariants(i)
 
     @observation_only
     def describe(self) -> Dict[str, object]:

@@ -25,6 +25,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Any, Dict, List, Optional, Set, Tuple, cast
 
+from repro.check.diagnostics import invariant_error
 from repro.common.errors import InvariantViolation
 from repro.common.options import LsmOptions
 from repro.common.records import RecordTuple
@@ -78,6 +79,8 @@ class LeveledLsm(EngineBase):
             if self.runtime.tracer.enabled:
                 self._trace("flush", "flush", records=run.n,
                             l0_files=len(self.levels[0]))
+            if self.sanitizer is not None:
+                self.sanitizer.after_structural_event(self, "flush")
             return debt
 
         return self.runtime.submit_job("flush->L0", start, high_priority=True)
@@ -177,6 +180,8 @@ class LeveledLsm(EngineBase):
             self.runtime.metrics.bump("trivial_move")
             self._trace("compaction", "trivial-move", level=level,
                         to_level=level + 1)
+            if self.sanitizer is not None:
+                self.sanitizer.after_structural_event(self, "compaction")
             return 0.0
 
         bottom = all(not self.levels[j] for j in range(level + 2, self.options.max_levels))
@@ -210,6 +215,8 @@ class LeveledLsm(EngineBase):
             self._trace("compaction", f"compact:L{level}", level=level,
                         inputs_up=len(inputs_up), inputs_down=len(inputs_down),
                         records=merged.n)
+        if self.sanitizer is not None:
+            self.sanitizer.after_structural_event(self, "compaction")
         return debt
 
     def _insert_sorted(self, level: int, table: MSTable) -> None:
@@ -283,16 +290,20 @@ class LeveledLsm(EngineBase):
         for i, lst in enumerate(self.levels):
             total = sum(t.data_bytes for t in lst)
             if total != self.level_bytes[i]:
-                raise InvariantViolation(f"level {i} byte accounting drifted")
+                raise invariant_error("level-bytes", "level byte accounting drifted",
+                                      level=i, level_bytes=self.level_bytes[i], table_sum=total)
             for t in lst:
-                if t.n_sequences != 1 or not t.probe_rows_mirror_sequences():
-                    raise InvariantViolation(
-                        "LSM tables must hold one sequence, mirrored by one probe row")
+                if t.n_sequences != 1:
+                    raise invariant_error("table-one-sequence",
+                                          "an LSM table must hold one sequence",
+                                          level=i, file=t.file_id, n_sequences=t.n_sequences)
+                t.check_invariants(i)
             if i >= 1:
                 for a, b in zip(lst, lst[1:]):
                     if not a.max_key < b.min_key:
-                        raise InvariantViolation(
-                            f"level {i} ranges overlap: {a.max_key!r} vs {b.min_key!r}")
+                        raise invariant_error("files-disjoint",
+                                              "file ranges overlap or are unsorted",
+                                              level=i, left=a.max_key, right=b.min_key)
 
     @observation_only
     def describe(self) -> Dict[str, object]:

@@ -26,7 +26,8 @@ from typing import Any, Dict, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.common.errors import InvariantViolation, ReproError
+from repro.check.diagnostics import invariant_error
+from repro.common.errors import ReproError
 from repro.common.options import LsaOptions
 from repro.common.records import RecordTuple, SEQ, VALUE
 from repro.core.engine import EngineBase
@@ -145,7 +146,10 @@ class LsmTrieEngine(EngineBase):
 
     def _ingest(self, run: Run) -> float:
         self.flushes += 1
-        return self._append_to_node(self.root, self._to_trie_run(run))
+        debt = self._append_to_node(self.root, self._to_trie_run(run))
+        if self.sanitizer is not None:
+            self.sanitizer.after_structural_event(self, "flush")
+        return debt
 
     def _append_to_node(self, node: _TrieNode, trecs: Run) -> float:
         """Append a hash-ordered run; spill to children when the node fills."""
@@ -234,13 +238,15 @@ class LsmTrieEngine(EngineBase):
     @observation_only
     def check_invariants(self) -> None:
         for node in self._walk():
-            if len(node.children) > TRIE_FANOUT:
-                raise InvariantViolation("trie node exceeded its fixed fan-out")
-            for idx, child in node.children.items():
+            if not all(0 <= idx < TRIE_FANOUT for idx in node.children):
+                raise invariant_error("trie-fanout", "child index outside the fixed fan-out",
+                                      depth=node.depth, children=sorted(node.children))
+            for child in node.children.values():
                 if child.depth != node.depth + 1:
-                    raise InvariantViolation("trie depth bookkeeping broken")
-                if not (0 <= idx < TRIE_FANOUT):
-                    raise InvariantViolation(f"bad child index {idx}")
+                    raise invariant_error("trie-depth", "child depth is not its parent's + 1",
+                                          depth=node.depth, child_depth=child.depth)
+            if node.table is not None:
+                node.table.check_invariants(node.depth + 1)
 
     @observation_only
     def describe(self) -> Dict[str, object]:

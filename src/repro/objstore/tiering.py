@@ -205,7 +205,7 @@ class AsOfReader:
         # One foreground get replays the cut entry itself; table blocks
         # stream in lazily through the page cache as reads touch them.
         self.runtime.objstore_get(cut.log_object)
-        self.engine = _engine_factory(engine, engine_options, self.runtime)
+        self.engine = _engine_factory(engine, engine_options)[0](self.runtime)
         self.engine.restore_state(cut.state["engine"])
 
     def get(self, key: Key) -> Optional[Value]:

@@ -16,6 +16,8 @@ from __future__ import annotations
 import heapq
 from typing import Any, Iterator, List, Optional, Tuple
 
+from repro.check.diagnostics import invariant_error
+from repro.check.effects.registry import observation_only
 from repro.common.errors import InvariantViolation
 from repro.common.hashing import MASK64
 from repro.common.records import Key, RecordTuple, sort_key
@@ -80,12 +82,41 @@ class MSTable:
         if seq.max_seq > self.max_seq:
             self.max_seq = seq.max_seq
 
-    def probe_rows_mirror_sequences(self) -> bool:
-        """Invariant: ``probe_rows`` is ``reversed(sequences)``, field for field."""
-        return self.probe_rows == [
-            (seq.min_key, seq.max_key, seq.min_seq, seq.bloom.n_bits,
-             seq.bloom.n_hashes, seq.bloom.bits, seq)
-            for seq in reversed(self.sequences)]
+    @observation_only
+    def check_invariants(self, level: int) -> None:
+        """Raise a named diagnostic when the table disagrees with its file
+        (``node-file-agreement``), its probe rows or block layout drift
+        (``sequence-layout``), or a sequence is out of order
+        (``sequence-sorted``); ``level`` is the context's level number."""
+        file = self.file
+        expected = self.data_bytes + self.metadata_bytes
+        if file.deleted or file.file_id not in self.runtime.disk.files or file.nbytes != expected:
+            raise invariant_error(
+                "node-file-agreement", "table file is deleted or its bytes disagree with the table",
+                level=level, file=file.file_id, deleted=file.deleted, file_bytes=file.nbytes,
+                table_bytes=expected)
+        if self.probe_rows != [(seq.min_key, seq.max_key, seq.min_seq, seq.bloom.n_bits,
+                                seq.bloom.n_hashes, seq.bloom.bits, seq)
+                               for seq in reversed(self.sequences)]:
+            raise invariant_error("sequence-layout",
+                                  "probe rows are not reversed(sequences)",
+                                  level=level, file=file.file_id)
+        prev_end = 0
+        for seq in self.sequences:
+            if seq.first_block < prev_end:
+                raise invariant_error(
+                    "sequence-layout", "sequence blocks overlap an earlier sequence",
+                    level=level, file=file.file_id, first_block=seq.first_block,
+                    prev_end=prev_end)
+            prev_end = seq.first_block + seq.n_blocks
+            run = seq.run
+            if not (run.n and run.is_sorted() and run.key_at(0) == seq.min_key
+                    and run.key_at(-1) == seq.max_key):
+                raise invariant_error(
+                    "sequence-sorted", "sequence is empty, not (key asc, seq desc) sorted, "
+                    "or its min/max keys disagree with its records",
+                    level=level, file=file.file_id, n_records=run.n,
+                    min_key=seq.min_key, max_key=seq.max_key)
 
     def resident_bytes(self) -> int:
         """``mincore`` probe: cached bytes of this file (§5.1.3)."""

@@ -41,7 +41,7 @@ def tiny_storage_options(**kw) -> StorageOptions:
 def make_tiny_db(engine: str = "iam", *, storage_kw=None, **engine_kw) -> IamDB:
     """A DB with tiny thresholds (fast deep trees) for behavioural tests."""
     storage = tiny_storage_options(**(storage_kw or {}))
-    if engine in ("iam", "lsa"):
+    if engine in ("iam", "lsa", "lsmtrie"):
         opts = tiny_iam_options(**engine_kw)
     else:
         style = "rocksdb" if engine == "rocksdb" else "leveldb"

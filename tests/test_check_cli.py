@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.check import runner
 from repro.check.sanitizer import default_options, set_default_options
 from repro.check.typing_gate import GateResult
 from repro.cli import main as cli_main
+from repro.db.iamdb import ENGINE_TABLE
 
 
 @pytest.fixture(autouse=True)
@@ -33,6 +36,11 @@ def test_full_check_passes_on_this_repo(capsys):
     out = capsys.readouterr().out
     assert "lint       PASS" in out
     assert "sanitizer  PASS" in out
+    # The sanitizer gate runs on every engine, each seeing structural events.
+    events = dict(pair.rsplit(" ", 1) for pair in
+                  re.search(r"sanitizer  PASS \(events: ([^;]*);", out)[1].split(", "))
+    assert set(events) == set(ENGINE_TABLE)
+    assert all(int(n) > 0 for n in events.values()), events
 
 
 def test_lint_failure_sets_exit_code(tmp_path, capsys):

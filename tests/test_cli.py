@@ -54,6 +54,16 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+def test_faults_covers_every_engine_by_default(capsys):
+    assert main(["faults", "--ops", "60", "--per-site", "1"]) == 0
+    out = capsys.readouterr().out
+    for engine in ("iam", "lsa", "leveldb", "rocksdb", "flsm", "lsmtrie"):
+        assert f"{engine}: sites" in out
+    assert "0 contract failures" in out
+    with pytest.raises(SystemExit):
+        main(["faults", "--engines", "cassandra"])
+
+
 def test_lsmtrie_engine_via_cli(capsys):
     assert main(["load", "--engine", "lsmtrie", "--records", "2000"]) == 0
     assert "lsmtrie" in capsys.readouterr().out

@@ -179,6 +179,13 @@ def test_crash_matrix_leveldb_holds_contract():
     assert report["sites"]["leveldb"].get("post-compact", 0) > 0
 
 
+def test_crash_matrix_holds_contract_on_the_other_engines():
+    report = run_crash_matrix(("lsa", "rocksdb", "flsm", "lsmtrie"), n_ops=150,
+                              per_site=1, seed=1)
+    assert set(report["sites"]) == {"lsa", "rocksdb", "flsm", "lsmtrie"}
+    assert report["n_failures"] == 0, report["failures"][:3]
+
+
 def test_crash_matrix_report_is_jsonable():
     import json
     report = run_crash_matrix(("iam",), n_ops=60, per_site=1, seed=2,

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from repro.cluster import ClusterOptions
 from repro.common.errors import ConfigError, StoreClosedError
+from repro.common.options import IamOptions, LsmOptions
 from repro.db.iamdb import IamDB
 from tests.conftest import ALL_ENGINES, make_tiny_db
 
@@ -12,6 +14,15 @@ from tests.conftest import ALL_ENGINES, make_tiny_db
 def test_unknown_engine_rejected():
     with pytest.raises(ConfigError):
         IamDB("cassandra")
+
+
+@pytest.mark.parametrize("engine, options", [
+    ("leveldb", IamOptions()), ("rocksdb", IamOptions()), ("flsm", IamOptions()),
+    ("lsmtrie", LsmOptions()), ("iam", LsmOptions()), ("lsa", ClusterOptions()),
+    ("flsm", ClusterOptions())], ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+def test_wrong_engine_options_are_refused(engine, options):
+    with pytest.raises(ConfigError, match=f"{engine} engine needs "):
+        IamDB(engine, engine_options=options)
 
 
 def test_put_get_roundtrip(any_engine_db):

@@ -14,6 +14,7 @@ from repro.check.diagnostics import Diagnostic, invariant_error
 from repro.check.sanitizer import Sanitizer, SanitizerOptions
 from repro.common.errors import InvariantViolation
 from repro.db.iamdb import IamDB
+from repro.faults.crash import tiny_store
 from repro.memtable import Memtable
 from repro.storage.simdisk import SimClock
 
@@ -162,6 +163,41 @@ def test_halt_on_violation_raises():
     with pytest.raises(InvariantViolation) as err:
         s.check_tree(engine)
     assert diagnostic_of(err.value).check == "level-sorted"
+
+
+def deepest_table(engine):
+    """A live table of the deepest level, which a flush does not touch."""
+    if engine.name == "lsmtrie":
+        nodes = sorted(engine._walk(), key=lambda nd: nd.depth)
+        return [nd.table for nd in nodes if nd.table is not None][-1]
+    if engine.name == "flsm":
+        return [t for lvl in engine.guards for g in lvl for t in g.tables][-1]
+    return [t for lvl in engine.levels for t in lvl][-1]
+
+
+def drift_probe_rows(table):
+    table.probe_rows.append(table.probe_rows[0])  # a row no sequence backs
+
+
+def grow_file_behind_the_table(table):
+    table.file.nbytes += 7  # bypass grow(): accounting now disagrees
+
+
+@pytest.mark.parametrize("corrupt, check", [(drift_probe_rows, "sequence-layout"),
+                                            (grow_file_behind_the_table,
+                                             "node-file-agreement")])
+@pytest.mark.parametrize("engine", ["leveldb", "flsm", "lsmtrie"])
+def test_attached_sanitizer_checks_every_engines_tables(engine, corrupt, check):
+    db = IamDB(engine, sanitizer_options=SanitizerOptions(halt_on_violation=False),
+               **tiny_store(engine))
+    load(db, 600)
+    db.quiesce()
+    assert db.sanitizer.violations == []
+    corrupt(deepest_table(db.engine))
+    events = db.sanitizer.events_seen
+    load(db, 100, seed=3)  # the next flush's check sees the corruption
+    assert db.sanitizer.events_seen > events
+    assert {d.check for d in db.sanitizer.violations} >= {check}
 
 
 # ------------------------------------------------------------- db checks

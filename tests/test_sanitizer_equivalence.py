@@ -9,9 +9,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from tests.conftest import tiny_iam_options, tiny_storage_options
 from repro.check.sanitizer import SanitizerOptions
-from repro.db.iamdb import IamDB
+from repro.db.iamdb import ENGINE_TABLE, IamDB
+from repro.faults.crash import tiny_store
 
 # One mixed-workload step: (op, key, extra).
 OPS = st.sampled_from(["put", "delete", "get", "scan"])
@@ -21,16 +21,14 @@ STEP = st.tuples(OPS, st.integers(min_value=0, max_value=255),
 
 def run_workload(engine: str, steps, *, sanitize: bool, crash_at=None):
     options = SanitizerOptions() if sanitize else None
-    db = IamDB(engine, engine_options=tiny_iam_options(),
-               storage_options=tiny_storage_options(),
-               sanitizer_options=options)
+    db = IamDB(engine, sanitizer_options=options, **tiny_store(engine))
     reads = []
     for i, (op, key, extra) in enumerate(steps):
         if op == "put":
             db.put(key, extra)
         elif op == "delete":
             db.delete(key)
-        elif op == "get":
+        elif op == "get" or engine == "lsmtrie":  # LSM-trie refuses scans
             reads.append((key, db.get(key)))
         else:
             reads.append(tuple(db.scan(key, key + 16, limit=4)))
@@ -51,9 +49,9 @@ def run_workload(engine: str, steps, *, sanitize: bool, crash_at=None):
     return digest, violations
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=18, deadline=None)
 @given(steps=st.lists(STEP, min_size=40, max_size=160),
-       engine=st.sampled_from(["iam", "lsa"]))
+       engine=st.sampled_from(list(ENGINE_TABLE)))
 def test_sanitized_run_is_byte_identical(steps, engine):
     crash_at = len(steps) // 2
     plain, _ = run_workload(engine, steps, sanitize=False, crash_at=crash_at)
