@@ -45,6 +45,7 @@ from repro.check.diagnostics import Diagnostic, invariant_error
 from repro.common.errors import InvariantViolation
 from repro.common.records import KEY, SEQ
 from repro.check.effects.registry import observation_only
+from repro.table.mstable import finish_builds
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import EngineBase
@@ -111,8 +112,13 @@ class Sanitizer:
     @observation_only
     def after_structural_event(self, engine: "EngineBase", event: str) -> None:
         """Engine hook: called after every flush, compaction, split,
-        combine and merge."""
+        combine and merge, inside the job: the walk first finishes what the
+        job appended so far (the same filters, in a smaller batch)."""
         self.events_seen += 1
+        builds = engine.runtime.pool.builds
+        if builds:
+            finish_builds(builds)
+            builds.clear()
         self.check_tree(engine, event=event)
 
     @observation_only

@@ -646,7 +646,7 @@ class LsaTree(EngineBase):
             "n": self.n,
             "levels": [
                 [(node.range_lo, node.range_hi,
-                  node.table.snapshot() if node.table is not None else None)
+                  node.table.snap if node.table is not None else None)
                  for node in lvl]
                 for lvl in self.levels
             ],

@@ -185,7 +185,6 @@ def partition_records(run: Run, children: List[LsaNode], *, leaf: bool,
         raise InvariantViolation("partition_records needs at least one child")
     if n == 1:
         return [run]
-    run.ensure_hashes()  # most parts become sequences: hash the run once
     keys = run.key_view()
     cuts = [0]
     for idx in range(1, n):

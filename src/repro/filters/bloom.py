@@ -6,18 +6,19 @@ bits per record for a ~0.2% false-positive rate (§5.3.2).
 
 Implementation: the bits are one little-endian ``bytes`` (bit ``i`` is
 ``bits[i >> 3] >> (i & 7) & 1``) with ``k`` derived hash probes produced by
-double hashing over two splitmix64 mixes -- fully deterministic.  The pair
-depends on the key alone, so the write path computes it once per *run*
-(:func:`hash_columns`) and every sequence cut from that run builds its
-filter from a slice of it (:meth:`BloomFilter.build`, the one build kernel).
-Numpy builds the bits and lets go of them: probes are scalar and never index
-an ndarray (DESIGN.md "When arrays lose"); ``MSTable.get`` inlines the loop.
+double hashing over two splitmix64 mixes -- fully deterministic.  A
+background job writes many small sequences, so their filters are built
+together, once per *job*: :meth:`BloomFilter.build` (the one build kernel)
+hashes every key the job wrote in one :func:`hash_columns` pass and packs
+every filter out of one bit matrix.  Numpy builds the bits and lets go of
+them: probes are scalar and never index an ndarray (DESIGN.md "When arrays
+lose"); ``MSTable.get`` inlines the loop.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,10 +26,11 @@ from repro.common.errors import ConfigError
 from repro.common.hashing import MASK64, splitmix64_array
 
 _SALT = 0xA5A5A5A5A5A5A5A5  # decorrelates h2 from h1
+_LN2 = math.log(2)
 _H2_SALT = np.uint64(_SALT)
 _ONE = np.uint64(1)
 #: Probe multipliers ``0..k-1`` as a column, so ``h1 + steps * h2`` broadcasts
-#: to the whole ``k x n`` probe matrix (k is clamped to 30, see ``__init__``).
+#: to the whole ``k x n`` probe matrix (k is clamped to 30, see ``build``).
 _STEPS = np.arange(31, dtype=np.uint64)[:, None]
 
 
@@ -61,52 +63,55 @@ def hash_columns(keys: np.ndarray) -> np.ndarray:
 
 
 class BloomFilter:
-    """Fixed-size Bloom filter sized at build time from the key count."""
+    """Fixed-size Bloom filter: ``n_bits`` bits probed ``n_hashes`` times."""
 
     __slots__ = ("n_bits", "n_hashes", "bits", "nbytes")
 
-    def __init__(self, n_keys: int, bits_per_key: int) -> None:
-        if n_keys < 0:
-            raise ConfigError("n_keys must be >= 0")
-        if bits_per_key < 0:
-            raise ConfigError("bits_per_key must be >= 0")
-        n_bits = max(64, n_keys * bits_per_key)
+    def __init__(self, n_bits: int, n_hashes: int, bits: bytes) -> None:
         self.n_bits = n_bits
-        # Optimal probe count k = ln(2) * bits/key, clamped like LevelDB.
-        self.n_hashes = max(1, min(30, int(round(math.log(2) * bits_per_key)))) if bits_per_key else 0
-        #: Whole 64-bit words, as the on-disk filter is sized.
-        self.nbytes = (n_bits + 63) // 64 * 8
-        self.bits = b"\0" * self.nbytes
-
-    def _probes(self, hashes: np.ndarray) -> np.ndarray:
-        """The ``k x n`` matrix of bit positions probed for ``hashes``.
-
-        Computed in uint64 (the arithmetic wraps like the scalar probe's
-        ``& MASK64``) and handed back as ``intp``: positions are below
-        ``n_bits``, so the reinterpretation is exact, and numpy indexes
-        with ``intp`` several times faster than with ``uint64``.
-        """
-        idx = hashes[1] * _STEPS[:self.n_hashes]
-        idx += hashes[0]
-        idx %= np.uint64(self.n_bits)
-        return idx.view(np.intp)
+        self.n_hashes = n_hashes
+        self.bits = bits
+        self.nbytes = (n_bits + 63) // 64 * 8  # whole words, as on disk
 
     @staticmethod
-    def build(keys: np.ndarray, bits_per_key: int,
-              hashes: Optional[np.ndarray] = None) -> "BloomFilter":
-        """A filter holding the uint64 column ``keys``.
+    def build(key_columns: Sequence[np.ndarray],
+              bits_per_key: int) -> List["BloomFilter"]:
+        """One filter per uint64 column, of ``max(64, n * bits_per_key)``
+        bits for ``n`` keys, each laid out at a whole word of one bit row.
 
-        ``hashes`` is ``hash_columns(keys)`` when the caller already holds
-        it (a slice of the run's).  The whole probe matrix is scattered into
-        a byte-per-bit scratch with one assignment and packed little-endian
-        -- bit-identical to setting the probes of each key in turn.
+        All keys hash in one pass; the ``k x N`` probe matrix (uint64,
+        wrapping like the scalar probe) is reduced by each key's filter
+        size, shifted to its filter's offset, scattered into a byte-per-bit
+        scratch (as ``intp``: numpy indexes with it several times faster)
+        and packed little-endian once -- bit-identical to setting the
+        probes of each key in turn.  Each ``bits`` is a slice of the row.
         """
-        f = BloomFilter(keys.size, bits_per_key)
-        if f.n_hashes and keys.size:
-            scratch = np.zeros(f.nbytes * 8, dtype=np.uint8)
-            scratch[f._probes(hash_columns(keys) if hashes is None else hashes)] = 1
-            f.bits = np.packbits(scratch, bitorder="little").tobytes()
-        return f
+        if bits_per_key < 0:
+            raise ConfigError("bits_per_key must be >= 0")
+        # k = round(ln 2 * bits/key): >= 1 from one bit per key, <= 30 like LevelDB.
+        k = min(30, round(_LN2 * bits_per_key))
+        sizes = [keys.size for keys in key_columns]
+        n_bits, offsets = [], []
+        total = 0  # bits laid out so far, in whole words
+        for n in sizes:
+            bits = n * bits_per_key if n * bits_per_key > 64 else 64
+            n_bits.append(bits)
+            offsets.append(total)
+            total += (bits + 63) & ~63
+        if k and sizes:
+            hashes = hash_columns(np.concatenate(key_columns))
+            shape = np.repeat(np.array((n_bits, offsets), dtype=np.uint64), sizes, axis=1)
+            idx = hashes[1] * _STEPS[:k]
+            idx += hashes[0]
+            idx %= shape[0]
+            idx += shape[1]
+            scratch = np.zeros(total, dtype=np.uint8)
+            scratch[idx.view(np.intp)] = 1
+            packed = np.packbits(scratch, bitorder="little").tobytes()
+        else:
+            packed = bytes(total >> 3)
+        return [BloomFilter(bits, k, packed[lo >> 3:(lo + bits + 63 & ~63) >> 3])
+                for bits, lo in zip(n_bits, offsets)]
 
     def might_contain(self, key: int,
                       hashes: Optional[Tuple[int, int]] = None) -> bool:

@@ -287,7 +287,7 @@ class FlsmEngine(EngineBase):
     def checkpoint_state(self) -> object:
         """Owned pure-data snapshot (see Manifest.checkpoint)."""
         return {
-            "guards": [[(g.lo, tuple(t.snapshot() for t in g.tables))
+            "guards": [[(g.lo, tuple([t.snap for t in g.tables]))
                         for g in lvl] for lvl in self.guards],
         }
 

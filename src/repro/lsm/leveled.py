@@ -321,7 +321,7 @@ class LeveledLsm(EngineBase):
         """Owned pure-data snapshot (see Manifest.checkpoint): per-table
         sequence tuples, no live MSTable references."""
         return {
-            "levels": [[t.snapshot() for t in lst] for lst in self.levels],
+            "levels": [[t.snap for t in lst] for lst in self.levels],
             "compact_pointer": list(self.compact_pointer),
         }
 

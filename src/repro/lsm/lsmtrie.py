@@ -267,7 +267,7 @@ class LsmTrieEngine(EngineBase):
         """Owned pure-data snapshot (see Manifest.checkpoint)."""
         def snap(node: _TrieNode):
             return (node.depth,
-                    node.table.snapshot() if node.table is not None else None,
+                    node.table.snap if node.table is not None else None,
                     {i: snap(c) for i, c in node.children.items()})
         return snap(self.root)
 

@@ -186,6 +186,10 @@ class BackgroundPool:
         #: drains on the node's own disk, byte-identical to the
         #: pre-offload pool.
         self.offload_disk: Optional[SimDisk] = None
+        #: The running start_fn's ``(table, sequence)`` appends (None outside
+        #: a job) and what finishes them, wired in by the owning Runtime.
+        self.builds: Optional[list] = None
+        self.finish_builds: Optional[Callable[[list], None]] = None
         #: The provider answered None (or there is none) and no event
         #: that could change its answer has happened since.
         self._provider_idle = False
@@ -275,7 +279,15 @@ class BackgroundPool:
                            or self.offload_disk is None else self.offload_disk)
         job.not_before = disk.busy_until
         self.wake()  # start_fn mutates engine structure
-        job.debt_s = debt = job.start_fn()
+        # The job's sequences get their filters in one build when start_fn
+        # returns -- or raises, so a crash leaves none pending.
+        builds = self.builds = []
+        try:
+            job.debt_s = debt = job.start_fn()
+        finally:
+            self.builds = None
+            if builds and self.finish_builds is not None:
+                self.finish_builds(builds)
         if not 0.0 <= debt < inf:
             raise InvariantViolation(
                 f"job {job.name} returned debt {debt!r}, outside [0, inf)")

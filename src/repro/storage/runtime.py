@@ -52,6 +52,8 @@ class Runtime:
         self.disk = SimDisk(self.options.device, self.clock)
         self.cache = PageCache(self.options.page_cache_bytes, self.options.block_size)
         self.pool = BackgroundPool(self.disk, background_threads)
+        from repro.table.mstable import finish_builds  # the layer above
+        self.pool.finish_builds = finish_builds
         # Background I/O may run one chunk ahead of "now" (bandwidth sharing).
         self.pool.lookahead_s = (IO_CHUNK_BYTES
                                  / self.options.device.write_bandwidth)

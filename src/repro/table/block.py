@@ -12,7 +12,10 @@ substrate); device reads are charged per block through
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Iterator, Optional, Tuple
+from itertools import accumulate
+from typing import Any, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.common.errors import InvariantViolation
 from repro.common.records import Key, RECORD_OVERHEAD, RecordTuple
@@ -49,6 +52,11 @@ class Sequence:
         "hit_views",
     )
 
+    #: Set by :func:`finish_sequences`, for a job's sequences at once.
+    bloom: BloomFilter
+    min_seq: int
+    max_seq: int
+
     def __init__(self, run: Run, *, key_size: int, block_size: int,
                  bloom_bits_per_key: int, first_block: int) -> None:
         n = run.n
@@ -59,10 +67,9 @@ class Sequence:
         self.first_block = first_block
         # Block layout: greedy fill up to block_size encoded bytes per block
         # (always at least one record).
-        sizes = run.sizes.tolist()
-        if sizes.count(sizes[0]) == n:
+        if run.value_size is not None:
             # One record size throughout: every block takes the same count.
-            record_bytes = key_size + RECORD_OVERHEAD + sizes[0]
+            record_bytes = key_size + RECORD_OVERHEAD + run.value_size
             self.nbytes = n * record_bytes
             # Kept as the range it is: the scan planner finds a chunk as
             # ``i // step`` instead of bisecting a list.
@@ -89,19 +96,16 @@ class Sequence:
         self.hit_views: Optional[Tuple[Any, Any, Any]] = None
         self.min_key = keys[0]
         self.max_key = keys[-1]
-        seqs = run.seqs.tolist()
-        self.min_seq = min(seqs)
-        self.max_seq = max(seqs)
-        self.bloom = BloomFilter.build(run.keys, bloom_bits_per_key, run.hashes)
-        run.hashes = None
-        self.metadata_bytes = self.bloom.nbytes + INDEX_ENTRY_BYTES * self.n_blocks
+        # The filter's size ahead of its bits (see BloomFilter.build).
+        filter_bits = n * bloom_bits_per_key if n * bloom_bits_per_key > 64 else 64
+        self.metadata_bytes = (filter_bits + 63) // 64 * 8 + INDEX_ENTRY_BYTES * self.n_blocks
 
     def __len__(self) -> int:
         return self.n_records
 
     def __deepcopy__(self, memo: dict) -> "Sequence":
         # Immutable once built: a cloned store shares its sequences with its
-        # base, as MSTable.snapshot() already does.
+        # base, as a checkpoint's MSTable.snap already does.
         return self
 
     # ------------------------------------------------------------- block math
@@ -202,3 +206,16 @@ class Sequence:
                 charged_through = stop - 1
             yield recs[idx]
             idx += 1
+
+
+def finish_sequences(seqs: List[Sequence], bits_per_key: int) -> None:
+    """Fill in the Bloom filters and seq bounds of ``seqs`` with one filter
+    build and one ``reduceat`` per bound, not a kernel call per sequence."""
+    runs = [seq.run for seq in seqs]
+    blooms = BloomFilter.build([run.keys for run in runs], bits_per_key)
+    column = np.concatenate([run.seqs for run in runs])
+    starts = list(accumulate([run.n for run in runs[:-1]], initial=0))
+    lows = np.minimum.reduceat(column, starts).tolist()
+    highs = np.maximum.reduceat(column, starts).tolist()
+    for seq, bloom, low, high in zip(seqs, blooms, lows, highs):
+        seq.bloom, seq.min_seq, seq.max_seq = bloom, low, high

@@ -8,7 +8,8 @@ MSTable holding exactly one sequence, so the LSM engines reuse this class.
 Sequences are kept in append order; because data always moves down the tree
 in memtable-flush cohorts, a later sequence only ever holds newer records
 than an earlier one.  Point reads therefore probe sequences newest-first and
-stop at the first visible hit (§5.2).
+stop at the first visible hit (§5.2).  A job's appended sequences get their
+Bloom filters together, when it returns (:func:`finish_builds`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.common.hashing import MASK64
 from repro.common.records import Key, RecordTuple, sort_key
 from repro.filters.bloom import hash_pair
 from repro.storage.runtime import Runtime
-from repro.table.block import Sequence
+from repro.table.block import Sequence, finish_sequences
 from repro.table.run import Run
 
 
@@ -32,21 +33,21 @@ class MSTable:
 
     __slots__ = ("runtime", "file", "sequences", "probe_rows", "next_block", "key_size",
                  "bloom_bits_per_key", "deleted", "data_bytes",
-                 "metadata_bytes", "n_records", "min_key", "max_key", "max_seq")
+                 "metadata_bytes", "n_records", "min_key", "max_key", "snap")
 
     def __init__(self, runtime: Runtime, *, key_size: int, bloom_bits_per_key: int) -> None:
         self.runtime = runtime
         self.file = runtime.create_file()
         self.sequences: List[Sequence] = []
-        #: What :meth:`get` reads of each sequence, newest first: ``(min_key,
-        #: max_key, min_seq, n_bits, n_hashes, bits, sequence)``.
+        #: What :meth:`get` reads of each finished sequence, newest first:
+        #: ``(min_key, max_key, min_seq, n_bits, n_hashes, bits, sequence)``.
         self.probe_rows: List[tuple] = []
         self.next_block = 0
         self.key_size = key_size
         self.bloom_bits_per_key = bloom_bits_per_key
         self.deleted = False
-        # Aggregates over ``sequences``, kept current (as ``probe_rows`` is)
-        # by the two places that change the list (append_sequence,
+        # Aggregates over ``sequences``, kept current (as ``snap`` is) by
+        # the two places that change the list (append_sequence,
         # from_snapshot): level fence bisects and node-size checks read them.
         self.data_bytes = 0
         self.metadata_bytes = 0
@@ -56,7 +57,9 @@ class MSTable:
         # non-empty tables.
         self.min_key: Any = None
         self.max_key: Any = None
-        self.max_seq = 0
+        #: The manifest checkpoint's owned snapshot: sequences are immutable,
+        #: so the tuple pins the list and the layout cursor, and no file leaks.
+        self.snap: Tuple[int, int, int, Tuple[Sequence, ...]] = (key_size, bloom_bits_per_key, 0, ())
 
     # ------------------------------------------------------------- properties
     @property
@@ -68,10 +71,7 @@ class MSTable:
         return len(self.sequences)
 
     def _account(self, seq: Sequence) -> None:
-        """Fold one more sequence into the aggregates and the probe rows."""
-        bloom = seq.bloom
-        self.probe_rows.insert(0, (seq.min_key, seq.max_key, seq.min_seq, bloom.n_bits,
-                                   bloom.n_hashes, bloom.bits, seq))
+        """Fold one more sequence into the aggregates."""
         self.data_bytes += seq.nbytes
         self.metadata_bytes += seq.metadata_bytes
         self.n_records += seq.n_records
@@ -79,8 +79,6 @@ class MSTable:
             self.min_key = seq.min_key
         if self.max_key is None or seq.max_key > self.max_key:
             self.max_key = seq.max_key
-        if seq.max_seq > self.max_seq:
-            self.max_seq = seq.max_seq
 
     @observation_only
     def check_invariants(self, level: int) -> None:
@@ -95,9 +93,7 @@ class MSTable:
                 "node-file-agreement", "table file is deleted or its bytes disagree with the table",
                 level=level, file=file.file_id, deleted=file.deleted, file_bytes=file.nbytes,
                 table_bytes=expected)
-        if self.probe_rows != [(seq.min_key, seq.max_key, seq.min_seq, seq.bloom.n_bits,
-                                seq.bloom.n_hashes, seq.bloom.bits, seq)
-                               for seq in reversed(self.sequences)]:
+        if self.probe_rows != [_probe_row(seq) for seq in reversed(self.sequences)]:
             raise invariant_error("sequence-layout",
                                   "probe rows are not reversed(sequences)",
                                   level=level, file=file.file_id)
@@ -141,6 +137,13 @@ class MSTable:
         self.next_block += seq.n_blocks
         self.sequences.append(seq)
         self._account(seq)
+        self.snap = (self.key_size, self.bloom_bits_per_key, self.next_block,
+                     tuple(self.sequences))
+        builds = self.runtime.pool.builds
+        if builds is None:
+            finish_builds([(self, seq)])
+        else:
+            builds.append((self, seq))
         debt = self.runtime.bg_write_run(
             self.file,
             seq.nbytes + seq.metadata_bytes,
@@ -157,20 +160,10 @@ class MSTable:
             self.runtime.delete_file(self.file)
 
     # --------------------------------------------------------------- recovery
-    def snapshot(self) -> Tuple[int, int, int, Tuple[Sequence, ...]]:
-        """Owned pure-data snapshot for manifest checkpoints.
-
-        Sequences are immutable once built, so sharing them by reference is
-        safe; the tuple pins the sequence *list* (the mutable part) and the
-        layout cursor.  No file/node references leak out.
-        """
-        return (self.key_size, self.bloom_bits_per_key, self.next_block,
-                tuple(self.sequences))
-
     @staticmethod
     def from_snapshot(runtime: Runtime,
                       snap: Tuple[int, int, int, Tuple[Sequence, ...]]) -> "MSTable":
-        """Rebuild a table from a :meth:`snapshot` onto a fresh file.
+        """Rebuild a table from a :attr:`snap` onto a fresh file.
 
         Space accounting only -- recovery re-opens tables, it does not
         rewrite them -- and the fresh file starts cache-cold.
@@ -180,8 +173,10 @@ class MSTable:
                         bloom_bits_per_key=bloom_bits)
         table.sequences = list(sequences)
         table.next_block = next_block
+        table.snap = snap
         for seq in sequences:
             table._account(seq)
+        table.probe_rows = [_probe_row(seq) for seq in reversed(sequences)]
         nbytes = table.data_bytes + table.metadata_bytes
         if nbytes:
             table.file.grow(nbytes)
@@ -244,3 +239,22 @@ class MSTable:
         total = self.data_bytes
         resident = min(self.resident_bytes(), total)
         return self.runtime.bg_read_run(self.file_id, total, resident_bytes=resident)
+
+
+def _probe_row(seq: Sequence) -> tuple:
+    """The :attr:`MSTable.probe_rows` entry of a finished sequence."""
+    bloom = seq.bloom
+    return (seq.min_key, seq.max_key, seq.min_seq, bloom.n_bits, bloom.n_hashes,
+            bloom.bits, seq)
+
+
+def finish_builds(builds: List[Tuple[MSTable, Sequence]]) -> None:
+    """Finish ``(table, sequence)`` appends, in append order: their filters
+    in one build, then each in front of its table's probe rows."""
+    width = builds[0][0].bloom_bits_per_key
+    finish_sequences([seq for table, seq in builds
+                      if table.bloom_bits_per_key == width], width)
+    for table, seq in builds:
+        if table.bloom_bits_per_key != width:  # never within one engine's job
+            finish_sequences([seq], table.bloom_bits_per_key)
+        table.probe_rows.insert(0, _probe_row(seq))

@@ -15,6 +15,9 @@ Columns
 ``vals``  ``None`` when every value is a synthetic size (``sizes`` *is* the
           value column), else an object column of the values as given.
 
+``value_size`` is the payload size all records share (``None``: they differ,
+or nobody looked), set where a run is made and inherited by its pieces.
+
 The typed-column rule: a value is synthetic iff ``type(v) is int`` -- never
 "numpy managed to parse it" (``b"21"``, ``"12"``, ``1.5`` and ``True`` all
 convert to an integer dtype).  :meth:`Run.from_columns` is the one place
@@ -35,27 +38,24 @@ import numpy as np
 from repro.common.errors import ConfigError
 from repro.common.hashing import MASK64
 from repro.common.records import Key, RECORD_OVERHEAD, RecordTuple, check_key
-from repro.filters.bloom import hash_columns
 
 
 class Run:
     """One immutable sorted run in columnar form (see the module docstring)."""
 
-    __slots__ = ("keys", "seqs", "kinds", "sizes", "vals", "n", "hashes",
+    __slots__ = ("keys", "seqs", "kinds", "sizes", "vals", "n", "value_size",
                  "_records")
 
     def __init__(self, keys: np.ndarray, seqs: np.ndarray, kinds: np.ndarray,
                  sizes: np.ndarray, vals: Optional[np.ndarray] = None,
-                 hashes: Optional[np.ndarray] = None) -> None:
+                 value_size: Optional[int] = None) -> None:
         self.keys = keys
         self.seqs = seqs
         self.kinds = kinds
         self.sizes = sizes
         self.vals = vals
         self.n: int = keys.size
-        #: ``hash_columns(keys)`` while sequences are being cut from this
-        #: run (see :meth:`ensure_hashes`); dropped once a filter is built.
-        self.hashes = hashes
+        self.value_size = value_size
         self._records: Optional[List[RecordTuple]] = None
 
     def __len__(self) -> int:
@@ -76,14 +76,17 @@ class Run:
             check_key(keys[0] if keys[0] < 0 else keys[-1])  # raises
         if set(map(type, values)) - {int}:
             val_col = np.fromiter(values, dtype=object, count=n)
-            sizes = np.fromiter((v if type(v) is int else len(v) for v in values),
-                                dtype=np.uint64, count=n)
+            size_list = [v if type(v) is int else len(v) for v in values]
         else:
             val_col = None
-            sizes = np.fromiter(values, dtype=np.uint64, count=n)
+            size_list = values
+        sizes = np.fromiter(size_list, dtype=np.uint64, count=n)
+        # A set compare, not list.count: no call on the memtable scan path.
+        uniform = n and set(size_list) == {size_list[0]}
         return Run(np.fromiter(keys, dtype=np.uint64, count=n),
                    np.fromiter(seqs, dtype=np.uint64, count=n),
-                   np.fromiter(kinds, dtype=np.uint8, count=n), sizes, val_col)
+                   np.fromiter(kinds, dtype=np.uint8, count=n), sizes, val_col,
+                   size_list[0] if uniform else None)
 
     @staticmethod
     def from_records(records: PySequence[RecordTuple]) -> "Run":
@@ -97,38 +100,32 @@ class Run:
         """Column-wise concatenation of runs (merge input; the result is
         *not* sorted)."""
         vals = None
+        size = runs[0].value_size
         for run in runs:
-            if run.vals is not None:
+            if run.vals is not None and vals is None:
                 vals = np.concatenate([r.sizes.astype(object) if r.vals is None
                                        else r.vals for r in runs])
-                break
+            if run.value_size != size:
+                size = None
         return Run(np.concatenate([r.keys for r in runs]),
                    np.concatenate([r.seqs for r in runs]),
                    np.concatenate([r.kinds for r in runs]),
-                   np.concatenate([r.sizes for r in runs]), vals)
+                   np.concatenate([r.sizes for r in runs]), vals, size)
 
     # ----------------------------------------------------------------- pieces
     def slice(self, i: int, j: int) -> "Run":
         """Records ``[i, j)`` as views of this run's columns."""
-        vals, hashes = self.vals, self.hashes
+        vals = self.vals
         return Run(self.keys[i:j], self.seqs[i:j], self.kinds[i:j],
                    self.sizes[i:j], None if vals is None else vals[i:j],
-                   None if hashes is None else hashes[:, i:j])
+                   self.value_size)
 
     def take(self, idx: np.ndarray) -> "Run":
         """The records picked by an index (or boolean mask) array, in order."""
         vals = self.vals
         return Run(self.keys[idx], self.seqs[idx], self.kinds[idx],
-                   self.sizes[idx], None if vals is None else vals[idx])
-
-    def ensure_hashes(self) -> None:
-        """Hash the key column now, so every slice inherits its share.
-
-        Called by whoever is about to cut several sequences from this run:
-        the Bloom pair is computed once per run, not once per sequence.
-        """
-        if self.hashes is None:
-            self.hashes = hash_columns(self.keys)
+                   self.sizes[idx], None if vals is None else vals[idx],
+                   self.value_size)
 
     # ---------------------------------------------------------------- reading
     def key_view(self) -> memoryview:
@@ -180,7 +177,6 @@ def split_run(run: Run, key_size: int, max_bytes: int) -> Iterator[Run]:
     if ends[-1] <= max_bytes:
         yield run
         return
-    run.ensure_hashes()
     keys = run.key_view()
     start = base = 0
     while start < n:

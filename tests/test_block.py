@@ -6,7 +6,7 @@ from repro.common.errors import InvariantViolation
 from repro.common.options import DeviceProfile, StorageOptions
 from repro.common.records import KEY, SEQ, encoded_size, make_put
 from repro.storage.runtime import Runtime
-from repro.table.block import INDEX_ENTRY_BYTES, READAHEAD_BLOCKS, Sequence
+from repro.table.block import INDEX_ENTRY_BYTES, READAHEAD_BLOCKS, Sequence, finish_sequences
 from repro.table.run import Run
 
 KS = 8
@@ -22,8 +22,11 @@ def make_runtime(cache_bytes=0):
 
 
 def make_seq(records, first_block=0):
-    return Sequence(Run.from_records(records), key_size=KS, block_size=BLOCK,
-                    bloom_bits_per_key=14, first_block=first_block)
+    """A bare sequence, finished as a job finishes what it appends."""
+    seq = Sequence(Run.from_records(records), key_size=KS, block_size=BLOCK,
+                   bloom_bits_per_key=14, first_block=first_block)
+    finish_sequences([seq], 14)
+    return seq
 
 
 def records_of(n, vsize=64, seq_base=0):

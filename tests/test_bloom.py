@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import numpy as np
 
@@ -14,17 +14,22 @@ from repro.filters.bloom import _SALT, BloomFilter, hash_columns, hash_pair
 from tests.frozen_kernels import frozen_might_contain
 
 
+def column(keys):
+    """A uint64 key column of a Python key list (any ints: low 64 bits)."""
+    return np.array([k & MASK64 for k in keys], dtype=np.uint64)
+
+
 def build(keys, bits_per_key):
-    """BloomFilter.build over a Python key list (any ints: low 64 bits)."""
-    column = np.array([k & MASK64 for k in keys], dtype=np.uint64)
-    return BloomFilter.build(column, bits_per_key)
+    """The one filter BloomFilter.build makes of a Python key list."""
+    [f] = BloomFilter.build([column(keys)], bits_per_key)
+    return f
 
 
 def test_validation():
     with pytest.raises(ConfigError):
-        BloomFilter(-1, 14)
+        BloomFilter.build([column(range(10))], -1)
     with pytest.raises(ConfigError):
-        BloomFilter(10, -1)
+        BloomFilter.build([], -1)
 
 
 def test_no_false_negatives_basic():
@@ -76,8 +81,8 @@ def test_expected_fpr_formula():
 
 
 def test_hash_count_clamped():
-    assert BloomFilter(10, 14).n_hashes == 10  # round(ln2 * 14)
-    assert BloomFilter(10, 100).n_hashes == 30
+    assert build(range(10), 14).n_hashes == 10  # round(ln2 * 14)
+    assert build(range(10), 100).n_hashes == 30
 
 
 @settings(max_examples=50, deadline=None)
@@ -92,6 +97,17 @@ def test_property_no_false_negatives(keys):
 any_keys = st.lists(st.integers(-2**65, 2**65), min_size=1, max_size=100)
 
 
+def probe_words(keys, n_bits, k):
+    """Filter words with each key's ``k`` probes set in turn: the oracle."""
+    words = np.zeros((n_bits + 63) // 64, dtype=np.uint64)
+    for key in keys:
+        h1, h2 = hash_pair(key)
+        for i in range(k):
+            idx = ((h1 + i * h2) & MASK64) % n_bits
+            words[idx >> 6] |= np.uint64(1 << (idx & 63))
+    return words
+
+
 @settings(max_examples=30, deadline=None)
 @given(any_keys, any_keys, st.sampled_from([1, 10, 14, 100]))
 def test_scalar_probe_matches_vector_build(keys, others, bits_per_key):
@@ -101,12 +117,7 @@ def test_scalar_probe_matches_vector_build(keys, others, bits_per_key):
     word-indexed probe does -- bit for bit, so might_contain finds every key
     and a filter never differs from the one-key-at-a-time construction."""
     f = build(keys, bits_per_key)
-    want = np.zeros((f.n_bits + 63) // 64, dtype=np.uint64)
-    for key in keys:
-        h1, h2 = hash_pair(key)
-        for i in range(f.n_hashes):
-            idx = ((h1 + i * h2) & MASK64) % f.n_bits
-            want[idx >> 6] |= np.uint64(1 << (idx & 63))
+    want = probe_words(keys, f.n_bits, f.n_hashes)
     assert type(f.bits) is bytes and len(f.bits) == f.nbytes
     assert f.bits == want.astype("<u8").tobytes()
     assert all(f.might_contain(key) for key in keys)
@@ -132,12 +143,22 @@ def test_hash_pair_is_two_scalar_splitmix64_mixes(key):
     assert hash_pair(key) == (splitmix64(k), splitmix64(k ^ _SALT) | 1)
 
 
-@settings(max_examples=30, deadline=None)
-@given(any_keys)
-def test_inherited_hashes_build_the_same_filter(keys):
-    """A sequence cut from a run builds from a slice of the run's hashes."""
-    column = np.array([k & MASK64 for k in keys], dtype=np.uint64)
-    cut = len(keys) // 2
-    hashes = hash_columns(column)
-    for part, share in ((column[:cut], hashes[:, :cut]), (column[cut:], hashes[:, cut:])):
-        assert BloomFilter.build(part, 14, share).bits == BloomFilter.build(part, 14).bits
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.integers(0, MASK64), max_size=40), min_size=1, max_size=6),
+       st.sampled_from([0, 1, 3, 10, 14]))
+@example([[7]], 14)  # one column, one key: 14 bits, floored to 64
+@example([[1, 2, 3], [], [2**64 - 1]], 0)
+@example([list(range(5)), list(range(100, 140))], 14)
+def test_one_build_over_many_columns_is_each_columns_own_filter(columns, bits_per_key):
+    """A job builds all its filters in one call: each column's filter has
+    exactly the bits of setting its keys' probes one key at a time (short
+    columns, n * bits_per_key < 64, get the 64-bit floor; bits_per_key 0
+    sets none), and every key passes the scalar probe."""
+    filters = BloomFilter.build([np.array(keys, dtype=np.uint64) for keys in columns],
+                                bits_per_key)
+    k = max(1, min(30, round(math.log(2) * bits_per_key))) if bits_per_key else 0
+    assert len(filters) == len(columns)
+    for keys, f in zip(columns, filters):
+        assert (f.n_bits, f.n_hashes) == (max(64, len(keys) * bits_per_key), k)
+        assert f.bits == probe_words(keys, f.n_bits, k).astype("<u8").tobytes()
+        assert all(f.might_contain(key) for key in keys)

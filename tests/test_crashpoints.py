@@ -62,6 +62,29 @@ def test_crash_mid_flush_abandons_job_and_recovers():
     db.check_invariants()
 
 
+def test_a_crash_inside_a_job_leaves_no_filter_build_pending():
+    # The second "mid-split" fires inside a flush job's start_fn, after the
+    # job appended sequences whose filters are built when start_fn returns:
+    # the pool still finishes them as the crash unwinds through it.
+    db = make_tiny_db("iam")
+    pool, cp = db.runtime.pool, CrashPoints("mid-split", occurrence=2)
+    batches, finish = [], pool.finish_builds
+    pool.finish_builds = lambda builds: batches.append((cp.fired, len(builds))) or finish(builds)
+    db.runtime.arm_crash_points(cp)
+    acked = {}
+    with pytest.raises(SimulatedCrash):
+        for i in range(2000):
+            db.put(i * 7919 % 100_003, i)
+            acked[i * 7919 % 100_003] = i
+    fired, n_builds = batches[-1]  # the crashed job's, finished anyway
+    assert fired and n_builds > 0 and pool.builds is None
+    tables = [node.table for level in db.engine.levels for node in level if node.table]
+    assert all(len(t.probe_rows) == t.n_sequences for t in tables)
+    db.crash_and_recover()
+    assert all(db.get(key) == value for key, value in acked.items())
+    db.check_invariants()
+
+
 def test_torn_tail_loses_whole_batches_only():
     db = make_tiny_db("iam")
     db.put(1, 11)

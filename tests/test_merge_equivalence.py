@@ -20,8 +20,11 @@ from repro.table.run import Run
 
 def merge_runs(runs, **kw):
     """The kernel over tuple lists: columnar :class:`Run` inputs, tuples back
-    out for comparison with the tuple-list reference."""
-    return merge_run_columns([Run.from_records(r) for r in runs], **kw).records()
+    out for comparison with the tuple-list reference; a ``value_size`` it
+    claims holds for every record."""
+    out = merge_run_columns([Run.from_records(r) for r in runs], **kw)
+    assert out.value_size is None or set(out.sizes.tolist()) <= {out.value_size}
+    return out.records()
 
 
 @st.composite

@@ -72,7 +72,7 @@ def test_get_charges_what_each_sequence_admits():
     t = make_table(rt)
     seq, _ = t.append_sequence(run([10, 30], 4), level=1)
     seq.bloom.bits = b"\xff" * seq.bloom.nbytes  # admits every key
-    t = MSTable.from_snapshot(rt, t.snapshot())  # rewrites the probe row
+    t = MSTable.from_snapshot(rt, t.snap)  # rewrites the probe row
     m = rt.metrics
     assert t.get(10, snapshot=3) == t.get(31) == (None, 0.0)
     assert (m.bloom_probes, m.cache_misses) == (0, 0)
@@ -88,7 +88,7 @@ def test_min_max_across_sequences():
     t.append_sequence(run([5, 9], 1), level=1)
     t.append_sequence(run([1, 7], 2), level=1)
     assert (t.min_key, t.max_key) == (1, 9)
-    assert t.max_seq == 2
+    assert [(s.min_seq, s.max_seq) for s in t.sequences] == [(1, 1), (2, 2)]
 
 
 def test_cursor_merges_sequences_sorted():

@@ -74,6 +74,8 @@ def test_every_cli_flag_has_a_caller_outside_tests():
 #: A function, method or keyword-only parameter nothing outside ``tests/``
 #: names, kept on purpose.
 KEPT_NAMES = {"baseline": "run_effects_gate: lets a test substitute a baseline file",
+              "n_keys": "Memtable's key count, which the equivalence test compares with "
+                        "the frozen ReferenceMemtable's (kept unchanged by REP006)",
               **dict.fromkeys(["reference_merge_runs", "reference_scan"],
                               "frozen seed oracle that the tests compare against, "
                               "kept unchanged by REP006")}

@@ -795,7 +795,7 @@ def test_fused_table_get_is_the_sequence_get_loop(specs, bloom_bits, blind,
         if i in blind:
             seq.bloom.bits = b"\xff" * seq.bloom.nbytes
     storage = tiny_storage_options(page_cache_bytes=cache_blocks * 256)
-    fused, loop = (MSTable.from_snapshot(Runtime(storage), scratch.snapshot())
+    fused, loop = (MSTable.from_snapshot(Runtime(storage), scratch.snap)
                    for _ in range(2))
     states = [SimpleNamespace(runtime=t.runtime, metrics=t.runtime.metrics)
               for t in (fused, loop)]

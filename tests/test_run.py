@@ -84,6 +84,8 @@ def test_typed_column_rule(recs):
     assert (run.vals is not None) == real  # b"21" is a payload, not size 21
     assert run.sizes.tolist() == [r[3] if type(r[3]) is int else len(r[3])
                                   for r in recs]
+    uniform = len(set(run.sizes.tolist())) == 1
+    assert run.value_size == (run.sizes.tolist()[0] if uniform else None)
 
 
 @given(sorted_records(), st.data())
@@ -92,6 +94,7 @@ def test_slices_and_gathers_are_runs(recs, data):
     i = data.draw(st.integers(0, len(recs)))
     j = data.draw(st.integers(i, len(recs)))
     assert run.slice(i, j).records() == recs[i:j]
+    assert run.slice(i, j).value_size == run.take(np.arange(i, j)).value_size == run.value_size
     picks = data.draw(st.lists(st.integers(0, max(0, len(recs) - 1)),
                                max_size=10)) if recs else []
     assert run.take(np.array(picks, dtype=np.intp)).records() == [recs[p] for p in picks]
