@@ -240,10 +240,9 @@ class Sanitizer:
     def _check_memtable_wal(self, event: str) -> None:
         db = self.db
         wal_entries = sorted((rec[KEY], rec[SEQ]) for rec in db.wal._records)
-        mem_entries = sorted((key, version[0])
+        mem_entries = sorted((rec[KEY], rec[SEQ])
                              for memtable in (db.memtable, db.immutable) if memtable is not None
-                             for key, versions in memtable._versions.items()
-                             for version in versions)
+                             for rec in memtable.iter_range())
         if wal_entries != mem_entries:
             self._fail("wal-memtable-agreement",
                        "WAL content disagrees with memtable + immutable "

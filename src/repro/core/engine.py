@@ -142,7 +142,8 @@ class EngineBase(abc.ABC):
         self.runtime.clock.advance(extra)
         self.runtime.metrics.bump("slowdown:fault-degraded")
         self.runtime.metrics.add_gate_delay("fault-degraded", extra)
-        self._trace("gate", "fault-degraded", streak=streak, delay_s=extra)
+        if self.runtime.tracer.enabled:
+            self._trace("gate", "fault-degraded", streak=streak, delay_s=extra)
         return extra
 
     def _l0_pressure(self) -> Tuple[int, int]:
@@ -239,7 +240,8 @@ class EngineBase(abc.ABC):
         runtime.clock.advance(delay)
         metrics.bump("pace:token-bucket")
         metrics.add_gate_delay("pace:token-bucket", delay)
-        self._trace("gate", "pace:token-bucket", delay_s=delay, rate=rate)
+        if runtime.tracer.enabled:
+            self._trace("gate", "pace:token-bucket", delay_s=delay, rate=rate)
         return delay
 
     @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")

@@ -1,23 +1,18 @@
 """Memtable: the sorted in-memory component.
 
 LevelDB uses a skip list; a Python skip list is strictly slower than the
-standard library's primitives, so the memtable keeps a two-tier key index:
-
-* ``_sorted_keys`` -- distinct keys in sorted order (the *base* tier);
-* ``_delta_keys``  -- distinct keys inserted since the last consolidation,
-  in arrival order (the *delta* tier).
-
-Inserting a new key appends to the delta in O(1); ordered access
-(``iter_range`` / ``sorted_records``) consolidates the delta into the base
-lazily.  Consolidation sorts the delta and re-sorts the concatenation, which
-Timsort handles in near-linear time because both halves are runs -- so a bulk
-load of n records costs O(n log n) total instead of the O(n^2) element shifts
-of per-record ``bisect.insort``.  Point reads never touch the key index: they
-go straight to the per-key version map.
+standard library's primitives, so the memtable is one tier: a dict from each
+key to its newest record -- the very tuple the write built and the WAL holds,
+so an insert allocates nothing of its own -- and, for a key written more than
+once, its older records (oldest first) in a second dict.  An insert is a dict
+store with no call.  Ordered access sorts the keys once per rebuild
+(``sorted_records`` keeps its run until the next ``add``); point reads go
+straight to the dict.
 
 The public behaviour is what the engines rely on:
 
-* MVCC: every version is kept until flush; ``get`` honours snapshots.
+* MVCC: every version is kept until flush; ``get`` honours snapshots and
+  returns the stored record.
 * Size accounting in *encoded* bytes, so the capacity threshold ``Ct``
   matches what the flush will write.
 * ``sorted_records()`` emits a valid sorted run, (key asc, seq desc), as the
@@ -29,32 +24,24 @@ The public behaviour is what the engines rely on:
 from __future__ import annotations
 
 import bisect
-from itertools import chain
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.check.diagnostics import invariant_error
-from repro.common.records import (
-    Key,
-    RecordTuple,
-    encoded_size,
-)
+from repro.common.records import SEQ, Key, RecordTuple, encoded_size
 from repro.table.run import Run
-
-#: Version entry stored per key: (seq, kind, vsize).
-Version = Tuple[int, int, int]
 
 
 class Memtable:
     """Sorted, MVCC-aware in-memory buffer."""
 
-    __slots__ = ("key_size", "_sorted_keys", "_delta_keys", "_versions",
-                 "nbytes", "n_records", "min_seq", "max_seq", "_run")
+    __slots__ = ("key_size", "_latest", "_older", "nbytes", "n_records",
+                 "min_seq", "max_seq", "_run")
 
     def __init__(self, key_size: int) -> None:
         self.key_size = key_size
-        self._sorted_keys: List = []
-        self._delta_keys: List = []
-        self._versions: Dict[object, List[Version]] = {}
+        #: Newest record per key; older ones of keys written more than once.
+        self._latest: Dict[Key, RecordTuple] = {}
+        self._older: Dict[Key, List[RecordTuple]] = {}
         self.nbytes = 0
         self.n_records = 0
         self.min_seq: Optional[int] = None
@@ -67,24 +54,23 @@ class Memtable:
 
     @property
     def n_keys(self) -> int:
-        return len(self._versions)
+        return len(self._latest)
 
     def add(self, rec: RecordTuple, nbytes: Optional[int] = None) -> None:
         """Insert one record of any kind (``nbytes``: its encoded size, when
         the caller holds it already)."""
-        key, seq, kind, vsize = rec
+        key, seq, _, _ = rec
         self._run = None
-        versions = self._versions.get(key)
-        if versions is None:
-            self._delta_keys.append(key)
-            self._versions[key] = [(seq, kind, vsize)]
-        else:
-            if versions[-1][0] >= seq:
+        latest = self._latest
+        if key in latest:
+            prev = latest[key]
+            if prev[SEQ] >= seq:
                 raise invariant_error(
                     "memtable-seq-order",
                     "memtable sequence numbers must increase per key",
-                    key=key, last_seq=versions[-1][0], seq=seq)
-            versions.append((seq, kind, vsize))
+                    key=key, last_seq=prev[SEQ], seq=seq)
+            self._older.setdefault(key, []).append(prev)
+        latest[key] = rec
         if nbytes is None:
             nbytes = encoded_size(rec, self.key_size)
         self.nbytes += nbytes
@@ -97,29 +83,13 @@ class Memtable:
     def get(self, key: Key,
             snapshot: Optional[int] = None) -> Optional[RecordTuple]:
         """Newest version of ``key`` visible at ``snapshot`` (None = latest)."""
-        versions = self._versions.get(key)
-        if versions is None:
-            return None
-        if snapshot is None:
-            seq, kind, vsize = versions[-1]
-            return (key, seq, kind, vsize)
-        for seq, kind, vsize in reversed(versions):
-            if seq <= snapshot:
-                return (key, seq, kind, vsize)
+        rec = self._latest.get(key)
+        if rec is None or snapshot is None or rec[SEQ] <= snapshot:
+            return rec
+        for old in reversed(self._older.get(key, ())):
+            if old[SEQ] <= snapshot:
+                return old
         return None
-
-    def _consolidate(self) -> List:
-        """Fold the delta tier into the sorted base; returns the base."""
-        keys = self._sorted_keys
-        delta = self._delta_keys
-        if delta:
-            # base and (sorted) delta are both runs: Timsort merges them in
-            # near-linear time via galloping.
-            delta.sort()
-            keys.extend(delta)
-            keys.sort()
-            self._delta_keys = []
-        return keys
 
     def iter_range(self, lo: Optional[Key] = None,
                    hi: Optional[Key] = None) -> List[RecordTuple]:
@@ -128,26 +98,23 @@ class Memtable:
         ``None`` bounds are open; every version is listed (the merge filters
         snapshots), by one comprehension -- no call per record.
         """
-        keys = self._consolidate()
-        start = 0 if lo is None else bisect.bisect_left(keys, lo)
-        stop = len(keys) if hi is None else bisect.bisect_left(keys, hi)
-        versions = self._versions
-        return [(key, seq, kind, vsize) for key in keys[start:stop]
-                for seq, kind, vsize in versions[key][::-1]]
+        latest = self._latest
+        keys = sorted(latest)
+        if lo is not None:
+            keys = keys[bisect.bisect_left(keys, lo):]
+        if hi is not None:
+            keys = keys[:bisect.bisect_left(keys, hi)]
+        older = self._older
+        if not older:
+            return list(map(latest.__getitem__, keys))
+        return [rec for key in keys
+                for rec in ((latest[key], *older[key][::-1]) if key in older
+                            else (latest[key],))]
 
     def sorted_records(self) -> Run:
         """All records as one columnar sorted run, ready for flushing or
         scanning; built once and kept until the next :meth:`add`."""
         run = self._run
         if run is None:
-            keys = self._consolidate()
-            per_key = list(map(self._versions.__getitem__, keys))
-            if self.n_records == len(keys):
-                versions = [v[0] for v in per_key]
-            else:
-                # Some key holds several versions: newest first within it.
-                keys = [key for key, v in zip(keys, per_key) for _ in v]
-                versions = list(chain.from_iterable(map(reversed, per_key)))
-            run = self._run = (Run.from_columns(keys, *zip(*versions))
-                               if versions else Run.from_records(()))
+            run = self._run = Run.from_records(self.iter_range())
         return run

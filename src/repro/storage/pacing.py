@@ -31,8 +31,8 @@ isolation:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Tuple
+from bisect import bisect_right
+from typing import List
 
 #: Hard ceiling on any single gate delay (sim seconds).  Realistic delays
 #: are micro- to milliseconds; the cap only bounds pathological inputs
@@ -153,37 +153,83 @@ class RateEstimator:
     seconds of background work, so the sustainable rate is
     ``1 / (lambda + 1/bw)`` -- clamped to ``[bw/256, bw]`` (the same floor
     as the fault-degradation gate).
+
+    The anchors are the slots ``[_head, _tail)`` of two parallel columns
+    (debt, bytes).  ``observe`` runs on every write, so it only
+    stores: the window is trimmed when :meth:`rate` is read, which the gate
+    does only under pressure.  That is exact.  The bytes column is strictly
+    increasing, and the front anchor a trim keeps -- the newest one at least
+    ``window_bytes`` behind the newest sample, never one of the last two --
+    only moves forward as samples arrive, so one trim at read time leaves
+    the front anchor a trim after every ``observe`` would have left.  Full
+    columns are trimmed too, then compacted to the front, doubled first
+    while the trimmed window fills more than half of them.  A ``user_bytes``
+    below the newest anchor's means the counter was reset
+    (``MetricsRegistry.reset``): the window restarts from that sample.
     """
 
-    __slots__ = ("bandwidth", "window_bytes", "_anchors")
+    __slots__ = ("bandwidth", "window_bytes", "_debt", "_bytes", "_head", "_tail")
 
     def __init__(self, bandwidth: float, window_bytes: int) -> None:
         if bandwidth <= 0.0:
             raise ValueError("bandwidth must be > 0")
         self.bandwidth = bandwidth
         self.window_bytes = max(1, int(window_bytes))
-        self._anchors: Deque[Tuple[float, int]] = deque()
+        self._debt: List[float] = [0.0] * 64
+        self._bytes: List[int] = [0] * 64
+        self._head = 0
+        self._tail = 0
 
     def observe(self, retired_debt_s: float, user_bytes: int) -> None:
         """Record the current (cumulative) counters as a window anchor."""
-        anchors = self._anchors
-        if anchors and anchors[-1][1] == user_bytes:
-            # No user progress since the last anchor: keep the newest debt
-            # reading without growing the window.
-            anchors[-1] = (retired_debt_s, user_bytes)
-        else:
-            anchors.append((retired_debt_s, user_bytes))
-        while len(anchors) > 2 and user_bytes - anchors[1][1] >= self.window_bytes:
-            anchors.popleft()
+        tail = self._tail
+        col = self._bytes
+        if tail:
+            newest = col[tail - 1]
+            if newest == user_bytes:
+                # No user progress since the last anchor: keep the newest
+                # debt reading without growing the window.
+                self._debt[tail - 1] = retired_debt_s
+                return
+            if user_bytes < newest:
+                tail = self._head = 0
+        debt = self._debt
+        try:
+            col[tail] = user_bytes
+        except IndexError:  # the columns are full
+            head = self._trim()
+            live = tail - head
+            if 2 * live > tail:
+                col += [0] * tail
+                debt += [0.0] * tail
+            col[:live] = col[head:tail]
+            debt[:live] = debt[head:tail]
+            self._head = 0
+            tail = live
+            col[tail] = user_bytes
+        debt[tail] = retired_debt_s
+        self._tail = tail + 1
+
+    def _trim(self) -> int:
+        """Move the front to the newest anchor at least ``window_bytes``
+        behind the newest sample, keeping two; returns the front."""
+        head, tail = self._head, self._tail
+        col = self._bytes
+        front = bisect_right(col, col[tail - 1] - self.window_bytes,
+                             head, tail - 1) - 1
+        if front > head:
+            self._head = head = front
+        return head
 
     def rate(self) -> float:
         """Sustainable bytes/second, clamped to ``[bw/256, bw]``."""
         bw = self.bandwidth
-        anchors = self._anchors
-        if len(anchors) < 2:
+        tail = self._tail
+        if tail - self._head < 2:
             return bw
-        d_debt = anchors[-1][0] - anchors[0][0]
-        d_bytes = anchors[-1][1] - anchors[0][1]
+        head = self._trim()
+        d_debt = self._debt[tail - 1] - self._debt[head]
+        d_bytes = self._bytes[tail - 1] - self._bytes[head]
         if d_bytes <= 0 or d_debt <= 0.0:
             return bw
         lam = d_debt / d_bytes

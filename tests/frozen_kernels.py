@@ -22,6 +22,11 @@ and every live file over its own link, then the WAL tail.  It is the
 reference the store bootstrap is compared against in
 ``tests/test_objstore_equivalence.py`` and ``tests/test_write_tax.py``.
 
+``FrozenRateEstimator`` is ``repro.storage.pacing.RateEstimator`` at
+4608cfe, the eager window: every ``observe`` appends to a deque of
+``(debt, bytes)`` anchors and pops the ones the window has slid past.  It
+is the oracle of the lazy window in ``tests/test_pacing.py``.
+
 ``build_op_stream`` is ``repro.workloads.ycsb``'s per-op stream at 5c17a7a
 (its body verbatim: a closure per op, scalar ``sample`` and ``permute64``
 calls); driven round-robin, it is the oracle of ``run_ycsb``'s op blocks in
@@ -30,6 +35,8 @@ calls); driven round-robin, it is the oracle of ``run_ycsb``'s op blocks in
 
 import bisect
 import random
+from collections import deque
+from typing import Deque, Tuple
 
 import numpy as np
 
@@ -38,6 +45,7 @@ from repro.common.errors import InvariantViolation
 from repro.common.records import (
     DELETE, KEY, KIND, RECORD_OVERHEAD, SEQ, VALUE, encoded_size)
 from repro.storage.background import ACTIVE, FAIR_QUANTUM_S, BackgroundPool
+from repro.storage.pacing import MIN_RATE_FRACTION
 from repro.table.merge import merge_runs
 from repro.workloads.distributions import (
     LatestChooser, ScrambledZipfian, UniformChooser, permute64)
@@ -209,6 +217,57 @@ class FrozenPumpPool(BackgroundPool):
                         self._retire(job)
             if not progressed:
                 return
+
+
+class FrozenRateEstimator:
+    """Sustainable ingest rate from the pool's retired-debt window.
+
+    Samples ``(retired_debt_s, user_bytes)`` pairs (both cumulative
+    counters) and estimates ``lambda`` = background device-seconds per user
+    byte over the trailing ``window_bytes`` of user writes.  One user byte
+    then costs ``1/bw`` seconds of foreground streaming plus ``lambda``
+    seconds of background work, so the sustainable rate is
+    ``1 / (lambda + 1/bw)`` -- clamped to ``[bw/256, bw]`` (the same floor
+    as the fault-degradation gate).
+    """
+
+    __slots__ = ("bandwidth", "window_bytes", "_anchors")
+
+    def __init__(self, bandwidth: float, window_bytes: int) -> None:
+        if bandwidth <= 0.0:
+            raise ValueError("bandwidth must be > 0")
+        self.bandwidth = bandwidth
+        self.window_bytes = max(1, int(window_bytes))
+        self._anchors: Deque[Tuple[float, int]] = deque()
+
+    def observe(self, retired_debt_s: float, user_bytes: int) -> None:
+        """Record the current (cumulative) counters as a window anchor."""
+        anchors = self._anchors
+        if anchors and anchors[-1][1] == user_bytes:
+            # No user progress since the last anchor: keep the newest debt
+            # reading without growing the window.
+            anchors[-1] = (retired_debt_s, user_bytes)
+        else:
+            anchors.append((retired_debt_s, user_bytes))
+        while len(anchors) > 2 and user_bytes - anchors[1][1] >= self.window_bytes:
+            anchors.popleft()
+
+    def rate(self) -> float:
+        """Sustainable bytes/second, clamped to ``[bw/256, bw]``."""
+        bw = self.bandwidth
+        anchors = self._anchors
+        if len(anchors) < 2:
+            return bw
+        d_debt = anchors[-1][0] - anchors[0][0]
+        d_bytes = anchors[-1][1] - anchors[0][1]
+        if d_bytes <= 0 or d_debt <= 0.0:
+            return bw
+        lam = d_debt / d_bytes
+        rate = 1.0 / (lam + 1.0 / bw)
+        lo = bw * MIN_RATE_FRACTION
+        if not (rate > lo):  # clamp NaN/negative to the floor too
+            return lo
+        return rate if rate < bw else bw
 
 
 def build_op_stream(db, spec, n_ops, n_records, *, seed, value_size, client=0,

@@ -12,7 +12,7 @@ expression and the bucket/estimator mechanics.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.storage.pacing import (
@@ -23,6 +23,7 @@ from repro.storage.pacing import (
     TokenBucketPacer,
     degraded_extra_delay_s,
 )
+from tests.frozen_kernels import FrozenRateEstimator
 
 # ------------------------------------------------- degraded_extra_delay_s
 
@@ -172,3 +173,90 @@ def test_estimator_rate_always_in_clamp_band(samples):
         nbytes += d_bytes
         est.observe(debt, nbytes)
         assert bw * MIN_RATE_FRACTION <= est.rate() <= bw
+
+
+# ------------------------------------------- the lazy window vs the eager one
+
+def _live(est):
+    """The estimator's anchors, oldest first, as (debt, bytes) pairs."""
+    head, tail = est._head, est._tail
+    return list(zip(est._debt[head:tail], est._bytes[head:tail]))
+
+
+#: One step of a program: an observe after (debt, bytes) increments, a
+#: stretch of ``n`` such observes with no read between them, or a read.
+#: Byte increments cover no progress (0), small steps and jumps of at least
+#: the window; stretches are long enough to fill and grow the columns.
+_byte_step = st.one_of(st.just(0), st.integers(1, 40),
+                       st.integers(0, 2).map(lambda k: ("jump", k)))
+_debt_step = st.one_of(st.just(0.0), st.floats(0.0, 5.0, allow_nan=False),
+                       st.sampled_from([1e-9, 0.1, 1e6]))
+_step = st.one_of(
+    st.tuples(st.just("observe"), _debt_step, _byte_step),
+    st.tuples(st.just("stretch"), _debt_step, _byte_step, st.integers(1, 300)),
+    st.tuples(st.just("rate")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(window=st.integers(1, 2000), program=st.lists(_step, max_size=60))
+@example(window=1000, program=[("stretch", 0.5, 1, 5000)])  # grows to 2048
+def test_lazy_window_rates_equal_the_eager_window(window, program):
+    bw = 400e6
+    lazy, eager = RateEstimator(bw, window), FrozenRateEstimator(bw, window)
+    debt, nbytes = 0.0, 0
+
+    def observe(d_debt, d_bytes):
+        nonlocal debt, nbytes
+        if isinstance(d_bytes, tuple):  # a jump of at least the window
+            d_bytes = window + d_bytes[1]
+        debt += d_debt
+        nbytes += d_bytes
+        lazy.observe(debt, nbytes)
+        eager.observe(debt, nbytes)
+
+    for step in program + [("rate",)]:
+        if step[0] == "observe":
+            observe(step[1], step[2])
+        elif step[0] == "stretch":
+            for _ in range(step[3]):
+                observe(step[1], step[2])
+        else:
+            assert lazy.rate().hex() == eager.rate().hex()
+            assert _live(lazy) == list(eager._anchors)
+
+
+def test_a_reset_counter_restarts_the_window():
+    # ``MetricsRegistry.reset`` zeroes ``user_bytes``; no store does it
+    # mid-run.  A count below the newest anchor's starts a new window from
+    # that sample (the eager window measured across the reset instead).
+    bw = 100.0
+    est = RateEstimator(bw, window_bytes=1000)
+    est.observe(0.0, 0)
+    est.observe(5.0, 1000)
+    est.observe(6.0, 2000)
+    est.observe(6.5, 10)  # the counter was reset
+    assert _live(est) == [(6.5, 10)] and est.rate() == bw
+    est.observe(7.5, 110)
+    fresh = RateEstimator(bw, window_bytes=1000)
+    fresh.observe(6.5, 10)
+    fresh.observe(7.5, 110)
+    assert est.rate() == fresh.rate() == 1.0 / (1.0 / 100 + 1.0 / bw)
+
+
+def test_unread_window_stays_bounded():
+    # 10^5 fixed-size observes and no rate() read: samples pile up only
+    # until the columns fill, and the columns grow only while the trimmed
+    # window fills more than half of them.  So the live samples stay within
+    # the window's W/r + 2 plus a slack of 3 (W/r + 2), the columns' room.
+    record, window = 1000, 64_000
+    bound = window // record + 2
+    est = RateEstimator(100.0, window)
+    most = 0
+    for i in range(1, 100_001):
+        est.observe(i * 1e-6, i * record)
+        most = max(most, est._tail - est._head)
+    assert most <= bound + 3 * bound
+    assert 64 < len(est._bytes) <= 4 * bound  # grown from its 64 slots
+    est.rate()
+    assert est._tail - est._head == window // record + 1 <= bound
