@@ -83,6 +83,12 @@ def _hundred_idle_puts(config, draining=False):
     return calls
 
 
+@pytest.mark.parametrize("config, budget", [("I-1t", 24), ("L", 34)])
+def test_put_on_an_idle_store_stays_in_budget(config, budget):
+    # Parent commit: 42 calls per put on I-1t, 51 on L.
+    assert _hundred_idle_puts(config) <= 100 * budget
+
+
 # The case ids name the first ceilings (22 / 25) so they stay stable as the
 # budget tightens.
 @pytest.mark.parametrize("config, budget", [("I-1t", 15), ("L", 18)],
