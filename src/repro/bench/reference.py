@@ -39,6 +39,7 @@ from repro.common.records import (
     SEQ,
     VALUE,
     check_scan,
+    check_snapshot,
     encoded_size,
     sort_key,
 )
@@ -191,7 +192,7 @@ def _reference_merge_visible(streams: Iterable[Any], *,
 
 def reference_scan(db: Any, lo_key: Any = None, hi_key: Any = None, *,
                    limit: Optional[int] = None,
-                   snapshot: Optional[int] = None,
+                   snapshot: Any = None,
                    ) -> List[Tuple[object, object]]:
     """The frozen scalar scan: seed ``IamDB.scan`` over the heap merge.
 
@@ -202,7 +203,8 @@ def reference_scan(db: Any, lo_key: Any = None, hi_key: Any = None, *,
     """
     runtime = db.runtime
     t0 = runtime.clock.now
-    snap = check_scan(lo_key, hi_key, limit, snapshot)
+    check_scan(lo_key, hi_key, limit)
+    snap = check_snapshot(db, snapshot)
     streams = [list(db.memtable.iter_range(lo_key, hi_key))]
     if db.immutable is not None:
         streams.append(list(db.immutable.iter_range(lo_key, hi_key)))

@@ -32,7 +32,7 @@ checks its arguments here (:func:`make_put`, :func:`make_delete` and the
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import ConfigError
 from repro.common.hashing import MASK64
@@ -71,14 +71,12 @@ def value_nbytes(value: Value) -> int:
     return value if type(value) is int else len(value)
 
 
-def check_key(key: object, snapshot: object = None) -> Optional[int]:
-    """Refuse ``key`` unless it is an int in ``[0, 2**64)``; return the sequence
-    number a read of it at ``snapshot`` pins (:func:`check_snapshot`)."""
+def check_key(key: object) -> None:
+    """Refuse ``key`` unless it is an int in ``[0, 2**64)``."""
     if type(key) is not int:
         raise ConfigError(f"keys must be Python ints, got {type(key).__name__}: {key!r}")
     if not 0 <= key <= MASK64:
         raise ConfigError(f"key {key} outside the key space [0, 2**64)")
-    return None if snapshot is None else check_snapshot(snapshot)
 
 
 def check_keys(keys: Iterable[Key]) -> List[Key]:
@@ -93,28 +91,30 @@ def check_keys(keys: Iterable[Key]) -> List[Key]:
     return listed
 
 
-def check_snapshot(snapshot: object) -> Optional[int]:
-    """The seq a read pins: ``None`` (the newest) or a ``Snapshot``'s.  An int
-    is refused: it pins no history, so a merge may already have dropped what
-    it would read (internal layers take the int a handle carries)."""
+def check_snapshot(db: Any, snapshot: object) -> Optional[int]:
+    """The seq a read of ``db`` pins: ``None`` (the newest) or that of a
+    ``Snapshot`` handle ``db`` still pins.  An int (internal layers take the
+    int a handle carries), another store's handle, a released one or one
+    from before ``crash_and_recover`` is refused: it pins no history, so a
+    merge may already have dropped what it would read."""
     if snapshot is None:
         return None
     from repro.db.snapshot import Snapshot  # repro.db imports this module
-    if isinstance(snapshot, Snapshot):
-        return snapshot.seq
-    raise ConfigError(f"a snapshot must be a Snapshot handle or None, got {snapshot!r}")
+    if not isinstance(snapshot, Snapshot):
+        raise ConfigError(f"a snapshot must be a Snapshot handle or None, got {snapshot!r}")
+    if snapshot._pins is not db._snapshots or snapshot._released:
+        raise ConfigError(f"the snapshot at seq {snapshot.seq} is not pinned by this store")
+    return snapshot.seq
 
 
-def check_scan(lo_key: object, hi_key: object, limit: object,
-               snapshot: object = None) -> Optional[int]:
+def check_scan(lo_key: object, hi_key: object, limit: object) -> None:
     """Refuse a scan unless its bounds are ``None`` or ints of any size and its
-    ``limit`` is ``None`` or an int >= 0; return what :func:`check_snapshot` does."""
+    ``limit`` is ``None`` or an int >= 0."""
     for bound in (lo_key, hi_key):
         if bound is not None and type(bound) is not int:
             check_key(bound)
     if limit is not None and (type(limit) is not int or limit < 0):
         raise ConfigError(f"scan limit must be None or an int >= 0, got {limit!r}")
-    return check_snapshot(snapshot)
 
 
 def check_cut(cut: object) -> None:

@@ -49,13 +49,13 @@ from repro.core.engine import EngineBase
 from repro.core.tuning import tune_m_k
 from repro.core.node import (
     RANGE_LO,
+    TABLE,
     LsaNode,
     children_of,
     children_slice,
     count_children,
     level_insert_sorted,
     level_overlapping,
-    level_tables,
     partition_records,
 )
 from repro.filters.bloom import hash_pair
@@ -564,12 +564,13 @@ class LsaTree(EngineBase):
     @observation_only
     def scan_cursors(self, lo_key: Optional[Key],
                      hi_key: Optional[Key]) -> List[Iterable[RecordTuple]]:
-        """One lazy node chain per level, top level first."""
+        """One lazy node chain per level, top level first: ``map`` reads a
+        node's table only when the walk reaches it."""
         streams: List[Iterable[RecordTuple]] = []
         for level in range(1, self.n + 1):
             nodes = level_overlapping(self.levels[level], lo_key, hi_key)
             if nodes:
-                streams.append(chain_stream(self.runtime, partial(level_tables, nodes),
+                streams.append(chain_stream(self.runtime, partial(map, TABLE, nodes),
                                             lo_key, hi_key))
         return streams
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 from operator import attrgetter
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.common.errors import InvariantViolation
 from repro.common.records import Key
@@ -121,17 +121,6 @@ def level_overlapping(level: List[LsaNode], lo: Optional[Key],
             start += 1
     stop = None if hi is None else bisect.bisect_right(level, hi, key=RANGE_LO)
     return level[start:stop]
-
-
-def level_tables(nodes: List[LsaNode]) -> Iterator[Optional[MSTable]]:
-    """Each node's table in order (``None`` for an empty node), lazily.
-
-    The level walk under every scan: ``nodes`` is a scan's captured slice of
-    a level, and the C-level ``map`` reads a node only when the consumer
-    advances to it -- a limit-bounded scan never looks at the rest of a wide
-    level.  Consumers skip empty tables inline, so a table costs no call.
-    """
-    return map(TABLE, nodes)
 
 
 def children_slice(parents: List[LsaNode], kids: List[LsaNode],

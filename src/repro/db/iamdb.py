@@ -312,7 +312,8 @@ class IamDB:
         if self._closed or snapshot is not None or type(key) is not int \
                 or not 0 <= key <= MASK64:
             self._check_open()
-            snap = check_key(key, snapshot)
+            check_key(key)
+            snap = check_snapshot(self, snapshot)
         runtime = self.runtime
         t0 = runtime.clock.now
         rec = self.memtable.get(key, snap)
@@ -332,7 +333,7 @@ class IamDB:
         """:meth:`get` of every key in request order; all are checked before
         any is read."""
         self._check_open()
-        check_snapshot(snapshot)
+        check_snapshot(self, snapshot)
         return [self.get(key, snapshot) for key in check_keys(keys)]
 
     def _scan_streams(self, lo_key: Optional[Key],
@@ -355,7 +356,8 @@ class IamDB:
         ``limit`` caps the row count (0: ``[]``, touching nothing).
         """
         self._check_open()
-        snap = check_scan(lo_key, hi_key, limit, snapshot)
+        check_scan(lo_key, hi_key, limit)
+        snap = None if snapshot is None else check_snapshot(self, snapshot)
         if limit == 0:
             return []
         runtime = self.runtime
@@ -371,14 +373,7 @@ class IamDB:
         """Pin the current sequence number for repeatable reads."""
         self._check_open()
         self._snapshots[self._seq] = self._snapshots.get(self._seq, 0) + 1
-        return Snapshot(self, self._seq)
-
-    def _release_snapshot(self, seq: int) -> None:
-        left = self._snapshots.get(seq, 0) - 1
-        if left <= 0:
-            self._snapshots.pop(seq, None)
-        else:
-            self._snapshots[seq] = left
+        return Snapshot(self._snapshots, self._seq)
 
     def _live_snapshots(self) -> Tuple[int, ...]:
         return tuple(sorted(self._snapshots))
@@ -411,7 +406,7 @@ class IamDB:
         self.memtable = Memtable(self.key_size)
         self.immutable = None
         self._imm_job = None
-        self._snapshots.clear()
+        self._snapshots = {}  # a new count: older handles no longer match it
         torn = 0
         if crash is not None and crash.torn_tail_records > 0:
             torn = self.wal.tear(crash.torn_tail_records)

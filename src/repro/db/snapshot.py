@@ -8,26 +8,32 @@ sequence number so later compactions can collect the garbage.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.db.iamdb import IamDB
+from typing import Dict
 
 
 class Snapshot:
-    """A pinned read view of the database."""
+    """A pinned read view of the database.
 
-    __slots__ = ("seq", "_db", "_released")
+    ``_pins`` is the store's seq -> live-handle count this handle is counted
+    in.  Recovery gives the store a new one, so a handle from before it (or
+    another store's) is told apart by identity, and its release touches
+    only the count it was taken in.
+    """
 
-    def __init__(self, db: "IamDB", seq: int) -> None:
+    __slots__ = ("seq", "_pins", "_released")
+
+    def __init__(self, pins: Dict[int, int], seq: int) -> None:
         self.seq = seq
-        self._db = db
+        self._pins = pins
         self._released = False
 
     def release(self) -> None:
         if not self._released:
             self._released = True
-            self._db._release_snapshot(self.seq)
+            if self._pins[self.seq] > 1:
+                self._pins[self.seq] -= 1
+            else:
+                del self._pins[self.seq]
 
     @property
     def released(self) -> bool:

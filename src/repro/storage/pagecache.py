@@ -98,9 +98,11 @@ class PageCache:
         pinned`` unpinned blocks lie ahead of the hits; ``h + m`` is the
         run's length, so that holds when ``length + pinned <= capacity``.
         Otherwise the misses are listed first; a hit they evict stays out.
+        Nothing pins during a request: ``pinned`` is read at the first miss.
         """
         lru = self._lru
         move_to_end = lru.move_to_end
+        room = None
         for file_id, blocks in reads:
             missing = seeks = 0
             last_miss = -2
@@ -116,8 +118,10 @@ class PageCache:
             self.hits += blocks.stop - blocks.start - missing
             if missing:
                 yield missing, seeks
+                if room is None:
+                    room = self.max_blocks - len(self._pinned)
                 admit: Iterable[int] = blocks
-                if blocks.stop - blocks.start + len(self._pinned) > self.max_blocks:
+                if blocks.stop - blocks.start > room:
                     admit = [b for b in blocks if (file_id, b) not in lru]
                 self.insert_many(file_id, admit, False)
 

@@ -1,14 +1,30 @@
 """Vectorized scan assembly: plan the whole merge, then replay its charges.
 
-The generator tier (iterating the streams: a heap merge over
-lazily-charging cursors) defines the charges, but takes one Python step per
-merged record.  Every scan takes this module instead: it reads each
-stream's *description* (a memtable span, a level's node chain) instead of
-iterating it -- gathers the in-range slices of every key/seq/kind column,
-computes the global merge order with one ``np.lexsort`` (unique ``(key,
-seq)`` pairs make the order total), derives the visible output and the
-termination rank with array ops, and then replays the exact foreground
-charge sequence the cursor pipeline would have issued.
+The generator tier (a heap merge over lazily-charging cursors) defines the
+charges, but takes one Python step per merged record.  Every scan takes
+this module instead: it reads each stream's *description* (a memtable span,
+a level's node chain) instead of iterating it -- gathers the in-range
+slices of the key and kind columns, newest component first, sorts the key
+column once, derives the visible output and the termination rank with
+array ops, and replays the exact foreground charges the cursor pipeline
+would have issued.
+
+Newest first: the merge order is one stable sort
+------------------------------------------------
+The components are gathered newest first -- the memtable, the immutable
+memtable, each level from the top down, a node's sequences last appended
+first: the exact reverse of the deepest-first walk's ``comps`` list.  Each
+is sorted ``(key asc, seq desc)``, and for a given key a newer component
+never holds an older version than an older component, so equal keys
+already sit newest version first and one ``argsort(kind="stable")`` of the
+key column (timsort merging the sorted runs) is the merge order; the seq
+column is gathered only under a snapshot.  The rule holds on all five scan
+engines because data moves down in whole cohorts (a merge takes every
+version of its input range); within a level, a later sequence in an LSA /
+IAM node is newer than the earlier ones, a LevelDB / RocksDB L0 compaction
+takes every L0 file that overlaps its range, transitively (each L0 file is
+a stream of its own, newest first), and FLSM guard fragments are appended
+in age order.
 
 The charge model
 ----------------
@@ -45,21 +61,18 @@ Deepest level first, one pass per component
 -------------------------------------------
 The streams are walked deepest level first, so the densest level fixes the
 cut key before the shallower ones are looked at, and a chain's walk ends
-at its first node whose ``min_key`` is at or past the cut: that node is
-a fill-only tail exactly as a node past the record budget is.  The events
-are still generated in stream order (``gen`` follows the generator tier's
-pulls).  Each sequence component is visited once before the sort: the walk
-records ``(run, key view, i, j)`` and its charge facts and folds the cut
-key; a memtable is the span of its cached run the same way.  A node's
-components are consecutive, so its books are one index range ``[first_ci,
-end_ci)``, and a fill-only tail's charges are one comprehension.  Every
-span that reaches the cut key is then cut with one ``bisect_left`` on its
-key view -- before anything is sliced -- and each column is gathered with
-one comprehension into one ``np.concatenate``.  The charge events are
-derived in Python ints (``ranks.tolist()``, the offsets as a list, a
-uniform sequence's block index being the ``range`` it is, so a chunk index
-is ``i // step``): at the scan's T of a few hundred records numpy scalars
-cost more than the arithmetic they carry.
+at its first node whose ``min_key`` is at or past the cut: a fill-only
+tail, as a node past the record budget is.  Events are still generated in
+stream order (``gen`` follows the generator tier's pulls).  The walk visits
+each component once, recording ``(run, key view, i, j)`` and its charge
+facts and folding the cut key; a node's components are one index range
+``[first_ci, end_ci)`` of the walk, and a fill-only tail's charges one
+comprehension.  Every span reaching the cut key is cut with one
+``bisect_left`` before anything is sliced, and each column is one
+``np.concatenate``.  The charge events are Python ints (``ranks.tolist()``,
+a uniform sequence's block index being the ``range`` it is, so a chunk
+index is ``i // step``): at a few hundred records numpy scalars cost more
+than the arithmetic they carry.
 
 Every stream is a :class:`~repro.table.scan.ListStream` or a ``ChainStream``
 and every stored key and snapshot is uint64 (the entry points refuse the
@@ -117,7 +130,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
     n_comps = 0  # len(comps)
     vals_ok = True  # every value synthetic: the sizes column is the output
     # Per chain: ([(first_ci, end_ci, truncated_any)] per node -- its
-    # components are comps[first_ci:end_ci] -- , fill_only events)
+    # components are the walk's comps[first_ci:end_ci] -- , fill_only events)
     chains = []
     cut_key: Optional[int] = None
     runtime = None
@@ -211,6 +224,8 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
     if not comps:
         return [], [], runtime
     chains.reverse()  # back to stream order: ``gen`` follows the pulls
+    comps.reverse()  # newest first: walk index w is now ``top - w``
+    top = n_comps - 1
 
     # Cut-key prefilter: in a truncated plan every record with key >=
     # cut_key sorts past the (validated) termination rank M, so it can
@@ -235,27 +250,10 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
         # termination below the cut, so widen and retry.
         return _RETRY
     keys_g = np.concatenate([run.keys[i:j] for run, _, i, j, _ in comps])
-    seqs_g = np.concatenate([run.seqs[i:j] for run, _, i, j, _ in comps])
     kinds_g = np.concatenate([run.kinds[i:j] for run, _, i, j, _ in comps])
-    # Total order by (key asc, seq desc): unique (key, seq) pairs, so the
-    # bit-complement trick needs no tie-breaking.  When key and sequence
-    # widths fit one word, pack them into a single composite and do one
-    # stable (radix) argsort -- half the cost of the two-pass lexsort.
-    # Scans over a compact key space take it (db_bench readseq over
-    # fillseq keys, the read-equivalence tests' ``small_keys`` cases);
-    # hashed 64-bit keys never do.
-    s_bits = int(seqs_g.max()).bit_length()
-    total_bits = int(keys_g.max()).bit_length() + s_bits
-    if s_bits < 64 and total_bits <= 64:
-        smask = np.uint64((1 << s_bits) - 1)
-        composite = np.left_shift(keys_g, np.uint64(s_bits))
-        composite |= seqs_g ^ smask
-        if total_bits <= 32:
-            # Half-width radix passes: the dominant per-record sort cost.
-            composite = composite.astype(np.uint32)
-        order = np.argsort(composite, kind="stable")
-    else:
-        order = np.lexsort((np.invert(seqs_g), keys_g))
+    # (key asc, seq desc): the components are gathered newest first, so a
+    # stable sort of the keys alone leaves equal keys newest version first.
+    order = keys_g.argsort(kind="stable")
     ranks = np.empty(T, dtype=np.intp)
     ranks[order] = np.arange(T, dtype=np.intp)
     skeys = keys_g[order]
@@ -282,13 +280,14 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
         if snapshot is None:
             first_vis = newkey
         else:
+            seqs_g = np.concatenate([run.seqs[i:j] for run, _, i, j, _ in comps])
             cand = seqs_g[order[:R]] <= np.uint64(snapshot)
             cnt = np.cumsum(cand)
             ex_before = (cnt - cand)[newkey]
             gid = np.cumsum(newkey) - 1
             first_vis = cand & ((cnt - ex_before[gid]) == 1)
         out_mask = first_vis & (kinds_g[order[:R]] != DELETE)
-        vis = np.flatnonzero(out_mask)
+        vis = out_mask.nonzero()[0]
         if n_stop is not None and vis.size >= n_stop:
             M = int(vis[n_stop - 1])
             emit = vis[:n_stop]
@@ -319,7 +318,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
             fill_tr = prev
             last = -1
             cut_any = truncated_any
-            for ci in range(first_ci, end_ci):
+            for ci in range(top - first_ci, top - end_ci, -1):
                 _, _, i, _, (fid, starts, first, n_blocks, charge_end) = comps[ci]
                 base = offsets[ci] - i
                 end = offsets[ci + 1] - base  # past the last gathered record

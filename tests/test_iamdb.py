@@ -118,17 +118,46 @@ def test_released_snapshot_allows_gc():
     s2.release()  # idempotent
 
 
-@pytest.mark.parametrize("snapshot", [2.9, "5", True, -1, 2 ** 64, 301],
-                         ids=["float", "str", "bool", "negative", "wide", "int"])
-def test_bad_snapshot_is_refused_before_any_charge(snapshot):
-    # A snapshot is a handle or None: a float is not truncated (2.9 used to
-    # read at seq 2, before key 3 existed), a string is not parsed ("5" used
-    # to read seq 5), and an int pins no history, so even 301 -- a sequence
-    # number this store has written -- is refused rather than read.
+def _written(value):
+    """A store of 300 keys, then key 3 = ``value`` at seq 301."""
     db = make_tiny_db("iam")
     for key in range(300):
         db.put(key * 7 + 1000, 40)
-    db.put(3, 41)  # seq 301
+    db.put(3, value)
+    return db
+
+
+def _released(db):
+    snap = db.snapshot()  # seq 303, which another live handle pins too
+    snap.release()
+    return snap
+
+
+def _recovered(db):
+    snap = db.snapshot()
+    db.crash_and_recover()
+    db.snapshot()  # recovery kept seq 303: a new handle pins it again
+    return snap
+
+
+def _foreign(db):
+    return _written(99).snapshot()  # seq 301, which this store pins too
+
+
+@pytest.mark.parametrize(
+    "snapshot", [2.9, "5", True, -1, 2 ** 64, 301, _released, _recovered, _foreign],
+    ids=["float", "str", "bool", "negative", "wide", "int", "released",
+         "recovered", "foreign"])
+def test_bad_snapshot_is_refused_before_any_charge(snapshot):
+    # A snapshot is a handle the store pins, or None: a float is not
+    # truncated (2.9 used to read at seq 2, before key 3 existed), a string
+    # is not parsed ("5" used to read seq 5), and an int pins no history, so
+    # even 301 -- a sequence number this store has written -- is refused
+    # rather than read.  So is a handle the store does not pin -- a released
+    # one, one taken before a crash and recovery, another store's -- even
+    # when another live handle pins its seq: each used to be read at its
+    # seq, though nothing kept that history for it.
+    db = _written(41)  # seq 301
     at_301 = db.snapshot()
     db.put(3, 42)  # seq 302
     at_302 = db.snapshot()
@@ -136,6 +165,8 @@ def test_bad_snapshot_is_refused_before_any_charge(snapshot):
     db.put(3, 43)  # seq 303, in the memtable
     assert db.get(3, at_301) == 41 and db.get(3, at_302) == 42
     assert db.get(3, db.snapshot()) == 43
+    if callable(snapshot):
+        snapshot = snapshot(db)
 
     def state():
         return (db.clock_now, repr(db.metrics.snapshot()),
@@ -148,6 +179,19 @@ def test_bad_snapshot_is_refused_before_any_charge(snapshot):
         with pytest.raises(ConfigError, match="snapshot"):
             read()
         assert state() == before
+
+
+def test_a_handle_from_before_recovery_leaves_new_pins_alone():
+    # Releasing a handle recovery unpinned does not unpin a new handle that
+    # pins the same seq.
+    db = make_tiny_db("iam")
+    db.put(3, 10)
+    old = db.snapshot()
+    db.crash_and_recover()
+    new = db.snapshot()
+    assert new.seq == old.seq
+    old.release()
+    assert db._live_snapshots() == (new.seq,) and db.get(3, new) == 10
 
 
 def test_closed_db_rejects_operations():

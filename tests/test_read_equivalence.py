@@ -21,6 +21,7 @@ from ``k``.
 
 import random
 from functools import partial
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -42,17 +43,21 @@ from tests.conftest import (make_tiny_db, member_dbs, tiny_iam_options,
 #: A fixed, spread-out key pool (arbitrary points in the 64-bit key space).
 KEY_POOL = [(0x9E3779B97F4A7C15 * (i + 1)) % 2 ** 64 for i in range(24)]
 
-#: A compact pool (small ints) -- exercises the composite-sort fast path.
+#: A compact pool (small ints), like the keys db_bench's ``fillseq`` writes.
 SMALL_POOL = list(range(24))
 
 ENGINES = ("iam", "lsa", "leveldb")
 
 
-def _at(seq):
-    """A read view at sequence ``seq`` (``None``: the newest).  Twins hold one
-    history, so the read paths compared here see the same versions whether
-    or not a merge kept older ones: the handle needs no registration."""
-    return None if seq is None else Snapshot(None, seq)
+def _at(db, seq):
+    """A handle ``db`` pins at sequence ``seq`` (``None``: the newest).  Twins
+    hold one history, so the read paths compared here see the same versions
+    whether or not a merge kept older ones; pinning a past seq only keeps
+    later merges from dropping what it reads."""
+    if seq is None:
+        return None
+    db._snapshots[seq] = db._snapshots.get(seq, 0) + 1
+    return Snapshot(db._snapshots, seq)
 
 
 def _observable_state(db):
@@ -150,14 +155,15 @@ def test_multi_get_is_validate_then_get_loop(engine, ops, quiesce, batch,
             a.put(KEY_POOL[i % 6], 300 + i)
             b.put(KEY_POOL[i % 6], 300 + i)
             i += 1
-    kw = {}
+    kw_a, kw_b = {}, {}
     if snap_back is not None and not cluster and a._seq > 0:
-        kw["snapshot"] = _at(max(1, a._seq - snap_back))
+        seq = max(1, a._seq - snap_back)
+        kw_a["snapshot"], kw_b["snapshot"] = _at(a, seq), _at(b, seq)
     keys = [KEY_POOL[i] for i in batch]
     with pytest.raises(ConfigError):
-        a.multi_get(keys + [bad], **kw)
+        a.multi_get(keys + [bad], **kw_a)
     assert _full_state(a) == _full_state(b)
-    assert a.multi_get(keys, **kw) == [b.get(k, **kw) for k in keys]
+    assert a.multi_get(keys, **kw_a) == [b.get(k, **kw_b) for k in keys]
     assert _full_state(a) == _full_state(b)
     a.close()
     b.close()
@@ -187,17 +193,90 @@ def test_scan_matches_scalar_reference(engine, ops, small_keys, quiesce, odd,
         db_opt.quiesce()
     snapshot = None
     if snap_back is not None and db_ref._seq > 0:
-        snapshot = _at(max(1, db_ref._seq - snap_back))
+        snapshot = max(1, db_ref._seq - snap_back)
     lo = None if lo_i is None else pool[lo_i]
     hi = None if span is None else (lo or 0) + sorted(pool[:24])[span] + 1
     if odd is not None and odd < 0:
         lo = odd
     elif odd is not None:
         hi = odd
-    want = reference_scan(db_ref, lo, hi, limit=limit, snapshot=snapshot)
-    got = db_opt.scan(lo, hi, limit=limit, snapshot=snapshot)
+    want = reference_scan(db_ref, lo, hi, limit=limit,
+                          snapshot=_at(db_ref, snapshot))
+    got = db_opt.scan(lo, hi, limit=limit, snapshot=_at(db_opt, snapshot))
     assert got == want
     assert _observable_state(db_opt) == _observable_state(db_ref)
+    db_ref.close()
+    db_opt.close()
+
+
+#: The five engines that scan (LSM-trie declines scans).
+SCAN_ENGINES = ("iam", "lsa", "leveldb", "rocksdb", "flsm")
+HOT = KEY_POOL[:3]
+
+
+def _components_holding(db, key):
+    """How many of the scan's components hold a version of ``key``: each
+    memtable, each sequence of a chain node (an L0 file's stream, a guard's
+    fragment); walks the descriptions, charging nothing."""
+    n = 0
+    for s in db._scan_streams(None, None):
+        if hasattr(s, "run"):
+            n += key in s.run.keys.tolist()
+            continue
+        for node in s.walk():
+            for table in (node if isinstance(node, tuple) else (node,) if node else ()):
+                n += sum(key in seq.key_view for seq in table.sequences)
+    return n
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(engine=st.sampled_from(SCAN_ENGINES),
+       rounds=st.lists(st.tuples(st.integers(0, 60),
+                                 st.sampled_from(["", "flush", "quiesce"])),
+                       min_size=2, max_size=7),
+       snap_round=st.one_of(st.none(), st.integers(0, 6)),
+       limit=st.one_of(st.none(), st.integers(1, 30)))
+def test_scan_takes_each_key_from_its_newest_component(engine, rounds,
+                                                       snap_round, limit):
+    # The planner gathers components newest first and sorts keys alone, so
+    # a key's newest version must sit in its newest component.  Every round
+    # rewrites the hot keys (a value no other write used), writes ``n``
+    # cold keys and flushes, quiesces or neither, so the hot keys keep a
+    # version in each level, L0 file and guard fragment the rounds leave;
+    # the last writes leave one in the immutable memtable and one in the
+    # memtable.  A live snapshot (taken at ``snap_round``) makes merges keep
+    # older versions; scans read both at it and at the newest.
+    dbs = (make_tiny_db(engine), make_tiny_db(engine))
+    snaps = [None, None]
+    value = cold = 0
+    for r, (n, step) in enumerate(rounds):
+        for i, db in enumerate(dbs):
+            if r == snap_round:
+                snaps[i] = db.snapshot()
+            for k, h in enumerate(HOT):
+                db.put(h, value + 1 + k)
+            for c in range(cold, cold + n):
+                db.put(KEY_POOL[3 + c % 21] ^ (c << 40), 40)
+            if step:
+                getattr(db, step)()
+        value += 10
+        cold += n
+    db_ref, db_opt = dbs
+    for db in dbs:
+        db.flush()
+    while db_ref.immutable is None or db_ref.memtable.get(HOT[0]) is None:
+        cold += 1  # until a rotation is in flight and a rewrite follows it
+        for db in dbs:
+            db.put(KEY_POOL[3 + cold % 21] ^ (cold << 40), 40)
+            db.put(HOT[0], value + cold)
+    assert _components_holding(db_ref, HOT[0]) >= 3
+    views = [(None, None)] + ([tuple(snaps)] if snaps[0] else [])
+    for (snap_ref, snap_opt), (lo, lim) in product(views, ((None, None),
+                                                           (min(HOT), limit))):
+        want = reference_scan(db_ref, lo, None, limit=lim, snapshot=snap_ref)
+        assert db_opt.scan(lo, None, limit=lim, snapshot=snap_opt) == want
+        assert _observable_state(db_opt) == _observable_state(db_ref)
     db_ref.close()
     db_opt.close()
 
@@ -343,9 +422,9 @@ def _wide_pair(engine, n=1800, seed=17):
 
 
 def _assert_scan_matches(db_ref, db_opt, lo, hi, limit=None, snapshot=None):
-    snapshot = _at(snapshot)
-    want = reference_scan(db_ref, lo, hi, limit=limit, snapshot=snapshot)
-    got = db_opt.scan(lo, hi, limit=limit, snapshot=snapshot)
+    want = reference_scan(db_ref, lo, hi, limit=limit,
+                          snapshot=_at(db_ref, snapshot))
+    got = db_opt.scan(lo, hi, limit=limit, snapshot=_at(db_opt, snapshot))
     assert got == want
     assert _observable_state(db_opt) == _observable_state(db_ref)
     return got

@@ -91,20 +91,22 @@ def test_calls_per_read_do_not_grow_with_level_width():
 
 
 # The case ids keep the ceilings they were first given (450 / 580).
-@pytest.mark.parametrize("limit,ceiling", [(10, 169), (100, 207)],
+@pytest.mark.parametrize("limit,ceiling", [(10, 128), (100, 166)],
                          ids=["10-450", "100-580"])
 def test_calls_per_scan_budget(limit, ceiling):
     # The planner walks the deepest level first and stops each shallower
     # chain at the cut key, visits each sequence component once before the
     # sort, keeps a table's components as one index range and derives its
     # charges in Python ints; the level walk costs no call per table, the
-    # memtable slice is a span of its cached run, the charges go to the
-    # runtime as one request, which is one cache pass (155 / 192 calls
-    # here; 161 / 198 with an isinstance per stream, 206 / 249 walking top
-    # level first with a touch and an admit call per run, 278 / 344 with
-    # an index list per table and listed misses, 296 / 374 with a request
-    # per read-ahead run, 361 / 466 with generator walks and per-block
-    # residency sets, 649 / 841 with the three-pass planner).
+    # memtable slice is a span of its cached run, the merge order is one
+    # stable sort of the key column gathered newest first, the charges go
+    # to the runtime as one request, which is one cache pass (125 / 162
+    # calls here; 155 / 192 sorting by (key, ~seq) with a lexsort or a
+    # composite key, 161 / 198 with an isinstance per stream, 206 / 249
+    # walking top level first with a touch and an admit call per run,
+    # 278 / 344 with an index list per table and listed misses, 296 / 374
+    # with a request per read-ahead run, 361 / 466 with generator walks and
+    # per-block residency sets, 649 / 841 with the three-pass planner).
     db, _ = _store(widen=False)
     assert len(db.scan(0, None, limit=limit)) == limit
     assert _calls(lambda: db.scan(0, None, limit=limit)) <= ceiling
@@ -122,11 +124,13 @@ def test_flsm_scan_calls_do_not_grow_with_guard_count():
     assert abs(many - few) < 0.10 * few, (few, many)
 
 
-@pytest.mark.parametrize("limit,ceiling", [(10, 212), (100, 304)])
+# The case ids keep the ceilings they were first given (212 / 304).
+@pytest.mark.parametrize("limit,ceiling", [(10, 180), (100, 270)],
+                         ids=["10-212", "100-304"])
 def test_flsm_calls_per_scan_budget(limit, ceiling):
     # FLSM's guards are planned as chain elements, each a tuple of its
-    # fragments (202 / 290 calls here; 236 / 1,085 when the planner
-    # declined them to the heap merge).
+    # fragments (176 / 264 calls here; 202 / 290 sorting by (key, ~seq),
+    # 236 / 1,085 when the planner declined them to the heap merge).
     db, _ = _store(widen=False, engine="flsm")
     assert len(db.scan(0, None, limit=limit)) == limit
     assert _calls(lambda: db.scan(0, None, limit=limit)) <= ceiling
