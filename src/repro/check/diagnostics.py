@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple, TypeVar
+from typing import Any, Dict, Mapping, Set
 
 from repro.common.errors import InvariantViolation
 
@@ -58,10 +57,7 @@ def invariant_error(check: str, message: str, **context: Any) -> InvariantViolat
 
 
 # --------------------------------------------------------------------------
-# Shared static-check plumbing: suppression comments, path relativization
-# and deterministic ordering.  Both the determinism lint (REP0xx) and the
-# effects gate (REP1xx) speak this dialect, so one test suite covers the
-# round-trip for both.
+# Suppression comments of the determinism lint (REP0xx).
 # --------------------------------------------------------------------------
 
 #: Per-line suppression: ``# repro: noqa-REPxxx`` (one rule per marker;
@@ -82,21 +78,9 @@ class NoqaIndex:
     #: Rule ids suppressed for the entire file.
     file_rules: Set[str]
 
-    def is_suppressed(self, rule: str, line: int,
-                      extra_lines: Iterable[int] = ()) -> bool:
-        """Whether ``rule`` is suppressed at ``line``.
-
-        ``extra_lines`` widens the match window -- a finding anchored at a
-        decorated ``def`` accepts a marker on any line of the decorator
-        block, so suppression is insensitive to which physical line the
-        AST anchors the finding to.
-        """
-        if rule in self.file_rules:
-            return True
-        if rule in self.lines.get(line, ()):
-            return True
-        return any(rule in self.lines.get(extra, ())
-                   for extra in extra_lines)
+    def is_suppressed(self, rule: str, line: int) -> bool:
+        """Whether ``rule`` is suppressed at ``line``."""
+        return rule in self.file_rules or rule in self.lines.get(line, ())
 
 
 def parse_noqa(source: str) -> NoqaIndex:
@@ -112,31 +96,3 @@ def parse_noqa(source: str) -> NoqaIndex:
         for match in NOQA_LINE_RE.finditer(stripped):
             lines.setdefault(lineno, set()).add(match.group(1))
     return NoqaIndex(lines=lines, file_rules=file_rules)
-
-
-def relativize_path(path: str, root: Optional[Path] = None) -> str:
-    """Render ``path`` relative to ``root`` (default: cwd) when possible.
-
-    Findings carry absolute paths internally (stable sort keys across
-    working directories); reports print them relative so CI artifacts and
-    local runs are comparable byte-for-byte.
-    """
-    base = root if root is not None else Path.cwd()
-    try:
-        return str(Path(path).resolve().relative_to(base.resolve()))
-    except ValueError:
-        return str(path)
-
-
-_FindingT = TypeVar("_FindingT")
-
-
-def finding_sort_key(finding: Any) -> Tuple[str, int, int, str]:
-    """Deterministic ordering shared by every REP-rule reporter."""
-    return (str(finding.path), int(finding.line), int(finding.col),
-            str(finding.rule))
-
-
-def sort_findings(findings: Iterable[_FindingT]) -> List[_FindingT]:
-    """Sort findings by (path, line, col, rule) -- the report order."""
-    return sorted(findings, key=finding_sort_key)

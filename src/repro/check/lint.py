@@ -8,22 +8,25 @@ rules over ``src/repro``:
 
 ========  ==============================================================
 REP001    no wall-clock time sources (``time.time``, ``datetime.now``...)
-REP002    no unseeded/global RNG (module-level ``random.*``, ``Random()``)
+REP002    no unseeded/global/host RNG (``random.*``, ``Random()``, ``secrets``)
 REP003    no direct iteration over set displays/constructors
 REP004    no float equality against simulated-time attributes
 REP005    no mutable default arguments
 REP006    no mutation of the frozen seed kernels (``repro.bench.reference``)
 REP007    no bare ``except:``
 REP008    no ``assert`` for structural checks (raise InvariantViolation)
+REP009    no raw device call (``fg_io``, ``bg_grant``...) outside storage
 ========  ==============================================================
+
+A module imported under another name (``import time as t``, ``from
+datetime import datetime as dt``) is resolved first, so ``t.perf_counter()``
+is REP001 like ``time.perf_counter()``.
 
 A finding on a line carrying ``# repro: noqa-REPxxx`` is suppressed; the
 suppression is per-rule and per-line (see DESIGN.md for when to suppress vs
-fix).  For decorated defs the marker may sit on any line of the decorator
-block (findings anchored to the ``def`` line would otherwise need the
-marker on a line the reader never wrote).  ``# repro: noqa-file-REPxxx``
-anywhere in a file silences the rule for the whole file -- reserved for
-modules whose *purpose* violates a rule (``src/repro`` has none).
+fix).  ``# repro: noqa-file-REPxxx`` anywhere in a file silences the rule
+for the whole file -- reserved for modules whose *purpose* violates a rule
+(``src/repro`` has none).
 Each rule has a fixture test in ``tests/test_check_lint.py`` proving it
 fires on minimal bad code and stays quiet on the equivalent good code.
 """
@@ -33,7 +36,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.check.diagnostics import parse_noqa
 
@@ -41,8 +44,8 @@ from repro.check.diagnostics import parse_noqa
 RULES: Dict[str, str] = {
     "REP001": "wall-clock time source; the simulated clock (SimClock) must be "
               "the only time source in src/repro",
-    "REP002": "unseeded or process-global RNG; use random.Random(seed) / "
-              "numpy default_rng(seed) instances",
+    "REP002": "unseeded, process-global or host-entropy RNG; use "
+              "random.Random(seed) / numpy default_rng(seed) instances",
     "REP003": "iteration over a set display/constructor; set order is "
               "nondeterministic across processes (sort first)",
     "REP004": "float equality (==/!=) against a simulated-time value; "
@@ -54,6 +57,8 @@ RULES: Dict[str, str] = {
     "REP007": "bare 'except:'; catch a concrete exception type",
     "REP008": "'assert' used for a structural check in non-test code; raise "
               "InvariantViolation so checks survive python -O",
+    "REP009": "raw device costing call outside repro/storage; charge through "
+              "the Runtime wrappers so every byte lands on the simulated clock",
 }
 
 #: Dotted call/attribute paths that read the wall clock (REP001).
@@ -79,6 +84,16 @@ _GLOBAL_RANDOM_FNS = {
     "betavariate", "triangular", "getrandbits", "randbytes", "seed",
     "vonmisesvariate", "paretovariate", "weibullvariate", "lognormvariate",
 }
+
+#: Host entropy sources: they cannot be seeded at all (REP002).
+_HOST_ENTROPY = {"random.SystemRandom", "os.urandom", "os.getrandom"}
+
+#: Modules whose local alias is resolved before a rule matches a name.
+_RESOLVED_MODULES = {"time", "random", "datetime", "os", "secrets"}
+
+#: ``SimDisk`` costing calls that only ``repro/storage`` may make (REP009);
+#: everything else charges through the ``Runtime`` wrappers.
+_RAW_DEVICE_CALLS = {"fg_io", "fg_stream", "bg_grant", "bg_count", "sync_drain"}
 
 #: Attribute names treated as simulated-time values (REP004).
 _SIM_TIME_ATTRS = {
@@ -118,10 +133,21 @@ class _RuleVisitor(ast.NodeVisitor):
     def __init__(self, path: str) -> None:
         self.path = path
         self.findings: List[Finding] = []
+        #: Local name -> the dotted module path it was imported as.
+        self._aliases: Dict[str, str] = {}
         #: Local names bound to the frozen reference module or its members.
         self._reference_names: Set[str] = set()
-        self._is_reference_module = path.replace("\\", "/").endswith(
-            "bench/reference.py")
+        posix = path.replace("\\", "/")
+        self._is_reference_module = posix.endswith("bench/reference.py")
+        self._in_storage = "repro/storage/" in posix
+
+    def _resolved(self, node: ast.AST) -> Optional[str]:
+        """``_dotted_name`` with an import alias at its head expanded."""
+        dotted = _dotted_name(node)
+        if dotted is None:
+            return None
+        head, dot, rest = dotted.partition(".")
+        return self._aliases.get(head, head) + dot + rest
 
     def _emit(self, rule: str, node: ast.AST, message: str) -> None:
         self.findings.append(Finding(
@@ -134,6 +160,8 @@ class _RuleVisitor(ast.NodeVisitor):
         for alias in node.names:
             if alias.name == "repro.bench.reference":
                 self._reference_names.add(alias.asname or "repro")
+            if alias.asname and alias.name in _RESOLVED_MODULES:
+                self._aliases[alias.asname] = alias.name
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -146,6 +174,12 @@ class _RuleVisitor(ast.NodeVisitor):
             if module == "random" and alias.name in _GLOBAL_RANDOM_FNS:
                 self._emit("REP002", node,
                            f"import of global-RNG function random.{alias.name}")
+            if module == "secrets" or f"{module}.{alias.name}" in _HOST_ENTROPY:
+                self._emit("REP002", node,
+                           f"import of host entropy {module}.{alias.name}")
+            if module in _RESOLVED_MODULES:
+                self._aliases[alias.asname or alias.name] = \
+                    f"{module}.{alias.name}"
         if module == "repro.bench.reference" or module == "repro.bench" and any(
                 a.name == "reference" for a in node.names):
             for alias in node.names:
@@ -154,17 +188,24 @@ class _RuleVisitor(ast.NodeVisitor):
                 self._reference_names.add(alias.asname or alias.name)
         self.generic_visit(node)
 
-    # ---------------------------------------------------------------- REP001
+    # ----------------------------------------------------------- REP001/002
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        dotted = _dotted_name(node)
+        dotted = self._resolved(node)
         if dotted in _WALL_CLOCK:
             self._emit("REP001", node, f"wall-clock read via {dotted}")
+        elif dotted in _HOST_ENTROPY or (
+                dotted is not None and dotted.startswith("secrets.")):
+            self._emit("REP002", node, f"host entropy via {dotted}")
         self.generic_visit(node)
 
-    # ---------------------------------------------------------------- REP002
+    # ----------------------------------------------------------- REP002/009
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        dotted = _dotted_name(func)
+        if isinstance(func, ast.Attribute) and not self._in_storage \
+                and func.attr in _RAW_DEVICE_CALLS:
+            self._emit("REP009", node,
+                       f"raw device call .{func.attr}() outside repro/storage")
+        dotted = self._resolved(func)
         if dotted is not None:
             head, _, tail = dotted.rpartition(".")
             if head == "random" and tail in _GLOBAL_RANDOM_FNS:
@@ -297,22 +338,6 @@ class _RuleVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _decorated_def_ranges(tree: ast.Module) -> List[Tuple[int, int]]:
-    """(first decorator line, def line) for every decorated def/class.
-
-    A finding anywhere in such a range accepts a noqa marker on any line
-    of the range: the AST anchors decorator-related findings to the
-    ``def`` line, which is not where a reader would put the comment.
-    """
-    ranges: List[Tuple[int, int]] = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)) and node.decorator_list:
-            first = min(d.lineno for d in node.decorator_list)
-            ranges.append((first, node.lineno))
-    return ranges
-
-
 def lint_source(source: str, path: str = "<string>", *,
                 rules: Optional[Set[str]] = None) -> List[Finding]:
     """Lint one module's source; returns surviving findings, ordered."""
@@ -320,18 +345,9 @@ def lint_source(source: str, path: str = "<string>", *,
     visitor = _RuleVisitor(path)
     visitor.visit(tree)
     noqa = parse_noqa(source)
-    def_ranges = _decorated_def_ranges(tree)
-    out = []
-    for finding in visitor.findings:
-        if rules is not None and finding.rule not in rules:
-            continue
-        extra: List[int] = []
-        for first, last in def_ranges:
-            if first <= finding.line <= last:
-                extra.extend(range(first, last + 1))
-        if noqa.is_suppressed(finding.rule, finding.line, extra):
-            continue
-        out.append(finding)
+    out = [f for f in visitor.findings
+           if (rules is None or f.rule in rules)
+           and not noqa.is_suppressed(f.rule, f.line)]
     out.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return out
 

@@ -1,6 +1,6 @@
 """The ``python -m repro check`` driver.
 
-Runs the six correctness gates in order and reports one status line each:
+Runs the five correctness gates in order and reports one status line each:
 
 1. **lint** -- the AST determinism lint (:mod:`repro.check.lint`) over
    ``src/repro`` (or explicit paths).
@@ -20,9 +20,6 @@ Runs the six correctness gates in order and reports one status line each:
    from the shared manifest log (zero leader WAL bytes for the flushed
    prefix), a leader kill recovered off shared storage, and a time-travel
    read (``as_of_cut``) checked against a model recorded at that cut.
-6. **effects** -- the whole-program effect-inference pass
-   (:mod:`repro.check.effects`): clock purity of observation paths, charged
-   I/O, seeded RNG, span balance, declared host-time (REP100...REP105).
 
 Every gate runs even when an earlier one fails or raises: a gate that
 escapes with an exception is reported ERROR (with the exception inline) and
@@ -45,7 +42,7 @@ from repro.check.typing_gate import run_typing_gate
 
 #: Gate names in execution order (also the --gate vocabulary).
 GATE_NAMES: Tuple[str, ...] = (
-    "lint", "types", "sanitizer", "cluster", "objstore", "effects")
+    "lint", "types", "sanitizer", "cluster", "objstore")
 
 
 @dataclass
@@ -306,34 +303,12 @@ def _run_objstore_smoke(args: argparse.Namespace) -> GateOutcome:
     return GateOutcome("objstore", "PASS", detail=detail)
 
 
-def _run_effects(args: argparse.Namespace) -> GateOutcome:
-    from repro.check.effects.gate import run_effects_gate, write_report
-
-    result = run_effects_gate(strict=args.strict)
-    if args.effects_report:
-        write_report(result, args.effects_report)
-    lines: List[str] = [f.format() for f in result.findings]
-    if args.strict and result.baselined:
-        lines.extend(
-            f"{f.format()}  [baselined: {entry.reason}]"
-            for f, entry in result.baselined)
-    for entry in result.stale_baseline:
-        lines.append(f"stale baseline entry: {entry.rule} {entry.function} "
-                     f"({entry.reason}) -- remove it")
-    if result.ok:
-        return GateOutcome("effects", "PASS", detail=result.summary_line(),
-                           body="\n".join(lines))
-    lines.append(result.summary_line())
-    return GateOutcome("effects", "FAIL", body="\n".join(lines))
-
-
 _GATE_RUNNERS: "dict[str, Callable[[argparse.Namespace], GateOutcome]]" = {
     "lint": _run_lint,
     "types": _run_types,
     "sanitizer": _run_sanitizer_smoke,
     "cluster": _run_cluster_smoke,
     "objstore": _run_objstore_smoke,
-    "effects": _run_effects,
 }
 
 
@@ -341,55 +316,36 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro check",
         description=("determinism lint + typing gate + sanitizer smoke run "
-                     "+ cluster smoke run + objstore smoke run "
-                     "+ effect-inference gate"))
+                     "+ cluster smoke run + objstore smoke run"))
     p.add_argument("paths", nargs="*",
                    help="files/directories to lint (default: src/repro)")
     p.add_argument("--list-rules", action="store_true",
-                   help="print the rule catalog (lint + effects) and exit")
+                   help="print the lint rule catalog and exit")
     p.add_argument("--explain", metavar="REPxxx",
-                   help="print the long-form explanation of a rule and exit")
+                   help="print one rule's rationale and exit")
     p.add_argument("--rule", action="append", metavar="REPxxx",
                    help="restrict the lint to the given rule(s)")
     p.add_argument("--gate", action="append", metavar="NAME",
                    choices=GATE_NAMES,
                    help="run only the named gate(s); repeatable "
                         f"(choices: {', '.join(GATE_NAMES)})")
-    p.add_argument("--strict", action="store_true",
-                   help="effects gate: baselined findings also FAIL "
-                        "(the weekly CI variant)")
-    p.add_argument("--effects-report", metavar="PATH",
-                   help="write the effects gate's JSON report to PATH")
     p.add_argument("--seed", type=int, default=0xC0FFEE,
                    help="seed of the sanitizer/cluster/objstore smoke "
                         "workloads")
     return p
 
 
-def _explain_rule(rule: str) -> Optional[str]:
-    from repro.check.effects.gate import EXPLANATIONS
-
-    if rule in EXPLANATIONS:
-        return EXPLANATIONS[rule]
-    if rule in RULES:
-        return f"{rule}: {RULES[rule]}"
-    return None
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_rules:
-        from repro.check.effects.contracts import EFFECT_RULES
-
-        for rule_id, description in sorted({**RULES, **EFFECT_RULES}.items()):
+        for rule_id, description in sorted(RULES.items()):
             print(f"{rule_id}  {description}")
         return 0
     if args.explain:
-        text = _explain_rule(args.explain)
-        if text is None:
+        if args.explain not in RULES:
             print(f"unknown rule: {args.explain}")
             return 2
-        print(text)
+        print(f"{args.explain}: {RULES[args.explain]}")
         return 0
     if args.rule:
         unknown = [r for r in args.rule if r not in RULES]

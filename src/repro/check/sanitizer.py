@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from repro.check.diagnostics import Diagnostic, invariant_error
 from repro.common.errors import InvariantViolation
 from repro.common.records import KEY, SEQ
-from repro.check.effects.registry import observation_only
 from repro.table.mstable import finish_builds
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -109,7 +108,6 @@ class Sanitizer:
             raise exc
 
     # ----------------------------------------------------------- entry points
-    @observation_only
     def after_structural_event(self, engine: "EngineBase", event: str) -> None:
         """Engine hook: called after every flush, compaction, split,
         combine and merge, inside the job: the walk first finishes what the
@@ -121,7 +119,6 @@ class Sanitizer:
             builds.clear()
         self.check_tree(engine, event=event)
 
-    @observation_only
     def check_tree(self, engine: "EngineBase", *, event: str = "explicit") -> None:
         """Run the engine's own invariant catalog plus the checks only the
         sanitizer can make (bound transitions, clock, disk, page cache)."""
@@ -136,7 +133,6 @@ class Sanitizer:
         self._check_space_accounting()
         self._check_page_cache()
 
-    @observation_only
     def check_db(self, event: str = "rotation") -> None:
         """DB hook: verify WAL/memtable/manifest agreement.
 
@@ -271,7 +267,6 @@ class Sanitizer:
                 break
 
     # --------------------------------------------------------------- summary
-    @observation_only
     def summary(self) -> Dict[str, int]:
         return {
             "events_seen": self.events_seen,

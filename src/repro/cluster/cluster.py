@@ -46,7 +46,6 @@ from repro.objstore.store import ObjStoreOptions, SimObjectStore
 from repro.objstore.tiering import AsOfReader, ObjStoreTier, open_as_of
 from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.storage.simdisk import SimClock, SimDisk
-from repro.check.effects.registry import observation_only
 
 #: Recently acked writes remembered for the failover audit (per cluster).
 AUDIT_WINDOW = 256
@@ -522,7 +521,6 @@ class ClusterDB:
             return 0.0
         return max(values) * len(values) / total
 
-    @observation_only
     def stats(self) -> Dict[str, object]:
         """The cluster report: topology, aggregates, imbalance, tails."""
         shards = self.router.shards
@@ -578,7 +576,6 @@ class ClusterDB:
             "shards": shard_rows,
         }
 
-    @observation_only
     def check_invariants(self) -> None:
         """Cluster invariants plus every live replica's engine invariants."""
         from repro.cluster.invariants import check_cluster_invariants

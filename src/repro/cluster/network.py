@@ -25,7 +25,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.common.options import ChannelOptions
 from repro.storage.simdisk import SimClock, SimResource
-from repro.check.effects.registry import effects
 
 #: Default per-link bandwidth: 2 GiB/s full duplex (a 25 GbE-ish fabric,
 #: deliberately faster than the SSD profile so the disk stays the bottleneck).
@@ -96,7 +95,6 @@ class SimNetwork:
         return link, service
 
     # ------------------------------------------------------------- foreground
-    @effects("CLOCK_ADVANCE", "NET_CHARGE", "STATE_MUTATE")
     def send(self, src: int, dst: int, nbytes: int) -> float:
         """Deliver one message synchronously; returns the elapsed sim time
         (queueing behind earlier traffic on the same directed link plus the
@@ -115,7 +113,6 @@ class SimNetwork:
         self.bytes_sent += total
         return link.fg(service)[0]
 
-    @effects("CLOCK_ADVANCE", "NET_CHARGE", "STATE_MUTATE")
     def rpc(self, src: int, dst: int, request_bytes: int,
             response_bytes: int = 0) -> float:
         """A request/response round trip; returns the total elapsed time."""

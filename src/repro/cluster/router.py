@@ -30,7 +30,6 @@ from repro.common.records import (DELETE, KEY, RECORD_OVERHEAD, Key, RecordTuple
                                   Value, encoded_size, value_nbytes)
 from repro.metrics import MetricsRegistry
 from repro.obs.tracer import NullTracer
-from repro.check.effects.registry import effects
 
 #: The router's network node id (replica node ids start at 1).
 ROUTER_NODE = 0
@@ -111,7 +110,6 @@ class Router:
         self._install(keep + new)
 
     # ----------------------------------------------------- admission control
-    @effects("CLOCK_ADVANCE", "STATE_MUTATE")
     def _admit_write(self, shard: Shard, streak: int) -> None:
         """Pace a write to a degraded shard (leader pool giving up on jobs,
         ``streak`` > 0 times in a row)."""

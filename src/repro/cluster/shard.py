@@ -13,7 +13,6 @@ from typing import Dict, List, Tuple
 
 from repro.cluster.replica import ReplicaGroup
 from repro.common.errors import ConfigError
-from repro.check.effects.registry import observation_only
 
 #: The cluster key space: hash-load keys are 64-bit permutations.
 KEY_SPACE_LO = 0
@@ -56,7 +55,6 @@ class Shard:
     def ops_routed(self) -> int:
         return self.reads + self.writes + self.scans
 
-    @observation_only
     def stats(self) -> Dict[str, object]:
         """Per-shard row of the cluster report (leader stats + routing)."""
         leader = self.group.leader.db

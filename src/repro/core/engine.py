@@ -37,7 +37,6 @@ from repro.storage.runtime import Runtime
 from repro.table.merge import merge_runs
 from repro.table.mstable import MSTable
 from repro.table.run import Run
-from repro.check.effects.registry import effects, observation_only
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.check.sanitizer import Sanitizer
@@ -121,7 +120,6 @@ class EngineBase(abc.ABC):
         if cp is not None:
             cp.reached(site)
 
-    @effects("CLOCK_ADVANCE", "STATE_MUTATE")
     def _fault_gate(self, nbytes: int) -> float:
         """Degradation pacing while background jobs keep failing.
 
@@ -182,7 +180,6 @@ class EngineBase(abc.ABC):
             scale = max(scale, min(1.0, (debt - soft) / soft))
         return pressure, scale
 
-    @effects("CLOCK_ADVANCE", "STATE_MUTATE")
     def _token_pace(self, nbytes: int, l0_options: Optional["LsmOptions"] = None,
                     n0: int = 0, debt: int = 0) -> float:
         """Token-bucket admission at the observed sustainable ingest rate.
@@ -244,7 +241,6 @@ class EngineBase(abc.ABC):
             self._trace("gate", "pace:token-bucket", delay_s=delay, rate=rate)
         return delay
 
-    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
     def _l0_stop_backstop(self, stop_trigger: int) -> float:
         """Hard stall until compaction brings L0 below ``stop_trigger``."""
         pool = self.runtime.pool
@@ -309,7 +305,6 @@ class EngineBase(abc.ABC):
     def submit_flush(self, run: Run, nbytes: int) -> BackgroundJob:
         """Schedule the flush of a full (immutable) memtable's sorted run."""
 
-    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
     def write_gate(self, nbytes: int) -> float:
         """Admit one user write: degrade, pace, and (L0 engines) hard-stop.
 
@@ -362,12 +357,10 @@ class EngineBase(abc.ABC):
     def level_data_bytes(self) -> Dict[int, int]:
         """Live data bytes per level (the paper's D_j)."""
 
-    @observation_only
     @abc.abstractmethod
     def check_invariants(self) -> None:
         """Raise InvariantViolation when the structure is inconsistent."""
 
-    @observation_only
     @abc.abstractmethod
     def describe(self) -> Dict[str, object]:
         """Structure digest for reports and tests."""

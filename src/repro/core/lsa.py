@@ -67,7 +67,6 @@ from repro.storage.runtime import Runtime
 from repro.table.merge import merge_runs  # noqa: F401
 from repro.table.mstable import MSTable
 from repro.table.run import Run, split_run
-from repro.check.effects.registry import observation_only
 
 
 class LsaTree(EngineBase):
@@ -561,7 +560,6 @@ class LsaTree(EngineBase):
                 return rec, latency
         return None, latency
 
-    @observation_only
     def scan_cursors(self, lo_key: Optional[Key],
                      hi_key: Optional[Key]) -> List[Iterable[RecordTuple]]:
         """One lazy node chain per level, top level first: ``map`` reads a
@@ -596,7 +594,6 @@ class LsaTree(EngineBase):
             return "appending"
         return "mixed" if level == self.m else "merging"
 
-    @observation_only
     def check_invariants(self) -> None:
         for i in range(1, self.n + 1):
             lst = self.levels[i]
@@ -618,7 +615,6 @@ class LsaTree(EngineBase):
                                       leaf=self.n, level=extra_no,
                                       nodes=len(self.levels[extra_no]))
 
-    @observation_only
     def describe(self) -> Dict[str, object]:
         return {
             "engine": self.name,

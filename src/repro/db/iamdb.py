@@ -66,7 +66,6 @@ from repro.metrics import MetricsRegistry
 from repro.storage.manifest import Manifest
 from repro.storage.runtime import Runtime
 from repro.storage.wal import WriteAheadLog
-from repro.check.effects.registry import observation_only
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.check.sanitizer import Sanitizer, SanitizerOptions
@@ -219,7 +218,6 @@ class IamDB:
             runtime.pump()
         metrics.latency["insert"].samples.append(clock.now - t0)
 
-    @observation_only
     def _sanitize_db(self, event: str) -> None:
         """Run the DB-level sanitizer checks at a quiescent point."""
         if self.sanitizer is not None:
@@ -330,11 +328,30 @@ class IamDB:
 
     def multi_get(self, keys: Iterable[Key],
                   snapshot: Optional[Snapshot] = None) -> List[Optional[Value]]:
-        """:meth:`get` of every key in request order; all are checked before
-        any is read."""
+        """:meth:`get` of every key in request order; the store, the snapshot
+        and every key are checked once, before any is read."""
         self._check_open()
-        check_snapshot(self, snapshot)
-        return [self.get(key, snapshot) for key in check_keys(keys)]
+        snap = check_snapshot(self, snapshot)
+        if snap is None:
+            return [self.get(key) for key in check_keys(keys)]
+        return [self._get_at(key, snap) for key in check_keys(keys)]
+
+    def _get_at(self, key: Key, snap: int) -> Optional[Value]:
+        """:meth:`get`'s read of a checked key at a checked snapshot seq
+        (``get`` keeps its own copy: a call here would cost every read)."""
+        runtime = self.runtime
+        t0 = runtime.clock.now
+        rec = self.memtable.get(key, snap)
+        if rec is None and self.immutable is not None:
+            rec = self.immutable.get(key, snap)
+        if rec is None:
+            rec, _ = self.engine.get(key, snap)
+        if not runtime.pool.idle or runtime.sampler is not None:
+            runtime.pump()
+        self.metrics.latency["read"].samples.append(runtime.clock.now - t0)
+        if rec is None or rec[KIND] == DELETE:
+            return None
+        return rec[VALUE]
 
     def _scan_streams(self, lo_key: Optional[Key],
                       hi_key: Optional[Key]) -> List[Iterable[RecordTuple]]:
@@ -472,7 +489,6 @@ class IamDB:
     def space_used_bytes(self) -> int:
         return self.runtime.space_used_bytes()
 
-    @observation_only
     def stats(self) -> Dict[str, object]:
         d = self.engine.describe()
         longest = self.metrics.longest_stall()
@@ -492,6 +508,5 @@ class IamDB:
             d["latency_percentiles"] = self.metrics.hist_percentiles()
         return d
 
-    @observation_only
     def check_invariants(self) -> None:
         self.engine.check_invariants()

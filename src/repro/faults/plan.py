@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Dict
 from repro.common.errors import InvariantViolation, TransientIOError
 from repro.common.hashing import MASK64, splitmix64
 from repro.common.options import ConfigError, FaultOptions
-from repro.check.effects.registry import effects
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.background import BackgroundJob
@@ -87,7 +86,6 @@ class FaultInjector:
         self.giveups = 0
 
     # ------------------------------------------------------------- foreground
-    @effects("CLOCK_ADVANCE", "STATE_MUTATE")
     def on_foreground_request(self, clock: "SimClock") -> None:
         """Retry loop in front of every foreground device or store request.
 

@@ -35,7 +35,6 @@ from repro.storage.runtime import Runtime
 from repro.table.mstable import MSTable
 from repro.table.run import Run
 from repro.table.scan import chain_stream
-from repro.check.effects.registry import observation_only
 
 #: Fragments per bottom-level guard before the guard is merged in place.
 BOTTOM_MERGE_FANIN = 8
@@ -232,7 +231,6 @@ class FlsmEngine(EngineBase):
                         return rec, latency
         return None, latency
 
-    @observation_only
     def scan_cursors(self, lo_key, hi_key) -> List:
         """One guard chain per level, top level first, from the guard holding
         ``lo_key`` to the one holding ``hi_key``; a guard's overlapping
@@ -257,7 +255,6 @@ class FlsmEngine(EngineBase):
         """Largest fragment count in any guard (worst-write-case indicator)."""
         return max((len(g.tables) for lvl in self.guards for g in lvl), default=0)
 
-    @observation_only
     def check_invariants(self) -> None:
         for i, lvl in enumerate(self.guards):
             total = sum(g.nbytes for g in lvl)
@@ -273,7 +270,6 @@ class FlsmEngine(EngineBase):
                 for t in g.tables:
                     t.check_invariants(i)
 
-    @observation_only
     def describe(self) -> Dict[str, object]:
         return {
             "engine": self.name,

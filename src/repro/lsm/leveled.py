@@ -39,7 +39,6 @@ from repro.table.merge import merge_runs  # noqa: F401
 from repro.table.mstable import MSTable
 from repro.table.run import Run, split_run
 from repro.table.scan import chain_stream, table_stream
-from repro.check.effects.registry import observation_only
 
 
 #: The fence key every sorted-level search bisects by (read off the live
@@ -264,7 +263,6 @@ class LeveledLsm(EngineBase):
             return lst[idx]
         return None
 
-    @observation_only
     def scan_cursors(self, lo_key, hi_key) -> List:
         """One stream per L0 file (newest first), then one per deeper level."""
         streams: List[object] = []
@@ -285,7 +283,6 @@ class LeveledLsm(EngineBase):
     def level_data_bytes(self) -> Dict[int, int]:
         return {i: b for i, b in enumerate(self.level_bytes) if b or self.levels[i]}
 
-    @observation_only
     def check_invariants(self) -> None:
         for i, lst in enumerate(self.levels):
             total = sum(t.data_bytes for t in lst)
@@ -305,7 +302,6 @@ class LeveledLsm(EngineBase):
                                               "file ranges overlap or are unsorted",
                                               level=i, left=a.max_key, right=b.min_key)
 
-    @observation_only
     def describe(self) -> Dict[str, object]:
         return {
             "engine": self.name,

@@ -37,7 +37,6 @@ from repro.storage.runtime import Runtime
 from repro.common.hashing import splitmix64
 from repro.table.mstable import MSTable
 from repro.table.run import Run
-from repro.check.effects.registry import observation_only
 
 #: Children per trie node (the original uses 8: 3 hash bits per level).
 TRIE_FANOUT = 8
@@ -235,7 +234,6 @@ class LsmTrieEngine(EngineBase):
     def max_children(self) -> int:
         return max((len(n.children) for n in self._walk()), default=0)
 
-    @observation_only
     def check_invariants(self) -> None:
         for node in self._walk():
             if not all(0 <= idx < TRIE_FANOUT for idx in node.children):
@@ -248,7 +246,6 @@ class LsmTrieEngine(EngineBase):
             if node.table is not None:
                 node.table.check_invariants(node.depth + 1)
 
-    @observation_only
     def describe(self) -> Dict[str, object]:
         depths: Dict[int, int] = {}
         for node in self._walk():

@@ -14,7 +14,6 @@ from collections import defaultdict
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
-from repro.check.effects.registry import observation_only
 from repro.metrics.latency import (LatencyHistogram, LatencyRecorder,
                                    merge_histogram_snapshots)
 from repro.metrics.stalls import StallBreakdown
@@ -117,7 +116,6 @@ class MetricsRegistry:
         self.latency[op].samples.append(latency_s)
 
     # ------------------------------------------------------------- histograms
-    @observation_only
     def enable_histograms(self) -> None:
         """Turn on per-op-class latency histograms: free for an op, since
         :attr:`op_hist` folds them from the :attr:`latency` samples recorded
@@ -132,7 +130,6 @@ class MetricsRegistry:
                              if key in HIST_OP_CLASSES}
 
     @property
-    @observation_only
     def op_hist(self) -> Mapping[str, LatencyHistogram]:
         """Read-only log-linear histogram per op class (empty while off).
 
@@ -152,13 +149,11 @@ class MetricsRegistry:
                     self._hist_folded[key] = end
         return MappingProxyType(self._op_hist)
 
-    @observation_only
     def hist_snapshots(self) -> Dict[str, Dict[str, object]]:
         """Snapshot of every op-class histogram (empty when disabled)."""
         hists = self.op_hist
         return {op: hists[op].snapshot() for op in sorted(hists)}
 
-    @observation_only
     def hist_percentiles(self) -> Dict[str, Dict[str, float]]:
         """p50/p99/p999/max/mean/count per op class (empty when disabled)."""
         hists = self.op_hist
@@ -185,7 +180,6 @@ class MetricsRegistry:
     def total_gate_delay_s(self) -> float:
         return sum(st.total_s for st in self.gate_delays.values())
 
-    @observation_only
     def stall_breakdown(self) -> StallBreakdown:
         """Blame-class rollup of hard stalls + soft gate delays."""
         return StallBreakdown.from_metrics(self.stalls, self.gate_delays)
@@ -284,7 +278,6 @@ class MetricsRegistry:
                if self.hist_enabled else {}),
         }
 
-    @observation_only
     def render_prom(self, *, extra_gauges: Optional[
             Dict[str, Union[float, Tuple[str, float]]]] = None) -> str:
         """Prometheus text exposition of this registry (plus derived rates).

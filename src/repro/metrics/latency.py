@@ -40,7 +40,6 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.check.effects.registry import observation_only
 from repro.common.errors import InvariantViolation
 
 #: Linear sub-buckets per power-of-two octave.  32 gives a worst-case
@@ -136,7 +135,6 @@ class LatencyHistogram:
         self._max = 0.0
         self._min = math.inf
 
-    @observation_only
     def record(self, latency_s: float) -> None:
         if not latency_s < math.inf:  # NaN or +inf: no bucket holds it
             raise InvariantViolation(
@@ -153,7 +151,6 @@ class LatencyHistogram:
         idx = bucket_index(latency_s)
         self._buckets[idx] = self._buckets.get(idx, 0) + 1
 
-    @observation_only
     def fold(self, window: np.ndarray, op_class: str) -> None:
         """:meth:`record` every sample of a non-empty ``window``, in order,
         in a fixed number of calls whatever its length: the same counts,
@@ -205,7 +202,6 @@ class LatencyHistogram:
     def mean(self) -> float:
         return self._sum / self._count if self._count else 0.0
 
-    @observation_only
     def percentile(self, q: float) -> float:
         """Nearest-rank ``q``-th percentile; 0.0 when empty, never raises.
 
@@ -228,7 +224,6 @@ class LatencyHistogram:
                 return min(bucket_bounds(idx)[1], self._max)
         return self._max  # unreachable: counts always sum to _count
 
-    @observation_only
     def percentiles(self) -> Dict[str, float]:
         """The stability digest: p50/p99/p999 + exact max/mean/count."""
         out: Dict[str, float] = {
@@ -239,7 +234,6 @@ class LatencyHistogram:
         return out
 
     # ---------------------------------------------------------------- merging
-    @observation_only
     def merge(self, other: "LatencyHistogram") -> None:
         """Fold ``other`` into this histogram (bucket-count addition)."""
         self._zero += other._zero
@@ -260,7 +254,6 @@ class LatencyHistogram:
         return out
 
     # -------------------------------------------------------------- snapshots
-    @observation_only
     def snapshot(self) -> Dict[str, object]:
         """JSON-able copy: counts keyed by *string* bucket index.
 
@@ -291,7 +284,6 @@ class LatencyHistogram:
             out._buckets = {int(k): int(v) for k, v in raw.items()}
         return out
 
-    @observation_only
     def delta_since(self, prev: Mapping[str, object]) -> "LatencyHistogram":
         """Histogram of samples recorded *after* snapshot ``prev``.
 

@@ -28,8 +28,8 @@ ate my throughput?" without a per-reason legend:
   "slowdown:") always land in their named class, so new emit sites that
   follow the prefix convention can never silently grow this bucket.
 
-Everything here is pure bookkeeping over snapshots -- observation-only by
-registry prefix (see ``repro.check.effects.registry``).
+Everything here is pure bookkeeping over snapshots: it never touches the
+clock or a device.
 """
 
 from __future__ import annotations

@@ -2,10 +2,8 @@
 
 Rolls :meth:`~repro.objstore.store.SimObjectStore.snapshot` and
 :meth:`~repro.objstore.manifestlog.SharedManifestLog.snapshot` dicts into a
-compact summary dict and a human-readable report block for the CLI.  The
-whole module is observation-only by registry prefix (see
-``repro.check.effects.registry.OBSERVATION_ONLY_PREFIXES``): it reads
-snapshots, it never touches the clock, a device, or the store itself.
+compact summary dict and a human-readable report block for the CLI.  It
+reads snapshots; it never touches the clock, a device, or the store itself.
 """
 
 from __future__ import annotations

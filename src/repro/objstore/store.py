@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.common.errors import InvariantViolation
 from repro.common.options import ChannelOptions
 from repro.storage.simdisk import SimClock, SimResource
-from repro.check.effects.registry import effects
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultInjector
@@ -102,7 +101,6 @@ class SimObjectStore(SimResource):
         return self.fg(self.service_time(nbytes, requests))
 
     # ------------------------------------------------------------- foreground
-    @effects("CLOCK_ADVANCE", "OBJSTORE_CHARGE", "STATE_MUTATE")
     def put(self, name: str, nbytes: int) -> Tuple[float, float]:
         """Upload one immutable object synchronously; (elapsed, queued).
 
@@ -119,7 +117,6 @@ class SimObjectStore(SimResource):
         self.objects[name] = nbytes
         return elapsed, queued
 
-    @effects("CLOCK_ADVANCE", "OBJSTORE_CHARGE", "STATE_MUTATE")
     def get(self, name: str) -> Tuple[float, float]:
         """Download one object synchronously; returns (elapsed, queued).
 
@@ -135,7 +132,6 @@ class SimObjectStore(SimResource):
         self.bytes_down += nbytes
         return elapsed, queued
 
-    @effects("CLOCK_ADVANCE", "OBJSTORE_CHARGE", "STATE_MUTATE")
     def read_fill(self, nbytes: int, requests: int) -> Tuple[float, float]:
         """Charge a ranged read of ``nbytes`` in ``requests`` GETs.
 
@@ -151,7 +147,6 @@ class SimObjectStore(SimResource):
         self.bytes_down += nbytes
         return elapsed, queued
 
-    @effects("CLOCK_ADVANCE", "OBJSTORE_CHARGE", "STATE_MUTATE")
     def list_prefix(self, prefix: str) -> Tuple[List[str], float]:
         """List live object names under ``prefix``, sorted; (names, elapsed)."""
         elapsed, _ = self._fg_request(0)
@@ -159,7 +154,6 @@ class SimObjectStore(SimResource):
         names = sorted(n for n in self.objects if n.startswith(prefix))
         return names, elapsed
 
-    @effects("CLOCK_ADVANCE", "OBJSTORE_CHARGE", "STATE_MUTATE")
     def delete(self, name: str) -> float:
         """Delete one object synchronously; returns the elapsed sim time."""
         if name not in self.objects:

@@ -38,7 +38,6 @@ from repro.objstore.manifestlog import ManifestCut, SharedManifestLog
 from repro.objstore.store import SimObjectStore
 from repro.storage.runtime import Runtime
 from repro.storage.simdisk import SimClock
-from repro.check.effects.registry import effects
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.iamdb import IamDB
@@ -175,8 +174,6 @@ class AsOfRuntime(Runtime):
     mirroring the one-seek-per-run convention of the local read path).
     """
 
-    @effects("CLOCK_ADVANCE", "OBJSTORE_CHARGE", "STATE_MUTATE",
-             "SPAN_BEGIN", "SPAN_END")
     def _fill_misses(self, nbytes: int, runs: int) -> float:
         return self.objstore_read_fill(nbytes, runs)
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.check.effects.registry import observation_only
 from repro.metrics.latency import HIST_QUANTILES
 from repro.metrics.stalls import STALL_CLASSES, StallBreakdown
 
@@ -66,7 +65,6 @@ class TimeseriesSampler:
         if self.db.runtime.clock.now >= self._next_due:
             self.sample()
 
-    @observation_only
     def finalize(self) -> None:
         """Flush the final partial window at run end.
 

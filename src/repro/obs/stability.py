@@ -20,8 +20,7 @@ grid and the per-op-class histograms into the paper's stability digests:
   histograms, attaches a sampler, and renders per-phase window reports
   (used by ``repro.bench.stability`` and the figure benchmarks).
 
-Everything here is observation-only by registry prefix (see
-``repro.check.effects.registry``): it reads sampler rows and metric
+Everything here is observation-only: it reads sampler rows and metric
 snapshots, never the other way around.
 """
 

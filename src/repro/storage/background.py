@@ -75,7 +75,6 @@ from typing import TYPE_CHECKING, Callable, Deque, Iterator, List, Optional
 from repro.common.errors import InvariantViolation
 from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.storage.simdisk import SimDisk
-from repro.check.effects.registry import effects
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.crash import CrashPoints
@@ -266,7 +265,6 @@ class BackgroundPool:
         return bool(self.active or self.queue)
 
     # ------------------------------------------------------------- activation
-    @effects("SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
     def _activate(self, job: BackgroundJob) -> None:
         if self.injector is not None and self.injector.job_attempt_fails(job):
             self._job_fault(job)
@@ -382,7 +380,6 @@ class BackgroundPool:
         now = self.disk.clock.now
         return any(job.retry_at <= now for job in self._eligible())
 
-    @effects("CLOCK_ADVANCE", "STATE_MUTATE")
     def _sleep_until_ready(self) -> Optional[float]:
         """Advance the clock to the earliest *eligible* queued retry; None
         when there is nothing to wait for (no injector or empty queue)."""
@@ -485,7 +482,6 @@ class BackgroundPool:
         self.bg_drained_s += drained_s
         self.class_drained_s[job.klass] += drained_s
 
-    @effects("SPAN_END", "STATE_MUTATE")
     def _retire(self, job: BackgroundJob) -> None:
         if job in self.active:
             self.active.remove(job)
@@ -560,7 +556,6 @@ class BackgroundPool:
         return 0.0 if step is None else step
 
     # --------------------------------------------------------------- crashing
-    @effects("SPAN_END", "STATE_MUTATE")
     def abandon_all(self) -> int:
         """Hard-crash model: drop every in-flight and queued job on the floor.
 

@@ -23,7 +23,6 @@ from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.storage.background import BackgroundJob, BackgroundPool
 from repro.storage.pagecache import PageCache
 from repro.storage.simdisk import SimClock, SimDisk, SimFile
-from repro.check.effects.registry import effects
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.common.options import FaultOptions
@@ -128,7 +127,6 @@ class Runtime:
         return self.pool.submit(name, start_fn, high_priority=high_priority,
                                 on_complete=on_complete)
 
-    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
     def stall_on(self, job: BackgroundJob, reason: str) -> float:
         """Foreground wait for a background job; records the stall event.
 
@@ -145,8 +143,6 @@ class Runtime:
         return self.pool.drain_all()
 
     # ------------------------------------------------------------- query reads
-    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "OBJSTORE_CHARGE", "SPAN_BEGIN",
-             "SPAN_END", "STATE_MUTATE")
     def fg_read_blocks(self, reads: Iterable[Tuple[int, range]]) -> float:
         """Read one request's ``(file_id, blocks)`` runs through the cache in
         order; returns the elapsed time.  The cache's one pass touches each
@@ -165,14 +161,12 @@ class Runtime:
                                   misses=missed)
         return elapsed
 
-    @effects("CLOCK_ADVANCE", "DISK_CHARGE", "STATE_MUTATE")
     def _fill_misses(self, nbytes: int, runs: int) -> float:
         """Fetch ``nbytes`` of missing blocks lying in ``runs`` consecutive
         runs: from this stack's own disk, one seek per run."""
         return self.disk.fg_io(nbytes_read=nbytes, seeks=runs)
 
     # --------------------------------------------------------- compaction I/O
-    @effects("DISK_CHARGE", "STATE_MUTATE")
     def bg_write_run(self, file: SimFile, nbytes: int, *, level: int,
                      first_block: int = 0, n_cache_blocks: Optional[int] = None) -> float:
         """Charge one sequential background write run; returns device debt.
@@ -194,7 +188,6 @@ class Runtime:
             self.cache.insert_range(file.file_id, first_block, n_cache_blocks)
         return self.disk.io_time(nbytes_write=nbytes, bulk_seeks=1)
 
-    @effects("DISK_CHARGE", "STATE_MUTATE")
     def bg_read_run(self, file_id: int, nbytes: int, *,
                     resident_bytes: int = 0) -> float:
         """Charge a background (compaction) read; returns device debt.
@@ -225,8 +218,6 @@ class Runtime:
         self._objstore_span += 1
         return self._objstore_span
 
-    @effects("CLOCK_ADVANCE", "OBJSTORE_CHARGE", "SPAN_BEGIN", "SPAN_END",
-             "STATE_MUTATE")
     def objstore_put(self, name: str, nbytes: int) -> float:
         """Foreground object upload (manifest-log entries); elapsed time."""
         store = self._objstore_or_raise()
@@ -245,8 +236,6 @@ class Runtime:
             tracer.end("objstore", "objstore:put", span)
         return elapsed
 
-    @effects("CLOCK_ADVANCE", "OBJSTORE_CHARGE", "SPAN_BEGIN", "SPAN_END",
-             "STATE_MUTATE")
     def objstore_get(self, name: str) -> float:
         """Foreground object download (bootstrap/catch-up); elapsed time."""
         store = self._objstore_or_raise()
@@ -266,8 +255,6 @@ class Runtime:
             tracer.end("objstore", "objstore:get", span)
         return elapsed
 
-    @effects("CLOCK_ADVANCE", "OBJSTORE_CHARGE", "SPAN_BEGIN", "SPAN_END",
-             "STATE_MUTATE")
     def objstore_read_fill(self, nbytes: int, requests: int) -> float:
         """Charge ranged GETs filling the page cache (tiered reads)."""
         store = self._objstore_or_raise()
@@ -286,8 +273,6 @@ class Runtime:
             tracer.end("objstore", "objstore:get", span)
         return elapsed
 
-    @effects("CLOCK_ADVANCE", "OBJSTORE_CHARGE", "SPAN_BEGIN", "SPAN_END",
-             "STATE_MUTATE")
     def objstore_list(self, prefix: str) -> List[str]:
         """Foreground prefix listing (recovery, bootstrap discovery)."""
         store = self._objstore_or_raise()
@@ -302,7 +287,6 @@ class Runtime:
             tracer.end("objstore", "objstore:list", span, names=len(names))
         return names
 
-    @effects("CLOCK_ADVANCE", "OBJSTORE_CHARGE", "STATE_MUTATE")
     def objstore_delete(self, name: str) -> float:
         """Foreground object delete (recovery orphan sweep); elapsed time."""
         store = self._objstore_or_raise()
@@ -312,7 +296,6 @@ class Runtime:
             self.tracer.instant("objstore", "objstore:delete", obj=name)
         return elapsed
 
-    @effects("OBJSTORE_CHARGE", "STATE_MUTATE")
     def objstore_reserve_put(self, name: str, nbytes: int) -> float:
         """Background object upload (MSTable mirroring); returns its tail."""
         store = self._objstore_or_raise()
@@ -324,7 +307,6 @@ class Runtime:
                                 nbytes=nbytes, background=1)
         return tail
 
-    @effects("OBJSTORE_CHARGE", "STATE_MUTATE")
     def objstore_reserve_delete(self, name: str) -> float:
         """Background object delete (tombstone cleanup); returns its tail."""
         store = self._objstore_or_raise()

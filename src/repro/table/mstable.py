@@ -18,7 +18,6 @@ import heapq
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.check.diagnostics import invariant_error
-from repro.check.effects.registry import observation_only
 from repro.common.errors import InvariantViolation
 from repro.common.hashing import MASK64
 from repro.common.records import Key, RecordTuple, sort_key
@@ -80,7 +79,6 @@ class MSTable:
         if self.max_key is None or seq.max_key > self.max_key:
             self.max_key = seq.max_key
 
-    @observation_only
     def check_invariants(self, level: int) -> None:
         """Raise a named diagnostic when the table disagrees with its file
         (``node-file-agreement``), its probe rows or block layout drift

@@ -31,7 +31,6 @@ from typing import Callable, Iterator, List, Optional, Tuple
 from repro.common.records import Key, RecordTuple, sort_key
 from repro.storage.runtime import Runtime
 from repro.table.run import Run
-from repro.check.effects.registry import effects
 
 
 class ListStream:
@@ -105,7 +104,6 @@ def list_stream(run: Run, lo_key: Optional[Key],
                       run.n if hi_key is None else bisect_left(kv, hi_key))
 
 
-@effects("CLOCK_ADVANCE", "DISK_CHARGE", "STATE_MUTATE")
 def merge_scan(streams: list, *, snapshot: Optional[int] = None,
                hi_key: Optional[Key] = None,
                limit: Optional[int] = None) -> List[Tuple[Key, object]]:

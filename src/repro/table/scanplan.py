@@ -88,15 +88,12 @@ import numpy as np
 
 from repro.common.errors import InvariantViolation
 from repro.common.records import DELETE, Key
-from repro.storage.runtime import Runtime
 from repro.table.block import READAHEAD_BLOCKS
 from repro.table.scan import ListStream
-from repro.check.effects.registry import effects
 
 _RETRY = object()
 
 
-@effects("CLOCK_ADVANCE", "DISK_CHARGE", "SPAN_BEGIN", "SPAN_END", "STATE_MUTATE")
 def planned_scan(streams: list, *, snapshot: Optional[int] = None,
                  hi_key: Optional[Key] = None,
                  limit: Optional[int] = None) -> List[Tuple[Key, object]]:
@@ -106,7 +103,6 @@ def planned_scan(streams: list, *, snapshot: Optional[int] = None,
     the engine's, newest first).  They are read, never iterated: the output
     is assembled from the columns and the charges are replayed directly.
     """
-    runtime: Optional[Runtime]  # typed: the effects gate follows the replay
     # ``limit`` is None or >= 1: the DB answers limit=0 and rejects
     # negative limits before planning.
     cap = None if limit is None else max(96, limit + 64)

@@ -22,8 +22,8 @@ def reset_sanitizer_defaults():
 def test_list_rules(capsys):
     assert runner.main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("REP001", "REP008"):
-        assert rule_id in out
+    assert [line.split()[0] for line in out.splitlines()] == \
+        [f"REP00{i}" for i in range(1, 10)]
 
 
 def test_unknown_rule_rejected(capsys):
@@ -34,6 +34,9 @@ def test_full_check_passes_on_this_repo(capsys):
     # The acceptance gate: lint clean, types PASS-or-SKIP, sanitizer clean.
     assert runner.main([]) == 0
     out = capsys.readouterr().out
+    assert [line.split()[0] for line in out.splitlines()
+            if re.match(r"\w+ +(PASS|SKIP)\b", line)] == list(runner.GATE_NAMES)
+    assert runner.GATE_NAMES == ("lint", "types", "sanitizer", "cluster", "objstore")
     assert "lint       PASS" in out
     assert "sanitizer  PASS" in out
     # The sanitizer gate runs on every engine, each seeing structural events.
@@ -74,3 +77,65 @@ def test_cli_load_without_flag_leaves_defaults(capsys):
     rc = cli_main(["load", "--engine", "iam", "--records", "300"])
     assert rc == 0
     assert default_options() is None
+
+
+class TestRunnerAggregation:
+    def test_raising_gate_reports_error_and_others_still_run(
+            self, monkeypatch, capsys):
+        def boom(args):
+            raise RuntimeError("gate exploded")
+
+        def ok(args):
+            return runner.GateOutcome("types", "PASS", detail="stubbed")
+
+        monkeypatch.setitem(runner._GATE_RUNNERS, "lint", boom)
+        monkeypatch.setitem(runner._GATE_RUNNERS, "types", ok)
+        code = runner.main(["--gate", "lint", "--gate", "types"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "lint       ERROR" in out
+        assert "RuntimeError: gate exploded" in out
+        assert "types      PASS (stubbed)" in out
+        assert "1/2 gates passed, 1 failed (lint)" in out
+
+    def test_all_pass_summary_and_exit_zero(self, monkeypatch, capsys):
+        monkeypatch.setitem(
+            runner._GATE_RUNNERS, "lint",
+            lambda args: runner.GateOutcome("lint", "PASS", detail="0 findings"))
+        monkeypatch.setitem(
+            runner._GATE_RUNNERS, "types",
+            lambda args: runner.GateOutcome("types", "PASS"))
+        code = runner.main(["--gate", "lint", "--gate", "types"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "lint       PASS (0 findings)" in out
+        assert "2/2 gates passed" in out
+
+    def test_skipped_gate_does_not_fail_the_run(self, monkeypatch, capsys):
+        monkeypatch.setitem(
+            runner._GATE_RUNNERS, "lint",
+            lambda args: runner.GateOutcome("lint", "PASS"))
+        monkeypatch.setitem(runner._GATE_RUNNERS, "types",
+                            lambda args: runner.GateOutcome("types", "SKIP"))
+        code = runner.main(["--gate", "lint", "--gate", "types"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "types      SKIP" in out
+        assert "1 skipped" in out
+
+    def test_failing_gate_does_not_short_circuit(self, monkeypatch, capsys):
+        calls = []
+
+        def fail(args):
+            calls.append("lint")
+            return runner.GateOutcome("lint", "FAIL", body="1 finding(s)")
+
+        def ok(args):
+            calls.append("types")
+            return runner.GateOutcome("types", "PASS")
+
+        monkeypatch.setitem(runner._GATE_RUNNERS, "lint", fail)
+        monkeypatch.setitem(runner._GATE_RUNNERS, "types", ok)
+        code = runner.main(["--gate", "lint", "--gate", "types"])
+        assert code == 1
+        assert calls == ["lint", "types"]  # second gate still ran

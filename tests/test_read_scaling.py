@@ -218,6 +218,22 @@ def test_multi_get_costs_the_get_loop_plus_a_constant():
     assert extra(keys) == extra(keys[:4]) <= 4
 
 
+def test_multi_get_checks_a_snapshot_once_per_batch():
+    # A snapshot is checked once per batch, not once per key: past the
+    # batch's constant, a key read at a snapshot costs what a newest read
+    # costs.
+    db, _ = _store(widen=False)
+    rng = random.Random(5)
+    keys = [rng.randrange(1 << 20) for _ in range(20)]
+    snapshot = db.snapshot()
+
+    def per_key(**kw):
+        return (_calls(lambda: db.multi_get(keys, **kw))
+                - _calls(lambda: db.multi_get(keys[:4], **kw)))
+    assert per_key(snapshot=snapshot) == per_key()
+    assert db.multi_get(keys, snapshot) == db.multi_get(keys)
+
+
 def test_rejected_sequences_add_no_calls_to_a_point_read():
     db, _ = _store(widen=False)
     table = db.engine.levels[db.engine.n][0].table
