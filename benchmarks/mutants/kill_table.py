@@ -9,8 +9,9 @@ copies the checkout to a temporary directory, applies the mutant there and
 records every check that fails:
 
 * ``lint``        -- ``repro check --gate lint`` (REP001-REP009);
-* ``digests``     -- the 14 ``run.py`` runs whose ``sim_digest`` CI pins,
-  compared with the unmutated copy's (a run that exits non-zero counts);
+* ``digests``     -- the ``run.py`` runs whose ``sim_digest``
+  ``tests/data/pins.json`` pins, compared with the unmutated copy's (a run
+  that exits non-zero counts);
 * ``stability``   -- ``repro stability --check``, plus its rewritten report
   compared byte for byte with the unmutated copy's;
 * ``fingerprint`` -- ``fingerprint.py`` (observer outputs, reads, clock);
@@ -121,13 +122,10 @@ MUTANTS: List[Tuple[str, str, str, str, List[Tuple[str, str]]]] = [
           "        self._pump_all()\n")]),
 ]
 
-#: The ``run.py`` runs whose digests CI pins: (workload, seed, trace).
-DIGEST_RUNS = [(w, 11, 0) for w in (
-    "load_iam", "load_leveldb", "ycsb_c_iam", "ycsb_a_iam", "ycsb_e_iam",
-    "cluster_a_4x2", "objstore_load_4x2")] + [
-    ("ycsb_e_iam", 11, 1), ("ycsb_e_iam", 29, 0), ("load_leveldb", 37, 0),
-    ("load_iam", 37, 0), ("cluster_a_4x2", 37, 0), ("objstore_load_4x2", 37, 0),
-    ("objstore_load_4x2", 11, 1)]
+#: The ``run.py`` runs whose digests ``tests/data/pins.json`` pins:
+#: (workload, seed, trace).
+DIGEST_RUNS = [(p["workload"], p["seed"], p["trace"]) for p in json.loads(
+    (ROOT / "tests" / "data" / "pins.json").read_text()) if "sim_digest" in p]
 
 CHECKS = ("lint", "digests", "stability", "fingerprint", "tier-1")
 

@@ -321,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="files/directories to lint (default: src/repro)")
     p.add_argument("--list-rules", action="store_true",
                    help="print the lint rule catalog and exit")
-    p.add_argument("--explain", metavar="REPxxx",
-                   help="print one rule's rationale and exit")
     p.add_argument("--rule", action="append", metavar="REPxxx",
                    help="restrict the lint to the given rule(s)")
     p.add_argument("--gate", action="append", metavar="NAME",
@@ -340,12 +338,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list_rules:
         for rule_id, description in sorted(RULES.items()):
             print(f"{rule_id}  {description}")
-        return 0
-    if args.explain:
-        if args.explain not in RULES:
-            print(f"unknown rule: {args.explain}")
-            return 2
-        print(f"{args.explain}: {RULES[args.explain]}")
         return 0
     if args.rule:
         unknown = [r for r in args.rule if r not in RULES]

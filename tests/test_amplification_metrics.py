@@ -1,8 +1,11 @@
 """MetricsRegistry: amplification bookkeeping."""
 
+import random
+
 import pytest
 
 from repro.metrics import LatencyRecorder, MetricsRegistry
+from tests.conftest import ALL_ENGINES, make_tiny_db
 
 
 def test_write_amplification_definition():
@@ -122,3 +125,24 @@ def test_merge_snapshots_empty_and_identity():
     solo = merge_snapshots([m.snapshot()])
     assert solo["write_amplification"] == m.write_amplification()
     assert solo["user_bytes"] == 50
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINES + ("lsmtrie",))
+def test_disk_writes_equal_the_bytes_the_ledger_attributes(engine):
+    # Every byte the device writes is a WAL append or a table write charged
+    # to a level, so a write that skips the disk counter, or the ledger,
+    # breaks the equality.
+    db = make_tiny_db(engine)
+    rng = random.Random(7)
+    for i in range(600):
+        key = rng.randrange(300)
+        if i % 5 == 4:
+            db.delete(key)
+        else:
+            db.put(key, i)
+    db.flush()
+    db.quiesce()
+    m = db.metrics
+    assert m.compaction_write_bytes > 0 and m.wal_bytes > 0
+    assert db.runtime.disk.bytes_written == \
+        sum(m.level_write_bytes.values()) + m.wal_bytes
