@@ -4,7 +4,8 @@ The paper's figures mean something only while the simulator keeps four
 contracts: the sim clock is the only time source, every device, link and
 store byte is charged, all randomness descends from a seed, and observers
 never perturb the run (every tracer span they see opens and closes).  Each
-mutant below breaks one of them on a hot path.  For each, this script
+mutant below breaks one of them on a hot path; C1 breaks a cached field the
+cluster routes by (a replica group's ``leader``).  For each, this script
 copies the checkout to a temporary directory, applies the mutant there and
 records every check that fails:
 
@@ -120,6 +121,8 @@ MUTANTS: List[Tuple[str, str, str, str, List[Tuple[str, str]]]] = [
          ('        """The cluster report: topology, aggregates, imbalance, tails."""\n',
           '        """The cluster report: topology, aggregates, imbalance, tails."""\n'
           "        self._pump_all()\n")]),
+    ("C1", "leader", "`kill_leader` reorders `replicas` but leaves `leader` on the dead node",
+     "cluster/replica.py", [("        self.leader = promoted\n", "")]),
 ]
 
 #: The ``run.py`` runs whose digests ``tests/data/pins.json`` pins:

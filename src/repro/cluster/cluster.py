@@ -307,7 +307,7 @@ class ClusterDB:
             self._trace.on_new_leader(shard)
         audited = 0
         for key in sorted(self._acked_audit):
-            if not shard.contains(key):
+            if not shard.lo <= key < shard.hi:
                 continue
             want = self._acked_audit[key]
             got = shard.group.get(key)
@@ -332,7 +332,8 @@ class ClusterDB:
             raise StoreClosedError("operation on a closed ClusterDB")
 
     def _begin_op(self) -> None:
-        self._check_open()
+        if self._closed:
+            raise StoreClosedError("operation on a closed ClusterDB")
         self._ops += 1
         while self._kills and self._kills[0].at_op <= self._ops:
             kill = self._kills.pop(0)
@@ -444,7 +445,7 @@ class ClusterDB:
         if key in audit:
             audit.pop(key)
         audit[key] = value
-        while len(audit) > AUDIT_WINDOW:
+        if len(audit) > AUDIT_WINDOW:  # one insert overflows by one key
             audit.popitem(last=False)
 
     # --------------------------------------------------------------- lifecycle

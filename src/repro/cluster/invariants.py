@@ -6,9 +6,10 @@ a check never perturbs the run it validates):
 1. **Partition exactness** -- the router's shard ranges are sorted,
    non-empty, contiguous and tile the key space ``[0, 2**64)`` exactly:
    no gap, no overlap, and no retired shard still routable.
-2. **Acked-write quorum** -- per shard, the leader has applied at least
-   the acked prefix (``leader seq >= acked_seq``) and enough live replicas
-   carry it to form a majority.  (The *value-level* half of the contract --
+2. **Acked-write quorum** -- per shard, the ``leader`` field is the live
+   ``replicas[0]``, the leader has applied at least the acked prefix
+   (``leader seq >= acked_seq``) and enough live replicas carry it to form
+   a majority.  (The *value-level* half of the contract --
    acked writes read back after failover -- is enforced with charged reads
    by :meth:`~repro.cluster.cluster.ClusterDB.crash_leader`'s audit.)
 3. **Exclusive file ownership** -- every live replica's engine references
@@ -57,11 +58,18 @@ def check_partition(cluster: "ClusterDB") -> None:
 
 
 def check_replication(cluster: "ClusterDB") -> None:
-    """Every acked write is applied on the leader and a quorum of replicas."""
+    """The leader field is the live ``replicas[0]``, and every acked write
+    is applied on the leader and a quorum of replicas."""
     for shard in cluster.router.shards:
         group = shard.group
+        leader = group.leader
+        if leader is not group.replicas[0] or not leader.alive:
+            raise InvariantViolation(
+                f"shard {shard.shard_id}: leader is node {leader.node_id} "
+                f"(alive={leader.alive}), replicas[0] is node "
+                f"{group.replicas[0].node_id}")
         acked = group.acked_seq
-        leader_db = group.leader.db
+        leader_db = leader.db
         if leader_db._seq < acked:
             raise InvariantViolation(
                 f"shard {shard.shard_id}: leader at seq {leader_db._seq} "

@@ -57,6 +57,19 @@ class Link(SimResource):
         self.nbytes = 0
 
 
+class _LinkTable(dict[Tuple[int, int], Link]):
+    """Links by ``(src, dst)``: a missing key makes its link, so a message
+    on an existing link looks it up with one subscript and no call."""
+
+    def __init__(self, clock: SimClock) -> None:
+        super().__init__()
+        self.clock = clock
+
+    def __missing__(self, key: Tuple[int, int]) -> Link:
+        link = self[key] = Link(self.clock)
+        return link
+
+
 class SimNetwork:
     """Directed FIFO links between integer node ids, on one shared clock."""
 
@@ -65,7 +78,7 @@ class SimNetwork:
         self.clock = clock
         self.options = options if options is not None else NetworkOptions()
         #: One FIFO server per directed link, made at its first message.
-        self._links: Dict[Tuple[int, int], Link] = {}
+        self._links = _LinkTable(clock)
         #: Total messages carried (both foreground and background).
         self.messages = 0
         #: Total bytes carried, framing included.
@@ -86,9 +99,7 @@ class SimNetwork:
         service = options.latency_s
         if total > 0:
             service += total / options.bandwidth
-        link = self._links.get((src, dst))
-        if link is None:
-            link = self._links[src, dst] = Link(self.clock)
+        link = self._links[src, dst]
         link.nbytes += total
         self.messages += 1
         self.bytes_sent += total
@@ -99,15 +110,14 @@ class SimNetwork:
         """Deliver one message synchronously; returns the elapsed sim time
         (queueing behind earlier traffic on the same directed link plus the
         message's own service time).  The cost model is ``_charge``'s,
-        computed in place: a send is one frame on the hot path."""
+        computed in place: a send is itself plus the link's one queueing
+        call."""
         options = self.options
         total = nbytes + options.frame_bytes
         service = options.latency_s
         if total > 0:
             service += total / options.bandwidth
-        link = self._links.get((src, dst))
-        if link is None:
-            link = self._links[src, dst] = Link(self.clock)
+        link = self._links[src, dst]
         link.nbytes += total
         self.messages += 1
         self.bytes_sent += total

@@ -110,6 +110,9 @@ class ReplicaGroup:
             raise ConfigError("a replica group needs at least one replica")
         self.shard_id = shard_id
         self.replicas = replicas
+        #: ``replicas[0]``, set wherever ``replicas[0]`` is (here and
+        #: :meth:`kill_leader`): every routed op reads it.
+        self.leader = replicas[0]
         self.network = network
         #: Newest sequence number acked to the client (durable on a quorum).
         self.acked_seq = 0
@@ -118,10 +121,6 @@ class ReplicaGroup:
         self.key_size = replicas[0].db.key_size
 
     # -------------------------------------------------------------- topology
-    @property
-    def leader(self) -> Replica:
-        return self.replicas[0]
-
     def live_replicas(self) -> List[Replica]:
         return [r for r in self.replicas if r.alive]
 
@@ -256,6 +255,7 @@ class ReplicaGroup:
                 f"{promoted.db._seq} < acked seq {self.acked_seq}")
         self.replicas = [promoted] + [r for r in self.replicas
                                       if r.alive and r is not promoted]
+        self.leader = promoted
         self.failovers += 1
         return {
             "shard": self.shard_id,

@@ -56,7 +56,8 @@ class Router:
         self.network = network
         self.metrics = metrics
         self.tracer = tracer
-        self._shards: List[Shard] = []
+        #: Live shards in key order (do not mutate; ``_install`` replaces it).
+        self.shards: List[Shard] = []
         self._los: List[int] = []
         self._install(shards)
 
@@ -68,24 +69,19 @@ class Router:
                 raise ConfigError(
                     f"shard ranges must tile: [{left.lo},{left.hi}) then "
                     f"[{right.lo},{right.hi})")
-        self._shards = ordered
+        self.shards = ordered
         self._los = [s.lo for s in ordered]
 
-    @property
-    def shards(self) -> List[Shard]:
-        """Live shards in key order (do not mutate)."""
-        return self._shards
-
     def ranges(self) -> List[Tuple[int, int]]:
-        return [(s.lo, s.hi) for s in self._shards]
+        return [(s.lo, s.hi) for s in self.shards]
 
     def shard_for(self, key: int) -> Shard:
         idx = bisect_right(self._los, key) - 1
         if idx < 0:
             raise InvariantViolation(
                 f"key {key:#x} below the cluster key space")
-        shard = self._shards[idx]
-        if not shard.contains(key):
+        shard = self.shards[idx]
+        if not shard.lo <= key < shard.hi:
             raise InvariantViolation(
                 f"key {key:#x} outside shard [{shard.lo:#x}, {shard.hi:#x})")
         return shard
@@ -94,7 +90,7 @@ class Router:
                         hi_key: Optional[int]) -> List[Shard]:
         """Shards overlapping ``[lo, hi)`` in key order."""
         out = []
-        for shard in self._shards:
+        for shard in self.shards:
             if hi_key is not None and shard.lo >= hi_key:
                 break
             if lo_key is not None and shard.hi <= lo_key:
@@ -106,7 +102,7 @@ class Router:
         """Swap rebalanced shards atomically; ranges must still tile."""
         for shard in old:
             shard.retired = True
-        keep = [s for s in self._shards if s not in old]
+        keep = [s for s in self.shards if s not in old]
         self._install(keep + new)
 
     # ----------------------------------------------------- admission control

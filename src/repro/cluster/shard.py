@@ -42,9 +42,6 @@ class Shard:
         #: shard must never appear in the router again.
         self.retired = False
 
-    def contains(self, key: int) -> bool:
-        return self.lo <= key < self.hi
-
     # ------------------------------------------------------------- inspection
     def data_bytes(self) -> int:
         """Leader's structural bytes (levels + memtable): the split signal."""

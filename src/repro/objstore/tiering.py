@@ -89,26 +89,26 @@ class ObjStoreTier:
         db = self.db
         runtime = db.runtime
         disk_files = runtime.disk.files
+        mirrored = self.mirrored
+        # Membership tests and a list comprehension: no call per file.
         live: Dict[int, int] = {}
         for fid in sorted(db.engine.live_file_ids()):
-            f = disk_files.get(fid)
-            if f is not None:
-                live[fid] = f.nbytes
+            if fid in disk_files:
+                live[fid] = disk_files[fid].nbytes
         tombstones: List[str] = []
-        for fid in sorted(live):
-            nbytes = live[fid]
-            prev = self.mirrored.get(fid)
+        for fid, nbytes in live.items():  # ascending: built in fid order
+            prev = mirrored[fid] if fid in mirrored else None
             if prev is not None and prev[1] == nbytes:
                 continue
             name = f"{self.log.prefix}{self.node_tag}/obj/{fid:08d}.{nbytes}"
             runtime.objstore_reserve_put(name, nbytes)
             if prev is not None:
                 tombstones.append(prev[0])
-            self.mirrored[fid] = (name, nbytes)
-        for fid in sorted(set(self.mirrored) - set(live)):
-            tombstones.append(self.mirrored.pop(fid)[0])
+            mirrored[fid] = (name, nbytes)
+        for fid in sorted(set(mirrored) - set(live)):
+            tombstones.append(mirrored.pop(fid)[0])
         self._crash_point("pre-objstore-log")
-        files = tuple(sorted(name for name, _ in self.mirrored.values()))
+        files = tuple(sorted([name for name, _ in mirrored.values()]))
         self.log.append_cut(runtime, seq=int(state["seq"]), state=state,
                             files=files, tombstones=tuple(sorted(tombstones)))
         self._crash_point("post-objstore-log")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from tests.cli_golden import INVOCATIONS, check, first_difference
 
 
 def test_info_runs(capsys):
@@ -165,3 +166,17 @@ def test_config_errors_are_usage_errors(argv, capsys):
     assert main(argv.split() + ["--records", "300"] * ("--records" not in argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("repro: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", sorted(INVOCATIONS))
+def test_cluster_report_matches_its_golden(name):
+    assert check(name) is None
+
+
+def test_a_moved_report_names_its_first_moved_key():
+    want = {"sha256": "a", "keys": {"engine": "1", "network": "2", "shards": "3"}}
+    moved = {"sha256": "b", "keys": {"engine": "1", "network": "9", "shards": "8"}}
+    reordered = {"sha256": "b", "keys": {"shards": "3", "engine": "1", "network": "2"}}
+    assert first_difference(want, want) is None
+    assert first_difference(want, moved) == "network"
+    assert first_difference(want, reordered) == "<key order>"

@@ -33,6 +33,7 @@ from repro.cluster.invariants import (
 )
 from repro.cluster.replica import ReplicaGroup
 from repro.common.errors import ConfigError, StoreClosedError
+from repro.objstore import ObjStoreOptions
 from repro.storage.simdisk import SimClock
 
 VALUE = 64
@@ -82,6 +83,13 @@ def test_zero_network_never_advances_clock():
     net.rpc(0, 1, 512, 512)
     assert clock.now == 0.0
     assert net.messages == 3
+
+
+def test_reading_the_link_report_makes_no_link_and_a_zero_byte_ack_does():
+    net = SimNetwork(SimClock(), NetworkOptions.zero())
+    assert net.snapshot()["link_bytes"] == {} and net.link_bytes == {}
+    assert net.send(1, 0, 0) == 0.0  # an ack on the zero network
+    assert net.snapshot()["link_bytes"] == {"1->0": 0} and net.link_bytes == {(1, 0): 0}
 
 
 def test_network_snapshot_is_sorted_and_deterministic():
@@ -391,6 +399,29 @@ def test_split_and_merge_preserve_data_and_ownership(rng):
     snap = cluster.rebalancer.snapshot()
     assert snap["splits"] == 1 and snap["merges"] == 1
     assert snap["moved_bytes"] > 0
+    cluster.close()
+
+
+def _assert_each_leader_is_its_live_first_replica(cluster):
+    for shard in cluster.router.shards:
+        assert shard.group.leader is shard.group.replicas[0]
+        assert shard.group.leader.alive
+    check_cluster_invariants(cluster)
+
+
+def test_the_leader_field_follows_failover_bootstrap_and_rebalance(rng):
+    cluster = tiny_cluster(n_shards=1, n_replicas=2, objstore=ObjStoreOptions())
+    for key in spread_keys(rng, 120):
+        cluster.put(key, VALUE)
+    promoted = cluster.crash_leader(0)["promoted_node"]
+    _assert_each_leader_is_its_live_first_replica(cluster)
+    cluster.spawn_follower(0)  # appends a follower: the leader stays
+    assert cluster.router.shards[0].group.leader.node_id == promoted
+    _assert_each_leader_is_its_live_first_replica(cluster)
+    cluster.rebalancer.split(cluster.router.shards[0])
+    _assert_each_leader_is_its_live_first_replica(cluster)
+    cluster.rebalancer.merge(*cluster.router.shards)
+    _assert_each_leader_is_its_live_first_replica(cluster)
     cluster.close()
 
 

@@ -223,16 +223,24 @@ def test_a_replicated_put_stays_in_budget():
     # admission called on every write, quorum() re-listing the live
     # replicas, a _charge frame per message); then 69, and 58 once every
     # replica applies the router's checked, sized record; 50 once a
-    # replica's put neither sweeps the rate window nor copies the record.
+    # replica's put neither sweeps the rate window nor copies the record;
+    # 42 once links, the leader and the shard list are found without a call.
     cluster = _quiesced_cluster(2)
-    assert _calls(lambda: cluster.put(12345, 100)) <= 51
+    assert _calls(lambda: cluster.put(12345, 100)) <= 42
 
 
 def test_a_replicated_delete_stays_in_budget():
     # Parent commit: 68 calls per delete at 2x2 (IamDB.delete on every
-    # replica); then 57, and now 49.
+    # replica); then 57, 49, and now 41.
     cluster = _quiesced_cluster(2)
-    assert _calls(lambda: cluster.delete(12345)) <= 50
+    assert _calls(lambda: cluster.delete(12345)) <= 41
+
+
+def test_a_routed_get_stays_in_budget():
+    # Parent commit: 41 calls per get at 2x2 (a link lookup per send, the
+    # leader and shard-list properties, Shard.contains, _check_open).
+    cluster = _quiesced_cluster(2)
+    assert _calls(lambda: cluster.get(12345)) <= 34
 
 
 def test_a_replicated_put_checks_and_sizes_its_record_once():
@@ -258,12 +266,12 @@ def test_one_hardware_request_stays_in_budget():
     # grant 3 calls, a refused grant 2 (max and min builtins); a link
     # send's 4, a store put's 4 and a drain's 2 must not rise, and a disk
     # request is itself plus the one queueing call (4 with io_time and
-    # _count called out).  A send is now 3: itself, the link lookup and
-    # the one queueing call (4 with _charge called out).
+    # _count called out).  A send is now 2: itself plus the one queueing
+    # call (4 with _charge called out, 3 with a dict.get per link lookup).
     disk = SimDisk(DeviceProfile("t", 1e-4, 1e-5, 1e6, 1e6))
     net, store = SimNetwork(disk.clock), SimObjectStore(disk.clock)
     net.send(0, 1, 100)  # a link is made at its first message
-    assert _calls(lambda: net.send(0, 1, 100)) - 1 <= 3
+    assert _calls(lambda: net.send(0, 1, 100)) - 1 <= 2
     assert _calls(lambda: store.put("a", 100)) - 1 <= 4
     assert _calls(lambda: disk.fg_io(nbytes_read=4096, seeks=1)) - 1 <= 2
     assert _calls(lambda: disk.sync_drain(0.5)) - 1 <= 2
