@@ -75,9 +75,8 @@ MUTANTS: List[Tuple[str, str, str, str, List[Tuple[str, str]]]] = [
      "storage/runtime.py", [
          ("        return self.disk.fg_io(nbytes_read=nbytes, seeks=runs)\n",
           "        return self.disk.io_time(nbytes_read=nbytes, seeks=runs)\n")]),
-    ("D2", "charge", "`bg_write_run` drops `bg_count`",
-     "storage/runtime.py", [
-         ("        self.disk.bg_count(nbytes_write=nbytes, seeks=1)\n", "")]),
+    ("D2", "charge", "`bg_append` drops the background write's disk byte count",
+     "storage/simdisk.py", [("        self.bytes_written += nbytes\n", "")]),
     ("D3", "charge", "raw `disk.fg_io` inside `IamDB.get`",
      "db/iamdb.py", [
          ("            snap = check_snapshot(self, snapshot)\n        runtime = self.runtime\n",

@@ -93,7 +93,8 @@ _RESOLVED_MODULES = {"time", "random", "datetime", "os", "secrets"}
 
 #: ``SimDisk`` costing calls that only ``repro/storage`` may make (REP009);
 #: everything else charges through the ``Runtime`` wrappers.
-_RAW_DEVICE_CALLS = {"fg_io", "fg_stream", "bg_grant", "bg_count", "sync_drain"}
+_RAW_DEVICE_CALLS = {"fg_io", "fg_stream", "bg_grant", "bg_count", "bg_append",
+                     "sync_drain"}
 
 #: Attribute names treated as simulated-time values (REP004).
 _SIM_TIME_ATTRS = {

@@ -348,8 +348,10 @@ class ClusterDB:
             for replica in shard.group.replicas:
                 if replica.alive:
                     runtime = replica.db.runtime
-                    if not runtime.pool.idle or runtime.sampler is not None:
+                    if runtime.sampler is not None:
                         runtime.pump()
+                    elif not runtime.pool.idle:
+                        runtime.pool.pump()
 
     def put(self, key: Key, value: Value) -> None:
         rec = make_put(key, 0, value)
@@ -395,16 +397,17 @@ class ClusterDB:
             raise ConfigError(
                 "as_of_cut reads need ClusterOptions.objstore")
         check_cut(cut_id)
-        shard_id = self.router.shard_for(key).shard_id
-        log = self.manifest_logs[shard_id]
-        if (shard_id, cut_id) not in self._as_of_readers \
+        shard = self.router.shard_for(key)
+        log = self.manifest_logs[shard.shard_id]
+        if (shard.shard_id, cut_id) not in self._as_of_readers \
                 and log.cut(cut_id) is None:
             raise ConfigError(
                 f"as_of_cut={cut_id} is not a retained manifest cut "
                 f"(retained: {[c.cut_id for c in log.cuts]})")
         self._begin_op()
+        if shard.retired:  # a rebalance in _begin_op replaced it
+            shard = self.router.shard_for(key)
         t0 = self.clock.now
-        shard = self.router.shard_for(key)
         self.network.rpc(ROUTER_NODE, shard.group.leader.node_id,
                          REQUEST_BYTES)
         cache_key = (shard.shard_id, cut_id)

@@ -174,7 +174,9 @@ class Router:
             leader_node = shard.group.leader.node_id
             self.network.send(ROUTER_NODE, leader_node, REQUEST_BYTES)
             rows = shard.group.scan(lo_key, hi_key, limit=remaining)
-            resp = sum(value_nbytes(v) for _, v in rows)
+            resp = 0  # value_nbytes of each row, inline
+            for _, value in rows:
+                resp += value if type(value) is int else len(value)
             self.network.send(leader_node, ROUTER_NODE, resp)
             out.extend(rows)
         return out

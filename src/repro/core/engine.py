@@ -166,7 +166,7 @@ class EngineBase(abc.ABC):
         delayed_write_fraction`` (position 0.0); as L0 climbs toward the
         stop trigger (or debt doubles its soft limit) the position moves
         linearly to 1.0, the estimator's sustainable rate (see
-        :meth:`_token_pace`).  There is no single point where admission
+        :meth:`write_gate`).  There is no single point where admission
         falls off a cliff.
         """
         lo, hi = opts.l0_slowdown_trigger, opts.l0_stop_trigger - 1
@@ -179,67 +179,6 @@ class EngineBase(abc.ABC):
             pressure = True
             scale = max(scale, min(1.0, (debt - soft) / soft))
         return pressure, scale
-
-    def _token_pace(self, nbytes: int, l0_options: Optional["LsmOptions"] = None,
-                    n0: int = 0, debt: int = 0) -> float:
-        """Token-bucket admission at the observed sustainable ingest rate.
-
-        Writes are paced smoothly at the rate the background machinery
-        has recently proven it can absorb
-        (:class:`repro.storage.pacing.RateEstimator`), shaped by
-        :meth:`_l0_pace` for engines with an L0: their rate runs from
-        ``bandwidth * delayed_write_fraction`` down to the sustainable
-        one, floored at ``delayed_write_fraction`` of the former so a cold
-        estimate can never freeze admission.  Engines without an L0
-        pace only while work is queued behind the running jobs (the pool
-        cannot keep up) -- deliberately conservative: token-bucket delays
-        are accounted as gate delays, so over-engaging the pacer would
-        itself show up as instability.  Without pressure the bucket just
-        refills.  Returns the added latency (0.0 on the clean path).
-
-        Order: the estimator observes every record (its anchor window
-        must see each one), pressure is decided from state the gate
-        already holds, and rate, ramp and refill run only under pressure
-        or below a full bucket -- refilling a full one moves only its
-        timestamp.
-        """
-        pacer = self._pacer
-        estimator = self._rate_estimator
-        if pacer is None or estimator is None or nbytes <= 0:
-            return 0.0
-        runtime = self.runtime
-        pool = runtime.pool
-        metrics = runtime.metrics
-        estimator.observe(pool.bg_drained_s, metrics.user_bytes)
-        if l0_options is None:
-            pressure, scale = bool(pool.queue), 0.0
-        else:
-            pressure, scale = self._l0_pace(l0_options, n0, debt)
-        now = runtime.clock.now
-        if not pressure and pacer.tokens >= pacer.burst_bytes:
-            pacer.last_now = now
-            return 0.0
-        rate = estimator.rate()
-        if l0_options is not None:
-            frac = l0_options.delayed_write_fraction
-            gentle = runtime.options.device.write_bandwidth * frac
-            floor = min(max(rate, gentle * frac), gentle)
-            rate = gentle + scale * (floor - gentle)
-        if not pressure:
-            pacer.refill(now, rate)
-            return 0.0
-        delay = pacer.admit(nbytes, now, rate)
-        if delay <= 0.0:
-            return 0.0
-        # The advance opens idle device time that the next pump() converts
-        # into background progress via bg_grant: pacing *is* compaction
-        # headroom, not dead waiting.
-        runtime.clock.advance(delay)
-        metrics.bump("pace:token-bucket")
-        metrics.add_gate_delay("pace:token-bucket", delay)
-        if runtime.tracer.enabled:
-            self._trace("gate", "pace:token-bucket", delay_s=delay, rate=rate)
-        return delay
 
     def _l0_stop_backstop(self, stop_trigger: int) -> float:
         """Hard stall until compaction brings L0 below ``stop_trigger``."""
@@ -313,15 +252,58 @@ class EngineBase(abc.ABC):
         Every engine takes this one path; those that registered L0
         triggers through :meth:`_init_pacer` are paced on L0 pressure and
         keep the hard L0 stop as a rarely-hit backstop.
+
+        Pacing is a token bucket refilled at the rate the background
+        machinery has recently proven it can absorb
+        (:class:`repro.storage.pacing.RateEstimator`), shaped by
+        :meth:`_l0_pace` for engines with an L0: from ``bandwidth *
+        delayed_write_fraction`` down to the sustainable rate, floored at
+        ``delayed_write_fraction`` of the former so a cold estimate never
+        freezes admission.  Engines without an L0 pace only while jobs
+        queue behind the running ones (pacer delays are gate delays, so
+        over-pacing would itself show up as instability).  The estimator
+        observes every record (its window must see each one); rate, ramp
+        and refill run only under pressure or below a full bucket.
         """
-        lat = (self._fault_gate(nbytes)
-               if self.runtime.pool.failed_streak > 0 else 0.0)
+        runtime = self.runtime
+        pool = runtime.pool
+        lat = self._fault_gate(nbytes) if pool.failed_streak > 0 else 0.0
         opts = self._l0_options
         if opts is None:
-            return lat + self._token_pace(nbytes)
-        n0, debt = self._l0_pressure()
-        lat += self._token_pace(nbytes, opts, n0, debt)
-        if n0 >= opts.l0_stop_trigger:
+            n0, pressure, scale = 0, bool(pool.queue), 0.0
+        else:
+            n0, debt = self._l0_pressure()
+            pressure, scale = self._l0_pace(opts, n0, debt)
+        pacer = self._pacer
+        estimator = self._rate_estimator
+        if pacer is not None and estimator is not None and nbytes > 0:
+            metrics = runtime.metrics
+            estimator.observe(pool.bg_drained_s, metrics.user_bytes)
+            now = runtime.clock.now
+            if not pressure and pacer.tokens >= pacer.burst_bytes:
+                pacer.last_now = now
+            else:
+                rate = estimator.rate()
+                if opts is not None:
+                    frac = opts.delayed_write_fraction
+                    gentle = runtime.options.device.write_bandwidth * frac
+                    floor = min(max(rate, gentle * frac), gentle)
+                    rate = gentle + scale * (floor - gentle)
+                if not pressure:
+                    pacer.refill(now, rate)
+                else:
+                    delay = pacer.admit(nbytes, now, rate)
+                    if delay > 0.0:
+                        # The advance opens idle device time that the next
+                        # pump converts into background progress via
+                        # bg_grant: pacing *is* compaction headroom.
+                        runtime.clock.advance(delay)
+                        metrics.bump("pace:token-bucket")
+                        metrics.add_gate_delay("pace:token-bucket", delay)
+                        if runtime.tracer.enabled:
+                            self._trace("gate", "pace:token-bucket", delay_s=delay, rate=rate)
+                        lat += delay
+        if opts is not None and n0 >= opts.l0_stop_trigger:
             lat += self._l0_stop_backstop(opts.l0_stop_trigger)
         return lat
 

@@ -47,7 +47,6 @@ from repro.common.records import (
     check_keys,
     check_scan,
     check_snapshot,
-    encoded_size,
     encoded_size_many,
     make_delete,
     make_put,
@@ -159,9 +158,12 @@ class IamDB:
     # ----------------------------------------------------------------- writes
     def put(self, key: Key, value: Value) -> None:
         """Insert/overwrite ``key``.  ``value``: bytes, or int = synthetic size."""
-        self._check_open()
+        if self._closed:
+            self._check_open()
         rec = make_put(key, self._seq + 1, value)
-        self._write(rec, encoded_size(rec, self.key_size))
+        # encoded_size(rec, key_size), inline (make_put checked the value).
+        self._write(rec, self.key_size + (value if type(value) is int else len(value))
+                    + RECORD_OVERHEAD)
 
     def delete(self, key: Key) -> None:
         """Delete ``key`` (writes a tombstone; space reclaimed by merges)."""
@@ -214,8 +216,10 @@ class IamDB:
         metrics.user_bytes += nbytes
         if memtable.nbytes >= engine.memtable_capacity:
             self._rotate_memtable()
-        if not runtime.pool.idle or runtime.sampler is not None:
+        if runtime.sampler is not None:
             runtime.pump()
+        elif not runtime.pool.idle:
+            runtime.pool.pump()
         metrics.latency["insert"].samples.append(clock.now - t0)
 
     def _sanitize_db(self, event: str) -> None:
@@ -319,8 +323,10 @@ class IamDB:
             rec = self.immutable.get(key, snap)
         if rec is None:
             rec, _ = self.engine.get(key, snap)
-        if not runtime.pool.idle or runtime.sampler is not None:
+        if runtime.sampler is not None:
             runtime.pump()
+        elif not runtime.pool.idle:
+            runtime.pool.pump()
         self.metrics.latency["read"].samples.append(runtime.clock.now - t0)
         if rec is None or rec[KIND] == DELETE:
             return None
@@ -346,8 +352,10 @@ class IamDB:
             rec = self.immutable.get(key, snap)
         if rec is None:
             rec, _ = self.engine.get(key, snap)
-        if not runtime.pool.idle or runtime.sampler is not None:
+        if runtime.sampler is not None:
             runtime.pump()
+        elif not runtime.pool.idle:
+            runtime.pool.pump()
         self.metrics.latency["read"].samples.append(runtime.clock.now - t0)
         if rec is None or rec[KIND] == DELETE:
             return None

@@ -447,7 +447,8 @@ class BackgroundPool:
                     progressed = True
                     job.debt_s -= granted
                     job.not_before = disk.busy_until
-                    self._account_drain(job, granted)
+                    self.bg_drained_s += granted  # _account_drain, inline
+                    self.class_drained_s[job.klass] += granted
                     if job.debt_s <= 1e-12:
                         job.debt_s = 0.0
                         self._retire(job)

@@ -108,10 +108,6 @@ class Runtime:
         self.pool.crash_points = crash_points
 
     # --------------------------------------------------------------- lifecycle
-    @property
-    def block_size(self) -> int:
-        return self.options.block_size
-
     def now(self) -> float:
         return self.clock.now
 
@@ -179,14 +175,14 @@ class Runtime:
         """
         if nbytes <= 0:
             return 0.0
-        file.grow(nbytes)
-        self.metrics.add_level_write(level, nbytes)
-        self.disk.bg_count(nbytes_write=nbytes, seeks=1)
+        debt = self.disk.bg_append(file, nbytes)
+        self.metrics.level_write_bytes[level] += nbytes
         if n_cache_blocks is None:
-            n_cache_blocks = -(-nbytes // self.block_size)
+            n_cache_blocks = -(-nbytes // self.options.block_size)
         if n_cache_blocks > 0:
-            self.cache.insert_range(file.file_id, first_block, n_cache_blocks)
-        return self.disk.io_time(nbytes_write=nbytes, bulk_seeks=1)
+            self.cache.insert_many(file.file_id,
+                                   range(first_block, first_block + n_cache_blocks))
+        return debt
 
     def bg_read_run(self, file_id: int, nbytes: int, *,
                     resident_bytes: int = 0) -> float:

@@ -152,15 +152,6 @@ class SimDisk(SimResource):
             t += nbytes_write / self.profile.write_bandwidth
         return t
 
-    def _count(self, nbytes_read: int, nbytes_write: int, seeks: int) -> None:
-        if nbytes_read:
-            self.bytes_read += nbytes_read
-            self.read_ops += 1
-        if nbytes_write:
-            self.bytes_written += nbytes_write
-            self.write_ops += 1
-        self.seeks += seeks
-
     # ------------------------------------------------------------- foreground
     def fg_io(self, *, nbytes_read: int = 0, nbytes_write: int = 0, seeks: int = 0) -> float:
         """Perform foreground I/O: wait for the channel, advance the clock.
@@ -170,7 +161,7 @@ class SimDisk(SimResource):
         if self.faults is not None:
             self.faults.on_foreground_request(self.clock)  # type: ignore[attr-defined]
         # io_time(nbytes_read=r, nbytes_write=w, seeks=s), bit for bit (its
-        # ``bulk_seeks`` term adds 0.0), then _count, inline.
+        # ``bulk_seeks`` term adds 0.0), then bg_count's counting, inline.
         profile = self.profile
         service = seeks * profile.seek_time_s
         if nbytes_read:
@@ -187,8 +178,9 @@ class SimDisk(SimResource):
         self.seeks += seeks
         return elapsed
 
-    def fg_stream(self, *, nbytes_write: int) -> float:
-        """Foreground *streaming* write: paced by bandwidth, not queued.
+    def fg_stream(self, file: SimFile, *, nbytes_write: int) -> float:
+        """Foreground *streaming* write that grows ``file``: paced by
+        bandwidth, not queued.
 
         Models buffered sequential writes (the WAL: absorbed by the page
         cache and streamed out, never waiting behind compaction I/O).  The
@@ -198,12 +190,17 @@ class SimDisk(SimResource):
         gates (slowdown / stop / memtable rotation), which is where the
         paper's bursts and stalls originate (§6.2).
         """
+        # SimFile.grow, inline; it raises the file-lifecycle diagnostics.
+        if file.deleted or nbytes_write < 0:
+            file.grow(nbytes_write)
+        file.nbytes += nbytes_write
+        file._disk.live_bytes += nbytes_write
         if self.faults is not None:
             self.faults.on_foreground_request(self.clock)  # type: ignore[attr-defined]
         service = 0.0
         if nbytes_write:
             # io_time(nbytes_write=n), bit for bit (``0.0 + n/bw``), and
-            # _count's write half.
+            # bg_count's write half.
             service = nbytes_write / self.profile.write_bandwidth
             self.bytes_written += nbytes_write
             self.write_ops += 1
@@ -245,7 +242,28 @@ class SimDisk(SimResource):
 
     def bg_count(self, *, nbytes_read: int = 0, nbytes_write: int = 0, seeks: int = 0) -> None:
         """Record background I/O volume (time is handled via bg_grant)."""
-        self._count(nbytes_read, nbytes_write, seeks)
+        if nbytes_read:
+            self.bytes_read += nbytes_read
+            self.read_ops += 1
+        if nbytes_write:
+            self.bytes_written += nbytes_write
+            self.write_ops += 1
+        self.seeks += seeks
+
+    def bg_append(self, file: SimFile, nbytes: int) -> float:
+        """One background write run of ``nbytes > 0`` grows ``file``, counts
+        its bytes, one op and one seek; returns its debt, ``io_time(
+        nbytes_write=nbytes, bulk_seeks=1)`` bit for bit (``seeks`` adds 0.0)."""
+        # SimFile.grow, inline; it raises the file-lifecycle diagnostics.
+        if file.deleted or nbytes < 0:
+            file.grow(nbytes)
+        file.nbytes += nbytes
+        file._disk.live_bytes += nbytes
+        self.bytes_written += nbytes
+        self.write_ops += 1
+        self.seeks += 1
+        profile = self.profile
+        return profile.bulk_seek_time_s + nbytes / profile.write_bandwidth
 
     # ----------------------------------------------------------- synchronous
     def sync_drain(self, service_s: float) -> float:

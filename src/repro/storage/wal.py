@@ -63,13 +63,12 @@ class WriteAheadLog:
         if nbytes is None:
             nbytes = encoded_size(rec, self.key_size)
         self._records.append(rec)
-        self._file.grow(nbytes)
         runtime = self.runtime
         runtime.metrics.wal_bytes += nbytes
         self.appended_records += 1
         # Buffered sequential append: paced by bandwidth, never queued
-        # behind compaction I/O (see SimDisk.fg_stream).
-        return runtime.disk.fg_stream(nbytes_write=nbytes)
+        # behind compaction I/O; the one disk call grows the file.
+        return runtime.disk.fg_stream(self._file, nbytes_write=nbytes)
 
     def append_many(self, recs: List[RecordTuple]) -> float:
         """Group-commit: append a batch under one sequential write run."""
@@ -81,10 +80,9 @@ class WriteAheadLog:
         self._records.extend(recs)
         if count > 1:
             self._batches.append((start, start + count))
-        self._file.grow(nbytes)
         self.runtime.metrics.add_wal_bytes(nbytes)
         self.appended_records += count
-        return self.runtime.disk.fg_stream(nbytes_write=nbytes)
+        return self.runtime.disk.fg_stream(self._file, nbytes_write=nbytes)
 
     def truncate_through(self, seq: int) -> float:
         """Discard log entries with sequence numbers <= ``seq``.
@@ -104,9 +102,8 @@ class WriteAheadLog:
         remaining = encoded_size_many(self._records, self.key_size)
         latency = 0.0
         if remaining:
-            self._file.grow(remaining)
             self.runtime.metrics.add_wal_bytes(remaining)
-            latency = self.runtime.disk.fg_stream(nbytes_write=remaining)
+            latency = self.runtime.disk.fg_stream(self._file, nbytes_write=remaining)
         self.runtime.delete_file(old)
         return latency
 

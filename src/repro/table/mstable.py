@@ -128,7 +128,7 @@ class MSTable:
         seq = Sequence(
             run,
             key_size=self.key_size,
-            block_size=self.runtime.block_size,
+            block_size=self.runtime.options.block_size,
             bloom_bits_per_key=self.bloom_bits_per_key,
             first_block=self.next_block,
         )

@@ -38,6 +38,9 @@ INVOCATIONS: Dict[str, List[str]] = {
         "objstore", "ycsb", "--shards", "2", "--replicas", "2", "--workload", "A",
         "--records", "4000", "--ops", "800", "--store-latency", "2000",
         "--bootstrap-follower", "0", "--faults", "kill=1:400"],
+    "objstore-load-offload": [
+        "objstore", "load", "--shards", "2", "--replicas", "2",
+        "--records", "4000", "--offload-compaction"],
 }
 
 

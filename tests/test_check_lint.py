@@ -222,7 +222,7 @@ class TestRep009RawDeviceCalls:
         assert rules_of(lint_source(src, "src/repro/db/m.py")) == ["REP009"]
 
     @pytest.mark.parametrize("call", ["fg_io(1)", "fg_stream(1)", "bg_grant(1)",
-                                      "bg_count(1)", "sync_drain(1.0)"])
+                                      "bg_count(1)", "bg_append(1)", "sync_drain(1.0)"])
     def test_fires_on_every_raw_call(self, call):
         src = f"def f(self):\n    self.disk.{call}\n"
         assert rules_of(lint_source(src, "src/repro/core/m.py")) == ["REP009"]

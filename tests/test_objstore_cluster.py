@@ -11,6 +11,7 @@ import pytest
 
 from tests.conftest import tiny_iam_options, tiny_storage_options
 from repro.cluster import ClusterDB, ClusterOptions
+from repro.cluster.rebalance import REBALANCE_CHECK_OPS
 from repro.common.errors import ConfigError
 from repro.objstore import ObjStoreOptions
 
@@ -142,6 +143,30 @@ def test_refused_time_travel_reads_touch_nothing():
         assert state() == before
     assert cluster.get(KEYS[0], as_of_cut=cut_id) == model[KEYS[0]]
     assert state() != before
+    cluster.close()
+
+
+def test_a_time_travel_read_follows_a_rebalance_in_its_own_op():
+    # The shard is resolved once, before the op is counted; when the op's
+    # rebalance check retires it, the read goes to the shard that now owns
+    # the key (whose log lacks the cut), never to the retired shard's
+    # cached reader.
+    cluster = _cluster(replicas=1, objstore_retain_cuts=64)
+    model = {}
+    _load(cluster, model, 150)
+    cluster.flush()
+    cluster.quiesce()
+    cut_id = cluster.manifest_logs[0].latest_cut().cut_id
+    assert cluster.get(KEYS[0], as_of_cut=cut_id) == model[KEYS[0]]
+    old = cluster.router.shards[0]
+    assert (old.shard_id, cut_id) in cluster._as_of_readers
+    cluster.rebalancer.maybe_rebalance = lambda: cluster.rebalancer.split(old)
+    cluster._ops = REBALANCE_CHECK_OPS - 1  # the next op runs the check
+    with pytest.raises(ConfigError, match="not a retained manifest cut"):
+        cluster.get(KEYS[0], as_of_cut=cut_id)
+    owner = cluster.router.shard_for(KEYS[0])
+    assert old.retired and owner is not old
+    assert cluster.network.link_bytes[(0, owner.group.leader.node_id)] > 0
     cluster.close()
 
 

@@ -267,12 +267,13 @@ def test_an_absent_key_pays_one_fence_bisect_per_level():
 
 def test_a_get_pumps_a_busy_pool_only(monkeypatch):
     # As a write does: a get on an idle pool with no sampler makes no pump
-    # call, and one on a pool a wake left unsettled pumps it once.
+    # call, and one on a pool a wake left unsettled pumps it once (the
+    # pool's own pump: without a sampler there is no Runtime.pump frame).
     db, _ = _store(widen=False)
     key = db.engine.levels[db.engine.n][0].table.min_key
     runtime, pumps = db.runtime, []
-    pump = runtime.pump
-    monkeypatch.setattr(runtime, "pump", lambda: pumps.append(runtime.pool.idle) or pump())
+    pump = runtime.pool.pump
+    monkeypatch.setattr(runtime.pool, "pump", lambda: pumps.append(runtime.pool.idle) or pump())
     assert runtime.pool.idle and runtime.sampler is None
     assert db.get(key) == 40 and pumps == []
     runtime.pool.wake()

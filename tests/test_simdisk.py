@@ -49,10 +49,12 @@ def test_fg_io_queues_behind_busy_channel(disk):
 
 def test_fg_stream_does_not_queue(disk):
     disk.busy_until = 5.0
-    lat = disk.fg_stream(nbytes_write=500)
+    f = disk.create_file()
+    lat = disk.fg_stream(f, nbytes_write=500)
     assert lat == pytest.approx(1.0)
     assert disk.clock.now == pytest.approx(1.0)
     assert disk.busy_until == 5.0  # untouched
+    assert f.nbytes == disk.live_bytes == disk.bytes_written == 500
 
 
 def test_bg_grant_respects_not_before_and_now(disk):
@@ -118,3 +120,53 @@ def test_file_lifecycle_and_space(disk):
 def test_file_ids_unique(disk):
     ids = {disk.create_file().file_id for _ in range(10)}
     assert len(ids) == 10
+
+
+@pytest.mark.parametrize("profile", [
+    PROFILE,
+    DeviceProfile("ssd", seek_time_s=1e-4, bulk_seek_time_s=2e-5,
+                  read_bandwidth=550e6, write_bandwidth=520e6 / 3),
+    DeviceProfile("zero", seek_time_s=0.0, bulk_seek_time_s=0.0,
+                  read_bandwidth=1.0, write_bandwidth=7.0)])
+def test_bg_append_is_grow_count_and_io_time_bit_for_bit(profile):
+    # One background table append was SimFile.grow + bg_count(nbytes_write=n,
+    # seeks=1) + io_time(nbytes_write=n, bulk_seeks=1); now it is one call.
+    one, split = SimDisk(profile), SimDisk(profile)
+    f, g = one.create_file(), split.create_file()
+    for n in (1, 4096, 12_345, 3 * 2**20 + 17):
+        debt = one.bg_append(f, n)
+        g.grow(n)
+        split.bg_count(nbytes_write=n, seeks=1)
+        assert debt.hex() == split.io_time(nbytes_write=n, bulk_seeks=1).hex()
+    assert [f.nbytes, one.live_bytes, one.bytes_written, one.write_ops, one.seeks] \
+        == [g.nbytes, split.live_bytes, split.bytes_written, split.write_ops, split.seeks]
+    assert one.clock.now == one.busy_until == 0.0  # debt only: no time moves
+
+
+@pytest.mark.parametrize("write", [
+    lambda disk, f, n: disk.fg_stream(f, nbytes_write=n),
+    lambda disk, f, n: disk.bg_append(f, n)], ids=["fg_stream", "bg_append"])
+def test_a_growing_disk_call_keeps_the_file_lifecycle_checks(disk, write):
+    f = disk.create_file()
+    for n, deleted in ((-1, False), (10, True)):
+        if deleted:
+            disk.delete_file(f)
+        with pytest.raises(InvariantViolation) as err:
+            write(disk, f, n)
+        assert err.value.diagnostic.check == "file-lifecycle"
+    assert [disk.clock.now, disk.live_bytes, disk.bytes_written, disk.write_ops] \
+        == [0.0, 0, 0, 0]
+
+
+def test_fg_stream_runs_the_fault_hook_after_growing_the_file(disk):
+    seen = []
+
+    class Hook:
+        def on_foreground_request(self, clock):
+            seen.append((clock.now, f.nbytes))
+            clock.now += 0.5  # a retried attempt's backoff
+
+    f = disk.create_file()
+    disk.faults = Hook()
+    assert disk.fg_stream(f, nbytes_write=500) == pytest.approx(1.0)
+    assert seen == [(0.0, 500)] and disk.clock.now == pytest.approx(1.5)

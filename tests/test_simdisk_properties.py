@@ -33,7 +33,7 @@ def test_clock_monotone_and_busy_bounded(ops):
             # After a foreground op the channel frees exactly at "now".
             assert disk.busy_until == disk.clock.now
         elif kind == "stream":
-            disk.fg_stream(nbytes_write=nbytes)
+            disk.fg_stream(disk.create_file(), nbytes_write=nbytes)
         elif kind == "bg":
             granted = disk.bg_grant(0.0, nbytes / 1000.0, lookahead_s=0.01)
             assert granted >= 0.0
