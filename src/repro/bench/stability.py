@@ -7,15 +7,14 @@ Runs one sustained hash load plus one mixed YCSB-A phase per engine with a
 * ``python -m repro stability`` runs the suite, prints the table and (with
   ``--update``) rewrites ``BENCH_stability.json``;
 * ``benchmarks/stability/`` is the standalone entry point;
-* ``--check`` (used by CI) fails when windowed-throughput variance, the
-  worst window, the stall-time fraction or any op class's p99.9 regresses
-  against the committed baseline.
+* ``--check`` (used by CI) fails unless the fresh report is byte-identical
+  to the committed baseline, and names the first differing JSON path.
 
 Unlike a host wall-clock timing (machine-dependent), everything here is
-*simulated*: same seed, same report, byte for byte, on any machine --
-so the check tolerances guard against behavioral regressions (a scheduling
-change that makes writes burstier), not runner noise.  The report therefore
-carries no host fields (no wall time, no platform string).
+*simulated*: same seed, same report, byte for byte, on any machine -- so
+any difference is a behavioral change, never runner noise, and a deliberate
+one regenerates the file with ``--update``.  The report therefore carries
+no host fields (no wall time, no platform string).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.obs.sampler import DEFAULT_INTERVAL_S
 
@@ -47,15 +46,6 @@ DEFAULT_SEED = 11
 
 #: Phase keys in run order (load first: YCSB runs against the loaded tree).
 PHASES = ("load", "ycsb_a")
-
-#: Checked digests and their direction: ``+`` means higher-is-worse
-#: (ceiling), ``-`` means lower-is-worse (floor).
-_THROUGHPUT_CHECKS = (
-    ("mean_ops_s", "-"),
-    ("cv", "+"),
-    ("min_window_ops_s", "-"),
-)
-
 
 def run_engine(engine: str, *, records: int = DEFAULT_RECORDS,
                ops: int = DEFAULT_OPS, seed: int = DEFAULT_SEED,
@@ -145,140 +135,82 @@ def run_suite(engines: Optional[Sequence[str]] = None, *,
     }
 
 
-def _phase_digest(report: Mapping[str, object], engine: str,
-                  phase: str) -> Optional[Mapping[str, object]]:
-    engines = report.get("engines")
-    if not isinstance(engines, Mapping):
+def _canonical(report: Mapping[str, object]) -> str:
+    return json.dumps(report, indent=1, sort_keys=True) + "\n"
+
+
+def _first_diff(old: Any, new: Any, path: str) -> Optional[str]:
+    """The first JSON path (keys sorted, list indices as parts) where
+    ``old`` and ``new`` differ, as ``path: old -> new``; None if equal."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        parts = [(k, k in old, k in new) for k in sorted(set(old) | set(new))]
+    elif isinstance(old, list) and isinstance(new, list):
+        parts = [(i, i < len(old), i < len(new))
+                 for i in range(max(len(old), len(new)))]
+    elif type(old) is type(new) and old == new:
         return None
-    per_engine = engines.get(engine)
-    if not isinstance(per_engine, Mapping):
-        return None
-    digest = per_engine.get(phase)
-    return digest if isinstance(digest, Mapping) else None
+    else:
+        return f"{path}: {json.dumps(old)} -> {json.dumps(new)}"
+    for key, in_old, in_new in parts:
+        where = f"{path}/{key}" if path else str(key)
+        if not in_old or not in_new:
+            return f"{where}: missing from the {'baseline' if in_new else 'report'}"
+        diff = _first_diff(old[key], new[key], where)
+        if diff is not None:
+            return diff
+    return None
 
 
-def _num(container: Mapping[str, object], *path: str) -> Optional[float]:
-    node: object = container
-    for key in path:
-        if not isinstance(node, Mapping):
-            return None
-        node = node.get(key)
-    return float(node) if isinstance(node, (int, float)) else None
+def check_stability(report: Mapping[str, object], baseline_path: Path) -> List[str]:
+    """Compare a fresh report with the committed baseline, byte for byte.
 
-
-def check_stability(report: Dict[str, object], baseline_path: Path, *,
-                    max_regression: float = 0.25) -> List[str]:
-    """Compare a fresh report against the committed baseline.
-
-    Returns failure messages (empty = pass).  A missing baseline or a
-    config mismatch is itself a failure, so CI can never silently skip the
-    comparison.  Per engine and phase the gate holds:
-
-    * ``mean_ops_s`` and ``min_window_ops_s`` above a ``1 - tol`` floor;
-    * windowed-throughput ``cv`` and the ``stall_fraction`` below a
-      ``(1 + tol) + 0.01`` ceiling (the additive slack keeps near-zero
-      baselines from forbidding any stall at all);
-    * every op class's p99.9 below a ``1 + tol`` ceiling.
+    Returns failure messages (empty = pass).  The report is simulated, so
+    any difference is a behavioral change: the message names the first
+    differing JSON path with ``baseline -> report`` (a config mismatch is
+    a path under ``config/``).  A missing baseline is itself a failure, so
+    CI can never silently skip the comparison.
     """
     if not baseline_path.exists():
         return [f"no baseline at {baseline_path}"]
-    baseline = json.loads(baseline_path.read_text())
-    base_cfg = baseline.get("config") or {}
-    cur_cfg = report.get("config") or {}
-    if base_cfg != cur_cfg:
-        diffs = sorted(k for k in set(base_cfg) | set(cur_cfg)
-                       if base_cfg.get(k) != cur_cfg.get(k))
-        return [f"config mismatch vs baseline ({', '.join(diffs)}); "
-                "rerun with the baseline's scale or --update"]
-
-    failures: List[str] = []
-    for engine in cur_cfg.get("engines", []):
-        for phase in PHASES:
-            base = _phase_digest(baseline, engine, phase)
-            cur = _phase_digest(report, engine, phase)
-            where = f"{engine}/{phase}"
-            if base is None or cur is None:
-                failures.append(f"{where}: missing from "
-                                f"{'baseline' if base is None else 'report'}")
-                continue
-            for key, sign in _THROUGHPUT_CHECKS:
-                b = _num(base, "throughput", key)
-                c = _num(cur, "throughput", key)
-                if b is None or c is None:
-                    continue
-                if sign == "-":
-                    floor = b * (1.0 - max_regression)
-                    if c < floor:
-                        failures.append(
-                            f"{where}: {key} regressed: {c:,.1f} < {floor:,.1f} "
-                            f"(baseline {b:,.1f} - {max_regression:.0%})")
-                else:
-                    ceil = b * (1.0 + max_regression) + 0.01
-                    if c > ceil:
-                        failures.append(
-                            f"{where}: {key} regressed: {c:.4f} > {ceil:.4f} "
-                            f"(baseline {b:.4f} + {max_regression:.0%})")
-            b = _num(base, "stalls", "stall_fraction")
-            c = _num(cur, "stalls", "stall_fraction")
-            if b is not None and c is not None:
-                ceil = b * (1.0 + max_regression) + 0.01
-                if c > ceil:
-                    failures.append(
-                        f"{where}: stall_fraction regressed: {c:.4f} > "
-                        f"{ceil:.4f} (baseline {b:.4f} + {max_regression:.0%})")
-            base_lat = base.get("latency")
-            cur_lat = cur.get("latency")
-            if isinstance(base_lat, Mapping) and isinstance(cur_lat, Mapping):
-                for op in sorted(base_lat):
-                    b = _num(base_lat, op, "p999")
-                    c = _num(cur_lat, op, "p999")
-                    if b is None or c is None:
-                        continue
-                    ceil = b * (1.0 + max_regression) + 1e-6
-                    if c > ceil:
-                        failures.append(
-                            f"{where}: {op} p99.9 regressed: {c * 1e3:.4f}ms > "
-                            f"{ceil * 1e3:.4f}ms (baseline {b * 1e3:.4f}ms "
-                            f"+ {max_regression:.0%})")
-    return failures
+    committed = baseline_path.read_text()
+    fresh = _canonical(report)
+    if committed == fresh:
+        return []
+    diff = _first_diff(json.loads(committed), json.loads(fresh), "")
+    if diff is None:
+        return [f"{baseline_path} holds this report but not in canonical "
+                "form; rerun with --update"]
+    return [diff]
 
 
-def format_report(report: Dict[str, object]) -> str:
+def format_report(report: Mapping[str, Any]) -> str:
     from repro.bench.report import format_table
 
-    cfg = report.get("config") or {}
+    cfg = report["config"]
     rows: List[List[object]] = []
-    for engine in cfg.get("engines", []):  # type: ignore[union-attr]
+    for engine in cfg["engines"]:
         for phase in PHASES:
-            digest = _phase_digest(report, engine, phase)
-            if digest is None:
-                continue
-            mean = _num(digest, "throughput", "mean_ops_s") or 0.0
-            cv = _num(digest, "throughput", "cv") or 0.0
-            worst = _num(digest, "throughput", "min_window_ops_s") or 0.0
-            stall = _num(digest, "stalls", "stall_fraction") or 0.0
-            lat = digest.get("latency")
-            p999 = 0.0
-            p999_op = "-"
-            if isinstance(lat, Mapping):
-                for op in sorted(lat):
-                    v = _num(lat, op, "p999")
-                    if v is not None and v > p999:
-                        p999, p999_op = v, str(op)
-            rows.append([engine, phase, f"{mean:,.0f}", f"{cv:.3f}",
-                         f"{worst:,.0f}", f"{stall * 100:.1f}%",
+            digest = report["engines"][engine][phase]
+            tp = digest["throughput"]
+            p999, p999_op = 0.0, "-"
+            for op, lat in sorted(digest["latency"].items()):
+                if lat["p999"] > p999:
+                    p999, p999_op = lat["p999"], op
+            rows.append([engine, phase, f"{tp['mean_ops_s']:,.0f}",
+                         f"{tp['cv']:.3f}", f"{tp['min_window_ops_s']:,.0f}",
+                         f"{digest['stalls']['stall_fraction'] * 100:.1f}%",
                          f"{p999 * 1e3:.3f} ({p999_op})"])
-    title = (f"stability: {cfg.get('records')} records load + "
-             f"{cfg.get('ops')} YCSB-{cfg.get('workload')} ops, "
-             f"seed {cfg.get('seed')} (sim time)")
+    title = (f"stability: {cfg['records']} records load + "
+             f"{cfg['ops']} YCSB-{cfg['workload']} ops, "
+             f"seed {cfg['seed']} (sim time)")
     return format_table(
         ["engine", "phase", "mean ops/s", "cv", "worst win ops/s",
          "stall %", "p99.9 ms (op)"],
         rows, title=title)
 
 
-def write_report(report: Dict[str, object], path: Path) -> None:
-    path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+def write_report(report: Mapping[str, object], path: Path) -> None:
+    path.write_text(_canonical(report))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -305,9 +237,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--update", action="store_true",
                    help=f"write {BENCH_STABILITY_FILENAME}")
     p.add_argument("--check", action="store_true",
-                   help="fail when stability regressed vs the committed baseline")
-    p.add_argument("--max-regression", type=float, default=0.25,
-                   help="tolerated relative regression (default 0.25)")
+                   help="fail unless the report is byte-identical to the baseline")
     p.add_argument("--out", type=Path, default=None,
                    help=f"baseline path (default ./{BENCH_STABILITY_FILENAME})")
     p.add_argument("--trace", metavar="PATH", default=None,
@@ -328,15 +258,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     path = args.out if args.out is not None else Path(BENCH_STABILITY_FILENAME)
     rc = 0
     if args.check:
-        failures = check_stability(report, path,
-                                   max_regression=args.max_regression)
+        failures = check_stability(report, path)
         for msg in failures:
-            print(f"STABILITY REGRESSION: {msg}", file=sys.stderr)
+            print(f"STABILITY CHANGED: {msg}", file=sys.stderr)
         if failures:
             rc = 1
         else:
-            print(f"\nstability check ok (within {args.max_regression:.0%} "
-                  f"of {path})")
+            print(f"\nstability check ok (byte-identical to {path})")
     if args.update:
         if args.quick:
             print("refusing to --update from a --quick run", file=sys.stderr)

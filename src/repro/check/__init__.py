@@ -1,13 +1,12 @@
 """Correctness tooling for the LSA/IAM engine (``python -m repro check``).
 
-Three independent gates share this package (see DESIGN.md, "Correctness
-tooling"):
+Two independent tools share this package (see DESIGN.md, "Correctness
+tooling"); :mod:`repro.check.runner` runs them, with a cluster and an
+objstore smoke run, as the four gates of ``python -m repro check``:
 
 * :mod:`repro.check.lint` -- an AST-based determinism lint with repo-specific
   rules (REP001...); the simulated clock must be the only time source, RNGs
   must be seeded, structural checks must raise :class:`InvariantViolation`.
-* :mod:`repro.check.typing_gate` -- the mypy strict-ish gate configured in
-  ``pyproject.toml`` (skipped gracefully when mypy is not installed).
 * :mod:`repro.check.sanitizer` -- an opt-in runtime sanitizer that, after
   every structural operation of any engine, runs that engine's own
   ``check_invariants`` (range disjointness, sortedness, table/file

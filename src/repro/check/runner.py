@@ -1,22 +1,20 @@
 """The ``python -m repro check`` driver.
 
-Runs the five correctness gates in order and reports one status line each:
+Runs the four correctness gates in order and reports one status line each:
 
 1. **lint** -- the AST determinism lint (:mod:`repro.check.lint`) over
    ``src/repro`` (or explicit paths).
-2. **types** -- the mypy strict-ish gate (:mod:`repro.check.typing_gate`);
-   SKIPs with a notice when mypy is not installed.
-3. **sanitizer** -- a smoke workload (mixed puts/deletes/reads/scans, an
+2. **sanitizer** -- a smoke workload (mixed puts/deletes/reads/scans, an
    explicit flush and a crash/recovery cycle) on each of the six engines
    (LSM-trie reads instead of scanning) with the runtime sanitizer
    collecting violations; the status line counts each engine's structural
    events.
-4. **cluster** -- a tiny sharded/replicated cluster run (mixed ops, a forced
+3. **cluster** -- a tiny sharded/replicated cluster run (mixed ops, a forced
    leader failover, a forced shard split) with the cluster invariant catalog
    (:mod:`repro.cluster.invariants`) checked throughout: shard ranges tile
    the key space exactly, acked writes sit on a quorum, and no file is owned
    by two live replicas after a rebalance.
-5. **objstore** -- a tiny shared-storage cluster run: follower bootstrap
+4. **objstore** -- a tiny shared-storage cluster run: follower bootstrap
    from the shared manifest log (zero leader WAL bytes for the flushed
    prefix), a leader kill recovered off shared storage, and a time-travel
    read (``as_of_cut``) checked against a model recorded at that cut.
@@ -25,8 +23,9 @@ Every gate runs even when an earlier one fails or raises: a gate that
 escapes with an exception is reported ERROR (with the exception inline) and
 the remaining gates still execute, so one broken invariant cannot mask
 another.  A summary line closes the run.  Exit status is 0 only when no
-gate FAILs or ERRORs (SKIP does not fail the run); 2 signals a usage error
-(unknown rule or gate name).
+gate FAILs or ERRORs; 2 signals a usage error (unknown rule or gate name).
+The typing check is not a gate here: CI runs ``python -m mypy`` with the
+``[tool.mypy]`` settings in ``pyproject.toml``.
 """
 
 from __future__ import annotations
@@ -38,16 +37,14 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.check.lint import RULES, lint_paths, lint_repo
-from repro.check.typing_gate import run_typing_gate
 
 #: Gate names in execution order (also the --gate vocabulary).
-GATE_NAMES: Tuple[str, ...] = (
-    "lint", "types", "sanitizer", "cluster", "objstore")
+GATE_NAMES: Tuple[str, ...] = ("lint", "sanitizer", "cluster", "objstore")
 
 
 @dataclass
 class GateOutcome:
-    """One gate's result: status is PASS, FAIL, SKIP or ERROR."""
+    """One gate's result: status is PASS, FAIL or ERROR."""
 
     name: str
     status: str
@@ -72,14 +69,6 @@ def _run_lint(args: argparse.Namespace) -> GateOutcome:
         lines.append(f"{len(findings)} finding(s)")
         return GateOutcome("lint", "FAIL", body="\n".join(lines))
     return GateOutcome("lint", "PASS", detail="0 findings")
-
-
-def _run_types(args: argparse.Namespace) -> GateOutcome:
-    gate = run_typing_gate()
-    if gate.status == "FAIL":
-        return GateOutcome("types", "FAIL", body=gate.output)
-    detail = gate.output.splitlines()[0] if gate.skipped and gate.output else ""
-    return GateOutcome("types", gate.status, detail=detail)
 
 
 def _smoke_workload(engine: str, seed: int) -> "tuple[int, int, List[str]]":
@@ -305,7 +294,6 @@ def _run_objstore_smoke(args: argparse.Namespace) -> GateOutcome:
 
 _GATE_RUNNERS: "dict[str, Callable[[argparse.Namespace], GateOutcome]]" = {
     "lint": _run_lint,
-    "types": _run_types,
     "sanitizer": _run_sanitizer_smoke,
     "cluster": _run_cluster_smoke,
     "objstore": _run_objstore_smoke,
@@ -315,7 +303,7 @@ _GATE_RUNNERS: "dict[str, Callable[[argparse.Namespace], GateOutcome]]" = {
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro check",
-        description=("determinism lint + typing gate + sanitizer smoke run "
+        description=("determinism lint + sanitizer smoke run "
                      "+ cluster smoke run + objstore smoke run"))
     p.add_argument("paths", nargs="*",
                    help="files/directories to lint (default: src/repro)")
@@ -362,11 +350,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{outcome.name:<9}  {outcome.status}{annotation}")
 
     n_failed = sum(1 for o in outcomes if o.failed)
-    n_passed = sum(1 for o in outcomes if o.status == "PASS")
-    n_skipped = sum(1 for o in outcomes if o.status == "SKIP")
-    summary = f"{n_passed}/{len(outcomes)} gates passed"
-    if n_skipped:
-        summary += f", {n_skipped} skipped"
+    summary = f"{len(outcomes) - n_failed}/{len(outcomes)} gates passed"
     if n_failed:
         bad = ", ".join(o.name for o in outcomes if o.failed)
         summary += f", {n_failed} failed ({bad})"

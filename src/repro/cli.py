@@ -12,7 +12,7 @@ Commands
 ``compare``      run one load across several engines side by side
 ``experiment``   regenerate a paper table/figure via the bench harness
 ``stability``    run the stability suite (BENCH_stability.json)
-``check``        determinism lint + typing gate + sanitizer smoke run
+``check``        determinism lint + sanitizer/cluster/objstore smoke runs
 ``faults``       crash-point matrix: crash everywhere, assert durability
 ``info``         print the scaled configuration in effect
 
@@ -604,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_stability)
 
     sp = sub.add_parser(
-        "check", help="determinism lint + typing gate + sanitizer smoke",
+        "check", help="determinism lint + sanitizer/cluster/objstore smoke",
         add_help=False)
     sp.add_argument("check_args", nargs=argparse.REMAINDER,
                     help="arguments for the check driver, e.g. --list-rules")

@@ -89,9 +89,6 @@ class MetricsRegistry:
     def add_wal_bytes(self, nbytes: int) -> None:
         self.wal_bytes += nbytes
 
-    def add_level_write(self, level: int, nbytes: int) -> None:
-        self.level_write_bytes[level] += nbytes
-
     def add_compaction_read(self, nbytes: int) -> None:
         self.compaction_read_bytes += nbytes
 

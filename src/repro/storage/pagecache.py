@@ -125,14 +125,6 @@ class PageCache:
                     admit = [b for b in blocks if (file_id, b) not in lru]
                 self.insert_many(file_id, admit, False)
 
-    def touch_range(self, file_id: int, first_block: int, n_blocks: int) -> int:
-        """Touch ``n_blocks`` consecutive blocks; returns the hit count.
-        Misses stay out: the request is abandoned at its yield."""
-        hits = self.hits
-        for _ in self.read_request(((file_id, range(first_block, first_block + n_blocks)),)):
-            break
-        return self.hits - hits
-
     def insert(self, file_id: int, block_no: int) -> None:
         """Insert (or refresh) one block, evicting LRU blocks as needed."""
         self.insert_many(file_id, (block_no,))
@@ -200,9 +192,6 @@ class PageCache:
             per_file[file_id] = per_file.get(file_id, 0) + admitted - lost
         self.insertions += admitted
         self.evictions += evicted_total
-
-    def insert_range(self, file_id: int, first_block: int, n_blocks: int) -> None:
-        self.insert_many(file_id, range(first_block, first_block + n_blocks))
 
     # ---------------------------------------------------------------- pinning
     def pin_range(self, file_id: int, first_block: int, n_blocks: int) -> None:

@@ -11,8 +11,8 @@ from tests.conftest import ALL_ENGINES, make_tiny_db
 def test_write_amplification_definition():
     m = MetricsRegistry()
     m.add_user_bytes(100)
-    m.add_level_write(1, 150)
-    m.add_level_write(2, 250)
+    m.level_write_bytes[1] += 150
+    m.level_write_bytes[2] += 250
     assert m.compaction_write_bytes == 400
     assert m.write_amplification() == pytest.approx(4.0)
 
@@ -21,14 +21,14 @@ def test_wal_excluded_by_default():
     m = MetricsRegistry()
     m.add_user_bytes(100)
     m.add_wal_bytes(100)
-    m.add_level_write(1, 100)
+    m.level_write_bytes[1] += 100
     assert m.write_amplification() == pytest.approx(1.0)
     assert m.write_amplification(include_wal=True) == pytest.approx(2.0)
 
 
 def test_zero_user_bytes_gives_zero():
     m = MetricsRegistry()
-    m.add_level_write(1, 500)
+    m.level_write_bytes[1] += 500
     assert m.write_amplification() == 0.0
     assert m.per_level_write_amplification() == {}
 
@@ -36,8 +36,8 @@ def test_zero_user_bytes_gives_zero():
 def test_per_level_attribution_sorted():
     m = MetricsRegistry()
     m.add_user_bytes(100)
-    m.add_level_write(3, 300)
-    m.add_level_write(1, 100)
+    m.level_write_bytes[3] += 300
+    m.level_write_bytes[1] += 100
     per = m.per_level_write_amplification()
     assert list(per) == [1, 3]
     assert per[3] == pytest.approx(3.0)
@@ -97,12 +97,12 @@ def test_merge_snapshots_sums_and_weights():
     from repro.metrics import merge_snapshots
     a, b = MetricsRegistry(), MetricsRegistry()
     a.add_user_bytes(100)
-    a.add_level_write(1, 200)
+    a.level_write_bytes[1] += 200
     a.add_query_io(seeks=2, hits=1, misses=1)
     a.add_stall("write-gate", 0.5)
     b.add_user_bytes(100)
-    b.add_level_write(1, 300)
-    b.add_level_write(2, 100)
+    b.level_write_bytes[1] += 300
+    b.level_write_bytes[2] += 100
     b.add_query_io(seeks=2, hits=2, misses=0)
     b.add_stall("write-gate", 2.0)
     merged = merge_snapshots([a.snapshot(), b.snapshot()])
@@ -121,7 +121,7 @@ def test_merge_snapshots_empty_and_identity():
     assert merge_snapshots([])["user_bytes"] == 0
     m = MetricsRegistry()
     m.add_user_bytes(50)
-    m.add_level_write(1, 100)
+    m.level_write_bytes[1] += 100
     solo = merge_snapshots([m.snapshot()])
     assert solo["write_amplification"] == m.write_amplification()
     assert solo["user_bytes"] == 50

@@ -8,7 +8,6 @@ import pytest
 
 from repro.check import runner
 from repro.check.sanitizer import default_options, set_default_options
-from repro.check.typing_gate import GateResult
 from repro.cli import main as cli_main
 from repro.db.iamdb import ENGINE_TABLE
 
@@ -31,12 +30,13 @@ def test_unknown_rule_rejected(capsys):
 
 
 def test_full_check_passes_on_this_repo(capsys):
-    # The acceptance gate: lint clean, types PASS-or-SKIP, sanitizer clean.
+    # The acceptance gate: every gate runs and passes, sanitizer clean.
     assert runner.main([]) == 0
     out = capsys.readouterr().out
     assert [line.split()[0] for line in out.splitlines()
-            if re.match(r"\w+ +(PASS|SKIP)\b", line)] == list(runner.GATE_NAMES)
-    assert runner.GATE_NAMES == ("lint", "types", "sanitizer", "cluster", "objstore")
+            if re.match(r"\w+ +PASS\b", line)] == list(runner.GATE_NAMES)
+    assert runner.GATE_NAMES == ("lint", "sanitizer", "cluster", "objstore")
+    assert "4/4 gates passed" in out
     assert "lint       PASS" in out
     assert "sanitizer  PASS" in out
     # The sanitizer gate runs on every engine, each seeing structural events.
@@ -53,12 +53,6 @@ def test_lint_failure_sets_exit_code(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "REP001" in out
-
-
-def test_gate_result_status():
-    assert GateResult(ok=True, skipped=True, output="").status == "SKIP"
-    assert GateResult(ok=True, skipped=False, output="").status == "PASS"
-    assert GateResult(ok=False, skipped=False, output="").status == "FAIL"
 
 
 def test_cli_check_subcommand(capsys):
@@ -86,16 +80,16 @@ class TestRunnerAggregation:
             raise RuntimeError("gate exploded")
 
         def ok(args):
-            return runner.GateOutcome("types", "PASS", detail="stubbed")
+            return runner.GateOutcome("cluster", "PASS", detail="stubbed")
 
         monkeypatch.setitem(runner._GATE_RUNNERS, "lint", boom)
-        monkeypatch.setitem(runner._GATE_RUNNERS, "types", ok)
-        code = runner.main(["--gate", "lint", "--gate", "types"])
+        monkeypatch.setitem(runner._GATE_RUNNERS, "cluster", ok)
+        code = runner.main(["--gate", "lint", "--gate", "cluster"])
         out = capsys.readouterr().out
         assert code == 1
         assert "lint       ERROR" in out
         assert "RuntimeError: gate exploded" in out
-        assert "types      PASS (stubbed)" in out
+        assert "cluster    PASS (stubbed)" in out
         assert "1/2 gates passed, 1 failed (lint)" in out
 
     def test_all_pass_summary_and_exit_zero(self, monkeypatch, capsys):
@@ -103,25 +97,13 @@ class TestRunnerAggregation:
             runner._GATE_RUNNERS, "lint",
             lambda args: runner.GateOutcome("lint", "PASS", detail="0 findings"))
         monkeypatch.setitem(
-            runner._GATE_RUNNERS, "types",
-            lambda args: runner.GateOutcome("types", "PASS"))
-        code = runner.main(["--gate", "lint", "--gate", "types"])
+            runner._GATE_RUNNERS, "cluster",
+            lambda args: runner.GateOutcome("cluster", "PASS"))
+        code = runner.main(["--gate", "lint", "--gate", "cluster"])
         out = capsys.readouterr().out
         assert code == 0
         assert "lint       PASS (0 findings)" in out
         assert "2/2 gates passed" in out
-
-    def test_skipped_gate_does_not_fail_the_run(self, monkeypatch, capsys):
-        monkeypatch.setitem(
-            runner._GATE_RUNNERS, "lint",
-            lambda args: runner.GateOutcome("lint", "PASS"))
-        monkeypatch.setitem(runner._GATE_RUNNERS, "types",
-                            lambda args: runner.GateOutcome("types", "SKIP"))
-        code = runner.main(["--gate", "lint", "--gate", "types"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "types      SKIP" in out
-        assert "1 skipped" in out
 
     def test_failing_gate_does_not_short_circuit(self, monkeypatch, capsys):
         calls = []
@@ -131,11 +113,11 @@ class TestRunnerAggregation:
             return runner.GateOutcome("lint", "FAIL", body="1 finding(s)")
 
         def ok(args):
-            calls.append("types")
-            return runner.GateOutcome("types", "PASS")
+            calls.append("cluster")
+            return runner.GateOutcome("cluster", "PASS")
 
         monkeypatch.setitem(runner._GATE_RUNNERS, "lint", fail)
-        monkeypatch.setitem(runner._GATE_RUNNERS, "types", ok)
-        code = runner.main(["--gate", "lint", "--gate", "types"])
+        monkeypatch.setitem(runner._GATE_RUNNERS, "cluster", ok)
+        code = runner.main(["--gate", "lint", "--gate", "cluster"])
         assert code == 1
-        assert calls == ["lint", "types"]  # second gate still ran
+        assert calls == ["lint", "cluster"]  # second gate still ran

@@ -100,7 +100,7 @@ def test_evicting_admission_is_a_handful_of_calls_per_block():
     # admission), then popitem + discard + add; now popitem alone -- the
     # per-file resident counts settle once per batch.
     cache = PageCache(128 * 1024, 1024)
-    cache.insert_range(1, 0, 128)
+    cache.insert_many(1, range(128))
     assert len(cache) == cache.max_blocks
     assert _calls(lambda: cache.insert_many(2, range(64))) <= 64 + 8
     assert cache.evictions == 64 and cache.resident_blocks(2) == 64
@@ -111,8 +111,8 @@ def test_invalidating_a_file_costs_the_same_at_four_times_the_blocks():
     # Parent commit: a dict pop and a set discard per resident block.
     def invalidate_calls(n):
         cache = PageCache(4 * n * 1024, 1024)
-        cache.insert_range(1, 0, n)
-        cache.insert_range(2, 0, n)
+        cache.insert_many(1, range(n))
+        cache.insert_many(2, range(n))
         calls = _calls(lambda: cache.invalidate_file(1))
         assert len(cache) == cache.resident_blocks(2) == n
         assert cache.resident_blocks(1) == 0

@@ -179,7 +179,7 @@ def test_stall_stat_and_longest_stall():
 def test_metrics_snapshot_is_a_copy():
     m = MetricsRegistry()
     m.add_user_bytes(100)
-    m.add_level_write(1, 50)
+    m.level_write_bytes[1] += 50
     m.bump("split")
     m.record_latency("read", 0.001)
     m.add_stall("x", 0.1)
@@ -200,7 +200,7 @@ def test_metrics_reset_zeroes_everything():
     m = MetricsRegistry()
     m.add_user_bytes(10)
     m.add_wal_bytes(5)
-    m.add_level_write(0, 20)
+    m.level_write_bytes[0] += 20
     m.add_compaction_read(3)
     m.add_query_io(seeks=1, hits=1, misses=1)
     m.bump("merge")

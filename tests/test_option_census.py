@@ -12,6 +12,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 PY = [p for d in ("src", "benchmarks", "examples") for p in sorted((ROOT / d).rglob("*.py"))]
+#: The e2e ledger's probe strings name what it wraps when it exists (a missing
+#: target is skipped silently), so they keep no def alive.
+LEDGER = ROOT / "benchmarks" / "e2e" / "ledger.py"
 KEPT = {**dict.fromkeys(["backoff_base_s", "backoff_max_s", "giveup_backoff_s",
                          "l0_compaction_trigger"], "the write-path golden sets it"),
         **dict.fromkeys(["--memory-mb", "--threads", "--setup"], "a paper axis (§6)"),
@@ -75,9 +78,11 @@ def test_every_cli_flag_has_a_caller_outside_tests():
 #: names, kept on purpose.
 KEPT_NAMES = {"n_keys": "Memtable's key count, which the equivalence test compares with "
                         "the frozen ReferenceMemtable's (kept unchanged by REP006)",
-              **dict.fromkeys(["reference_merge_runs", "reference_scan"],
+              **dict.fromkeys(["reference_merge_runs", "reference_scan", "insert_range"],
                               "frozen seed oracle that the tests compare against, "
-                              "kept unchanged by REP006")}
+                              "kept unchanged by REP006"),
+              "merge_scan": "a module-global the e2e ledger resolves with getattr: "
+                            "deleting it fails every --trace 1 run"}
 
 
 def _defs():
@@ -113,7 +118,8 @@ def _named_outside_tests():
             names.update(n for n in found if n not in inside)
             walk(child, inside)
     for path in PY:
-        walk(ast.parse(path.read_text()), frozenset())
+        if path != LEDGER:
+            walk(ast.parse(path.read_text()), frozenset())
     return names
 
 
@@ -125,7 +131,7 @@ def test_every_function_has_a_caller_outside_tests():
     dead = [f"{path.relative_to(SRC)}:{fn.lineno} {fn.name}" for path, fn in defs
             if fn.name not in named and not re.fullmatch(r"__\w+__|visit_\w+", fn.name)]
     assert dead == [], "only tests call these; delete them or say why in KEPT_NAMES"
-    assert len(defs) <= 877
+    assert len(defs) <= 866
 
 
 def test_every_keyword_only_parameter_has_a_caller_outside_tests():

@@ -52,8 +52,8 @@ def test_touch_returns_hit_status():
 
 def test_resident_bytes_per_file():
     c = PageCache(10 * 256, 256)
-    c.insert_range(1, 0, 3)
-    c.insert_range(2, 0, 2)
+    c.insert_many(1, range(3))
+    c.insert_many(2, range(2))
     assert c.resident_bytes(1) == 3 * 256
     assert c.resident_bytes(2) == 2 * 256
     assert c.resident_bytes(99) == 0
@@ -61,8 +61,8 @@ def test_resident_bytes_per_file():
 
 def test_invalidate_file_drops_all_blocks():
     c = PageCache(10 * 256, 256)
-    c.insert_range(1, 0, 3)
-    c.insert_range(2, 0, 2)
+    c.insert_many(1, range(3))
+    c.insert_many(2, range(2))
     assert c.invalidate_file(1) == 3
     assert c.resident_bytes(1) == 0
     assert not c.contains(1, 0)
@@ -176,7 +176,7 @@ def test_insert_many_into_fully_pinned_full_cache_overcommits():
 # ------------------------------------------- batch ops vs per-block reference
 _batch_ops = st.lists(
     st.tuples(st.sampled_from(["insert", "insert_many", "insert_range",
-                               "touch", "touch_range", "request",
+                               "touch", "request",
                                "pin_range", "invalidate_file"]),
               st.integers(0, 3),                              # file_id
               st.lists(st.integers(0, 12), max_size=8),       # block list
@@ -264,7 +264,7 @@ def test_batch_ops_state_identical_to_reference(ops, cap_blocks):
             for b in blocks:
                 ref.insert(f, b)
         elif kind == "insert_range":
-            new.insert_range(f, first, n)
+            new.insert_many(f, range(first, first + n))
             ref.insert_range(f, first, n)
         elif kind == "touch":
             for b in blocks:
@@ -275,10 +275,6 @@ def test_batch_ops_state_identical_to_reference(ops, cap_blocks):
             hits = new.hits
             fills = _request(new, reads, fail_at)
             assert (fills, new.hits - hits) == _ref_request(ref, reads, fail_at)
-        elif kind == "touch_range":
-            hits = new.touch_range(f, first, n)
-            ref_hits = sum(ref.touch(f, b) for b in range(first, first + n))
-            assert hits == ref_hits
         elif kind == "pin_range":
             new.pin_range(f, first, n)
             ref.pin_range(f, first, n)

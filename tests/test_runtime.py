@@ -27,7 +27,7 @@ def test_fg_read_blocks_charges_one_seek_per_run():
 
 def test_fg_read_blocks_cache_hits_are_free():
     rt = make_runtime()
-    rt.cache.insert_range(1, 0, 3)
+    rt.cache.insert_many(1, range(3))
     lat = rt.fg_read_blocks(((1, range(0, 3)),))
     assert lat == 0.0
     assert rt.metrics.cache_hits == 3
@@ -75,7 +75,7 @@ def test_one_request_equals_its_runs_one_call_each(cache_blocks, reads):
     observed = []
     for batched in (True, False):
         rt, instants = _traced_runtime(cache_blocks)
-        rt.cache.insert_range(1, 2, 3)  # residents inside the first run
+        rt.cache.insert_many(1, range(2, 5))  # residents inside the first run
         rt.cache.insert(2, 3)
         if batched:
             elapsed = rt.fg_read_blocks(reads)
@@ -94,7 +94,7 @@ def test_evictions_are_stamped_after_the_fill():
     # touch -> fill -> admit: the admission's evictions happen at the clock
     # the fill left, not at the request's start.
     rt, instants = _traced_runtime(cache_blocks=2)
-    rt.cache.insert_range(9, 0, 2)
+    rt.cache.insert_many(9, range(2))
     lat = rt.fg_read_blocks(((1, range(0, 2)),))
     assert lat > 0.0 and instants == [(lat, 1), (lat, 1)]
 

@@ -9,9 +9,10 @@ Four properties:
 * **pay-for-what-you-use** -- a probed run's simulated results are
   byte-identical to an unprobed run (hypothesis, digest style of
   ``test_obs_determinism``), and probed runs are deterministic per seed;
-* **report gating** -- ``check_stability`` passes on the identical report,
-  fails on an injected regression, a config mismatch, and a missing
-  baseline;
+* **report gating** -- ``check_stability`` passes only on the identical
+  bytes: a one-ulp move, a config change or a missing key fails and names
+  its JSON path, a re-indented file is not canonical, and a missing
+  baseline fails;
 * **prom exposition** -- deterministic bytes, cumulative buckets, ``+Inf``
   equals the count.
 """
@@ -19,6 +20,7 @@ Four properties:
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -240,52 +242,66 @@ def _tiny_report():
     return run_suite(["iam"], records=1500, ops=400, interval_s=0.001)
 
 
-def test_bench_report_deterministic_and_gated(tmp_path):
-    from repro.bench.stability import check_stability, write_report
+@pytest.fixture(scope="module")
+def gated(tmp_path_factory):
+    """The tiny report and its baseline file, written by ``write_report``."""
+    from repro.bench.stability import write_report
 
     report = _tiny_report()
-    again = _tiny_report()
-    assert (json.dumps(report, sort_keys=True)
-            == json.dumps(again, sort_keys=True))
-
-    baseline = tmp_path / "BENCH_stability.json"
-    # Missing baseline is a failure, not a silent pass.
-    assert check_stability(report, baseline) == [f"no baseline at {baseline}"]
+    baseline = tmp_path_factory.mktemp("stability") / "BENCH_stability.json"
     write_report(report, baseline)
+    return report, baseline
+
+
+def test_a_rerun_passes_and_a_missing_baseline_fails(gated, tmp_path):
+    from repro.bench.stability import check_stability
+
+    report, baseline = gated
     assert check_stability(report, baseline) == []
+    assert check_stability(_tiny_report(), baseline) == []  # deterministic
+    missing = tmp_path / "BENCH_stability.json"
+    assert check_stability(report, missing) == [f"no baseline at {missing}"]
 
-    # Injected regressions trip the gate.
-    bad = json.loads(json.dumps(report))
-    cell = bad["engines"]["iam"]["load"]
-    cell["throughput"]["cv"] = cell["throughput"]["cv"] * 2.0 + 1.0
-    failures = check_stability(bad, baseline)
-    assert failures and "cv regressed" in failures[0]
 
-    bad = json.loads(json.dumps(report))
-    cell = bad["engines"]["iam"]["load"]
-    cell["throughput"]["min_window_ops_s"] *= 0.5
-    assert any("min_window_ops_s regressed" in f
-               for f in check_stability(bad, baseline))
+def test_one_ulp_names_its_full_path(gated):
+    from repro.bench.stability import check_stability
 
-    bad = json.loads(json.dumps(report))
-    cell = bad["engines"]["iam"]["load"]
-    for op in cell["latency"]:
-        cell["latency"][op]["p999"] *= 10.0
-    assert any("p99.9 regressed" in f for f in check_stability(bad, baseline))
+    report, baseline = gated
+    moved = json.loads(json.dumps(report))
+    put = moved["engines"]["iam"]["load"]["latency"]["put"]
+    old = put["p999"]
+    put["p999"] = math.nextafter(old, math.inf)
+    assert check_stability(moved, baseline) == [
+        f"engines/iam/load/latency/put/p999: {old!r} -> {put['p999']!r}"]
 
-    bad = json.loads(json.dumps(report))
-    cell = bad["engines"]["iam"]["load"]
-    cell["stalls"]["stall_fraction"] = (
-        cell["stalls"]["stall_fraction"] * 2.0 + 0.5)
-    assert any("stall_fraction regressed" in f
-               for f in check_stability(bad, baseline))
 
-    # A config mismatch can never silently pass.
-    bad = json.loads(json.dumps(report))
-    bad["config"]["records"] += 1
-    failures = check_stability(bad, baseline)
-    assert failures and "config mismatch" in failures[0]
-    assert "records" in failures[0]
+def test_config_and_list_changes_name_their_path(gated):
+    from repro.bench.stability import check_stability
+
+    report, baseline = gated
+    moved = json.loads(json.dumps(report))
+    moved["config"]["records"] += 1
+    n = report["config"]["records"]
+    assert check_stability(moved, baseline) == [f"config/records: {n} -> {n + 1}"]
+    moved = json.loads(json.dumps(report))
+    moved["config"]["engines"].append("lsa")
+    assert check_stability(moved, baseline) == [
+        "config/engines/1: missing from the baseline"]
+    del moved["engines"]["iam"]["ycsb_a"]
+    moved["config"] = report["config"]
+    assert check_stability(moved, baseline) == [
+        "engines/iam/ycsb_a: missing from the report"]
+
+
+def test_an_equal_but_reindented_file_is_not_canonical(gated, tmp_path):
+    from repro.bench.stability import check_stability
+
+    report, _ = gated
+    loose = tmp_path / "BENCH_stability.json"
+    loose.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    failures = check_stability(report, loose)
+    assert len(failures) == 1 and "not in canonical form" in failures[0]
+    assert "--update" in failures[0]
 
 
 def test_bench_main_flags(tmp_path):
