@@ -87,6 +87,10 @@ MUTANTS: List[Tuple[str, str, str, str, List[Tuple[str, str]]]] = [
     ("D4", "charge", "`SimNetwork.send` skips the link",
      "cluster/network.py", [
          ("        return link.fg(service)[0]\n", "        return service\n")]),
+    ("D5", "charge", "`Sequence.lookup` treats every hit as one version (`keys[i + 1]` untested)",
+     "table/block.py", [
+         ("        j = i + 1\n        if j == n or keys[j] != key:\n",
+          "        j = i + 1\n        if True:\n")]),
     ("R1", "seed", "`random.Random()` in `ycsb.op_blocks`",
      "workloads/ycsb.py", [
          ('        rng = random.Random(f"{seed}:{spec.name}")\n', "        rng = random.Random()\n")]),

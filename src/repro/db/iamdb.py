@@ -195,7 +195,10 @@ class IamDB:
         self.metrics.add_user_bytes(total)
         if self.memtable.nbytes >= self.engine.memtable_capacity:
             self._rotate_memtable()
-        runtime.pump()
+        if runtime.sampler is not None:
+            runtime.pump()
+        elif not runtime.pool.idle:
+            runtime.pool.pump()
         self.metrics.latency["insert"].samples.append(runtime.clock.now - t0)
 
     def _write(self, rec: RecordTuple, nbytes: int) -> None:
@@ -380,7 +383,8 @@ class IamDB:
 
         ``limit`` caps the row count (0: ``[]``, touching nothing).
         """
-        self._check_open()
+        if self._closed:
+            self._check_open()
         check_scan(lo_key, hi_key, limit)
         snap = None if snapshot is None else check_snapshot(self, snapshot)
         if limit == 0:
@@ -389,7 +393,10 @@ class IamDB:
         t0 = runtime.clock.now
         out = planned_scan(self._scan_streams(lo_key, hi_key), snapshot=snap,
                            hi_key=hi_key, limit=limit)
-        runtime.pump()
+        if runtime.sampler is not None:
+            runtime.pump()
+        elif not runtime.pool.idle:
+            runtime.pool.pump()
         self.metrics.latency["scan"].samples.append(runtime.clock.now - t0)
         return out
 

@@ -83,8 +83,11 @@ class Memtable:
     def get(self, key: Key,
             snapshot: Optional[int] = None) -> Optional[RecordTuple]:
         """Newest version of ``key`` visible at ``snapshot`` (None = latest)."""
-        rec = self._latest.get(key)
-        if rec is None or snapshot is None or rec[SEQ] <= snapshot:
+        latest = self._latest
+        if key not in latest:  # a miss costs no call
+            return None
+        rec = latest[key]
+        if snapshot is None or rec[SEQ] <= snapshot:
             return rec
         for old in reversed(self._older.get(key, ())):
             if old[SEQ] <= snapshot:

@@ -92,12 +92,6 @@ class MetricsRegistry:
     def add_compaction_read(self, nbytes: int) -> None:
         self.compaction_read_bytes += nbytes
 
-    # ------------------------------------------------------------------- read
-    def add_query_io(self, *, seeks: int, hits: int, misses: int) -> None:
-        self.query_seeks += seeks
-        self.cache_hits += hits
-        self.cache_misses += misses
-
     # ----------------------------------------------------------- object store
     def add_objstore_up(self, nbytes: int) -> None:
         self.objstore_bytes_up += nbytes

@@ -153,8 +153,10 @@ class Runtime:
             elapsed += self._fill_misses(missing * block_size, runs)
             missed += missing
             seeks += runs
-        self.metrics.add_query_io(seeks=seeks, hits=cache.hits - hits,
-                                  misses=missed)
+        metrics = self.metrics
+        metrics.query_seeks += seeks
+        metrics.cache_hits += cache.hits - hits
+        metrics.cache_misses += missed
         return elapsed
 
     def _fill_misses(self, nbytes: int, runs: int) -> float:

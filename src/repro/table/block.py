@@ -143,19 +143,31 @@ class Sequence:
         """:meth:`get` past the range and filter checks: search the data,
         charging the block read whether or not the key is there."""
         keys = self.key_view
+        n = self.n_records
         i = bisect_left(keys, key)
-        j = bisect_right(keys, key, i)
         # File-relative block numbers: record ``i`` lives in block
-        # ``first_block + bisect_right(starts, i) - 1`` (past the last
-        # record, that is the last block).
+        # ``first_block + i // step`` when every block holds ``step`` records
+        # (``starts`` is then a range), else ``first_block +
+        # bisect_right(starts, i) - 1``; past the last record, the last block.
         starts = self.block_start_idx
-        first = self.first_block - 1
-        b = first + bisect_right(starts, i)
-        if i >= j:
+        first = self.first_block
+        if type(starts) is range:
+            step = starts.step
+            b = first + (i if i < n else n - 1) // step
+        else:
+            step = 0
+            b = first - 1 + bisect_right(starts, i)
+        if i == n or keys[i] != key:
             # Bloom false positive: the data block is still fetched and
             # searched before the miss is known.
             return None, runtime.fg_read_blocks(((file_id, range(b, b + 1)),))
-        end = b + 1 if j == i + 1 else first + bisect_right(starts, j - 1) + 1
+        j = i + 1
+        if j == n or keys[j] != key:
+            end = b + 1  # one version: its own block
+        else:
+            # More versions: the block of the oldest one ends the range.
+            j = bisect_right(keys, key, j + 1)
+            end = first + ((j - 1) // step + 1 if step else bisect_right(starts, j - 1))
         latency = runtime.fg_read_blocks(((file_id, range(b, end)),))
         seqs, kinds, values = self.hit_views or self._open_hit_views()
         if snapshot is not None:

@@ -45,7 +45,7 @@ def test_per_level_attribution_sorted():
 
 def test_read_amplification_per_query():
     m = MetricsRegistry()
-    m.add_query_io(seeks=3, hits=1, misses=3)
+    m.query_seeks, m.cache_hits, m.cache_misses = 3, 1, 3
     m.record_latency("read", 0.001)
     m.record_latency("read", 0.002)
     assert m.read_amplification(("read",)) == pytest.approx(1.5)
@@ -98,12 +98,12 @@ def test_merge_snapshots_sums_and_weights():
     a, b = MetricsRegistry(), MetricsRegistry()
     a.add_user_bytes(100)
     a.level_write_bytes[1] += 200
-    a.add_query_io(seeks=2, hits=1, misses=1)
+    a.query_seeks, a.cache_hits, a.cache_misses = 2, 1, 1
     a.add_stall("write-gate", 0.5)
     b.add_user_bytes(100)
     b.level_write_bytes[1] += 300
     b.level_write_bytes[2] += 100
-    b.add_query_io(seeks=2, hits=2, misses=0)
+    b.query_seeks, b.cache_hits, b.cache_misses = 2, 2, 0
     b.add_stall("write-gate", 2.0)
     merged = merge_snapshots([a.snapshot(), b.snapshot()])
     assert merged["user_bytes"] == 200

@@ -1,10 +1,13 @@
 """Sequence: block layout, point gets, lazy cursors."""
 
+from bisect import bisect_left, bisect_right
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import InvariantViolation
 from repro.common.options import DeviceProfile, StorageOptions
-from repro.common.records import KEY, SEQ, encoded_size, make_put
+from repro.common.records import KEY, SEQ, encoded_size, make_delete, make_put
 from repro.storage.runtime import Runtime
 from repro.table.block import INDEX_ENTRY_BYTES, READAHEAD_BLOCKS, Sequence, finish_sequences
 from repro.table.run import Run
@@ -115,6 +118,73 @@ def test_lookup_reads_the_blocks_its_span_covers():
         rt = make_runtime(cache_bytes=100 * BLOCK)
         s.lookup(rt, 1, key)
         assert sorted(b for _, b in rt.cache._lru) == blocks, key
+
+
+class _RecordingRuntime:
+    """What ``lookup`` needs of a runtime: the requests it charges."""
+
+    def __init__(self):
+        self.reads = []
+
+    def fg_read_blocks(self, reads):
+        self.reads.extend(reads)
+        return 0.0
+
+
+def _reference_lookup(s, key, snapshot):
+    """``lookup`` by plain bisects over list copies: (record, blocks read)."""
+    keys, starts = list(s.key_view), list(s.block_start_idx)
+    i, j = bisect_left(keys, key), bisect_right(keys, key)
+    first = s.first_block - 1
+    b = first + bisect_right(starts, i)
+    if i == j:
+        return None, range(b, b + 1)
+    blocks = range(b, first + bisect_right(starts, j - 1) + 1)
+    visible = [r for r in s.run.records()[i:j] if snapshot is None or r[SEQ] <= snapshot]
+    return (visible[0] if visible else None), blocks
+
+
+@st.composite
+def _sequences(draw):
+    """A sequence of odd keys with 1-3 versions each, in a uniform layout
+    (one value size: ``block_start_idx`` is a range) or a variable one
+    (sizes and tombstones mixed: a list)."""
+    keys = sorted(draw(st.sets(st.integers(0, 60), min_size=1, max_size=25)))
+    versions = [draw(st.integers(1, 3)) for _ in keys]
+    seqs = iter(draw(st.permutations(range(1, sum(versions) + 1))))
+    uniform = draw(st.booleans())
+    size = draw(st.sampled_from([8, 64, 100, 300]))
+    recs = []
+    for key, n in zip(keys, versions):
+        for seq in sorted((next(seqs) for _ in range(n)), reverse=True):
+            if uniform:
+                recs.append(make_put(2 * key + 1, seq, size))
+            elif draw(st.integers(0, 4)) == 0:
+                recs.append(make_delete(2 * key + 1, seq))
+            else:
+                recs.append(make_put(2 * key + 1, seq, draw(st.integers(0, 300))))
+    if not uniform:  # two sizes at least, whatever was drawn
+        recs.append(make_put(2 * keys[-1] + 3, 0, 1 + recs[0][3]))
+    s = make_seq(recs, first_block=draw(st.integers(0, 5)))
+    assert (type(s.block_start_idx) is range) == uniform
+    return s
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sequences())
+def test_lookup_matches_a_plain_bisect_reference(s):
+    # Every key from below the first to past the last (present, in a gap,
+    # first and last records), latest and at snapshots on, between, below
+    # and above its versions: the record and the one block run charged are
+    # the plain-bisect reference's.
+    recs = s.run.records()
+    for key in range(s.min_key - 1, s.max_key + 3):
+        seqs = [r[SEQ] for r in recs if r[KEY] == key]
+        for snapshot in {None, 0, 1 << 40, *seqs, *(q - 1 for q in seqs)}:
+            rt = _RecordingRuntime()
+            rec, _ = s.lookup(rt, 3, key, snapshot)
+            want, blocks = _reference_lookup(s, key, snapshot)
+            assert (rec, rt.reads) == (want, [(3, blocks)]), (key, snapshot)
 
 
 def test_cursor_yields_range_in_order():

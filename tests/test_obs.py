@@ -156,7 +156,7 @@ def test_cache_hit_rate_zero_division_guard():
     m = MetricsRegistry()
     assert m.cache_hit_rate() == 0.0
     assert m.summary()["cache_hit_rate"] == 0.0
-    m.add_query_io(seeks=1, hits=3, misses=1)
+    m.query_seeks, m.cache_hits, m.cache_misses = 1, 3, 1
     assert m.cache_hit_rate() == pytest.approx(0.75)
 
 
@@ -202,7 +202,7 @@ def test_metrics_reset_zeroes_everything():
     m.add_wal_bytes(5)
     m.level_write_bytes[0] += 20
     m.add_compaction_read(3)
-    m.add_query_io(seeks=1, hits=1, misses=1)
+    m.query_seeks, m.cache_hits, m.cache_misses = 1, 1, 1
     m.bump("merge")
     m.record_latency("insert", 0.01)
     m.add_stall("y", 0.2)
