@@ -73,10 +73,10 @@ MUTANTS: List[Tuple[str, str, str, str, List[Tuple[str, str]]]] = [
          ("import math\n", "import math\nfrom time import perf_counter as _pc\n"),
          ("        self._count += 1\n        self._sum += latency_s\n",
           "        self._count += 1\n        self._sum += latency_s + 0.0 * _pc()\n")]),
-    ("D1", "charge", "`_fill_misses` computes `io_time`, charges nothing",
+    ("D1", "charge", "a query read's fill computes `io_time`, charges nothing",
      "storage/runtime.py", [
-         ("        return self.disk.fg_io(nbytes_read=nbytes, seeks=runs)\n",
-          "        return self.disk.io_time(nbytes_read=nbytes, seeks=runs)\n")]),
+         ("                                      else self.disk.fg_io)\n",
+          "                                      else self.disk.io_time)\n")]),
     ("D2", "charge", "`bg_append` drops the background write's disk byte count",
      "storage/simdisk.py", [("        self.bytes_written += nbytes\n", "")]),
     ("D3", "charge", "raw `disk.fg_io` inside `IamDB.get`",

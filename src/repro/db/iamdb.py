@@ -364,18 +364,6 @@ class IamDB:
             return None
         return rec[VALUE]
 
-    def _scan_streams(self, lo_key: Optional[Key],
-                      hi_key: Optional[Key]) -> List[Iterable[RecordTuple]]:
-        """What every scan merges, newest first: the memtable, the immutable
-        memtable, then the engine's on-disk components (§5.2).  Captures the
-        view; charges nothing."""
-        streams = [list_stream(self.memtable.sorted_records(), lo_key, hi_key)]
-        if self.immutable is not None:
-            streams.append(list_stream(self.immutable.sorted_records(),
-                                       lo_key, hi_key))
-        streams.extend(self.engine.scan_cursors(lo_key, hi_key))
-        return streams
-
     def scan(self, lo_key: Optional[Key] = None,
              hi_key: Optional[Key] = None, *, limit: Optional[int] = None,
              snapshot: Optional[Snapshot] = None) -> List[Tuple[Key, object]]:
@@ -385,14 +373,24 @@ class IamDB:
         """
         if self._closed:
             self._check_open()
-        check_scan(lo_key, hi_key, limit)
+        if ((lo_key is not None and type(lo_key) is not int)
+                or (hi_key is not None and type(hi_key) is not int)
+                or (limit is not None and (type(limit) is not int or limit < 0))):
+            check_scan(lo_key, hi_key, limit)  # raises
         snap = None if snapshot is None else check_snapshot(self, snapshot)
         if limit == 0:
             return []
         runtime = self.runtime
         t0 = runtime.clock.now
-        out = planned_scan(self._scan_streams(lo_key, hi_key), snapshot=snap,
-                           hi_key=hi_key, limit=limit)
+        # What every scan merges, newest first: the memtable, the immutable
+        # memtable, then the engine's on-disk components (§5.2).
+        streams: List[Iterable[RecordTuple]] = [
+            list_stream(self.memtable.sorted_records(), lo_key, hi_key)]
+        if self.immutable is not None:
+            streams.append(list_stream(self.immutable.sorted_records(),
+                                       lo_key, hi_key))
+        streams += self.engine.scan_cursors(lo_key, hi_key)
+        out = planned_scan(streams, snapshot=snap, hi_key=hi_key, limit=limit)
         if runtime.sampler is not None:
             runtime.pump()
         elif not runtime.pool.idle:

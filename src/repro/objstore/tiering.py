@@ -174,8 +174,7 @@ class AsOfRuntime(Runtime):
     mirroring the one-seek-per-run convention of the local read path).
     """
 
-    def _fill_misses(self, nbytes: int, runs: int) -> float:
-        return self.objstore_read_fill(nbytes, runs)
+    fills_from_store = True
 
 
 class AsOfReader:

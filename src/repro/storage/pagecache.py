@@ -11,8 +11,9 @@ LRU (:meth:`PageCache.invalidate_file` walks block numbers against the LRU).
 Batch entry points let the runtime charge a whole appended sequence
 (:meth:`PageCache.insert_many`) or a query's read request
 (:meth:`read_request`: one pass over its runs that touches each, counts its
-misses and seeks without listing them, and admits them once the caller has
-fetched them) in one call instead of per-4KiB-block Python method calls.
+misses and seeks without listing them, fetches them through the fill the
+runtime hands it and admits them) in one call instead of per-4KiB-block
+Python method calls.
 Both admit through one admission/eviction loop.  Residency, LRU order, the
 insertion/eviction counters and the eviction batches stay byte-exact with
 the per-block reference (:class:`repro.bench.reference.ReferencePageCache`).
@@ -21,7 +22,7 @@ the per-block reference (:class:`repro.bench.reference.ReferencePageCache`).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.common.errors import ConfigError
 
@@ -80,16 +81,16 @@ class PageCache:
             return True
         return False
 
-    def read_request(self, reads: Iterable[Tuple[int, range]]
-                     ) -> Iterator[Tuple[int, int]]:
-        """One read request's pass over its ``(file_id, blocks)`` runs.
-
-        Each run is touched in turn -- hits promoted to most-recently-used
-        as per-block :meth:`touch` calls would, misses only counted, one
-        seek per stretch of consecutive missing blocks, resident blocks
-        added to :attr:`hits`.  A run with misses yields ``(missing,
-        seeks)``; the caller fetches them, and the resumed pass admits them
-        (a pass abandoned at the yield admits nothing).
+    def read_request(self, reads: Iterable[tuple],
+                     fill: Callable[..., float]) -> Tuple[float, int, int]:
+        """One read request's pass over its runs (tuples ending in
+        ``(file_id, blocks)``); returns the fills' ``(elapsed, missed,
+        seeks)``.  Each run is touched in turn -- hits promoted to
+        most-recently-used as per-block :meth:`touch` calls would, misses
+        only counted, one seek per stretch of consecutive missing blocks,
+        resident blocks added to :attr:`hits` -- then a run with misses is
+        fetched, ``fill(nbytes_read=..., seeks=...)``, and admitted.  A fill
+        that raises ends the request: its run admits nothing.
 
         Admission is one pass over the run, leaving its hits in place: the
         per-block loop over the misses alone while no victim can be a hit.
@@ -102,9 +103,13 @@ class PageCache:
         """
         lru = self._lru
         move_to_end = lru.move_to_end
+        block_size = self.block_size
+        elapsed = 0.0
+        missed = seeks = 0
         room = None
-        for file_id, blocks in reads:
-            missing = seeks = 0
+        for run in reads:
+            file_id, blocks = run[-2:]
+            missing = stretches = 0
             last_miss = -2
             for b in blocks:
                 key = (file_id, b)
@@ -113,17 +118,20 @@ class PageCache:
                     continue
                 missing += 1
                 if b != last_miss + 1:
-                    seeks += 1
+                    stretches += 1
                 last_miss = b
             self.hits += blocks.stop - blocks.start - missing
             if missing:
-                yield missing, seeks
+                elapsed += fill(nbytes_read=missing * block_size, seeks=stretches)
+                missed += missing
+                seeks += stretches
                 if room is None:
                     room = self.max_blocks - len(self._pinned)
                 admit: Iterable[int] = blocks
                 if blocks.stop - blocks.start > room:
                     admit = [b for b in blocks if (file_id, b) not in lru]
                 self.insert_many(file_id, admit, False)
+        return elapsed, missed, seeks
 
     def insert(self, file_id: int, block_no: int) -> None:
         """Insert (or refresh) one block, evicting LRU blocks as needed."""

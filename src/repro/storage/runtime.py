@@ -40,6 +40,10 @@ _OBJSTORE_SPAN_BASE = 1_000_000_000
 class Runtime:
     """Storage stack of one DB instance."""
 
+    #: Query misses are ranged GETs on the object store, not reads of this
+    #: stack's disk (:class:`~repro.objstore.tiering.AsOfRuntime`).
+    fills_from_store = False
+
     def __init__(self, options: Optional[StorageOptions] = None, *,
                  background_threads: int = 1,
                  metrics: Optional[MetricsRegistry] = None,
@@ -139,30 +143,23 @@ class Runtime:
         return self.pool.drain_all()
 
     # ------------------------------------------------------------- query reads
-    def fg_read_blocks(self, reads: Iterable[Tuple[int, range]]) -> float:
-        """Read one request's ``(file_id, blocks)`` runs through the cache in
-        order; returns the elapsed time.  The cache's one pass touches each
-        run and stops at a run with misses; they are fetched here, then
-        admitted as the pass resumes.  The counters settle once."""
+    def fg_read_blocks(self, reads: Iterable[tuple]) -> float:
+        """Read one request's runs (tuples ending in ``(file_id, blocks)``)
+        through the cache in order; returns the elapsed time.  The cache's
+        one pass touches each run, fetches its misses through this stack's
+        fill (the disk's ``fg_io``, or the store's ranged GETs when
+        :attr:`fills_from_store`), then admits them.  The counters settle
+        once."""
         cache = self.cache
-        block_size = self.options.block_size
-        elapsed = 0.0
         hits = cache.hits
-        missed = seeks = 0
-        for missing, runs in cache.read_request(reads):
-            elapsed += self._fill_misses(missing * block_size, runs)
-            missed += missing
-            seeks += runs
+        fill: Callable[..., float] = (self.objstore_read_fill if self.fills_from_store
+                                      else self.disk.fg_io)
+        elapsed, missed, seeks = cache.read_request(reads, fill)
         metrics = self.metrics
         metrics.query_seeks += seeks
         metrics.cache_hits += cache.hits - hits
         metrics.cache_misses += missed
         return elapsed
-
-    def _fill_misses(self, nbytes: int, runs: int) -> float:
-        """Fetch ``nbytes`` of missing blocks lying in ``runs`` consecutive
-        runs: from this stack's own disk, one seek per run."""
-        return self.disk.fg_io(nbytes_read=nbytes, seeks=runs)
 
     # --------------------------------------------------------- compaction I/O
     def bg_write_run(self, file: SimFile, nbytes: int, *, level: int,
@@ -253,18 +250,20 @@ class Runtime:
             tracer.end("objstore", "objstore:get", span)
         return elapsed
 
-    def objstore_read_fill(self, nbytes: int, requests: int) -> float:
-        """Charge ranged GETs filling the page cache (tiered reads)."""
+    def objstore_read_fill(self, nbytes_read: int, seeks: int) -> float:
+        """Charge ranged GETs filling the page cache (tiered reads): one per
+        run of missing blocks, as the disk's ``fg_io`` charges one seek, and
+        with its parameter names (a query fill, :meth:`fg_read_blocks`)."""
         store = self._objstore_or_raise()
         tracer = self.tracer
         span = 0
         if tracer.enabled:
             span = self._objstore_span_id()
-            tracer.begin("objstore", "objstore:get", span, nbytes=nbytes,
-                         requests=requests)
-        elapsed, queued = store.read_fill(nbytes, requests)
-        self.metrics.add_objstore_down(nbytes)
-        self.metrics.bump("objstore:get", requests)
+            tracer.begin("objstore", "objstore:get", span, nbytes=nbytes_read,
+                         requests=seeks)
+        elapsed, queued = store.read_fill(nbytes_read, seeks)
+        self.metrics.add_objstore_down(nbytes_read)
+        self.metrics.bump("objstore:get", seeks)
         if queued > 0.0:
             self.metrics.add_stall("objstore-fetch", queued)
         if tracer.enabled:

@@ -17,6 +17,8 @@ Columns
 
 ``value_size`` is the payload size all records share (``None``: they differ,
 or nobody looked), set where a run is made and inherited by its pieces.
+``deletes`` says whether a record is a DELETE (``None``: not known yet, see
+:meth:`Run.holds_deletes`); a piece of a run without one has none either.
 
 The typed-column rule: a value is synthetic iff ``type(v) is int`` -- never
 "numpy managed to parse it" (``b"21"``, ``"12"``, ``1.5`` and ``True`` all
@@ -37,18 +39,19 @@ import numpy as np
 
 from repro.common.errors import ConfigError
 from repro.common.hashing import MASK64
-from repro.common.records import Key, RECORD_OVERHEAD, RecordTuple, check_key
+from repro.common.records import DELETE, Key, RECORD_OVERHEAD, RecordTuple, check_key
 
 
 class Run:
     """One immutable sorted run in columnar form (see the module docstring)."""
 
     __slots__ = ("keys", "seqs", "kinds", "sizes", "vals", "n", "value_size",
-                 "_records")
+                 "deletes", "_records")
 
     def __init__(self, keys: np.ndarray, seqs: np.ndarray, kinds: np.ndarray,
                  sizes: np.ndarray, vals: Optional[np.ndarray] = None,
-                 value_size: Optional[int] = None) -> None:
+                 value_size: Optional[int] = None,
+                 deletes: Optional[bool] = None) -> None:
         self.keys = keys
         self.seqs = seqs
         self.kinds = kinds
@@ -56,6 +59,7 @@ class Run:
         self.vals = vals
         self.n: int = keys.size
         self.value_size = value_size
+        self.deletes = deletes
         self._records: Optional[List[RecordTuple]] = None
 
     def __len__(self) -> int:
@@ -86,7 +90,7 @@ class Run:
         return Run(np.fromiter(keys, dtype=np.uint64, count=n),
                    np.fromiter(seqs, dtype=np.uint64, count=n),
                    np.fromiter(kinds, dtype=np.uint8, count=n), sizes, val_col,
-                   size_list[0] if uniform else None)
+                   size_list[0] if uniform else None, DELETE in kinds)
 
     @staticmethod
     def from_records(records: PySequence[RecordTuple]) -> "Run":
@@ -101,16 +105,19 @@ class Run:
         *not* sorted)."""
         vals = None
         size = runs[0].value_size
+        deletes: Optional[bool] = False
         for run in runs:
             if run.vals is not None and vals is None:
                 vals = np.concatenate([r.sizes.astype(object) if r.vals is None
                                        else r.vals for r in runs])
             if run.value_size != size:
                 size = None
+            if run.deletes is not False and deletes is not True:
+                deletes = run.deletes
         return Run(np.concatenate([r.keys for r in runs]),
                    np.concatenate([r.seqs for r in runs]),
                    np.concatenate([r.kinds for r in runs]),
-                   np.concatenate([r.sizes for r in runs]), vals, size)
+                   np.concatenate([r.sizes for r in runs]), vals, size, deletes)
 
     # ----------------------------------------------------------------- pieces
     def slice(self, i: int, j: int) -> "Run":
@@ -118,14 +125,14 @@ class Run:
         vals = self.vals
         return Run(self.keys[i:j], self.seqs[i:j], self.kinds[i:j],
                    self.sizes[i:j], None if vals is None else vals[i:j],
-                   self.value_size)
+                   self.value_size, False if self.deletes is False else None)
 
     def take(self, idx: np.ndarray) -> "Run":
         """The records picked by an index (or boolean mask) array, in order."""
         vals = self.vals
         return Run(self.keys[idx], self.seqs[idx], self.kinds[idx],
                    self.sizes[idx], None if vals is None else vals[idx],
-                   self.value_size)
+                   self.value_size, False if self.deletes is False else None)
 
     # ---------------------------------------------------------------- reading
     def key_view(self) -> memoryview:
@@ -134,6 +141,12 @@ class Run:
 
     def key_at(self, i: int) -> Key:
         return int(self.keys[i])
+
+    def holds_deletes(self) -> bool:
+        """Whether a record is a DELETE; found once, then :attr:`deletes`."""
+        if self.deletes is None:
+            self.deletes = bool((self.kinds == DELETE).any())
+        return self.deletes
 
     def value_at(self, i: int) -> Any:
         return int(self.sizes[i]) if self.vals is None else self.vals[i]

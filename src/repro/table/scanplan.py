@@ -69,10 +69,13 @@ facts and folding the cut key; a node's components are one index range
 ``[first_ci, end_ci)`` of the walk, and a fill-only tail's charges one
 comprehension.  Every span reaching the cut key is cut with one
 ``bisect_left`` before anything is sliced, and each column is one
-``np.concatenate``.  The charge events are Python ints (``ranks.tolist()``,
-a uniform sequence's block index being the ``range`` it is, so a chunk
-index is ``i // step``): at a few hundred records numpy scalars cost more
-than the arithmetic they carry.
+``np.concatenate``: the kinds only when a component may hold a tombstone
+(``Run.deletes``), the sizes only when the synthetic values do not share
+one ``Run.value_size`` (else the rows are ``zip(keys, repeat(size))``).
+The charge events are Python ints (``ranks.tolist()``, a uniform
+sequence's block index being the ``range`` it is, so a chunk index is
+``i // step``): at a few hundred records numpy scalars cost more than the
+arithmetic they carry.
 
 Every stream is a :class:`~repro.table.scan.ListStream` or a ``ChainStream``
 and every stored key and snapshot is uint64 (the entry points refuse the
@@ -82,6 +85,7 @@ rest), so every scan is planned; an exception here is a bug.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import repeat
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -112,7 +116,7 @@ def planned_scan(streams: list, *, snapshot: Optional[int] = None,
             raise InvariantViolation(f"scan plan still truncated at width {cap}")
     out, events, runtime = res
     if events:  # one request: a memtable-only scan has no runtime
-        runtime.fg_read_blocks([(fid, blocks) for _, _, fid, blocks in events])
+        runtime.fg_read_blocks(events)
     return out
 
 
@@ -125,6 +129,8 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
     comps: List[tuple] = []
     n_comps = 0  # len(comps)
     vals_ok = True  # every value synthetic: the sizes column is the output
+    size: Optional[int] = -1  # the shared ``Run.value_size`` (None: none)
+    deletes = False  # some component may hold a tombstone: gather the kinds
     # Per chain: ([(first_ci, end_ci, truncated_any)] per node -- its
     # components are the walk's comps[first_ci:end_ci] -- , fill_only events)
     chains = []
@@ -139,6 +145,8 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                 continue
             run = s.run
             vals_ok = vals_ok and run.vals is None
+            size = run.value_size if size in (-1, run.value_size) else None
+            deletes = deletes or run.deletes is not False and run.holds_deletes()
             comps.append((run, s.key_view, s.i, s.j, None))
             n_comps += 1
             continue
@@ -206,6 +214,8 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
                             cut_key = kv[j]
                     run = seq.run
                     vals_ok = vals_ok and run.vals is None
+                    size = run.value_size if size in (-1, run.value_size) else None
+                    deletes = deletes or run.deletes is not False and run.holds_deletes()
                     comps.append((run, kv, i, j, (fid, seq.block_start_idx,
                                                   seq.first_block, seq.n_blocks,
                                                   charge_end)))
@@ -219,8 +229,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
 
     if not comps:
         return [], [], runtime
-    chains.reverse()  # back to stream order: ``gen`` follows the pulls
-    comps.reverse()  # newest first: walk index w is now ``top - w``
+    comps = comps[::-1]  # newest first: walk index w is now ``top - w``
     top = n_comps - 1
 
     # Cut-key prefilter: in a truncated plan every record with key >=
@@ -246,7 +255,6 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
         # termination below the cut, so widen and retry.
         return _RETRY
     keys_g = np.concatenate([run.keys[i:j] for run, _, i, j, _ in comps])
-    kinds_g = np.concatenate([run.kinds[i:j] for run, _, i, j, _ in comps])
     # (key asc, seq desc): the components are gathered newest first, so a
     # stable sort of the keys alone leaves equal keys newest version first.
     order = keys_g.argsort(kind="stable")
@@ -282,8 +290,10 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
             ex_before = (cnt - cand)[newkey]
             gid = np.cumsum(newkey) - 1
             first_vis = cand & ((cnt - ex_before[gid]) == 1)
-        out_mask = first_vis & (kinds_g[order[:R]] != DELETE)
-        vis = out_mask.nonzero()[0]
+        if deletes:
+            kinds_g = np.concatenate([run.kinds[i:j] for run, _, i, j, _ in comps])
+            first_vis = first_vis & (kinds_g[order[:R]] != DELETE)
+        vis = first_vis.nonzero()[0]
         if n_stop is not None and vis.size >= n_stop:
             M = int(vis[n_stop - 1])
             emit = vis[:n_stop]
@@ -306,7 +316,7 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
     ranks = ranks.tolist()
     events: List[Tuple[int, int, int, range]] = []
     gen = 0
-    for nodes_meta, fill_only in chains:
+    for nodes_meta, fill_only in chains[::-1]:  # stream order: ``gen`` follows the pulls
         prev = -1  # merge rank of the last record of the last non-empty node
         for first_ci, end_ci, truncated_any in nodes_meta:
             if first_ci == end_ci:
@@ -354,7 +364,10 @@ def _attempt(streams, snapshot, hi_key, n_stop, cap):
     # ---------------------------------------------------------------- output
     out: List[Tuple[Key, object]] = []
     if emit.size:
-        if vals_ok:
+        if vals_ok and size is not None:
+            # Every value is the one synthetic size: no value column at all.
+            out = list(zip(skeys[emit].tolist(), repeat(size)))
+        elif vals_ok:
             # Column-wise assembly: the value columns make the whole
             # result two gathers + one zip, no per-row record indexing.
             vals_g = np.concatenate([run.sizes[i:j] for run, _, i, j, _ in comps])

@@ -60,6 +60,8 @@ class YcsbSpec:
             raise ConfigError(f"workload {self.name}: op mix sums to {total}")
         if self.distribution not in ("zipfian", "latest", "uniform"):
             raise ConfigError(f"unknown distribution {self.distribution!r}")
+        if type(self.max_scan_len) is not int:  # bool too: True is not a length
+            raise ConfigError(f"max_scan_len must be an int, got {self.max_scan_len!r}")
         if self.scan > 0 and self.max_scan_len <= 0:
             raise ConfigError("scan workloads need max_scan_len > 0")
 
@@ -118,8 +120,11 @@ def op_blocks(spec: YcsbSpec, n_ops: int, n_records: int, seed: int,
             acc += frac
             thresholds.append((acc, code))
 
-    rng_random, draw, randrange = rng.random, chooser.draw, rng.randrange
-    scan_stop = spec.max_scan_len + 1
+    rng_random, draw, getrandbits = rng.random, chooser.draw, rng.getrandbits
+    # A scan's length is ``rng.randrange(1, n + 1)`` inline: CPython's
+    # ``_randbelow`` loop over ``getrandbits(n.bit_length())``, one call.
+    n_lens = spec.max_scan_len
+    len_bits = n_lens.bit_length()
     for start in range(0, n_ops, KEYGEN_CHUNK):
         k = min(KEYGEN_CHUNK, n_ops - start)
         codes, lens = [0] * k, [0] * k
@@ -134,7 +139,10 @@ def op_blocks(spec: YcsbSpec, n_ops: int, n_records: int, seed: int,
             if code != INSERT:
                 draws[i] = draw()
                 if code == SCAN:
-                    lens[i] = randrange(1, scan_stop)
+                    r = getrandbits(len_bits)
+                    while r >= n_lens:
+                        r = getrandbits(len_bits)
+                    lens[i] = 1 + r
         if isinstance(chooser, LatestChooser):
             # A read sees every earlier insert of this stream, this block's
             # too (an insert's own slot is a placeholder).

@@ -1,14 +1,16 @@
-"""Committed goldens for the JSON reports of the cluster CLIs.
+"""Committed goldens for the output files of the cluster and trace CLIs.
 
 ``tests/data/cli_golden.json`` holds, per invocation, the sha256 of the
-report file ``--report`` writes and one sha256 per top-level report key.
+file it writes and one per part: a ``--report`` file's top-level keys, a
+``--jsonl`` trace's lines by category (``cat``, or ``ph`` for a sample).
 A refactor that must not move what a cluster run observes (router,
-network, replication, failover, shared store) keeps every report
-byte-identical; ``tests/test_cli.py`` replays each invocation against it,
-and ``python -m tests.cli_golden`` does the same from the repository root.
+network, replication, failover, shared store), or a scan's cache
+evictions and their instants, keeps every file byte-identical;
+``tests/test_cli.py`` replays each invocation against it, and ``python -m
+tests.cli_golden`` does the same from the repository root.
 
-A mismatch names the invocation and the first top-level key whose value
-moved.  There is no regeneration mode: a change *meant* to move a report
+A mismatch names the invocation and the first part whose value moved.
+There is no regeneration mode: a change *meant* to move an output
 recomputes the digests with :func:`report_digests`, edits the file by hand
 and says so in CHANGES.md.
 """
@@ -28,7 +30,7 @@ from repro.cli import main
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "cli_golden.json"
 
-#: Every golden invocation, by name (``--report PATH`` is appended).
+#: Every golden invocation, by name (its output flag and PATH are appended).
 INVOCATIONS: Dict[str, List[str]] = {
     "cluster-ycsb-faulted": [
         "cluster", "ycsb", "--shards", "4", "--replicas", "2", "--workload", "A",
@@ -41,7 +43,14 @@ INVOCATIONS: Dict[str, List[str]] = {
     "objstore-load-offload": [
         "objstore", "load", "--shards", "2", "--replicas", "2",
         "--records", "4000", "--offload-compaction"],
+    # Scans on a page cache of 25 blocks: every request evicts.
+    "trace-ycsb-e": [
+        "trace", "ycsb-e", "--engine", "iam", "--records", "3000", "--ops", "400",
+        "--memory-mb", "0.1"],
 }
+
+#: The flag naming an invocation's output file, where it is not ``--report``.
+OUTPUT_FLAG: Dict[str, str] = {"trace-ycsb-e": "--jsonl"}
 
 
 def _sha(data: bytes) -> str:
@@ -49,14 +58,22 @@ def _sha(data: bytes) -> str:
 
 
 def report_digests(name: str) -> Dict[str, object]:
-    """Run invocation ``name`` in-process; the sha256 of its report file and
-    of each top-level key's canonical JSON."""
+    """Run invocation ``name`` in-process; the sha256 of its output file and
+    of each part: a report key's canonical JSON, a trace category's lines."""
+    flag = OUTPUT_FLAG.get(name, "--report")
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "report.json"
+        path = Path(tmp) / ("trace.jsonl" if flag == "--jsonl" else "report.json")
         with redirect_stdout(StringIO()):
-            if main(INVOCATIONS[name] + ["--report", str(path)]) != 0:
+            if main(INVOCATIONS[name] + [flag, str(path)]) != 0:
                 raise RuntimeError(f"{name} exited non-zero")
         raw = path.read_bytes()
+    if flag == "--jsonl":
+        parts: Dict[str, List[bytes]] = {}
+        for line in raw.splitlines():
+            event = json.loads(line)
+            parts.setdefault(event.get("cat", event["ph"]), []).append(line)
+        return {"sha256": _sha(raw), "keys": {
+            key: _sha(b"\n".join(lines)) for key, lines in parts.items()}}
     return {"sha256": _sha(raw), "keys": {
         key: _sha(json.dumps(value, sort_keys=True).encode())
         for key, value in json.loads(raw).items()}}
@@ -75,15 +92,15 @@ def first_difference(want: Dict[str, object], got: Dict[str, object]) -> Optiona
 
 
 def check(name: str) -> Optional[str]:
-    """One line naming the invocation and its first moved key, or None."""
+    """One line naming the invocation and its first moved part, or None."""
     moved = first_difference(json.loads(GOLDEN_PATH.read_text())[name], report_digests(name))
     if moved is None:
         return None
-    return (f"{name}: report moved at key {moved!r} "
-            f"(repro {' '.join(INVOCATIONS[name])} --report PATH)")
+    return (f"{name}: output moved at {moved!r} (repro {' '.join(INVOCATIONS[name])} "
+            f"{OUTPUT_FLAG.get(name, '--report')} PATH)")
 
 
 if __name__ == "__main__":
     problems = [p for p in map(check, INVOCATIONS) if p]
-    print("\n".join(problems) or f"ok {len(INVOCATIONS)} cluster CLI reports")
+    print("\n".join(problems) or f"ok {len(INVOCATIONS)} CLI output files")
     sys.exit(1 if problems else 0)

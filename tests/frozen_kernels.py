@@ -27,6 +27,10 @@ reference the store bootstrap is compared against in
 ``(debt, bytes)`` anchors and pops the ones the window has slid past.  It
 is the oracle of the lazy window in ``tests/test_pacing.py``.
 
+``frozen_op_blocks`` is ``repro.workloads.ycsb.op_blocks`` at d97fb29 (its
+body verbatim), whose scan lengths are ``rng.randrange(1, n + 1)``: the
+oracle of the inline ``getrandbits`` draw in ``tests/test_ycsb.py``.
+
 ``build_op_stream`` is ``repro.workloads.ycsb``'s per-op stream at 5c17a7a
 (its body verbatim: a closure per op, scalar ``sample`` and ``permute64``
 calls); driven round-robin, it is the oracle of ``run_ycsb``'s op blocks in
@@ -36,7 +40,7 @@ calls); driven round-robin, it is the oracle of ``run_ycsb``'s op blocks in
 import bisect
 import random
 from collections import deque
-from typing import Deque, Tuple
+from typing import Deque, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -47,8 +51,10 @@ from repro.common.records import (
 from repro.storage.background import ACTIVE, FAIR_QUANTUM_S, BackgroundPool
 from repro.storage.pacing import MIN_RATE_FRACTION
 from repro.table.merge import merge_runs
+from repro.workloads.dbbench import KEYGEN_CHUNK
 from repro.workloads.distributions import (
-    LatestChooser, ScrambledZipfian, UniformChooser, permute64)
+    LatestChooser, ScrambledZipfian, UniformChooser, permute64, permute64_many)
+from repro.workloads.ycsb import INSERT, READ, RMW, SCAN, UPDATE, YcsbSpec
 
 
 def frozen_might_contain(bits, n_bits, n_hashes, h1, h2):
@@ -333,3 +339,56 @@ def build_op_stream(db, spec, n_ops, n_records, *, seed, value_size, client=0,
                 break
         else:  # floating-point edge: fall through to the last op type
             yield thresholds[-1][1]
+
+
+def frozen_op_blocks(spec: YcsbSpec, n_ops: int, n_records: int, seed: int,
+                     client: int, key_offset: int) -> Iterator[List[Tuple[int, int, int]]]:
+    if client == 0:
+        rng = random.Random(f"{seed}:{spec.name}")
+    else:
+        rng = random.Random(f"{seed}:{spec.name}:c{client}")
+    chooser: Union[ScrambledZipfian, UniformChooser, LatestChooser]
+    if spec.distribution == "zipfian":
+        chooser = ScrambledZipfian(n_records, rng)
+    elif spec.distribution == "uniform":
+        chooser = UniformChooser(n_records, rng)
+    else:
+        chooser = LatestChooser(n_records, rng)
+
+    thresholds = []
+    acc = 0.0
+    for frac, code in ((spec.read, READ), (spec.update, UPDATE),
+                       (spec.insert, INSERT), (spec.scan, SCAN), (spec.rmw, RMW)):
+        if frac > 0:
+            acc += frac
+            thresholds.append((acc, code))
+
+    rng_random, draw, randrange = rng.random, chooser.draw, rng.randrange
+    scan_stop = spec.max_scan_len + 1
+    for start in range(0, n_ops, KEYGEN_CHUNK):
+        k = min(KEYGEN_CHUNK, n_ops - start)
+        codes, lens = [0] * k, [0] * k
+        draws: List[float] = [0] * k
+        for i in range(k):
+            u = rng_random()
+            # No break (a floating-point edge) leaves the last op type.
+            for bound, code in thresholds:
+                if u <= bound:
+                    break
+            codes[i] = code
+            if code != INSERT:
+                draws[i] = draw()
+                if code == SCAN:
+                    lens[i] = randrange(1, scan_stop)
+        if isinstance(chooser, LatestChooser):
+            # A read sees every earlier insert of this stream, this block's
+            # too (an insert's own slot is a placeholder).
+            seen = np.cumsum(np.equal(codes, INSERT))
+            items = chooser.transform(draws, chooser.max_item + seen)
+            chooser.max_item += int(seen[-1])
+        else:
+            items = chooser.transform(draws)
+        if key_offset:
+            items = np.where(items < n_records, (items + key_offset) % n_records,
+                             items)
+        yield list(zip(codes, permute64_many(items), lens))

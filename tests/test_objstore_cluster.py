@@ -104,6 +104,30 @@ def test_time_travel_reads_serve_the_recorded_cut():
     cluster.close()
 
 
+def test_a_time_travel_read_fills_its_misses_from_the_store():
+    # An as-of reader's page-cache misses are ranged GETs on the store, one
+    # per run of missing blocks, charged at store latency; its own disk
+    # reads nothing.
+    cluster = _cluster(objstore_retain_cuts=64,
+                       store=ObjStoreOptions(latency_s=0.01))
+    model = {}
+    _load(cluster, model, 150)
+    cluster.flush()
+    cluster.quiesce()
+    cut_id = cluster.manifest_logs[0].latest_cut().cut_id
+    assert cluster.get(KEYS[0], as_of_cut=cut_id) == model[KEYS[0]]
+    runtime = cluster._as_of_readers[(0, cut_id)].runtime
+    for file_id in list(runtime.cache._per_file):
+        runtime.cache.invalidate_file(file_id)
+    gets, misses = runtime.objstore.gets, runtime.metrics.cache_misses
+    t0 = runtime.clock.now
+    assert cluster.get(KEYS[1], as_of_cut=cut_id) == model[KEYS[1]]
+    assert runtime.objstore.gets > gets and runtime.metrics.cache_misses > misses
+    assert runtime.clock.now - t0 >= 0.01
+    assert runtime.disk.bytes_read == 0
+    cluster.close()
+
+
 def test_time_travel_requires_a_retained_cut():
     cluster = _cluster()
     model = {}

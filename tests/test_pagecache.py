@@ -197,28 +197,36 @@ def _stretches(block_nos):
 
 
 def _request(cache, reads, fail_at=-1):
-    """One read request, a scripted fill between each missed run's touch
-    and admission (the ``fail_at``-th raises); returns the fills asked."""
+    """One read request through a scripted fill (its ``fail_at``-th call
+    raises, ending the request); returns the fills' arguments in call order
+    and checks the request's ``(elapsed, missed, seeks)`` against them."""
     fills = []
+
+    def fill(*, nbytes_read, seeks):
+        fills.append((nbytes_read, seeks))
+        if len(fills) - 1 == fail_at:
+            raise _FillFailed
+        return 0.5 ** len(fills)  # distinct bits: the sum's order shows
     try:
-        for missing, seeks in cache.read_request(reads):
-            fills.append((missing, seeks))
-            if len(fills) - 1 == fail_at:
-                raise _FillFailed
+        elapsed, missed, seeks = cache.read_request(reads, fill)
     except _FillFailed:
-        pass
+        return fills
+    assert elapsed == sum(0.5 ** k for k in range(1, len(fills) + 1))
+    assert missed * cache.block_size == sum(n for n, _ in fills)
+    assert seeks == sum(s for _, s in fills)
     return fills
 
 
 def _ref_request(ref, reads, fail_at=-1):
-    """Per run, per-block touches, then its misses inserted one by one
-    unless its fill fails (ending the request); returns fills and hits."""
+    """Per run, per-block touches, then one fill of its misses and their
+    per-block inserts unless the fill fails (ending the request); returns
+    the fills' arguments and the hits."""
     fills, hits = [], 0
     for f, run in reads:
         misses = [b for b in run if not ref.touch(f, b)]
         hits += len(run) - len(misses)
         if misses:
-            fills.append((len(misses), _stretches(misses)))
+            fills.append((len(misses) * ref.block_size, _stretches(misses)))
             if len(fills) - 1 == fail_at:
                 break
             for b in misses:
@@ -298,7 +306,7 @@ def test_a_request_admits_the_touched_misses_only():
         c.insert(9, 0)
         c.insert(1, 2)
     reads = [(1, range(0, 3))]
-    assert _request(new, reads) == _ref_request(ref, reads)[0] == [(2, 1)]
+    assert _request(new, reads) == _ref_request(ref, reads)[0] == [(2 * 64, 1)]
     assert list(new._lru) == list(ref._lru) == [(1, 0), (1, 1)]
     assert new.evictions == ref.evictions == 2
 
@@ -311,7 +319,8 @@ def test_a_failed_fill_admits_nothing_and_ends_the_request():
         c.insert(2, 1)
         c.insert(3, 0)
     reads = [(1, range(0, 2)), (2, range(0, 3)), (3, range(0, 2))]
-    assert _request(new, reads, 1) == _ref_request(ref, reads, 1)[0] == [(2, 1), (2, 2)]
+    assert (_request(new, reads, 1) == _ref_request(ref, reads, 1)[0]
+            == [(2 * 64, 1), (2 * 64, 2)])
     assert list(new._lru) == list(ref._lru) == [(3, 0), (1, 0), (1, 1), (2, 1)]
     assert new.resident_blocks(2) == 1 and new.insertions == ref.insertions == 4
 
@@ -353,7 +362,7 @@ def test_a_request_at_the_one_pass_guard(cap, pins, reach):
     new.on_evictions = batches.append
     ref_batches = _record_batches(ref)
     reads = [(1, range(0, 4))]
-    assert _request(new, reads) == _ref_request(ref, reads)[0] == [(2, 1)]
+    assert _request(new, reads) == _ref_request(ref, reads)[0] == [(2 * 64, 1)]
     assert list(new._lru) == list(ref._lru)
     assert new._pinned == ref._pinned and len(new._pinned) == pins
     assert (new.insertions, new.evictions) == (ref.insertions, ref.evictions)

@@ -37,6 +37,7 @@ from repro.filters.bloom import hash_pair
 from repro.storage.runtime import Runtime
 from repro.table.mstable import MSTable
 from repro.table.run import Run
+from repro.table.scan import list_stream, merge_scan
 from tests.conftest import (make_tiny_db, member_dbs, tiny_iam_options,
                             tiny_storage_options)
 
@@ -218,8 +219,9 @@ def _components_holding(db, key):
     """How many of the scan's components hold a version of ``key``: each
     memtable, each sequence of a chain node (an L0 file's stream, a guard's
     fragment); walks the descriptions, charging nothing."""
-    n = 0
-    for s in db._scan_streams(None, None):
+    n = sum(key in mem.sorted_records().keys.tolist()
+            for mem in (db.memtable, db.immutable) if mem is not None)
+    for s in db.engine.scan_cursors(None, None):
         if hasattr(s, "run"):
             n += key in s.run.keys.tolist()
             continue
@@ -279,6 +281,44 @@ def test_scan_takes_each_key_from_its_newest_component(engine, rounds,
         assert _observable_state(db_opt) == _observable_state(db_ref)
     db_ref.close()
     db_opt.close()
+
+
+@pytest.mark.parametrize("engine", ["iam", "leveldb", "flsm"])
+@pytest.mark.parametrize("case", ["sizes", "bytes", "tombstones"])
+def test_scan_of_components_that_disagree_is_the_generator_tier(engine, case):
+    # Every component is uniform in itself, but they do not share one
+    # value size, or one holds real bytes, or tombstones: the planner's
+    # shared-size output and its kinds skip must step aside.  Rows, clock,
+    # Bloom and cache counters and the LRU equal the generator tier's.
+    dbs = [make_tiny_db(engine, storage_kw=dict(page_cache_bytes=2048))
+           for _ in range(2)]
+    newer = {"sizes": 64, "bytes": b"x" * 40, "tombstones": None}[case]
+    for db in dbs:
+        for i in range(200):
+            db.put(KEY_POOL[i % 24] ^ (i << 40), 40)
+        db.flush()
+        db.quiesce()
+        for k, key in enumerate(KEY_POOL[:12]):
+            if newer is None:
+                db.delete(key ^ (k << 40))
+            else:
+                db.put(key ^ (k << 40), newer)
+            if k == 5:  # half of them in a flushed component
+                db.flush()
+                db.quiesce()
+    db_ref, db_opt = dbs
+    for lo, limit in ((None, None), (None, 30), (KEY_POOL[3], 40)):
+        # The generator tier over the streams a scan plans.
+        want = merge_scan([list_stream(mem.sorted_records(), lo, None) for mem in
+                           (db_ref.memtable, db_ref.immutable) if mem is not None]
+                          + db_ref.engine.scan_cursors(lo, None), limit=limit)
+        assert db_opt.scan(lo, None, limit=limit) == want
+        assert _observable_state(db_opt) == _observable_state(db_ref)
+    values = {value for _, value in db_opt.scan()}
+    assert values == ({40} if newer is None else {40, newer})
+    assert len(db_opt.scan()) == 200 - 12 * (newer is None)
+    for db in dbs:
+        db.close()
 
 
 # ------------------------------------------------------------- pinned edges
@@ -703,7 +743,7 @@ def test_shallow_table_past_the_cut_is_fill_only(engine, monkeypatch):
         got = _assert_scan_matches(db_ref, db_opt, band, hi, limit, snap)
         assert got[-1][0] < band + 10 ** 5
         # The dropped table's charges: one fill per sequence reaching hi.
-        assert ({blocks.start for fid, blocks in requests.pop() if fid == table.file_id}
+        assert ({blocks.start for *_, fid, blocks in requests.pop() if fid == table.file_id}
                 == {s.first_block for s in table.sequences
                     if hi is None or s.key_view[0] <= hi})
     got = _assert_scan_matches(db_ref, db_opt, dense[100], None, 2)
@@ -790,7 +830,7 @@ def test_flsm_guard_past_the_cut_is_fill_only(monkeypatch):
                             (None, 10, db_ref._seq - 30), (None, 100, None)):
         got = _assert_scan_matches(db_ref, db_opt, band, hi, limit, snap)
         assert got[-1][0] < band + 10 ** 5
-        assert (sorted((fid, blocks.start) for fid, blocks in requests.pop() if fid in fids)
+        assert (sorted((fid, blocks.start) for *_, fid, blocks in requests.pop() if fid in fids)
                 == sorted((t.file_id, s.first_block) for t in tables for s in t.sequences
                           if hi is None or s.key_view[0] <= hi))
 

@@ -100,6 +100,36 @@ def test_slices_and_gathers_are_runs(recs, data):
     assert run.take(np.array(picks, dtype=np.intp)).records() == [recs[p] for p in picks]
 
 
+@given(st.lists(sorted_records(max_keys=12, value=st.sampled_from([40, 40, 7, b"abcd"])),
+                min_size=1, max_size=4), st.data())
+def test_value_size_and_deletes_hold_through_every_piece(parts, data):
+    # The scan planner emits a shared value_size as every row's value and
+    # skips the kinds column of runs known to hold no DELETE: both facts
+    # must hold wherever a run is made -- from_columns (which knows both),
+    # concat, slice and take, chained, ``deletes`` found or left unknown.
+    runs = [Run.from_records(recs) for recs in parts]
+    assert None not in [run.deletes for run in runs]
+    for step in range(len(runs) + 8):
+        if step >= len(parts):  # one more piece of the runs so far
+            run = data.draw(st.sampled_from(runs))
+            op = data.draw(st.sampled_from(["concat", "slice", "take"]))
+            if op == "concat":
+                run = Run.concat(data.draw(st.lists(st.sampled_from(runs), min_size=1,
+                                                    max_size=3)))
+            elif op == "slice":
+                i = data.draw(st.integers(0, run.n))
+                run = run.slice(i, data.draw(st.integers(i, run.n)))
+            else:
+                run = run.take(np.array(data.draw(st.lists(
+                    st.integers(0, max(0, run.n - 1)), max_size=8 * (run.n > 0))), dtype=np.intp))
+            runs.append(run)
+        run, tombstone = runs[step], DELETE in runs[step].kinds.tolist()
+        assert run.value_size is None or run.sizes.tolist() == [run.value_size] * run.n
+        assert run.deletes in (None, tombstone)
+        if data.draw(st.booleans()):
+            assert run.holds_deletes() is tombstone and run.deletes is tombstone
+
+
 @pytest.mark.parametrize("key", ["k1", b"k1", 1.5, True, None, (1, 2)])
 def test_non_integer_record_keys_are_refused(key):
     with pytest.raises(ConfigError):

@@ -1,9 +1,12 @@
 """Runtime charging conventions: query reads, compaction I/O, files."""
 
+import copy
+
 import pytest
 
 from repro.common.options import DeviceProfile, StorageOptions
 from repro.storage.runtime import Runtime
+from repro.storage.simdisk import SimDisk
 
 PROFILE = DeviceProfile("test", seek_time_s=0.01, bulk_seek_time_s=0.001,
                         read_bandwidth=1000.0, write_bandwidth=1000.0)
@@ -97,6 +100,39 @@ def test_evictions_are_stamped_after_the_fill():
     rt.cache.insert_many(9, range(2))
     lat = rt.fg_read_blocks(((1, range(0, 2)),))
     assert lat > 0.0 and instants == [(lat, 1), (lat, 1)]
+
+
+def test_a_query_fill_is_looked_up_per_request(monkeypatch):
+    # The fill is the disk's fg_io as it is when the request runs: a class
+    # patch made after the runtime was built (the ledger's probe) sees each
+    # run's fetch.  The second one raises: the first run's misses are in,
+    # the second run's hit is promoted, and no query counter settles.
+    rt = make_runtime()
+    rt.cache.insert(2, 1)
+    seen = []
+
+    def fg_io(disk, **kw):
+        seen.append((disk, kw))
+        if len(seen) == 2:
+            raise OSError("fill failed")
+        return 1.0
+    monkeypatch.setattr(SimDisk, "fg_io", fg_io)
+    with pytest.raises(OSError):
+        rt.fg_read_blocks(((1, range(0, 2)), (2, range(0, 3)), (3, range(0, 2))))
+    assert seen == [(rt.disk, {"nbytes_read": 2 * 256, "seeks": 1}),
+                    (rt.disk, {"nbytes_read": 2 * 256, "seeks": 2})]
+    m = rt.metrics
+    assert (m.query_seeks, m.cache_hits, m.cache_misses) == (0, 0, 0)
+    assert list(rt.cache._lru) == [(1, 0), (1, 1), (2, 1)]
+
+
+def test_a_deep_copied_runtime_charges_its_own_disk():
+    rt = make_runtime()
+    twin = copy.deepcopy(rt)
+    lat = twin.fg_read_blocks(((1, range(0, 3)),))
+    assert lat == pytest.approx(0.01 + 3 * 256 / 1000.0)
+    assert (twin.disk.bytes_read, twin.clock.now) == (3 * 256, lat)
+    assert (rt.disk.bytes_read, rt.clock.now, len(rt.cache)) == (0, 0.0, 0)
 
 
 def test_bg_write_run_accounting():

@@ -5,6 +5,7 @@ import itertools
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.common.errors import ConfigError
 from repro.workloads import ycsb
@@ -13,7 +14,7 @@ from repro.workloads.runner import run_ycsb
 from repro.workloads.ycsb import (
     INSERT, READ, RMW, SCAN, UPDATE, YCSB_WORKLOADS, YcsbSpec, op_blocks)
 from tests.conftest import make_tiny_db
-from tests.frozen_kernels import build_op_stream
+from tests.frozen_kernels import build_op_stream, frozen_op_blocks
 
 
 def test_paper_workload_mixes():
@@ -33,6 +34,40 @@ def test_spec_validation():
         YcsbSpec("bad", read=1.0, distribution="gaussian")
     with pytest.raises(ConfigError):
         YcsbSpec("bad", scan=1.0, max_scan_len=0)
+
+
+@pytest.mark.parametrize("bad", [100.5, True, 100.0], ids=["float", "bool", "whole-float"])
+def test_spec_refuses_a_non_int_max_scan_len(bad):
+    # Once: 100.5 died mid-run in randrange, True made every scan one row
+    # long, 100.0 warned (a TypeError on 3.12).  Now refused up front.
+    with pytest.raises(ConfigError, match="max_scan_len must be an int"):
+        YcsbSpec("bad", scan=1.0, max_scan_len=bad)
+
+
+def _scan_lens(blocks):
+    return [n for block in blocks for code, _, n in block if code == SCAN]
+
+
+@given(seed=st.integers(0, 2 ** 32), n=st.sampled_from([1, 2, 3, 64, 100, 127, 128, 10_000]))
+def test_the_inline_scan_length_draw_is_randrange(seed, n):
+    # The draw is CPython's getrandbits rejection loop, inline: the lengths,
+    # and every draw after them, are those of the frozen op_blocks, which
+    # calls random.Random(...).randrange(1, n + 1).
+    spec = YcsbSpec("S", scan=1.0, distribution="uniform", max_scan_len=n)
+    got = list(op_blocks(spec, 12, 50, seed, 0, 0))
+    assert got == list(frozen_op_blocks(spec, 12, 50, seed, 0, 0))
+    assert all(1 <= length <= n for length in _scan_lens(got))
+
+
+@pytest.mark.parametrize("name", ["E", "G"])
+@pytest.mark.parametrize("seed", [11, 37])
+def test_scan_op_blocks_equal_the_frozen_randrange_blocks(name, seed):
+    spec = YCSB_WORKLOADS[name]
+    for client, offset in ((0, 0), (1, 150)):
+        got = list(op_blocks(spec, 2 * ycsb.KEYGEN_CHUNK + 7, 300, seed, client, offset))
+        assert got == list(frozen_op_blocks(spec, 2 * ycsb.KEYGEN_CHUNK + 7, 300, seed,
+                                            client, offset))
+        assert len(set(_scan_lens(got))) > 20
 
 
 def test_spec_refuses_negative_or_nan_fractions():
